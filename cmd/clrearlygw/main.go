@@ -25,8 +25,8 @@
 // store, so a restarted gateway re-enqueues unfinished jobs and keeps
 // serving cached results.
 //
-// The tenant-facing API mirrors clrearlyd's (POST/GET/DELETE /v1/jobs,
-// /wait, /events SSE, /metrics), so existing clients work unchanged;
+// The tenant-facing job API (POST/GET/DELETE /v1/jobs, /wait, /events
+// SSE) runs clrearlyd's own code, so existing clients work unchanged;
 // requests authenticate with "X-API-Key: <key>" or a bearer token.
 package main
 

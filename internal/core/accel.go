@@ -68,7 +68,7 @@ func AccelTotals() AccelStats {
 
 // SelectionTotals exposes the engine-level selection-path and
 // plateau-convergence counters to the service layers — the source of the
-// daemon's and gateway's /metrics selection and convergence blocks.
+// daemon's /metrics selection and convergence blocks.
 func SelectionTotals() moea.SelectionStats {
 	return moea.SelectionTotals()
 }

@@ -226,14 +226,7 @@ func (a *Agent) runOne(ctx context.Context, grant *LeaseGrant) {
 			cancelRun()
 			return
 		}
-		p := service.ProgressWire{
-			Stage:            e.Stage,
-			Generation:       e.Generation,
-			Generations:      e.Generations,
-			TotalGenerations: total,
-			Evaluations:      e.Evaluations,
-			ArchiveSize:      e.ArchiveSize,
-		}
+		p := service.ProgressToWire(e, total)
 		lastMu.Lock()
 		last = &p
 		lastMu.Unlock()

@@ -26,14 +26,14 @@
 //     is weighted-fair. Overload — rate, quota or global queue depth —
 //     answers 429 with Retry-After, never an unbounded queue.
 //
-// The tenant-facing API mirrors clrearlyd's (POST/GET/DELETE /v1/jobs,
-// /wait, /events SSE, /metrics), so existing clients work unchanged
-// against a fleet.
+// The tenant-facing job API (POST/GET/DELETE /v1/jobs, /wait, /events
+// SSE) shares the daemon's code: gateway jobs embed service.Job, and the
+// wait, SSE, spec-intake and result-cache code is internal/service's, so
+// existing clients work unchanged against a fleet.
 package gateway
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -128,7 +128,7 @@ type Gateway struct {
 	jobs         map[string]*gwJob
 	order        []string
 	activeByHash map[string]*gwJob
-	cache        *lruFronts
+	cache        *service.FrontCache
 	leases       map[string]*lease
 	workers      map[string]*workerInfo
 	nextID       int64
@@ -168,7 +168,7 @@ func New(cfg Config) (*Gateway, error) {
 		closed:       make(chan struct{}),
 		jobs:         make(map[string]*gwJob),
 		activeByHash: make(map[string]*gwJob),
-		cache:        newLRUFronts(cfg.CacheCap),
+		cache:        service.NewFrontCache(cfg.CacheCap),
 		leases:       make(map[string]*lease),
 		workers:      make(map[string]*workerInfo),
 	}
@@ -195,22 +195,15 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("GET /v1/jobs/{id}/wait", g.handleWait)
 	g.mux.HandleFunc("GET /v1/jobs/{id}/events", g.handleEvents)
 	g.mux.HandleFunc("DELETE /v1/jobs/{id}", g.handleCancel)
-	g.mux.HandleFunc("POST /v1/lease", g.handleLease)
+	g.mux.HandleFunc("POST /v1/lease", g.workerOnly(g.handleLease))
+	g.mux.HandleFunc("POST /v1/lease/{id}/progress", g.workerOnly(g.handleLeaseProgress))
+	g.mux.HandleFunc("POST /v1/lease/{id}/renew", g.workerOnly(g.handleLeaseRenew))
+	g.mux.HandleFunc("POST /v1/lease/{id}/complete", g.workerOnly(g.handleLeaseComplete))
 	if !cfg.DisableIslandHub {
 		g.islands = dist.NewMigrationHub()
-		g.mux.HandleFunc("POST /v1/island/exchange", func(w http.ResponseWriter, r *http.Request) {
-			// Worker-token gated like the lease API: exchanges carry genomes
-			// derived from tenant specs, so tenants must not reach the hub.
-			if !g.authWorker(w, r) {
-				return
-			}
-			g.islands.ServeHTTP(w, r)
-		})
+		g.mux.HandleFunc("POST /v1/island/exchange", g.workerOnly(g.islands.ServeHTTP))
 	}
-	g.mux.HandleFunc("POST /v1/lease/{id}/progress", g.handleLeaseProgress)
-	g.mux.HandleFunc("POST /v1/lease/{id}/renew", g.handleLeaseRenew)
-	g.mux.HandleFunc("POST /v1/lease/{id}/complete", g.handleLeaseComplete)
-	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
+	g.mux.HandleFunc("GET /healthz", service.HandleHealthz)
 	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
 
 	g.loopsWG.Add(1)
@@ -245,12 +238,7 @@ func (g *Gateway) Close() {
 // under their original IDs. Runs before the HTTP surface is up, so no
 // locking is needed.
 func (g *Gateway) recover(st *store.Store) {
-	for _, r := range st.Results() {
-		var fw service.FrontWire
-		if err := json.Unmarshal(r.Payload, &fw); err == nil {
-			g.cache.Add(r.Hash, &fw)
-		}
-	}
+	g.cache.LoadResults(st)
 	for _, jr := range st.Jobs() {
 		var rec storedJob
 		if err := json.Unmarshal(jr.Spec, &rec); err != nil || rec.Spec == nil {
@@ -267,43 +255,22 @@ func (g *Gateway) recover(st *store.Store) {
 			// accounting under the recovery tenant.
 			t = g.anon
 		}
-		j := &gwJob{
-			id:        jr.ID,
-			tenant:    t,
-			spec:      spec,
-			hash:      jr.Hash,
-			class:     t.class,
-			subs:      make(map[chan service.ProgressWire]struct{}),
-			done:      make(chan struct{}),
-			submitted: jr.Submitted,
-		}
+		j := &gwJob{Job: service.RecoverJob(jr, spec, g.cache), tenant: t, class: t.class}
 		var n int64
 		if _, err := fmt.Sscanf(jr.ID, "g%d", &n); err == nil && n > g.nextID {
 			g.nextID = n
 		}
 		if jr.Pending() {
-			j.state = service.StateQueued
 			if t != g.anon {
 				t.mu.Lock()
 				t.active++
 				t.mu.Unlock()
 			}
-			g.activeByHash[j.hash] = j
+			g.activeByHash[j.Hash] = j
 			g.queue.pushForce(j)
-		} else {
-			j.state = jr.State
-			j.cached = jr.Cached
-			j.errMsg = jr.Error
-			j.finished = jr.Finished
-			if jr.State == service.StateDone {
-				if fw, ok := g.cache.Get(jr.Hash); ok {
-					j.front = fw
-				}
-			}
-			close(j.done)
 		}
-		g.jobs[j.id] = j
-		g.order = append(g.order, j.id)
+		g.jobs[j.ID] = j
+		g.order = append(g.order, j.ID)
 	}
 }
 
@@ -317,8 +284,8 @@ type storedJob struct {
 // ---- tenant-facing handlers ----
 
 // authTenant resolves the request's API key ("Authorization: Bearer" or
-// "X-API-Key") to a tenant.
-func (g *Gateway) authTenant(r *http.Request) *tenant {
+// "X-API-Key") to a tenant, answering 401 when it matches none.
+func (g *Gateway) authTenant(w http.ResponseWriter, r *http.Request) *tenant {
 	key := r.Header.Get("X-API-Key")
 	if key == "" {
 		const prefix = "Bearer "
@@ -326,10 +293,13 @@ func (g *Gateway) authTenant(r *http.Request) *tenant {
 			key = h[len(prefix):]
 		}
 	}
-	if key == "" {
+	t := g.byKey[key]
+	if key == "" || t == nil {
+		g.m.rejectedAuth.Add(1)
+		service.HTTPError(w, http.StatusUnauthorized, "missing or unknown API key")
 		return nil
 	}
-	return g.byKey[key]
+	return t
 }
 
 func retryAfter(w http.ResponseWriter, d time.Duration) {
@@ -341,10 +311,8 @@ func retryAfter(w http.ResponseWriter, d time.Duration) {
 }
 
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	t := g.authTenant(r)
+	t := g.authTenant(w, r)
 	if t == nil {
-		g.m.rejectedAuth.Add(1)
-		httpError(w, http.StatusUnauthorized, "missing or unknown API key")
 		return
 	}
 	g.m.submitted.Add(1)
@@ -352,49 +320,28 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		t.rejectedRate.Add(1)
 		g.m.rejectedRate.Add(1)
 		retryAfter(w, wait)
-		httpError(w, http.StatusTooManyRequests,
+		service.HTTPError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("tenant %s over its %.3g jobs/s rate", t.cfg.Name, t.cfg.RatePerSec))
 		return
 	}
-	if g.cfg.MaxBodyBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	}
-	var spec service.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("job spec exceeds %d-byte limit", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding job spec: %v", err))
+	// Specs that cannot build are rejected at the edge: a 400 here is
+	// cheaper for the fleet than a failed job on a worker.
+	spec, hash, ok := service.DecodeSpec(w, r, g.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
-	if err := spec.Normalize(); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Reject specs that cannot build at the edge: a 400 here is cheaper
-	// for the fleet than a failed job on a worker.
-	if _, _, err := service.Build(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	hash := spec.Hash()
 
 	g.mu.Lock()
 	// Content-addressed routing, cheapest source first: an identical job
 	// already in flight absorbs the submission outright.
 	if dup := g.activeByHash[hash]; dup != nil {
-		dup.mu.Lock()
+		dup.Lock()
 		dup.attached++
-		dup.mu.Unlock()
+		dup.Unlock()
 		t.deduped.Add(1)
 		g.m.attachHits.Add(1)
 		g.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, dup.wire(false))
+		service.WriteJSON(w, http.StatusAccepted, dup.Wire(false))
 		return
 	}
 	// Then the shared result cache: gateway-local LRU, falling back to
@@ -415,17 +362,13 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		source.Add(1)
 		t.deduped.Add(1)
 		j := g.newJobLocked(t, spec, hash)
-		j.state = service.StateDone
-		j.cached = true
-		j.front = front
-		j.finished = j.submitted
-		close(j.done)
-		g.jobs[j.id] = j
-		g.order = append(g.order, j.id)
+		j.FinishCached(front)
+		g.jobs[j.ID] = j
+		g.order = append(g.order, j.ID)
 		g.mu.Unlock()
 		g.journalAccept(j)
-		g.journalFinish(j)
-		writeJSON(w, http.StatusOK, j.wire(true))
+		j.JournalFinish(g.cfg.Store)
+		service.WriteJSON(w, http.StatusOK, j.Wire(true))
 		return
 	}
 	g.m.misses.Add(1)
@@ -436,12 +379,11 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		t.rejectedQuota.Add(1)
 		g.m.rejectedQuota.Add(1)
 		retryAfter(w, time.Second)
-		httpError(w, http.StatusTooManyRequests,
+		service.HTTPError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("tenant %s at its %d active-job quota", t.cfg.Name, t.cfg.MaxActive))
 		return
 	}
 	j := g.newJobLocked(t, spec, hash)
-	j.state = service.StateQueued
 	if !g.queue.push(j) {
 		g.nextID--
 		g.mu.Unlock()
@@ -449,12 +391,12 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		t.rejectedQueue.Add(1)
 		g.m.rejectedBackpressure.Add(1)
 		retryAfter(w, time.Second)
-		httpError(w, http.StatusTooManyRequests,
+		service.HTTPError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("fleet queue full (%d jobs waiting)", g.cfg.QueueCap))
 		return
 	}
-	g.jobs[j.id] = j
-	g.order = append(g.order, j.id)
+	g.jobs[j.ID] = j
+	g.order = append(g.order, j.ID)
 	g.activeByHash[hash] = j
 	g.mu.Unlock()
 	t.admitted.Add(1)
@@ -463,25 +405,17 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// 202, the job survives a gateway crash.
 	if err := g.journalAccept(j); err != nil {
 		g.finalize(j, service.StateFailed, "journaling job: "+err.Error(), nil)
-		httpError(w, http.StatusInternalServerError, "journaling job: "+err.Error())
+		service.HTTPError(w, http.StatusInternalServerError, "journaling job: "+err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.wire(false))
+	service.WriteJSON(w, http.StatusAccepted, j.Wire(false))
 }
 
-// newJobLocked allocates a job record; the caller holds g.mu.
+// newJobLocked allocates a queued job record; the caller holds g.mu.
 func (g *Gateway) newJobLocked(t *tenant, spec service.JobSpec, hash string) *gwJob {
 	g.nextID++
-	return &gwJob{
-		id:        fmt.Sprintf("g%06d", g.nextID),
-		tenant:    t,
-		spec:      spec,
-		hash:      hash,
-		class:     t.class,
-		subs:      make(map[chan service.ProgressWire]struct{}),
-		done:      make(chan struct{}),
-		submitted: time.Now(),
-	}
+	id := fmt.Sprintf("g%06d", g.nextID)
+	return &gwJob{Job: service.NewJob(id, spec, hash, time.Now()), tenant: t, class: t.class}
 }
 
 func (g *Gateway) journalAccept(j *gwJob) error {
@@ -489,54 +423,29 @@ func (g *Gateway) journalAccept(j *gwJob) error {
 	if st == nil {
 		return nil
 	}
-	specJSON, err := json.Marshal(&j.spec)
+	specJSON, err := json.Marshal(&j.Spec)
 	if err == nil {
 		var payload []byte
 		payload, err = json.Marshal(storedJob{Tenant: j.tenant.cfg.Name, Spec: specJSON})
 		if err == nil {
-			err = st.AcceptJob(j.id, j.hash, payload, j.submitted)
+			err = st.AcceptJob(j.ID, j.Hash, payload, j.Submitted)
 		}
 	}
 	return err
 }
 
-// journalFinish records a job's terminal state; done fronts become the
-// replicated result-store entry under the spec hash. Best-effort: a
-// store error here degrades durability, never the response.
-func (g *Gateway) journalFinish(j *gwJob) {
-	st := g.cfg.Store
-	if st == nil {
-		return
-	}
-	j.mu.Lock()
-	state, errMsg, cached, front, finished := j.state, j.errMsg, j.cached, j.front, j.finished
-	j.mu.Unlock()
-	var payload json.RawMessage
-	if state == service.StateDone && front != nil && !cached {
-		payload, _ = json.Marshal(front)
-	}
-	_ = st.FinishJob(j.id, state, j.hash, errMsg, cached, payload, finished)
-}
-
 // finalize moves a job to a terminal state (idempotently), releases its
 // admission slot, publishes the result and journals the outcome.
 func (g *Gateway) finalize(j *gwJob, state, errMsg string, front *service.FrontWire) {
-	j.mu.Lock()
-	switch j.state {
-	case service.StateDone, service.StateFailed, service.StateCancelled:
-		j.mu.Unlock()
+	j.Lock()
+	finished := j.FinishLocked(state, errMsg, front)
+	if finished {
+		j.worker = ""
+	}
+	j.Unlock()
+	if !finished {
 		return
 	}
-	j.state = state
-	if state == service.StateDone {
-		j.front = front
-	} else {
-		j.errMsg = errMsg
-	}
-	j.finished = time.Now()
-	j.worker = ""
-	close(j.done)
-	j.mu.Unlock()
 
 	t := j.tenant
 	if t != g.anon {
@@ -554,26 +463,26 @@ func (g *Gateway) finalize(j *gwJob, state, errMsg string, front *service.FrontW
 		g.m.cancelled.Add(1)
 	}
 	g.mu.Lock()
-	if g.activeByHash[j.hash] == j {
-		delete(g.activeByHash, j.hash)
+	if g.activeByHash[j.Hash] == j {
+		delete(g.activeByHash, j.Hash)
 	}
 	if state == service.StateDone && front != nil {
-		g.cache.Add(j.hash, front)
+		g.cache.Add(j.Hash, front)
 	}
 	g.mu.Unlock()
 	if g.islands != nil {
 		// Island runs name their barrier after the spec hash; a terminal
 		// job's barrier is dead weight (and would strand stragglers).
-		g.islands.Forget(j.hash)
+		g.islands.Forget(j.Hash)
 	}
-	g.journalFinish(j)
+	j.JournalFinish(g.cfg.Store)
 }
 
+// lookup resolves the path's job for the requesting tenant, answering 401
+// or 404 itself when it cannot.
 func (g *Gateway) lookup(w http.ResponseWriter, r *http.Request) *gwJob {
-	t := g.authTenant(r)
+	t := g.authTenant(w, r)
 	if t == nil {
-		g.m.rejectedAuth.Add(1)
-		httpError(w, http.StatusUnauthorized, "missing or unknown API key")
 		return nil
 	}
 	g.mu.Lock()
@@ -583,7 +492,7 @@ func (g *Gateway) lookup(w http.ResponseWriter, r *http.Request) *gwJob {
 	// not confirm what other tenants are running. Jobs recovered under a
 	// dropped tenant stay readable by anyone authenticated.
 	if j == nil || (j.tenant != t && j.tenant != g.anon) {
-		httpError(w, http.StatusNotFound, "no such job")
+		service.HTTPError(w, http.StatusNotFound, "no such job")
 		return nil
 	}
 	return j
@@ -591,65 +500,37 @@ func (g *Gateway) lookup(w http.ResponseWriter, r *http.Request) *gwJob {
 
 func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
 	if j := g.lookup(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.wire(true))
+		service.WriteJSON(w, http.StatusOK, j.Wire(true))
 	}
 }
 
 func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
-	t := g.authTenant(r)
+	t := g.authTenant(w, r)
 	if t == nil {
-		g.m.rejectedAuth.Add(1)
-		httpError(w, http.StatusUnauthorized, "missing or unknown API key")
 		return
 	}
 	g.mu.Lock()
-	jobs := make([]*gwJob, 0, len(g.order))
+	jobs := make([]*service.Job, 0, len(g.order))
 	for _, id := range g.order {
 		if j := g.jobs[id]; j.tenant == t {
-			jobs = append(jobs, j)
+			jobs = append(jobs, j.Job)
 		}
 	}
 	g.mu.Unlock()
-	out := make([]*service.JobWire, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.wire(false)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	service.WriteJobList(w, jobs)
 }
 
-// handleWait long-polls a job until it is terminal or the "timeout" query
-// parameter (default 30s, capped at 5m) elapses — the same contract as
-// clrearlyd's /wait, so dist.Coordinator can front a gateway unchanged.
+// handleWait is the daemon's /wait, so dist.Coordinator can front a
+// gateway unchanged.
 func (g *Gateway) handleWait(w http.ResponseWriter, r *http.Request) {
-	j := g.lookup(w, r)
-	if j == nil {
-		return
+	if j := g.lookup(w, r); j != nil {
+		service.ServeWait(w, r, j.Job)
 	}
-	d := 30 * time.Second
-	if raw := r.URL.Query().Get("timeout"); raw != "" {
-		parsed, err := time.ParseDuration(raw)
-		if err != nil || parsed <= 0 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", raw))
-			return
-		}
-		d = min(parsed, 5*time.Minute)
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-j.done:
-	case <-timer.C:
-	case <-r.Context().Done():
-		return
-	}
-	writeJSON(w, http.StatusOK, j.wire(true))
 }
 
 func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
-	t := g.authTenant(r)
+	t := g.authTenant(w, r)
 	if t == nil {
-		g.m.rejectedAuth.Add(1)
-		httpError(w, http.StatusUnauthorized, "missing or unknown API key")
 		return
 	}
 	g.mu.Lock()
@@ -658,112 +539,33 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 	// Same hiding rule as lookup; and nobody may cancel a recovered
 	// (anon-owned) job, since ownership can no longer be proven.
 	if j == nil || j.tenant != t {
-		httpError(w, http.StatusNotFound, "no such job")
+		service.HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	j.mu.Lock()
-	state := j.state
+	j.Lock()
+	state := j.State
 	if state == service.StateRunning {
 		// The lease holder learns of the cancellation on its next
 		// progress report or renewal; lease expiry is the backstop for a
 		// worker that never checks in again.
 		j.cancelReq = true
 	}
-	j.mu.Unlock()
+	j.Unlock()
 	if state == service.StateQueued {
 		g.queue.remove(j)
 		g.finalize(j, service.StateCancelled, "cancelled", nil)
 	}
-	writeJSON(w, http.StatusAccepted, j.wire(false))
+	service.WriteJSON(w, http.StatusAccepted, j.Wire(false))
 }
 
-// handleEvents streams a job's per-generation progress as SSE, relayed
-// from the lease holder's progress reports. Same coalescing contract as
-// the daemon: slow subscribers drop intermediate generations, the
-// terminal event always carries the final state.
+// handleEvents is the daemon's SSE stream, relayed from the lease
+// holder's progress reports.
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := g.lookup(w, r)
-	if j == nil {
-		return
+	if j := g.lookup(w, r); j != nil {
+		g.m.sseSubscribers.Add(1)
+		defer g.m.sseSubscribers.Add(-1)
+		service.ServeEvents(w, r, j.Job)
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	sub := make(chan service.ProgressWire, 16)
-	j.mu.Lock()
-	j.subs[sub] = struct{}{}
-	j.mu.Unlock()
-	g.m.sseSubscribers.Add(1)
-	defer func() {
-		j.mu.Lock()
-		delete(j.subs, sub)
-		j.mu.Unlock()
-		g.m.sseSubscribers.Add(-1)
-	}()
-
-	j.mu.Lock()
-	last := j.progress
-	j.mu.Unlock()
-	writeSSE(w, "status", j.wire(false))
-	if last != nil {
-		writeSSE(w, "progress", *last)
-	}
-	flusher.Flush()
-	for {
-		select {
-		case p := <-sub:
-			writeSSE(w, "progress", p)
-			flusher.Flush()
-		case <-j.done:
-			for {
-				select {
-				case p := <-sub:
-					writeSSE(w, "progress", p)
-				default:
-					final := j.wire(true)
-					writeSSE(w, final.State, final)
-					flusher.Flush()
-					return
-				}
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// ---- helpers (wire-identical to the daemon's) ----
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeSSE(w http.ResponseWriter, event string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		data = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }
 
 // probeLoop health-checks workers that advertise an address, reusing the

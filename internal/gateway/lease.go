@@ -54,41 +54,38 @@ type CompleteRequest struct {
 	Final *service.ProgressWire `json:"final_progress,omitempty"`
 }
 
-// authWorker gates the lease API behind the worker token. Tenant API
-// keys deliberately do not work here: leasing hands out other tenants'
-// specs, so only fleet workers may pull.
-func (g *Gateway) authWorker(w http.ResponseWriter, r *http.Request) bool {
-	if g.cfg.WorkerToken == "" {
-		return true
+// workerOnly gates a handler behind the worker token. Tenant API keys
+// deliberately do not work there: leasing hands out other tenants' specs
+// and island exchanges carry genomes derived from them, so only fleet
+// workers may call.
+func (g *Gateway) workerOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if g.cfg.WorkerToken != "" && !service.CheckBearer(r, g.cfg.WorkerToken) {
+			g.m.rejectedAuth.Add(1)
+			service.HTTPError(w, http.StatusUnauthorized, "missing or invalid worker token")
+			return
+		}
+		h(w, r)
 	}
-	if !service.CheckBearer(r, g.cfg.WorkerToken) {
-		g.m.rejectedAuth.Add(1)
-		httpError(w, http.StatusUnauthorized, "missing or invalid worker token")
-		return false
-	}
-	return true
 }
 
 // handleLease is the pull edge of the control plane: a worker long-polls
 // for work and receives at most one job, claimed under a TTL lease.
 func (g *Gateway) handleLease(w http.ResponseWriter, r *http.Request) {
-	if !g.authWorker(w, r) {
-		return
-	}
 	var req LeaseRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<10)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding lease request: %v", err))
+		service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("decoding lease request: %v", err))
 		return
 	}
 	if req.Worker == "" {
-		httpError(w, http.StatusBadRequest, "lease request names no worker")
+		service.HTTPError(w, http.StatusBadRequest, "lease request names no worker")
 		return
 	}
 	poll := 2 * time.Second
 	if req.Timeout != "" {
 		parsed, err := time.ParseDuration(req.Timeout)
 		if err != nil || parsed <= 0 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", req.Timeout))
+			service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", req.Timeout))
 			return
 		}
 		poll = min(parsed, 30*time.Second)
@@ -100,7 +97,7 @@ func (g *Gateway) handleLease(w http.ResponseWriter, r *http.Request) {
 	for {
 		wakeC := g.queue.awaitC() // arm before popping so no enqueue is missed
 		if grant := g.tryLease(req.Worker); grant != nil {
-			writeJSON(w, http.StatusOK, grant)
+			service.WriteJSON(w, http.StatusOK, grant)
 			return
 		}
 		select {
@@ -124,19 +121,19 @@ func (g *Gateway) tryLease(workerName string) *LeaseGrant {
 		if j == nil {
 			return nil
 		}
-		j.mu.Lock()
-		if j.state != service.StateQueued {
-			j.mu.Unlock() // cancelled between enqueue and lease; skip
+		j.Lock()
+		if j.State != service.StateQueued {
+			j.Unlock() // cancelled between enqueue and lease; skip
 			continue
 		}
-		j.state = service.StateRunning
+		j.State = service.StateRunning
 		j.worker = workerName
 		j.attempts++
 		delivery := j.attempts
-		if j.started.IsZero() {
-			j.started = time.Now()
+		if j.Started.IsZero() {
+			j.Started = time.Now()
 		}
-		j.mu.Unlock()
+		j.Unlock()
 
 		now := time.Now()
 		g.mu.Lock()
@@ -151,11 +148,11 @@ func (g *Gateway) tryLease(workerName string) *LeaseGrant {
 		g.leases[l.id] = l
 		g.mu.Unlock()
 		g.m.leasesGranted.Add(1)
-		spec := j.spec
+		spec := j.Spec
 		return &LeaseGrant{
 			LeaseID:  l.id,
-			JobID:    j.id,
-			Hash:     j.hash,
+			JobID:    j.ID,
+			Hash:     j.Hash,
 			Spec:     &spec,
 			TTLMS:    g.cfg.LeaseTTL.Milliseconds(),
 			Delivery: delivery,
@@ -179,11 +176,9 @@ func (g *Gateway) touchWorker(name, addr string) {
 }
 
 // takeLease resolves a lease ID to its live lease, renewing it as a side
-// effect (any worker call proves the worker alive).
+// effect (any worker call proves the worker alive) or, with consume,
+// removing it.
 func (g *Gateway) takeLease(w http.ResponseWriter, r *http.Request, consume bool) *lease {
-	if !g.authWorker(w, r) {
-		return nil
-	}
 	g.mu.Lock()
 	l := g.leases[r.PathValue("id")]
 	if l != nil {
@@ -199,7 +194,7 @@ func (g *Gateway) takeLease(w http.ResponseWriter, r *http.Request, consume bool
 		// should drop the run — its result is redundant, never wrong,
 		// because identical specs compute identical fronts.
 		g.m.staleLeaseCalls.Add(1)
-		httpError(w, http.StatusGone, "lease expired or unknown")
+		service.HTTPError(w, http.StatusGone, "lease expired or unknown")
 		return nil
 	}
 	g.touchWorker(l.worker, "")
@@ -216,70 +211,65 @@ func (g *Gateway) handleLeaseProgress(w http.ResponseWriter, r *http.Request) {
 	}
 	var p service.ProgressWire
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<10)).Decode(&p); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding progress: %v", err))
+		service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("decoding progress: %v", err))
 		return
 	}
 	g.m.progressEvents.Add(1)
-	j := l.job
-	j.mu.Lock()
-	j.progress = &p
-	for sub := range j.subs {
-		select {
-		case sub <- p:
-		default: // slow subscriber: coalesce by dropping this generation
-		}
-	}
-	cancelled := j.cancelReq
-	j.mu.Unlock()
-	writeJSON(w, http.StatusOK, LeaseAck{Cancelled: cancelled})
+	l.job.Publish(p)
+	g.ack(w, l.job)
 }
 
 // handleLeaseRenew extends the lease without a progress payload.
 func (g *Gateway) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
-	l := g.takeLease(w, r, false)
-	if l == nil {
-		return
+	if l := g.takeLease(w, r, false); l != nil {
+		g.m.leasesRenewed.Add(1)
+		g.ack(w, l.job)
 	}
-	g.m.leasesRenewed.Add(1)
-	j := l.job
-	j.mu.Lock()
+}
+
+// ack answers a progress report or renewal, relaying any cancellation the
+// tenant requested meanwhile.
+func (g *Gateway) ack(w http.ResponseWriter, j *gwJob) {
+	j.Lock()
 	cancelled := j.cancelReq
-	j.mu.Unlock()
-	writeJSON(w, http.StatusOK, LeaseAck{Cancelled: cancelled})
+	j.Unlock()
+	service.WriteJSON(w, http.StatusOK, LeaseAck{Cancelled: cancelled})
 }
 
 // handleLeaseComplete terminates a leased job with the worker's outcome.
+// The body is validated before the lease is consumed: a rejected
+// completion leaves the lease to expire, so the job is redelivered
+// instead of stranded.
 func (g *Gateway) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
+	var req CompleteRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
+		service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("decoding completion: %v", err))
+		return
+	}
+	errMsg := req.Error
+	switch req.State {
+	case service.StateDone:
+		if req.Front == nil {
+			service.HTTPError(w, http.StatusBadRequest, "done completion carries no front")
+			return
+		}
+	case service.StateFailed:
+	case service.StateCancelled:
+		errMsg = "cancelled"
+	default:
+		service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("unknown terminal state %q", req.State))
+		return
+	}
 	l := g.takeLease(w, r, true)
 	if l == nil {
 		return
 	}
-	var req CompleteRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding completion: %v", err))
-		return
-	}
-	j := l.job
 	if req.Final != nil {
-		j.mu.Lock()
-		j.progress = req.Final
-		j.mu.Unlock()
+		l.job.Lock()
+		l.job.Progress = req.Final
+		l.job.Unlock()
 	}
-	switch req.State {
-	case service.StateDone:
-		if req.Front == nil {
-			httpError(w, http.StatusBadRequest, "done completion carries no front")
-			return
-		}
-		g.finalize(j, service.StateDone, "", req.Front)
-	case service.StateFailed:
-		g.finalize(j, service.StateFailed, req.Error, nil)
-	case service.StateCancelled:
-		g.finalize(j, service.StateCancelled, "cancelled", nil)
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown terminal state %q", req.State))
-		return
-	}
+	g.finalize(l.job, req.State, errMsg, req.Front)
 	g.mu.Lock()
 	if wi := g.workers[l.worker]; wi != nil {
 		if req.State == service.StateDone {
@@ -289,7 +279,7 @@ func (g *Gateway) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	g.mu.Unlock()
-	writeJSON(w, http.StatusOK, LeaseAck{})
+	service.WriteJSON(w, http.StatusOK, LeaseAck{})
 }
 
 // expiryLoop reclaims leases whose workers stopped renewing — the
@@ -339,13 +329,13 @@ func (g *Gateway) expiryLoop() {
 // expireLease returns one abandoned job to the queue (or fails it).
 func (g *Gateway) expireLease(l *lease) {
 	j := l.job
-	j.mu.Lock()
-	if j.state != service.StateRunning || j.worker != l.worker {
-		j.mu.Unlock() // completed, cancelled or already re-leased
+	j.Lock()
+	if j.State != service.StateRunning || j.worker != l.worker {
+		j.Unlock() // completed, cancelled or already re-leased
 		return
 	}
 	if j.cancelReq {
-		j.mu.Unlock()
+		j.Unlock()
 		// The tenant cancelled while the (now dead) worker held the
 		// lease; the expiry makes the cancellation terminal.
 		g.finalize(j, service.StateCancelled, "cancelled", nil)
@@ -353,13 +343,13 @@ func (g *Gateway) expireLease(l *lease) {
 	}
 	if j.attempts >= g.cfg.MaxDeliveries {
 		attempts := j.attempts
-		j.mu.Unlock()
+		j.Unlock()
 		g.finalize(j, service.StateFailed,
 			fmt.Sprintf("lease expired after %d deliveries", attempts), nil)
 		return
 	}
-	j.state = service.StateQueued
+	j.State = service.StateQueued
 	j.worker = ""
-	j.mu.Unlock()
+	j.Unlock()
 	g.queue.pushFront(j)
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/service"
 )
 
@@ -133,12 +132,6 @@ type MetricsWire struct {
 	ProgressEvents int64 `json:"progress_events"`
 	SSESubscribers int64 `json:"sse_subscribers"`
 
-	// Selection / Convergence mirror the daemon's engine-level selection and
-	// plateau-termination counters for work executed in this process (the
-	// gateway's embedded local worker).
-	Selection   service.SelectionWire   `json:"selection"`
-	Convergence service.ConvergenceWire `json:"convergence"`
-
 	CacheSize     int `json:"cache_size"`
 	CacheCapacity int `json:"cache_capacity"`
 	// Store gauges are present when the gateway runs with a durable store.
@@ -177,15 +170,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if hits := m.Dedup.InflightAttach + m.Dedup.CacheHits + m.Dedup.StoreHits; hits+m.Dedup.Misses > 0 {
 		m.Dedup.HitRate = float64(hits) / float64(hits+m.Dedup.Misses)
 	}
-	sel := core.SelectionTotals()
-	m.Selection = service.SelectionWire{SortNanos: sel.SortNanos, ArchiveNanos: sel.ArchiveNanos}
-	m.Convergence = service.ConvergenceWire{
-		GenerationsRun:    sel.GenerationsRun,
-		GenerationsBudget: sel.GenerationsBudget,
-		GenerationsSaved:  sel.GenerationsSaved,
-		PlateauStops:      sel.PlateauStops,
-		LastHypervolume:   sel.LastHypervolume,
-	}
 	d := g.queue.depths()
 	m.Queue = QueueDepthsWire{High: d[classHigh], Normal: d[classNormal], Low: d[classLow], Capacity: g.cfg.QueueCap}
 
@@ -195,7 +179,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, l := range g.leases {
 		heldBy[l.worker]++
 		m.Leases.Active = append(m.Leases.Active, LeaseStatusWire{
-			JobID:     l.job.id,
+			JobID:     l.job.ID,
 			Worker:    l.worker,
 			AgeMS:     now.Sub(l.granted).Milliseconds(),
 			ExpiresMS: l.expires.Sub(now).Milliseconds(),
@@ -247,5 +231,5 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		sw := service.StoreWire(st.Stats())
 		m.Store = &sw
 	}
-	writeJSON(w, http.StatusOK, m)
+	service.WriteJSON(w, http.StatusOK, m)
 }

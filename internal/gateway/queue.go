@@ -3,75 +3,31 @@ package gateway
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/service"
 )
 
-// gwJob is the gateway-side state of one admitted job. The gateway never
-// executes jobs itself: a gwJob moves queued → running (leased to a
-// worker) → done/failed/cancelled, with lease expiry pushing it back to
-// queued until its delivery budget runs out.
+// gwJob is the gateway-side state of one admitted job: the shared job
+// record (so clients speak the exact protocol a single clrearlyd exposes)
+// plus what leases and tenancy need. The gateway never executes jobs
+// itself: a gwJob moves queued → running (leased to a worker) →
+// done/failed/cancelled, with lease expiry pushing it back to queued until
+// its delivery budget runs out.
 type gwJob struct {
-	id     string
+	*service.Job
 	tenant *tenant
-	spec   service.JobSpec
-	hash   string
 	class  int
 
 	// dropped marks a job removed from consideration while still inside a
 	// queue slice (cancelled while queued); the lease path skips it without
-	// taking mu, keeping queue.mu and job.mu un-nested.
+	// taking the job's lock, keeping queue.mu and job locks un-nested.
 	dropped atomic.Bool
 
-	mu        sync.Mutex
-	state     string
-	cached    bool
-	errMsg    string
-	front     *service.FrontWire
-	progress  *service.ProgressWire
-	subs      map[chan service.ProgressWire]struct{}
-	done      chan struct{} // closed on terminal state
-	cancelReq bool          // client asked for cancellation while leased
-	attempts  int           // lease deliveries so far
-	worker    string        // current lease holder
-	attached  int64         // duplicate submissions attached in flight
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-}
-
-// wire snapshots the job in the daemon's JobWire schema, so gateway
-// clients (curl, dist.Coordinator) speak the exact protocol a single
-// clrearlyd exposes.
-func (j *gwJob) wire(includeFront bool) *service.JobWire {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	w := &service.JobWire{
-		ID:          j.id,
-		State:       j.state,
-		Method:      j.spec.Method,
-		SpecHash:    j.hash,
-		Cached:      j.cached,
-		Error:       j.errMsg,
-		SubmittedAt: j.submitted,
-	}
-	if j.progress != nil {
-		p := *j.progress
-		w.Progress = &p
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		w.StartedAt = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		w.FinishedAt = &t
-	}
-	if includeFront && j.state == service.StateDone {
-		w.Front = j.front
-	}
-	return w
+	// Guarded by the Job's lock.
+	cancelReq bool   // client asked for cancellation while leased
+	attempts  int    // lease deliveries so far
+	worker    string // current lease holder
+	attached  int64  // duplicate submissions attached in flight
 }
 
 // workQueue is the gateway's pending-job pool: one FIFO per priority

@@ -95,67 +95,24 @@ func (jc *jobCheckpointer) persistLocked() {
 // finished come back as the queued backlog (returned in acceptance order
 // for re-enqueueing). Called from New before the workers start, so no
 // locking is needed.
-func (s *Server) recover(st *store.Store) []*job {
-	for _, r := range st.Results() {
-		var fw FrontWire
-		if err := json.Unmarshal(r.Payload, &fw); err == nil {
-			s.cache.Add(r.Hash, &fw)
-		}
-	}
-	var pending []*job
+func (s *Server) recover(st *store.Store) []*localJob {
+	s.cache.LoadResults(st)
+	var pending []*localJob
 	for _, jr := range st.Jobs() {
 		var spec JobSpec
 		if err := json.Unmarshal(jr.Spec, &spec); err != nil {
 			continue // journaled by a newer build; unusable but harmless
 		}
-		j := &job{
-			id:        jr.ID,
-			spec:      spec,
-			hash:      jr.Hash,
-			subs:      make(map[chan ProgressWire]struct{}),
-			done:      make(chan struct{}),
-			submitted: jr.Submitted,
-		}
+		j := &localJob{Job: RecoverJob(jr, spec, s.cache)}
 		var n int64
 		if _, err := fmt.Sscanf(jr.ID, "j%d", &n); err == nil && n > s.nextID {
 			s.nextID = n
 		}
 		if jr.Pending() {
-			j.state = StateQueued
 			pending = append(pending, j)
-		} else {
-			j.state = jr.State
-			j.cached = jr.Cached
-			j.errMsg = jr.Error
-			j.finished = jr.Finished
-			if jr.State == StateDone {
-				if fw, ok := s.cache.Get(jr.Hash); ok {
-					j.front = fw
-				}
-			}
-			close(j.done)
 		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
+		s.jobs[j.ID] = j
+		s.order = append(s.order, j.ID)
 	}
 	return pending
-}
-
-// persistFinish journals a job's terminal state (and, for done jobs, the
-// result payload that warms the persistent cache) and drops the run
-// checkpoint that is now obsolete. Called without j.mu held.
-func (s *Server) persistFinish(j *job) {
-	st := s.cfg.Store
-	if st == nil {
-		return
-	}
-	j.mu.Lock()
-	state, errMsg, cached, front, finished := j.state, j.errMsg, j.cached, j.front, j.finished
-	j.mu.Unlock()
-	var payload json.RawMessage
-	if state == StateDone && front != nil && !cached {
-		payload, _ = json.Marshal(front)
-	}
-	_ = st.FinishJob(j.id, state, j.hash, errMsg, cached, payload, finished)
-	_ = st.ClearCheckpoint(j.hash)
 }

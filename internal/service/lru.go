@@ -1,11 +1,17 @@
 package service
 
-import "container/list"
+import (
+	"container/list"
+	"encoding/json"
 
-// lruCache is a fixed-capacity least-recently-used map from spec hashes to
-// finished fronts. Not safe for concurrent use; the server guards it with
+	"repro/internal/store"
+)
+
+// FrontCache is a fixed-capacity least-recently-used map from spec hashes
+// to finished fronts: the daemon's result cache and the gateway-local tier
+// of the fleet's. Not safe for concurrent use; the owner guards it with
 // its own mutex.
-type lruCache struct {
+type FrontCache struct {
 	cap   int
 	order *list.List // front = most recently used
 	items map[string]*list.Element
@@ -16,15 +22,15 @@ type lruEntry struct {
 	front *FrontWire
 }
 
-func newLRUCache(capacity int) *lruCache {
+func NewFrontCache(capacity int) *FrontCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &lruCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
+	return &FrontCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
 }
 
 // Get returns the cached front and refreshes its recency.
-func (c *lruCache) Get(key string) (*FrontWire, bool) {
+func (c *FrontCache) Get(key string) (*FrontWire, bool) {
 	el, ok := c.items[key]
 	if !ok {
 		return nil, false
@@ -35,7 +41,7 @@ func (c *lruCache) Get(key string) (*FrontWire, bool) {
 
 // Add inserts or refreshes an entry, evicting the least recently used one
 // beyond capacity.
-func (c *lruCache) Add(key string, front *FrontWire) {
+func (c *FrontCache) Add(key string, front *FrontWire) {
 	if el, ok := c.items[key]; ok {
 		el.Value.(*lruEntry).front = front
 		c.order.MoveToFront(el)
@@ -50,4 +56,15 @@ func (c *lruCache) Add(key string, front *FrontWire) {
 }
 
 // Len is the current entry count.
-func (c *lruCache) Len() int { return c.order.Len() }
+func (c *FrontCache) Len() int { return c.order.Len() }
+
+// LoadResults fills the cache from the store's persistent results, oldest
+// first, so the newest end up most recently used.
+func (c *FrontCache) LoadResults(st *store.Store) {
+	for _, r := range st.Results() {
+		var fw FrontWire
+		if err := json.Unmarshal(r.Payload, &fw); err == nil {
+			c.Add(r.Hash, &fw)
+		}
+	}
+}

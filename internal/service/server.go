@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -72,56 +71,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is the server-side state of one submitted run.
-type job struct {
-	id   string
-	spec JobSpec
-	hash string
-
-	mu        sync.Mutex
-	state     string
-	cached    bool
-	errMsg    string
-	front     *FrontWire
-	progress  *ProgressWire
-	cancel    context.CancelFunc // set while running
-	subs      map[chan ProgressWire]struct{}
-	done      chan struct{} // closed on terminal state
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-}
-
-// wire snapshots the job's status; includeFront attaches the result of a
-// finished job.
-func (j *job) wire(includeFront bool) *JobWire {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	w := &JobWire{
-		ID:          j.id,
-		State:       j.state,
-		Method:      j.spec.Method,
-		SpecHash:    j.hash,
-		Cached:      j.cached,
-		Error:       j.errMsg,
-		SubmittedAt: j.submitted,
-	}
-	if j.progress != nil {
-		p := *j.progress
-		w.Progress = &p
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		w.StartedAt = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		w.FinishedAt = &t
-	}
-	if includeFront && j.state == StateDone {
-		w.Front = j.front
-	}
-	return w
+// localJob is a job the daemon runs itself: the shared record plus the
+// cancel func of its run, set while running under the record's lock.
+type localJob struct {
+	*Job
+	cancel context.CancelFunc
 }
 
 // Server is the DSE job service: a bounded FIFO queue drained by a fixed
@@ -131,16 +85,16 @@ func (j *job) wire(includeFront bool) *JobWire {
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
-	queue   chan *job
+	queue   chan *localJob
 	baseCtx context.Context
 	abort   context.CancelFunc // cancels all running jobs (forced shutdown)
 	metrics *Metrics
 	wg      sync.WaitGroup
 
 	mu       sync.Mutex
-	jobs     map[string]*job
+	jobs     map[string]*localJob
 	order    []string // submission order, for listing
-	cache    *lruCache
+	cache    *FrontCache
 	draining bool
 	nextID   int64
 }
@@ -154,16 +108,16 @@ func New(cfg Config) *Server {
 		baseCtx: ctx,
 		abort:   abort,
 		metrics: newMetrics(),
-		jobs:    make(map[string]*job),
-		cache:   newLRUCache(cfg.CacheCap),
+		jobs:    make(map[string]*localJob),
+		cache:   NewFrontCache(cfg.CacheCap),
 	}
 	// Recovery pass: replay the store before serving, and size the queue so
 	// the whole recovered backlog fits alongside a full queue of new work.
-	var pending []*job
+	var pending []*localJob
 	if cfg.Store != nil {
 		pending = s.recover(cfg.Store)
 	}
-	s.queue = make(chan *job, cfg.QueueCap+len(pending))
+	s.queue = make(chan *localJob, cfg.QueueCap+len(pending))
 	for _, j := range pending {
 		s.queue <- j
 	}
@@ -174,7 +128,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/wait", s.handleWait)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /healthz", HandleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if cfg.IslandHub != nil {
 		s.mux.Handle("POST /v1/island/exchange", cfg.IslandHub)
@@ -191,7 +145,7 @@ func New(cfg Config) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.AuthToken != "" && r.URL.Path != "/healthz" {
 		if !CheckBearer(r, s.cfg.AuthToken) {
-			httpError(w, http.StatusUnauthorized, "missing or invalid bearer token")
+			HTTPError(w, http.StatusUnauthorized, "missing or invalid bearer token")
 			return
 		}
 	}
@@ -220,11 +174,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.draining = true
 		for _, id := range s.order {
 			j := s.jobs[id]
-			j.mu.Lock()
-			if j.state == StateQueued {
-				s.finishLocked(j, StateCancelled, "service shutting down")
+			j.Lock()
+			if j.State == StateQueued {
+				j.FinishLocked(StateCancelled, "service shutting down", nil)
 			}
-			j.mu.Unlock()
+			j.Unlock()
 		}
 		close(s.queue)
 	}
@@ -254,23 +208,23 @@ func (s *Server) worker() {
 	}
 }
 
-func (s *Server) runJob(j *job) {
-	j.mu.Lock()
-	if j.state != StateQueued { // cancelled while queued
-		j.mu.Unlock()
+func (s *Server) runJob(j *localJob) {
+	j.Lock()
+	if j.State != StateQueued { // cancelled while queued
+		j.Unlock()
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	j.state = StateRunning
+	j.State = StateRunning
 	j.cancel = cancel
-	j.started = time.Now()
-	j.mu.Unlock()
+	j.Started = time.Now()
+	j.Unlock()
 	defer cancel()
 
-	total := j.spec.TotalGenerations()
+	total := j.Spec.TotalGenerations()
 	hooks := RunHooks{
 		Progress: func(e core.ProgressEvent) {
-			s.publishProgress(j, e, total)
+			j.Publish(ProgressToWire(e, total))
 		},
 		CheckpointEvery: s.cfg.CheckpointEvery,
 	}
@@ -278,111 +232,55 @@ func (s *Server) runJob(j *job) {
 		// The checkpointer also carries any snapshot a previous daemon
 		// incarnation saved for this spec, so a re-enqueued job resumes
 		// mid-evolution instead of restarting.
-		hooks.Checkpoint = newJobCheckpointer(s.cfg.Store, j.hash)
+		hooks.Checkpoint = newJobCheckpointer(s.cfg.Store, j.Hash)
 	}
-	inst, flib, err := Build(&j.spec)
+	inst, flib, err := Build(&j.Spec)
 	var front *core.Front
 	if err == nil {
-		front, err = ExecuteOnHooks(ctx, inst, flib, &j.spec, hooks)
+		front, err = ExecuteOnHooks(ctx, inst, flib, &j.Spec, hooks)
 	}
 
-	j.mu.Lock()
+	j.Lock()
 	j.cancel = nil
 	aborted := false
 	switch {
 	case ctx.Err() != nil:
-		s.finishLocked(j, StateCancelled, "cancelled")
+		j.FinishLocked(StateCancelled, "cancelled", nil)
 		// A forced-shutdown abort is not a client decision: the job keeps
 		// its pending store record (plus the final cancellation checkpoint
 		// the GA just wrote), so the next incarnation re-enqueues and
 		// resumes it. A client DELETE is terminal and is journaled.
 		aborted = s.baseCtx.Err() != nil
 	case err != nil:
-		s.finishLocked(j, StateFailed, err.Error())
+		j.FinishLocked(StateFailed, err.Error(), nil)
 	default:
-		j.front = FrontToWire(front)
-		s.finishLocked(j, StateDone, "")
+		j.FinishLocked(StateDone, "", FrontToWire(front))
 	}
-	j.mu.Unlock()
+	j.Unlock()
 
-	if j.front != nil {
+	if j.Front != nil {
 		s.mu.Lock()
-		s.cache.Add(j.hash, j.front)
+		s.cache.Add(j.Hash, j.Front)
 		s.mu.Unlock()
 	}
 	if !aborted {
-		s.persistFinish(j)
+		j.JournalFinish(s.cfg.Store)
 	}
-	s.metrics.observeLatency(j.spec.Method, time.Since(j.started))
-}
-
-// finishLocked moves a job (whose mu the caller holds) to a terminal state.
-func (s *Server) finishLocked(j *job, state, errMsg string) {
-	j.state = state
-	if state != StateDone {
-		j.errMsg = errMsg
-	}
-	j.finished = time.Now()
-	close(j.done)
-}
-
-// publishProgress records the latest generation report and fans it out to
-// SSE subscribers. Slow subscribers drop events rather than stall the GA.
-func (s *Server) publishProgress(j *job, e core.ProgressEvent, total int) {
-	p := ProgressWire{
-		Stage:            e.Stage,
-		Generation:       e.Generation,
-		Generations:      e.Generations,
-		TotalGenerations: total,
-		Evaluations:      e.Evaluations,
-		ArchiveSize:      e.ArchiveSize,
-	}
-	j.mu.Lock()
-	j.progress = &p
-	for sub := range j.subs {
-		select {
-		case sub <- p:
-		default:
-		}
-	}
-	j.mu.Unlock()
+	s.metrics.observeLatency(j.Spec.Method, time.Since(j.Started))
 }
 
 // ---- HTTP handlers ----
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.MaxBodyBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	}
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("job spec exceeds %d-byte limit", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding job spec: %v", err))
+	spec, hash, ok := DecodeSpec(w, r, s.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
-	if err := spec.Normalize(); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Materialize the instance once up front so malformed specs (e.g. bad
-	// inline graphs) fail fast with 400 instead of failing the job later.
-	if _, _, err := Build(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	hash := spec.Hash()
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "service shutting down")
+		HTTPError(w, http.StatusServiceUnavailable, "service shutting down")
 		return
 	}
 	s.metrics.incSubmitted()
@@ -392,248 +290,142 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// are handled below by the result cache.)
 	for i := len(s.order) - 1; i >= 0; i-- {
 		dup := s.jobs[s.order[i]]
-		if dup.hash != hash {
+		if dup.Hash != hash {
 			continue
 		}
-		dup.mu.Lock()
-		active := dup.state == StateQueued || dup.state == StateRunning
-		dup.mu.Unlock()
+		dup.Lock()
+		active := dup.State == StateQueued || dup.State == StateRunning
+		dup.Unlock()
 		if active {
 			s.metrics.incDeduped()
 			s.mu.Unlock()
-			writeJSON(w, http.StatusAccepted, dup.wire(false))
+			WriteJSON(w, http.StatusAccepted, dup.Wire(false))
 			return
 		}
 	}
 	s.nextID++
-	j := &job{
-		id:        fmt.Sprintf("j%06d", s.nextID),
-		spec:      spec,
-		hash:      hash,
-		subs:      make(map[chan ProgressWire]struct{}),
-		done:      make(chan struct{}),
-		submitted: time.Now(),
-	}
+	j := &localJob{Job: NewJob(fmt.Sprintf("j%06d", s.nextID), spec, hash, time.Now())}
 	if front, ok := s.cache.Get(hash); ok {
 		// Same canonical spec (incl. seed) → same deterministic front:
 		// serve the cached result without running.
 		s.metrics.incCacheHit()
-		j.state = StateDone
-		j.cached = true
-		j.front = front
-		j.finished = j.submitted
-		close(j.done)
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
+		j.FinishCached(front)
+		s.jobs[j.ID] = j
+		s.order = append(s.order, j.ID)
 		s.mu.Unlock()
 		if st := s.cfg.Store; st != nil {
 			// Best-effort: the front itself is already durable under this
 			// hash; journaling the job record just keeps GET /v1/jobs/{id}
 			// answering across a restart.
-			if spec, err := json.Marshal(&j.spec); err == nil {
-				_ = st.AcceptJob(j.id, hash, spec, j.submitted)
-				_ = st.FinishJob(j.id, StateDone, hash, "", true, nil, j.finished)
+			if spec, err := json.Marshal(&j.Spec); err == nil {
+				_ = st.AcceptJob(j.ID, hash, spec, j.Submitted)
+				j.JournalFinish(st)
 			}
 		}
-		writeJSON(w, http.StatusOK, j.wire(true))
+		WriteJSON(w, http.StatusOK, j.Wire(true))
 		return
 	}
 	s.metrics.incCacheMiss()
-	j.state = StateQueued
-	// Holding j.mu across enqueue + journaling keeps a fast worker from
-	// finishing the job before its accept record is durable (runJob's first
-	// act is taking j.mu).
-	j.mu.Lock()
+	// Holding the job's lock across enqueue + journaling keeps a fast
+	// worker from finishing the job before its accept record is durable
+	// (runJob's first act is taking the lock).
+	j.Lock()
 	select {
 	case s.queue <- j:
 	default:
-		j.mu.Unlock()
+		j.Unlock()
 		s.nextID--
 		s.metrics.incRejected()
 		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable,
+		HTTPError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("queue full (%d jobs waiting)", s.cfg.QueueCap))
 		return
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
 	s.mu.Unlock()
 	if st := s.cfg.Store; st != nil {
 		// Journal the accepted spec before acknowledging: once the client
 		// sees 202, the job survives a crash. A store failure fails the
 		// job up front rather than acknowledging work that could vanish.
-		spec, err := json.Marshal(&j.spec)
+		spec, err := json.Marshal(&j.Spec)
 		if err == nil {
-			err = st.AcceptJob(j.id, hash, spec, j.submitted)
+			err = st.AcceptJob(j.ID, hash, spec, j.Submitted)
 		}
 		if err != nil {
-			s.finishLocked(j, StateFailed, "journaling job: "+err.Error())
-			j.mu.Unlock()
-			httpError(w, http.StatusInternalServerError, "journaling job: "+err.Error())
+			j.FinishLocked(StateFailed, "journaling job: "+err.Error(), nil)
+			j.Unlock()
+			HTTPError(w, http.StatusInternalServerError, "journaling job: "+err.Error())
 			return
 		}
 	}
-	j.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, j.wire(false))
+	j.Unlock()
+	WriteJSON(w, http.StatusAccepted, j.Wire(false))
 }
 
-func (s *Server) lookup(r *http.Request) (*job, bool) {
+// lookup resolves the path's job, answering 404 when there is none.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *localJob {
 	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
+	j := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
-	return j, ok
+	if j == nil {
+		HTTPError(w, http.StatusNotFound, "no such job")
+	}
+	return j
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
+	if j := s.lookup(w, r); j != nil {
+		WriteJSON(w, http.StatusOK, j.Wire(true))
 	}
-	writeJSON(w, http.StatusOK, j.wire(true))
 }
 
-// handleWait is the long-poll companion of handleGet: it blocks until the
-// job reaches a terminal state or the "timeout" query parameter (default
-// 30s, capped at 5m) elapses, then responds with the job's wire status.
-// Remote sweep coordinators use it to await cells without busy polling.
 func (s *Server) handleWait(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
+	if j := s.lookup(w, r); j != nil {
+		ServeWait(w, r, j.Job)
 	}
-	d := 30 * time.Second
-	if raw := r.URL.Query().Get("timeout"); raw != "" {
-		parsed, err := time.ParseDuration(raw)
-		if err != nil || parsed <= 0 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", raw))
-			return
-		}
-		d = min(parsed, 5*time.Minute)
+}
+
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	if j := s.lookup(w, r); j != nil {
+		ServeEvents(w, r, j.Job)
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-j.done:
-	case <-timer.C:
-	case <-r.Context().Done():
-		return
-	}
-	writeJSON(w, http.StatusOK, j.wire(true))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	jobs := make([]*job, len(s.order))
+	jobs := make([]*Job, len(s.order))
 	for i, id := range s.order {
-		jobs[i] = s.jobs[id]
+		jobs[i] = s.jobs[id].Job
 	}
 	s.mu.Unlock()
-	out := make([]*JobWire, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.wire(false)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	WriteJobList(w, jobs)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
+	j := s.lookup(w, r)
+	if j == nil {
 		return
 	}
-	j.mu.Lock()
+	j.Lock()
 	wasQueued := false
-	switch j.state {
+	switch j.State {
 	case StateQueued:
 		// The job stays in the queue channel; the worker skips it.
-		s.finishLocked(j, StateCancelled, "cancelled")
-		wasQueued = true
+		wasQueued = j.FinishLocked(StateCancelled, "cancelled", nil)
 	case StateRunning:
 		// The GA polls the context between generations, so the run stops
 		// within one generation; the worker then marks the job cancelled.
 		j.cancel()
 	}
-	j.mu.Unlock()
+	j.Unlock()
 	if wasQueued {
 		// A client cancellation is a terminal decision: journal it (and
 		// drop any checkpoint) so a restart does not resurrect the job.
 		// Running jobs are journaled by the worker once the GA unwinds.
-		s.persistFinish(j)
+		j.JournalFinish(s.cfg.Store)
 	}
-	writeJSON(w, http.StatusAccepted, j.wire(false))
-}
-
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	// Coalescing buffer: the GA never blocks on a slow consumer; a full
-	// buffer drops intermediate generations, the terminal event always
-	// carries the final state.
-	sub := make(chan ProgressWire, 16)
-	j.mu.Lock()
-	j.subs[sub] = struct{}{}
-	j.mu.Unlock()
-	defer func() {
-		j.mu.Lock()
-		delete(j.subs, sub)
-		j.mu.Unlock()
-	}()
-
-	// Replay the latest generation snapshot so a subscriber that joins
-	// late — or after a fast job already finished — still observes
-	// progress. Duplicates are harmless: progress events are snapshots.
-	j.mu.Lock()
-	last := j.progress
-	j.mu.Unlock()
-
-	writeSSE(w, "status", j.wire(false))
-	if last != nil {
-		writeSSE(w, "progress", *last)
-	}
-	flusher.Flush()
-	for {
-		select {
-		case p := <-sub:
-			writeSSE(w, "progress", p)
-			flusher.Flush()
-		case <-j.done:
-			// Drain progress that raced with completion, then emit the
-			// terminal event named after the final state.
-			for {
-				select {
-				case p := <-sub:
-					writeSSE(w, "progress", p)
-				default:
-					final := j.wire(true)
-					writeSSE(w, final.State, final)
-					flusher.Flush()
-					return
-				}
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
+	WriteJSON(w, http.StatusAccepted, j.Wire(false))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -681,14 +473,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	m.Cache.Size = s.cache.Len()
 	m.Cache.Capacity = s.cfg.CacheCap
-	jobs := make([]*job, len(s.order))
+	jobs := make([]*localJob, len(s.order))
 	for i, id := range s.order {
 		jobs[i] = s.jobs[id]
 	}
 	s.mu.Unlock()
 	for _, j := range jobs {
-		j.mu.Lock()
-		switch j.state {
+		j.Lock()
+		switch j.State {
 		case StateQueued:
 			m.Jobs.Queued++
 		case StateRunning:
@@ -700,29 +492,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		case StateCancelled:
 			m.Jobs.Cancelled++
 		}
-		j.mu.Unlock()
+		j.Unlock()
 	}
-	writeJSON(w, http.StatusOK, m)
-}
-
-// ---- helpers ----
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeSSE(w http.ResponseWriter, event string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		data = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	WriteJSON(w, http.StatusOK, m)
 }

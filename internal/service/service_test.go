@@ -214,7 +214,7 @@ func TestExecuteMatchesCoreAcrossMethods(t *testing.T) {
 }
 
 func TestLRUCache(t *testing.T) {
-	c := newLRUCache(2)
+	c := NewFrontCache(2)
 	f1, f2, f3 := &FrontWire{Evaluations: 1}, &FrontWire{Evaluations: 2}, &FrontWire{Evaluations: 3}
 	c.Add("a", f1)
 	c.Add("b", f2)

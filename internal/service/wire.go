@@ -2,7 +2,9 @@
 // job service: typed wire structs shared by the HTTP API and the CLI's
 // -json output, a canonical job specification with a content hash for
 // result caching, and a bounded job-queue server with cancellable GA runs,
-// server-sent-event progress streams and expvar-style metrics.
+// server-sent-event progress streams and expvar-style metrics. The job
+// record and the job API's HTTP pieces (Job, ServeWait, ServeEvents,
+// DecodeSpec, FrontCache) are shared with the fleet gateway.
 package service
 
 import (
@@ -93,6 +95,19 @@ type ProgressWire struct {
 	Evaluations int `json:"evaluations"`
 	// ArchiveSize is the stage's current non-dominated archive size.
 	ArchiveSize int `json:"archive_size"`
+}
+
+// ProgressToWire converts one engine progress event of a job whose
+// budget across stages is total generations.
+func ProgressToWire(e core.ProgressEvent, total int) ProgressWire {
+	return ProgressWire{
+		Stage:            e.Stage,
+		Generation:       e.Generation,
+		Generations:      e.Generations,
+		TotalGenerations: total,
+		Evaluations:      e.Evaluations,
+		ArchiveSize:      e.ArchiveSize,
+	}
 }
 
 // Job states as reported on the wire.
