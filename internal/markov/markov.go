@@ -15,11 +15,13 @@
 //
 // Chain construction and analysis sit on the hot path of every task-metric
 // evaluation, so the builder is allocation-conscious: edges live in one
-// per-chain arena (a linked list threaded through a single slice), state
-// names are formatted lazily (only error paths and dumps read them), and
-// Analyze draws its index tables, right-hand sides and matrices from a
-// package-level scratch pool. Reset lets callers reuse a chain's storage
-// across builds.
+// per-chain arena (a linked list threaded through a single slice), and
+// state names are formatted lazily (only error paths and dumps read them).
+// The analysis assembles (I − Q)ᵀ straight from the edge arena into a
+// matrix.Sparse drawn from a package-level scratch free list; its
+// elimination visits only the nonzeros yet returns the dense LU's bits. Results are
+// slices indexed by state handle, and AnalyzePairInto reuses the caller's
+// Result storage. Reset lets callers reuse a chain's storage across builds.
 package markov
 
 import (
@@ -27,9 +29,9 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/matrix"
+	"repro/internal/sweep"
 )
 
 // stateName is a lazily formatted state name: a fixed prefix plus an
@@ -183,41 +185,54 @@ type Result struct {
 	// ExpectedTime is the expected accumulated residence time from the
 	// start state until absorption.
 	ExpectedTime float64
-	// ExpectedVisits maps each transient state handle to its expected
-	// number of visits from the start state.
-	ExpectedVisits map[int]float64
-	// Absorption maps each absorbing state handle to the probability of
-	// eventually being absorbed there from the start state.
-	Absorption map[int]float64
+	// ExpectedVisits is indexed by state handle: the expected number of
+	// visits to each transient state from the start state (0 for absorbing
+	// states).
+	ExpectedVisits []float64
+	// Absorption is indexed by state handle: the probability of eventually
+	// being absorbed in each absorbing state from the start state (0 for
+	// transient states).
+	Absorption []float64
 }
 
-// AbsorptionByName returns the absorption probability of the named state.
-func (c *Chain) absorptionName(r *Result, name string) (float64, bool) {
-	for s, p := range r.Absorption {
-		if c.names[s].idx < 0 && c.names[s].prefix == name {
-			return p, true
-		}
-		if c.names[s].String() == name {
-			return p, true
-		}
+// reset sizes r's slices to ns zeroed entries, reusing their storage.
+func (r *Result) reset(ns int) {
+	r.ExpectedTime = 0
+	r.ExpectedVisits = zeroed(r.ExpectedVisits, ns)
+	r.Absorption = zeroed(r.Absorption, ns)
+}
+
+func zeroed(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
 	}
-	return 0, false
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // analyzeScratch holds the per-analysis working set: state partitions and
-// index tables, the (I − Q)ᵀ system, its factorization and the solve
-// vectors. Pooled so steady-state Analyze calls reuse one allocation set.
+// index tables, the (I − Q)ᵀ system with its in-place factorization, the
+// transient→absorbing block R and the solve vectors. Kept on a free list so
+// steady-state analyses reuse one allocation set.
 type analyzeScratch struct {
 	transient, absorbing []int32
 	tIndex, aIndex       []int32 // state handle → row/column index
-	iqT, r               matrix.Dense
-	lu                   matrix.LU
-	e, visits            []float64
-	// bm/xm are the multi-RHS buffers of AnalyzePair's batched solve.
-	bm, xm matrix.Dense
+	sys                  matrix.Sparse
+	// rcols[a] lists the nonzero entries of column a of R in ascending
+	// transient index.
+	rcols     [][]rEntry
+	e, visits []float64
 }
 
-var scratchPool = sync.Pool{New: func() any { return &analyzeScratch{} }}
+// rEntry is one nonzero R[t][a]: the transient state with index t moves
+// to absorbing state a with probability v.
+type rEntry struct {
+	t int32
+	v float64
+}
+
+var scratchPool = sweep.FreeList[*analyzeScratch]{New: func() *analyzeScratch { return &analyzeScratch{} }}
 
 // grow returns s resized to n entries, reusing capacity.
 func grow(s []int32, n int) []int32 {
@@ -235,15 +250,14 @@ func growF(s []float64, n int) []float64 {
 }
 
 // assemble partitions the states and builds the (I − Q)ᵀ system and the
-// transient→absorbing block R into sc — the front half of Analyze, shared
-// with AnalyzePair. Callers have already handled the degenerate
-// absorbed-at-start case.
+// transient→absorbing block R into sc — the front half of an analysis.
+// Callers have already handled the degenerate absorbed-at-start case.
 //
 // Fundamental matrix N = (I − Q)⁻¹. We only need the start row of N:
 // visits v = e_startᵀ·N, obtained by solving (I − Q)ᵀ·vᵀ = e_start.
-// (I − Q)ᵀ is assembled in place — transition i→j contributes −Q[i][j]
-// to entry (j, i) — instead of materializing Q, I − Q and a transposed
-// copy (this sits on the hot path of every task-metric evaluation).
+// (I − Q)ᵀ is assembled straight from the edge arena — transition i→j
+// contributes −Q[i][j] to entry (j, i) — into a sparse system whose
+// solution is bit-identical to the dense one (see matrix.Sparse).
 func (c *Chain) assemble(sc *analyzeScratch) error {
 	ns := len(c.names)
 	sc.transient, sc.absorbing = sc.transient[:0], sc.absorbing[:0]
@@ -260,100 +274,131 @@ func (c *Chain) assemble(sc *analyzeScratch) error {
 	if len(sc.absorbing) == 0 {
 		return fmt.Errorf("markov: chain has no absorbing state")
 	}
-	// Validate outgoing probability mass of transient states.
-	for _, s := range sc.transient {
-		if sum := c.outMass(int(s)); math.Abs(sum-1) > 1e-9 {
-			return fmt.Errorf("markov: state %q has outgoing probability %v, want 1", c.names[s], sum)
-		}
-	}
 	nT, nA := len(sc.transient), len(sc.absorbing)
-	rd := sc.r.Reshape(nT, nA).Data() // transient → absorbing
-	qd := sc.iqT.ReshapeIdentity(nT).Data()
+	if cap(sc.rcols) < nA {
+		sc.rcols = append(sc.rcols[:cap(sc.rcols)], make([][]rEntry, nA-cap(sc.rcols))...)
+	}
+	sc.rcols = sc.rcols[:nA]
+	for a := range sc.rcols {
+		sc.rcols[a] = sc.rcols[a][:0]
+	}
+	sys := &sc.sys
+	sys.Reset(nT)
+	for i := 0; i < nT; i++ {
+		sys.Add(i, i, 1)
+	}
 	for _, s := range sc.transient {
-		i := int(sc.tIndex[s])
+		i := sc.tIndex[s]
+		sum := 0.0 // outgoing probability mass, validated per state
 		for e := c.head[s]; e >= 0; e = c.earena[e].next {
 			to, prob := int(c.earena[e].to), c.earena[e].prob
+			sum += prob
 			if c.absorbing[to] {
-				rd[i*nA+int(sc.aIndex[to])] += prob
+				// Rows arrive in ascending transient index, so repeated edges
+				// into one absorbing state accumulate in the last entry.
+				col := &sc.rcols[sc.aIndex[to]]
+				if n := len(*col); n > 0 && (*col)[n-1].t == i {
+					(*col)[n-1].v += prob
+				} else {
+					*col = append(*col, rEntry{t: i, v: prob})
+				}
 			} else {
-				qd[int(sc.tIndex[to])*nT+i] += -prob
+				sys.Add(int(sc.tIndex[to]), int(i), -prob)
 			}
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			return fmt.Errorf("markov: state %q has outgoing probability %v, want 1", c.names[s], sum)
 		}
 	}
 	return nil
 }
 
 // factorAndSolve factorizes the assembled system and solves for the
-// start-row visits vector — the back half of Analyze.
+// start-row visits vector — the back half of an analysis.
 func (c *Chain) factorAndSolve(sc *analyzeScratch) error {
-	if err := matrix.FactorizeInto(&sc.lu, &sc.iqT); err != nil {
+	if err := sc.sys.Factorize(); err != nil {
 		return fmt.Errorf("markov: chain is not absorbing from every transient state: %w", err)
 	}
-	c.solveStart(sc)
+	sc.solveUnit(&sc.sys, int(sc.tIndex[c.start]))
 	return nil
 }
 
-// solveStart solves (I − Q)ᵀ·visits = e_start with sc's factorization.
-func (c *Chain) solveStart(sc *analyzeScratch) {
+// solveUnit solves sys·visits = e_idx into sc.visits with sys's
+// factorization.
+func (sc *analyzeScratch) solveUnit(sys *matrix.Sparse, idx int) {
 	nT := len(sc.transient)
 	sc.e, sc.visits = growF(sc.e, nT), growF(sc.visits, nT)
-	for i := range sc.e {
-		sc.e[i] = 0
-	}
-	sc.e[sc.tIndex[c.start]] = 1
-	sc.lu.SolveVecInto(sc.visits, sc.e)
+	clear(sc.e)
+	sc.e[idx] = 1
+	sys.SolveVecInto(sc.visits, sc.e)
 }
 
-// collect turns the solved visits vector into a Result, replicating
-// Analyze's historical summation order exactly.
-func (c *Chain) collect(sc *analyzeScratch) *Result {
-	nT, nA := len(sc.transient), len(sc.absorbing)
-	res := &Result{
-		ExpectedVisits: make(map[int]float64, nT),
-		Absorption:     make(map[int]float64, nA),
-	}
+// collect turns the solved visits vector into res, replicating the dense
+// analysis' summation order exactly.
+func (c *Chain) collect(sc *analyzeScratch, res *Result) {
+	res.reset(len(c.names))
+	finite := true
 	for _, s := range sc.transient {
 		v := sc.visits[sc.tIndex[s]]
-		res.ExpectedVisits[int(s)] = v
+		res.ExpectedVisits[s] = v
 		res.ExpectedTime += v * c.residence[s]
+		finite = finite && !math.IsInf(v, 0) && !math.IsNaN(v)
 	}
-	// Absorption probabilities B = N·R; start row is visitsᵀ·R.
-	rd := sc.r.Data()
-	for _, s := range sc.absorbing {
-		j := int(sc.aIndex[s])
+	// Absorption probabilities B = N·R; start row is visitsᵀ·R, summed in
+	// ascending transient index. Zero entries of R add v·0 = ±0, which
+	// leaves the +0-started sum unchanged unless v is not finite.
+	for a, s := range sc.absorbing {
+		col := sc.rcols[a]
 		p := 0.0
-		for _, ts := range sc.transient {
-			p += sc.visits[sc.tIndex[ts]] * rd[int(sc.tIndex[ts])*nA+j]
+		if finite {
+			for _, e := range col {
+				p += sc.visits[e.t] * e.v
+			}
+		} else {
+			k := 0
+			for t, v := range sc.visits {
+				r := 0.0
+				if k < len(col) && int(col[k].t) == t {
+					r = col[k].v
+					k++
+				}
+				p += v * r
+			}
 		}
-		res.Absorption[int(s)] = p
+		res.Absorption[s] = p
 	}
-	return res
 }
 
 // Analyze validates the chain and computes expected time to absorption and
 // absorption probabilities using the fundamental matrix.
 func (c *Chain) Analyze() (*Result, error) {
+	res := new(Result)
+	if err := c.analyzeInto(res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+func (c *Chain) analyzeInto(res *Result) error {
 	if !c.hasStart {
-		return nil, fmt.Errorf("markov: no start state set")
+		return fmt.Errorf("markov: no start state set")
 	}
 	if c.absorbing[c.start] {
 		// Degenerate but legal: absorbed immediately.
-		return &Result{
-			ExpectedTime:   0,
-			ExpectedVisits: map[int]float64{},
-			Absorption:     map[int]float64{c.start: 1},
-		}, nil
+		res.reset(len(c.names))
+		res.Absorption[c.start] = 1
+		return nil
 	}
-
-	sc := scratchPool.Get().(*analyzeScratch)
+	sc := scratchPool.Get()
 	defer scratchPool.Put(sc)
 	if err := c.assemble(sc); err != nil {
-		return nil, err
+		return err
 	}
 	if err := c.factorAndSolve(sc); err != nil {
-		return nil, err
+		return err
 	}
-	return c.collect(sc), nil
+	c.collect(sc, res)
+	return nil
 }
 
 // AnalyzePair analyzes two chains together, answering both from a single
@@ -367,72 +412,78 @@ func (c *Chain) Analyze() (*Result, error) {
 // results are bit-identical to a.Analyze() and b.Analyze() in every case.
 // shared reports whether one factorization served both.
 func AnalyzePair(a, b *Chain) (ra, rb *Result, shared bool, err error) {
+	ra, rb = new(Result), new(Result)
+	if shared, err = AnalyzePairInto(a, b, ra, rb); err != nil {
+		return nil, nil, false, err
+	}
+	return ra, rb, shared, nil
+}
+
+// AnalyzePairInto is AnalyzePair writing into caller-owned results, whose
+// slices are reused: the allocation-free form for callers that analyze
+// many chain pairs in a loop.
+func AnalyzePairInto(a, b *Chain, ra, rb *Result) (shared bool, err error) {
 	if !a.hasStart || !b.hasStart || a.absorbing[a.start] || b.absorbing[b.start] {
 		// Missing-start errors and degenerate absorbed-at-start results keep
 		// Analyze's exact behavior.
-		if ra, err = a.Analyze(); err != nil {
-			return nil, nil, false, err
+		if err = a.analyzeInto(ra); err != nil {
+			return false, err
 		}
-		if rb, err = b.Analyze(); err != nil {
-			return nil, nil, false, err
+		if err = b.analyzeInto(rb); err != nil {
+			return false, err
 		}
-		return ra, rb, false, nil
+		return false, nil
 	}
-	sa := scratchPool.Get().(*analyzeScratch)
+	sa := scratchPool.Get()
 	defer scratchPool.Put(sa)
-	sb := scratchPool.Get().(*analyzeScratch)
+	sb := scratchPool.Get()
 	defer scratchPool.Put(sb)
 	if err = a.assemble(sa); err != nil {
-		return nil, nil, false, err
+		return false, err
 	}
 	if err = b.assemble(sb); err != nil {
-		return nil, nil, false, err
+		return false, err
 	}
-	if sa.iqT.EqualBits(&sb.iqT) {
-		if err = matrix.FactorizeInto(&sa.lu, &sa.iqT); err != nil {
-			return nil, nil, false, fmt.Errorf("markov: chain is not absorbing from every transient state: %w", err)
+	if sa.sys.EqualBits(&sb.sys) {
+		// One factorization serves both: it is a deterministic function of
+		// the matrix bits, so b's visits are exactly what its own
+		// factorization would give.
+		if err = sa.sys.Factorize(); err != nil {
+			return false, fmt.Errorf("markov: chain is not absorbing from every transient state: %w", err)
 		}
-		nT := len(sa.transient)
 		ia, ib := int(sa.tIndex[a.start]), int(sb.tIndex[b.start])
+		sa.solveUnit(&sa.sys, ia)
 		if ia == ib {
-			// Same system, same right-hand side: one solve serves both. The
-			// copied visits are bit-identical to what b's own factorization
-			// would produce, because the factorization is a deterministic
-			// function of the matrix bits.
-			a.solveStart(sa)
-			sb.visits = growF(sb.visits, nT)
-			copy(sb.visits, sa.visits[:nT])
+			sb.visits = growF(sb.visits, len(sa.visits))
+			copy(sb.visits, sa.visits)
 		} else {
-			// Same system, different start rows: batch both unit right-hand
-			// sides through one multi-RHS solve (column-wise identical to
-			// two SolveVecInto calls).
-			bm := sa.bm.Reshape(nT, 2)
-			bm.Set(ia, 0, 1)
-			bm.Set(ib, 1, 1)
-			xm := sa.xm.Reshape(nT, 2)
-			sa.lu.SolveInto(xm, bm)
-			sa.visits, sb.visits = growF(sa.visits, nT), growF(sb.visits, nT)
-			for i := 0; i < nT; i++ {
-				sa.visits[i] = xm.At(i, 0)
-				sb.visits[i] = xm.At(i, 1)
-			}
+			sb.solveUnit(&sa.sys, ib)
 		}
-		return a.collect(sa), b.collect(sb), true, nil
+		a.collect(sa, ra)
+		b.collect(sb, rb)
+		return true, nil
 	}
 	if err = a.factorAndSolve(sa); err != nil {
-		return nil, nil, false, err
+		return false, err
 	}
 	if err = b.factorAndSolve(sb); err != nil {
-		return nil, nil, false, err
+		return false, err
 	}
-	return a.collect(sa), b.collect(sb), false, nil
+	a.collect(sa, ra)
+	b.collect(sb, rb)
+	return false, nil
 }
 
 // AbsorptionProbability is a convenience accessor: the probability of
 // absorption in the state with the given name. The second return is false
 // if no absorbing state has that name.
 func (c *Chain) AbsorptionProbability(r *Result, name string) (float64, bool) {
-	return c.absorptionName(r, name)
+	for s, abs := range c.absorbing {
+		if abs && s < len(r.Absorption) && c.names[s].String() == name {
+			return r.Absorption[s], true
+		}
+	}
+	return 0, false
 }
 
 // Validate checks structural consistency without running the full analysis:

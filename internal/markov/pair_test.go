@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,18 +45,17 @@ func randomAbsorbingChain(rng *rand.Rand, n int) *Chain {
 }
 
 func resultsEqualBits(a, b *Result) bool {
-	if a.ExpectedTime != b.ExpectedTime ||
-		len(a.ExpectedVisits) != len(b.ExpectedVisits) ||
-		len(a.Absorption) != len(b.Absorption) {
+	return math.Float64bits(a.ExpectedTime) == math.Float64bits(b.ExpectedTime) &&
+		slicesEqualBits(a.ExpectedVisits, b.ExpectedVisits) &&
+		slicesEqualBits(a.Absorption, b.Absorption)
+}
+
+func slicesEqualBits(a, b []float64) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for s, v := range a.ExpectedVisits {
-		if b.ExpectedVisits[s] != v {
-			return false
-		}
-	}
-	for s, p := range a.Absorption {
-		if b.Absorption[s] != p {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
 		}
 	}

@@ -57,3 +57,19 @@ func BenchmarkChainSolveBatchedCheckpointed(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkChainSolvePermanent covers the chains of the fault-model corpus:
+// the permanent-fault process and checkpoint errors on, with six
+// checkpoints, about fifty transient states per chain.
+func BenchmarkChainSolvePermanent(b *testing.B) {
+	p := baseParams()
+	p.Checkpoints = 6
+	p.ModelCheckpointErrors = true
+	p.PermPerUS, p.RepairProb, p.RepairTimeUS = 1e-6, 0.9, 50
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := AnalyzeChains(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

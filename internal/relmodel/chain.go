@@ -3,10 +3,10 @@ package relmodel
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/markov"
+	"repro/internal/sweep"
 )
 
 // ChainParams are the primitive quantities from which the Markov chains of
@@ -361,15 +361,17 @@ type TaskReliability struct {
 }
 
 // chainScratch is the reusable working set of one AnalyzeChains call: one
-// chain per model (both alive at once so they can be analyzed as a pair)
-// and the per-interval state-handle buffer. Pooled so the task-metric hot
-// path builds both chains without allocating their storage.
+// chain per model (both alive at once so they can be analyzed as a pair),
+// the per-interval state-handle buffer and both analysis results. Kept on a
+// free list so the task-metric hot path builds and solves both chains
+// without allocating.
 type chainScratch struct {
 	timing, functional *markov.Chain
 	execStates         []int
+	tr, fr             markov.Result
 }
 
-var chainPool = sync.Pool{New: func() any {
+var chainPool = sweep.FreeList[*chainScratch]{New: func() *chainScratch {
 	return &chainScratch{timing: markov.New(), functional: markov.New()}
 }}
 
@@ -414,7 +416,7 @@ func growInts(s []int, n int) []int {
 // independent analyses).
 func AnalyzeChains(p ChainParams) (TaskReliability, error) {
 	var out TaskReliability
-	sc := chainPool.Get().(*chainScratch)
+	sc := chainPool.Get()
 	defer chainPool.Put(sc)
 	sc.execStates = growInts(sc.execStates, p.Checkpoints+1)
 
@@ -428,7 +430,8 @@ func AnalyzeChains(p ChainParams) (TaskReliability, error) {
 	if err := buildFunctionalChainInto(fc, sc.execStates, p); err != nil {
 		return out, err
 	}
-	tr, fr, shared, err := markov.AnalyzePair(tc, fc)
+	tr, fr := &sc.tr, &sc.fr
+	shared, err := markov.AnalyzePairInto(tc, fc, tr, fr)
 	if err != nil {
 		return out, fmt.Errorf("relmodel: chain analysis: %w", err)
 	}

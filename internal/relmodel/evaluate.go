@@ -108,25 +108,13 @@ func Evaluate(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog) (Met
 	return EvaluateFM(impl, asg, pt, cat, faultmodel.FaultModel{}, faultmodel.CheckpointPolicy{})
 }
 
-// EvaluateFM is Evaluate under a composable fault model and a task-level
-// checkpoint policy (the fault-model subsystem, DESIGN.md §14):
-//
-//   - fm scales the transient SEU rate, adds the intermittent process to it,
-//     and turns on the permanent process (PermHit/PermFail chain states).
-//   - A PE type with configuration memory (FPGA family) contributes its
-//     config-upset rate to the permanent process; the scrubber repairs those
-//     hits with mean latency of half the scrub period.
-//   - The hardware method's Repair (TMR-with-repair) and the fault model's
-//     RepairProb combine as independent repair mechanisms.
-//   - ckpt inserts additional checkpoints of the selected mode on top of the
-//     SSW method's own, boosting detection/recovery coverage and paying the
-//     mode's creation cost (and, for TMR-voted checkpoints, power).
-//
-// With both knobs zero on a configuration-memory-free PE type, the call is
-// bit-identical to Evaluate.
-func EvaluateFM(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
-	fm faultmodel.FaultModel, ckpt faultmodel.CheckpointPolicy) (Metrics, error) {
-	var out Metrics
+// ChainParamsFor derives the Fig. 3 chain parameters of implementation impl
+// on PE type pt under assignment asg, fault model fm and checkpoint policy
+// ckpt — the chain half of EvaluateFM, which analyzes them with
+// AnalyzeChains.
+func ChainParamsFor(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
+	fm faultmodel.FaultModel, ckpt faultmodel.CheckpointPolicy) (ChainParams, error) {
+	var out ChainParams
 	if err := impl.Validate(); err != nil {
 		return out, err
 	}
@@ -190,7 +178,7 @@ func EvaluateFM(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
 	}
 
 	n := float64(checkpoints + 1)
-	params := ChainParams{
+	return ChainParams{
 		ExecTimeUS:            execUS,
 		LambdaPerUS:           lambda,
 		Checkpoints:           checkpoints,
@@ -206,11 +194,41 @@ func EvaluateFM(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
 		PermPerUS:             permPerUS,
 		RepairProb:            repairProb,
 		RepairTimeUS:          repairTimeUS,
+	}, nil
+}
+
+// EvaluateFM is Evaluate under a composable fault model and a task-level
+// checkpoint policy (the fault-model subsystem, DESIGN.md §14):
+//
+//   - fm scales the transient SEU rate, adds the intermittent process to it,
+//     and turns on the permanent process (PermHit/PermFail chain states).
+//   - A PE type with configuration memory (FPGA family) contributes its
+//     config-upset rate to the permanent process; the scrubber repairs those
+//     hits with mean latency of half the scrub period.
+//   - The hardware method's Repair (TMR-with-repair) and the fault model's
+//     RepairProb combine as independent repair mechanisms.
+//   - ckpt inserts additional checkpoints of the selected mode on top of the
+//     SSW method's own, boosting detection/recovery coverage and paying the
+//     mode's creation cost (and, for TMR-voted checkpoints, power).
+//
+// With both knobs zero on a configuration-memory-free PE type, the call is
+// bit-identical to Evaluate.
+func EvaluateFM(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
+	fm faultmodel.FaultModel, ckpt faultmodel.CheckpointPolicy) (Metrics, error) {
+	var out Metrics
+	params, err := ChainParamsFor(impl, asg, pt, cat, fm, ckpt)
+	if err != nil {
+		return out, err
 	}
 	rel, err := AnalyzeChains(params)
 	if err != nil {
 		return out, fmt.Errorf("relmodel: evaluating %q: %w", impl.Name, err)
 	}
+
+	fmOn := fm.Enabled()
+	ckptOn := ckpt.Enabled()
+	cfgOn := pt.ConfigSEURatePerSec > 0
+	hw := cat.HW[asg.HW]
 
 	power := impl.PowerW * pt.PowerScale(asg.Mode) * hw.PowerFactor
 	if ckptOn {

@@ -106,7 +106,11 @@ func TestExecuteIslandMatchesCore(t *testing.T) {
 // next incarnation, and resumes every island to a front byte-identical to
 // an uninterrupted run.
 func TestIslandCrashResumeByteIdenticalFront(t *testing.T) {
-	spec := JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 1200, Seed: 42,
+	// 300 generations run for about a second without the race detector:
+	// enough that the abort after generation 4 lands mid-evolution (the
+	// checkpoint assertions below fail otherwise), and short enough that
+	// the resumed run meets its deadline under -race on two CPUs.
+	spec := JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 300, Seed: 42,
 		Islands: 2, MigrationEvery: 3}
 	want := referenceFront(t, spec)
 

@@ -10,10 +10,10 @@
 // and `-jobs N` produce byte-identical results for a fixed seed.
 //
 // The package also owns the process-wide nested-parallelism budget: outer
-// sweep cells and the inner GA fitness evaluators both draw CPU tokens from
-// one GOMAXPROCS-sized pool (AcquireWorkers/ReleaseWorkers), so nesting a
-// parallel evaluator under a parallel sweep divides the machine instead of
-// oversubscribing it.
+// sweep cells, the inner GA fitness evaluators and the tDSE candidate
+// evaluation all draw CPU tokens from one GOMAXPROCS-sized pool
+// (AcquireWorkers/ReleaseWorkers), so nesting a parallel evaluator under a
+// parallel sweep divides the machine instead of oversubscribing it.
 package sweep
 
 import (
@@ -176,4 +176,37 @@ func ReleaseWorkers(n int) {
 	for i := 0; i < n; i++ {
 		p <- struct{}{}
 	}
+}
+
+// FreeList is a mutex-guarded stack of reusable scratch values for code
+// that runs on parallel evaluators. Unlike a sync.Pool it keeps its values
+// across garbage collections and hands a free value to whichever goroutine
+// asks, so the number of values ever built depends only on how many were
+// in use at once, not on goroutine scheduling, and allocs/op stay
+// comparable between benchmark runs. It holds at most that peak number of
+// values. New builds a value when none is free.
+type FreeList[T any] struct {
+	New  func() T
+	mu   sync.Mutex
+	free []T
+}
+
+// Get returns a free value, or a new one.
+func (l *FreeList[T]) Get() T {
+	l.mu.Lock()
+	if n := len(l.free); n > 0 {
+		v := l.free[n-1]
+		l.free = l.free[:n-1]
+		l.mu.Unlock()
+		return v
+	}
+	l.mu.Unlock()
+	return l.New()
+}
+
+// Put returns v to the list for reuse.
+func (l *FreeList[T]) Put(v T) {
+	l.mu.Lock()
+	l.free = append(l.free, v)
+	l.mu.Unlock()
 }

@@ -14,12 +14,15 @@ package tdse
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 
 	"repro/internal/characterize"
 	"repro/internal/faultmodel"
 	"repro/internal/pareto"
 	"repro/internal/platform"
 	"repro/internal/relmodel"
+	"repro/internal/sweep"
 )
 
 // Objective identifies one task-level optimization objective of TABLE IV.
@@ -183,31 +186,46 @@ func CheckpointAxis(intervals []int) []faultmodel.CheckpointPolicy {
 }
 
 // Enumerate generates and evaluates every CLR-integrated candidate of one
-// task type on the platform.
+// task type on the platform. The candidates are listed first, at exact
+// capacity, and then evaluated in parallel on workers drawn from the
+// process CPU-token pool (sweep.AcquireWorkers). Candidate order and
+// metrics do not depend on the worker count, and an evaluation error is the
+// lowest failing candidate's, the one a serial enumeration would report.
 func Enumerate(lib *characterize.Library, taskType int, p *platform.Platform, cat *relmodel.Catalog, opt Options) ([]Candidate, error) {
 	if err := cat.Validate(); err != nil {
 		return nil, err
 	}
-	var out []Candidate
-	for _, base := range lib.ImplsShared(taskType) {
+	hws := indicesOrAll(opt.HW, len(cat.HW))
+	ssws := indicesOrAll(opt.SSW, len(cat.SSW))
+	asws := indicesOrAll(opt.ASW, len(cat.ASW))
+	// The checkpoint-policy axis multiplies the enumeration; a nil axis is
+	// the single zero policy, which — together with a nil fault model —
+	// routes through the legacy Evaluate so candidate order and metrics stay
+	// bit-identical to the pre-subsystem engine.
+	policies := opt.Checkpoints
+	if policies == nil {
+		policies = zeroPolicyAxis[:]
+	}
+	bases := lib.ImplsShared(taskType)
+	total := 0
+	for _, base := range bases {
+		pt := p.Types()[base.PETypeIndex]
+		for _, mode := range indicesOrAll(opt.Modes, len(pt.Modes)) {
+			if mode < len(pt.Modes) {
+				total += len(hws) * len(ssws) * len(asws) * len(policies)
+			}
+		}
+	}
+	if total == 0 {
+		return nil, fmt.Errorf("tdse: task type %d yielded no candidates", taskType)
+	}
+	out := make([]Candidate, 0, total)
+	for _, base := range bases {
 		if opt.ImplicitMaskingOverride >= 0 {
 			base.ImplicitMasking = opt.ImplicitMaskingOverride
 		}
 		pt := p.Types()[base.PETypeIndex]
-		modes := indicesOrAll(opt.Modes, len(pt.Modes))
-		hws := indicesOrAll(opt.HW, len(cat.HW))
-		ssws := indicesOrAll(opt.SSW, len(cat.SSW))
-		asws := indicesOrAll(opt.ASW, len(cat.ASW))
-		// The checkpoint-policy axis multiplies the enumeration; a nil
-		// axis is the single zero policy, which — together with a nil
-		// fault model — routes through the legacy Evaluate so candidate
-		// order and metrics stay bit-identical to the pre-subsystem
-		// engine.
-		policies := opt.Checkpoints
-		if policies == nil {
-			policies = zeroPolicyAxis[:]
-		}
-		for _, mode := range modes {
+		for _, mode := range indicesOrAll(opt.Modes, len(pt.Modes)) {
 			if mode >= len(pt.Modes) {
 				continue
 			}
@@ -216,27 +234,54 @@ func Enumerate(lib *characterize.Library, taskType int, p *platform.Platform, ca
 					for _, asw := range asws {
 						asg := relmodel.Assignment{Mode: mode, HW: hw, SSW: ssw, ASW: asw}
 						for _, ck := range policies {
-							var m relmodel.Metrics
-							var err error
-							if opt.Faults == nil && !ck.Enabled() {
-								m, err = relmodel.Evaluate(base, asg, pt, cat)
-							} else {
-								m, err = relmodel.EvaluateFM(base, asg, pt, cat, opt.Faults.For(pt.Name), ck)
-							}
-							if err != nil {
-								return nil, fmt.Errorf("tdse: task type %d: %w", taskType, err)
-							}
-							out = append(out, Candidate{Base: base, Assignment: asg, Checkpoint: ck, Metrics: m})
+							out = append(out, Candidate{Base: base, Assignment: asg, Checkpoint: ck})
 						}
 					}
 				}
 			}
 		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("tdse: task type %d yielded no candidates", taskType)
+	if err := evaluate(out, taskType, p, cat, opt.Faults); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// evalChunk is the number of consecutive candidates one evaluation task
+// covers: enough to amortize the task's dispatch, few enough that workers
+// share the tail of a task type evenly.
+const evalChunk = 64
+
+// evaluate fills in the metrics of every candidate. Consecutive chunks of
+// candidates run as sweep.Run tasks on workers from the CPU-token pool;
+// sweep.Run reports the lowest failing task's error, and a task stops at
+// its first failing candidate, so the error is the lowest failing
+// candidate's.
+func evaluate(cands []Candidate, taskType int, p *platform.Platform, cat *relmodel.Catalog, faults *faultmodel.Model) error {
+	types := p.Types()
+	tasks := make([]func() error, 0, (len(cands)+evalChunk-1)/evalChunk)
+	for lo := 0; lo < len(cands); lo += evalChunk {
+		chunk := cands[lo:min(lo+evalChunk, len(cands))]
+		tasks = append(tasks, func() error {
+			for i := range chunk {
+				c := &chunk[i]
+				pt := types[c.Base.PETypeIndex]
+				var err error
+				if faults == nil && !c.Checkpoint.Enabled() {
+					c.Metrics, err = relmodel.Evaluate(c.Base, c.Assignment, pt, cat)
+				} else {
+					c.Metrics, err = relmodel.EvaluateFM(c.Base, c.Assignment, pt, cat, faults.For(pt.Name), c.Checkpoint)
+				}
+				if err != nil {
+					return fmt.Errorf("tdse: task type %d: %w", taskType, err)
+				}
+			}
+			return nil
+		})
+	}
+	workers := sweep.AcquireWorkers(min(runtime.GOMAXPROCS(0), len(tasks)))
+	defer sweep.ReleaseWorkers(workers)
+	return sweep.Run(workers, tasks)
 }
 
 // zeroPolicyAxis is the degenerate checkpoint axis of legacy enumerations.
@@ -254,28 +299,48 @@ func indicesOrAll(sel []int, n int) []int {
 }
 
 // Filter Pareto-filters candidates under the objective set, independently
-// within each PE type (see the package comment), and returns the union.
+// within each PE type (see the package comment), and returns the union:
+// PE types in order of first appearance, each type's survivors in candidate
+// order. Only the survivors are copied; the objective vectors of one PE
+// type share a single buffer.
 func Filter(cands []Candidate, objectives []Objective) []Candidate {
 	if len(objectives) == 0 {
 		panic("tdse: empty objective set")
 	}
-	groups := map[int][]Candidate{}
-	var order []int
-	for _, c := range cands {
-		if _, ok := groups[c.Base.PETypeIndex]; !ok {
-			order = append(order, c.Base.PETypeIndex)
+	var types []int
+	for i := range cands {
+		if pti := cands[i].Base.PETypeIndex; !slices.Contains(types, pti) {
+			types = append(types, pti)
 		}
-		groups[c.Base.PETypeIndex] = append(groups[c.Base.PETypeIndex], c)
 	}
-	var out []Candidate
-	for _, pti := range order {
-		g := groups[pti]
-		pts := make([][]float64, len(g))
-		for i, c := range g {
-			pts[i] = Vector(c.Metrics, objectives)
+	k := len(objectives)
+	var (
+		out     []Candidate
+		members []int
+		flat    []float64
+		pts     [][]float64
+	)
+	for _, pti := range types {
+		members = members[:0]
+		for i := range cands {
+			if cands[i].Base.PETypeIndex == pti {
+				members = append(members, i)
+			}
 		}
-		for _, i := range pareto.Filter(pts) {
-			out = append(out, g[i])
+		if n := len(members) * k; cap(flat) < n {
+			flat = make([]float64, n)
+			pts = make([][]float64, len(members))
+		}
+		pts = pts[:len(members)]
+		for j, ci := range members {
+			v := flat[j*k : (j+1)*k : (j+1)*k]
+			for o, obj := range objectives {
+				v[o] = Value(cands[ci].Metrics, obj)
+			}
+			pts[j] = v
+		}
+		for _, j := range pareto.Filter(pts) {
+			out = append(out, cands[members[j]])
 		}
 	}
 	return out
