@@ -435,12 +435,25 @@ func (g *Gateway) journalAccept(j *gwJob) error {
 }
 
 // finalize moves a job to a terminal state (idempotently), releases its
-// admission slot, publishes the result and journals the outcome.
+// admission slot, publishes the result and journals the outcome. The hash
+// leaves the in-flight index and a computed front enters the LRU before
+// the job reads terminal, and the outcome is journaled in the same lock
+// hold as the transition, so a client that resubmits the moment it sees
+// done is served from the LRU, and the store already holds the front.
 func (g *Gateway) finalize(j *gwJob, state, errMsg string, front *service.FrontWire) {
+	g.mu.Lock()
+	if g.activeByHash[j.Hash] == j {
+		delete(g.activeByHash, j.Hash)
+	}
+	if state == service.StateDone && front != nil {
+		g.cache.Add(j.Hash, front)
+	}
+	g.mu.Unlock()
 	j.Lock()
 	finished := j.FinishLocked(state, errMsg, front)
 	if finished {
 		j.worker = ""
+		j.JournalLocked(g.cfg.Store)
 	}
 	j.Unlock()
 	if !finished {
@@ -462,20 +475,11 @@ func (g *Gateway) finalize(j *gwJob, state, errMsg string, front *service.FrontW
 		t.cancelled.Add(1)
 		g.m.cancelled.Add(1)
 	}
-	g.mu.Lock()
-	if g.activeByHash[j.Hash] == j {
-		delete(g.activeByHash, j.Hash)
-	}
-	if state == service.StateDone && front != nil {
-		g.cache.Add(j.Hash, front)
-	}
-	g.mu.Unlock()
 	if g.islands != nil {
 		// Island runs name their barrier after the spec hash; a terminal
 		// job's barrier is dead weight (and would strand stragglers).
 		g.islands.Forget(j.Hash)
 	}
-	j.JournalFinish(g.cfg.Store)
 }
 
 // lookup resolves the path's job for the requesting tenant, answering 401

@@ -83,7 +83,7 @@ func TestFactorizeIntoReuse(t *testing.T) {
 		t.Fatal("reused LU diverged from fresh factorization")
 	}
 	if !almostEq(x2.At(0, 0), 1, 1e-12) || !almostEq(x2.At(1, 0), 3, 1e-12) {
-		t.Fatalf("solution %v, want [1 3]", x2.Data())
+		t.Fatalf("solution [%v %v], want [1 3]", x2.At(0, 0), x2.At(1, 0))
 	}
 }
 

@@ -123,17 +123,24 @@ func (j *Job) Publish(p ProgressWire) {
 // store error degrades durability, never the response. Called without the
 // job's lock held.
 func (j *Job) JournalFinish(st *store.Store) {
+	j.Lock()
+	defer j.Unlock()
+	j.JournalLocked(st)
+}
+
+// JournalLocked is JournalFinish for a caller that holds the job's lock.
+// Journaling a run's outcome in the same lock hold as its FinishLocked
+// keeps every reader from seeing the job end before the store holds the
+// outcome; the store never waits on a job, so the order cannot deadlock.
+func (j *Job) JournalLocked(st *store.Store) {
 	if st == nil {
 		return
 	}
-	j.Lock()
-	state, errMsg, cached, front, finished := j.State, j.Error, j.Cached, j.Front, j.Finished
-	j.Unlock()
 	var payload json.RawMessage
-	if state == StateDone && front != nil && !cached {
-		payload, _ = json.Marshal(front)
+	if j.State == StateDone && j.Front != nil && !j.Cached {
+		payload, _ = json.Marshal(j.Front)
 	}
-	_ = st.FinishJob(j.ID, state, j.Hash, errMsg, cached, payload, finished)
+	_ = st.FinishJob(j.ID, j.State, j.Hash, j.Error, j.Cached, payload, j.Finished)
 	_ = st.ClearCheckpoint(j.Hash)
 }
 

@@ -239,12 +239,22 @@ func (s *Server) runJob(j *localJob) {
 	if err == nil {
 		front, err = ExecuteOnHooks(ctx, inst, flib, &j.Spec, hooks)
 	}
+	cancelled := ctx.Err() != nil
+	var wire *FrontWire
+	if !cancelled && err == nil {
+		// Cache the front before the job reads done, so a client that
+		// resubmits the moment it sees done is served from the cache.
+		wire = FrontToWire(front)
+		s.mu.Lock()
+		s.cache.Add(j.Hash, wire)
+		s.mu.Unlock()
+	}
 
 	j.Lock()
 	j.cancel = nil
 	aborted := false
 	switch {
-	case ctx.Err() != nil:
+	case cancelled:
 		j.FinishLocked(StateCancelled, "cancelled", nil)
 		// A forced-shutdown abort is not a client decision: the job keeps
 		// its pending store record (plus the final cancellation checkpoint
@@ -254,18 +264,14 @@ func (s *Server) runJob(j *localJob) {
 	case err != nil:
 		j.FinishLocked(StateFailed, err.Error(), nil)
 	default:
-		j.FinishLocked(StateDone, "", FrontToWire(front))
-	}
-	j.Unlock()
-
-	if j.Front != nil {
-		s.mu.Lock()
-		s.cache.Add(j.Hash, j.Front)
-		s.mu.Unlock()
+		j.FinishLocked(StateDone, "", wire)
 	}
 	if !aborted {
-		j.JournalFinish(s.cfg.Store)
+		// In the same lock hold: no reader sees the job end before the
+		// store holds its outcome and has dropped its checkpoint.
+		j.JournalLocked(s.cfg.Store)
 	}
+	j.Unlock()
 	s.metrics.observeLatency(j.Spec.Method, time.Since(j.Started))
 }
 
