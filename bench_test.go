@@ -31,8 +31,16 @@ func benchCfg() experiments.Config {
 	return cfg
 }
 
+// BenchmarkFig6a runs first in the package, so its first run would pay the
+// process's one-time set-up (the chain-analysis scratch free lists and
+// other lazily built state, ~365 allocations) that no later row pays. One
+// untimed run first keeps its allocs/op at the steady state on every count.
 func BenchmarkFig6a(b *testing.B) {
 	cfg := benchCfg()
+	if _, err := cfg.Fig6a(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cfg.Fig6a(); err != nil {
 			b.Fatal(err)
