@@ -34,19 +34,6 @@ func decisionsIntoCore(p problemCore, dst []schedule.TaskDecision, g *moea.Genom
 	return dst
 }
 
-// evalState is the opaque replay state coreEvaluator returns from
-// EvaluateDelta: the canonical fitness key of the evaluation (which fully
-// encodes the schedule inputs — the priority permutation plus every task's
-// decoded decision as bit patterns), the schedule replay artifact, and the
-// evaluation itself. Decisions are reconstructed from the key words on
-// demand instead of being retained as a second copy. States are immutable
-// once returned and may be shared by several offspring.
-type evalState struct {
-	key   []uint64
-	times *schedule.SeqTimes
-	eval  moea.Evaluation
-}
-
 // Key layout (see appendFitnessKey): word 0 is the task count n, words
 // [1, 1+n) the priority permutation, then 10 words per task — the PE id
 // followed by the 8 metric fields and the footprint as float64 bits.
@@ -112,20 +99,27 @@ func (e *coreEvaluator) Evaluate(g *moea.Genome) moea.Evaluation {
 	e.decisions = decisionsIntoCore(e.p, e.decisions, g)
 	fit := e.p.fitCache()
 	if fit == nil {
-		return e.run(g.Order, nil)
+		return e.run(g.Order, nil, nil)
 	}
 	e.key = appendFitnessKey(e.key[:0], g.Order, e.decisions)
 	return fit.lookup(fitnessHash(e.key), e.key, func() ([]float64, float64) {
-		ev := e.run(g.Order, nil)
+		ev := e.run(g.Order, nil, nil)
 		return ev.Objectives, ev.Violation
 	})
 }
 
 // run schedules the already-decoded decisions and derives the evaluation,
-// capturing the replay artifact when capture is non-nil.
-func (e *coreEvaluator) run(order []int, capture *schedule.SeqTimes) moea.Evaluation {
+// capturing the replay artifact when capture is non-nil. A non-nil prev
+// replays that schedule's prefix up to the first task set in e.changed.
+func (e *coreEvaluator) run(order []int, prev, capture *schedule.SeqTimes) moea.Evaluation {
 	inst := e.p.instance()
-	res, err := e.sched.RunWithCommCapture(inst.Graph, inst.Platform, order, e.decisions, inst.Comm, capture)
+	var res *schedule.Result
+	var err error
+	if prev != nil {
+		res, err = e.sched.RunWithCommDelta(inst.Graph, inst.Platform, order, e.decisions, inst.Comm, prev, e.changed, capture)
+	} else {
+		res, err = e.sched.RunWithCommCapture(inst.Graph, inst.Platform, order, e.decisions, inst.Comm, capture)
+	}
 	if err != nil {
 		panic("core: schedule evaluation failed: " + err.Error())
 	}
@@ -135,9 +129,10 @@ func (e *coreEvaluator) run(order []int, capture *schedule.SeqTimes) moea.Evalua
 	}
 }
 
-// EvaluateDelta implements moea.DeltaEvaluator. With a usable parent state
-// it decodes only the genes that differ from the parent, patches the
-// parent's fitness key in place, and — when the scheduling order is
+// EvaluateDelta implements moea.DeltaEvaluator. The replay state is the
+// genome's *fitnessEntry (see fitnessEntry). With a usable parent state it
+// decodes only the genes that differ from the parent, patches the parent's
+// fitness key in the worker's scratch, and — when the scheduling order is
 // unchanged — replays the parent's schedule prefix up to the first
 // affected task. Every shortcut is exactness-preserving:
 //
@@ -148,7 +143,7 @@ func (e *coreEvaluator) run(order []int, capture *schedule.SeqTimes) moea.Evalua
 //   - the fitness cache is still consulted with the patched key, so delta
 //     and full evaluation populate and hit the same entries.
 func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, parentState any) (moea.Evaluation, any) {
-	st, ok := parentState.(*evalState)
+	st, ok := parentState.(*fitnessEntry)
 	if parent == nil || !ok || st == nil {
 		return e.evaluateRetain(g)
 	}
@@ -195,34 +190,19 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 		return st.eval, st
 	}
 
-	keyCopy := append([]uint64(nil), e.key...)
-	compute := func() ([]float64, float64, *schedule.SeqTimes) {
-		inst := e.p.instance()
-		e.decisions = decisionsFromKey(e.decisions, keyCopy)
-		capture := &schedule.SeqTimes{}
-		var res *schedule.Result
-		var err error
-		if sameOrder && st.times != nil {
+	ent := e.p.fitCache().entry(fitnessHash(e.key), e.key)
+	ent.once.Do(func() {
+		e.decisions = decisionsFromKey(e.decisions, ent.key)
+		var prev *schedule.SeqTimes
+		if sameOrder && st.times.Seq != nil {
 			accelCounters.deltaPrefixRuns.Add(1)
-			res, err = e.sched.RunWithCommDelta(inst.Graph, inst.Platform, g.Order, e.decisions, inst.Comm, st.times, e.changed, capture)
+			prev = &st.times
 		} else {
 			accelCounters.deltaFullRuns.Add(1)
-			res, err = e.sched.RunWithCommCapture(inst.Graph, inst.Platform, g.Order, e.decisions, inst.Comm, capture)
 		}
-		if err != nil {
-			panic("core: schedule evaluation failed: " + err.Error())
-		}
-		return objectiveVector(res, e.p.sysObjs()), totalViolation(inst, res), capture
-	}
-	nst := &evalState{key: keyCopy}
-	if fit := e.p.fitCache(); fit != nil {
-		nst.eval, nst.times = fit.lookupTimes(fitnessHash(keyCopy), keyCopy, compute)
-	} else {
-		objs, viol, times := compute()
-		nst.eval = moea.Evaluation{Objectives: objs, Violation: viol}
-		nst.times = times
-	}
-	return nst.eval, nst
+		ent.eval = e.run(g.Order, prev, &ent.times)
+	})
+	return ent.eval, ent
 }
 
 // evaluateRetain is a full evaluation that additionally captures the
@@ -231,20 +211,10 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 func (e *coreEvaluator) evaluateRetain(g *moea.Genome) (moea.Evaluation, any) {
 	e.decisions = decisionsIntoCore(e.p, e.decisions, g)
 	e.key = appendFitnessKey(e.key[:0], g.Order, e.decisions)
-	keyCopy := append([]uint64(nil), e.key...)
-	compute := func() ([]float64, float64, *schedule.SeqTimes) {
+	ent := e.p.fitCache().entry(fitnessHash(e.key), e.key)
+	ent.once.Do(func() {
 		accelCounters.deltaFullRuns.Add(1)
-		capture := &schedule.SeqTimes{}
-		ev := e.run(g.Order, capture)
-		return ev.Objectives, ev.Violation, capture
-	}
-	nst := &evalState{key: keyCopy}
-	if fit := e.p.fitCache(); fit != nil {
-		nst.eval, nst.times = fit.lookupTimes(fitnessHash(keyCopy), keyCopy, compute)
-	} else {
-		objs, viol, times := compute()
-		nst.eval = moea.Evaluation{Objectives: objs, Violation: viol}
-		nst.times = times
-	}
-	return nst.eval, nst
+		ent.eval = e.run(g.Order, nil, &ent.times)
+	})
+	return ent.eval, ent
 }

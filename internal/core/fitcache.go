@@ -27,18 +27,27 @@ const DefaultFitnessCacheEntries = 8192
 // the same genome block on that computation instead of duplicating it.
 // key is the full canonical encoding, checked on every hit so a 64-bit
 // hash collision can never return the wrong fitness.
+//
+// An entry doubles as the delta-evaluation replay state of its genome
+// (the opaque state coreEvaluator.EvaluateDelta returns): its key encodes
+// the schedule inputs, times the captured schedule. Entries are immutable
+// once filled, so an evicted entry stays valid as a parent's state.
 type fitnessEntry struct {
 	once sync.Once
 	hash uint64
 	key  []uint64
-	objs []float64
-	viol float64
+	eval moea.Evaluation
 	// times is the schedule replay artifact captured by delta-evaluating
-	// computes (nil when the evaluation came through the plain path). It
-	// adds ≈ 20·n bytes per entry on top of the ≈ 11·n·8-byte key — the
-	// memory envelope stays linear in the task count.
-	times *schedule.SeqTimes
+	// fills (zero when the entry came through the plain path). It adds
+	// ≈ 20·n bytes per entry on top of the ≈ 11·n·8-byte key — the memory
+	// envelope stays linear in the task count.
+	times schedule.SeqTimes
 	slot  int // index in the owning shard's clock ring
+}
+
+// newFitnessEntry returns an unfilled entry holding its own copy of key.
+func newFitnessEntry(hash uint64, key []uint64) *fitnessEntry {
+	return &fitnessEntry{hash: hash, key: append([]uint64(nil), key...)}
 }
 
 // fitnessShard is one lock domain: a hash-keyed map plus a clock-eviction
@@ -146,45 +155,46 @@ func keyEqual(a, b []uint64) bool {
 // different key) bypass the cache entirely — compute runs uncached — so a
 // collision can only cost time, never correctness.
 func (c *fitnessCache) lookup(hash uint64, key []uint64, compute func() ([]float64, float64)) moea.Evaluation {
-	ev, _ := c.lookupTimes(hash, key, func() ([]float64, float64, *schedule.SeqTimes) {
+	e := c.entry(hash, key)
+	e.once.Do(func() {
 		objs, viol := compute()
-		return objs, viol, nil
+		e.eval = moea.Evaluation{Objectives: objs, Violation: viol}
 	})
-	return ev
+	return e.eval
 }
 
-// lookupTimes is lookup for delta-evaluating callers: compute additionally
-// returns the schedule replay artifact, which is cached alongside the
-// evaluation and handed back on hits so offspring of a cached genome can
-// still reuse its schedule prefix. A nil artifact (plain-path entries) is
-// valid — callers fall back to a full schedule run.
-func (c *fitnessCache) lookupTimes(hash uint64, key []uint64, compute func() ([]float64, float64, *schedule.SeqTimes)) (moea.Evaluation, *schedule.SeqTimes) {
+// entry returns the entry for key, the single place a key is copied: a
+// hit returns the live entry, a miss inserts a new one holding a copy of
+// key. A verified hash collision, or a nil (disabled) cache, yields a
+// standalone entry built the same way but never inserted. The caller
+// fills the entry through its once.
+func (c *fitnessCache) entry(hash uint64, key []uint64) *fitnessEntry {
+	if c == nil {
+		return newFitnessEntry(hash, key)
+	}
 	s := &c.shards[hash%fitnessShards]
 	s.mu.Lock()
-	e, ok := s.m[hash]
-	if ok {
+	if e, ok := s.m[hash]; ok {
 		s.ref[e.slot] = true
 		s.mu.Unlock()
 		if !keyEqual(e.key, key) {
 			c.bypasses.Add(1)
 			fitnessTotals.bypasses.Add(1)
-			objs, viol, times := compute()
-			return moea.Evaluation{Objectives: objs, Violation: viol}, times
+			return newFitnessEntry(hash, key)
 		}
 		c.hits.Add(1)
 		fitnessTotals.hits.Add(1)
-	} else {
-		if s.m == nil {
-			s.m = make(map[uint64]*fitnessEntry, c.perShard)
-		}
-		e = &fitnessEntry{hash: hash, key: append([]uint64(nil), key...)}
-		c.insertLocked(s, e)
-		s.mu.Unlock()
-		c.misses.Add(1)
-		fitnessTotals.misses.Add(1)
+		return e
 	}
-	e.once.Do(func() { e.objs, e.viol, e.times = compute() })
-	return moea.Evaluation{Objectives: e.objs, Violation: e.viol}, e.times
+	if s.m == nil {
+		s.m = make(map[uint64]*fitnessEntry, c.perShard)
+	}
+	e := newFitnessEntry(hash, key)
+	c.insertLocked(s, e)
+	s.mu.Unlock()
+	c.misses.Add(1)
+	fitnessTotals.misses.Add(1)
+	return e
 }
 
 // insertLocked places e in the shard's clock ring, evicting a cold entry

@@ -340,11 +340,12 @@ func Run(p Problem, params Params, seeds []*Genome) (*Result, error) {
 	// Selection-path buffers, reused every generation: the parents∪offspring
 	// union (exactly 2·PopSize), the offspring list, and the ping-pong spare
 	// that becomes the next population while the outgoing population's array
-	// is recycled. Solutions themselves are freshly allocated per generation;
-	// only the pointer slices are reused.
+	// is recycled, plus the order-crossover scratch. Solutions themselves are
+	// freshly allocated per generation; only the pointer slices are reused.
 	unionBuf := make([]*solution, 0, 2*params.PopSize)
 	offBuf := make([]*solution, 0, params.PopSize)
 	spare := make([]*solution, 0, params.PopSize)
+	var osc orderScratch
 	for gen := startGen; gen < params.Generations; gen++ {
 		if err := params.cancelled(); err != nil {
 			// The population is at the gen-generation boundary; snapshot it
@@ -381,7 +382,7 @@ func Run(p Problem, params Params, seeds []*Genome) (*Result, error) {
 				crossoverConfig(rng, a, b)
 			}
 			if !params.DisableOrderCrossover && rng.Float64() < params.CrossoverProb {
-				crossoverOrder(rng, a, b)
+				crossoverOrder(rng, a, b, &osc)
 			}
 			// Each child is linked to the parent whose clone it started from:
 			// after the cut-range exchanges it still shares most of its genes

@@ -186,35 +186,49 @@ func crossoverConfig(rng *rand.Rand, a, b *Genome) {
 	}
 }
 
+// orderScratch is a run's working set for crossoverOrder: a copy of the
+// first parent's sequence and a task membership mask.
+type orderScratch struct {
+	perm []int
+	used []bool
+}
+
 // crossoverOrder performs the paper's single-point scheduling crossover:
-// the child keeps parent A's sequence up to the cut point and completes it
-// with the remaining tasks in parent B's relative order (an OX1-style
-// operator, so the result is always a permutation).
-func crossoverOrder(rng *rand.Rand, a, b *Genome) {
+// each child keeps its own sequence up to the cut point and completes it
+// with the remaining tasks in the other parent's relative order (an
+// OX1-style operator, so the result is always a permutation). Both
+// children are rewritten in their own Order arrays, which must not alias.
+func crossoverOrder(rng *rand.Rand, a, b *Genome, sc *orderScratch) {
 	n := len(a.Order)
 	if n < 2 {
 		return
 	}
 	cut := 1 + rng.Intn(n-1)
-	newA := orderCross(a.Order, b.Order, cut)
-	newB := orderCross(b.Order, a.Order, cut)
-	a.Order, b.Order = newA, newB
+	sc.perm = append(sc.perm[:0], a.Order...)
+	if cap(sc.used) < n {
+		sc.used = make([]bool, n)
+	}
+	orderTail(a.Order, b.Order, cut, sc.used[:n])
+	orderTail(b.Order, sc.perm, cut, sc.used[:n])
 }
 
-func orderCross(head, tail []int, cut int) []int {
-	n := len(head)
-	out := make([]int, 0, n)
-	used := make([]bool, n)
+// orderTail keeps head[:cut] and refills head[cut:] with the tasks of the
+// permutation tail that head[:cut] lacks, in tail's order. used must be
+// all false on entry; every mark is cleared when tail passes its task, so
+// it is all false again on return.
+func orderTail(head, tail []int, cut int, used []bool) {
 	for _, t := range head[:cut] {
-		out = append(out, t)
 		used[t] = true
 	}
+	k := cut
 	for _, t := range tail {
-		if !used[t] {
-			out = append(out, t)
+		if used[t] {
+			used[t] = false
+			continue
 		}
+		head[k] = t
+		k++
 	}
-	return out
 }
 
 // mutateOrder applies the paper's two-point scheduling mutation: the

@@ -3,6 +3,7 @@ package moea
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,12 +123,54 @@ func TestCrossoverOrderPreservesPermutation(t *testing.T) {
 		n := 2 + rng.Intn(20)
 		a := &Genome{Order: rng.Perm(n), Genes: make([]Gene, n)}
 		b := &Genome{Order: rng.Perm(n), Genes: make([]Gene, n)}
-		crossoverOrder(rng, a, b)
+		crossoverOrder(rng, a, b, new(orderScratch))
 		if err := a.Validate(); err != nil {
 			t.Fatalf("child A invalid: %v", err)
 		}
 		if err := b.Validate(); err != nil {
 			t.Fatalf("child B invalid: %v", err)
+		}
+	}
+}
+
+// orderCrossOracle is the allocating OX1 operator crossoverOrder replaced:
+// head[:cut] followed by tail's remaining tasks in tail's order.
+func orderCrossOracle(head, tail []int, cut int) []int {
+	out := append([]int(nil), head[:cut]...)
+	used := make([]bool, len(head))
+	for _, t := range out {
+		used[t] = true
+	}
+	for _, t := range tail {
+		if !used[t] {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// TestCrossoverOrderMatchesOracle: the in-place crossover with reused
+// scratch builds the oracle's children and draws the same random numbers.
+func TestCrossoverOrderMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sc := new(orderScratch)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(40)
+		a := &Genome{Order: rng.Perm(n), Genes: make([]Gene, n)}
+		b := &Genome{Order: rng.Perm(n), Genes: make([]Gene, n)}
+		seed := rng.Int63()
+		r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		wantA, wantB := a.Order, b.Order
+		if n >= 2 {
+			cut := 1 + r2.Intn(n-1)
+			wantA, wantB = orderCrossOracle(a.Order, b.Order, cut), orderCrossOracle(b.Order, a.Order, cut)
+		}
+		crossoverOrder(r1, a, b, sc)
+		if !slices.Equal(a.Order, wantA) || !slices.Equal(b.Order, wantB) {
+			t.Fatalf("trial %d: children %v %v, oracle %v %v", trial, a.Order, b.Order, wantA, wantB)
+		}
+		if r1.Int63() != r2.Int63() {
+			t.Fatalf("trial %d: random draw sequence changed", trial)
 		}
 	}
 }
@@ -395,7 +438,7 @@ func TestPropertyOperatorsPreserveValidity(t *testing.T) {
 		a := &Genome{Order: rng.Perm(n), Genes: make([]Gene, n)}
 		b := &Genome{Order: rng.Perm(n), Genes: make([]Gene, n)}
 		crossoverConfig(rng, a, b)
-		crossoverOrder(rng, a, b)
+		crossoverOrder(rng, a, b, new(orderScratch))
 		mutateOrder(rng, a)
 		mutateOrder(rng, b)
 		return a.Validate() == nil && b.Validate() == nil

@@ -137,6 +137,10 @@ func RunMOEAD(p Problem, params Params, seeds []*Genome) (*Result, error) {
 	}
 
 	ev := newEvaluator(p)
+	// Only the first child of a mating survives, so the second parent is
+	// copied into one per-run genome instead of being cloned.
+	mate := &Genome{Order: make([]int, n), Genes: make([]Gene, n)}
+	var osc orderScratch
 	neighbors := neighborhoods(weights, defaultNeighbors(params))
 	snapshotMOEAD := func(gen int) *Checkpoint {
 		cp := snapshotRun(gen, res.Evaluations, src.Draws(), pop, arch.members).withPlateau(plateau)
@@ -156,12 +160,14 @@ func RunMOEAD(p Problem, params Params, seeds []*Genome) (*Result, error) {
 			nb := neighbors[i]
 			pa := pop[nb[rng.Intn(len(nb))]]
 			a := pa.genome.Clone()
-			b := pop[nb[rng.Intn(len(nb))]].genome.Clone()
+			pb := pop[nb[rng.Intn(len(nb))]].genome
+			copy(mate.Order, pb.Order)
+			copy(mate.Genes, pb.Genes)
 			if !params.DisableConfigCrossover && rng.Float64() < params.CrossoverProb {
-				crossoverConfig(rng, a, b)
+				crossoverConfig(rng, a, mate)
 			}
 			if params.FixedOrder == nil && !params.DisableOrderCrossover && rng.Float64() < params.CrossoverProb {
-				crossoverOrder(rng, a, b)
+				crossoverOrder(rng, a, mate, &osc)
 			}
 			child := a
 			for t := 0; t < n; t++ {

@@ -5,6 +5,17 @@
 // lifetime reliability as system MTTF via Weibull damage accumulation
 // (Eq. 2), criticality-weighted functional reliability (Eq. 3), and peak
 // power / energy (Eq. 4).
+//
+// Peak power (Eq. 4) is a sweep over each task's start (+PowerW) and end
+// (−PowerW) events in time order, releases before acquisitions at equal
+// instants. The events are listed in the list scheduler's pop order,
+// which is nearly time-sorted because each PE starts its tasks in pop
+// order, and insertion-sorted. Disordered inputs — e.g. independent tasks
+// whose priorities are grouped by PE — exhaust a move budget of a few
+// moves per event and are finished by merging ascending runs instead.
+// With finite inputs (Run rejects the rest) only value-equal events tie,
+// so the sorted sequence, and with it the running sum, is the same on
+// either path and bit-identical to any other correct sort.
 package schedule
 
 import (
@@ -77,6 +88,8 @@ type Result struct {
 // gene order); tasks become eligible when all predecessors finished, and
 // among eligible tasks the one earliest in priority order is placed next,
 // on its decided PE, at the earliest time both the PE and its inputs allow.
+// Every decision needs a known PE, a positive finite execution time, a
+// non-negative finite power and a non-negative footprint.
 func Run(g *taskgraph.Graph, p *platform.Platform, priority []int, decisions []TaskDecision) (*Result, error) {
 	return RunWithComm(g, p, priority, decisions, CommModel{})
 }
