@@ -1,7 +1,7 @@
 GO ?= go
 PORT ?= 8080
 
-.PHONY: build test vet race fuzz-smoke loadtest validate-quick bench bench-sweep bench-snapshot bench-compare bench-islands island-smoke fpga-smoke suite-corpus quick full serve
+.PHONY: build test vet loc race fuzz-smoke loadtest validate-quick bench bench-sweep bench-snapshot bench-compare bench-islands island-smoke fpga-smoke suite-corpus quick full serve
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,17 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines (wc -l) per package directory and in total: the count
+# ROADMAP aim 2 asks every PR to report. Run it before and after a change
+# and subtract.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { n = split($$2, p, "/"); \
+			d = substr($$2, 3, length($$2) - length(p[n]) - 3); if (d == "") d = "."; \
+			lines[d] += $$1; total += $$1 } \
+		END { for (d in lines) printf "%7d %s\n", lines[d], d | "sort -k2"; close("sort -k2"); \
+			printf "%7d total\n", total }'
 
 # Race-check the concurrency-bearing packages: the sweep executor, the
 # shared metrics cache in core, the GA evaluate workers in moea, the

@@ -33,10 +33,6 @@ func runIslandStage(p moea.Problem, cfg RunConfig, params moea.Params, seeds []*
 	if migrants <= 0 {
 		migrants = 2
 	}
-	ckEvery := cfg.CheckpointEvery
-	if ckEvery <= 0 {
-		ckEvery = DefaultCheckpointEvery
-	}
 	onGen := params.OnGeneration
 	icfg := moea.IslandConfig{
 		N:     cfg.Islands,
@@ -58,13 +54,7 @@ func runIslandStage(p moea.Problem, cfg RunConfig, params moea.Params, seeds []*
 					ip.MutationProb = 0.5
 				}
 			}
-			if cfg.Checkpoint != nil {
-				st := IslandStage(stage, i)
-				ck := cfg.Checkpoint
-				ip.Resume = ck.ResumeStage(st)
-				ip.CheckpointEvery = ckEvery
-				ip.OnCheckpoint = func(cp *moea.Checkpoint) { ck.SaveStage(st, cp) }
-			}
+			cfg.checkpointStage(ip, IslandStage(stage, i))
 		},
 	}
 	return moea.RunIslands(p, params, seeds, icfg)

@@ -203,35 +203,51 @@ func runProblem(p moea.Problem, decode func(*moea.Genome) *schedule.Result, cfg 
 	params := cfg.paramsFor(stage)
 	var res *moea.Result
 	var err error
-	if cfg.islandMode() {
+	switch {
+	case cfg.islandMode():
 		if cfg.TerminateOnPlateau {
 			return nil, fmt.Errorf("core: plateau termination is incompatible with island mode")
 		}
 		// Island mode checkpoints per island under derived stage keys;
 		// the plain stage key only ever holds the completed front.
 		res, err = runIslandStage(p, cfg, params, seeds, stage)
-	} else {
-		if cfg.Checkpoint != nil {
-			params.Resume = cfg.Checkpoint.ResumeStage(stage)
-			params.CheckpointEvery = cfg.CheckpointEvery
-			if params.CheckpointEvery <= 0 {
-				params.CheckpointEvery = DefaultCheckpointEvery
-			}
-			ck := cfg.Checkpoint
-			params.OnCheckpoint = func(cp *moea.Checkpoint) { ck.SaveStage(stage, cp) }
-		}
-		switch cfg.Engine {
-		case NSGA2:
-			res, err = moea.Run(p, params, seeds)
-		case MOEAD:
-			res, err = moea.RunMOEAD(p, params, seeds)
-		default:
-			return nil, fmt.Errorf("core: unknown engine %d", int(cfg.Engine))
-		}
+	case cfg.Engine == NSGA2:
+		cfg.checkpointStage(&params, stage)
+		res, err = moea.Run(p, params, seeds)
+	case cfg.Engine == MOEAD:
+		cfg.checkpointStage(&params, stage)
+		res, err = moea.RunMOEAD(p, params, seeds)
+	default:
+		return nil, fmt.Errorf("core: unknown engine %d", int(cfg.Engine))
 	}
 	if err != nil {
 		return nil, err
 	}
+	front := frontOf(res, decode)
+	if cfg.Checkpoint != nil {
+		cfg.Checkpoint.SaveFront(stage, SnapshotFront(front))
+	}
+	return front, nil
+}
+
+// checkpointStage makes params resume from, and snapshot to, the stage key
+// of cfg.Checkpoint (a no-op without one).
+func (c RunConfig) checkpointStage(params *moea.Params, stage string) {
+	ck := c.Checkpoint
+	if ck == nil {
+		return
+	}
+	params.Resume = ck.ResumeStage(stage)
+	params.CheckpointEvery = c.CheckpointEvery
+	if params.CheckpointEvery <= 0 {
+		params.CheckpointEvery = DefaultCheckpointEvery
+	}
+	params.OnCheckpoint = func(cp *moea.Checkpoint) { ck.SaveStage(stage, cp) }
+}
+
+// frontOf turns an engine result into a Front, decoding each genome's QoS
+// metrics. Front points share the result's genomes and objective slices.
+func frontOf(res *moea.Result, decode func(*moea.Genome) *schedule.Result) *Front {
 	front := &Front{Evaluations: res.Evaluations}
 	for _, s := range res.Front {
 		front.Points = append(front.Points, Point{
@@ -240,10 +256,7 @@ func runProblem(p moea.Problem, decode func(*moea.Genome) *schedule.Result, cfg 
 			Genome:     s.Genome,
 		})
 	}
-	if cfg.Checkpoint != nil {
-		cfg.Checkpoint.SaveFront(stage, SnapshotFront(front))
-	}
-	return front, nil
+	return front
 }
 
 // FcCLR runs the problem-agnostic full-configuration CLR task mapping
@@ -316,24 +329,16 @@ func ProposedFrom(inst *Instance, cfg RunConfig, flib *tdse.Library, pfStage *Fr
 	// full-configuration problem so the merged front is internally
 	// consistent even if the filtered library's cached metrics diverge
 	// from the instance (e.g. a different operating environment).
-	union := append([]Point{}, front.Points...)
+	seedFront := &Front{Evaluations: pfStage.Evaluations}
 	for _, seed := range seeds {
 		q := p.decodeResult(seed)
-		union = append(union, Point{
+		seedFront.Points = append(seedFront.Points, Point{
 			Objectives: objectiveVector(q, inst.objectives()),
 			QoS:        q,
 			Genome:     seed,
 		})
 	}
-	objs := make([][]float64, len(union))
-	for i, pt := range union {
-		objs[i] = pt.Objectives
-	}
-	merged := &Front{Evaluations: front.Evaluations + pfStage.Evaluations}
-	for _, i := range pareto.Filter(objs) {
-		merged.Points = append(merged.Points, union[i])
-	}
-	return merged, nil
+	return MergeFronts(front, seedFront), nil
 }
 
 // reencodeSeeds converts pfCLR front genomes into fcCLR genomes: the chosen
@@ -527,15 +532,7 @@ func singleLayerFrom(inst *Instance, cfg RunConfig, layer Layer, baseline Point)
 	if err != nil {
 		return nil, err
 	}
-	front := &Front{Evaluations: res.Evaluations}
-	for _, s := range res.Front {
-		front.Points = append(front.Points, Point{
-			Objectives: s.Objectives,
-			QoS:        p.decodeResult(s.Genome),
-			Genome:     s.Genome,
-		})
-	}
-	return front, nil
+	return frontOf(res, p.decodeResult), nil
 }
 
 // Agnostic runs every single-layer optimization separately and merges the
@@ -629,15 +626,7 @@ func FcCLRWithParams(inst *Instance, params moea.Params) (*Front, error) {
 	if err != nil {
 		return nil, err
 	}
-	front := &Front{Evaluations: res.Evaluations}
-	for _, s := range res.Front {
-		front.Points = append(front.Points, Point{
-			Objectives: s.Objectives,
-			QoS:        p.decodeResult(s.Genome),
-			Genome:     s.Genome,
-		})
-	}
-	return front, nil
+	return frontOf(res, p.decodeResult), nil
 }
 
 // RandomSearch evaluates random full-configuration design points — the
@@ -651,15 +640,7 @@ func RandomSearch(inst *Instance, evals int, seed int64) (*Front, error) {
 	if err != nil {
 		return nil, err
 	}
-	front := &Front{Evaluations: res.Evaluations}
-	for _, s := range res.Front {
-		front.Points = append(front.Points, Point{
-			Objectives: s.Objectives,
-			QoS:        p.decodeResult(s.Genome),
-			Genome:     s.Genome,
-		})
-	}
-	return front, nil
+	return frontOf(res, p.decodeResult), nil
 }
 
 // DecodePEs resolves the concrete PE id of every task of a

@@ -61,17 +61,16 @@ func (a *archiveState) add(batch []*solution) {
 	a.nanos += time.Since(start).Nanoseconds()
 }
 
-// addOne is the single-candidate form of add, used by the MOEA/D engine's
-// per-child archive update (a one-element batch without the slice).
-func (a *archiveState) addOne(s *solution) {
-	start := time.Now()
-	if s.eval.Violation == 0 && !s.approx {
-		a.insert(s)
+// front deep-copies the members into a reported front.
+func (a *archiveState) front() []Solution {
+	var front []Solution
+	for _, s := range a.members {
+		front = append(front, Solution{
+			Genome:     s.genome.Clone(),
+			Objectives: append([]float64(nil), s.eval.Objectives...),
+		})
 	}
-	if len(a.members) > a.limit {
-		a.truncate()
-	}
-	a.nanos += time.Since(start).Nanoseconds()
+	return front
 }
 
 // insert dominance-checks one feasible candidate against the standing

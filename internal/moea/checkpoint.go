@@ -105,20 +105,6 @@ type Checkpoint struct {
 	Plateau *PlateauCheckpoint `json:"plateau,omitempty"`
 }
 
-// withMigration attaches an island's migration log to a snapshot and
-// returns it (no-op for runs without migration).
-func (cp *Checkpoint) withMigration(log []EpochMigrants) *Checkpoint {
-	cp.Migration = cloneMigrantLog(log)
-	return cp
-}
-
-// withPlateau attaches the plateau-termination state to a snapshot and
-// returns it (no-op for runs that do not track convergence).
-func (cp *Checkpoint) withPlateau(ps *plateauState) *Checkpoint {
-	cp.Plateau = ps.snapshot()
-	return cp
-}
-
 // snapshotSolution deep-copies a live solution into durable form.
 func snapshotSolution(s *solution) CheckpointSolution {
 	out := CheckpointSolution{
@@ -140,17 +126,6 @@ func snapshotSolutions(sols []*solution) []CheckpointSolution {
 		out[i] = snapshotSolution(s)
 	}
 	return out
-}
-
-// snapshotRun captures the full generation-boundary state of a run.
-func snapshotRun(gen, evals int, draws uint64, pop, archive []*solution) *Checkpoint {
-	return &Checkpoint{
-		Generation:  gen,
-		Evaluations: evals,
-		Draws:       draws,
-		Population:  snapshotSolutions(pop),
-		Archive:     snapshotSolutions(archive),
-	}
 }
 
 // restoreSolutions rebuilds live solutions from a checkpoint, validating

@@ -27,8 +27,19 @@ func checkpointParams(gens int) Params {
 
 type engineFn func(p Problem, params Params, seeds []*Genome) (*Result, error)
 
-func engines() map[string]engineFn {
-	return map[string]engineFn{"nsga2": Run, "moead": RunMOEAD}
+// testEngines is the one table of engines that engine-generic tests run
+// over.
+var testEngines = []struct {
+	name string
+	run  engineFn
+}{{"nsga2", Run}, {"moead", RunMOEAD}}
+
+// forEngines runs fn as one subtest per engine, named after the engine.
+func forEngines(t *testing.T, fn func(t *testing.T, run engineFn)) {
+	t.Helper()
+	for _, e := range testEngines {
+		t.Run(e.name, func(t *testing.T) { fn(t, e.run) })
+	}
 }
 
 // TestCountingSourceStreamUnchanged pins the core determinism invariant:
@@ -96,56 +107,54 @@ func TestCountingSourceFastForward(t *testing.T) {
 // front byte for byte.
 func TestResumeByteIdenticalFront(t *testing.T) {
 	problem := &zdtProblem{n: 8, levels: 16}
-	for name, engine := range engines() {
-		t.Run(name, func(t *testing.T) {
-			ref, err := engine(problem, checkpointParams(20), nil)
+	forEngines(t, func(t *testing.T, engine engineFn) {
+		ref, err := engine(problem, checkpointParams(20), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := frontFingerprint(t, ref)
+
+		var cps []*Checkpoint
+		params := checkpointParams(20)
+		params.CheckpointEvery = 4
+		params.OnCheckpoint = func(cp *Checkpoint) { cps = append(cps, cp) }
+		if res, err := engine(problem, params, nil); err != nil {
+			t.Fatal(err)
+		} else if got := frontFingerprint(t, res); got != want {
+			t.Fatal("enabling checkpointing changed the front")
+		}
+		// Generations 4, 8, 12, 16 (20 is the final generation; no
+		// snapshot is due once the run is complete).
+		if len(cps) != 4 {
+			t.Fatalf("captured %d checkpoints, want 4", len(cps))
+		}
+
+		for _, cp := range cps {
+			// Round-trip through JSON: the service stores checkpoints
+			// serialized, so resume must survive encoding.
+			blob, err := json.Marshal(cp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := frontFingerprint(t, ref)
-
-			var cps []*Checkpoint
-			params := checkpointParams(20)
-			params.CheckpointEvery = 4
-			params.OnCheckpoint = func(cp *Checkpoint) { cps = append(cps, cp) }
-			if res, err := engine(problem, params, nil); err != nil {
+			restored := new(Checkpoint)
+			if err := json.Unmarshal(blob, restored); err != nil {
 				t.Fatal(err)
-			} else if got := frontFingerprint(t, res); got != want {
-				t.Fatal("enabling checkpointing changed the front")
 			}
-			// Generations 4, 8, 12, 16 (20 is the final generation; no
-			// snapshot is due once the run is complete).
-			if len(cps) != 4 {
-				t.Fatalf("captured %d checkpoints, want 4", len(cps))
+			rp := checkpointParams(20)
+			rp.Resume = restored
+			res, err := engine(problem, rp, nil)
+			if err != nil {
+				t.Fatalf("resume from gen %d: %v", cp.Generation, err)
 			}
-
-			for _, cp := range cps {
-				// Round-trip through JSON: the service stores checkpoints
-				// serialized, so resume must survive encoding.
-				blob, err := json.Marshal(cp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				restored := new(Checkpoint)
-				if err := json.Unmarshal(blob, restored); err != nil {
-					t.Fatal(err)
-				}
-				rp := checkpointParams(20)
-				rp.Resume = restored
-				res, err := engine(problem, rp, nil)
-				if err != nil {
-					t.Fatalf("resume from gen %d: %v", cp.Generation, err)
-				}
-				if got := frontFingerprint(t, res); got != want {
-					t.Fatalf("resume from gen %d: front differs from uninterrupted run", cp.Generation)
-				}
-				if res.Evaluations != ref.Evaluations {
-					t.Fatalf("resume from gen %d: %d evaluations, want %d",
-						cp.Generation, res.Evaluations, ref.Evaluations)
-				}
+			if got := frontFingerprint(t, res); got != want {
+				t.Fatalf("resume from gen %d: front differs from uninterrupted run", cp.Generation)
 			}
-		})
-	}
+			if res.Evaluations != ref.Evaluations {
+				t.Fatalf("resume from gen %d: %d evaluations, want %d",
+					cp.Generation, res.Evaluations, ref.Evaluations)
+			}
+		}
+	})
 }
 
 // TestCancelCheckpointResumes kills a run mid-flight via context
@@ -153,45 +162,43 @@ func TestResumeByteIdenticalFront(t *testing.T) {
 // byte-identical front.
 func TestCancelCheckpointResumes(t *testing.T) {
 	problem := &zdtProblem{n: 8, levels: 16}
-	for name, engine := range engines() {
-		t.Run(name, func(t *testing.T) {
-			ref, err := engine(problem, checkpointParams(15), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := frontFingerprint(t, ref)
+	forEngines(t, func(t *testing.T, engine engineFn) {
+		ref, err := engine(problem, checkpointParams(15), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := frontFingerprint(t, ref)
 
-			ctx, cancel := context.WithCancel(context.Background())
-			var last *Checkpoint
-			params := checkpointParams(15)
-			params.Ctx = ctx
-			params.OnCheckpoint = func(cp *Checkpoint) { last = cp }
-			params.OnGeneration = func(gi GenerationInfo) {
-				if gi.Generation == 7 {
-					cancel()
-				}
+		ctx, cancel := context.WithCancel(context.Background())
+		var last *Checkpoint
+		params := checkpointParams(15)
+		params.Ctx = ctx
+		params.OnCheckpoint = func(cp *Checkpoint) { last = cp }
+		params.OnGeneration = func(gi GenerationInfo) {
+			if gi.Generation == 7 {
+				cancel()
 			}
-			if _, err := engine(problem, params, nil); err == nil {
-				t.Fatal("cancelled run returned no error")
-			}
-			if last == nil {
-				t.Fatal("cancellation produced no checkpoint")
-			}
-			if last.Generation != 7 {
-				t.Fatalf("cancel checkpoint at generation %d, want 7", last.Generation)
-			}
+		}
+		if _, err := engine(problem, params, nil); err == nil {
+			t.Fatal("cancelled run returned no error")
+		}
+		if last == nil {
+			t.Fatal("cancellation produced no checkpoint")
+		}
+		if last.Generation != 7 {
+			t.Fatalf("cancel checkpoint at generation %d, want 7", last.Generation)
+		}
 
-			rp := checkpointParams(15)
-			rp.Resume = last
-			res, err := engine(problem, rp, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := frontFingerprint(t, res); got != want {
-				t.Fatal("resume after cancellation: front differs from uninterrupted run")
-			}
-		})
-	}
+		rp := checkpointParams(15)
+		rp.Resume = last
+		res, err := engine(problem, rp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := frontFingerprint(t, res); got != want {
+			t.Fatal("resume after cancellation: front differs from uninterrupted run")
+		}
+	})
 }
 
 // TestDoubleInterruptResumes chains two interruptions — resume from an

@@ -28,18 +28,8 @@ func (ctxProblem) Evaluate(g *Genome) Evaluation {
 	return Evaluation{Objectives: []float64{a, b}}
 }
 
-func runEngines(t *testing.T, fn func(t *testing.T, run func(Params) (*Result, error))) {
-	t.Helper()
-	t.Run("nsga2", func(t *testing.T) {
-		fn(t, func(p Params) (*Result, error) { return Run(ctxProblem{}, p, nil) })
-	})
-	t.Run("moead", func(t *testing.T) {
-		fn(t, func(p Params) (*Result, error) { return RunMOEAD(ctxProblem{}, p, nil) })
-	})
-}
-
 func TestRunOnGenerationReportsEveryGeneration(t *testing.T) {
-	runEngines(t, func(t *testing.T, run func(Params) (*Result, error)) {
+	forEngines(t, func(t *testing.T, run engineFn) {
 		params := DefaultParams(8, 5, 42)
 		params.Workers = 1
 		var gens []int
@@ -54,7 +44,7 @@ func TestRunOnGenerationReportsEveryGeneration(t *testing.T) {
 			}
 			lastEvals = g.Evaluations
 		}
-		if _, err := run(params); err != nil {
+		if _, err := run(ctxProblem{}, params, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := []int{0, 1, 2, 3, 4, 5}
@@ -70,7 +60,7 @@ func TestRunOnGenerationReportsEveryGeneration(t *testing.T) {
 }
 
 func TestRunCancelStopsWithinOneGeneration(t *testing.T) {
-	runEngines(t, func(t *testing.T, run func(Params) (*Result, error)) {
+	forEngines(t, func(t *testing.T, run engineFn) {
 		ctx, cancel := context.WithCancel(context.Background())
 		params := DefaultParams(8, 10000, 42)
 		params.Workers = 1
@@ -83,7 +73,7 @@ func TestRunCancelStopsWithinOneGeneration(t *testing.T) {
 				cancel()
 			}
 		}
-		res, err := run(params)
+		res, err := run(ctxProblem{}, params, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
@@ -97,7 +87,7 @@ func TestRunCancelStopsWithinOneGeneration(t *testing.T) {
 }
 
 func TestRunAlreadyCancelledDoesNoWork(t *testing.T) {
-	runEngines(t, func(t *testing.T, run func(Params) (*Result, error)) {
+	forEngines(t, func(t *testing.T, run engineFn) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		params := DefaultParams(8, 5, 42)
@@ -105,23 +95,23 @@ func TestRunAlreadyCancelledDoesNoWork(t *testing.T) {
 		params.OnGeneration = func(GenerationInfo) {
 			t.Fatal("progress emitted for a cancelled run")
 		}
-		if _, err := run(params); !errors.Is(err, context.Canceled) {
+		if _, err := run(ctxProblem{}, params, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	})
 }
 
 func TestRunContextDoesNotPerturbResults(t *testing.T) {
-	runEngines(t, func(t *testing.T, run func(Params) (*Result, error)) {
+	forEngines(t, func(t *testing.T, run engineFn) {
 		params := DefaultParams(12, 8, 7)
 		params.Workers = 1
-		plain, err := run(params)
+		plain, err := run(ctxProblem{}, params, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		params.Ctx = context.Background()
 		params.OnGeneration = func(GenerationInfo) {}
-		hooked, err := run(params)
+		hooked, err := run(ctxProblem{}, params, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -225,276 +225,166 @@ func (r *Result) FrontObjectives() [][]float64 {
 // initial population (the directed-seeding mechanism of the proposed
 // methodology, Fig. 4(b)); they are cloned, so callers keep ownership.
 func Run(p Problem, params Params, seeds []*Genome) (*Result, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	n := p.NumTasks()
-	src := newCountingSource(params.Seed)
-	rng := rand.New(src)
+	return drive(p, params, seeds, newNSGA2)
+}
 
-	useDelta := !params.DisableDelta
-	var surrogate SurrogateProblem
+// nsga2 is the NSGA-II engine: tournament variation, optional island
+// migration and surrogate screening, and elitist environmental selection
+// by non-dominated rank and crowding distance.
+type nsga2 struct {
+	surrogate SurrogateProblem
+	migLog    []EpochMigrants
+	// Selection-path buffers, reused every generation: the
+	// parents∪offspring union (exactly 2·PopSize), the offspring list, and
+	// the ping-pong spare that becomes the next population while the
+	// outgoing population's array is recycled, plus the order-crossover
+	// scratch. Solutions themselves are freshly allocated per generation;
+	// only the pointer slices are reused.
+	unionBuf, offBuf, spare []*solution
+	osc                     orderScratch
+}
+
+func newNSGA2(p Problem, params Params) (engine, error) {
+	e := &nsga2{
+		unionBuf: make([]*solution, 0, 2*params.PopSize),
+		offBuf:   make([]*solution, 0, params.PopSize),
+		spare:    make([]*solution, 0, params.PopSize),
+	}
 	if params.Surrogate.Enabled {
 		sp, ok := p.(SurrogateProblem)
 		if !ok {
 			return nil, fmt.Errorf("moea: surrogate screening enabled but problem offers no proxy evaluation")
 		}
-		surrogate = sp
+		e.surrogate = sp
 	}
+	return e, nil
+}
 
-	if params.FixedOrder != nil {
-		if len(params.FixedOrder) != n {
-			return nil, fmt.Errorf("moea: fixed order has %d entries, want %d", len(params.FixedOrder), n)
-		}
-		params.DisableOrderCrossover = true
-		params.DisableOrderMutation = true
+func (e *nsga2) start(r *runState, cp *Checkpoint) error {
+	if cp != nil {
+		e.migLog = cloneMigrantLog(cp.Migration)
 	}
+	r.arch.sc.rankAndCrowd(r.pop)
+	return nil
+}
 
-	archiveCap := params.ArchiveCap
-	if archiveCap <= 0 {
-		archiveCap = 256
+func (e *nsga2) step(r *runState, gen int) error {
+	params := &r.params
+	if params.Migration.due(gen) {
+		// Epoch boundary: exchange migrants before any variation of this
+		// generation. Checkpoints at a boundary therefore hold
+		// pre-migration state, and a resumed island re-posts the boundary
+		// epoch byte-identically (the hub replays the cached exchange, so
+		// peers that moved on are unaffected).
+		if err := runMigration(params.Ctx, r.p, params, gen, r.pop, r.arch, &e.migLog); err != nil {
+			return err
+		}
 	}
-	// Per-run selection machinery: one scratch (islands run engines
-	// concurrently, so nothing is shared across runs), the incremental
-	// archive, and the plateau tracker (inert unless TerminateOnPlateau).
-	sc := new(selScratch)
-	arch := newArchiveState(archiveCap, sc)
-	plateau := newPlateauState(params, p.NumObjectives())
-	arch.plateau = plateau
-	res := &Result{}
-	var pop []*solution
-	var migLog []EpochMigrants
-	startGen := 0
-	doneGen := 0
-	defer func() {
-		flushSelectionTotals(sc, arch, plateau, startGen, doneGen, params.Generations, res.PlateauStopped)
-	}()
-	snap := func(gen int) *Checkpoint {
-		return snapshotRun(gen, res.Evaluations, src.Draws(), pop, arch.members).
-			withMigration(migLog).withPlateau(plateau)
-	}
-	if params.Resume != nil {
-		// Restore the checkpointed state instead of initializing: the
-		// population and archive carry bit-exact fitness values, and the RNG
-		// fast-forwards past the draws the interrupted run consumed.
-		cp := params.Resume
-		if err := validateResume(cp, params); err != nil {
-			return nil, err
+	// Variation: tournaments pick parents; the paper's two crossovers and
+	// two mutations produce the offspring.
+	rng := r.rng
+	offspring := e.offBuf[:0]
+	for len(offspring) < params.PopSize {
+		pa := tournament(rng, r.pop, params.TournamentK)
+		pb := tournament(rng, r.pop, params.TournamentK)
+		a := pa.genome.Clone()
+		b := pb.genome.Clone()
+		if !params.DisableConfigCrossover && rng.Float64() < params.CrossoverProb {
+			crossoverConfig(rng, a, b)
 		}
-		var err error
-		if pop, err = restoreSolutions(cp.Population, n, p.NumObjectives()); err != nil {
-			return nil, err
+		if !params.DisableOrderCrossover && rng.Float64() < params.CrossoverProb {
+			crossoverOrder(rng, a, b, &e.osc)
 		}
-		var archive []*solution
-		if archive, err = restoreSolutions(cp.Archive, n, p.NumObjectives()); err != nil {
-			return nil, err
-		}
-		arch.restore(archive)
-		if err := plateau.restore(cp.Plateau, arch.members); err != nil {
-			return nil, err
-		}
-		src.FastForward(cp.Draws)
-		res.Evaluations = cp.Evaluations
-		startGen = cp.Generation
-		doneGen = startGen
-		migLog = cloneMigrantLog(cp.Migration)
-		sc.rankAndCrowd(pop)
-		params.emit(startGen, res.Evaluations, len(arch.members))
-	} else {
-		// Initial population: seeds first (truncated to PopSize), then random.
-		pop = make([]*solution, 0, params.PopSize)
-		for _, s := range seeds {
-			if len(pop) >= params.PopSize {
-				break
-			}
-			if err := s.Validate(); err != nil {
-				return nil, fmt.Errorf("moea: invalid seed: %w", err)
-			}
-			if len(s.Genes) != n {
-				return nil, fmt.Errorf("moea: seed has %d genes, want %d", len(s.Genes), n)
-			}
-			pop = append(pop, &solution{genome: s.Clone()})
-		}
-		for len(pop) < params.PopSize {
-			pop = append(pop, &solution{genome: RandomGenome(rng, p)})
-		}
-		if params.FixedOrder != nil {
-			for _, s := range pop {
-				s.genome.Order = append([]int(nil), params.FixedOrder...)
-			}
-			if err := pop[0].genome.Validate(); err != nil {
-				return nil, fmt.Errorf("moea: invalid fixed order: %w", err)
-			}
-		}
-
-		if err := params.cancelled(); err != nil {
-			return nil, err
-		}
-		evaluate(p, pop, params.Workers, useDelta)
-		res.Evaluations += len(pop)
-		arch.add(pop)
-		sc.rankAndCrowd(pop)
-		plateau.observe(arch)
-		params.emit(0, res.Evaluations, len(arch.members))
-	}
-	// Selection-path buffers, reused every generation: the parents∪offspring
-	// union (exactly 2·PopSize), the offspring list, and the ping-pong spare
-	// that becomes the next population while the outgoing population's array
-	// is recycled, plus the order-crossover scratch. Solutions themselves are
-	// freshly allocated per generation; only the pointer slices are reused.
-	unionBuf := make([]*solution, 0, 2*params.PopSize)
-	offBuf := make([]*solution, 0, params.PopSize)
-	spare := make([]*solution, 0, params.PopSize)
-	var osc orderScratch
-	for gen := startGen; gen < params.Generations; gen++ {
-		if err := params.cancelled(); err != nil {
-			// The population is at the gen-generation boundary; snapshot it
-			// so the interrupted run resumes here instead of restarting.
-			params.checkpointOnCancel(snap(gen))
-			return nil, err
-		}
-		if params.Migration.due(gen) {
-			// Epoch boundary: exchange migrants before any variation of
-			// this generation. Checkpoints at a boundary therefore hold
-			// pre-migration state, and a resumed island re-posts the
-			// boundary epoch byte-identically (the hub replays the cached
-			// exchange, so peers that moved on are unaffected).
-			if err := runMigration(params.Ctx, p, &params, gen, pop, arch, &migLog); err != nil {
-				if ctxErr := params.cancelled(); ctxErr != nil {
-					// Blocked at the barrier through a shutdown: snapshot
-					// so the island resumes at this boundary and re-runs
-					// the exchange.
-					params.checkpointOnCancel(snap(gen))
-					return nil, ctxErr
+		// Each child is linked to the parent whose clone it started from:
+		// after the cut-range exchanges it still shares most of its genes
+		// with that parent, which is what delta evaluation exploits.
+		for i, child := range []*Genome{a, b} {
+			r.mutate(child)
+			if len(offspring) < params.PopSize {
+				par := pa
+				if i == 1 {
+					par = pb
 				}
-				return nil, err
+				offspring = append(offspring, &solution{genome: child, parent: par})
 			}
-		}
-		// Variation: tournaments pick parents; the paper's two crossovers
-		// and two mutations produce the offspring.
-		offspring := offBuf[:0]
-		for len(offspring) < params.PopSize {
-			pa := tournament(rng, pop, params.TournamentK)
-			pb := tournament(rng, pop, params.TournamentK)
-			a := pa.genome.Clone()
-			b := pb.genome.Clone()
-			if !params.DisableConfigCrossover && rng.Float64() < params.CrossoverProb {
-				crossoverConfig(rng, a, b)
-			}
-			if !params.DisableOrderCrossover && rng.Float64() < params.CrossoverProb {
-				crossoverOrder(rng, a, b, &osc)
-			}
-			// Each child is linked to the parent whose clone it started from:
-			// after the cut-range exchanges it still shares most of its genes
-			// with that parent, which is what delta evaluation exploits.
-			for i, child := range []*Genome{a, b} {
-				for t := 0; t < n; t++ {
-					if rng.Float64() < params.MutationProb {
-						child.Genes[t] = p.MutateGene(rng, t, child.Genes[t])
-					}
-				}
-				if !params.DisableOrderMutation && rng.Float64() < params.MutationProb {
-					mutateOrder(rng, child)
-				}
-				if len(offspring) < params.PopSize {
-					par := pa
-					if i == 1 {
-						par = pb
-					}
-					offspring = append(offspring, &solution{genome: child, parent: par})
-				}
-			}
-		}
-		evalBatch := offspring
-		if surrogate != nil {
-			// Surrogate screening: rank the whole brood by the cheap proxy,
-			// pay for full evaluations only on the most promising quota. The
-			// rest keep proxy scores — enough for selection pressure, never
-			// admitted to the archive.
-			for _, s := range offspring {
-				s.eval = surrogate.ProxyEvaluate(s.genome)
-				s.approx = true
-			}
-			surrogateTotals.proxy.Add(uint64(len(offspring)))
-			evalBatch = screenTop(sc, offspring, surrogateQuota(params))
-			surrogateTotals.screened.Add(uint64(len(offspring) - len(evalBatch)))
-			for _, s := range evalBatch {
-				s.approx = false
-			}
-		}
-		evaluate(p, evalBatch, params.Workers, useDelta)
-		if surrogate != nil {
-			// Screened-out offspring still hold parent links (evaluate only
-			// clears the ones it saw); drop them so retired generations are
-			// not retained through approx survivors.
-			for _, s := range offspring {
-				s.parent = nil
-			}
-		}
-		res.Evaluations += len(evalBatch)
-		arch.add(offspring)
-
-		// Environmental selection over parents ∪ offspring.
-		union := append(unionBuf[:0], pop...)
-		union = append(union, offspring...)
-		unionBuf = union[:0]
-		next := spare[:0]
-		for _, f := range sc.nonDominatedSort(union) {
-			sc.assignCrowding(f)
-			if len(next)+len(f) <= params.PopSize {
-				next = append(next, f...)
-				continue
-			}
-			// Partial front: keep the most crowding-distance-diverse. The
-			// front slice is scratch-owned and not read again before the next
-			// sort, so it can be reordered in place.
-			sort.Sort(crowdDescSorter(f))
-			next = append(next, f[:params.PopSize-len(next)]...)
-			break
-		}
-		spare = pop[:0]
-		pop = next
-		sc.rankAndCrowd(pop)
-		doneGen = gen + 1
-		stop := plateau.observe(arch)
-		params.emit(gen+1, res.Evaluations, len(arch.members))
-		if params.checkpointDue(gen + 1) {
-			params.OnCheckpoint(snap(gen + 1))
-		}
-		if stop {
-			res.PlateauStopped = true
-			break
 		}
 	}
-	res.GenerationsRun = doneGen
-
-	if surrogate != nil {
-		// Exactness-preserving final pass: any population member still
-		// carrying a proxy score is fully evaluated before the front is
-		// reported, so the archive only ever holds exact evaluations.
-		var approx []*solution
-		for _, s := range pop {
-			if s.approx {
-				approx = append(approx, s)
-			}
+	evalBatch := offspring
+	if e.surrogate != nil {
+		// Surrogate screening: rank the whole brood by the cheap proxy, pay
+		// for full evaluations only on the most promising quota. The rest
+		// keep proxy scores — enough for selection pressure, never
+		// admitted to the archive.
+		for _, s := range offspring {
+			s.eval = e.surrogate.ProxyEvaluate(s.genome)
+			s.approx = true
 		}
-		if len(approx) > 0 {
-			evaluate(p, approx, params.Workers, useDelta)
-			for _, s := range approx {
-				s.approx = false
-			}
-			res.Evaluations += len(approx)
-			arch.add(approx)
+		surrogateTotals.proxy.Add(uint64(len(offspring)))
+		evalBatch = screenTop(r.arch.sc, offspring, surrogateQuota(*params))
+		surrogateTotals.screened.Add(uint64(len(offspring) - len(evalBatch)))
+		for _, s := range evalBatch {
+			s.approx = false
 		}
 	}
-
-	for _, s := range arch.members {
-		res.Front = append(res.Front, Solution{
-			Genome:     s.genome.Clone(),
-			Objectives: append([]float64(nil), s.eval.Objectives...),
-		})
+	evaluate(r.p, evalBatch, params.Workers, r.useDelta)
+	if e.surrogate != nil {
+		// Screened-out offspring still hold parent links (evaluate only
+		// clears the ones it saw); drop them so retired generations are
+		// not retained through approx survivors.
+		for _, s := range offspring {
+			s.parent = nil
+		}
 	}
-	return res, nil
+	r.evals += len(evalBatch)
+	r.arch.add(offspring)
+
+	// Environmental selection over parents ∪ offspring.
+	union := append(e.unionBuf[:0], r.pop...)
+	union = append(union, offspring...)
+	e.unionBuf = union[:0]
+	next := e.spare[:0]
+	for _, f := range r.arch.sc.nonDominatedSort(union) {
+		r.arch.sc.assignCrowding(f)
+		if len(next)+len(f) <= params.PopSize {
+			next = append(next, f...)
+			continue
+		}
+		// Partial front: keep the most crowding-distance-diverse. The front
+		// slice is scratch-owned and not read again before the next sort,
+		// so it can be reordered in place.
+		sort.Sort(crowdDescSorter(f))
+		next = append(next, f[:params.PopSize-len(next)]...)
+		break
+	}
+	e.spare = r.pop[:0]
+	r.pop = next
+	r.arch.sc.rankAndCrowd(r.pop)
+	return nil
+}
+
+func (e *nsga2) save(cp *Checkpoint) { cp.Migration = cloneMigrantLog(e.migLog) }
+
+// finish is the surrogate's exactness-preserving final pass: any
+// population member still carrying a proxy score is fully evaluated before
+// the front is reported, so the archive only ever holds exact evaluations.
+func (e *nsga2) finish(r *runState) {
+	if e.surrogate == nil {
+		return
+	}
+	var approx []*solution
+	for _, s := range r.pop {
+		if s.approx {
+			approx = append(approx, s)
+		}
+	}
+	if len(approx) > 0 {
+		evaluate(r.p, approx, r.params.Workers, r.useDelta)
+		for _, s := range approx {
+			s.approx = false
+		}
+		r.evals += len(approx)
+		r.arch.add(approx)
+	}
 }
 
 // tournament returns the best of k randomly drawn members.
@@ -548,24 +438,10 @@ func evaluate(p Problem, sols []*solution, workers int, useDelta bool) {
 	} else if workers > len(sols) {
 		workers = len(sols)
 	}
-	evalRange := func(ev Evaluator, s *solution) {
-		if de, ok := ev.(DeltaEvaluator); ok && useDelta {
-			var pg *Genome
-			var pst any
-			if s.parent != nil {
-				pg, pst = s.parent.genome, s.parent.delta
-			}
-			s.eval, s.delta = de.EvaluateDelta(s.genome, pg, pst)
-		} else {
-			s.eval = ev.Evaluate(s.genome)
-			s.delta = nil
-		}
-		s.parent = nil
-	}
 	if workers <= 1 {
 		ev := newEvaluator(p)
 		for _, s := range sols {
-			evalRange(ev, s)
+			evalOne(ev, s, useDelta)
 		}
 		return
 	}
@@ -584,11 +460,30 @@ func evaluate(p Problem, sols []*solution, workers int, useDelta bool) {
 				if i >= len(sols) {
 					return
 				}
-				evalRange(ev, sols[i])
+				evalOne(ev, sols[i], useDelta)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// evalOne scores one solution with ev: incrementally against its parent's
+// replay state when delta evaluation applies, in full otherwise. The
+// parent link is cleared afterwards so retired generations can be
+// collected.
+func evalOne(ev Evaluator, s *solution, useDelta bool) {
+	if de, ok := ev.(DeltaEvaluator); ok && useDelta {
+		var pg *Genome
+		var pst any
+		if s.parent != nil {
+			pg, pst = s.parent.genome, s.parent.delta
+		}
+		s.eval, s.delta = de.EvaluateDelta(s.genome, pg, pst)
+	} else {
+		s.eval = ev.Evaluate(s.genome)
+		s.delta = nil
+	}
+	s.parent = nil
 }
 
 // RandomSearch evaluates the given number of uniformly random genomes and
@@ -602,7 +497,6 @@ func RandomSearch(p Problem, evals int, seed int64) (*Result, error) {
 	ev := newEvaluator(p)
 	arch := newArchiveState(256, new(selScratch))
 	batch := make([]*solution, 0, 256)
-	res := &Result{}
 	for i := 0; i < evals; i++ {
 		s := &solution{genome: RandomGenome(rng, p)}
 		s.eval = ev.Evaluate(s.genome)
@@ -612,12 +506,5 @@ func RandomSearch(p Problem, evals int, seed int64) (*Result, error) {
 			batch = batch[:0]
 		}
 	}
-	res.Evaluations = evals
-	for _, s := range arch.members {
-		res.Front = append(res.Front, Solution{
-			Genome:     s.genome.Clone(),
-			Objectives: append([]float64(nil), s.eval.Objectives...),
-		})
-	}
-	return res, nil
+	return &Result{Front: arch.front(), Evaluations: evals}, nil
 }

@@ -344,14 +344,16 @@ func TestSeedingImprovesEarlyQuality(t *testing.T) {
 
 func TestRunRejectsBadSeeds(t *testing.T) {
 	p := &zdtProblem{n: 5, levels: 9}
-	bad := &Genome{Order: []int{0, 1}, Genes: make([]Gene, 2)}
-	if _, err := Run(p, DefaultParams(10, 2, 1), []*Genome{bad}); err == nil {
-		t.Fatal("seed with wrong arity accepted")
-	}
-	invalid := &Genome{Order: []int{0, 0, 1, 2, 3}, Genes: make([]Gene, 5)}
-	if _, err := Run(p, DefaultParams(10, 2, 1), []*Genome{invalid}); err == nil {
-		t.Fatal("non-permutation seed accepted")
-	}
+	forEngines(t, func(t *testing.T, run engineFn) {
+		bad := &Genome{Order: []int{0, 1}, Genes: make([]Gene, 2)}
+		if _, err := run(p, DefaultParams(10, 2, 1), []*Genome{bad}); err == nil {
+			t.Fatal("seed with wrong arity accepted")
+		}
+		invalid := &Genome{Order: []int{0, 0, 1, 2, 3}, Genes: make([]Gene, 5)}
+		if _, err := run(p, DefaultParams(10, 2, 1), []*Genome{invalid}); err == nil {
+			t.Fatal("non-permutation seed accepted")
+		}
+	})
 }
 
 func TestDeterminism(t *testing.T) {
@@ -453,30 +455,34 @@ func TestFixedOrderPinsSchedules(t *testing.T) {
 	params := DefaultParams(20, 6, 31)
 	fixed := []int{7, 6, 5, 4, 3, 2, 1, 0}
 	params.FixedOrder = fixed
-	res, err := Run(p, params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range res.Front {
-		for i, v := range s.Genome.Order {
-			if v != fixed[i] {
-				t.Fatal("fixed order not preserved through the run")
+	forEngines(t, func(t *testing.T, run engineFn) {
+		res, err := run(p, params, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range res.Front {
+			for i, v := range s.Genome.Order {
+				if v != fixed[i] {
+					t.Fatal("fixed order not preserved through the run")
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestFixedOrderValidation(t *testing.T) {
 	p := &zdtProblem{n: 5, levels: 9}
-	params := DefaultParams(10, 2, 1)
-	params.FixedOrder = []int{0, 1} // wrong arity
-	if _, err := Run(p, params, nil); err == nil {
-		t.Fatal("short fixed order accepted")
-	}
-	params.FixedOrder = []int{0, 0, 1, 2, 3} // not a permutation
-	if _, err := Run(p, params, nil); err == nil {
-		t.Fatal("non-permutation fixed order accepted")
-	}
+	forEngines(t, func(t *testing.T, run engineFn) {
+		params := DefaultParams(10, 2, 1)
+		params.FixedOrder = []int{0, 1} // wrong arity
+		if _, err := run(p, params, nil); err == nil {
+			t.Fatal("short fixed order accepted")
+		}
+		params.FixedOrder = []int{0, 0, 1, 2, 3} // not a permutation
+		if _, err := run(p, params, nil); err == nil {
+			t.Fatal("non-permutation fixed order accepted")
+		}
+	})
 }
 
 func TestRandomSearchBasics(t *testing.T) {

@@ -16,13 +16,29 @@ import (
 // for decomposition on many-core mapping problems). Constraint violations
 // are added as penalties to the scalarized objective.
 //
-// params.TournamentK is unused; params.Neighbors (via DefaultMOEADNeighbors
-// when zero) controls the mating neighborhood. The result's Front is the
-// external archive of feasible non-dominated solutions, as in Run.
+// params.TournamentK is unused. The mating neighborhood is always the
+// min(DefaultMOEADNeighbors, PopSize) nearest weight vectors. The result's
+// Front is the external archive of feasible non-dominated solutions, as in
+// Run.
 func RunMOEAD(p Problem, params Params, seeds []*Genome) (*Result, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
+	return drive(p, params, seeds, newMOEAD)
+}
+
+// moead is the decomposition engine: one subproblem per population slot,
+// steady-state replacement within each neighborhood, and the ideal point
+// z* (component-wise minimum over every evaluation so far).
+type moead struct {
+	weights   [][]float64
+	neighbors [][]int
+	ideal     []float64
+	ev        Evaluator
+	// Only the first child of a mating survives, so the second parent is
+	// copied into one per-run genome instead of being cloned.
+	mate *Genome
+	osc  orderScratch
+}
+
+func newMOEAD(p Problem, params Params) (engine, error) {
 	m := p.NumObjectives()
 	if m < 2 {
 		return nil, fmt.Errorf("moea: MOEA/D needs ≥ 2 objectives, problem has %d", m)
@@ -33,203 +49,94 @@ func RunMOEAD(p Problem, params Params, seeds []*Genome) (*Result, error) {
 	if params.Migration != nil {
 		return nil, fmt.Errorf("moea: island migration requires the NSGA-II engine")
 	}
-	useDelta := !params.DisableDelta
 	n := p.NumTasks()
-	src := newCountingSource(params.Seed)
-	rng := rand.New(src)
-
 	weights := weightVectors(params.PopSize, m)
+	return &moead{
+		weights:   weights,
+		neighbors: neighborhoods(weights, min(DefaultMOEADNeighbors, params.PopSize)),
+		ideal:     make([]float64, m),
+		ev:        newEvaluator(p),
+		mate:      &Genome{Order: make([]int, n), Genes: make([]Gene, n)},
+	}, nil
+}
 
-	// Ideal point z* (component-wise minimum over every evaluation so far).
-	ideal := make([]float64, m)
-	for j := range ideal {
-		ideal[j] = math.Inf(1)
-	}
-	updateIdeal := func(e Evaluation) {
-		for j, v := range e.Objectives {
-			if v < ideal[j] {
-				ideal[j] = v
-			}
-		}
-	}
-
-	archiveCap := params.ArchiveCap
-	if archiveCap <= 0 {
-		archiveCap = 256
-	}
-	// Selection machinery shared with the NSGA-II engine: the incremental
-	// archive (the scratch backs its truncation crowding) and the plateau
-	// tracker, inert unless TerminateOnPlateau.
-	sc := new(selScratch)
-	arch := newArchiveState(archiveCap, sc)
-	plateau := newPlateauState(params, m)
-	arch.plateau = plateau
-	res := &Result{}
-	var pop []*solution
-	startGen := 0
-	doneGen := 0
-	defer func() {
-		flushSelectionTotals(sc, arch, plateau, startGen, doneGen, params.Generations, res.PlateauStopped)
-	}()
-	if params.Resume != nil {
-		cp := params.Resume
-		if err := validateResume(cp, params); err != nil {
-			return nil, err
-		}
-		if len(cp.Ideal) != m {
-			return nil, fmt.Errorf("moea: checkpoint ideal point has %d components, problem has %d",
-				len(cp.Ideal), m)
-		}
-		var err error
-		if pop, err = restoreSolutions(cp.Population, n, m); err != nil {
-			return nil, err
-		}
-		var archive []*solution
-		if archive, err = restoreSolutions(cp.Archive, n, m); err != nil {
-			return nil, err
-		}
-		arch.restore(archive)
-		if err := plateau.restore(cp.Plateau, arch.members); err != nil {
-			return nil, err
+// start restores the ideal point from the checkpoint, or initializes it
+// from the evaluated initial population. It cannot be recomputed on
+// resume: it aggregates over every child ever evaluated.
+func (e *moead) start(r *runState, cp *Checkpoint) error {
+	if cp != nil {
+		if len(cp.Ideal) != len(e.ideal) {
+			return fmt.Errorf("moea: checkpoint ideal point has %d components, problem has %d",
+				len(cp.Ideal), len(e.ideal))
 		}
 		for j, b := range cp.Ideal {
-			ideal[j] = math.Float64frombits(b)
+			e.ideal[j] = math.Float64frombits(b)
 		}
-		src.FastForward(cp.Draws)
-		res.Evaluations = cp.Evaluations
-		startGen = cp.Generation
-		doneGen = startGen
-		params.emit(startGen, res.Evaluations, len(arch.members))
-	} else {
-		pop = make([]*solution, len(weights))
-		for i := range pop {
-			if i < len(seeds) {
-				if err := seeds[i].Validate(); err != nil {
-					return nil, fmt.Errorf("moea: invalid seed: %w", err)
-				}
-				if len(seeds[i].Genes) != n {
-					return nil, fmt.Errorf("moea: seed has %d genes, want %d", len(seeds[i].Genes), n)
-				}
-				pop[i] = &solution{genome: seeds[i].Clone()}
-			} else {
-				pop[i] = &solution{genome: RandomGenome(rng, p)}
-			}
-		}
-		if params.FixedOrder != nil {
-			if len(params.FixedOrder) != n {
-				return nil, fmt.Errorf("moea: fixed order has %d entries, want %d", len(params.FixedOrder), n)
-			}
-			for _, s := range pop {
-				s.genome.Order = append([]int(nil), params.FixedOrder...)
-			}
-		}
-		if err := params.cancelled(); err != nil {
-			return nil, err
-		}
-		evaluate(p, pop, params.Workers, useDelta)
-		res.Evaluations = len(pop)
-		for _, s := range pop {
-			updateIdeal(s.eval)
-		}
-		arch.add(pop)
-		plateau.observe(arch)
-		params.emit(0, res.Evaluations, len(arch.members))
+		return nil
 	}
-
-	ev := newEvaluator(p)
-	// Only the first child of a mating survives, so the second parent is
-	// copied into one per-run genome instead of being cloned.
-	mate := &Genome{Order: make([]int, n), Genes: make([]Gene, n)}
-	var osc orderScratch
-	neighbors := neighborhoods(weights, defaultNeighbors(params))
-	snapshotMOEAD := func(gen int) *Checkpoint {
-		cp := snapshotRun(gen, res.Evaluations, src.Draws(), pop, arch.members).withPlateau(plateau)
-		cp.Ideal = make([]uint64, m)
-		for j, v := range ideal {
-			cp.Ideal[j] = math.Float64bits(v)
-		}
-		return cp
+	for j := range e.ideal {
+		e.ideal[j] = math.Inf(1)
 	}
-
-	for gen := startGen; gen < params.Generations; gen++ {
-		if err := params.cancelled(); err != nil {
-			params.checkpointOnCancel(snapshotMOEAD(gen))
-			return nil, err
-		}
-		for i := range pop {
-			nb := neighbors[i]
-			pa := pop[nb[rng.Intn(len(nb))]]
-			a := pa.genome.Clone()
-			pb := pop[nb[rng.Intn(len(nb))]].genome
-			copy(mate.Order, pb.Order)
-			copy(mate.Genes, pb.Genes)
-			if !params.DisableConfigCrossover && rng.Float64() < params.CrossoverProb {
-				crossoverConfig(rng, a, mate)
-			}
-			if params.FixedOrder == nil && !params.DisableOrderCrossover && rng.Float64() < params.CrossoverProb {
-				crossoverOrder(rng, a, mate, &osc)
-			}
-			child := a
-			for t := 0; t < n; t++ {
-				if rng.Float64() < params.MutationProb {
-					child.Genes[t] = p.MutateGene(rng, t, child.Genes[t])
-				}
-			}
-			if params.FixedOrder == nil && !params.DisableOrderMutation && rng.Float64() < params.MutationProb {
-				mutateOrder(rng, child)
-			}
-			// The child started as pa's clone, so pa is its delta-evaluation
-			// reference; pa stays valid even if a pop slot was replaced.
-			cs := &solution{genome: child}
-			if de, ok := ev.(DeltaEvaluator); ok && useDelta {
-				cs.eval, cs.delta = de.EvaluateDelta(child, pa.genome, pa.delta)
-			} else {
-				cs.eval = ev.Evaluate(child)
-			}
-			res.Evaluations++
-			updateIdeal(cs.eval)
-			arch.addOne(cs)
-
-			// Update neighbors whose subproblem the child improves.
-			for _, j := range nb {
-				if tchebycheff(cs.eval, weights[j], ideal) < tchebycheff(pop[j].eval, weights[j], ideal) {
-					pop[j] = cs
-				}
-			}
-		}
-		doneGen = gen + 1
-		stop := plateau.observe(arch)
-		params.emit(gen+1, res.Evaluations, len(arch.members))
-		if params.checkpointDue(gen + 1) {
-			params.OnCheckpoint(snapshotMOEAD(gen + 1))
-		}
-		if stop {
-			res.PlateauStopped = true
-			break
-		}
+	for _, s := range r.pop {
+		e.updateIdeal(s.eval)
 	}
-	res.GenerationsRun = doneGen
-
-	for _, s := range arch.members {
-		res.Front = append(res.Front, Solution{
-			Genome:     s.genome.Clone(),
-			Objectives: append([]float64(nil), s.eval.Objectives...),
-		})
-	}
-	return res, nil
+	return nil
 }
 
-// DefaultMOEADNeighbors is the mating neighborhood size when Params leaves
-// it unspecified.
+func (e *moead) updateIdeal(ev Evaluation) {
+	for j, v := range ev.Objectives {
+		if v < e.ideal[j] {
+			e.ideal[j] = v
+		}
+	}
+}
+
+func (e *moead) step(r *runState, gen int) error {
+	params, rng, pop := &r.params, r.rng, r.pop
+	for i := range pop {
+		nb := e.neighbors[i]
+		pa := pop[nb[rng.Intn(len(nb))]]
+		child := pa.genome.Clone()
+		pb := pop[nb[rng.Intn(len(nb))]].genome
+		copy(e.mate.Order, pb.Order)
+		copy(e.mate.Genes, pb.Genes)
+		if !params.DisableConfigCrossover && rng.Float64() < params.CrossoverProb {
+			crossoverConfig(rng, child, e.mate)
+		}
+		if !params.DisableOrderCrossover && rng.Float64() < params.CrossoverProb {
+			crossoverOrder(rng, child, e.mate, &e.osc)
+		}
+		r.mutate(child)
+		// The child started as pa's clone, so pa is its delta-evaluation
+		// reference; pa stays valid even if a pop slot was replaced.
+		cs := &solution{genome: child, parent: pa}
+		evalOne(e.ev, cs, r.useDelta)
+		r.evals++
+		e.updateIdeal(cs.eval)
+		r.arch.add([]*solution{cs})
+
+		// Update neighbors whose subproblem the child improves.
+		for _, j := range nb {
+			if tchebycheff(cs.eval, e.weights[j], e.ideal) < tchebycheff(pop[j].eval, e.weights[j], e.ideal) {
+				pop[j] = cs
+			}
+		}
+	}
+	return nil
+}
+
+func (e *moead) save(cp *Checkpoint) {
+	cp.Ideal = make([]uint64, len(e.ideal))
+	for j, v := range e.ideal {
+		cp.Ideal[j] = math.Float64bits(v)
+	}
+}
+
+func (e *moead) finish(*runState) {}
+
+// DefaultMOEADNeighbors is the mating neighborhood size (capped at the
+// population size).
 const DefaultMOEADNeighbors = 10
-
-func defaultNeighbors(params Params) int {
-	t := DefaultMOEADNeighbors
-	if t > params.PopSize {
-		t = params.PopSize
-	}
-	return t
-}
 
 // tchebycheff is the scalarized subproblem value max_i w_i·(f_i − z_i),
 // penalized by constraint violation so infeasible children rarely win.

@@ -95,27 +95,6 @@ func TestMOEADRejectsSingleObjective(t *testing.T) {
 	}
 }
 
-func TestMOEADFixedOrder(t *testing.T) {
-	p := &zdtProblem{n: 6, levels: 9}
-	params := DefaultParams(20, 5, 3)
-	params.FixedOrder = []int{5, 4, 3, 2, 1, 0}
-	res, err := RunMOEAD(p, params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range res.Front {
-		for i, v := range s.Genome.Order {
-			if v != params.FixedOrder[i] {
-				t.Fatal("fixed order not preserved")
-			}
-		}
-	}
-	params.FixedOrder = []int{0, 1}
-	if _, err := RunMOEAD(p, params, nil); err == nil {
-		t.Fatal("short fixed order accepted")
-	}
-}
-
 func TestWeightVectors(t *testing.T) {
 	for _, m := range []int{2, 3, 4} {
 		ws := weightVectors(20, m)

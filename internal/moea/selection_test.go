@@ -434,63 +434,36 @@ func assertSameFronts(t *testing.T, a, b *Result) {
 func TestPlateauParity(t *testing.T) {
 	p := &zdtProblem{n: 8, levels: 16}
 	base := DefaultParams(40, 120, 7)
-	fixed, err := Run(p, base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conv := base
-	conv.TerminateOnPlateau = true
-	early, err := Run(p, conv, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !early.PlateauStopped {
-		t.Fatal("plateau termination never fired on the pinned seed")
-	}
-	if early.GenerationsRun >= base.Generations {
-		t.Fatalf("plateau run used %d generations, budget %d", early.GenerationsRun, base.Generations)
-	}
-	ref := pareto.ReferencePoint(ReferenceMargin, fixed.FrontObjectives())
-	hvFixed := pareto.Hypervolume(fixed.FrontObjectives(), ref)
-	hvEarly := pareto.Hypervolume(early.FrontObjectives(), ref)
-	if hvFixed <= 0 {
-		t.Fatalf("degenerate fixed-run hypervolume %v", hvFixed)
-	}
-	if hvEarly < 0.99*hvFixed {
-		t.Fatalf("plateau run hypervolume %v below 0.99× the fixed run's %v (ratio %.4f)",
-			hvEarly, hvFixed, hvEarly/hvFixed)
-	}
-	t.Logf("plateau run: %d/%d generations, hypervolume ratio %.4f",
-		early.GenerationsRun, base.Generations, hvEarly/hvFixed)
-}
-
-// TestPlateauParityMOEAD exercises the same contract on the decomposition
-// engine.
-func TestPlateauParityMOEAD(t *testing.T) {
-	p := &zdtProblem{n: 8, levels: 16}
-	base := DefaultParams(30, 100, 11)
-	fixed, err := RunMOEAD(p, base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conv := base
-	conv.TerminateOnPlateau = true
-	early, err := RunMOEAD(p, conv, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !early.PlateauStopped {
-		t.Fatal("plateau termination never fired on the pinned seed")
-	}
-	if early.GenerationsRun >= base.Generations {
-		t.Fatalf("plateau run used %d generations, budget %d", early.GenerationsRun, base.Generations)
-	}
-	ref := pareto.ReferencePoint(ReferenceMargin, fixed.FrontObjectives())
-	hvFixed := pareto.Hypervolume(fixed.FrontObjectives(), ref)
-	hvEarly := pareto.Hypervolume(early.FrontObjectives(), ref)
-	if hvEarly < 0.99*hvFixed {
-		t.Fatalf("plateau run hypervolume %v below 0.99× the fixed run's %v", hvEarly, hvFixed)
-	}
+	forEngines(t, func(t *testing.T, run engineFn) {
+		fixed, err := run(p, base, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conv := base
+		conv.TerminateOnPlateau = true
+		early, err := run(p, conv, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !early.PlateauStopped {
+			t.Fatal("plateau termination never fired on the pinned seed")
+		}
+		if early.GenerationsRun >= base.Generations {
+			t.Fatalf("plateau run used %d generations, budget %d", early.GenerationsRun, base.Generations)
+		}
+		ref := pareto.ReferencePoint(ReferenceMargin, fixed.FrontObjectives())
+		hvFixed := pareto.Hypervolume(fixed.FrontObjectives(), ref)
+		hvEarly := pareto.Hypervolume(early.FrontObjectives(), ref)
+		if hvFixed <= 0 {
+			t.Fatalf("degenerate fixed-run hypervolume %v", hvFixed)
+		}
+		if hvEarly < 0.99*hvFixed {
+			t.Fatalf("plateau run hypervolume %v below 0.99× the fixed run's %v (ratio %.4f)",
+				hvEarly, hvFixed, hvEarly/hvFixed)
+		}
+		t.Logf("plateau run: %d/%d generations, hypervolume ratio %.4f",
+			early.GenerationsRun, base.Generations, hvEarly/hvFixed)
+	})
 }
 
 // TestPlateauCheckpointResume: a plateau-tracked run interrupted at a
