@@ -1,7 +1,7 @@
 GO ?= go
 PORT ?= 8080
 
-.PHONY: build test vet loc race fuzz-smoke loadtest validate-quick bench bench-sweep bench-snapshot bench-compare bench-islands island-smoke fpga-smoke suite-corpus quick full serve
+.PHONY: build test vet loc race fuzz-smoke validate-quick bench bench-sweep bench-snapshot bench-compare bench-islands island-smoke fpga-smoke suite-corpus quick full serve
 
 build:
 	$(GO) build ./...
@@ -35,24 +35,14 @@ race:
 
 # Short continuous-fuzzing pass over the input-parsing surfaces: the TGFF
 # text parser, the JobSpec normalizer, the WAL replayer, the gateway
-# tenant-config parser, the island migrant wire format and the fault-model
-# JSON decoder. Each target gets 10s on top of the checked-in corpus under
-# testdata/fuzz/.
+# tenant-config parser and the fault-model JSON decoder. Each target gets
+# 10s on top of the checked-in corpus under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseText -fuzztime 10s ./internal/tgff
 	$(GO) test -run xxx -fuzz FuzzNormalize -fuzztime 10s ./internal/service
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime 10s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzParseTenants -fuzztime 10s ./internal/gateway
-	$(GO) test -run xxx -fuzz FuzzMigrationDecode -fuzztime 10s ./internal/moea
 	$(GO) test -run xxx -fuzz FuzzFaultModelDecode -fuzztime 10s ./internal/faultmodel
-
-# SLO load harness: drive an in-process 2-worker fleet through the
-# gateway for 30s of deterministic duplicate-heavy traffic and gate on
-# admission P99 and zero 5xx responses. The JSON report lands in /tmp so
-# the committed BENCH_GW_*.json artifacts stay untouched.
-loadtest:
-	$(GO) run ./cmd/loadgen -inprocess 2 -duration 30s -rate 20 -seed 1 \
-		-profile dedup-heavy -max-p99 2s -max-5xx 0 -out /tmp/loadtest.json
 
 # Quick statistical cross-validation of the analytical models against the
 # fault-injection simulator (a reduced-trial version of cmd/validate).

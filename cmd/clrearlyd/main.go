@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/gateway"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -88,8 +87,6 @@ func run(args []string) error {
 	gatewayURL := fs.String("gateway", "",
 		"lease work from this clrearlygw gateway in addition to serving the local API")
 	workerName := fs.String("worker-name", "", "worker name advertised to the gateway (default host:pid)")
-	islandHub := fs.Bool("island-hub", false,
-		"serve the island migration barrier at POST /v1/island/exchange (for coordinator-driven multi-daemon island runs)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -112,12 +109,6 @@ func run(args []string) error {
 		CheckpointEvery: *ckptEvery,
 		AuthToken:       *workerToken,
 		MaxBodyBytes:    *maxBody,
-	}
-	if *islandHub {
-		hub := dist.NewMigrationHub()
-		defer hub.Close()
-		cfg.IslandHub = hub
-		log.Printf("island migration hub enabled at POST /v1/island/exchange")
 	}
 	if *storeDir != "" {
 		policy, err := store.ParseSyncPolicy(*fsyncMode)

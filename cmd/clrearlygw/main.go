@@ -67,8 +67,6 @@ func run(args []string) error {
 	maxDeliveries := fs.Int("max-deliveries", 5, "lease deliveries before a job is failed")
 	probeEvery := fs.Duration("probe-every", 5*time.Second, "worker /healthz probe period (negative = disabled)")
 	maxBody := fs.Int64("max-body", 1<<20, "tenant request body size cap in bytes")
-	islandHub := fs.Bool("island-hub", true,
-		"serve the island migration barrier at POST /v1/island/exchange (worker-token gated)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -85,15 +83,14 @@ func run(args []string) error {
 	}
 
 	cfg := gateway.Config{
-		Tenants:          tenants,
-		WorkerToken:      *workerToken,
-		QueueCap:         *queueCap,
-		CacheCap:         *cacheCap,
-		LeaseTTL:         *leaseTTL,
-		MaxDeliveries:    *maxDeliveries,
-		ProbeEvery:       *probeEvery,
-		MaxBodyBytes:     *maxBody,
-		DisableIslandHub: !*islandHub,
+		Tenants:       tenants,
+		WorkerToken:   *workerToken,
+		QueueCap:      *queueCap,
+		CacheCap:      *cacheCap,
+		LeaseTTL:      *leaseTTL,
+		MaxDeliveries: *maxDeliveries,
+		ProbeEvery:    *probeEvery,
+		MaxBodyBytes:  *maxBody,
 	}
 	if *storeDir != "" {
 		policy, err := store.ParseSyncPolicy(*fsyncMode)

@@ -45,15 +45,6 @@ func (l *Library) ImplsShared(taskType int) []relmodel.Impl {
 	return l.impls[taskType]
 }
 
-// TotalImpls returns the total number of implementations across all types.
-func (l *Library) TotalImpls() int {
-	n := 0
-	for _, im := range l.impls {
-		n += len(im)
-	}
-	return n
-}
-
 // Validate checks every implementation against the platform.
 func (l *Library) Validate(p *platform.Platform) error {
 	if len(l.impls) == 0 {

@@ -138,13 +138,6 @@ func TestImplsOutOfRangePanics(t *testing.T) {
 	lib.Impls(10)
 }
 
-func TestTotalImpls(t *testing.T) {
-	lib := Sobel(platform.Default())
-	if lib.TotalImpls() != 16 {
-		t.Fatalf("TotalImpls = %d, want 16", lib.TotalImpls())
-	}
-}
-
 func TestValidateEmptyLibrary(t *testing.T) {
 	lib := &Library{}
 	if err := lib.Validate(platform.Default()); err == nil {

@@ -173,9 +173,6 @@ func (c *Coordinator) Close() {
 	}
 }
 
-// Workers reports the number of registered workers.
-func (c *Coordinator) Workers() int { return len(c.workers) }
-
 func (c *Coordinator) healthLoop(ctx context.Context) {
 	defer close(c.healthDone)
 	t := time.NewTicker(c.opts.HealthEvery)

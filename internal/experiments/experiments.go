@@ -20,7 +20,6 @@ import (
 	"repro/internal/relmodel"
 	"repro/internal/taskgraph"
 	"repro/internal/tdse"
-	"repro/internal/tgff"
 )
 
 // Config scales the experiment suite. Default() reproduces the paper's
@@ -86,19 +85,6 @@ func (c Config) run(seed int64) core.RunConfig {
 		Pop: c.Pop, Gens: c.Gens, Seed: seed, Workers: c.Workers, Jobs: c.Jobs,
 		Islands: c.Islands, MigrationEvery: c.MigrationEvery, Migrants: c.Migrants,
 		TerminateOnPlateau: c.Converge, PlateauWindow: c.ConvergeWindow, PlateauEps: c.ConvergeEps,
-	}
-}
-
-// instance builds the synthetic DSE instance of one application size:
-// a TGFF-style graph over ten task types on the default six-PE platform.
-func (c Config) instance(tasks int, salt int64) *core.Instance {
-	p := platform.Default()
-	return &core.Instance{
-		Graph:      tgff.MustGenerate(tgff.DefaultConfig(tasks), c.Seed+salt),
-		Platform:   p,
-		Lib:        characterize.Synthetic(p, characterize.DefaultSyntheticConfig(10), c.Seed+salt+500),
-		Catalog:    relmodel.DefaultCatalog(),
-		Objectives: core.DefaultObjectives(),
 	}
 }
 

@@ -194,20 +194,6 @@ func (m CheckpointMode) String() string {
 	}
 }
 
-// ParseCheckpointMode parses a wire name ("none", "local", "tmr").
-func ParseCheckpointMode(s string) (CheckpointMode, error) {
-	switch s {
-	case "none", "":
-		return CkptNone, nil
-	case "local":
-		return CkptLocal, nil
-	case "tmr":
-		return CkptTMR, nil
-	default:
-		return CkptNone, fmt.Errorf("faultmodel: unknown checkpoint mode %q", s)
-	}
-}
-
 // First-order overhead and coverage parameters of the two active checkpoint
 // modes. Creation cost is per checkpoint as a fraction of the task's useful
 // execution time; the detection/tolerance boosts combine multiplicatively

@@ -1,12 +1,9 @@
-// Package gantt renders evaluated schedules as per-PE ASCII Gantt charts
-// and exports them as Chrome trace-event JSON (load chrome://tracing or
-// Perfetto), so optimized mappings can be inspected visually.
+// Package gantt renders evaluated schedules as per-PE ASCII Gantt charts,
+// so optimized mappings can be inspected visually.
 package gantt
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/platform"
@@ -81,34 +78,4 @@ func taskLabel(t int) string {
 		return string(alpha[t])
 	}
 	return fmt.Sprintf("%d", t)
-}
-
-// traceEvent is one Chrome trace-event entry ("X" = complete event).
-type traceEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`
-	Dur  float64 `json:"dur"`
-	PID  int     `json:"pid"`
-	TID  int     `json:"tid"`
-}
-
-// TraceJSON exports the schedule in Chrome trace-event format. Each PE maps
-// to a thread; timestamps are microseconds, matching the model's unit.
-func TraceJSON(g *taskgraph.Graph, decisions []schedule.TaskDecision, res *schedule.Result) ([]byte, error) {
-	events := make([]traceEvent, 0, g.NumTasks())
-	for t := 0; t < g.NumTasks(); t++ {
-		events = append(events, traceEvent{
-			Name: g.Task(t).Name,
-			Cat:  "task",
-			Ph:   "X",
-			Ts:   res.StartUS[t],
-			Dur:  res.EndUS[t] - res.StartUS[t],
-			PID:  1,
-			TID:  decisions[t].PE,
-		})
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Ts < events[j].Ts })
-	return json.MarshalIndent(map[string]any{"traceEvents": events}, "", "  ")
 }

@@ -1,7 +1,6 @@
 package gantt
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -75,38 +74,5 @@ func TestTaskLabels(t *testing.T) {
 	}
 	if taskLabel(99) != "99" {
 		t.Fatal("numeric fallback wrong")
-	}
-}
-
-func TestTraceJSON(t *testing.T) {
-	g, _, dec, res := fixture(t)
-	blob, err := TraceJSON(g, dec, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-			TID  int     `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(blob, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded.TraceEvents) != g.NumTasks() {
-		t.Fatalf("got %d events, want %d", len(decoded.TraceEvents), g.NumTasks())
-	}
-	prev := -1.0
-	for _, e := range decoded.TraceEvents {
-		if e.Ph != "X" || e.Dur <= 0 {
-			t.Fatalf("bad event %+v", e)
-		}
-		if e.Ts < prev {
-			t.Fatal("events not sorted by start time")
-		}
-		prev = e.Ts
 	}
 }

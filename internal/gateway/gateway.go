@@ -76,11 +76,6 @@ type Config struct {
 	// advertise an address (default 5s; negative disables). Workers that
 	// advertise none are judged by lease traffic alone.
 	ProbeEvery time.Duration
-	// DisableIslandHub turns off the island migration barrier the gateway
-	// mounts at POST /v1/island/exchange (worker-token gated, like the
-	// lease API). With the hub on, islands of one leased job may run on
-	// different workers and still exchange migrants deterministically.
-	DisableIslandHub bool
 	// Client is the HTTP client used for worker probes.
 	Client *http.Client
 }
@@ -120,7 +115,6 @@ type Gateway struct {
 	byName  map[string]*tenant
 	anon    *tenant // owner of jobs recovered under a tenant no longer configured
 	m       gwMetrics
-	islands *dist.MigrationHub // nil when DisableIslandHub
 	closed  chan struct{}
 	loopsWG sync.WaitGroup
 
@@ -199,10 +193,6 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("POST /v1/lease/{id}/progress", g.workerOnly(g.handleLeaseProgress))
 	g.mux.HandleFunc("POST /v1/lease/{id}/renew", g.workerOnly(g.handleLeaseRenew))
 	g.mux.HandleFunc("POST /v1/lease/{id}/complete", g.workerOnly(g.handleLeaseComplete))
-	if !cfg.DisableIslandHub {
-		g.islands = dist.NewMigrationHub()
-		g.mux.HandleFunc("POST /v1/island/exchange", g.workerOnly(g.islands.ServeHTTP))
-	}
 	g.mux.HandleFunc("GET /healthz", service.HandleHealthz)
 	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
 
@@ -225,9 +215,6 @@ func (g *Gateway) Close() {
 	case <-g.closed:
 	default:
 		close(g.closed)
-	}
-	if g.islands != nil {
-		g.islands.Close()
 	}
 	g.loopsWG.Wait()
 }
@@ -474,11 +461,6 @@ func (g *Gateway) finalize(j *gwJob, state, errMsg string, front *service.FrontW
 	case service.StateCancelled:
 		t.cancelled.Add(1)
 		g.m.cancelled.Add(1)
-	}
-	if g.islands != nil {
-		// Island runs name their barrier after the spec hash; a terminal
-		// job's barrier is dead weight (and would strand stragglers).
-		g.islands.Forget(j.Hash)
 	}
 }
 

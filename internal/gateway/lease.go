@@ -55,9 +55,8 @@ type CompleteRequest struct {
 }
 
 // workerOnly gates a handler behind the worker token. Tenant API keys
-// deliberately do not work there: leasing hands out other tenants' specs
-// and island exchanges carry genomes derived from them, so only fleet
-// workers may call.
+// deliberately do not work there: leasing hands out other tenants' specs,
+// so only fleet workers may call.
 func (g *Gateway) workerOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if g.cfg.WorkerToken != "" && !service.CheckBearer(r, g.cfg.WorkerToken) {

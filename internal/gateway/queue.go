@@ -163,9 +163,3 @@ func (q *workQueue) depths() [numClasses]int {
 	}
 	return d
 }
-
-func (q *workQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.liveDepthLocked()
-}

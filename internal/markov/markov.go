@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/matrix"
 	"repro/internal/sweep"
@@ -50,7 +49,7 @@ func (n stateName) String() string {
 }
 
 // Chain is a builder for an absorbing Markov chain. States are referenced
-// by the integer handles returned from AddState/AddAbsorbing.
+// by the integer handles returned from AddStateIdx/AddAbsorbing.
 type Chain struct {
 	names     []stateName
 	residence []float64
@@ -94,12 +93,6 @@ func (c *Chain) addNamed(name stateName, residence float64, absorbing bool) int 
 	c.head = append(c.head, -1)
 	c.tail = append(c.tail, -1)
 	return len(c.names) - 1
-}
-
-// AddState adds a transient state with the given per-visit residence time
-// and returns its handle.
-func (c *Chain) AddState(name string, residence float64) int {
-	return c.AddStateIdx(name, -1, residence)
 }
 
 // AddStateIdx adds a transient state named prefix/idx (idx < 0: just
@@ -523,41 +516,6 @@ func (c *Chain) Validate() error {
 		return fmt.Errorf("markov: no absorbing state reachable from start")
 	}
 	return nil
-}
-
-// States returns the handles of all states in insertion order, useful for
-// deterministic iteration in tests and dumps.
-func (c *Chain) States() []int {
-	out := make([]int, len(c.names))
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// Dump renders the chain structure deterministically for debugging.
-func (c *Chain) Dump() string {
-	out := ""
-	for s := range c.names {
-		kind := "transient"
-		if c.absorbing[s] {
-			kind = "absorbing"
-		}
-		out += fmt.Sprintf("%d %s (%s, residence %.4g)\n", s, c.names[s], kind, c.residence[s])
-		type edge struct {
-			to   int
-			prob float64
-		}
-		var edges []edge
-		c.edges(s, func(to int, prob float64) {
-			edges = append(edges, edge{to: to, prob: prob})
-		})
-		sort.Slice(edges, func(i, j int) bool { return edges[i].to < edges[j].to })
-		for _, e := range edges {
-			out += fmt.Sprintf("  → %s  p=%.6g\n", c.names[e.to], e.prob)
-		}
-	}
-	return out
 }
 
 // SampleResult is one random walk through the chain.

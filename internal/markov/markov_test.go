@@ -9,6 +9,12 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// AddState adds a transient state with the given per-visit residence time
+// and returns its handle.
+func (c *Chain) AddState(name string, residence float64) int {
+	return c.AddStateIdx(name, -1, residence)
+}
+
 // Geometric chain: state S retries with probability p, succeeds with 1−p.
 // Expected visits to S = 1/(1−p); expected time = residence/(1−p).
 func TestGeometricRetry(t *testing.T) {
@@ -220,22 +226,6 @@ func TestAbsorptionProbabilityByName(t *testing.T) {
 	}
 	if _, found := c.AbsorptionProbability(r, "nonexistent"); found {
 		t.Fatal("found absorption probability for unknown state")
-	}
-}
-
-func TestDumpDeterministic(t *testing.T) {
-	build := func() string {
-		c := New()
-		s := c.AddState("s", 1)
-		a := c.AddAbsorbing("a")
-		b := c.AddAbsorbing("b")
-		c.Transition(s, b, 0.4)
-		c.Transition(s, a, 0.6)
-		c.SetStart(s)
-		return c.Dump()
-	}
-	if build() != build() {
-		t.Fatal("Dump output not deterministic")
 	}
 }
 

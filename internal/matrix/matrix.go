@@ -1,20 +1,19 @@
-// Package matrix provides small dense real matrices and the linear-algebra
-// primitives needed by the absorbing-Markov-chain analysis in this project:
-// construction, arithmetic, LU decomposition with partial pivoting, linear
-// solves and inversion.
+// Package matrix provides the linear solves of the absorbing-Markov-chain
+// analysis in this project: LU decomposition with partial pivoting and
+// forward/back substitution.
 //
 // A cross-layer reliability chain has 5 to 60 transient states, and its
 // (I − Q)ᵀ rows hold only two to four nonzeros. The chain analysis runs on
 // Sparse, which eliminates only the nonzeros yet performs the dense
 // kernel's floating-point operations in the dense kernel's order, so its
-// solutions are bit-identical to FactorizeInto/SolveVecInto, which stay as
-// its reference implementation.
+// solutions are bit-identical to the dense FactorizeInto/SolveVecInto.
+// Dense stays only as that reference implementation: the oracle tests
+// check Sparse against it bit for bit.
 package matrix
 
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Dense is a row-major dense matrix of float64 values.
@@ -31,21 +30,6 @@ func New(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewFromRows builds a matrix from a slice of equally sized rows.
-func NewFromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("matrix: empty row data")
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic(fmt.Sprintf("matrix: ragged rows: row %d has %d entries, want %d", i, len(r), m.cols))
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Dense {
 	m := New(n, n)
@@ -54,12 +38,6 @@ func Identity(n int) *Dense {
 	}
 	return m
 }
-
-// Rows returns the number of rows.
-func (m *Dense) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Dense) Cols() int { return m.cols }
 
 // At returns the element at (i, j).
 func (m *Dense) At(i, j int) float64 {
@@ -108,105 +86,10 @@ func (m *Dense) Clone() *Dense {
 	return c
 }
 
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("matrix: row %d out of range", i))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Mul returns the matrix product m·b.
-func (m *Dense) Mul(b *Dense) *Dense {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("matrix: dimension mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := New(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.cols; j++ {
-				out.data[i*b.cols+j] += a * b.data[k*b.cols+j]
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns the matrix-vector product m·v.
-func (m *Dense) MulVec(v []float64) []float64 {
-	if m.cols != len(v) {
-		panic(fmt.Sprintf("matrix: dimension mismatch %dx%d · vec(%d)", m.rows, m.cols, len(v)))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		for j := 0; j < m.cols; j++ {
-			s += m.data[i*m.cols+j] * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Sub returns m − b.
-func (m *Dense) Sub(b *Dense) *Dense {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic("matrix: dimension mismatch in Sub")
-	}
-	out := New(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] - b.data[i]
-	}
-	return out
-}
-
-// Scale returns s·m.
-func (m *Dense) Scale(s float64) *Dense {
-	out := New(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = s * m.data[i]
-	}
-	return out
-}
-
-// MaxAbs returns the largest absolute entry of m.
-func (m *Dense) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// String renders the matrix for debugging.
-func (m *Dense) String() string {
-	var sb strings.Builder
-	for i := 0; i < m.rows; i++ {
-		sb.WriteByte('[')
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "%.6g", m.At(i, j))
-		}
-		sb.WriteString("]\n")
-	}
-	return sb.String()
-}
-
 // LU holds an LU factorization with partial pivoting: P·A = L·U.
 type LU struct {
 	lu    *Dense // packed L (unit lower) and U
 	pivot []int  // row permutation
-	sign  int    // permutation parity, for determinant
 }
 
 // Factorize computes the LU decomposition of the square matrix a.
@@ -236,7 +119,6 @@ func FactorizeInto(f *LU, a *Dense) error {
 	for i := range pivot {
 		pivot[i] = i
 	}
-	sign := 1
 	// The factorization runs on the raw row-major storage: this loop is the
 	// single hottest kernel of the chain analysis, and the At/Set/Add
 	// accessors' bounds checks dominate it. The operation sequence is
@@ -257,7 +139,6 @@ func FactorizeInto(f *LU, a *Dense) error {
 		if p != k {
 			lu.swapRows(p, k)
 			pivot[p], pivot[k] = pivot[k], pivot[p]
-			sign = -sign
 		}
 		rk := data[k*n : (k+1)*n]
 		inv := 1 / rk[k]
@@ -273,7 +154,7 @@ func FactorizeInto(f *LU, a *Dense) error {
 			}
 		}
 	}
-	f.lu, f.pivot, f.sign = lu, pivot, sign
+	f.lu, f.pivot = lu, pivot
 	return nil
 }
 
@@ -324,76 +205,4 @@ func (f *LU) SolveVecInto(x, b []float64) {
 		}
 		x[i] = s / ri[i]
 	}
-}
-
-// Solve solves A·X = B for X (B may have multiple columns).
-func (f *LU) Solve(b *Dense) *Dense {
-	out := New(f.lu.rows, b.cols)
-	f.SolveInto(out, b)
-	return out
-}
-
-// SolveInto solves A·X = B for all columns of B into the caller-provided X
-// (n×k, which must not alias B), the multi-RHS, allocation-free form of
-// Solve: one factorization amortized over k right-hand sides. Each column
-// goes through the same permute/forward/back substitution sequence as
-// SolveVecInto, so a batched solve is bit-identical to k separate ones.
-func (f *LU) SolveInto(x, b *Dense) {
-	n := f.lu.rows
-	if b.rows != n || x.rows != n || x.cols != b.cols {
-		panic(fmt.Sprintf("matrix: solve buffers %dx%d/%dx%d, want %d rows and equal columns",
-			x.rows, x.cols, b.rows, b.cols, n))
-	}
-	data := f.lu.data
-	for j := 0; j < b.cols; j++ {
-		// Apply permutation.
-		for i := 0; i < n; i++ {
-			x.data[i*x.cols+j] = b.data[f.pivot[i]*b.cols+j]
-		}
-		// Forward substitution with unit lower triangle.
-		for i := 1; i < n; i++ {
-			s := x.data[i*x.cols+j]
-			ri := data[i*n : i*n+i]
-			for k, v := range ri {
-				s -= v * x.data[k*x.cols+j]
-			}
-			x.data[i*x.cols+j] = s
-		}
-		// Back substitution with upper triangle.
-		for i := n - 1; i >= 0; i-- {
-			s := x.data[i*x.cols+j]
-			ri := data[i*n : (i+1)*n]
-			for k := i + 1; k < n; k++ {
-				s -= ri[k] * x.data[k*x.cols+j]
-			}
-			x.data[i*x.cols+j] = s / ri[i]
-		}
-	}
-}
-
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// Inverse returns A⁻¹ for the square matrix a.
-func Inverse(a *Dense) (*Dense, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(Identity(a.rows)), nil
-}
-
-// Solve is a convenience wrapper: it factorizes a and solves a·x = b.
-func Solve(a *Dense, b []float64) ([]float64, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveVec(b), nil
 }

@@ -95,7 +95,7 @@ type Checkpoint struct {
 	Archive    []CheckpointSolution `json:"archive"`
 	// Migration is the island's posting history — the migrants it
 	// contributed to every epoch barrier so far (empty for non-island
-	// runs). A coordinator restarting with a fresh barrier reseeds it
+	// runs). A run restarting with a fresh barrier reseeds it
 	// from these logs, so islands resumed past an epoch are still
 	// represented at it and their peers are never stranded.
 	Migration []EpochMigrants `json:"migration,omitempty"`

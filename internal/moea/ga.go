@@ -212,15 +212,6 @@ type Result struct {
 	PlateauStopped bool
 }
 
-// FrontObjectives extracts the objective vectors of the front.
-func (r *Result) FrontObjectives() [][]float64 {
-	out := make([][]float64, len(r.Front))
-	for i, s := range r.Front {
-		out[i] = s.Objectives
-	}
-	return out
-}
-
 // Run executes the GA on the problem. seeds, if any, are injected into the
 // initial population (the directed-seeding mechanism of the proposed
 // methodology, Fig. 4(b)); they are cloned, so callers keep ownership.

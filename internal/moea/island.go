@@ -2,7 +2,6 @@ package moea
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -38,12 +37,11 @@ type Migrant struct {
 	Violation  uint64   `json:"violation_bits"`
 }
 
-// Hard bounds on decoded migrant payloads; anything past these is a
-// malformed or hostile message, not a plausible DSE individual.
+// Hard bounds on migrant shape; anything past these is a malformed
+// individual, not a plausible DSE one.
 const (
-	maxMigrantsPerMessage = 4096
-	maxMigrantTasks       = 1 << 20
-	maxMigrantObjectives  = 64
+	maxMigrantTasks      = 1 << 20
+	maxMigrantObjectives = 64
 )
 
 // ValidateMigrant rejects structurally broken migrants: a non-permutation
@@ -78,34 +76,9 @@ func ValidateMigrant(m Migrant) error {
 	return nil
 }
 
-// EncodeMigrants serializes a migrant batch for the wire.
-func EncodeMigrants(ms []Migrant) ([]byte, error) {
-	return json.Marshal(ms)
-}
-
-// DecodeMigrants parses and validates a migrant batch. Every migrant in
-// the result passed ValidateMigrant; a single bad entry rejects the whole
-// message, because a partially applied exchange would fork the islands'
-// deterministic state.
-func DecodeMigrants(data []byte) ([]Migrant, error) {
-	var ms []Migrant
-	if err := json.Unmarshal(data, &ms); err != nil {
-		return nil, fmt.Errorf("moea: migrant decode: %w", err)
-	}
-	if len(ms) > maxMigrantsPerMessage {
-		return nil, fmt.Errorf("moea: %d migrants exceeds message cap %d", len(ms), maxMigrantsPerMessage)
-	}
-	for i, m := range ms {
-		if err := ValidateMigrant(m); err != nil {
-			return nil, fmt.Errorf("moea: migrant %d: %w", i, err)
-		}
-	}
-	return ms, nil
-}
-
 // EpochMigrants records the migrants one island posted for one epoch. The
 // per-island checkpoint retains its full posting history so a restarted
-// coordinator can reseed a fresh epoch barrier: islands that already
+// run can reseed a fresh epoch barrier: islands that already
 // passed epoch e never re-post it, and without the log their peers would
 // wait at the barrier forever.
 type EpochMigrants struct {
@@ -115,7 +88,7 @@ type EpochMigrants struct {
 
 // Migration configures one island's participation in an island-model run.
 // All islands must agree on Every, Count and SelectSeed; Exchange is the
-// transport to the epoch barrier (in-process IslandHub or an HTTP hub).
+// transport to the epoch barrier (an IslandHub).
 type Migration struct {
 	// Every is the epoch period in generations (≥ 1). Migration fires at
 	// the top of each generation g with g > 0 and g % Every == 0, before
@@ -360,10 +333,9 @@ func runMigration(ctx context.Context, p Problem, params *Params, gen int,
 
 // IslandSeedStride separates per-island GA seeds: island i of an N-island
 // run with base seed s evolves under seed s + (i+1)*IslandSeedStride.
-// Every coordinator — in-process RunIslands, a distributed fleet, a
-// resumed run — derives seeds with this same formula, which is what makes
-// placement irrelevant to the result. (Knuth's 2^32/φ multiplier; any
-// large odd constant would do.)
+// A fresh and a resumed run derive seeds with this same formula, so the
+// result does not depend on where the run was interrupted. (Knuth's 2^32/φ
+// multiplier; any large odd constant would do.)
 const IslandSeedStride int64 = 2654435761
 
 // IslandPop returns the population share of island i when pop members are
@@ -554,8 +526,8 @@ type IslandConfig struct {
 	// before the run starts — the hook used to attach per-island resume
 	// checkpoints, contexts and checkpoint sinks.
 	PerIsland func(i int, p *Params)
-	// Exchange, when non-nil, replaces the in-process hub with an
-	// external barrier transport (the distributed migration hub).
+	// Exchange, when non-nil, replaces the in-process hub (tests use it
+	// to sever the ring).
 	Exchange func(ctx context.Context, island, epoch int, out []Migrant) ([]Migrant, error)
 }
 
@@ -619,8 +591,7 @@ func RunIslands(p Problem, params Params, seeds []*Genome, cfg IslandConfig) (*R
 		exchange = hub.Exchange
 	}
 
-	// Seeds are dealt round-robin so every coordinator distributes them
-	// identically.
+	// Seeds are dealt round-robin, so the deal depends only on their order.
 	islandSeeds := make([][]*Genome, cfg.N)
 	for i, s := range seeds {
 		islandSeeds[i%cfg.N] = append(islandSeeds[i%cfg.N], s)
@@ -678,8 +649,8 @@ func RunIslands(p Problem, params Params, seeds []*Genome, cfg IslandConfig) (*R
 
 // MergeIslandResults merges per-island results into one logical result:
 // archives concatenate in island order, Pareto-filter once, and the
-// evaluation counts sum. Used by both the in-process runner and
-// distributed coordinators so a merged front never depends on placement.
+// evaluation counts sum, so a merged front never depends on which island
+// finished first.
 func MergeIslandResults(rs []*Result) *Result {
 	merged := &Result{}
 	var all []Solution

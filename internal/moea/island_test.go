@@ -2,7 +2,6 @@ package moea
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -469,24 +468,5 @@ func TestMigrantValidation(t *testing.T) {
 				t.Fatal("invalid migrant accepted")
 			}
 		})
-	}
-}
-
-// TestMigrantRoundTrip pins the wire codec.
-func TestMigrantRoundTrip(t *testing.T) {
-	in := []Migrant{
-		{From: 2, Order: []int{2, 0, 1}, Genes: []Gene{{PE: 1}, {Impl: 2}, {Mode: 1}},
-			Objectives: []uint64{math.Float64bits(0.25), math.Float64bits(3)}, Violation: math.Float64bits(0)},
-	}
-	blob, err := EncodeMigrants(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeMigrants(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", out) != fmt.Sprintf("%+v", in) {
-		t.Fatalf("round trip changed migrants:\n in: %+v\nout: %+v", in, out)
 	}
 }

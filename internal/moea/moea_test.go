@@ -10,6 +10,15 @@ import (
 	"repro/internal/pareto"
 )
 
+// FrontObjectives extracts the objective vectors of the front.
+func (r *Result) FrontObjectives() [][]float64 {
+	out := make([][]float64, len(r.Front))
+	for i, s := range r.Front {
+		out[i] = s.Objectives
+	}
+	return out
+}
+
 // zdtProblem is a discretized ZDT1-style benchmark mapped onto the genome
 // encoding: each task's Impl field is a decision variable in [0, levels).
 // The known Pareto-optimal front is f2 = 1 − sqrt(f1) at g = 1 (all
@@ -336,9 +345,10 @@ func TestSeedingImprovesEarlyQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp := pareto.ImprovementPercent(seeded.FrontObjectives(), unseeded.FrontObjectives(), 0.1)
-	if imp <= 0 {
-		t.Fatalf("seeding did not improve early front quality: %v%%", imp)
+	s, u := seeded.FrontObjectives(), unseeded.FrontObjectives()
+	ref := pareto.ReferencePoint(0.1, s, u)
+	if hvS, hvU := pareto.Hypervolume(s, ref), pareto.Hypervolume(u, ref); hvS <= hvU {
+		t.Fatalf("seeding did not improve early front quality: hypervolume %v vs %v", hvS, hvU)
 	}
 }
 

@@ -223,31 +223,6 @@ func ReferencePoint(margin float64, fronts ...[][]float64) []float64 {
 	return ref
 }
 
-// ImprovementPercent returns the percentage increase of the hypervolume of
-// front a over front b, using a common reference point derived from both.
-// A positive value means a is the better front.
-func ImprovementPercent(a, b [][]float64, margin float64) float64 {
-	ref := ReferencePoint(margin, a, b)
-	hvA := Hypervolume(a, ref)
-	hvB := Hypervolume(b, ref)
-	if hvB == 0 {
-		if hvA == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return 100 * (hvA - hvB) / hvB
-}
-
-// Merge combines several fronts and returns the Pareto filter of the union.
-func Merge(fronts ...[][]float64) [][]float64 {
-	var all [][]float64
-	for _, f := range fronts {
-		all = append(all, f...)
-	}
-	return FilterPoints(all)
-}
-
 // Spacing returns Schott's spacing metric: the standard deviation of the
 // nearest-neighbor distances within the front (0 = perfectly even spread).
 // Fronts with fewer than two points have zero spacing by convention.

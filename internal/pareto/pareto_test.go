@@ -160,34 +160,6 @@ func TestReferencePoint(t *testing.T) {
 	}
 }
 
-func TestImprovementPercentOrdering(t *testing.T) {
-	better := [][]float64{{1, 1}}
-	worse := [][]float64{{2, 2}}
-	if imp := ImprovementPercent(better, worse, 0.1); imp <= 0 {
-		t.Fatalf("better front should have positive improvement, got %v", imp)
-	}
-	if imp := ImprovementPercent(worse, better, 0.1); imp >= 0 {
-		t.Fatalf("worse front should have negative improvement, got %v", imp)
-	}
-}
-
-func TestImprovementPercentSelf(t *testing.T) {
-	f := [][]float64{{1, 2}, {2, 1}}
-	if imp := ImprovementPercent(f, f, 0.1); math.Abs(imp) > 1e-9 {
-		t.Fatalf("self improvement = %v, want 0", imp)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := [][]float64{{1, 3}, {4, 4}}
-	b := [][]float64{{2, 2}, {3, 1}}
-	m := Merge(a, b)
-	// {4,4} dominated by {2,2}; rest survive.
-	if len(m) != 3 {
-		t.Fatalf("Merge kept %d points, want 3: %v", len(m), m)
-	}
-}
-
 func randomPts(rng *rand.Rand, n, d int) [][]float64 {
 	pts := make([][]float64, n)
 	for i := range pts {

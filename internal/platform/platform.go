@@ -124,14 +124,6 @@ const (
 	SEUVoltageStep = 0.30
 )
 
-// NominalMode returns the highest-performance DVFS mode of the type.
-func (pt *PEType) NominalMode() DVFSMode {
-	if len(pt.Modes) == 0 {
-		panic(fmt.Sprintf("platform: PE type %q has no DVFS modes", pt.Name))
-	}
-	return pt.Modes[0]
-}
-
 // Validate checks the physical sanity of the PE type parameters.
 func (pt *PEType) Validate() error {
 	if pt.Name == "" {
@@ -181,13 +173,6 @@ func (pt *PEType) Validate() error {
 	return nil
 }
 
-// TimeScale returns the execution-time multiplier of mode index m relative
-// to the nominal mode (≥ 1 for slower modes).
-func (pt *PEType) TimeScale(m int) float64 {
-	pt.checkMode(m)
-	return pt.Modes[0].FreqMHz / pt.Modes[m].FreqMHz
-}
-
 // PowerScale returns the dynamic-power multiplier of mode m relative to the
 // nominal mode, using the V²·f model (≤ 1 for slower modes).
 func (pt *PEType) PowerScale(m int) float64 {
@@ -205,13 +190,6 @@ func (pt *PEType) SEURate(m int) float64 {
 	dv := pt.Modes[0].VoltageV - pt.Modes[m].VoltageV
 	raw := pt.BaseSEURatePerSec * math.Pow(10, dv/SEUVoltageStep)
 	return raw * (1 - pt.MaskingFactor)
-}
-
-// RawSEURate returns the SEU rate before architectural masking.
-func (pt *PEType) RawSEURate(m int) float64 {
-	pt.checkMode(m)
-	dv := pt.Modes[0].VoltageV - pt.Modes[m].VoltageV
-	return pt.BaseSEURatePerSec * math.Pow(10, dv/SEUVoltageStep)
 }
 
 // SteadyTempC returns the first-order steady-state temperature of the PE
@@ -286,19 +264,6 @@ func (p *Platform) NumPEs() int { return len(p.PEs) }
 
 // Types returns the distinct PE types in declaration order.
 func (p *Platform) Types() []*PEType { return p.types }
-
-// TypeIndex returns the index of the PE's type within Types(), or -1.
-func (p *Platform) TypeIndex(pe int) int {
-	if pe < 0 || pe >= len(p.PEs) {
-		panic(fmt.Sprintf("platform: PE index %d out of range", pe))
-	}
-	for i, t := range p.types {
-		if t == p.PEs[pe].Type {
-			return i
-		}
-	}
-	return -1
-}
 
 // PEsOfType returns the IDs of all PEs with the given type.
 func (p *Platform) PEsOfType(t *PEType) []int {

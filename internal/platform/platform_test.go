@@ -54,16 +54,6 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-func TestTimeScale(t *testing.T) {
-	pt := testType()
-	if got := pt.TimeScale(0); got != 1 {
-		t.Fatalf("nominal TimeScale = %v, want 1", got)
-	}
-	if got := pt.TimeScale(2); math.Abs(got-3) > 1e-12 {
-		t.Fatalf("TimeScale(lo) = %v, want 3 (900/300)", got)
-	}
-}
-
 func TestPowerScaleMonotone(t *testing.T) {
 	pt := testType()
 	prev := math.Inf(1)
@@ -95,7 +85,9 @@ func TestSEURateIncreasesAtLowVoltage(t *testing.T) {
 
 func TestSEURateMasking(t *testing.T) {
 	pt := testType()
-	if math.Abs(pt.SEURate(0)-pt.RawSEURate(0)*(1-pt.MaskingFactor)) > 1e-18 {
+	raw := *pt
+	raw.MaskingFactor = 0
+	if math.Abs(pt.SEURate(0)-raw.SEURate(0)*(1-pt.MaskingFactor)) > 1e-18 {
 		t.Fatal("masked rate should be raw rate × (1 − masking)")
 	}
 }
@@ -138,7 +130,7 @@ func TestModeBoundsPanic(t *testing.T) {
 			t.Fatal("expected panic for invalid mode index")
 		}
 	}()
-	pt.TimeScale(5)
+	pt.PowerScale(5)
 }
 
 func TestNewPlatform(t *testing.T) {
@@ -158,9 +150,6 @@ func TestNewPlatform(t *testing.T) {
 	}
 	if got := len(p.PEsOfType(b)); got != 3 {
 		t.Fatalf("PEsOfType(b) = %d, want 3", got)
-	}
-	if p.TypeIndex(0) != 0 || p.TypeIndex(4) != 1 {
-		t.Fatal("TypeIndex mismatch")
 	}
 }
 
@@ -216,7 +205,7 @@ func TestPEClassString(t *testing.T) {
 }
 
 func TestPropertyDVFSTradeoffs(t *testing.T) {
-	// For any valid mode pair (slower vs faster), time scale is larger,
+	// For any valid mode pair (slower vs faster), frequency is lower,
 	// power scale smaller, SEU rate larger or equal.
 	pt := testType()
 	f := func(aRaw, bRaw uint8) bool {
@@ -225,7 +214,7 @@ func TestPropertyDVFSTradeoffs(t *testing.T) {
 		if a > b {
 			a, b = b, a // a = faster (lower index), b = slower
 		}
-		if pt.TimeScale(b) < pt.TimeScale(a) {
+		if pt.Modes[b].FreqMHz > pt.Modes[a].FreqMHz {
 			return false
 		}
 		if pt.PowerScale(b) > pt.PowerScale(a) {

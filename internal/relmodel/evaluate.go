@@ -277,6 +277,3 @@ func EvaluateFM(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
 // configuration frame (blind scrubbing misses multi-frame and interconnect
 // corruption).
 const scrubRepairProb = 0.9
-
-// Reliability returns the functional reliability F_t = 1 − ErrProb.
-func (m Metrics) Reliability() float64 { return 1 - m.ErrProb }

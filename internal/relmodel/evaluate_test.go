@@ -144,9 +144,6 @@ func TestEvaluateBaseline(t *testing.T) {
 	if math.Abs(m.EnergyUJ-m.AvgExTimeUS*m.PowerW) > 1e-9 {
 		t.Fatal("EnergyUJ must equal AvgExT × Power")
 	}
-	if math.Abs(m.Reliability()-(1-m.ErrProb)) > 1e-15 {
-		t.Fatal("Reliability must be 1 − ErrProb")
-	}
 }
 
 func TestEvaluateDVFSTradeoff(t *testing.T) {

@@ -19,8 +19,6 @@
 package schedule
 
 import (
-	"fmt"
-
 	"repro/internal/platform"
 	"repro/internal/relmodel"
 	"repro/internal/taskgraph"
@@ -111,28 +109,6 @@ type Spec struct {
 	MinMTTFHours     float64 // L_SPEC
 	MaxEnergyUJ      float64 // J_SPEC
 	MaxPeakPowerW    float64 // W_SPEC
-}
-
-// Violations returns a description of each constraint the result violates;
-// empty means the design point is feasible.
-func (s Spec) Violations(r *Result) []string {
-	var out []string
-	if s.MaxMakespanUS > 0 && r.MakespanUS > s.MaxMakespanUS {
-		out = append(out, fmt.Sprintf("makespan %.4g > %.4g µs", r.MakespanUS, s.MaxMakespanUS))
-	}
-	if s.MinFunctionalRel > 0 && r.FunctionalRel < s.MinFunctionalRel {
-		out = append(out, fmt.Sprintf("functional reliability %.6g < %.6g", r.FunctionalRel, s.MinFunctionalRel))
-	}
-	if s.MinMTTFHours > 0 && r.MTTFHours < s.MinMTTFHours {
-		out = append(out, fmt.Sprintf("MTTF %.4g < %.4g hours", r.MTTFHours, s.MinMTTFHours))
-	}
-	if s.MaxEnergyUJ > 0 && r.EnergyUJ > s.MaxEnergyUJ {
-		out = append(out, fmt.Sprintf("energy %.4g > %.4g µJ", r.EnergyUJ, s.MaxEnergyUJ))
-	}
-	if s.MaxPeakPowerW > 0 && r.PeakPowerW > s.MaxPeakPowerW {
-		out = append(out, fmt.Sprintf("peak power %.4g > %.4g W", r.PeakPowerW, s.MaxPeakPowerW))
-	}
-	return out
 }
 
 // MemoryViolations returns per-PE overflow fractions against the platform's

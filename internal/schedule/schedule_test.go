@@ -258,33 +258,6 @@ func TestRunInputValidation(t *testing.T) {
 	}
 }
 
-func TestSpecViolations(t *testing.T) {
-	r := &Result{
-		MakespanUS:    1000,
-		FunctionalRel: 0.9,
-		MTTFHours:     5e4,
-		EnergyUJ:      2000,
-		PeakPowerW:    5,
-	}
-	if v := (Spec{}).Violations(r); len(v) != 0 {
-		t.Fatalf("unconstrained spec reported violations: %v", v)
-	}
-	tight := Spec{
-		MaxMakespanUS:    500,
-		MinFunctionalRel: 0.99,
-		MinMTTFHours:     1e5,
-		MaxEnergyUJ:      1000,
-		MaxPeakPowerW:    2,
-	}
-	if v := tight.Violations(r); len(v) != 5 {
-		t.Fatalf("want 5 violations, got %v", v)
-	}
-	loose := Spec{MaxMakespanUS: 2000, MinFunctionalRel: 0.5}
-	if v := loose.Violations(r); len(v) != 0 {
-		t.Fatalf("satisfiable spec reported violations: %v", v)
-	}
-}
-
 // randomInstance builds a random DAG, random assignment and random valid
 // priority permutation.
 func randomInstance(rng *rand.Rand, n int) (*taskgraph.Graph, *platform.Platform, []int, []TaskDecision) {

@@ -47,12 +47,6 @@ type Config struct {
 	// negative disables the cap). Oversized submissions get 413 before the
 	// decoder buffers an unbounded spec.
 	MaxBodyBytes int64
-	// IslandHub, when non-nil, is mounted at POST /v1/island/exchange
-	// (behind AuthToken like every other endpoint): the epoch barrier that
-	// lets islands of one coordinator-driven run span daemons. Typically a
-	// *dist.MigrationHub; the daemon does not construct one itself so the
-	// import graph stays service → dist-free.
-	IslandHub http.Handler
 }
 
 func (c Config) withDefaults() Config {
@@ -130,9 +124,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /healthz", HandleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if cfg.IslandHub != nil {
-		s.mux.Handle("POST /v1/island/exchange", cfg.IslandHub)
-	}
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()

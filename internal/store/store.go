@@ -425,13 +425,6 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Sync forces outstanding WAL appends to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wal.Sync()
-}
-
 // Close syncs and releases the store.
 func (s *Store) Close() error {
 	s.mu.Lock()

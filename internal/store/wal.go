@@ -240,21 +240,6 @@ func (w *WAL) Append(payload []byte) error {
 	return nil
 }
 
-// Sync forces outstanding appends to stable storage regardless of policy.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.syncs++
-	w.dirty = false
-	return nil
-}
-
 // Reset truncates the log to empty — the compaction step after the state
 // it describes has been captured in a snapshot.
 func (w *WAL) Reset() error {

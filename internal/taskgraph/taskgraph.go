@@ -256,17 +256,6 @@ func (g *Graph) topoOrder() ([]int, error) {
 // modify it.
 func (g *Graph) NormalizedCriticality() []float64 { return g.normCrit }
 
-// TasksOfType returns the IDs of tasks with the given type.
-func (g *Graph) TasksOfType(taskType int) []int {
-	var out []int
-	for _, t := range g.tasks {
-		if t.Type == taskType {
-			out = append(out, t.ID)
-		}
-	}
-	return out
-}
-
 // IsValidTopo reports whether order is a permutation of the task IDs that
 // respects all dependency edges.
 func (g *Graph) IsValidTopo(order []int) bool {

@@ -18,6 +18,17 @@ func chain(n int) *Graph {
 	return b.MustBuild()
 }
 
+// tasksOfType returns the IDs of tasks with the given type.
+func tasksOfType(g *Graph, taskType int) []int {
+	var out []int
+	for t := 0; t < g.NumTasks(); t++ {
+		if g.Task(t).Type == taskType {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
 func TestBuilderBasics(t *testing.T) {
 	g := chain(3)
 	if g.NumTasks() != 3 {
@@ -151,7 +162,7 @@ func TestNormalizedCriticality(t *testing.T) {
 
 func TestTasksOfType(t *testing.T) {
 	g := Sobel()
-	grads := g.TasksOfType(SobelSobGrad)
+	grads := tasksOfType(g, SobelSobGrad)
 	if len(grads) != 2 {
 		t.Fatalf("SobGrad tasks = %v, want 2", grads)
 	}
@@ -301,11 +312,11 @@ func TestJPEGStructure(t *testing.T) {
 		t.Fatalf("JPEG has %d edges, want 10", len(g.Edges()))
 	}
 	// Three parallel DCT branches.
-	if got := len(g.TasksOfType(JPEGDCT)); got != 3 {
+	if got := len(tasksOfType(g, JPEGDCT)); got != 3 {
 		t.Fatalf("JPEG has %d DCT tasks, want 3", got)
 	}
 	// ZigZag joins three quantizers.
-	zz := g.TasksOfType(JPEGZigZagRLE)[0]
+	zz := tasksOfType(g, JPEGZigZagRLE)[0]
 	if len(g.Preds(zz)) != 3 {
 		t.Fatalf("ZigZag has %d predecessors, want 3", len(g.Preds(zz)))
 	}

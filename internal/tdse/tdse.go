@@ -118,15 +118,6 @@ func Value(m relmodel.Metrics, o Objective) float64 {
 	}
 }
 
-// Vector extracts the full minimization vector for the objective set.
-func Vector(m relmodel.Metrics, objectives []Objective) []float64 {
-	out := make([]float64, len(objectives))
-	for i, o := range objectives {
-		out[i] = Value(m, o)
-	}
-	return out
-}
-
 // Candidate is one fully configured task implementation: a base
 // implementation plus a CLR configuration (and, when the checkpoint axis is
 // enumerated, a task-level checkpoint policy), with its evaluated metrics.

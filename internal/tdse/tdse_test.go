@@ -9,6 +9,15 @@ import (
 	"repro/internal/relmodel"
 )
 
+// vector extracts the full minimization vector for the objective set.
+func vector(m relmodel.Metrics, objectives []Objective) []float64 {
+	out := make([]float64, len(objectives))
+	for i, o := range objectives {
+		out[i] = Value(m, o)
+	}
+	return out
+}
+
 func setup() (*characterize.Library, *platform.Platform, *relmodel.Catalog) {
 	p := platform.Default()
 	return characterize.Sobel(p), p, relmodel.DefaultCatalog()
@@ -51,9 +60,9 @@ func TestValueSigns(t *testing.T) {
 	if Value(m, MTTF) != -1e5 {
 		t.Fatal("MTTF must be negated for minimization")
 	}
-	v := Vector(m, []Objective{Power, PeakTemp, Energy})
+	v := vector(m, []Objective{Power, PeakTemp, Energy})
 	if v[0] != 2 || v[1] != 60 || v[2] != 20 {
-		t.Fatalf("Vector = %v", v)
+		t.Fatalf("vector = %v", v)
 	}
 }
 
@@ -148,7 +157,7 @@ func TestFilterMutuallyNonDominatedWithinType(t *testing.T) {
 			if i == j || f[i].Base.PETypeIndex != f[j].Base.PETypeIndex {
 				continue
 			}
-			if pareto.Dominates(Vector(f[i].Metrics, objs), Vector(f[j].Metrics, objs)) {
+			if pareto.Dominates(vector(f[i].Metrics, objs), vector(f[j].Metrics, objs)) {
 				t.Fatal("filtered set contains dominated candidate within a PE type")
 			}
 		}

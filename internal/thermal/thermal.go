@@ -29,15 +29,6 @@ type Trace struct {
 	SteadyPeakC []float64
 }
 
-// SystemPeakC returns the highest temperature across all PEs.
-func (t *Trace) SystemPeakC() float64 {
-	peak := math.Inf(-1)
-	for _, v := range t.PeakC {
-		peak = math.Max(peak, v)
-	}
-	return peak
-}
-
 // Simulate integrates the RC model over the given number of application
 // periods with time step dtUS. The schedule repeats every g.PeriodUS; tasks
 // dissipate their configuration's power while executing, idle PEs relax

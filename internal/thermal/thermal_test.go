@@ -45,9 +45,6 @@ func TestTransientBoundedBySteadyState(t *testing.T) {
 	if !(tr.PeakC[0] > platform.AmbientTempC && tr.PeakC[0] < steady) {
 		t.Fatalf("peak %v outside (ambient %v, steady %v)", tr.PeakC[0], platform.AmbientTempC, steady)
 	}
-	if tr.SystemPeakC() != tr.PeakC[0] {
-		t.Fatal("system peak should come from the only loaded PE")
-	}
 	// Idle PEs stay at ambient.
 	for pe := 1; pe < p.NumPEs(); pe++ {
 		if tr.PeakC[pe] != platform.AmbientTempC {
