@@ -25,13 +25,13 @@ loc:
 
 # Race-check the concurrency-bearing packages: the sweep executor, the
 # shared metrics cache in core, the GA evaluate workers in moea, the
-# job-queue service, the durable store, the distributed sweep coordinator,
-# the fleet gateway, the parallel candidate evaluation in tdse, and the
+# job-queue service, the durable store, the fleet gateway and its job-API
+# client, the parallel candidate evaluation in tdse, and the
 # pooled chain-solve path (relmodel/markov/matrix) plus the HEFT bound
 # shared by the surrogate proxy and the fault-model evaluation counters
 # read by /metrics.
 race:
-	$(GO) vet ./... && $(GO) test -race ./internal/sweep ./internal/core ./internal/moea ./internal/service ./internal/store ./internal/dist ./internal/gateway ./internal/heft ./internal/tdse ./internal/relmodel ./internal/markov ./internal/matrix ./internal/faultmodel
+	$(GO) vet ./... && $(GO) test -race ./internal/sweep ./internal/core ./internal/moea ./internal/service ./internal/store ./internal/gateway ./internal/heft ./internal/tdse ./internal/relmodel ./internal/markov ./internal/matrix ./internal/faultmodel
 
 # Short continuous-fuzzing pass over the input-parsing surfaces: the TGFF
 # text parser, the JobSpec normalizer, the WAL replayer, the gateway

@@ -8,11 +8,12 @@
 //	         [-max-makespan US] [-min-frel F] [-min-mttf H] [-max-energy UJ] [-max-power W]
 //	         [-platform hmpsoc|fpga] [-catalog default|extended|fpga]
 //	         [-faults model.json] [-ckpt-modes] [-ckpt-intervals 1,2]
-//	         [-remote host:port,...]
+//	         [-remote URL]
 //
-// -remote offloads the run to one of the given clrearlyd workers (with
-// retries, hedging and a transparent local fallback); the printed front is
-// byte-identical to a local run either way.
+// -remote offloads the run to a clrearlygw gateway or a clrearlyd daemon
+// (http://KEY@host:port; the userinfo is the API key) with a transparent
+// local fallback; the printed front is byte-identical to a local run
+// either way. A rejected API key is an error, not a fallback.
 //
 // The synthetic application uses the TGFF-style generator over ten task
 // types; sobel is the five-task edge-detection pipeline of the paper's
@@ -32,9 +33,9 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/faultmodel"
 	"repro/internal/gantt"
+	"repro/internal/gateway"
 	"repro/internal/schedule"
 	"repro/internal/service"
 )
@@ -83,7 +84,7 @@ func run(args []string, w io.Writer) error {
 	convergeEps := fs.Float64("converge-eps", 0, "relative hypervolume-improvement threshold under -converge (0 = default 1e-3)")
 	jsonOut := fs.Bool("json", false, "emit the front as JSON in the service wire format")
 	ganttChart := fs.Bool("gantt", false, "render the most reliable mapping as a Gantt chart (proposed/fcclr only)")
-	remote := fs.String("remote", "", "comma-separated clrearlyd worker addresses; offload the run with local fallback")
+	remote := fs.String("remote", "", "gateway or daemon URL (http://KEY@host:port); offload the run with local fallback")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -169,12 +170,14 @@ func run(args []string, w io.Writer) error {
 	}
 	var front *core.Front
 	if *remote != "" {
-		// Dispatch through the federation machinery: retries, hedging and
-		// a local fallback on the already-built instance make the output
-		// byte-identical to a local run even if every worker dies.
-		coord := dist.New(strings.Split(*remote, ","), dist.Options{})
-		defer coord.Close()
-		front, err = coord.RunOne(context.Background(), &spec, func() (*core.Front, error) {
+		// The local fallback on the already-built instance makes the
+		// output byte-identical to a local run even if the remote side
+		// fails.
+		var client *gateway.Client
+		if client, err = gateway.NewClient(*remote); err != nil {
+			return err
+		}
+		front, err = client.Run(context.Background(), &spec, func() (*core.Front, error) {
 			return service.ExecuteOn(context.Background(), inst, flib, &spec, nil)
 		})
 	} else {

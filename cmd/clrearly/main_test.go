@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -258,5 +260,46 @@ func TestRunFaultFlagErrors(t *testing.T) {
 	}
 	if err := run(small("-method", "pfclr", "-ckpt-modes", "-ckpt-intervals", "x"), &buf); err == nil {
 		t.Error("malformed -ckpt-intervals accepted")
+	}
+}
+
+// TestRunRemote sends the run to a daemon that requires a bearer token:
+// with the key in the URL's userinfo the output equals the local run's,
+// and with a wrong key the run ends in an error instead of running
+// locally.
+func TestRunRemote(t *testing.T) {
+	svc := service.New(service.Config{AuthToken: "k1"})
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	defer svc.Shutdown(context.Background())
+
+	var local, remote bytes.Buffer
+	if err := run(small(), &local); err != nil {
+		t.Fatal(err)
+	}
+	keyed := strings.Replace(srv.URL, "://", "://k1@", 1)
+	if err := run(small("-remote", keyed), &remote); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(local.Bytes(), remote.Bytes()) {
+		t.Fatalf("remote output differs from local:\n--- local ---\n%s\n--- remote ---\n%s", local.Bytes(), remote.Bytes())
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs", nil)
+	req.Header.Set("Authorization", "Bearer k1")
+	rec := httptest.NewRecorder()
+	svc.ServeHTTP(rec, req)
+	var list struct{ Jobs []service.JobWire }
+	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 1 || list.Jobs[0].State != service.StateDone {
+		t.Fatalf("daemon jobs = %+v, want one done job (the run fell back to local)", list.Jobs)
+	}
+
+	wrong := strings.Replace(srv.URL, "://", "://wrong@", 1)
+	var out bytes.Buffer
+	err := run(small("-remote", wrong), &out)
+	if err == nil || !strings.Contains(err.Error(), srv.URL) {
+		t.Fatalf("wrong key: err = %v, want a 401 error naming %s", err, srv.URL)
 	}
 }

@@ -28,8 +28,7 @@
 //	POST   /v1/jobs             submit a job spec, returns the job status
 //	GET    /v1/jobs             list jobs
 //	GET    /v1/jobs/{id}        job status (+ Pareto front when done)
-//	GET    /v1/jobs/{id}/wait   long-poll job status (?timeout=30s), used
-//	                            by the distributed sweep coordinator
+//	GET    /v1/jobs/{id}/wait   long-poll job status (?timeout=30s)
 //	GET    /v1/jobs/{id}/events SSE stream of per-generation progress
 //	DELETE /v1/jobs/{id}        cancel (queued or running)
 //	GET    /healthz             liveness probe

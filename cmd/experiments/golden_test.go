@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,7 +23,7 @@ func goldenPath(name string) string { return filepath.Join("..", "..", "testdata
 func runGolden(t *testing.T, name string, args []string) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := run(args, &buf); err != nil {
+	if err := run(args, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if *updateGolden {

@@ -8,6 +8,7 @@
 //	             ablation-seeding,ablation-operators,ablation-comm,ablation-engine,
 //	             ablation-heft,ext-scenario,ext-memory,ext-fpga]
 //	            [-pop N] [-gens N] [-seed N] [-sizes 10,20,...] [-quick] [-jobs N]
+//	            [-remote URL] [-timing=false] [-json file]
 //	            [-cpuprofile file] [-memprofile file]
 //
 // -quick switches to a reduced GA budget and a short size sweep, useful for
@@ -18,13 +19,16 @@
 // Output is byte-identical for every -jobs value at a fixed -seed — only
 // the per-experiment wall-clock in the section headers differs.
 //
-// -workers host:port,... federates the system-level experiment cells
-// (fig7, table5, fig8, table6) across remote clrearlyd daemons. Remote
-// runs rebuild the exact local instances from seeds and every failure
-// falls back to local execution, so output is byte-identical to a local
-// run for any worker set — including workers dying mid-sweep. Coordinator
-// metrics are printed to stderr when the run finishes. Use -timing=false
-// to drop wall-clock times from section headers when diffing runs.
+// -remote http://KEY@host:port runs the system-level experiment cells
+// (fig7, table5, fig8, table6) through a clrearlygw gateway (or a single
+// clrearlyd), at most -jobs cells in flight. Remote runs rebuild the exact
+// local instances from seeds and every failure falls back to local
+// execution, so output is byte-identical to a local run — including
+// workers dying mid-sweep, which the gateway's lease expiry covers. A
+// rejected API key ends the run instead. The remote and local-fallback
+// cell counts are printed to stderr when the run finishes. Use
+// -timing=false to drop wall-clock times from section headers when
+// diffing runs.
 package main
 
 import (
@@ -40,12 +44,12 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/experiments"
+	"repro/internal/gateway"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
@@ -53,7 +57,7 @@ func main() {
 
 type printable interface{ Print(io.Writer) }
 
-func run(args []string, w io.Writer) error {
+func run(args []string, w, errw io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	runList := fs.String("run", "all", "comma-separated experiment ids, or 'all'")
 	quick := fs.Bool("quick", false, "reduced budget smoke run")
@@ -63,7 +67,7 @@ func run(args []string, w io.Writer) error {
 	sizes := fs.String("sizes", "", "comma-separated task counts for the table sweeps")
 	jobs := fs.Int("jobs", 0, "max concurrent experiment cells (0 = all cores, 1 = sequential)")
 	jsonPath := fs.String("json", "", "also write all results as JSON to this file")
-	workers := fs.String("workers", "", "comma-separated clrearlyd worker addresses for distributed sweeps")
+	remote := fs.String("remote", "", "gateway URL (http://KEY@host:port) that runs the system-level cells")
 	timing := fs.Bool("timing", true, "include wall-clock times in section headers")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -84,24 +88,24 @@ func run(args []string, w io.Writer) error {
 	defer func() {
 		t := core.FitnessCacheTotals()
 		if t.Hits+t.Misses+t.Bypasses > 0 {
-			fmt.Fprintf(os.Stderr, "fitness cache: %d hits, %d misses, %d bypasses, %d evictions (hit rate %.1f%%)\n",
+			fmt.Fprintf(errw, "fitness cache: %d hits, %d misses, %d bypasses, %d evictions (hit rate %.1f%%)\n",
 				t.Hits, t.Misses, t.Bypasses, t.Evictions, 100*t.HitRate())
 		}
 		a := core.AccelTotals()
 		if a.DeltaParentReuse+a.DeltaPrefixRuns+a.DeltaFullRuns+a.ProxyEvals+a.PairedSolves+a.SoloSolves > 0 {
-			fmt.Fprintf(os.Stderr, "eval accel: delta %d reused / %d prefix / %d full, %d metrics reused, %d batch-warmed; surrogate %d proxied / %d screened out; chain solves %d paired / %d solo\n",
+			fmt.Fprintf(errw, "eval accel: delta %d reused / %d prefix / %d full, %d metrics reused, %d batch-warmed; surrogate %d proxied / %d screened out; chain solves %d paired / %d solo\n",
 				a.DeltaParentReuse, a.DeltaPrefixRuns, a.DeltaFullRuns, a.MetricsReused, a.BatchWarmed,
 				a.ProxyEvals, a.ScreenedOut, a.PairedSolves, a.SoloSolves)
 		}
 		s := core.SelectionTotals()
 		if s.GenerationsRun > 0 {
-			fmt.Fprintf(os.Stderr, "selection: %.2fs sorting, %.2fs archive; %d/%d generations run",
+			fmt.Fprintf(errw, "selection: %.2fs sorting, %.2fs archive; %d/%d generations run",
 				float64(s.SortNanos)/1e9, float64(s.ArchiveNanos)/1e9, s.GenerationsRun, s.GenerationsBudget)
 			if s.PlateauStops > 0 {
-				fmt.Fprintf(os.Stderr, "; plateau stopped %d runs, saved %d generations (last hypervolume %.6g)",
+				fmt.Fprintf(errw, "; plateau stopped %d runs, saved %d generations (last hypervolume %.6g)",
 					s.PlateauStops, s.GenerationsSaved, s.LastHypervolume)
 			}
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintln(errw)
 		}
 	}()
 
@@ -158,13 +162,16 @@ func run(args []string, w io.Writer) error {
 	cfg.Converge = *converge
 	cfg.ConvergeWindow = *convergeWindow
 	cfg.ConvergeEps = *convergeEps
-	if *workers != "" {
-		coord := dist.New(strings.Split(*workers, ","), dist.Options{})
+	if *remote != "" {
+		client, err := gateway.NewClient(*remote)
+		if err != nil {
+			return err
+		}
 		defer func() {
-			fmt.Fprint(os.Stderr, coord.Metrics())
-			coord.Close()
+			n, fallback := client.Counts()
+			fmt.Fprintf(errw, "remote: %d cells remote, %d local fallback\n", n, fallback)
 		}()
-		cfg.Remote = coord
+		cfg.Remote = client
 	}
 
 	type experiment struct {

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/gateway"
 	"repro/internal/service"
 )
 
@@ -33,7 +37,7 @@ func TestParseSizes(t *testing.T) {
 
 func TestRunSingleExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-run", "fig6a"}, &buf); err != nil {
+	if err := run([]string{"-quick", "-run", "fig6a"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -47,7 +51,7 @@ func TestRunSingleExperiment(t *testing.T) {
 
 func TestRunMultipleExperiments(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-run", "fig6b,table4", "-seed", "3"}, &buf); err != nil {
+	if err := run([]string{"-quick", "-run", "fig6b,table4", "-seed", "3"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -58,7 +62,7 @@ func TestRunMultipleExperiments(t *testing.T) {
 
 func TestRunTableWithCustomSizes(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-run", "table6", "-sizes", "10", "-pop", "16", "-gens", "6"}, &buf); err != nil {
+	if err := run([]string{"-quick", "-run", "table6", "-sizes", "10", "-pop", "16", "-gens", "6"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "TABLE VI") {
@@ -68,7 +72,7 @@ func TestRunTableWithCustomSizes(t *testing.T) {
 
 func TestRunWithJobs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-run", "fig9", "-jobs", "4"}, &buf); err != nil {
+	if err := run([]string{"-quick", "-run", "fig9", "-jobs", "4"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Fig. 9") {
@@ -78,87 +82,42 @@ func TestRunWithJobs(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-run", "fig99"}, &buf); err == nil {
+	if err := run([]string{"-run", "fig99"}, &buf, io.Discard); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunBadSizes(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-sizes", "abc"}, &buf); err == nil {
+	if err := run([]string{"-sizes", "abc"}, &buf, io.Discard); err == nil {
 		t.Fatal("bad sizes accepted")
 	}
 }
 
-// workerProc is an in-process clrearlyd worker for the distributed golden
-// test: a real service.Server behind httptest, killable (502 + running
-// jobs aborted) and resurrectable behind the same URL.
-type workerProc struct {
-	srv *httptest.Server
-
-	mu      sync.Mutex
-	inner   *service.Server
-	submits int
-	// killAtSubmit kills the worker right after it accepts the n-th job
-	// (1-based); 0 disables.
-	killAtSubmit int
-}
-
-func newWorkerProc(t *testing.T) *workerProc {
+// startAgent runs a gateway agent named name against the gateway at url
+// until the test ends; exec nil runs specs with service.Execute.
+func startAgent(t *testing.T, url, name string, exec gateway.ExecFunc) *gateway.Agent {
 	t.Helper()
-	p := &workerProc{inner: service.New(service.Config{Workers: 2})}
-	p.srv = httptest.NewServer(p)
-	t.Cleanup(func() {
-		p.kill()
-		p.srv.Close()
+	a, err := gateway.NewAgent(gateway.AgentConfig{
+		Gateway: url, Name: name, PollTimeout: 100 * time.Millisecond, Exec: exec,
 	})
-	return p
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); a.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+	return a
 }
 
-func (p *workerProc) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	p.mu.Lock()
-	inner := p.inner
-	kill := false
-	if inner != nil && r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-		p.submits++
-		kill = p.killAtSubmit > 0 && p.submits == p.killAtSubmit
-	}
-	p.mu.Unlock()
-	if inner == nil {
-		http.Error(w, "worker down", http.StatusBadGateway)
-		return
-	}
-	inner.ServeHTTP(w, r)
-	if kill {
-		p.kill()
-	}
-}
-
-func (p *workerProc) kill() {
-	p.mu.Lock()
-	inner := p.inner
-	p.inner = nil
-	p.mu.Unlock()
-	if inner != nil {
-		expired, cancel := context.WithCancel(context.Background())
-		cancel()
-		inner.Shutdown(expired)
-	}
-}
-
-func (p *workerProc) resurrect() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.inner == nil {
-		p.inner = service.New(service.Config{Workers: 2})
-	}
-}
-
-// TestDistributedRunMatchesLocalGolden pins the federation guarantee end
-// to end: the full CLI output of a distributed -quick sweep over two
-// in-process workers — one of which is killed right after accepting its
-// first job and resurrected mid-sweep — is byte-identical to the purely
-// local -jobs 4 run of the same arguments.
+// TestDistributedRunMatchesLocalGolden pins the remote-sweep guarantee end
+// to end: the full CLI output of a -remote -quick sweep through an
+// in-process gateway with two agents — one of which is killed while it
+// holds its first lease, and replaced under the same name 3 s later — is
+// byte-identical to the purely local -jobs 4 run of the same arguments.
+// Every cell must run remotely: the killed lease expires and is
+// redelivered, so a local fallback cannot make the test pass.
 func TestDistributedRunMatchesLocalGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed golden test runs the sweep twice")
@@ -167,28 +126,67 @@ func TestDistributedRunMatchesLocalGolden(t *testing.T) {
 		"-run", "fig7,table5,fig8", "-sizes", "10,12", "-jobs", "4"}
 
 	var local bytes.Buffer
-	if err := run(args, &local); err != nil {
+	if err := run(args, &local, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
-	w0, w1 := newWorkerProc(t), newWorkerProc(t)
-	w1.killAtSubmit = 1
-	revive := time.AfterFunc(3*time.Second, w1.resurrect)
-	defer revive.Stop()
-
-	var dist bytes.Buffer
-	if err := run(append(args, "-workers", w0.srv.URL+","+w1.srv.URL), &dist); err != nil {
+	g, err := gateway.New(gateway.Config{
+		Tenants:  []gateway.TenantConfig{{Name: "test", Key: "test-key"}},
+		LeaseTTL: 500 * time.Millisecond,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(local.Bytes(), dist.Bytes()) {
-		t.Fatalf("distributed output differs from local run:\n--- local ---\n%s\n--- distributed ---\n%s",
-			local.Bytes(), dist.Bytes())
+	srv := httptest.NewServer(g)
+	t.Cleanup(func() { srv.Close(); g.Close() })
+
+	startAgent(t, srv.URL, "w0", nil)
+	leased := make(chan struct{})
+	var once sync.Once
+	doomed := startAgent(t, srv.URL, "w1", func(ctx context.Context, _ *service.JobSpec, _ func(core.ProgressEvent)) (*core.Front, error) {
+		once.Do(func() { close(leased) })
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+
+	var remote, stderr bytes.Buffer
+	remoteURL := strings.Replace(srv.URL, "://", "://test-key@", 1)
+	runErr := make(chan error, 1)
+	go func() { runErr <- run(append(args, "-remote", remoteURL), &remote, &stderr) }()
+	select {
+	case <-leased:
+	case err := <-runErr:
+		t.Fatalf("sweep ended before w1 leased a job (err %v)", err)
 	}
-	w1.mu.Lock()
-	w1submits := w1.submits
-	w1.mu.Unlock()
-	if w1submits == 0 {
-		t.Fatal("worker kill path not exercised: w1 never accepted a job")
+	doomed.Kill()
+	select {
+	case err = <-runErr:
+	case <-time.After(3 * time.Second):
+		startAgent(t, srv.URL, "w1", nil)
+		err = <-runErr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if !bytes.Equal(local.Bytes(), remote.Bytes()) {
+		t.Fatalf("remote output differs from local run:\n--- local ---\n%s\n--- remote ---\n%s",
+			local.Bytes(), remote.Bytes())
+	}
+	if !regexp.MustCompile(`(?m)^remote: [1-9][0-9]* cells remote, 0 local fallback$`).Match(stderr.Bytes()) {
+		t.Fatalf("cells fell back to local or never ran remotely; stderr:\n%s", stderr.Bytes())
+	}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m gateway.MetricsWire
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Leases.Expired < 1 {
+		t.Fatalf("leases.expired = %d: the killed lease holder's job was never redelivered", m.Leases.Expired)
 	}
 }
 
@@ -196,7 +194,7 @@ func TestRunJSONExport(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/results.json"
 	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-run", "table4", "-json", path}, &buf); err != nil {
+	if err := run([]string{"-quick", "-run", "table4", "-json", path}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)

@@ -570,7 +570,7 @@ func Agnostic(inst *Instance, cfg RunConfig) (*Front, map[Layer]*Front, error) {
 // the merge step that turns the four single-layer fronts into the Agnostic
 // baseline. The filter preserves concatenation order, so the merged front
 // is identical whether the inputs were computed in-process or rebuilt from
-// their wire forms by a distributed coordinator.
+// their wire forms by a remote sweep.
 func MergeFronts(fronts ...*Front) *Front {
 	var all []Point
 	evals := 0

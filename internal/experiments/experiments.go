@@ -14,7 +14,7 @@ import (
 
 	"repro/internal/characterize"
 	"repro/internal/core"
-	"repro/internal/dist"
+	"repro/internal/gateway"
 	"repro/internal/pareto"
 	"repro/internal/platform"
 	"repro/internal/relmodel"
@@ -41,14 +41,15 @@ type Config struct {
 	// All per-cell seeds derive from Seed and results are merged in a
 	// fixed order, so output is byte-identical for every Jobs value.
 	Jobs int
-	// Remote, when non-nil, shards the system-level experiment cells
-	// (Fig. 7/8, TABLEs V/VI) across its clrearlyd workers. Each remote
-	// cell is a self-contained JobSpec reproducing the local instance from
-	// seeds, results merge in cell order, and every remote failure falls
-	// back to the cell's local closure — so output stays byte-identical to
-	// a purely local run. Experiments without a wire form (Fig. 10,
-	// TABLE VII, ablations, task-level studies) always run locally.
-	Remote *dist.Coordinator
+	// Remote, when non-nil, runs the system-level experiment cells
+	// (Fig. 7/8, TABLEs V/VI) through a gateway or daemon job API. Each
+	// remote cell is a self-contained JobSpec reproducing the local
+	// instance from seeds, results merge in cell order, and every remote
+	// failure falls back to the cell's local closure — so output stays
+	// byte-identical to a purely local run. Experiments without a wire
+	// form (Fig. 10, TABLE VII, ablations, task-level studies) always run
+	// locally.
+	Remote *gateway.Client
 	// Islands, MigrationEvery and Migrants switch every GA run into
 	// island mode (core.RunConfig semantics; all zero — the default —
 	// keeps the single-population engine and the canonical outputs).

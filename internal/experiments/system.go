@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/pareto"
 	"repro/internal/platform"
 	"repro/internal/relmodel"
@@ -63,15 +62,41 @@ func (c Config) systemSpec(method string, tasks, gens int, seed int64) *service.
 	}
 }
 
-// runCells executes experiment cells through the remote coordinator when
-// one is configured, and with the local sweep engine otherwise. Both paths
-// store results per cell and report the lowest-indexed cell error, so the
-// caller-visible outcome is identical.
-func (c Config) runCells(cells []dist.Cell) error {
-	if c.Remote != nil {
-		return c.Remote.Run(context.Background(), c.Jobs, cells)
+// cell is one system-level experiment run, in two forms that compute the
+// same front: spec, its wire form for a remote run (nil pins the cell to
+// the local path), and local, the in-process run that is ground truth.
+// store receives the front; each cell stores into its own slot, and the
+// caller merges the slots in cell order after runCells returns.
+type cell struct {
+	spec  *service.JobSpec
+	local func() (*core.Front, error)
+	store func(*core.Front)
+}
+
+// runCells executes cells with the sweep engine, at most c.Jobs at once.
+// A cell with a spec goes through the remote client when one is
+// configured, and runs locally otherwise. Either way the lowest-indexed
+// cell error wins, so the caller-visible outcome is identical.
+func (c Config) runCells(cells []cell) error {
+	tasks := make([]func() error, len(cells))
+	for i := range cells {
+		cl := &cells[i]
+		tasks[i] = func() error {
+			var front *core.Front
+			var err error
+			if c.Remote != nil && cl.spec != nil {
+				front, err = c.Remote.Run(context.Background(), cl.spec, cl.local)
+			} else {
+				front, err = cl.local()
+			}
+			if err != nil {
+				return err
+			}
+			cl.store(front)
+			return nil
+		}
 	}
-	return dist.RunLocal(c.Jobs, cells)
+	return sweep.Run(c.Jobs, tasks)
 }
 
 // agnosticCells builds the four single-layer cells whose merged fronts
@@ -79,21 +104,21 @@ func (c Config) runCells(cells []dist.Cell) error {
 // (layer i runs at seed+i·1000) so the distributed decomposition is
 // byte-identical to the in-process call. Fronts land in out[0..3] in layer
 // order.
-func (c Config) agnosticCells(inst *core.Instance, tasks int, seed int64, out []*core.Front) []dist.Cell {
-	var cells []dist.Cell
+func (c Config) agnosticCells(inst *core.Instance, tasks int, seed int64, out []*core.Front) []cell {
+	var cells []cell
 	for i, layer := range core.Layers() {
 		i, layer := i, layer
 		layerCfg := c.run(seed + int64(i)*1000)
-		cells = append(cells, dist.Cell{
-			Spec: c.systemSpec(service.LayerMethod(layer), tasks, c.Gens, layerCfg.Seed),
-			Local: func() (*core.Front, error) {
+		cells = append(cells, cell{
+			spec: c.systemSpec(service.LayerMethod(layer), tasks, c.Gens, layerCfg.Seed),
+			local: func() (*core.Front, error) {
 				f, err := core.SingleLayer(inst, layerCfg, layer)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: %v-only run: %w", layer, err)
 				}
 				return f, nil
 			},
-			Store: func(f *core.Front) { out[i] = f },
+			store: func(f *core.Front) { out[i] = f },
 		})
 	}
 	return cells
@@ -135,16 +160,16 @@ func (c Config) fig7At(tasks int) (*Fig7Result, error) {
 	clrCfg.Gens *= 2
 	var clr *core.Front
 	layerFronts := make([]*core.Front, len(core.Layers()))
-	cells := []dist.Cell{{
-		Spec: c.systemSpec("proposed", tasks, clrCfg.Gens, clrCfg.Seed),
-		Local: func() (*core.Front, error) {
+	cells := []cell{{
+		spec: c.systemSpec("proposed", tasks, clrCfg.Gens, clrCfg.Seed),
+		local: func() (*core.Front, error) {
 			f, err := core.Proposed(inst, clrCfg, flib)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: CLR run: %w", err)
 			}
 			return f, nil
 		},
-		Store: func(f *core.Front) { clr = f },
+		store: func(f *core.Front) { clr = f },
 	}}
 	cells = append(cells, c.agnosticCells(inst, tasks, c.Seed+2, layerFronts)...)
 	if err := c.runCells(cells); err != nil {
@@ -201,19 +226,19 @@ func (c Config) Table5() (*Table5Result, error) {
 	// so their Markov-metric cache is shared too.
 	clrs := make([]*core.Front, len(c.Sizes))
 	layerFronts := make([][]*core.Front, len(c.Sizes))
-	var cells []dist.Cell
+	var cells []cell
 	for i, tasks := range c.Sizes {
 		i, tasks := i, tasks
 		inst := c.systemInstance(tasks)
 		// Equal total budgets, as in fig7At.
 		clrCfg := c.run(c.Seed + int64(tasks)*7 + 1)
 		clrCfg.Gens *= 2
-		cells = append(cells, dist.Cell{
-			Spec: c.systemSpec("proposed", tasks, clrCfg.Gens, clrCfg.Seed),
-			Local: func() (*core.Front, error) {
+		cells = append(cells, cell{
+			spec: c.systemSpec("proposed", tasks, clrCfg.Gens, clrCfg.Seed),
+			local: func() (*core.Front, error) {
 				return core.Proposed(inst, clrCfg, flib)
 			},
-			Store: func(f *core.Front) { clrs[i] = f },
+			store: func(f *core.Front) { clrs[i] = f },
 		})
 		layerFronts[i] = make([]*core.Front, len(core.Layers()))
 		cells = append(cells, c.agnosticCells(inst, tasks, c.Seed+int64(tasks)*7+2, layerFronts[i])...)
@@ -262,16 +287,16 @@ func (c Config) fig8At(tasks int) (*Fig8Result, error) {
 	}
 	var fc, prop *core.Front
 	fcCfg, propCfg := c.run(c.Seed+3), c.run(c.Seed+4)
-	err = c.runCells([]dist.Cell{
+	err = c.runCells([]cell{
 		{
-			Spec:  c.systemSpec("fcclr", tasks, c.Gens, fcCfg.Seed),
-			Local: func() (*core.Front, error) { return core.FcCLR(inst, fcCfg) },
-			Store: func(f *core.Front) { fc = f },
+			spec:  c.systemSpec("fcclr", tasks, c.Gens, fcCfg.Seed),
+			local: func() (*core.Front, error) { return core.FcCLR(inst, fcCfg) },
+			store: func(f *core.Front) { fc = f },
 		},
 		{
-			Spec:  c.systemSpec("proposed", tasks, c.Gens, propCfg.Seed),
-			Local: func() (*core.Front, error) { return core.Proposed(inst, propCfg, flib) },
-			Store: func(f *core.Front) { prop = f },
+			spec:  c.systemSpec("proposed", tasks, c.Gens, propCfg.Seed),
+			local: func() (*core.Front, error) { return core.Proposed(inst, propCfg, flib) },
+			store: func(f *core.Front) { prop = f },
 		},
 	})
 	if err != nil {
@@ -318,22 +343,22 @@ func (c Config) Table6() (*Table6Result, error) {
 	out := &Table6Result{Sizes: c.Sizes}
 	fcs := make([]*core.Front, len(c.Sizes))
 	props := make([]*core.Front, len(c.Sizes))
-	var cells []dist.Cell
+	var cells []cell
 	for i, tasks := range c.Sizes {
 		i, tasks := i, tasks
 		inst := c.systemInstance(tasks)
 		fcCfg := c.run(c.Seed + int64(tasks)*11 + 1)
 		propCfg := c.run(c.Seed + int64(tasks)*11 + 2)
 		cells = append(cells,
-			dist.Cell{
-				Spec:  c.systemSpec("fcclr", tasks, c.Gens, fcCfg.Seed),
-				Local: func() (*core.Front, error) { return core.FcCLR(inst, fcCfg) },
-				Store: func(f *core.Front) { fcs[i] = f },
+			cell{
+				spec:  c.systemSpec("fcclr", tasks, c.Gens, fcCfg.Seed),
+				local: func() (*core.Front, error) { return core.FcCLR(inst, fcCfg) },
+				store: func(f *core.Front) { fcs[i] = f },
 			},
-			dist.Cell{
-				Spec:  c.systemSpec("proposed", tasks, c.Gens, propCfg.Seed),
-				Local: func() (*core.Front, error) { return core.Proposed(inst, propCfg, flib) },
-				Store: func(f *core.Front) { props[i] = f },
+			cell{
+				spec:  c.systemSpec("proposed", tasks, c.Gens, propCfg.Seed),
+				local: func() (*core.Front, error) { return core.Proposed(inst, propCfg, flib) },
+				store: func(f *core.Front) { props[i] = f },
 			},
 		)
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/service"
 )
 
@@ -49,7 +48,7 @@ type AgentConfig struct {
 type Agent struct {
 	cfg     AgentConfig
 	client  *http.Client
-	backoff *dist.Backoff
+	backoff *backoff
 
 	killed atomic.Bool        // hard-death simulation: abandon everything silently
 	cancel context.CancelFunc // cancels the Run loop and any in-flight job
@@ -79,7 +78,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	return &Agent{
 		cfg:     cfg,
 		client:  client,
-		backoff: dist.NewBackoff(0, 0),
+		backoff: newBackoff(),
 	}, nil
 }
 
@@ -102,7 +101,7 @@ func (a *Agent) Run(ctx context.Context) {
 				return
 			}
 			attempt++
-			a.backoff.Sleep(ctx, attempt)
+			a.backoff.sleep(ctx, attempt)
 			continue
 		}
 		attempt = 0

@@ -39,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -506,8 +505,8 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	service.WriteJobList(w, jobs)
 }
 
-// handleWait is the daemon's /wait, so dist.Coordinator can front a
-// gateway unchanged.
+// handleWait is the daemon's /wait, so a Client can front a gateway or a
+// single daemon alike.
 func (g *Gateway) handleWait(w http.ResponseWriter, r *http.Request) {
 	if j := g.lookup(w, r); j != nil {
 		service.ServeWait(w, r, j.Job)
@@ -554,8 +553,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// probeLoop health-checks workers that advertise an address, reusing the
-// sweep federation's probe helper.
+// probeLoop health-checks workers that advertise an address.
 func (g *Gateway) probeLoop() {
 	defer g.loopsWG.Done()
 	t := time.NewTicker(g.cfg.ProbeEvery)
@@ -582,7 +580,7 @@ func (g *Gateway) probeLoop() {
 			wg.Add(1)
 			go func(name, addr string) {
 				defer wg.Done()
-				ok := dist.Probe(g.cfg.Client, addr, timeout)
+				ok := probe(g.cfg.Client, addr, timeout)
 				resMu.Lock()
 				results[name] = ok
 				resMu.Unlock()

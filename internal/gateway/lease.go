@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/service"
 )
 
@@ -169,7 +168,7 @@ func (g *Gateway) touchWorker(name, addr string) {
 	}
 	wi.lastSeen = time.Now()
 	if addr != "" {
-		wi.addr = dist.NormalizeURL(addr)
+		wi.addr = normalizeURL(addr)
 	}
 	g.mu.Unlock()
 }

@@ -208,12 +208,6 @@ func (pt *PEType) EtaHours(tempC float64) float64 {
 	return pt.EtaRefHours * accel
 }
 
-// MTTFHours returns the mean time to failure η·Γ(1 + 1/β) for continuous
-// operation at the given temperature (Eq. 2 of the paper).
-func (pt *PEType) MTTFHours(tempC float64) float64 {
-	return pt.EtaHours(tempC) * math.Gamma(1+1/pt.WeibullBeta)
-}
-
 func (pt *PEType) checkMode(m int) {
 	if m < 0 || m >= len(pt.Modes) {
 		panic(fmt.Sprintf("platform: PE type %q has no mode %d", pt.Name, m))

@@ -57,25 +57,6 @@ func TestDefaultCatalogNoneFirst(t *testing.T) {
 	}
 }
 
-func TestGenericConstructors(t *testing.T) {
-	m := GenM(0.5, 1.1, 1.3)
-	if m.Masking != 0.5 || m.TimeFactor != 1.1 || m.PowerFactor != 1.3 {
-		t.Fatal("GenM fields wrong")
-	}
-	d := GenD(0.9, 0.05)
-	if d.DetectionCoverage != 0.9 || d.ToleranceCoverage != 0 {
-		t.Fatal("GenD fields wrong")
-	}
-	tl := GenT(0.9, 0.95, 3, 0.05, 0.04, 0.03)
-	if tl.Checkpoints != 3 || tl.ToleranceCoverage != 0.95 {
-		t.Fatal("GenT fields wrong")
-	}
-	a := GenMASW(0.6, 1.4)
-	if a.Masking != 0.6 || a.TimeFactor != 1.4 {
-		t.Fatal("GenMASW fields wrong")
-	}
-}
-
 func TestNumConfigs(t *testing.T) {
 	c := DefaultCatalog()
 	if got := c.NumConfigs(3); got != 3*4*4*4 {

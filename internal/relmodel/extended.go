@@ -3,8 +3,8 @@ package relmodel
 // ExtendedCatalog returns a richer method set than DefaultCatalog — the
 // additional named techniques a designer would want available in a real
 // early-stage exploration. Parameters are representative values from the
-// fault-tolerance literature, expressed in the same GenM/GenD/GenT terms as
-// the default methods:
+// fault-tolerance literature, expressed in the same masking, detection,
+// tolerance and checkpoint parameters as the default methods:
 //
 //	HW:  DMR-with-retry (duplication detects, re-execution corrects, so it
 //	     appears as partial masking with a time penalty), full lockstep TMR.

@@ -125,7 +125,7 @@ func TestEffectiveFootprint(t *testing.T) {
 		t.Fatal("combined footprint should exceed both single effects")
 	}
 	// Zero MemFactor means "default 1".
-	gen := GenMASW(0.5, 1.3)
+	gen := ASWMethod{Name: "no-mem-factor", Masking: 0.5, TimeFactor: 1.3}
 	cat2 := DefaultCatalog()
 	cat2.ASW = append(cat2.ASW, gen)
 	if got := EffectiveFootprintKB(im, Assignment{ASW: 4}, cat2); got != 100 {

@@ -85,52 +85,6 @@ type ASWMethod struct {
 	MemFactor float64
 }
 
-// The generic tunable methods of §VI.A: GenM, GenD and GenT model arbitrary
-// masking, detection and tolerance methods.
-
-// GenM returns a generic masking method for the hardware layer with the
-// given masking probability and time/power overhead factors.
-func GenM(masking, timeFactor, powerFactor float64) HWMethod {
-	return HWMethod{
-		Name:        fmt.Sprintf("GenM(%.2f)", masking),
-		Masking:     masking,
-		TimeFactor:  timeFactor,
-		PowerFactor: powerFactor,
-	}
-}
-
-// GenD returns a generic detection-only method at the system software layer.
-func GenD(coverage, detTimeFrac float64) SSWMethod {
-	return SSWMethod{
-		Name:              fmt.Sprintf("GenD(%.2f)", coverage),
-		DetectionCoverage: coverage,
-		DetectionTimeFrac: detTimeFrac,
-	}
-}
-
-// GenT returns a generic detection+tolerance method at the system software
-// layer with the given number of checkpoints.
-func GenT(coverage, tolerance float64, checkpoints int, detFrac, tolFrac, chkFrac float64) SSWMethod {
-	return SSWMethod{
-		Name:               fmt.Sprintf("GenT(%.2f,%.2f,%d)", coverage, tolerance, checkpoints),
-		DetectionCoverage:  coverage,
-		DetectionTimeFrac:  detFrac,
-		ToleranceCoverage:  tolerance,
-		ToleranceTimeFrac:  tolFrac,
-		Checkpoints:        checkpoints,
-		CheckpointTimeFrac: chkFrac,
-	}
-}
-
-// GenMASW returns a generic information-redundancy masking method.
-func GenMASW(masking, timeFactor float64) ASWMethod {
-	return ASWMethod{
-		Name:       fmt.Sprintf("GenMASW(%.2f)", masking),
-		Masking:    masking,
-		TimeFactor: timeFactor,
-	}
-}
-
 // Catalog holds the selectable methods of each layer. Index 0 of each layer
 // is by convention the "none" method (no redundancy, no overhead).
 type Catalog struct {

@@ -47,8 +47,8 @@ func DecodeSpec(w http.ResponseWriter, r *http.Request, maxBytes int64) (JobSpec
 // ServeWait is the long-poll companion of a status read: it blocks until
 // the job reaches a terminal state or the "timeout" query parameter
 // (default 30s, capped at 5m) elapses, then responds with the job's wire
-// status. Remote sweep coordinators use it to await cells without busy
-// polling.
+// status. The remote-sweep client (gateway.Client) uses it to await cells
+// without busy polling.
 func ServeWait(w http.ResponseWriter, r *http.Request, j *Job) {
 	d := 30 * time.Second
 	if raw := r.URL.Query().Get("timeout"); raw != "" {

@@ -45,7 +45,7 @@ type JobSpec struct {
 	// GraphSeed overrides the seed of the synthetic task-graph generator
 	// (0: derive from Seed, as before). LibSeed likewise overrides the seed
 	// of the synthetic characterization library (0: Seed+500). They let a
-	// distributed sweep coordinator reproduce the exact experiment-harness
+	// remote experiment sweep reproduce the exact experiment-harness
 	// instances, whose graph and library seeds differ from the GA seed.
 	GraphSeed int64 `json:"graph_seed,omitempty"`
 	LibSeed   int64 `json:"lib_seed,omitempty"`

@@ -35,8 +35,8 @@ type FrontWire struct {
 // FrontToWire converts a core front into its wire form. Points keep the
 // archive order of the run that produced them: runs are deterministic per
 // normalized spec, so the archive order — and with it the serialized bytes
-// — is canonical, and preserving it lets a distributed coordinator
-// reconstruct the exact front a local run would have produced. (A
+// — is canonical, and preserving it lets a remote sweep reconstruct the
+// exact front a local run would have produced. (A
 // re-sorting pass would also be unstable under duplicate QoS vectors.)
 func FrontToWire(f *core.Front) *FrontWire {
 	out := &FrontWire{Evaluations: f.Evaluations, Points: make([]PointWire, 0, len(f.Points))}
