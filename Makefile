@@ -66,9 +66,9 @@ bench-sweep:
 # (MarkovAnalyze), one task evaluation (TaskEvaluate), one task type's
 # tDSE (TDSEExplore), one list schedule with its Eq. 1–4 reduction
 # (ScheduleEvaluator*), one whole-mapping evaluation (EvaluateMapping*),
-# fcCLR runs against a cold and a warm fitness cache (FitnessCache*), with
-# delta evaluation on and off (internal/core DeltaEval*), and the engine
-# runs (internal/moea GARun on a synthetic problem, MOEADSobel).
+# fcCLR runs with delta evaluation on and off (internal/core DeltaEval*),
+# and the engine runs (internal/moea GARun on a synthetic problem,
+# MOEADSobel).
 # Both snapshot and gate take best-of-3 per benchmark (-count=3, collapsed
 # to the fastest run by benchsnap): preemption and VM CPU steal only ever
 # add time, so the minimum is the robust timing estimate. The suite
@@ -81,7 +81,7 @@ BENCH_KERNELS := NonDominatedSort|UpdateArchive|Crowding
 BENCH_SUITE_CMD = $(GO) test -run '^$$' -bench 'Sweep|Fig|Table' -benchmem -benchtime 1x -count 3 .
 BENCH_LAYER_CMD = $(GO) test -run '^$$' -bench 'ChainSolve' -benchmem -benchtime 20000x -count 3 ./internal/relmodel && \
 	$(GO) test -run '^$$' -bench '^Benchmark(MarkovAnalyze|TaskEvaluate|ScheduleEvaluator(Sobel|50)|EvaluateMapping(Sobel|Synthetic))$$' -benchmem -benchtime 20000x -count 3 . && \
-	$(GO) test -run '^$$' -bench '^Benchmark(TDSEExplore|FitnessCache(Cold|Warm)|MOEADSobel)$$' -benchmem -benchtime 50x -count 3 . && \
+	$(GO) test -run '^$$' -bench '^Benchmark(TDSEExplore|MOEADSobel)$$' -benchmem -benchtime 50x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkDeltaEval(On|Off)$$' -benchmem -benchtime 20x -count 3 ./internal/core && \
 	$(GO) test -run '^$$' -bench '^BenchmarkGARun$$' -benchmem -benchtime 100x -count 3 ./internal/moea && \
 	$(GO) test -run '^$$' -bench '^BenchmarkEvaluatorGroupedByPE$$' -benchmem -benchtime 5000x -count 3 ./internal/schedule

@@ -32,8 +32,8 @@
 //	GET    /v1/jobs/{id}/events SSE stream of per-generation progress
 //	DELETE /v1/jobs/{id}        cancel (queued or running)
 //	GET    /healthz             liveness probe
-//	GET    /metrics             jobs by state, queue depth, result- and
-//	                            fitness-cache hit rates, per-method
+//	GET    /metrics             jobs by state, queue depth, result-cache
+//	                            hit rate, evaluation counters, per-method
 //	                            latency histograms, store gauges
 //
 // -pprof serves net/http/pprof (goroutine, heap, CPU profiles) on a

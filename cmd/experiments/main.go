@@ -81,16 +81,11 @@ func run(args []string, w, errw io.Writer) error {
 		return err
 	}
 
-	// The cache and acceleration summaries go to stderr: stdout is
-	// golden-compared across cache configurations and worker counts.
+	// The acceleration and selection summaries go to stderr: stdout is
+	// golden-compared across worker counts.
 	// Registered before the profiling setup so the counters are reported
 	// even when the run aborts on a profile error or mid-experiment.
 	defer func() {
-		t := core.FitnessCacheTotals()
-		if t.Hits+t.Misses+t.Bypasses > 0 {
-			fmt.Fprintf(errw, "fitness cache: %d hits, %d misses, %d bypasses, %d evictions (hit rate %.1f%%)\n",
-				t.Hits, t.Misses, t.Bypasses, t.Evictions, 100*t.HitRate())
-		}
 		a := core.AccelTotals()
 		if a.DeltaParentReuse+a.DeltaPrefixRuns+a.DeltaFullRuns+a.ProxyEvals+a.PairedSolves+a.SoloSolves > 0 {
 			fmt.Fprintf(errw, "eval accel: delta %d reused / %d prefix / %d full, %d metrics reused, %d batch-warmed; surrogate %d proxied / %d screened out; chain solves %d paired / %d solo\n",

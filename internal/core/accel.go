@@ -11,8 +11,7 @@ import (
 // how often the delta evaluator reused its parent outright, replayed a
 // schedule prefix, or fell back to a full run; how many per-task metric
 // decodes were skipped; and how many cache entries batch preparation
-// warmed. They are monotone totals across all instances, like the
-// fitness-cache counters.
+// warmed. They are monotone totals across all instances.
 var accelCounters struct {
 	deltaParentReuse atomic.Uint64
 	deltaPrefixRuns  atomic.Uint64

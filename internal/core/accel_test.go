@@ -3,9 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/moea"
 	"repro/internal/pareto"
+	"repro/internal/schedule"
 )
 
 // runMethod dispatches one named strategy under cfg, returning the union
@@ -57,20 +63,149 @@ func TestDeltaOnOffByteIdenticalFronts(t *testing.T) {
 	}
 }
 
-// TestDeltaOnOffIdenticalOnSynthetic repeats the contract on a larger
-// synthetic instance where communication volumes and memory footprints are
-// non-trivial, so prefix replay and suffix recompute both carry weight.
+// TestDeltaOnOffIdenticalOnSynthetic repeats the contract on larger
+// instances and both engines: a synthetic graph where communication
+// volumes and memory footprints are non-trivial, so prefix replay and
+// suffix recompute both carry weight, plus the two-stage Sobel run and a
+// 60-task pfCLR run. Each side runs on its own instance, so no evaluation
+// state is shared between them, and reflect.DeepEqual compares the whole
+// Front, Evaluations included.
 func TestDeltaOnOffIdenticalOnSynthetic(t *testing.T) {
+	synComm := func() *Instance {
+		inst := synInstance(18, 23)
+		inst.Comm.StartupUS = 4
+		inst.Comm.PerKBUS = 0.3
+		return inst
+	}
+	syn60 := func() *Instance { return synInstance(60, 3) }
+	cases := []struct {
+		name   string
+		inst   func() *Instance
+		method string
+		cfg    RunConfig
+	}{
+		{"synthetic18comm/proposed/nsga2", synComm, "proposed", RunConfig{Pop: 24, Gens: 10, Seed: 23}},
+		{"sobel/proposed/nsga2", sobelInstance, "proposed", RunConfig{Pop: 24, Gens: 12, Seed: 42}},
+		{"sobel/proposed/moead", sobelInstance, "proposed", RunConfig{Pop: 24, Gens: 12, Seed: 42, Engine: MOEAD}},
+		{"synthetic60/pfclr/nsga2", syn60, "pfclr", RunConfig{Pop: 24, Gens: 12, Seed: 42}},
+		{"synthetic60/pfclr/moead", syn60, "pfclr", RunConfig{Pop: 24, Gens: 12, Seed: 42, Engine: MOEAD}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			on := runMethod(t, c.method, c.inst(), c.cfg)
+			cfg := c.cfg
+			cfg.DisableDelta = true
+			off := runMethod(t, c.method, c.inst(), cfg)
+			if !reflect.DeepEqual(on, off) {
+				t.Fatalf("delta evaluation changed the front:\non:  %d evals %s\noff: %d evals %s",
+					on.Evaluations, frontBytes(t, on), off.Evaluations, frontBytes(t, off))
+			}
+		})
+	}
+}
+
+// TestSameDecisionBitwise checks the delta evaluator's change test: equal
+// decodes compare equal, and a change to the PE, any metric field, the
+// footprint, or even the sign of a zero is a change.
+func TestSameDecisionBitwise(t *testing.T) {
+	p := newFCProblem(sobelInstance(), allFree)
+	rng := rand.New(rand.NewSource(5))
+	g := randomGenomeFor(p, rng)
+	a := p.decodeDecision(0, g.Genes[0])
+	b := p.decodeDecision(0, g.Genes[0])
+	if !sameDecision(&a, &b) {
+		t.Fatal("one gene decoded to different decisions")
+	}
+	for name, edit := range map[string]func(d *schedule.TaskDecision){
+		"pe":      func(d *schedule.TaskDecision) { d.PE++ },
+		"eta":     func(d *schedule.TaskDecision) { d.Metrics.EtaHours *= 2 },
+		"minex":   func(d *schedule.TaskDecision) { d.Metrics.MinExTimeUS++ },
+		"avgex":   func(d *schedule.TaskDecision) { d.Metrics.AvgExTimeUS++ },
+		"errprob": func(d *schedule.TaskDecision) { d.Metrics.ErrProb /= 2 },
+		"mttf":    func(d *schedule.TaskDecision) { d.Metrics.MTTFHours++ },
+		"power":   func(d *schedule.TaskDecision) { d.Metrics.PowerW++ },
+		"energy":  func(d *schedule.TaskDecision) { d.Metrics.EnergyUJ++ },
+		"temp":    func(d *schedule.TaskDecision) { d.Metrics.TempC++ },
+		"mem":     func(d *schedule.TaskDecision) { d.MemKB++ },
+		"negzero": func(d *schedule.TaskDecision) { d.MemKB = math.Copysign(0, -1) },
+	} {
+		c := a
+		c.MemKB = 0
+		d := c
+		edit(&d)
+		if sameDecision(&c, &d) {
+			t.Errorf("%s: changed decision compared equal", name)
+		}
+	}
+}
+
+// TestReplayStateNotAliased delta-evaluates children against one parent
+// record — with the order kept (prefix replay) and with it changed (full
+// run) — and checks the parent's record is unchanged bit for bit, and each
+// child's evaluation equals a from-scratch one.
+func TestReplayStateNotAliased(t *testing.T) {
 	inst := synInstance(18, 23)
 	inst.Comm.StartupUS = 4
 	inst.Comm.PerKBUS = 0.3
-	cfg := RunConfig{Pop: 24, Gens: 10, Seed: 23}
-	on := frontBytes(t, runMethod(t, "proposed", inst, cfg))
-	cfg.DisableDelta = true
-	off := frontBytes(t, runMethod(t, "proposed", inst, cfg))
-	if on != off {
-		t.Fatal("delta evaluation changed the synthetic-instance front")
+	p := newFCProblem(inst, allFree)
+	ev := p.NewEvaluator().(*coreEvaluator)
+	rng := rand.New(rand.NewSource(9))
+	parent := randomGenomeFor(p, rng)
+	_, st := ev.EvaluateDelta(parent, nil, nil)
+	rec := st.(*replayState)
+	want := fmt.Sprintf("%v|%v", rec.decisions, replayBits(rec))
+
+	for _, reorder := range []bool{false, true} {
+		child := parent.Clone()
+		// Change the decision of the task scheduled last but one, so a
+		// same-order child replays a long prefix.
+		task := child.Order[len(child.Order)-2]
+		before := p.decodeDecision(task, child.Genes[task])
+		for {
+			child.Genes[task] = p.MutateGene(rng, task, child.Genes[task])
+			after := p.decodeDecision(task, child.Genes[task])
+			if !sameDecision(&before, &after) {
+				break
+			}
+		}
+		if reorder {
+			child.Order = rng.Perm(len(child.Order))
+		}
+		got, cst := ev.EvaluateDelta(child, parent, rec)
+		crec := cst.(*replayState)
+		if crec == rec || &crec.decisions[0] == &rec.decisions[0] {
+			t.Fatalf("reorder=%v: child shares the parent's record", reorder)
+		}
+		if full := p.Evaluate(child); !reflect.DeepEqual(got, full) {
+			t.Fatalf("reorder=%v: delta %+v, full %+v", reorder, got, full)
+		}
+		if now := fmt.Sprintf("%v|%v", rec.decisions, replayBits(rec)); now != want {
+			t.Fatalf("reorder=%v: parent record changed by a child's evaluation", reorder)
+		}
 	}
+}
+
+// replayBits renders a record's captured times as exact bit patterns.
+func replayBits(r *replayState) string {
+	var sb strings.Builder
+	fmt.Fprint(&sb, r.times.Seq)
+	for _, v := range append(append([]float64(nil), r.times.StartUS...), r.times.EndUS...) {
+		fmt.Fprintf(&sb, " %x", math.Float64bits(v))
+	}
+	for _, v := range r.eval.Objectives {
+		fmt.Fprintf(&sb, " %x", math.Float64bits(v))
+	}
+	fmt.Fprintf(&sb, " %x", math.Float64bits(r.eval.Violation))
+	return sb.String()
+}
+
+func randomGenomeFor(p *fcProblem, rng *rand.Rand) *moea.Genome {
+	n := p.NumTasks()
+	g := &moea.Genome{Order: rng.Perm(n)}
+	for t := 0; t < n; t++ {
+		g.Genes = append(g.Genes, p.RandomGene(rng, t))
+	}
+	return g
 }
 
 // TestDeltaResumeByteIdentical interrupts a delta-evaluated Proposed run

@@ -125,14 +125,27 @@ func (in *Instance) MetricsCacheStats() CacheStats {
 	return in.sharedMetrics().stats()
 }
 
+// FitnessCacheStats is the counter shape of the retired genome-level
+// fitness cache. It remains only because the cmd/clrbench benchmark
+// module, which is versioned apart from the engine, still reads it for its
+// core.fitness_hit_ratio row; that row now reads 0.
+type FitnessCacheStats struct {
+	Hits, Misses, Bypasses uint64
+}
+
+// FitnessCacheStats returns the zero value: no genome-level fitness cache
+// exists any more (see FitnessCacheStats).
+func (in *Instance) FitnessCacheStats() FitnessCacheStats {
+	return FitnessCacheStats{}
+}
+
 // WithPlatform returns a copy of the instance bound to a different platform
-// and fresh metric/fitness caches. Task metrics depend on the PE type's
+// and a fresh metric cache. Task metrics depend on the PE type's
 // fault rates and DVFS modes, so a derived environment (e.g. a scenario
 // with scaled SEU rates) must not share cached values with its parent.
 func (in *Instance) WithPlatform(p *platform.Platform) *Instance {
 	out := *in
 	out.Platform = p
 	out.metrics = nil
-	out.fitness = nil
 	return &out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/moea"
 	"repro/internal/schedule"
@@ -15,7 +16,6 @@ type problemCore interface {
 	moea.Problem
 	instance() *Instance
 	sysObjs() []SystemObjective
-	fitCache() *fitnessCache
 	// decodeDecision resolves one task's gene into its schedule decision.
 	decodeDecision(task int, g moea.Gene) schedule.TaskDecision
 }
@@ -34,91 +34,61 @@ func decisionsIntoCore(p problemCore, dst []schedule.TaskDecision, g *moea.Genom
 	return dst
 }
 
-// Key layout (see appendFitnessKey): word 0 is the task count n, words
-// [1, 1+n) the priority permutation, then 10 words per task — the PE id
-// followed by the 8 metric fields and the footprint as float64 bits.
-const decisionWords = 10
-
-func decisionBase(n, task int) int { return 1 + n + decisionWords*task }
-
-// encodeDecision writes the 10-word canonical encoding of one decision,
-// mirroring appendFitnessKey's per-task block exactly.
-func encodeDecision(dst *[decisionWords]uint64, d schedule.TaskDecision) {
-	dst[0] = uint64(d.PE)
-	dst[1] = math.Float64bits(d.Metrics.EtaHours)
-	dst[2] = math.Float64bits(d.Metrics.MinExTimeUS)
-	dst[3] = math.Float64bits(d.Metrics.AvgExTimeUS)
-	dst[4] = math.Float64bits(d.Metrics.ErrProb)
-	dst[5] = math.Float64bits(d.Metrics.MTTFHours)
-	dst[6] = math.Float64bits(d.Metrics.PowerW)
-	dst[7] = math.Float64bits(d.Metrics.EnergyUJ)
-	dst[8] = math.Float64bits(d.Metrics.TempC)
-	dst[9] = math.Float64bits(d.MemKB)
+// sameDecision reports whether two decisions are bitwise equal in every
+// field the schedule reads: the PE, the metric fields and the footprint.
+func sameDecision(a, b *schedule.TaskDecision) bool {
+	bits := math.Float64bits
+	return a.PE == b.PE &&
+		bits(a.Metrics.EtaHours) == bits(b.Metrics.EtaHours) &&
+		bits(a.Metrics.MinExTimeUS) == bits(b.Metrics.MinExTimeUS) &&
+		bits(a.Metrics.AvgExTimeUS) == bits(b.Metrics.AvgExTimeUS) &&
+		bits(a.Metrics.ErrProb) == bits(b.Metrics.ErrProb) &&
+		bits(a.Metrics.MTTFHours) == bits(b.Metrics.MTTFHours) &&
+		bits(a.Metrics.PowerW) == bits(b.Metrics.PowerW) &&
+		bits(a.Metrics.EnergyUJ) == bits(b.Metrics.EnergyUJ) &&
+		bits(a.Metrics.TempC) == bits(b.Metrics.TempC) &&
+		bits(a.MemKB) == bits(b.MemKB)
 }
 
-// decisionsFromKey reconstructs the decision slice a key encodes. Bit
-// patterns round-trip exactly, so the reconstruction is bit-identical to
-// the decisions the key was built from.
-func decisionsFromKey(dst []schedule.TaskDecision, key []uint64) []schedule.TaskDecision {
-	n := int(key[0])
-	if cap(dst) < n {
-		dst = make([]schedule.TaskDecision, n)
-	}
-	dst = dst[:n]
-	for t := 0; t < n; t++ {
-		b := key[decisionBase(n, t):]
-		d := &dst[t]
-		d.PE = int(b[0])
-		d.Metrics.EtaHours = math.Float64frombits(b[1])
-		d.Metrics.MinExTimeUS = math.Float64frombits(b[2])
-		d.Metrics.AvgExTimeUS = math.Float64frombits(b[3])
-		d.Metrics.ErrProb = math.Float64frombits(b[4])
-		d.Metrics.MTTFHours = math.Float64frombits(b[5])
-		d.Metrics.PowerW = math.Float64frombits(b[6])
-		d.Metrics.EnergyUJ = math.Float64frombits(b[7])
-		d.Metrics.TempC = math.Float64frombits(b[8])
-		d.MemKB = math.Float64frombits(b[9])
-	}
-	return dst
+// replayState is the delta-evaluation replay state of one evaluated genome
+// (the opaque state coreEvaluator.EvaluateDelta returns): the decoded
+// schedule inputs, the evaluation, and the captured schedule times. A
+// record is immutable once returned, so offspring may share it. It costs
+// ≈ 88·n bytes of decisions plus ≈ 20·n bytes of times per live genome.
+type replayState struct {
+	decisions []schedule.TaskDecision
+	eval      moea.Evaluation
+	times     schedule.SeqTimes
 }
 
 // coreEvaluator is the per-worker evaluation scratch shared by both
 // problem formulations: a reusable decision buffer, a reusable schedule
-// evaluator, the fitness-cache key scratch and the delta change mask. It
-// implements moea.DeltaEvaluator; delta evaluation is exact — every path
-// produces bit-identical evaluations to Evaluate.
+// evaluator and the delta change mask. It implements moea.DeltaEvaluator;
+// delta evaluation is exact — every path produces bit-identical
+// evaluations to Evaluate.
 type coreEvaluator struct {
 	p         problemCore
 	sched     *schedule.Evaluator
 	decisions []schedule.TaskDecision
-	key       []uint64
 	changed   []bool
 }
 
 func (e *coreEvaluator) Evaluate(g *moea.Genome) moea.Evaluation {
 	e.decisions = decisionsIntoCore(e.p, e.decisions, g)
-	fit := e.p.fitCache()
-	if fit == nil {
-		return e.run(g.Order, nil, nil)
-	}
-	e.key = appendFitnessKey(e.key[:0], g.Order, e.decisions)
-	return fit.lookup(fitnessHash(e.key), e.key, func() ([]float64, float64) {
-		ev := e.run(g.Order, nil, nil)
-		return ev.Objectives, ev.Violation
-	})
+	return e.run(g.Order, e.decisions, nil, nil)
 }
 
-// run schedules the already-decoded decisions and derives the evaluation,
+// run schedules the decoded decisions and derives the evaluation,
 // capturing the replay artifact when capture is non-nil. A non-nil prev
 // replays that schedule's prefix up to the first task set in e.changed.
-func (e *coreEvaluator) run(order []int, prev, capture *schedule.SeqTimes) moea.Evaluation {
+func (e *coreEvaluator) run(order []int, decisions []schedule.TaskDecision, prev, capture *schedule.SeqTimes) moea.Evaluation {
 	inst := e.p.instance()
 	var res *schedule.Result
 	var err error
 	if prev != nil {
-		res, err = e.sched.RunWithCommDelta(inst.Graph, inst.Platform, order, e.decisions, inst.Comm, prev, e.changed, capture)
+		res, err = e.sched.RunWithCommDelta(inst.Graph, inst.Platform, order, decisions, inst.Comm, prev, e.changed, capture)
 	} else {
-		res, err = e.sched.RunWithCommCapture(inst.Graph, inst.Platform, order, e.decisions, inst.Comm, capture)
+		res, err = e.sched.RunWithCommCapture(inst.Graph, inst.Platform, order, decisions, inst.Comm, capture)
 	}
 	if err != nil {
 		panic("core: schedule evaluation failed: " + err.Error())
@@ -129,92 +99,81 @@ func (e *coreEvaluator) run(order []int, prev, capture *schedule.SeqTimes) moea.
 	}
 }
 
-// EvaluateDelta implements moea.DeltaEvaluator. The replay state is the
-// genome's *fitnessEntry (see fitnessEntry). With a usable parent state it
-// decodes only the genes that differ from the parent, patches the parent's
-// fitness key in the worker's scratch, and — when the scheduling order is
-// unchanged — replays the parent's schedule prefix up to the first
-// affected task. Every shortcut is exactness-preserving:
+// EvaluateDelta implements moea.DeltaEvaluator; the replay state is a
+// *replayState. With a usable parent record it decodes only the genes that
+// differ from the parent and — when the scheduling order is unchanged —
+// replays the parent's schedule prefix up to the first affected task.
+// Every shortcut is exactness-preserving:
 //
-//   - fitness depends only on the key (order + decoded decisions), so an
-//     unchanged key returns the parent's evaluation verbatim;
+//   - fitness depends only on the order and the decoded decisions, so a
+//     child whose inputs equal the parent's returns the parent's record;
 //   - the schedule prefix replay is bit-identical to a full run (see
-//     schedule.RunWithCommDelta);
-//   - the fitness cache is still consulted with the patched key, so delta
-//     and full evaluation populate and hit the same entries.
+//     schedule.RunWithCommDelta).
 func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, parentState any) (moea.Evaluation, any) {
-	st, ok := parentState.(*fitnessEntry)
+	st, ok := parentState.(*replayState)
 	if parent == nil || !ok || st == nil {
 		return e.evaluateRetain(g)
 	}
 	n := e.p.NumTasks()
 
-	// Patch a copy of the parent's key: order words first, then the
-	// 10-word decision block of every task whose gene changed.
-	e.key = append(e.key[:0], st.key...)
-	sameOrder := true
-	for i, t := range g.Order {
-		if w := uint64(t); e.key[1+i] != w {
-			e.key[1+i] = w
-			sameOrder = false
-		}
-	}
+	// An evaluated genome is never mutated, so parent.Order is the order
+	// st was scheduled with.
+	sameOrder := slices.Equal(g.Order, parent.Order)
 	if cap(e.changed) < n {
 		e.changed = make([]bool, n)
 	}
 	e.changed = e.changed[:n]
-	anyChanged := false
+	var decisions []schedule.TaskDecision // the parent's, copied on first change
 	reused := 0
-	var buf [decisionWords]uint64
 	for t := 0; t < n; t++ {
 		e.changed[t] = false
 		if g.Genes[t] == parent.Genes[t] {
 			reused++
 			continue
 		}
-		encodeDecision(&buf, e.p.decodeDecision(t, g.Genes[t]))
-		b := decisionBase(n, t)
-		if !keyEqual(e.key[b:b+decisionWords], buf[:]) {
-			copy(e.key[b:b+decisionWords], buf[:])
-			e.changed[t] = true
-			anyChanged = true
+		d := e.p.decodeDecision(t, g.Genes[t])
+		if sameDecision(&d, &st.decisions[t]) {
+			continue
 		}
+		if decisions == nil {
+			decisions = slices.Clone(st.decisions)
+		}
+		decisions[t] = d
+		e.changed[t] = true
 	}
 	if reused > 0 {
 		accelCounters.metricsReused.Add(uint64(reused))
 	}
-	if sameOrder && !anyChanged {
-		// Identical schedule inputs: the parent's evaluation is the
-		// child's, no scheduling and no cache traffic at all.
-		accelCounters.deltaParentReuse.Add(1)
-		return st.eval, st
+	if decisions == nil {
+		if sameOrder {
+			// Identical schedule inputs: the parent's evaluation is the
+			// child's, no scheduling at all.
+			accelCounters.deltaParentReuse.Add(1)
+			return st.eval, st
+		}
+		// Only the order changed: records are immutable, so the child's
+		// may share the parent's decisions.
+		decisions = st.decisions
 	}
 
-	ent := e.p.fitCache().entry(fitnessHash(e.key), e.key)
-	ent.once.Do(func() {
-		e.decisions = decisionsFromKey(e.decisions, ent.key)
-		var prev *schedule.SeqTimes
-		if sameOrder && st.times.Seq != nil {
-			accelCounters.deltaPrefixRuns.Add(1)
-			prev = &st.times
-		} else {
-			accelCounters.deltaFullRuns.Add(1)
-		}
-		ent.eval = e.run(g.Order, prev, &ent.times)
-	})
-	return ent.eval, ent
+	rec := &replayState{decisions: decisions}
+	var prev *schedule.SeqTimes
+	if sameOrder {
+		accelCounters.deltaPrefixRuns.Add(1)
+		prev = &st.times
+	} else {
+		accelCounters.deltaFullRuns.Add(1)
+	}
+	rec.eval = e.run(g.Order, rec.decisions, prev, &rec.times)
+	return rec.eval, rec
 }
 
 // evaluateRetain is a full evaluation that additionally captures the
 // replay state a later EvaluateDelta call can build on — the path taken
 // for initial-population members and parentless offspring.
 func (e *coreEvaluator) evaluateRetain(g *moea.Genome) (moea.Evaluation, any) {
-	e.decisions = decisionsIntoCore(e.p, e.decisions, g)
-	e.key = appendFitnessKey(e.key[:0], g.Order, e.decisions)
-	ent := e.p.fitCache().entry(fitnessHash(e.key), e.key)
-	ent.once.Do(func() {
-		accelCounters.deltaFullRuns.Add(1)
-		ent.eval = e.run(g.Order, nil, &ent.times)
-	})
-	return ent.eval, ent
+	accelCounters.deltaFullRuns.Add(1)
+	rec := &replayState{decisions: decisionsIntoCore(e.p, nil, g)}
+	rec.eval = e.run(g.Order, rec.decisions, nil, &rec.times)
+	return rec.eval, rec
 }

@@ -47,7 +47,6 @@ type fcProblem struct {
 	maxModes int
 	objs     []SystemObjective
 	cache    *metricsCache
-	fit      *fitnessCache // nil when the instance disables memoization
 
 	proxy     proxyScratch
 	batchSeen map[metricsKey]struct{} // PrepareBatch dedup scratch (under proxy.mu)
@@ -61,7 +60,6 @@ func newFCProblem(inst *Instance, restrict layerRestriction) *fcProblem {
 		maxModes: maxModes(inst.Platform),
 		objs:     inst.objectives(),
 		cache:    inst.sharedMetrics(),
-		fit:      inst.sharedFitness(),
 	}
 }
 
@@ -209,7 +207,6 @@ func (p *fcProblem) decodeDecision(task int, g moea.Gene) schedule.TaskDecision 
 // problemCore accessors (see delta.go).
 func (p *fcProblem) instance() *Instance        { return p.inst }
 func (p *fcProblem) sysObjs() []SystemObjective { return p.objs }
-func (p *fcProblem) fitCache() *fitnessCache    { return p.fit }
 
 // decisionsInto resolves the genome into per-task schedule decisions,
 // reusing dst's capacity.
@@ -244,7 +241,6 @@ type pfProblem struct {
 	flib   *tdse.Library
 	compat [][]int
 	objs   []SystemObjective
-	fit    *fitnessCache // shared with fcProblem: same instance, same keys
 
 	proxy proxyScratch
 }
@@ -255,7 +251,6 @@ func newPFProblem(inst *Instance, flib *tdse.Library) *pfProblem {
 		flib:   flib,
 		compat: compatiblePEs(inst.Platform),
 		objs:   inst.objectives(),
-		fit:    inst.sharedFitness(),
 	}
 }
 
@@ -280,21 +275,20 @@ func (p *pfProblem) MutateGene(rng *rand.Rand, task int, g moea.Gene) moea.Gene 
 	return g
 }
 
-func (p *pfProblem) decodeGene(task int, g moea.Gene) (tdse.Candidate, int) {
+// decodeGene resolves a gene into its Pareto-filtered candidate and PE id.
+// The candidate is returned by pointer into the library, which is never
+// mutated, to keep the hot decode path free of struct copies.
+func (p *pfProblem) decodeGene(task int, g moea.Gene) (*tdse.Candidate, int) {
 	tt := p.inst.Graph.Task(task).Type
 	cands := p.flib.Impls(tt)
-	c := cands[mod(g.Impl, len(cands))]
+	c := &cands[mod(g.Impl, len(cands))]
 	peList := p.compat[c.Base.PETypeIndex]
 	pe := peList[mod(g.PE, len(peList))]
 	return c, pe
 }
 
 // decodeDecision resolves one task's gene against the Pareto-filtered
-// candidate library. Both problem formulations key the shared fitness
-// cache by the decoded schedule inputs, so an fcCLR genome re-encoding a
-// pfCLR seed hits the seed's cached evaluation whenever the decoded
-// decisions agree (and computes fresh when a diverged tDSE library makes
-// them differ).
+// candidate library.
 func (p *pfProblem) decodeDecision(task int, g moea.Gene) schedule.TaskDecision {
 	c, pe := p.decodeGene(task, g)
 	d := schedule.TaskDecision{PE: pe, Metrics: c.Metrics}
@@ -307,7 +301,6 @@ func (p *pfProblem) decodeDecision(task int, g moea.Gene) schedule.TaskDecision 
 // problemCore accessors (see delta.go).
 func (p *pfProblem) instance() *Instance        { return p.inst }
 func (p *pfProblem) sysObjs() []SystemObjective { return p.objs }
-func (p *pfProblem) fitCache() *fitnessCache    { return p.fit }
 
 // decisionsInto resolves the genome against the Pareto-filtered candidate
 // library, reusing dst's capacity.

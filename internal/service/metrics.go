@@ -105,7 +105,6 @@ type MetricsWire struct {
 	Jobs        JobCountsWire            `json:"jobs"`
 	Queue       QueueWire                `json:"queue"`
 	Cache       CacheWire                `json:"cache"`
-	Fitness     FitnessWire              `json:"fitness_cache"`
 	Accel       EvalAccelWire            `json:"eval_accel"`
 	Selection   SelectionWire            `json:"selection"`
 	Convergence ConvergenceWire          `json:"convergence"`
@@ -191,22 +190,12 @@ type CacheWire struct {
 	Capacity int   `json:"capacity"`
 }
 
-// FitnessWire reports the process-wide genome-level fitness-cache counters
-// accumulated across every job's DSE instance (see core.FitnessCacheTotals).
-type FitnessWire struct {
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Bypasses  uint64  `json:"bypasses"`
-	Evictions uint64  `json:"evictions"`
-	HitRate   float64 `json:"hit_rate"`
-}
-
 // EvalAccelWire reports the process-wide evaluation-acceleration counters
 // accumulated across every job's DSE instance (see core.AccelTotals):
 // delta-evaluation reuse, surrogate screening, and batched chain solving.
 type EvalAccelWire struct {
 	// DeltaParentReuse counts offspring whose fitness was returned
-	// verbatim from the parent (no gene changed the canonical key).
+	// verbatim from the parent (no gene changed the schedule inputs).
 	DeltaParentReuse uint64 `json:"delta_parent_reuse"`
 	// DeltaPrefixRuns counts delta evaluations that replayed a parent's
 	// schedule prefix; DeltaFullRuns fell back to a full list schedule.

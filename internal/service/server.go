@@ -428,14 +428,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.metrics.snapshot()
 	m.Queue = QueueWire{Depth: len(s.queue), Capacity: s.cfg.QueueCap}
-	ft := core.FitnessCacheTotals()
-	m.Fitness = FitnessWire{
-		Hits:      ft.Hits,
-		Misses:    ft.Misses,
-		Bypasses:  ft.Bypasses,
-		Evictions: ft.Evictions,
-		HitRate:   ft.HitRate(),
-	}
 	at := core.AccelTotals()
 	m.Accel = EvalAccelWire{
 		DeltaParentReuse: at.DeltaParentReuse,
