@@ -63,42 +63,63 @@ func TestDeltaOnOffByteIdenticalFronts(t *testing.T) {
 	}
 }
 
-// TestDeltaOnOffIdenticalOnSynthetic repeats the contract on larger
-// instances and both engines: a synthetic graph where communication
-// volumes and memory footprints are non-trivial, so prefix replay and
-// suffix recompute both carry weight, plus the two-stage Sobel run and a
-// 60-task pfCLR run. Each side runs on its own instance, so no evaluation
-// state is shared between them, and reflect.DeepEqual compares the whole
-// Front, Evaluations included.
+// TestDeltaOnOffIdenticalOnSynthetic repeats the contract on a synthetic
+// instance where communication volumes and memory footprints are
+// non-trivial, so prefix replay and suffix recompute both carry weight.
+// Each side runs on its own instance, so no evaluation state is shared
+// between them.
 func TestDeltaOnOffIdenticalOnSynthetic(t *testing.T) {
-	synComm := func() *Instance {
+	inst := func() *Instance {
 		inst := synInstance(18, 23)
 		inst.Comm.StartupUS = 4
 		inst.Comm.PerKBUS = 0.3
 		return inst
 	}
-	syn60 := func() *Instance { return synInstance(60, 3) }
+	cfg := RunConfig{Pop: 24, Gens: 10, Seed: 23}
+	on := frontBytes(t, runMethod(t, "proposed", inst(), cfg))
+	cfg.DisableDelta = true
+	off := frontBytes(t, runMethod(t, "proposed", inst(), cfg))
+	if on != off {
+		t.Fatal("delta evaluation changed the synthetic-instance front")
+	}
+}
+
+// TestFitnessCacheDeterminism pins that a full run's front does not depend
+// on how evaluations are reused: delta evaluation on a fresh instance
+// (offspring replay their parent's per-genome record), delta off on a
+// fresh instance (every genome scheduled from scratch), and delta on again
+// on the first run's instance (its Markov-metric cache already warm) must
+// agree, on both engines, for the two-stage Sobel run and a 60-task pfCLR
+// run. reflect.DeepEqual compares the whole Front, Evaluations included.
+func TestFitnessCacheDeterminism(t *testing.T) {
 	cases := []struct {
 		name   string
 		inst   func() *Instance
 		method string
-		cfg    RunConfig
+		engine Engine
 	}{
-		{"synthetic18comm/proposed/nsga2", synComm, "proposed", RunConfig{Pop: 24, Gens: 10, Seed: 23}},
-		{"sobel/proposed/nsga2", sobelInstance, "proposed", RunConfig{Pop: 24, Gens: 12, Seed: 42}},
-		{"sobel/proposed/moead", sobelInstance, "proposed", RunConfig{Pop: 24, Gens: 12, Seed: 42, Engine: MOEAD}},
-		{"synthetic60/pfclr/nsga2", syn60, "pfclr", RunConfig{Pop: 24, Gens: 12, Seed: 42}},
-		{"synthetic60/pfclr/moead", syn60, "pfclr", RunConfig{Pop: 24, Gens: 12, Seed: 42, Engine: MOEAD}},
+		{"sobel/proposed/nsga2", sobelInstance, "proposed", NSGA2},
+		{"sobel/proposed/moead", sobelInstance, "proposed", MOEAD},
+		{"synthetic60/pfclr/nsga2", func() *Instance { return synInstance(60, 3) }, "pfclr", NSGA2},
+		{"synthetic60/pfclr/moead", func() *Instance { return synInstance(60, 3) }, "pfclr", MOEAD},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			on := runMethod(t, c.method, c.inst(), c.cfg)
-			cfg := c.cfg
-			cfg.DisableDelta = true
-			off := runMethod(t, c.method, c.inst(), cfg)
-			if !reflect.DeepEqual(on, off) {
-				t.Fatalf("delta evaluation changed the front:\non:  %d evals %s\noff: %d evals %s",
-					on.Evaluations, frontBytes(t, on), off.Evaluations, frontBytes(t, off))
+			cfg := smallCfg(42)
+			cfg.Engine = c.engine
+			inst := c.inst()
+			delta := runMethod(t, c.method, inst, cfg)
+			warm := runMethod(t, c.method, inst, cfg)
+			if !reflect.DeepEqual(delta, warm) {
+				t.Fatalf("fronts diverge on a rerun over a warm instance:\nfirst: %d evals %s\nrerun: %d evals %s",
+					delta.Evaluations, frontBytes(t, delta), warm.Evaluations, frontBytes(t, warm))
+			}
+			full := cfg
+			full.DisableDelta = true
+			scratch := runMethod(t, c.method, c.inst(), full)
+			if !reflect.DeepEqual(delta, scratch) {
+				t.Fatalf("fronts diverge with delta evaluation on vs off:\ndelta: %d evals %s\nfull:  %d evals %s",
+					delta.Evaluations, frontBytes(t, delta), scratch.Evaluations, frontBytes(t, scratch))
 			}
 		})
 	}
