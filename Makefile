@@ -65,7 +65,9 @@ bench-sweep:
 # permanent-fault chain of the fault-model corpus), one chain-pair analysis
 # (MarkovAnalyze), one task evaluation (TaskEvaluate), one task type's
 # tDSE (TDSEExplore), one list schedule with its Eq. 1–4 reduction
-# (ScheduleEvaluator*), one whole-mapping evaluation (EvaluateMapping*),
+# (ScheduleEvaluator*; ScheduleEvaluator50Default computes only the
+# makespan/error-probability aggregates a default-objective GA reads),
+# one whole-mapping evaluation (EvaluateMapping*),
 # fcCLR runs with delta evaluation on and off (internal/core DeltaEval*),
 # and the engine runs (internal/moea GARun on a synthetic problem,
 # MOEADSobel).
@@ -80,7 +82,7 @@ bench-sweep:
 BENCH_KERNELS := NonDominatedSort|UpdateArchive|Crowding
 BENCH_SUITE_CMD = $(GO) test -run '^$$' -bench 'Sweep|Fig|Table' -benchmem -benchtime 1x -count 3 .
 BENCH_LAYER_CMD = $(GO) test -run '^$$' -bench 'ChainSolve' -benchmem -benchtime 20000x -count 3 ./internal/relmodel && \
-	$(GO) test -run '^$$' -bench '^Benchmark(MarkovAnalyze|TaskEvaluate|ScheduleEvaluator(Sobel|50)|EvaluateMapping(Sobel|Synthetic))$$' -benchmem -benchtime 20000x -count 3 . && \
+	$(GO) test -run '^$$' -bench '^Benchmark(MarkovAnalyze|TaskEvaluate|ScheduleEvaluator(Sobel|50|50Default)|EvaluateMapping(Sobel|Synthetic))$$' -benchmem -benchtime 20000x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^Benchmark(TDSEExplore|MOEADSobel)$$' -benchmem -benchtime 50x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkDeltaEval(On|Off)$$' -benchmem -benchtime 20x -count 3 ./internal/core && \
 	$(GO) test -run '^$$' -bench '^BenchmarkGARun$$' -benchmem -benchtime 100x -count 3 ./internal/moea && \

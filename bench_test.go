@@ -325,6 +325,14 @@ func BenchmarkScheduleEvaluator50(b *testing.B) {
 	benchmarkScheduleRun(b, tgff.MustGenerate(tgff.DefaultConfig(50), 1), schedule.NewEvaluator())
 }
 
+// BenchmarkScheduleEvaluator50Default is ScheduleEvaluator50 computing only
+// what a GA on the default objectives (makespan, error probability) with
+// no MTTF, energy or peak-power bound reads.
+func BenchmarkScheduleEvaluator50Default(b *testing.B) {
+	skip := schedule.AggMTTF | schedule.AggEnergy | schedule.AggPeakPower
+	benchmarkScheduleRun(b, tgff.MustGenerate(tgff.DefaultConfig(50), 1), &schedule.Evaluator{Skip: skip})
+}
+
 func BenchmarkHypervolume2D(b *testing.B) {
 	pts := make([][]float64, 100)
 	for i := range pts {

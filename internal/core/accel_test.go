@@ -220,13 +220,146 @@ func replayBits(r *replayState) string {
 	return sb.String()
 }
 
-func randomGenomeFor(p *fcProblem, rng *rand.Rand) *moea.Genome {
+func randomGenomeFor(p moea.Problem, rng *rand.Rand) *moea.Genome {
 	n := p.NumTasks()
 	g := &moea.Genome{Order: rng.Perm(n)}
 	for t := 0; t < n; t++ {
 		g.Genes = append(g.Genes, p.RandomGene(rng, t))
 	}
 	return g
+}
+
+// objectiveKnown reports whether objectiveValue accepts o.
+func objectiveKnown(o SystemObjective) (ok bool) {
+	defer func() { ok = recover() == nil }()
+	objectiveValue(&schedule.Result{}, o)
+	return
+}
+
+// evalBits renders an evaluation as exact bit patterns.
+func evalBits(e moea.Evaluation) string {
+	var sb strings.Builder
+	for _, v := range e.Objectives {
+		fmt.Fprintf(&sb, "%x ", math.Float64bits(v))
+	}
+	fmt.Fprintf(&sb, "| %x", math.Float64bits(e.Violation))
+	return sb.String()
+}
+
+// TestSkippedAggregatesOracle is the oracle of skippedAggregates: for every
+// ordered pair of system objectives, under each Eq. 5 bound and the memory
+// constraint, both problems' evaluators — full and delta — must give the
+// objectives and violation of objectiveVector and totalViolation over a
+// plain RunWithComm result, which computes every aggregate, bit for bit.
+// The objectives are enumerated by value up to the first one
+// objectiveValue rejects, so a new objective is covered as soon as it is
+// added.
+func TestSkippedAggregatesOracle(t *testing.T) {
+	var objs []SystemObjective
+	for o := SystemObjective(0); objectiveKnown(o); o++ {
+		objs = append(objs, o)
+	}
+	if len(objs) < 5 {
+		t.Fatalf("enumerated %d objectives, want Makespan..PeakPower", len(objs))
+	}
+
+	base := synInstance(20, 41)
+	base.Comm = schedule.CommModel{StartupUS: 4, PerKBUS: 0.3}
+	for _, pt := range base.Platform.Types() {
+		pt.LocalMemKB = 300 // read only by the EnforceMemory case
+	}
+	flib := filteredLib(t, base)
+	problems := []struct {
+		name string
+		make func(*Instance) problemCore
+	}{
+		{"fcclr", func(in *Instance) problemCore { return newFCProblem(in, allFree) }},
+		{"pfclr", func(in *Instance) problemCore { return newPFProblem(in, flib) }},
+	}
+	for _, pk := range problems {
+		// Each bound is the tightest value among random genomes, so most
+		// genomes violate it.
+		rng := rand.New(rand.NewSource(43))
+		p0 := pk.make(base)
+		tight := schedule.Spec{MaxMakespanUS: math.Inf(1), MaxEnergyUJ: math.Inf(1), MaxPeakPowerW: math.Inf(1)}
+		for i := 0; i < 5; i++ {
+			g := randomGenomeFor(p0, rng)
+			r, err := schedule.RunWithComm(base.Graph, base.Platform, g.Order, decisionsIntoCore(p0, nil, g), base.Comm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tight.MaxMakespanUS = math.Min(tight.MaxMakespanUS, r.MakespanUS)
+			tight.MinFunctionalRel = math.Max(tight.MinFunctionalRel, r.FunctionalRel)
+			tight.MinMTTFHours = math.Max(tight.MinMTTFHours, r.MTTFHours)
+			tight.MaxEnergyUJ = math.Min(tight.MaxEnergyUJ, r.EnergyUJ)
+			tight.MaxPeakPowerW = math.Min(tight.MaxPeakPowerW, r.PeakPowerW)
+		}
+		constraints := []struct {
+			name   string
+			spec   schedule.Spec
+			memory bool
+		}{
+			{"none", schedule.Spec{}, false},
+			{"makespan", schedule.Spec{MaxMakespanUS: tight.MaxMakespanUS}, false},
+			{"funcrel", schedule.Spec{MinFunctionalRel: tight.MinFunctionalRel}, false},
+			{"mttf", schedule.Spec{MinMTTFHours: tight.MinMTTFHours}, false},
+			{"energy", schedule.Spec{MaxEnergyUJ: tight.MaxEnergyUJ}, false},
+			{"peakpower", schedule.Spec{MaxPeakPowerW: tight.MaxPeakPowerW}, false},
+			{"memory", schedule.Spec{}, true},
+		}
+		for _, c := range constraints {
+			violated := false
+			for _, o1 := range objs {
+				for _, o2 := range objs {
+					if o1 == o2 {
+						continue
+					}
+					inst := *base
+					inst.Objectives = []SystemObjective{o1, o2}
+					inst.Spec = c.spec
+					inst.EnforceMemory = c.memory
+					p := pk.make(&inst)
+					check := func(what string, g *moea.Genome, got moea.Evaluation) {
+						t.Helper()
+						res, err := schedule.RunWithComm(inst.Graph, inst.Platform, g.Order, decisionsIntoCore(p, nil, g), inst.Comm)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := moea.Evaluation{
+							Objectives: objectiveVector(res, inst.Objectives),
+							Violation:  totalViolation(&inst, res),
+						}
+						if evalBits(got) != evalBits(want) {
+							t.Fatalf("%s/%s/%v,%v %s: got %v, want %v", pk.name, c.name, o1, o2, what, got, want)
+						}
+						violated = violated || want.Violation > 0
+					}
+					ev := p.(moea.ScratchProblem).NewEvaluator().(*coreEvaluator)
+					grng := rand.New(rand.NewSource(47))
+					for i := 0; i < 4; i++ {
+						parent := randomGenomeFor(p, grng)
+						check("full", parent, ev.Evaluate(parent))
+						_, st := ev.EvaluateDelta(parent, nil, nil)
+						for j := 0; j < 3; j++ {
+							child := parent.Clone()
+							for k := 0; k < j+1; k++ {
+								task := grng.Intn(p.NumTasks())
+								child.Genes[task] = p.MutateGene(grng, task, child.Genes[task])
+							}
+							if j == 2 {
+								child.Order = grng.Perm(p.NumTasks())
+							}
+							got, _ := ev.EvaluateDelta(child, parent, st)
+							check(fmt.Sprintf("delta %d", j), child, got)
+						}
+					}
+				}
+			}
+			if c.name != "none" && !violated {
+				t.Errorf("%s/%s: no genome violates the constraint; the case checks nothing", pk.name, c.name)
+			}
+		}
+	}
 }
 
 // TestDeltaResumeByteIdentical interrupts a delta-evaluated Proposed run

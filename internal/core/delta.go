@@ -73,6 +73,13 @@ type coreEvaluator struct {
 	changed   []bool
 }
 
+// newCoreEvaluator returns p's evaluation scratch, its schedule evaluator
+// computing only the aggregates p's objectives and constraints read.
+func newCoreEvaluator(p problemCore) *coreEvaluator {
+	skip := skippedAggregates(p.instance(), p.sysObjs())
+	return &coreEvaluator{p: p, sched: &schedule.Evaluator{Skip: skip}}
+}
+
 func (e *coreEvaluator) Evaluate(g *moea.Genome) moea.Evaluation {
 	e.decisions = decisionsIntoCore(e.p, e.decisions, g)
 	return e.run(g.Order, e.decisions, nil, nil)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/faultmodel"
@@ -215,9 +216,7 @@ func (p *fcProblem) decisionsInto(dst []schedule.TaskDecision, g *moea.Genome) [
 }
 
 // NewEvaluator implements moea.ScratchProblem.
-func (p *fcProblem) NewEvaluator() moea.Evaluator {
-	return &coreEvaluator{p: p, sched: schedule.NewEvaluator()}
-}
+func (p *fcProblem) NewEvaluator() moea.Evaluator { return newCoreEvaluator(p) }
 
 func (p *fcProblem) Evaluate(g *moea.Genome) moea.Evaluation {
 	return p.NewEvaluator().Evaluate(g)
@@ -309,9 +308,7 @@ func (p *pfProblem) decisionsInto(dst []schedule.TaskDecision, g *moea.Genome) [
 }
 
 // NewEvaluator implements moea.ScratchProblem.
-func (p *pfProblem) NewEvaluator() moea.Evaluator {
-	return &coreEvaluator{p: p, sched: schedule.NewEvaluator()}
-}
+func (p *pfProblem) NewEvaluator() moea.Evaluator { return newCoreEvaluator(p) }
 
 func (p *pfProblem) Evaluate(g *moea.Genome) moea.Evaluation {
 	return p.NewEvaluator().Evaluate(g)
@@ -352,6 +349,37 @@ func specViolation(s schedule.Spec, r *schedule.Result) float64 {
 		v += r.PeakPowerW/s.MaxPeakPowerW - 1
 	}
 	return v
+}
+
+// skippedAggregates is the set of Eq. 2/4 reductions that neither
+// objectiveValue over objs nor specViolation over inst.Spec reads: a
+// fitness evaluation leaves them out of its schedule.Result. Any change to
+// either function must be mirrored here.
+func skippedAggregates(inst *Instance, objs []SystemObjective) schedule.Aggregates {
+	skip := schedule.AggMTTF | schedule.AggEnergy | schedule.AggPeakPower
+	for _, o := range objs {
+		switch o {
+		case Makespan, AppErrProb:
+		case Lifetime:
+			skip &^= schedule.AggMTTF
+		case Energy:
+			skip &^= schedule.AggEnergy
+		case PeakPower:
+			skip &^= schedule.AggPeakPower
+		default:
+			panic(fmt.Sprintf("core: unknown system objective %d", int(o)))
+		}
+	}
+	if inst.Spec.MinMTTFHours > 0 {
+		skip &^= schedule.AggMTTF
+	}
+	if inst.Spec.MaxEnergyUJ > 0 {
+		skip &^= schedule.AggEnergy
+	}
+	if inst.Spec.MaxPeakPowerW > 0 {
+		skip &^= schedule.AggPeakPower
+	}
+	return skip
 }
 
 // totalViolation aggregates the Eq. 5 QoS violations with the optional

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,9 +40,10 @@ func randomCommInstance(rng *rand.Rand, n int) (*taskgraph.Graph, *platform.Plat
 }
 
 func resultsEqualBits(a, b *Result) bool {
-	if a.MakespanUS != b.MakespanUS || a.FunctionalRel != b.FunctionalRel ||
-		a.ErrProb != b.ErrProb || a.MTTFHours != b.MTTFHours ||
-		a.PeakPowerW != b.PeakPowerW || a.EnergyUJ != b.EnergyUJ {
+	bits := math.Float64bits
+	if bits(a.MakespanUS) != bits(b.MakespanUS) || bits(a.FunctionalRel) != bits(b.FunctionalRel) ||
+		bits(a.ErrProb) != bits(b.ErrProb) || bits(a.MTTFHours) != bits(b.MTTFHours) ||
+		bits(a.PeakPowerW) != bits(b.PeakPowerW) || bits(a.EnergyUJ) != bits(b.EnergyUJ) {
 		return false
 	}
 	for _, pair := range [][2][]float64{
@@ -52,7 +54,7 @@ func resultsEqualBits(a, b *Result) bool {
 			return false
 		}
 		for i := range pair[0] {
-			if pair[0][i] != pair[1][i] {
+			if bits(pair[0][i]) != bits(pair[1][i]) {
 				return false
 			}
 		}
@@ -60,10 +62,29 @@ func resultsEqualBits(a, b *Result) bool {
 	return true
 }
 
+// skippedEqualBits reports whether got, evaluated with skip, reads NaN in
+// each skipped aggregate and equals the full result want bit for bit in
+// every other field.
+func skippedEqualBits(want, got *Result, skip Aggregates) bool {
+	masked := *want
+	if skip&AggMTTF != 0 {
+		masked.MTTFHours = math.NaN()
+	}
+	if skip&AggEnergy != 0 {
+		masked.EnergyUJ = math.NaN()
+	}
+	if skip&AggPeakPower != 0 {
+		masked.PeakPowerW = math.NaN()
+	}
+	return resultsEqualBits(&masked, got)
+}
+
 // TestDeltaMatchesFullRandom is the delta path's exactness contract: for
 // random instances, random comm models and random decision mutations, the
 // delta run under the parent's captured pop sequence must be bit-identical
-// to a from-scratch run — every Result field and every captured time.
+// to a from-scratch run — every Result field and every captured time. With
+// each Evaluator.Skip set, both paths must match the full result in every
+// field but the skipped aggregates, which read NaN.
 func TestDeltaMatchesFullRandom(t *testing.T) {
 	f := func(seed int64, nRaw, mutRaw uint8) bool {
 		n := int(nRaw%15) + 1
@@ -109,6 +130,18 @@ func TestDeltaMatchesFullRandom(t *testing.T) {
 		}
 		if !resultsEqualBits(want, got) {
 			return false
+		}
+		// Every skip set, on both paths: skipped aggregates read NaN, the
+		// rest of the Result is the Skip == 0 one.
+		for skip := Aggregates(1); skip <= AggMTTF|AggEnergy|AggPeakPower; skip++ {
+			fullSkip, err := (&Evaluator{Skip: skip}).RunWithCommCapture(g, p, prio, mutated, comm, nil)
+			if err != nil || !skippedEqualBits(want, fullSkip, skip) {
+				return false
+			}
+			deltaSkip, err := (&Evaluator{Skip: skip}).RunWithCommDelta(g, p, prio, mutated, comm, &prev, changed, nil)
+			if err != nil || !skippedEqualBits(want, deltaSkip, skip) {
+				return false
+			}
 		}
 		// Captured times must round-trip so the child can itself become a
 		// delta parent.

@@ -20,6 +20,10 @@ import (
 // buffers and is valid only until the next call on the same Evaluator;
 // callers that retain results across calls must copy what they keep.
 type Evaluator struct {
+	// Skip names the Eq. 2/4 reductions to leave out; each skipped field
+	// of the Result reads NaN. The zero value computes every aggregate.
+	Skip Aggregates
+
 	res    Result
 	seen   []bool
 	done   []bool
@@ -41,6 +45,21 @@ type Evaluator struct {
 // NewEvaluator returns an empty Evaluator; buffers grow on first use.
 func NewEvaluator() *Evaluator { return &Evaluator{} }
 
+// Aggregates is a set of the optional system-level reductions of a
+// schedule evaluation. Makespan, functional reliability, ErrProb and the
+// per-PE busy and footprint sums are always computed.
+type Aggregates uint8
+
+const (
+	// AggMTTF is the Eq. 2 lifetime reduction (Result.MTTFHours).
+	AggMTTF Aggregates = 1 << iota
+	// AggEnergy is the Eq. 4 energy sum (Result.EnergyUJ).
+	AggEnergy
+	// AggPeakPower is the Eq. 4 peak-power sweep (Result.PeakPowerW), the
+	// only reduction that sorts.
+	AggPeakPower
+)
+
 // powerEvent is one edge of the power profile: delta is +PowerW at a task's
 // start and −PowerW at its end.
 type powerEvent struct {
@@ -58,12 +77,15 @@ func eventLess(a, b powerEvent) bool {
 
 // insertionMovesPerEvent caps the element moves sortEvents spends on
 // insertion sort, per event, before it falls back to merging runs. 8 is
-// the smallest budget at which sort time on pop-order inputs sampled from
-// the clrbench workloads reaches the pure insertion sort's (ga-mapping,
-// 2-vCPU Xeon: 4.0 µs per schedule at 6, 3.3 at 8, 3.4 at 32; 2% of its
-// schedules fall back). Larger budgets only slow the grouped-by-PE shape
-// (n=400: 34 µs at 8, 45 at 16, 76 at 32). Merging alone is 3× slower on
-// the sampled inputs: their ascending runs are a few events long.
+// the smallest budget at which sort time on sampled pop-order inputs
+// reaches the pure insertion sort's (100-task pfCLR schedules of the
+// clrbench ga-mapping workload, 2-vCPU Xeon: 4.0 µs per schedule at 6,
+// 3.3 at 8, 3.4 at 32; 2% of its schedules fall back). Larger budgets
+// only slow the grouped-by-PE shape (n=400: 34 µs at 8, 45 at 16, 76 at
+// 32). Merging alone is 3× slower on the sampled inputs: their ascending
+// runs are a few events long. In a GA the sort runs only when peak power
+// is an objective or a constraint, which no clrbench workload sets;
+// power_oracle_test.go and the ScheduleEvaluator* benchmark rows cover it.
 const insertionMovesPerEvent = 8
 
 // sortEvents sorts ev.events, listed in pop order, and returns the sorted
@@ -259,7 +281,8 @@ func (ev *Evaluator) prep(g *taskgraph.Graph, p *platform.Platform, priority []i
 		ev.seen[t] = true
 		ev.pos[t] = int32(i)
 	}
-	for t, d := range decisions {
+	for t := range decisions {
+		d := &decisions[t]
 		if d.PE < 0 || d.PE >= p.NumPEs() {
 			return nil, fmt.Errorf("schedule: task %d mapped to unknown PE %d", t, d.PE)
 		}
@@ -293,7 +316,8 @@ func (ev *Evaluator) prep(g *taskgraph.Graph, p *platform.Platform, priority []i
 		PEBusyUS: growF(res.PEBusyUS, p.NumPEs()),
 		PEMemKB:  growF(res.PEMemKB, p.NumPEs()),
 	}
-	for t, d := range decisions {
+	for t := range decisions {
+		d := &decisions[t]
 		if d.MemKB < 0 {
 			return nil, fmt.Errorf("schedule: task %d has negative footprint", t)
 		}
@@ -326,17 +350,17 @@ func (ev *Evaluator) RunWithCommCapture(g *taskgraph.Graph, p *platform.Platform
 	for len(ev.heap) > 0 {
 		t := priority[ev.heapPop()]
 		seq = append(seq, int32(t))
+		d := &decisions[t]
 		readyAt := 0.0
 		for _, pr := range g.Preds(t) {
 			at := res.EndUS[pr]
-			if comm.enabled() && decisions[pr].PE != decisions[t].PE {
+			if comm.enabled() && decisions[pr].PE != d.PE {
 				at += comm.Delay(ev.edgeKB[[2]int{pr, t}])
 			}
 			if at > readyAt {
 				readyAt = at
 			}
 		}
-		d := decisions[t]
 		start := math.Max(readyAt, ev.peFree[d.PE])
 		end := start + d.Metrics.AvgExTimeUS
 		res.StartUS[t] = start
@@ -400,7 +424,7 @@ func (ev *Evaluator) RunWithCommDelta(g *taskgraph.Graph, p *platform.Platform, 
 	// pop order, reproducing the full run's intermediate state bit for bit.
 	for i := 0; i < k; i++ {
 		t := int(prev.Seq[i])
-		d := decisions[t]
+		d := &decisions[t]
 		end := prev.EndUS[t]
 		res.StartUS[t] = prev.StartUS[t]
 		res.EndUS[t] = end
@@ -411,17 +435,17 @@ func (ev *Evaluator) RunWithCommDelta(g *taskgraph.Graph, p *platform.Platform, 
 	// full path, iterating the replayed pop order instead of the heap.
 	for i := k; i < n; i++ {
 		t := int(prev.Seq[i])
+		d := &decisions[t]
 		readyAt := 0.0
 		for _, pr := range g.Preds(t) {
 			at := res.EndUS[pr]
-			if comm.enabled() && decisions[pr].PE != decisions[t].PE {
+			if comm.enabled() && decisions[pr].PE != d.PE {
 				at += comm.Delay(ev.edgeKB[[2]int{pr, t}])
 			}
 			if at > readyAt {
 				readyAt = at
 			}
 		}
-		d := decisions[t]
 		start := math.Max(readyAt, ev.peFree[d.PE])
 		end := start + d.Metrics.AvgExTimeUS
 		res.StartUS[t] = start
@@ -440,6 +464,7 @@ func (ev *Evaluator) RunWithCommDelta(g *taskgraph.Graph, p *platform.Platform, 
 
 // finish derives the Eq. 1–4 aggregates from the scheduled times — the
 // shared epilogue of the full and delta paths. seq is the run's pop order.
+// The reductions in ev.Skip are left out and read NaN.
 func (ev *Evaluator) finish(g *taskgraph.Graph, p *platform.Platform, decisions []TaskDecision, res *Result, seq []int32) {
 	n := g.NumTasks()
 
@@ -459,26 +484,38 @@ func (ev *Evaluator) finish(g *taskgraph.Graph, p *platform.Platform, decisions 
 
 	// Eq. 2 — lifetime reliability: damage accumulation per period on each
 	// PE, system MTTF is the minimum over loaded PEs.
-	res.MTTFHours = math.Inf(1)
-	ev.damage = growF(ev.damage, p.NumPEs()) // Σ AvgExT_t / MTTF_(t,i,p), µs/hour
-	for t := 0; t < n; t++ {
-		d := decisions[t]
-		ev.damage[d.PE] += d.Metrics.AvgExTimeUS / d.Metrics.MTTFHours
-	}
-	for pe := range ev.damage {
-		if ev.damage[pe] == 0 {
-			continue
+	if ev.Skip&AggMTTF != 0 {
+		res.MTTFHours = math.NaN()
+	} else {
+		res.MTTFHours = math.Inf(1)
+		ev.damage = growF(ev.damage, p.NumPEs()) // Σ AvgExT_t / MTTF_(t,i,p), µs/hour
+		for t := 0; t < n; t++ {
+			d := &decisions[t]
+			ev.damage[d.PE] += d.Metrics.AvgExTimeUS / d.Metrics.MTTFHours
 		}
-		mttf := g.PeriodUS / ev.damage[pe]
-		if mttf < res.MTTFHours {
-			res.MTTFHours = mttf
+		for pe := range ev.damage {
+			if ev.damage[pe] == 0 {
+				continue
+			}
+			mttf := g.PeriodUS / ev.damage[pe]
+			if mttf < res.MTTFHours {
+				res.MTTFHours = mttf
+			}
 		}
 	}
 
 	// Eq. 4 — total energy in task order, then peak power as a sweep over
 	// the start/end events, listed in pop order and sorted.
-	for t := 0; t < n; t++ {
-		res.EnergyUJ += decisions[t].Metrics.AvgExTimeUS * decisions[t].Metrics.PowerW
+	if ev.Skip&AggEnergy != 0 {
+		res.EnergyUJ = math.NaN()
+	} else {
+		for t := 0; t < n; t++ {
+			res.EnergyUJ += decisions[t].Metrics.AvgExTimeUS * decisions[t].Metrics.PowerW
+		}
+	}
+	if ev.Skip&AggPeakPower != 0 {
+		res.PeakPowerW = math.NaN()
+		return
 	}
 	if cap(ev.events) < 2*n {
 		ev.events = make([]powerEvent, 0, 2*n)

@@ -43,10 +43,10 @@ func TestSpecConvergeNormalization(t *testing.T) {
 // TestSpecConvergeRejects pins the validation table for the converge knobs.
 func TestSpecConvergeRejects(t *testing.T) {
 	bad := []JobSpec{
-		{ConvergeWindow: 4},                      // window without converge
-		{ConvergeEps: 0.01},                      // epsilon without converge
-		{Converge: true, ConvergeWindow: -1},     // negative window
-		{Converge: true, ConvergeEps: -0.5},      // negative epsilon
+		{ConvergeWindow: 4},                  // window without converge
+		{ConvergeEps: 0.01},                  // epsilon without converge
+		{Converge: true, ConvergeWindow: -1}, // negative window
+		{Converge: true, ConvergeEps: -0.5},  // negative epsilon
 		{Converge: true, ConvergeEps: math.NaN()},
 		{Converge: true, ConvergeEps: math.Inf(1)},
 		{Converge: true, Islands: 2, MigrationEvery: 3}, // islands exclusion
