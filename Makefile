@@ -27,9 +27,9 @@ loc:
 # shared metrics cache in core, the GA evaluate workers in moea, the
 # job-queue service, the durable store, the fleet gateway and its job-API
 # client, the parallel candidate evaluation in tdse, and the
-# pooled chain-solve path (relmodel/markov/matrix) plus the HEFT bound
-# shared by the surrogate proxy and the fault-model evaluation counters
-# read by /metrics.
+# pooled chain-solve path (relmodel/markov/matrix) plus the HEFT
+# scheduler behind the proposed method's directed seeding and the
+# fault-model evaluation counters read by /metrics.
 race:
 	$(GO) vet ./... && $(GO) test -race ./internal/sweep ./internal/core ./internal/moea ./internal/service ./internal/store ./internal/gateway ./internal/heft ./internal/tdse ./internal/relmodel ./internal/markov ./internal/matrix ./internal/faultmodel
 

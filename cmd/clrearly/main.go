@@ -73,9 +73,6 @@ func run(args []string, w io.Writer) error {
 	commPerKB := fs.Float64("comm-per-kb", 0, "interconnect cost per KB in µs")
 	memory := fs.Bool("memory", false, "enforce per-PE local memory capacities")
 	noDelta := fs.Bool("no-delta", false, "disable incremental delta evaluation (full re-evaluation of every offspring)")
-	surrogate := fs.Bool("surrogate", false, "screen offspring with a cheap surrogate proxy before full evaluation (nsga2 only)")
-	surrogateFrac := fs.Float64("surrogate-frac", 0,
-		"fraction of each generation fully evaluated under -surrogate, in (0,1] (0 = default 0.5)")
 	islands := fs.Int("islands", 0, "split each GA stage into this many cooperating islands (nsga2 only; 0/1 = single population)")
 	migrationEvery := fs.Int("migration-every", 0, "generations between island migrant exchanges (required with -islands ≥ 2)")
 	migrants := fs.Int("migrants", 0, "elites exchanged per island per epoch (0 = default 2)")
@@ -90,27 +87,25 @@ func run(args []string, w io.Writer) error {
 	}
 
 	spec := service.JobSpec{
-		App:               *app,
-		Tasks:             *tasks,
-		Method:            *method,
-		Pop:               *pop,
-		Gens:              *gens,
-		Seed:              *seed,
-		Engine:            *engine,
-		Catalog:           *catalog,
-		Objectives:        splitList(*objectives),
-		CommStartupUS:     *commStartup,
-		CommPerKBUS:       *commPerKB,
-		EnforceMemory:     *memory,
-		NoDelta:           *noDelta,
-		Surrogate:         *surrogate,
-		SurrogateFraction: *surrogateFrac,
-		Islands:           *islands,
-		MigrationEvery:    *migrationEvery,
-		Migrants:          *migrants,
-		Converge:          *converge,
-		ConvergeWindow:    *convergeWindow,
-		ConvergeEps:       *convergeEps,
+		App:            *app,
+		Tasks:          *tasks,
+		Method:         *method,
+		Pop:            *pop,
+		Gens:           *gens,
+		Seed:           *seed,
+		Engine:         *engine,
+		Catalog:        *catalog,
+		Objectives:     splitList(*objectives),
+		CommStartupUS:  *commStartup,
+		CommPerKBUS:    *commPerKB,
+		EnforceMemory:  *memory,
+		NoDelta:        *noDelta,
+		Islands:        *islands,
+		MigrationEvery: *migrationEvery,
+		Migrants:       *migrants,
+		Converge:       *converge,
+		ConvergeWindow: *convergeWindow,
+		ConvergeEps:    *convergeEps,
 		Constraints: service.Constraints{
 			MaxMakespanUS:    *maxMakespan,
 			MinFunctionalRel: *minFRel,

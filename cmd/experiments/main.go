@@ -87,10 +87,10 @@ func run(args []string, w, errw io.Writer) error {
 	// even when the run aborts on a profile error or mid-experiment.
 	defer func() {
 		a := core.AccelTotals()
-		if a.DeltaParentReuse+a.DeltaPrefixRuns+a.DeltaFullRuns+a.ProxyEvals+a.PairedSolves+a.SoloSolves > 0 {
-			fmt.Fprintf(errw, "eval accel: delta %d reused / %d prefix / %d full, %d metrics reused, %d batch-warmed; surrogate %d proxied / %d screened out; chain solves %d paired / %d solo\n",
+		if a.DeltaParentReuse+a.DeltaPrefixRuns+a.DeltaFullRuns+a.PairedSolves+a.SoloSolves > 0 {
+			fmt.Fprintf(errw, "eval accel: delta %d reused / %d prefix / %d full, %d metrics reused, %d batch-warmed; chain solves %d paired / %d solo\n",
 				a.DeltaParentReuse, a.DeltaPrefixRuns, a.DeltaFullRuns, a.MetricsReused, a.BatchWarmed,
-				a.ProxyEvals, a.ScreenedOut, a.PairedSolves, a.SoloSolves)
+				a.PairedSolves, a.SoloSolves)
 		}
 		s := core.SelectionTotals()
 		if s.GenerationsRun > 0 {

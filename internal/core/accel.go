@@ -21,7 +21,7 @@ var accelCounters struct {
 }
 
 // AccelStats is a snapshot of the process-wide evaluation-acceleration
-// counters: the delta-evaluation, batching and surrogate-screening
+// counters: the delta-evaluation, batching and paired chain-solve
 // machinery of the DSE hot path.
 type AccelStats struct {
 	// DeltaParentReuse counts evaluations answered by the parent's result
@@ -37,9 +37,6 @@ type AccelStats struct {
 	// BatchWarmed counts metric-cache entries warmed by generation batch
 	// preparation.
 	BatchWarmed uint64
-	// ProxyEvals / ScreenedOut are the surrogate screening totals (see
-	// moea.SurrogateTotals).
-	ProxyEvals, ScreenedOut uint64
 	// PairedSolves / SoloSolves count reliability chain analyses that did /
 	// did not share one factorization between the timing and functional
 	// chains (see relmodel.PairSolveTotals).
@@ -47,10 +44,9 @@ type AccelStats struct {
 }
 
 // AccelTotals aggregates the process-wide evaluation-acceleration counters
-// across the core, moea and relmodel layers — the source of clrearlyd's
+// across the core and relmodel layers — the source of clrearlyd's
 // /metrics eval_accel block and the experiment harness's stderr summary.
 func AccelTotals() AccelStats {
-	sur := moea.SurrogateTotals()
 	pair := relmodel.PairSolveTotals()
 	return AccelStats{
 		DeltaParentReuse: accelCounters.deltaParentReuse.Load(),
@@ -58,8 +54,6 @@ func AccelTotals() AccelStats {
 		DeltaFullRuns:    accelCounters.deltaFullRuns.Load(),
 		MetricsReused:    accelCounters.metricsReused.Load(),
 		BatchWarmed:      accelCounters.batchWarmed.Load(),
-		ProxyEvals:       sur.Proxy,
-		ScreenedOut:      sur.Screened,
 		PairedSolves:     pair.Paired,
 		SoloSolves:       pair.Solo,
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/moea"
-	"repro/internal/pareto"
 	"repro/internal/schedule"
 )
 
@@ -406,91 +405,6 @@ func TestDeltaResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// frontHypervolumes measures both fronts against one shared reference
-// point dominated by every point of either front, so the volumes are
-// directly comparable.
-func frontHypervolumes(a, b *Front) (hvA, hvB float64) {
-	if len(a.Points) == 0 || len(b.Points) == 0 {
-		return 0, 0
-	}
-	m := len(a.Points[0].Objectives)
-	ref := make([]float64, m)
-	collect := func(f *Front) [][]float64 {
-		pts := make([][]float64, len(f.Points))
-		for i, p := range f.Points {
-			pts[i] = p.Objectives
-			for j, v := range p.Objectives {
-				if v > ref[j] {
-					ref[j] = v
-				}
-			}
-		}
-		return pts
-	}
-	ptsA, ptsB := collect(a), collect(b)
-	for j := range ref {
-		ref[j] = ref[j]*1.1 + 1
-	}
-	return pareto.Hypervolume(ptsA, ref), pareto.Hypervolume(ptsB, ref)
-}
-
-// TestSurrogateParity is the screening quality contract across random
-// instances, compared at an equal full-evaluation budget: with fraction
-// 0.5 a screened run over 2G generations spends exactly as many full
-// evaluations as an exact run over G, and must then hold at least 90% of
-// its hypervolume. Every reported point must be exactly evaluated
-// (objectives consistent with its QoS).
-func TestSurrogateParity(t *testing.T) {
-	for _, tc := range []struct {
-		tasks int
-		seed  int64
-	}{
-		{10, 31}, {14, 5}, {18, 77},
-	} {
-		t.Run(fmt.Sprintf("tasks%d/seed%d", tc.tasks, tc.seed), func(t *testing.T) {
-			inst := synInstance(tc.tasks, tc.seed)
-			cfg := RunConfig{Pop: 24, Gens: 12, Seed: tc.seed}
-			exact, err := FcCLR(inst, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scfg := cfg
-			scfg.Gens = 2 * cfg.Gens
-			scfg.SurrogateFraction = 0.5
-			screened, err := FcCLR(inst, scfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The final exact pass over surviving approximate solutions may
-			// add up to one extra population of evaluations.
-			if screened.Evaluations > exact.Evaluations+cfg.Pop {
-				t.Fatalf("screened run overspent: %d full evaluations vs %d exact",
-					screened.Evaluations, exact.Evaluations)
-			}
-			for _, p := range screened.Points {
-				if p.Objectives[0] != p.QoS.MakespanUS {
-					t.Fatal("screened front contains a non-exact point")
-				}
-			}
-			hvExact, hvScreened := frontHypervolumes(exact, screened)
-			if hvExact > 0 && hvScreened < 0.9*hvExact {
-				t.Fatalf("screened hypervolume %.4g below 90%% of exact %.4g", hvScreened, hvExact)
-			}
-		})
-	}
-}
-
-// TestSurrogateRequiresNSGA2 pins the engine gate at the core layer.
-func TestSurrogateRequiresNSGA2(t *testing.T) {
-	inst := sobelInstance()
-	cfg := smallCfg(3)
-	cfg.Engine = MOEAD
-	cfg.SurrogateFraction = 0.5
-	if _, err := FcCLR(inst, cfg); err == nil {
-		t.Fatal("surrogate screening on MOEA/D accepted")
-	}
-}
-
 // TestAccelCountersMove checks the process-wide acceleration counters
 // actually advance under a delta-evaluated run.
 func TestAccelCountersMove(t *testing.T) {
@@ -502,14 +416,5 @@ func TestAccelCountersMove(t *testing.T) {
 	after := AccelTotals()
 	if after.DeltaPrefixRuns+after.DeltaParentReuse == before.DeltaPrefixRuns+before.DeltaParentReuse {
 		t.Fatal("delta counters did not advance")
-	}
-	scfg := smallCfg(92)
-	scfg.SurrogateFraction = 0.5
-	if _, err := FcCLR(inst, scfg); err != nil {
-		t.Fatal(err)
-	}
-	final := AccelTotals()
-	if final.ProxyEvals == after.ProxyEvals || final.ScreenedOut == after.ScreenedOut {
-		t.Fatal("surrogate counters did not advance")
 	}
 }

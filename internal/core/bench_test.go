@@ -27,16 +27,3 @@ func BenchmarkDeltaEvalOff(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSurrogateScreened measures the same budget with surrogate
-// screening at the default fraction.
-func BenchmarkSurrogateScreened(b *testing.B) {
-	inst := synInstance(20, 7)
-	cfg := RunConfig{Pop: 32, Gens: 12, Seed: 7, Workers: 1, SurrogateFraction: 0.5}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := FcCLR(inst, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/faultmodel"
 	"repro/internal/moea"
@@ -49,8 +50,11 @@ type fcProblem struct {
 	objs     []SystemObjective
 	cache    *metricsCache
 
-	proxy     proxyScratch
-	batchSeen map[metricsKey]struct{} // PrepareBatch dedup scratch (under proxy.mu)
+	// batchMu guards batchSeen, PrepareBatch's dedup scratch: the engines
+	// call PrepareBatch from the engine goroutine, but one problem may
+	// serve several concurrent runs.
+	batchMu   sync.Mutex
+	batchSeen map[metricsKey]struct{}
 }
 
 func newFCProblem(inst *Instance, restrict layerRestriction) *fcProblem {
@@ -193,6 +197,52 @@ func (p *fcProblem) taskMetrics(task int, g moea.Gene) (relmodel.Metrics, int) {
 	return m, pe
 }
 
+// PrepareBatch implements moea.BatchProblem for the fcCLR problem: before
+// a generation's offspring fan out to the evaluation workers, the distinct
+// task configurations that differ from their parents' are decoded once on
+// the engine goroutine, warming the shared Markov-metric cache in a single
+// deduplicated pass (each warm solves the task's timing and functional
+// chains as one batched pair, see relmodel.AnalyzeChains). Workers then
+// hit warm entries instead of serializing on the cache's single-flight
+// slots. Purely a cache effect — evaluation results are unchanged.
+func (p *fcProblem) PrepareBatch(items []moea.BatchItem) {
+	p.batchMu.Lock()
+	defer p.batchMu.Unlock()
+	if p.batchSeen == nil {
+		p.batchSeen = make(map[metricsKey]struct{}, 64)
+	}
+	warmed := 0
+	for _, it := range items {
+		if it.Genome == nil {
+			continue
+		}
+		for t, gene := range it.Genome.Genes {
+			if it.Parent != nil && gene == it.Parent.Genes[t] {
+				continue
+			}
+			key := p.metricsKeyFor(t, gene)
+			if _, ok := p.batchSeen[key]; ok {
+				continue
+			}
+			p.batchSeen[key] = struct{}{}
+			p.taskMetrics(t, gene)
+			warmed++
+		}
+	}
+	clear(p.batchSeen)
+	if warmed > 0 {
+		accelCounters.batchWarmed.Add(uint64(warmed))
+	}
+}
+
+// metricsKeyFor builds the metric-cache key of one task's gene, mirroring
+// taskMetrics' key construction.
+func (p *fcProblem) metricsKeyFor(task int, g moea.Gene) metricsKey {
+	_, asg, _ := p.decodeGene(task, g)
+	tt := p.inst.Graph.Task(task).Type
+	return metricsKey{taskType: tt, impl: mod(g.Impl, len(p.inst.Lib.ImplsShared(tt))), asg: asg}
+}
+
 // decodeDecision resolves one task's gene into its schedule decision — the
 // per-task decode step shared by full and delta evaluation.
 func (p *fcProblem) decodeDecision(task int, g moea.Gene) schedule.TaskDecision {
@@ -240,8 +290,6 @@ type pfProblem struct {
 	flib   *tdse.Library
 	compat [][]int
 	objs   []SystemObjective
-
-	proxy proxyScratch
 }
 
 func newPFProblem(inst *Instance, flib *tdse.Library) *pfProblem {

@@ -101,12 +101,6 @@ type RunConfig struct {
 	// evaluation is exact — fronts are byte-identical either way — so this
 	// is a measurement/escape hatch, not a fidelity knob.
 	DisableDelta bool
-	// SurrogateFraction, when > 0, enables surrogate screening on NSGA-II
-	// stages: per generation only this fraction of the population budget is
-	// fully evaluated, chosen by the problem's cheap proxy ranking. The
-	// final front is still exact (see moea.SurrogateParams). Must be in
-	// (0,1]; 0 disables screening.
-	SurrogateFraction float64
 	// Islands, when > 1 together with MigrationEvery ≥ 1, splits each GA
 	// stage into that many cooperating islands (NSGA-II only): the
 	// population divides across islands, per-island seeds derive from
@@ -167,9 +161,6 @@ func (c RunConfig) paramsFor(stage string) moea.Params {
 	p.Workers = c.Workers
 	p.Ctx = c.Ctx
 	p.DisableDelta = c.DisableDelta
-	if c.SurrogateFraction > 0 {
-		p.Surrogate = moea.SurrogateParams{Enabled: true, Fraction: c.SurrogateFraction}
-	}
 	if c.TerminateOnPlateau {
 		p.TerminateOnPlateau = true
 		p.PlateauWindow = c.PlateauWindow

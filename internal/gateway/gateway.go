@@ -230,8 +230,8 @@ func (g *Gateway) recover(st *store.Store) {
 		if err := json.Unmarshal(jr.Spec, &rec); err != nil || rec.Spec == nil {
 			continue // journaled by a newer build; unusable but harmless
 		}
-		var spec service.JobSpec
-		if err := json.Unmarshal(rec.Spec, &spec); err != nil {
+		rj := service.RecoverJob(st, jr, rec.Spec, g.cache)
+		if rj == nil {
 			continue
 		}
 		t := g.byName[rec.Tenant]
@@ -241,12 +241,12 @@ func (g *Gateway) recover(st *store.Store) {
 			// accounting under the recovery tenant.
 			t = g.anon
 		}
-		j := &gwJob{Job: service.RecoverJob(jr, spec, g.cache), tenant: t, class: t.class}
+		j := &gwJob{Job: rj, tenant: t, class: t.class}
 		var n int64
 		if _, err := fmt.Sscanf(jr.ID, "g%d", &n); err == nil && n > g.nextID {
 			g.nextID = n
 		}
-		if jr.Pending() {
+		if j.State == service.StateQueued {
 			if t != g.anon {
 				t.mu.Lock()
 				t.active++

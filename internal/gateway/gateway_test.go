@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -390,5 +391,74 @@ func TestCancelQueued(t *testing.T) {
 	}
 	if got := getWire(t, ts, "key1", "/v1/jobs/"+jw.ID); got.State != service.StateCancelled {
 		t.Fatalf("state = %q, want cancelled", got.State)
+	}
+}
+
+// TestRemovedSpecField covers the gateway's side of a removed JobSpec
+// field: a submission that sets it is a 400, and a pending job journaled
+// with it before the removal recovers failed, with its checkpoint dropped
+// and without ever being leased.
+func TestRemovedSpecField(t *testing.T) {
+	// The journal form of a normalized spec, as a build that still had
+	// the surrogate fields wrote it.
+	spec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 7}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(blob, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["surrogate"], fields["surrogate_fraction"] = true, 0.5
+	if blob, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(storedJob{Tenant: "t1", Spec: blob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hash = "stored-surrogate-hash"
+	if err := st.AcceptJob("g1", hash, rec, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveCheckpoint(hash, json.RawMessage(`{"stages":{}}`)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	g, ts := newTestGateway(t, Config{Store: st, ProbeEvery: -1})
+
+	got := getWire(t, ts, "key1", "/v1/jobs/g1")
+	if got.State != service.StateFailed || !strings.Contains(got.Error, "surrogate") {
+		t.Fatalf("recovered job = %s (%q), want failed naming the field", got.State, got.Error)
+	}
+	if got.StartedAt != nil || g.queue.pop() != nil {
+		t.Fatal("recovered job with a removed field was queued or ran")
+	}
+	if _, ok := st.Checkpoint(hash); ok {
+		t.Fatal("failed recovery kept the job's checkpoint")
+	}
+
+	for _, raw := range []string{`{"surrogate":true}`, `{"surrogate_fraction":0.5}`} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-API-Key", "key1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("submit %s = %d, want 400", raw, resp.StatusCode)
+		}
 	}
 }

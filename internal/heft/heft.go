@@ -136,35 +136,6 @@ func Schedule(g *taskgraph.Graph, p *platform.Platform, costs Costs) (*Result, e
 	return res, nil
 }
 
-// CriticalPathUS returns the longest dependency chain of the graph under
-// fixed per-task execution times, ignoring communication — the HEFT
-// upward-rank recurrence with concrete (rather than mean) costs and zero
-// comm, and therefore a lower bound on any schedule's makespan for those
-// times. rank, when cap ≥ n, is reused as scratch; surrogate screening
-// calls this once per offspring, so the bound must not allocate.
-func CriticalPathUS(g *taskgraph.Graph, topo []int, execUS, rank []float64) float64 {
-	n := g.NumTasks()
-	if cap(rank) < n {
-		rank = make([]float64, n)
-	}
-	rank = rank[:n]
-	best := 0.0
-	for i := n - 1; i >= 0; i-- {
-		t := topo[i]
-		down := 0.0
-		for _, s := range g.Succs(t) {
-			if rank[s] > down {
-				down = rank[s]
-			}
-		}
-		rank[t] = execUS[t] + down
-		if rank[t] > best {
-			best = rank[t]
-		}
-	}
-	return best
-}
-
 func (c Costs) comm(from, to int) float64 {
 	if c.CommUS == nil {
 		return 0

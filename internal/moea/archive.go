@@ -43,15 +43,14 @@ func (a *archiveState) restore(members []*solution) {
 	a.members = members
 }
 
-// add merges the feasible, exact-evaluated members of batch into the
-// archive and truncates to the cap by crowding distance if the whole batch
-// pushed it past the limit — the same batch-then-truncate cadence as the
-// full rebuild it replaced. Solutions carrying surrogate proxy scores are
-// never admitted.
+// add merges the feasible members of batch into the archive and truncates
+// to the cap by crowding distance if the whole batch pushed it past the
+// limit — the same batch-then-truncate cadence as the full rebuild it
+// replaced.
 func (a *archiveState) add(batch []*solution) {
 	start := time.Now()
 	for _, s := range batch {
-		if s.eval.Violation == 0 && !s.approx {
+		if s.eval.Violation == 0 {
 			a.insert(s)
 		}
 	}

@@ -68,10 +68,6 @@ type CheckpointSolution struct {
 	Genes      []Gene   `json:"genes"`
 	Objectives []uint64 `json:"obj_bits"`
 	Violation  uint64   `json:"violation_bits"`
-	// Approx marks a surrogate proxy score (never archive-admissible); the
-	// resumed run re-evaluates such members exactly before reporting, just
-	// as the uninterrupted run would.
-	Approx bool `json:"approx,omitempty"`
 }
 
 // Checkpoint is a resumable snapshot of a GA or MOEA/D run taken at a
@@ -112,7 +108,6 @@ func snapshotSolution(s *solution) CheckpointSolution {
 		Genes:      append([]Gene(nil), s.genome.Genes...),
 		Objectives: make([]uint64, len(s.eval.Objectives)),
 		Violation:  math.Float64bits(s.eval.Violation),
-		Approx:     s.approx,
 	}
 	for i, v := range s.eval.Objectives {
 		out.Objectives[i] = math.Float64bits(v)
@@ -155,7 +150,6 @@ func restoreSolutions(css []CheckpointSolution, nTasks, nObjs int) ([]*solution,
 		out[i] = &solution{
 			genome: g,
 			eval:   Evaluation{Objectives: objs, Violation: math.Float64frombits(cs.Violation)},
-			approx: cs.Approx,
 		}
 	}
 	return out, nil

@@ -19,8 +19,6 @@ type engine interface {
 	step(r *runState, gen int) error
 	// save adds the engine's own state to a generation-boundary snapshot.
 	save(cp *Checkpoint)
-	// finish runs after the last generation, before the front is copied.
-	finish(r *runState)
 }
 
 // runState is the run state the driver shares with its engine.
@@ -192,7 +190,6 @@ func drive(p Problem, params Params, seeds []*Genome, newEngine func(Problem, Pa
 			break
 		}
 	}
-	e.finish(r)
 	return &Result{
 		Front:          r.arch.front(),
 		Evaluations:    r.evals,

@@ -72,9 +72,6 @@ type Params struct {
 	// bit-identical either way — so this switch exists for measurement and
 	// as an escape hatch, not for correctness.
 	DisableDelta bool
-	// Surrogate configures surrogate screening (NSGA-II engine only; the
-	// problem must implement SurrogateProblem).
-	Surrogate SurrogateParams
 	// Migration, when non-nil, makes this run one island of an
 	// island-model search (NSGA-II engine only): every Migration.Every
 	// generations the run exchanges elite migrants with its ring
@@ -169,9 +166,6 @@ func (p Params) Validate() error {
 	if p.TournamentK < 1 {
 		return fmt.Errorf("moea: tournament size %d must be ≥ 1", p.TournamentK)
 	}
-	if err := p.Surrogate.validate(); err != nil {
-		return err
-	}
 	if err := p.Migration.validate(p.PopSize); err != nil {
 		return err
 	}
@@ -220,11 +214,10 @@ func Run(p Problem, params Params, seeds []*Genome) (*Result, error) {
 }
 
 // nsga2 is the NSGA-II engine: tournament variation, optional island
-// migration and surrogate screening, and elitist environmental selection
-// by non-dominated rank and crowding distance.
+// migration, and elitist environmental selection by non-dominated rank and
+// crowding distance.
 type nsga2 struct {
-	surrogate SurrogateProblem
-	migLog    []EpochMigrants
+	migLog []EpochMigrants
 	// Selection-path buffers, reused every generation: the
 	// parents∪offspring union (exactly 2·PopSize), the offspring list, and
 	// the ping-pong spare that becomes the next population while the
@@ -236,19 +229,11 @@ type nsga2 struct {
 }
 
 func newNSGA2(p Problem, params Params) (engine, error) {
-	e := &nsga2{
+	return &nsga2{
 		unionBuf: make([]*solution, 0, 2*params.PopSize),
 		offBuf:   make([]*solution, 0, params.PopSize),
 		spare:    make([]*solution, 0, params.PopSize),
-	}
-	if params.Surrogate.Enabled {
-		sp, ok := p.(SurrogateProblem)
-		if !ok {
-			return nil, fmt.Errorf("moea: surrogate screening enabled but problem offers no proxy evaluation")
-		}
-		e.surrogate = sp
-	}
-	return e, nil
+	}, nil
 }
 
 func (e *nsga2) start(r *runState, cp *Checkpoint) error {
@@ -300,33 +285,8 @@ func (e *nsga2) step(r *runState, gen int) error {
 			}
 		}
 	}
-	evalBatch := offspring
-	if e.surrogate != nil {
-		// Surrogate screening: rank the whole brood by the cheap proxy, pay
-		// for full evaluations only on the most promising quota. The rest
-		// keep proxy scores — enough for selection pressure, never
-		// admitted to the archive.
-		for _, s := range offspring {
-			s.eval = e.surrogate.ProxyEvaluate(s.genome)
-			s.approx = true
-		}
-		surrogateTotals.proxy.Add(uint64(len(offspring)))
-		evalBatch = screenTop(r.arch.sc, offspring, surrogateQuota(*params))
-		surrogateTotals.screened.Add(uint64(len(offspring) - len(evalBatch)))
-		for _, s := range evalBatch {
-			s.approx = false
-		}
-	}
-	evaluate(r.p, evalBatch, params.Workers, r.useDelta)
-	if e.surrogate != nil {
-		// Screened-out offspring still hold parent links (evaluate only
-		// clears the ones it saw); drop them so retired generations are
-		// not retained through approx survivors.
-		for _, s := range offspring {
-			s.parent = nil
-		}
-	}
-	r.evals += len(evalBatch)
+	evaluate(r.p, offspring, params.Workers, r.useDelta)
+	r.evals += len(offspring)
 	r.arch.add(offspring)
 
 	// Environmental selection over parents ∪ offspring.
@@ -354,29 +314,6 @@ func (e *nsga2) step(r *runState, gen int) error {
 }
 
 func (e *nsga2) save(cp *Checkpoint) { cp.Migration = cloneMigrantLog(e.migLog) }
-
-// finish is the surrogate's exactness-preserving final pass: any
-// population member still carrying a proxy score is fully evaluated before
-// the front is reported, so the archive only ever holds exact evaluations.
-func (e *nsga2) finish(r *runState) {
-	if e.surrogate == nil {
-		return
-	}
-	var approx []*solution
-	for _, s := range r.pop {
-		if s.approx {
-			approx = append(approx, s)
-		}
-	}
-	if len(approx) > 0 {
-		evaluate(r.p, approx, r.params.Workers, r.useDelta)
-		for _, s := range approx {
-			s.approx = false
-		}
-		r.evals += len(approx)
-		r.arch.add(approx)
-	}
-}
 
 // tournament returns the best of k randomly drawn members.
 func tournament(rng *rand.Rand, pop []*solution, k int) *solution {

@@ -144,17 +144,6 @@ type BatchProblem interface {
 	PrepareBatch(items []BatchItem)
 }
 
-// SurrogateProblem is a Problem that offers a cheap proxy evaluation for
-// surrogate screening: ProxyEvaluate ranks offspring approximately so that
-// only the most promising fraction pays for a full evaluation. Proxy
-// results never enter fronts or archives — the engine re-evaluates
-// surviving genomes exactly before reporting them. ProxyEvaluate is called
-// from the engine goroutine only and may use shared scratch.
-type SurrogateProblem interface {
-	Problem
-	ProxyEvaluate(g *Genome) Evaluation
-}
-
 // RandomGenome draws a uniformly random individual for the problem.
 func RandomGenome(rng *rand.Rand, p Problem) *Genome {
 	n := p.NumTasks()

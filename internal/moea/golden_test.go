@@ -156,7 +156,6 @@ func TestEnginesGolden(t *testing.T) {
 		problem Problem
 		seeds   []*Genome
 		tweak   func(*Params)
-		nsga2   bool // NSGA-II only
 	}{
 		{name: "plain", problem: zdt},
 		{name: "seeded", problem: zdt, seeds: []*Genome{seed, seed2}},
@@ -172,16 +171,10 @@ func TestEnginesGolden(t *testing.T) {
 			p.PlateauWindow = 4
 		}},
 		{name: "constrained", problem: &constrainedProblem{zdtProblem{n: 8, levels: 16}}},
-		{name: "surrogate", problem: &surrogateZDT{zdtProblem{n: 8, levels: 16}}, nsga2: true, tweak: func(p *Params) {
-			p.Surrogate = SurrogateParams{Enabled: true, Fraction: 0.5}
-		}},
 	}
 	got := map[string]string{}
 	for _, tc := range cases {
 		for _, engine := range testEngines {
-			if tc.nsga2 && engine.name != "nsga2" {
-				continue
-			}
 			name := engine.name + "/" + tc.name
 			t.Run(name, func(t *testing.T) {
 				params := DefaultParams(16, 12, 5)

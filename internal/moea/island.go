@@ -164,20 +164,13 @@ func solutionMigrant(island int, s *solution) Migrant {
 
 // selectMigrants picks this epoch's emigrants: the island's single best
 // member always travels (elitism), the rest come from binary tournaments
-// drawn on the epoch's dedicated selection RNG. Surrogate-proxy members
-// are excluded — emigrants carry exact fitness only.
+// drawn on the epoch's dedicated selection RNG.
 func selectMigrants(pop []*solution, mig *Migration, epoch int) []Migrant {
-	cands := make([]int, 0, len(pop))
-	for i, s := range pop {
-		if !s.approx {
-			cands = append(cands, i)
-		}
-	}
-	if len(cands) == 0 {
-		return nil
-	}
 	// Quality order: rank asc, crowding desc, index asc as the tiebreak.
-	elite := append([]int(nil), cands...)
+	elite := make([]int, len(pop))
+	for i := range elite {
+		elite[i] = i
+	}
 	sort.Slice(elite, func(a, b int) bool {
 		pa, pb := pop[elite[a]], pop[elite[b]]
 		if pa.rank != pb.rank {
@@ -188,16 +181,12 @@ func selectMigrants(pop []*solution, mig *Migration, epoch int) []Migrant {
 		}
 		return elite[a] < elite[b]
 	})
-	count := mig.Count
-	if count > len(cands) {
-		count = len(cands)
-	}
 	rng := migrationRNG(mig.SelectSeed, mig.Island, epoch)
 	picked := map[int]bool{elite[0]: true}
 	chosen := []int{elite[0]}
-	for len(chosen) < count {
-		a := cands[rng.Intn(len(cands))]
-		b := cands[rng.Intn(len(cands))]
+	for len(chosen) < mig.Count {
+		a := rng.Intn(len(pop))
+		b := rng.Intn(len(pop))
 		w := a
 		if better(pop[b], pop[a]) {
 			w = b

@@ -43,9 +43,6 @@ func newMOEAD(p Problem, params Params) (engine, error) {
 	if m < 2 {
 		return nil, fmt.Errorf("moea: MOEA/D needs ≥ 2 objectives, problem has %d", m)
 	}
-	if params.Surrogate.Enabled {
-		return nil, fmt.Errorf("moea: surrogate screening requires the NSGA-II engine")
-	}
 	if params.Migration != nil {
 		return nil, fmt.Errorf("moea: island migration requires the NSGA-II engine")
 	}
@@ -131,8 +128,6 @@ func (e *moead) save(cp *Checkpoint) {
 		cp.Ideal[j] = math.Float64bits(v)
 	}
 }
-
-func (e *moead) finish(*runState) {}
 
 // DefaultMOEADNeighbors is the mating neighborhood size (capped at the
 // population size).

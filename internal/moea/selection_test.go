@@ -62,7 +62,7 @@ func referenceNonDominatedSort(pop []*solution) [][]*solution {
 // union, truncate by crowding), kept as the equivalence oracle.
 func referenceUpdateArchive(archive, batch []*solution, limit int) []*solution {
 	for _, s := range batch {
-		if s.eval.Violation == 0 && !s.approx {
+		if s.eval.Violation == 0 {
 			archive = append(archive, s)
 		}
 	}
@@ -249,7 +249,7 @@ func TestIncrementalArchiveMatchesFilter(t *testing.T) {
 			batch := randomTestPop(rng, 1+rng.Intn(30), m, levels, 0.15)
 			arch.add(batch)
 			for _, s := range batch {
-				if s.eval.Violation == 0 && !s.approx {
+				if s.eval.Violation == 0 {
 					union = append(union, s)
 				}
 			}

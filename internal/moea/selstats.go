@@ -6,9 +6,9 @@ import (
 )
 
 // selectionTotals accumulates process-wide selection-path and convergence
-// activity across every engine run, in the style of surrogateTotals: each
-// run batches its counters locally and flushes once at the end, so the hot
-// path never touches shared cache lines.
+// activity across every engine run: each run batches its counters locally
+// and flushes once at the end, so the hot path never touches shared cache
+// lines.
 var selectionTotals struct {
 	sortNanos    atomic.Uint64
 	archiveNanos atomic.Uint64

@@ -21,9 +21,6 @@ type solution struct {
 	// delta is the opaque replay state a DeltaEvaluator returned for this
 	// solution's exact evaluation (nil if none).
 	delta any
-	// approx marks eval as a surrogate proxy result: usable for selection
-	// pressure, never admissible to fronts or archives.
-	approx bool
 }
 
 // constrainedDominates implements constraint-domination (Deb): a feasible

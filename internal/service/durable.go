@@ -93,22 +93,22 @@ func (jc *jobCheckpointer) persistLocked() {
 // serving: terminal jobs reappear with their recorded states, done fronts
 // repopulate the result cache, and jobs that were accepted but never
 // finished come back as the queued backlog (returned in acceptance order
-// for re-enqueueing). Called from New before the workers start, so no
-// locking is needed.
+// for re-enqueueing), unless RecoverJob failed them. Called from New
+// before the workers start, so no locking is needed.
 func (s *Server) recover(st *store.Store) []*localJob {
 	s.cache.LoadResults(st)
 	var pending []*localJob
 	for _, jr := range st.Jobs() {
-		var spec JobSpec
-		if err := json.Unmarshal(jr.Spec, &spec); err != nil {
-			continue // journaled by a newer build; unusable but harmless
+		rj := RecoverJob(st, jr, jr.Spec, s.cache)
+		if rj == nil {
+			continue // journaled by another build; unusable but harmless
 		}
-		j := &localJob{Job: RecoverJob(jr, spec, s.cache)}
+		j := &localJob{Job: rj}
 		var n int64
 		if _, err := fmt.Sscanf(jr.ID, "j%d", &n); err == nil && n > s.nextID {
 			s.nextID = n
 		}
-		if jr.Pending() {
+		if j.State == StateQueued {
 			pending = append(pending, j)
 		}
 		s.jobs[j.ID] = j

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -303,4 +304,73 @@ func TestMetricsIncludeStoreGauges(t *testing.T) {
 	if m.Store.Appends == 0 || m.Store.Jobs != 1 {
 		t.Fatalf("store gauges = %+v", m.Store)
 	}
+}
+
+// TestRecoverRejectsRemovedSpecField checks a pending job journaled with a
+// field JobSpec no longer has: recovery must not run it as a different
+// computation under its old hash. It comes back failed with an error
+// naming the field, is journaled terminal, loses its checkpoint, and
+// never starts.
+func TestRecoverRejectsRemovedSpecField(t *testing.T) {
+	spec := JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 4, Seed: 7}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	raw := journaledWith(t, &spec, "surrogate", true)
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	const hash = "stored-surrogate-hash"
+	if err := st.AcceptJob("j1", hash, raw, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveCheckpoint(hash, json.RawMessage(`{"stages":{}}`)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2 := openTestStore(t, dir)
+	s2 := New(Config{Workers: 1, Store: st2})
+	ts2 := httptest.NewServer(s2)
+	t.Cleanup(func() {
+		sctx, scancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer scancel()
+		_ = s2.Shutdown(sctx)
+		ts2.Close()
+		st2.Close()
+	})
+
+	got := getJob(t, ts2, "j1")
+	if got.State != StateFailed || !strings.Contains(got.Error, `"surrogate"`) {
+		t.Fatalf("recovered job = %s (%q), want failed naming the field", got.State, got.Error)
+	}
+	if got.StartedAt != nil || got.Progress != nil {
+		t.Fatal("recovered job with a removed field ran")
+	}
+	for _, jr := range st2.Jobs() {
+		if jr.ID == "j1" && jr.Pending() {
+			t.Fatal("failed recovery left the job pending in the store")
+		}
+	}
+	if _, ok := st2.Checkpoint(hash); ok {
+		t.Fatal("failed recovery kept the job's checkpoint")
+	}
+}
+
+// journaledWith returns the journal form of a normalized spec plus one
+// extra top-level field, as a build that still had the field wrote it.
+func journaledWith(t *testing.T, spec *JobSpec, field string, v any) json.RawMessage {
+	t.Helper()
+	blob, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	m[field] = v
+	if blob, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"sync"
 	"time"
@@ -144,12 +145,27 @@ func (j *Job) JournalLocked(st *store.Store) {
 	_ = st.ClearCheckpoint(j.Hash)
 }
 
-// RecoverJob rebuilds a journaled job from its store record and decoded
-// spec. A pending record comes back queued; a terminal one keeps its
-// recorded outcome, a done job taking its front from cache.
-func RecoverJob(jr *store.JobRecord, spec JobSpec, cache *FrontCache) *Job {
+// RecoverJob rebuilds a journaled job from its store record and the spec
+// journaled with it, or returns nil when raw does not decode as a spec.
+// A terminal record keeps its recorded outcome, a done job taking its
+// front from cache. A pending record comes back queued if its spec decodes
+// as strictly as a submission. One that sets a field JobSpec no longer has
+// would run a different computation under its old hash, and resume from a
+// checkpoint that computation never wrote. It comes back failed instead,
+// with the decoding error, journaled to st with its checkpoint dropped.
+func RecoverJob(st *store.Store, jr *store.JobRecord, raw json.RawMessage, cache *FrontCache) *Job {
+	var spec JobSpec
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		return nil
+	}
 	j := NewJob(jr.ID, spec, jr.Hash, jr.Submitted)
 	if jr.Pending() {
+		if err := decodeStrict(bytes.NewReader(raw), new(JobSpec)); err != nil {
+			j.Lock()
+			j.FinishLocked(StateFailed, "recovering stored spec: "+err.Error(), nil)
+			j.JournalLocked(st)
+			j.Unlock()
+		}
 		return j
 	}
 	j.State, j.Cached, j.Error, j.Finished = jr.State, jr.Cached, jr.Error, jr.Finished

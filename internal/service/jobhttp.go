@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -21,9 +22,7 @@ func DecodeSpec(w http.ResponseWriter, r *http.Request, maxBytes int64) (JobSpec
 		r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	}
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeStrict(r.Body, &spec); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			HTTPError(w, http.StatusRequestEntityTooLarge,
@@ -42,6 +41,14 @@ func DecodeSpec(w http.ResponseWriter, r *http.Request, maxBytes int64) (JobSpec
 		return spec, "", false
 	}
 	return spec, spec.Hash(), true
+}
+
+// decodeStrict decodes one JSON job spec and rejects fields JobSpec does
+// not have. Submissions and recovered journal records share this rule.
+func decodeStrict(r io.Reader, spec *JobSpec) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(spec)
 }
 
 // ServeWait is the long-poll companion of a status read: it blocks until

@@ -192,7 +192,7 @@ type CacheWire struct {
 
 // EvalAccelWire reports the process-wide evaluation-acceleration counters
 // accumulated across every job's DSE instance (see core.AccelTotals):
-// delta-evaluation reuse, surrogate screening, and batched chain solving.
+// delta-evaluation reuse, batch warming, and batched chain solving.
 type EvalAccelWire struct {
 	// DeltaParentReuse counts offspring whose fitness was returned
 	// verbatim from the parent (no gene changed the schedule inputs).
@@ -207,9 +207,6 @@ type EvalAccelWire struct {
 	// BatchWarmed counts metric-cache entries pre-warmed in deduplicated
 	// generation batches before workers fanned out.
 	BatchWarmed uint64 `json:"batch_warmed"`
-	// ProxyEvals and ScreenedOut report surrogate screening volume.
-	ProxyEvals  uint64 `json:"proxy_evals"`
-	ScreenedOut uint64 `json:"screened_out"`
 	// PairedSolves counts absorbing-chain pairs solved with one shared
 	// factorization (two RHS per solve); SoloSolves went one-by-one.
 	PairedSolves uint64 `json:"paired_solves"`

@@ -435,8 +435,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		DeltaFullRuns:    at.DeltaFullRuns,
 		MetricsReused:    at.MetricsReused,
 		BatchWarmed:      at.BatchWarmed,
-		ProxyEvals:       at.ProxyEvals,
-		ScreenedOut:      at.ScreenedOut,
 		PairedSolves:     at.PairedSolves,
 		SoloSolves:       at.SoloSolves,
 	}

@@ -352,15 +352,17 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			t.Errorf("case %d: status %d, want 400", i, code)
 		}
 	}
-	// Unknown JSON fields are rejected too (typo protection).
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"methodd":"proposed"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
+	// Unknown JSON fields are rejected too: typos, and the removed
+	// surrogate-screening knobs.
+	for _, raw := range []string{`{"methodd":"proposed"}`, `{"surrogate":true}`, `{"surrogate_fraction":0.5}`} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("unknown field %s: status %d, want 400", raw, resp.StatusCode)
+		}
 	}
 	if _, code := postJob(t, ts, JobSpec{}); code != http.StatusAccepted {
 		t.Fatalf("empty spec (all defaults) should be accepted, got %d", code)

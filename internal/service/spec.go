@@ -84,12 +84,6 @@ type JobSpec struct {
 	// byte-identical either way — the switch exists for measurement — but it
 	// is part of the spec hash because it selects a different computation.
 	NoDelta bool `json:"no_delta,omitempty"`
-	// Surrogate enables surrogate screening (NSGA-II engine only):
-	// per generation only SurrogateFraction of the population budget is
-	// fully evaluated, ranked by a cheap proxy; the reported front is still
-	// exact. SurrogateFraction defaults to 0.5 and must lie in (0,1].
-	Surrogate         bool    `json:"surrogate,omitempty"`
-	SurrogateFraction float64 `json:"surrogate_fraction,omitempty"`
 	// Islands splits each GA stage into that many cooperating islands
 	// (NSGA-II engine only; 0 or 1 is the plain single population).
 	// MigrationEvery is the epoch length in generations between elite
@@ -271,19 +265,6 @@ func (s *JobSpec) Normalize() error {
 	}
 	if s.Constraints.MinFunctionalRel > 1 {
 		return fmt.Errorf("service: min_functional_rel = %v outside [0,1]", s.Constraints.MinFunctionalRel)
-	}
-	if s.Surrogate {
-		if s.Engine == "moead" {
-			return fmt.Errorf("service: surrogate screening requires the nsga2 engine")
-		}
-		if s.SurrogateFraction == 0 {
-			s.SurrogateFraction = 0.5
-		}
-		if math.IsNaN(s.SurrogateFraction) || s.SurrogateFraction <= 0 || s.SurrogateFraction > 1 {
-			return fmt.Errorf("service: surrogate_fraction = %v outside (0,1]", s.SurrogateFraction)
-		}
-	} else if s.SurrogateFraction != 0 {
-		return fmt.Errorf("service: surrogate_fraction requires surrogate")
 	}
 	if s.Islands < 0 {
 		return fmt.Errorf("service: islands = %d must be non-negative", s.Islands)
@@ -517,9 +498,6 @@ func ExecuteOnHooks(ctx context.Context, inst *core.Instance, flib *tdse.Library
 		Islands:         s.Islands,
 		MigrationEvery:  s.MigrationEvery,
 		Migrants:        s.Migrants,
-	}
-	if s.Surrogate {
-		cfg.SurrogateFraction = s.SurrogateFraction
 	}
 	if s.Converge {
 		cfg.TerminateOnPlateau = true

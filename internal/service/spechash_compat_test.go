@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -32,6 +33,13 @@ var specHashCorpus = map[string]string{
 	"graph_text":     `{"graph_text":"@TASK_GRAPH g {\n  PERIOD 1000\n  TASK t0 TYPE 0\n  TASK t1 TYPE 1\n  ARC a0 FROM t0 TO t1\n}\n","seed":4}`,
 	"no_delta":       `{"no_delta":true,"engine":"nsga2","app":"sobel"}`,
 }
+
+// removedCorpusEntries names corpus entries whose spec sets a field JobSpec
+// no longer has (surrogate screening was removed). Their pinned hashes
+// record the old cache keys; strict decoding must now reject the spec, so
+// such a job can never be served or recovered under a different
+// computation.
+var removedCorpusEntries = map[string]bool{"surrogate": true}
 
 type specHashEntry struct {
 	Spec string `json:"spec"`
@@ -64,7 +72,20 @@ func TestSpecHashBackwardCompat(t *testing.T) {
 	if *updateSpecHashes {
 		out := make(map[string]specHashEntry, len(specHashCorpus))
 		for name, raw := range specHashCorpus {
-			out[name] = specHashEntry{Spec: raw, Hash: normalizeCorpusSpec(t, name, raw).Hash()}
+			if !removedCorpusEntries[name] {
+				out[name] = specHashEntry{Spec: raw, Hash: normalizeCorpusSpec(t, name, raw).Hash()}
+			}
+		}
+		// Removed entries keep their pinned record: it cannot be
+		// recomputed.
+		if old, err := os.ReadFile(path); err == nil {
+			var pinned map[string]specHashEntry
+			if err := json.Unmarshal(old, &pinned); err != nil {
+				t.Fatal(err)
+			}
+			for name := range removedCorpusEntries {
+				out[name] = pinned[name]
+			}
 		}
 		blob, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
@@ -104,6 +125,12 @@ func TestSpecHashBackwardCompat(t *testing.T) {
 		}
 		if want.Spec != specHashCorpus[name] {
 			t.Errorf("%s: pinned spec text drifted; regenerate with -update-spechash", name)
+			continue
+		}
+		if removedCorpusEntries[name] {
+			if err := decodeStrict(strings.NewReader(want.Spec), new(JobSpec)); err == nil {
+				t.Errorf("%s: strict decoding accepted a spec with a removed field", name)
+			}
 			continue
 		}
 		got := normalizeCorpusSpec(t, name, specHashCorpus[name]).Hash()
