@@ -34,12 +34,14 @@ race:
 	$(GO) vet ./... && $(GO) test -race ./internal/sweep ./internal/core ./internal/moea ./internal/service ./internal/store ./internal/gateway ./internal/heft ./internal/tdse ./internal/relmodel ./internal/markov ./internal/matrix ./internal/faultmodel
 
 # Short continuous-fuzzing pass over the input-parsing surfaces: the TGFF
-# text parser, the JobSpec normalizer, the WAL replayer, the gateway
-# tenant-config parser and the fault-model JSON decoder. Each target gets
-# 10s on top of the checked-in corpus under testdata/fuzz/.
+# text parser, the JobSpec normalizer, the admission contract (a spec
+# Validate accepts builds), the WAL replayer, the gateway tenant-config
+# parser and the fault-model JSON decoder. Each target gets 10s on top of
+# the checked-in corpus under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseText -fuzztime 10s ./internal/tgff
 	$(GO) test -run xxx -fuzz FuzzNormalize -fuzztime 10s ./internal/service
+	$(GO) test -run xxx -fuzz FuzzValidateBuilds -fuzztime 10s ./internal/service
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime 10s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzParseTenants -fuzztime 10s ./internal/gateway
 	$(GO) test -run xxx -fuzz FuzzFaultModelDecode -fuzztime 10s ./internal/faultmodel

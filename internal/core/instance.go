@@ -138,6 +138,59 @@ func (in *Instance) Validate() error {
 	if len(in.Objectives) == 0 {
 		return fmt.Errorf("core: no optimization objectives")
 	}
+	return in.checkPermanentExposure()
+}
+
+// MaxPermanentHits bounds the expected number of permanent-fault hits
+// (the fault model's permanent rate plus the PE type's configuration-memory
+// upsets) in one execution of any implementation, at its slowest DVFS mode
+// and its slowest hardware and application-software methods.
+//
+// The bound keeps every reliability chain of the instance analyzable. A
+// chain interval is left with probability at least
+// pSurv·(1 − CovDet·MTol), where pSurv ≥ e^−MaxPermanentHits is the chance
+// of no permanent hit and CovDet·MTol ≤ 0.9992·0.9998 is the largest
+// rollback probability any built-in catalog and checkpoint mode reach
+// (TestRollbackLoopsEscape). That is ≥ 4e−8, far above float64 rounding,
+// so the (I − Q) systems stay non-singular whatever the transient rates.
+// Without it, a permanent rate that makes a hit near certain combined
+// with repair_prob 1 leaves a loop the chain never exits: the LU
+// factorization fails ("chain is not absorbing"), tdse.Build returns the
+// error and an fcCLR run panics on it. No physical fault environment comes
+// near the bound; the FPGA family's configuration upsets stay below one
+// hit per execution.
+const MaxPermanentHits = 10
+
+// checkPermanentExposure enforces MaxPermanentHits. Exposure grows with
+// execution time alone, so each implementation is checked once, under the
+// assignment that makes it slowest.
+func (in *Instance) checkPermanentExposure() error {
+	var slow relmodel.Assignment
+	for i, m := range in.Catalog.HW {
+		if m.TimeFactor > in.Catalog.HW[slow.HW].TimeFactor {
+			slow.HW = i
+		}
+	}
+	for i, m := range in.Catalog.ASW {
+		if m.TimeFactor > in.Catalog.ASW[slow.ASW].TimeFactor {
+			slow.ASW = i
+		}
+	}
+	for tt := 0; tt < in.Lib.NumTypes(); tt++ {
+		for _, impl := range in.Lib.ImplsShared(tt) {
+			pt := in.Platform.Types()[impl.PETypeIndex]
+			asg := slow
+			asg.Mode = len(pt.Modes) - 1 // modes are ordered nominal-first: the last is the slowest
+			p, err := relmodel.ChainParamsFor(impl, asg, pt, in.Catalog, in.Faults.For(pt.Name), faultmodel.CheckpointPolicy{})
+			if err != nil {
+				return err
+			}
+			if hits := p.PermPerUS * p.ExecTimeUS; !(hits <= MaxPermanentHits) {
+				return fmt.Errorf("core: %.3g expected permanent-fault hits per execution of %q on %s exceed %d",
+					hits, impl.Name, pt.Name, MaxPermanentHits)
+			}
+		}
+	}
 	return nil
 }
 

@@ -310,8 +310,9 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("tenant %s over its %.3g jobs/s rate", t.cfg.Name, t.cfg.RatePerSec))
 		return
 	}
-	// Specs that cannot build are rejected at the edge: a 400 here is
-	// cheaper for the fleet than a failed job on a worker.
+	// Invalid specs are rejected at the edge: a 400 here is cheaper for
+	// the fleet than a failed job on a worker. The edge only validates;
+	// the agent that runs a miss builds its task-level library.
 	spec, hash, ok := service.DecodeSpec(w, r, g.cfg.MaxBodyBytes)
 	if !ok {
 		return

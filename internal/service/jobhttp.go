@@ -14,9 +14,13 @@ import (
 // 404 or 401) itself.
 
 // DecodeSpec is the submission intake: a strict decode capped at maxBytes
-// (≤ 0: uncapped), Normalize, and a trial Build so malformed specs (e.g.
-// bad inline graphs) fail fast with 400 instead of failing a job later.
-// On failure it has answered 413 or 400 and returns false.
+// (≤ 0: uncapped), Normalize and Validate, so malformed specs (e.g. bad
+// inline graphs) fail fast with 400 instead of failing a job later. It
+// builds no task-level library: that is the run's work, done once by
+// whoever executes a miss, and a spec Validate accepts builds. Repeats the
+// result cache will answer are validated too, so a spec gets the same
+// answer whether or not it was seen before. On failure it has answered 413
+// or 400 and returns false.
 func DecodeSpec(w http.ResponseWriter, r *http.Request, maxBytes int64) (JobSpec, string, bool) {
 	if maxBytes > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
@@ -36,7 +40,7 @@ func DecodeSpec(w http.ResponseWriter, r *http.Request, maxBytes int64) (JobSpec
 		HTTPError(w, http.StatusBadRequest, err.Error())
 		return spec, "", false
 	}
-	if _, _, err := Build(&spec); err != nil {
+	if _, err := Validate(&spec); err != nil {
 		HTTPError(w, http.StatusBadRequest, err.Error())
 		return spec, "", false
 	}

@@ -11,6 +11,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/faultmodel"
 )
 
 // newTestServer starts a service plus an HTTP front end and wires teardown.
@@ -346,6 +349,11 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{App: "bogus"},
 		{GraphText: "not a task graph"},
 		{Objectives: []string{"makespan"}},
+		{App: "synthetic", Tasks: MaxSyntheticTasks + 1},
+		// Saturating permanent faults with perfect repair: the library
+		// method's chains would be singular, the fcCLR run's likewise.
+		{Method: "pfclr", Faults: saturatingFaults()},
+		{Method: "fcclr", Faults: saturatingFaults()},
 	}
 	for i, spec := range cases {
 		if _, code := postJob(t, ts, spec); code != http.StatusBadRequest {
@@ -366,6 +374,60 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 	if _, code := postJob(t, ts, JobSpec{}); code != http.StatusAccepted {
 		t.Fatalf("empty spec (all defaults) should be accepted, got %d", code)
+	}
+}
+
+// saturatingFaults makes a permanent hit near certain in every task
+// execution and repairs every hit, far beyond core.MaxPermanentHits.
+func saturatingFaults() *faultmodel.Model {
+	return &faultmodel.Model{Default: faultmodel.FaultModel{PermanentPerHour: 1e11, RepairProb: 1}}
+}
+
+// chainSolves is the process-wide count of reliability chain analyses, the
+// work of tDSE enumeration and of fcCLR metric decoding.
+func chainSolves() uint64 {
+	a := core.AccelTotals()
+	return a.PairedSolves + a.SoloSolves
+}
+
+// TestDaemonBuildsLibraryOncePerMiss: a daemon miss builds its task-level
+// library once, in the worker, not a second time at intake. A pfCLR run
+// solves no chains of its own, so the daemon's whole chain count for the
+// job must equal one Build's. Not parallel: the counter is process-wide.
+func TestDaemonBuildsLibraryOncePerMiss(t *testing.T) {
+	spec := JobSpec{App: "sobel", Method: "pfclr", Pop: 8, Gens: 2, Seed: 41}
+	norm := spec
+	if err := norm.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	before := chainSolves()
+	inst, flib, err := Build(&norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perBuild := chainSolves() - before
+	if perBuild == 0 {
+		t.Fatal("a library build solved no chains")
+	}
+	before = chainSolves()
+	if _, err := ExecuteOn(context.Background(), inst, flib, &norm, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := chainSolves() - before; n != 0 {
+		t.Fatalf("a pfCLR run solved %d chains, want 0", n)
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1})
+	before = chainSolves()
+	jw, code := postJob(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", code)
+	}
+	if done := waitFor(t, ts, jw.ID, 30*time.Second, terminal); done.State != StateDone {
+		t.Fatalf("job ended %s: %s", done.State, done.Error)
+	}
+	if n := chainSolves() - before; n != perBuild {
+		t.Fatalf("daemon miss solved %d chains, want one library build's %d", n, perBuild)
 	}
 }
 

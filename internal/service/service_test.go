@@ -35,11 +35,19 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		{Pop: 1},
 		{Gens: -3},
 		{App: "synthetic", Tasks: -1},
+		{App: "synthetic", Tasks: MaxSyntheticTasks + 1},
 	}
 	for i, s := range bad {
 		if err := s.Normalize(); err == nil {
 			t.Errorf("case %d accepted: %+v", i, s)
 		}
+	}
+	largest := JobSpec{App: "synthetic", Tasks: MaxSyntheticTasks}
+	if err := largest.Normalize(); err != nil {
+		t.Fatalf("largest synthetic application rejected: %v", err)
+	}
+	if _, err := Validate(&largest); err != nil {
+		t.Fatalf("largest synthetic application fails validation: %v", err)
 	}
 }
 

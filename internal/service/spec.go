@@ -40,7 +40,8 @@ type JobSpec struct {
 	// task graph instead and overrides App.
 	App       string `json:"app,omitempty"`
 	GraphText string `json:"graph_text,omitempty"`
-	// Tasks is the synthetic application's task count (default 20).
+	// Tasks is the synthetic application's task count (default 20, at most
+	// MaxSyntheticTasks).
 	Tasks int `json:"tasks,omitempty"`
 	// GraphSeed overrides the seed of the synthetic task-graph generator
 	// (0: derive from Seed, as before). LibSeed likewise overrides the seed
@@ -122,6 +123,11 @@ type JobSpec struct {
 	CkptIntervals []int `json:"ckpt_intervals,omitempty"`
 }
 
+// MaxSyntheticTasks caps a synthetic application's task count: ten times
+// the largest size any experiment or benchmark workload uses, and small
+// enough that generating the graph at admission stays around a millisecond.
+const MaxSyntheticTasks = 1000
+
 var systemObjectiveNames = map[string]core.SystemObjective{
 	"makespan": core.Makespan,
 	"errprob":  core.AppErrProb,
@@ -171,8 +177,8 @@ func (s *JobSpec) Normalize() error {
 		s.Tasks = 0
 	} else if s.Tasks == 0 {
 		s.Tasks = 20
-	} else if s.Tasks < 1 {
-		return fmt.Errorf("service: task count %d must be ≥ 1", s.Tasks)
+	} else if s.Tasks < 1 || s.Tasks > MaxSyntheticTasks {
+		return fmt.Errorf("service: task count %d outside [1,%d]", s.Tasks, MaxSyntheticTasks)
 	}
 	if s.App != "synthetic" {
 		// Only the synthetic generator consumes GraphSeed; the inline and
@@ -387,12 +393,23 @@ func (s *JobSpec) TotalGenerations() int {
 	}
 }
 
-// Build materializes a normalized spec into a DSE instance and, for
-// methods that need it, the task-level Pareto-filtered library.
-func Build(s *JobSpec) (*core.Instance, *tdse.Library, error) {
+// Validate materializes a normalized spec into its DSE instance and checks
+// it: the platform family, the method catalog, the task graph (inline text
+// parsed, or the synthetic one generated), the characterization library
+// and core.Instance.Validate, which also bounds the permanent-fault
+// exposure of every task. It is the admission check of both job surfaces.
+//
+// The task-level library (tdse.Build) is left out because it is the run's
+// expensive step, not a check: a spec Validate accepts builds its library
+// without error. tdse.Build's preconditions — catalog and implementation
+// validity, a non-empty enumeration, valid fault models and checkpoint
+// policies — are all checked here or by Normalize, and its chain analyses
+// cannot fail for an instance Instance.Validate accepts (see
+// core.MaxPermanentHits). FuzzValidateBuilds holds the property.
+func Validate(s *JobSpec) (*core.Instance, error) {
 	p, err := platform.Named(s.Platform)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cat := relmodel.DefaultCatalog()
 	switch s.Catalog {
@@ -428,7 +445,7 @@ func Build(s *JobSpec) (*core.Instance, *tdse.Library, error) {
 	case s.GraphText != "":
 		g, err := tgff.ParseText(strings.NewReader(s.GraphText))
 		if err != nil {
-			return nil, nil, fmt.Errorf("service: parsing graph text: %w", err)
+			return nil, fmt.Errorf("service: parsing graph text: %w", err)
 		}
 		inst.Graph = g
 		inst.Lib = characterize.Synthetic(p, characterize.DefaultSyntheticConfig(g.NumTypes()), libSeed)
@@ -447,20 +464,27 @@ func Build(s *JobSpec) (*core.Instance, *tdse.Library, error) {
 		inst.Lib = characterize.Synthetic(p, characterize.DefaultSyntheticConfig(10), libSeed)
 	}
 	if err := inst.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var flib *tdse.Library
-	if s.needsLibrary() {
-		opt := tdse.DefaultOptions()
-		opt.Faults = s.Faults
-		if s.CkptModes {
-			opt.Checkpoints = tdse.CheckpointAxis(s.CkptIntervals)
-		}
-		flib, err = tdse.Build(inst.Lib, p, inst.Catalog, opt,
-			tdse.StudyObjectiveSets()[s.TDSESet])
-		if err != nil {
-			return nil, nil, err
-		}
+	return inst, nil
+}
+
+// Build is Validate plus, for methods that need it, the task-level
+// Pareto-filtered library: everything a run of the spec consumes.
+func Build(s *JobSpec) (*core.Instance, *tdse.Library, error) {
+	inst, err := Validate(s)
+	if err != nil || !s.needsLibrary() {
+		return inst, nil, err
+	}
+	opt := tdse.DefaultOptions()
+	opt.Faults = s.Faults
+	if s.CkptModes {
+		opt.Checkpoints = tdse.CheckpointAxis(s.CkptIntervals)
+	}
+	flib, err := tdse.Build(inst.Lib, inst.Platform, inst.Catalog, opt,
+		tdse.StudyObjectiveSets()[s.TDSESet])
+	if err != nil {
+		return nil, nil, err
 	}
 	return inst, flib, nil
 }
