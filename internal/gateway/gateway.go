@@ -27,9 +27,10 @@
 //     answers 429 with Retry-After, never an unbounded queue.
 //
 // The tenant-facing job API (POST/GET/DELETE /v1/jobs, /wait, /events
-// SSE) shares the daemon's code: gateway jobs embed service.Job, and the
-// wait, SSE, spec-intake and result-cache code is internal/service's, so
-// existing clients work unchanged against a fleet.
+// SSE) shares the daemon's code: gateway jobs embed service.Job and live
+// in a service.Table (IDs, routing, result tiers, recovery), and the wait,
+// SSE and spec-intake code is internal/service's, so existing clients
+// work unchanged against a fleet.
 package gateway
 
 import (
@@ -117,15 +118,12 @@ type Gateway struct {
 	closed  chan struct{}
 	loopsWG sync.WaitGroup
 
-	mu           sync.Mutex
-	jobs         map[string]*gwJob
-	order        []string
-	activeByHash map[string]*gwJob
-	cache        *service.FrontCache
-	leases       map[string]*lease
-	workers      map[string]*workerInfo
-	nextID       int64
-	nextLease    int64
+	jobs *service.Table[*gwJob]
+
+	mu        sync.Mutex // guards leases, workers and nextLease
+	leases    map[string]*lease
+	workers   map[string]*workerInfo
+	nextLease int64
 }
 
 // lease is one outstanding claim of a job by a worker.
@@ -154,16 +152,14 @@ type workerInfo struct {
 func New(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	g := &Gateway{
-		cfg:          cfg,
-		queue:        newWorkQueue(cfg.QueueCap),
-		byKey:        make(map[string]*tenant),
-		byName:       make(map[string]*tenant),
-		closed:       make(chan struct{}),
-		jobs:         make(map[string]*gwJob),
-		activeByHash: make(map[string]*gwJob),
-		cache:        service.NewFrontCache(cfg.CacheCap),
-		leases:       make(map[string]*lease),
-		workers:      make(map[string]*workerInfo),
+		cfg:     cfg,
+		queue:   newWorkQueue(cfg.QueueCap),
+		byKey:   make(map[string]*tenant),
+		byName:  make(map[string]*tenant),
+		closed:  make(chan struct{}),
+		jobs:    service.NewTable("g", cfg.CacheCap, cfg.Store, encodeJob),
+		leases:  make(map[string]*lease),
+		workers: make(map[string]*workerInfo),
 	}
 	for _, tc := range cfg.Tenants {
 		t := newTenant(tc)
@@ -177,9 +173,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.byName[tc.Name] = t
 	}
 	g.anon = newTenant(TenantConfig{Name: "(recovered)", Key: "", MaxActive: -1})
-	if cfg.Store != nil {
-		g.recover(cfg.Store)
-	}
+	g.recover()
 
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("POST /v1/jobs", g.handleSubmit)
@@ -218,21 +212,15 @@ func (g *Gateway) Close() {
 	g.loopsWG.Wait()
 }
 
-// recover rebuilds gateway state from the durable store: terminal fronts
-// repopulate the shared result cache, finished job records keep answering
-// GET /v1/jobs/{id}, and jobs that never finished re-enter the queue
-// under their original IDs. Runs before the HTTP surface is up, so no
-// locking is needed.
-func (g *Gateway) recover(st *store.Store) {
-	g.cache.LoadResults(st)
-	for _, jr := range st.Jobs() {
+// recover rebuilds gateway state from the durable store: finished job
+// records keep answering GET /v1/jobs/{id}, and jobs that never finished
+// re-enter the queue under their original IDs and their tenants' quotas.
+// Runs before the HTTP surface is up.
+func (g *Gateway) recover() {
+	pending := g.jobs.Recover(func(raw json.RawMessage) (json.RawMessage, func(*service.Job) *gwJob, bool) {
 		var rec storedJob
-		if err := json.Unmarshal(jr.Spec, &rec); err != nil || rec.Spec == nil {
-			continue // journaled by a newer build; unusable but harmless
-		}
-		rj := service.RecoverJob(st, jr, rec.Spec, g.cache)
-		if rj == nil {
-			continue
+		if err := json.Unmarshal(raw, &rec); err != nil || rec.Spec == nil {
+			return nil, nil, false // journaled by a newer build; unusable but harmless
 		}
 		t := g.byName[rec.Tenant]
 		if t == nil {
@@ -241,22 +229,15 @@ func (g *Gateway) recover(st *store.Store) {
 			// accounting under the recovery tenant.
 			t = g.anon
 		}
-		j := &gwJob{Job: rj, tenant: t, class: t.class}
-		var n int64
-		if _, err := fmt.Sscanf(jr.ID, "g%d", &n); err == nil && n > g.nextID {
-			g.nextID = n
+		return rec.Spec, newGWJob(t), true
+	})
+	for _, j := range pending {
+		if j.tenant != g.anon {
+			j.tenant.mu.Lock()
+			j.tenant.active++
+			j.tenant.mu.Unlock()
 		}
-		if j.State == service.StateQueued {
-			if t != g.anon {
-				t.mu.Lock()
-				t.active++
-				t.mu.Unlock()
-			}
-			g.activeByHash[j.Hash] = j
-			g.queue.pushForce(j)
-		}
-		g.jobs[j.ID] = j
-		g.order = append(g.order, j.ID)
+		g.queue.pushForce(j)
 	}
 }
 
@@ -265,6 +246,19 @@ func (g *Gateway) recover(st *store.Store) {
 type storedJob struct {
 	Tenant string          `json:"tenant"`
 	Spec   json.RawMessage `json:"spec"`
+}
+
+func encodeJob(j *gwJob) ([]byte, error) {
+	spec, err := json.Marshal(&j.Spec)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(storedJob{Tenant: j.tenant.cfg.Name, Spec: spec})
+}
+
+// newGWJob wraps a job record for tenant t.
+func newGWJob(t *tenant) func(*service.Job) *gwJob {
+	return func(j *service.Job) *gwJob { return &gwJob{Job: j, tenant: t, class: t.class} }
 }
 
 // ---- tenant-facing handlers ----
@@ -318,135 +312,62 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	g.mu.Lock()
 	// Content-addressed routing, cheapest source first: an identical job
-	// already in flight absorbs the submission outright.
-	if dup := g.activeByHash[hash]; dup != nil {
-		dup.Lock()
-		dup.attached++
-		dup.Unlock()
+	// in flight, the gateway-local LRU, the replicated result store; only
+	// a miss meets admission control: tenant quota, then queue depth.
+	j, route, err := g.jobs.Submit(spec, hash, newGWJob(t), func(j *gwJob) error {
+		if !t.reserveActive() {
+			t.rejectedQuota.Add(1)
+			g.m.rejectedQuota.Add(1)
+			return fmt.Errorf("tenant %s at its %d active-job quota", t.cfg.Name, t.cfg.MaxActive)
+		}
+		if !g.queue.push(j) {
+			t.releaseActive()
+			t.rejectedQueue.Add(1)
+			g.m.rejectedBackpressure.Add(1)
+			return fmt.Errorf("fleet queue full (%d jobs waiting)", g.cfg.QueueCap)
+		}
+		return nil
+	})
+	switch route {
+	case service.Attached:
 		t.deduped.Add(1)
 		g.m.attachHits.Add(1)
-		g.mu.Unlock()
-		service.WriteJSON(w, http.StatusAccepted, dup.Wire(false))
-		return
-	}
-	// Then the shared result cache: gateway-local LRU, falling back to
-	// the replicated terminal-result store that survives restarts.
-	front, ok := g.cache.Get(hash)
-	source := &g.m.cacheHits
-	if !ok && g.cfg.Store != nil {
-		if payload, found := g.cfg.Store.Result(hash); found {
-			var fw service.FrontWire
-			if err := json.Unmarshal(payload, &fw); err == nil {
-				front, ok = &fw, true
-				source = &g.m.storeHits
-				g.cache.Add(hash, front)
-			}
+		service.WriteJSON(w, http.StatusAccepted, j.Wire(false))
+	case service.CacheHit, service.StoreHit:
+		hits := &g.m.cacheHits
+		if route == service.StoreHit {
+			hits = &g.m.storeHits
 		}
-	}
-	if ok {
-		source.Add(1)
+		hits.Add(1)
 		t.deduped.Add(1)
-		j := g.newJobLocked(t, spec, hash)
-		j.FinishCached(front)
-		g.jobs[j.ID] = j
-		g.order = append(g.order, j.ID)
-		g.mu.Unlock()
-		g.journalAccept(j)
-		j.JournalFinish(g.cfg.Store)
 		service.WriteJSON(w, http.StatusOK, j.Wire(true))
-		return
-	}
-	g.m.misses.Add(1)
-
-	// Admission control: per-tenant quota, then global queue depth.
-	if !t.reserveActive() {
-		g.mu.Unlock()
-		t.rejectedQuota.Add(1)
-		g.m.rejectedQuota.Add(1)
+	case service.Refused:
+		g.m.misses.Add(1)
 		retryAfter(w, time.Second)
-		service.HTTPError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("tenant %s at its %d active-job quota", t.cfg.Name, t.cfg.MaxActive))
-		return
-	}
-	j := g.newJobLocked(t, spec, hash)
-	if !g.queue.push(j) {
-		g.nextID--
-		g.mu.Unlock()
-		t.releaseActive()
-		t.rejectedQueue.Add(1)
-		g.m.rejectedBackpressure.Add(1)
-		retryAfter(w, time.Second)
-		service.HTTPError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("fleet queue full (%d jobs waiting)", g.cfg.QueueCap))
-		return
-	}
-	g.jobs[j.ID] = j
-	g.order = append(g.order, j.ID)
-	g.activeByHash[hash] = j
-	g.mu.Unlock()
-	t.admitted.Add(1)
-	g.m.admitted.Add(1)
-	// Journal the admission before acknowledging: once the client sees
-	// 202, the job survives a gateway crash.
-	if err := g.journalAccept(j); err != nil {
-		g.finalize(j, service.StateFailed, "journaling job: "+err.Error(), nil)
-		service.HTTPError(w, http.StatusInternalServerError, "journaling job: "+err.Error())
-		return
-	}
-	service.WriteJSON(w, http.StatusAccepted, j.Wire(false))
-}
-
-// newJobLocked allocates a queued job record; the caller holds g.mu.
-func (g *Gateway) newJobLocked(t *tenant, spec service.JobSpec, hash string) *gwJob {
-	g.nextID++
-	id := fmt.Sprintf("g%06d", g.nextID)
-	return &gwJob{Job: service.NewJob(id, spec, hash, time.Now()), tenant: t, class: t.class}
-}
-
-func (g *Gateway) journalAccept(j *gwJob) error {
-	st := g.cfg.Store
-	if st == nil {
-		return nil
-	}
-	specJSON, err := json.Marshal(&j.Spec)
-	if err == nil {
-		var payload []byte
-		payload, err = json.Marshal(storedJob{Tenant: j.tenant.cfg.Name, Spec: specJSON})
-		if err == nil {
-			err = st.AcceptJob(j.ID, j.Hash, payload, j.Submitted)
+		service.HTTPError(w, http.StatusTooManyRequests, err.Error())
+	case service.Queued:
+		g.m.misses.Add(1)
+		t.admitted.Add(1)
+		g.m.admitted.Add(1)
+		if err != nil {
+			g.settle(j, service.StateFailed)
+			service.HTTPError(w, http.StatusInternalServerError, err.Error())
+			return
 		}
+		service.WriteJSON(w, http.StatusAccepted, j.Wire(false))
 	}
-	return err
 }
 
-// finalize moves a job to a terminal state (idempotently), releases its
-// admission slot, publishes the result and journals the outcome. The hash
-// leaves the in-flight index and a computed front enters the LRU before
-// the job reads terminal, and the outcome is journaled in the same lock
-// hold as the transition, so a client that resubmits the moment it sees
-// done is served from the LRU, and the store already holds the front.
+// finalize ends a job through the table (idempotently) and settles it.
 func (g *Gateway) finalize(j *gwJob, state, errMsg string, front *service.FrontWire) {
-	g.mu.Lock()
-	if g.activeByHash[j.Hash] == j {
-		delete(g.activeByHash, j.Hash)
+	if g.jobs.Finish(j, state, errMsg, front) {
+		g.settle(j, state)
 	}
-	if state == service.StateDone && front != nil {
-		g.cache.Add(j.Hash, front)
-	}
-	g.mu.Unlock()
-	j.Lock()
-	finished := j.FinishLocked(state, errMsg, front)
-	if finished {
-		j.worker = ""
-		j.JournalLocked(g.cfg.Store)
-	}
-	j.Unlock()
-	if !finished {
-		return
-	}
+}
 
+// settle releases an ended job's admission slot and counts its outcome.
+func (g *Gateway) settle(j *gwJob, state string) {
 	t := j.tenant
 	if t != g.anon {
 		t.releaseActive()
@@ -471,9 +392,7 @@ func (g *Gateway) lookup(w http.ResponseWriter, r *http.Request) *gwJob {
 	if t == nil {
 		return nil
 	}
-	g.mu.Lock()
-	j := g.jobs[r.PathValue("id")]
-	g.mu.Unlock()
+	j, _ := g.jobs.Get(r.PathValue("id"))
 	// Another tenant's job reads as absent, not forbidden: job IDs must
 	// not confirm what other tenants are running. Jobs recovered under a
 	// dropped tenant stay readable by anyone authenticated.
@@ -495,14 +414,12 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	g.mu.Lock()
-	jobs := make([]*service.Job, 0, len(g.order))
-	for _, id := range g.order {
-		if j := g.jobs[id]; j.tenant == t {
-			jobs = append(jobs, j.Job)
+	var jobs []*gwJob
+	for _, j := range g.jobs.Jobs() {
+		if j.tenant == t {
+			jobs = append(jobs, j)
 		}
 	}
-	g.mu.Unlock()
 	service.WriteJobList(w, jobs)
 }
 
@@ -515,31 +432,22 @@ func (g *Gateway) handleWait(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
-	t := g.authTenant(w, r)
-	if t == nil {
+	j := g.lookup(w, r)
+	if j == nil {
 		return
 	}
-	g.mu.Lock()
-	j := g.jobs[r.PathValue("id")]
-	g.mu.Unlock()
-	// Same hiding rule as lookup; and nobody may cancel a recovered
-	// (anon-owned) job, since ownership can no longer be proven.
-	if j == nil || j.tenant != t {
+	// Nobody may cancel a recovered (anon-owned) job, since ownership can
+	// no longer be proven.
+	if j.tenant == g.anon {
 		service.HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	j.Lock()
-	state := j.State
-	if state == service.StateRunning {
-		// The lease holder learns of the cancellation on its next
-		// progress report or renewal; lease expiry is the backstop for a
-		// worker that never checks in again.
-		j.cancelReq = true
-	}
-	j.Unlock()
-	if state == service.StateQueued {
+	// The holder of a running job's lease learns of the cancellation on
+	// its next progress report or renewal; lease expiry is the backstop
+	// for a worker that never checks in again.
+	if g.jobs.Cancel(j, func(j *gwJob) { j.cancelReq = true }) {
 		g.queue.remove(j)
-		g.finalize(j, service.StateCancelled, "cancelled", nil)
+		g.settle(j, service.StateCancelled)
 	}
 	service.WriteJSON(w, http.StatusAccepted, j.Wire(false))
 }

@@ -348,6 +348,6 @@ func (g *Gateway) expireLease(l *lease) {
 	}
 	j.State = service.StateQueued
 	j.worker = ""
+	g.queue.pushFront(j) // under the lock: a cancel that sees it queued can remove it
 	j.Unlock()
-	g.queue.pushFront(j)
 }

@@ -207,9 +207,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Expired:    wi.expired,
 		})
 	}
-	m.CacheSize = g.cache.Len()
-	m.CacheCapacity = g.cfg.CacheCap
 	g.mu.Unlock()
+	m.CacheSize = g.jobs.CacheLen()
+	m.CacheCapacity = g.cfg.CacheCap
 	sort.Slice(m.Workers, func(i, k int) bool { return m.Workers[i].Name < m.Workers[k].Name })
 	sort.Slice(m.Leases.Active, func(i, k int) bool { return m.Leases.Active[i].JobID < m.Leases.Active[k].JobID })
 

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/service"
 )
@@ -18,16 +17,10 @@ type gwJob struct {
 	tenant *tenant
 	class  int
 
-	// dropped marks a job removed from consideration while still inside a
-	// queue slice (cancelled while queued); the lease path skips it without
-	// taking the job's lock, keeping queue.mu and job locks un-nested.
-	dropped atomic.Bool
-
 	// Guarded by the Job's lock.
 	cancelReq bool   // client asked for cancellation while leased
 	attempts  int    // lease deliveries so far
 	worker    string // current lease holder
-	attached  int64  // duplicate submissions attached in flight
 }
 
 // workQueue is the gateway's pending-job pool: one FIFO per priority
@@ -79,44 +72,37 @@ func (q *workQueue) pushFront(j *gwJob) {
 }
 
 // pop removes and returns the next job by weighted-fair class order, or
-// nil when every class is empty. Dropped (cancelled-while-queued) jobs
-// are discarded in passing.
+// nil when every class is empty.
 func (q *workQueue) pop() *gwJob {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		c := -1
-		var best int64
-		for i := 0; i < numClasses; i++ {
-			if len(q.classes[i]) == 0 {
-				continue
-			}
-			// Stride scheduling: the next dequeue goes to the non-empty
-			// class with the lowest virtual pass (served+1)/weight;
-			// cross-multiplied to stay in integers, ties to higher priority.
-			pass := (q.served[i] + 1) * (classWeights[0] * classWeights[1] * classWeights[2]) / classWeights[i]
-			if c == -1 || pass < best {
-				c, best = i, pass
-			}
+	c := -1
+	var best int64
+	for i := 0; i < numClasses; i++ {
+		if len(q.classes[i]) == 0 {
+			continue
 		}
-		if c == -1 {
-			return nil
+		// Stride scheduling: the next dequeue goes to the non-empty
+		// class with the lowest virtual pass (served+1)/weight;
+		// cross-multiplied to stay in integers, ties to higher priority.
+		pass := (q.served[i] + 1) * (classWeights[0] * classWeights[1] * classWeights[2]) / classWeights[i]
+		if c == -1 || pass < best {
+			c, best = i, pass
 		}
-		j := q.classes[c][0]
-		q.classes[c] = q.classes[c][1:]
-		if j.dropped.Load() {
-			continue // cancelled while queued; nothing was served
-		}
-		q.served[c]++
-		return j
 	}
+	if c == -1 {
+		return nil
+	}
+	j := q.classes[c][0]
+	q.classes[c] = q.classes[c][1:]
+	q.served[c]++
+	return j
 }
 
 // remove deletes a cancelled job from its class FIFO so queue depth (and
-// the backpressure threshold) reflect live work only. Safe to call with
-// j.mu held or not: only q.mu is taken.
+// the backpressure threshold) reflect live work only. A lease that pops
+// the job first skips it: the job is no longer queued.
 func (q *workQueue) remove(j *gwJob) {
-	j.dropped.Store(true)
 	q.mu.Lock()
 	class := q.classes[j.class]
 	for i, e := range class {
@@ -149,17 +135,13 @@ func (q *workQueue) liveDepthLocked() int {
 	return n
 }
 
-// depths reports the per-class queue depths (live jobs only).
+// depths reports the per-class queue depths.
 func (q *workQueue) depths() [numClasses]int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var d [numClasses]int
 	for i := 0; i < numClasses; i++ {
-		for _, j := range q.classes[i] {
-			if !j.dropped.Load() {
-				d[i]++
-			}
-		}
+		d[i] = len(q.classes[i])
 	}
 	return d
 }

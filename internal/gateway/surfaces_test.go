@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/store"
 )
 
 // sseEvent is one parsed server-sent event.
@@ -81,6 +82,32 @@ func readEvents(t *testing.T, ts *httptest.Server, id string) []sseEvent {
 	return nil
 }
 
+// surface is one job-API server under test: a running instance, and a
+// way to start a fresh one over a store with a one-front LRU.
+type surface struct {
+	name  string
+	ts    *httptest.Server
+	start func(st *store.Store) (ts *httptest.Server, stop func())
+}
+
+func openStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func marshalFront(t *testing.T, fw *service.FrontWire) []byte {
+	t.Helper()
+	b, err := json.Marshal(fw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestJobAPISurfaces runs one table of job-API cases against a daemon and
 // a gateway fronting an in-process agent: both serve the same /wait and
 // /events contract, and the same spec yields the same front bytes.
@@ -98,19 +125,21 @@ func TestJobAPISurfaces(t *testing.T) {
 
 	finishedSpec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 41}
 	runningSpec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 30, Seed: 42}
+	evictedSpec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 43}
+	laterSpec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 44}
 
 	cases := []struct {
 		name string
-		run  func(t *testing.T, ts *httptest.Server, finished string) []byte
+		run  func(t *testing.T, s surface, finished string) []byte
 	}{
-		{"wait bad timeout", func(t *testing.T, ts *httptest.Server, finished string) []byte {
-			if code, _ := get(t, ts, "/v1/jobs/"+finished+"/wait?timeout=soon"); code != http.StatusBadRequest {
+		{"wait bad timeout", func(t *testing.T, s surface, finished string) []byte {
+			if code, _ := get(t, s.ts, "/v1/jobs/"+finished+"/wait?timeout=soon"); code != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400", code)
 			}
 			return nil
 		}},
-		{"wait finished", func(t *testing.T, ts *httptest.Server, finished string) []byte {
-			code, body := get(t, ts, "/v1/jobs/"+finished+"/wait?timeout=1s")
+		{"wait finished", func(t *testing.T, s surface, finished string) []byte {
+			code, body := get(t, s.ts, "/v1/jobs/"+finished+"/wait?timeout=1s")
 			var jw service.JobWire
 			if err := json.Unmarshal(body, &jw); err != nil || code != http.StatusOK {
 				t.Fatalf("status %d, decode %v", code, err)
@@ -121,8 +150,8 @@ func TestJobAPISurfaces(t *testing.T) {
 			front, _ := json.Marshal(jw.Front)
 			return front
 		}},
-		{"events finished", func(t *testing.T, ts *httptest.Server, finished string) []byte {
-			events := readEvents(t, ts, finished)
+		{"events finished", func(t *testing.T, s surface, finished string) []byte {
+			events := readEvents(t, s.ts, finished)
 			if events[0].name != "status" {
 				t.Fatalf("first event %q, want status", events[0].name)
 			}
@@ -136,12 +165,12 @@ func TestJobAPISurfaces(t *testing.T) {
 			}
 			return nil
 		}},
-		{"events running", func(t *testing.T, ts *httptest.Server, _ string) []byte {
-			jw, resp := submitSpec(t, ts, "key1", runningSpec)
+		{"events running", func(t *testing.T, s surface, _ string) []byte {
+			jw, resp := submitSpec(t, s.ts, "key1", runningSpec)
 			if resp.StatusCode != http.StatusAccepted {
 				t.Fatalf("submit = %d, want 202", resp.StatusCode)
 			}
-			events := readEvents(t, ts, jw.ID)
+			events := readEvents(t, s.ts, jw.ID)
 			progress := 0
 			for _, e := range events[:len(events)-1] {
 				if e.name == "progress" {
@@ -153,21 +182,81 @@ func TestJobAPISurfaces(t *testing.T) {
 			}
 			return nil
 		}},
-		{"unknown id", func(t *testing.T, ts *httptest.Server, _ string) []byte {
+		{"unknown id", func(t *testing.T, s surface, _ string) []byte {
 			for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/wait", "/v1/jobs/nope/events"} {
-				if code, _ := get(t, ts, path); code != http.StatusNotFound {
+				if code, _ := get(t, s.ts, path); code != http.StatusNotFound {
 					t.Fatalf("%s: status %d, want 404", path, code)
 				}
 			}
 			return nil
 		}},
+		{"restart keeps evicted fronts", func(t *testing.T, s surface, _ string) []byte {
+			dir := t.TempDir()
+			st := openStore(t, dir)
+			ts, stop := s.start(st)
+			var ids []string
+			var fronts [][]byte
+			for _, spec := range []service.JobSpec{evictedSpec, laterSpec} {
+				jw, resp := submitSpec(t, ts, "key1", spec)
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("submit = %d, want 202", resp.StatusCode)
+				}
+				done := waitDone(t, ts, "key1", jw.ID, 30*time.Second)
+				ids = append(ids, jw.ID)
+				fronts = append(fronts, marshalFront(t, done.Front))
+			}
+			// The LRU holds only the later front: the store answers.
+			again, resp := submitSpec(t, ts, "key1", evictedSpec)
+			if resp.StatusCode != http.StatusOK || !again.Cached || !bytes.Equal(marshalFront(t, again.Front), fronts[0]) {
+				t.Fatalf("evicted repeat = %d cached=%t, want 200 cached with the first front", resp.StatusCode, again.Cached)
+			}
+			stop()
+			st.Close()
+
+			st = openStore(t, dir)
+			defer st.Close()
+			ts, stop = s.start(st)
+			defer stop()
+			code, body := get(t, ts, "/v1/jobs/"+ids[0])
+			var jw service.JobWire
+			if err := json.Unmarshal(body, &jw); err != nil || code != http.StatusOK {
+				t.Fatalf("status %d, decode %v", code, err)
+			}
+			if jw.State != service.StateDone || jw.Front == nil || !bytes.Equal(marshalFront(t, jw.Front), fronts[0]) {
+				t.Fatalf("recovered job %s is %s with front %s, want done with the first front", ids[0], jw.State, marshalFront(t, jw.Front))
+			}
+			return fronts[0]
+		}},
 	}
 
 	outputs := make(map[string][]byte)
-	for _, surface := range []struct {
-		name string
-		ts   *httptest.Server
-	}{{"daemon", dts}, {"gateway", gts}} {
+	for _, surface := range []surface{
+		{"daemon", dts, func(st *store.Store) (*httptest.Server, func()) {
+			d := service.New(service.Config{Workers: 1, CacheCap: 1, Store: st})
+			ts := httptest.NewServer(d)
+			return ts, func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+				defer cancel()
+				_ = d.Shutdown(ctx)
+				ts.Close()
+			}
+		}},
+		{"gateway", gts, func(st *store.Store) (*httptest.Server, func()) {
+			g, err := New(Config{Tenants: []TenantConfig{testTenant()}, CacheCap: 1, Store: st, ProbeEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(g)
+			a, err := NewAgent(AgentConfig{Gateway: ts.URL, Name: "w1", PollTimeout: 100 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() { defer close(done); a.Run(ctx) }()
+			return ts, func() { cancel(); <-done; ts.Close(); g.Close() }
+		}},
+	} {
 		jw, resp := submitSpec(t, surface.ts, "key1", finishedSpec)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("%s: submit = %d, want 202", surface.name, resp.StatusCode)
@@ -175,7 +264,7 @@ func TestJobAPISurfaces(t *testing.T) {
 		waitDone(t, surface.ts, "key1", jw.ID, 30*time.Second)
 		for _, c := range cases {
 			t.Run(surface.name+"/"+c.name, func(t *testing.T) {
-				if out := c.run(t, surface.ts, jw.ID); out != nil {
+				if out := c.run(t, surface, jw.ID); out != nil {
 					if prev, ok := outputs[c.name]; ok && !bytes.Equal(prev, out) {
 						t.Fatalf("surfaces disagree:\n daemon %s\ngateway %s", prev, out)
 					}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -87,32 +86,4 @@ func (jc *jobCheckpointer) persistLocked() {
 		return
 	}
 	_ = jc.st.SaveCheckpoint(jc.hash, blob)
-}
-
-// recover rebuilds the server's state from the store before it begins
-// serving: terminal jobs reappear with their recorded states, done fronts
-// repopulate the result cache, and jobs that were accepted but never
-// finished come back as the queued backlog (returned in acceptance order
-// for re-enqueueing), unless RecoverJob failed them. Called from New
-// before the workers start, so no locking is needed.
-func (s *Server) recover(st *store.Store) []*localJob {
-	s.cache.LoadResults(st)
-	var pending []*localJob
-	for _, jr := range st.Jobs() {
-		rj := RecoverJob(st, jr, jr.Spec, s.cache)
-		if rj == nil {
-			continue // journaled by another build; unusable but harmless
-		}
-		j := &localJob{Job: rj}
-		var n int64
-		if _, err := fmt.Sscanf(jr.ID, "j%d", &n); err == nil && n > s.nextID {
-			s.nextID = n
-		}
-		if j.State == StateQueued {
-			pending = append(pending, j)
-		}
-		s.jobs[j.ID] = j
-		s.order = append(s.order, j.ID)
-	}
-	return pending
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
@@ -184,6 +185,41 @@ func TestResultCacheSurvivesRestart(t *testing.T) {
 	}
 	if string(marshalWireFront(t, dup.Front)) != string(marshalWireFront(t, done.Front)) {
 		t.Fatal("cached front differs across restart")
+	}
+}
+
+// TestStoreAnswersAfterEviction checks the store is the daemon's second
+// result tier: a repeat whose front the LRU has evicted is answered from
+// the store, cached and counted as a cache hit, instead of running again.
+func TestStoreAnswersAfterEviction(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	t.Cleanup(func() { st.Close() })
+	_, ts := newTestServer(t, Config{Workers: 1, CacheCap: 1, Store: st})
+	specA := JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 31}
+	specB := JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 32}
+	var frontA []byte
+	for _, spec := range []JobSpec{specA, specB} {
+		jw, code := postJob(t, ts, spec)
+		if code != 202 {
+			t.Fatalf("submit: %d %s", code, jw.Error)
+		}
+		done := waitFor(t, ts, jw.ID, 30*time.Second, terminal)
+		if done.State != StateDone {
+			t.Fatalf("job ended %s (%s)", done.State, done.Error)
+		}
+		if frontA == nil {
+			frontA = marshalWireFront(t, done.Front)
+		}
+	}
+	again, code := postJob(t, ts, specA)
+	if code != 200 || !again.Cached || again.State != StateDone {
+		t.Fatalf("evicted repeat = %d %+v, want 200 cached", code, again)
+	}
+	if got := marshalWireFront(t, again.Front); !bytes.Equal(got, frontA) {
+		t.Fatalf("stored front differs:\n got %s\nwant %s", got, frontA)
+	}
+	if m := getMetrics(t, ts); m.Cache.Hits != 1 || m.Cache.Misses != 2 {
+		t.Fatalf("cache counters = %+v, want 1 hit and 2 misses", m.Cache)
 	}
 }
 

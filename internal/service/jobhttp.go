@@ -143,10 +143,10 @@ func ServeEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 }
 
 // WriteJobList answers a job listing; fronts are never inlined.
-func WriteJobList(w http.ResponseWriter, jobs []*Job) {
+func WriteJobList[J entry](w http.ResponseWriter, jobs []J) {
 	out := make([]*JobWire, len(jobs))
 	for i, j := range jobs {
-		out[i] = j.Wire(false)
+		out[i] = j.record().Wire(false)
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }

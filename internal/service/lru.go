@@ -1,16 +1,10 @@
 package service
 
-import (
-	"container/list"
-	"encoding/json"
-
-	"repro/internal/store"
-)
+import "container/list"
 
 // FrontCache is a fixed-capacity least-recently-used map from spec hashes
-// to finished fronts: the daemon's result cache and the gateway-local tier
-// of the fleet's. Not safe for concurrent use; the owner guards it with
-// its own mutex.
+// to finished fronts: the first result tier of a Table. Not safe for
+// concurrent use; the table guards it with its own mutex.
 type FrontCache struct {
 	cap   int
 	order *list.List // front = most recently used
@@ -57,14 +51,3 @@ func (c *FrontCache) Add(key string, front *FrontWire) {
 
 // Len is the current entry count.
 func (c *FrontCache) Len() int { return c.order.Len() }
-
-// LoadResults fills the cache from the store's persistent results, oldest
-// first, so the newest end up most recently used.
-func (c *FrontCache) LoadResults(st *store.Store) {
-	for _, r := range st.Results() {
-		var fw FrontWire
-		if err := json.Unmarshal(r.Payload, &fw); err == nil {
-			c.Add(r.Hash, &fw)
-		}
-	}
-}

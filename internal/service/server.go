@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -29,11 +30,11 @@ type Config struct {
 	// CacheCap bounds the LRU result cache (default 128 fronts).
 	CacheCap int
 	// Store, when non-nil, makes the service durable: accepted specs and
-	// terminal results are journaled, GA runs checkpoint every
-	// CheckpointEvery generations, and New replays the store — cached
-	// fronts are rehydrated, finished jobs reappear, and jobs that never
-	// reached a terminal state are re-enqueued (resuming mid-evolution
-	// from their checkpoints).
+	// terminal results are journaled, the results answer repeats the LRU
+	// no longer holds, GA runs checkpoint every CheckpointEvery
+	// generations, and New replays the store — finished jobs reappear,
+	// and jobs that never reached a terminal state are re-enqueued
+	// (resuming mid-evolution from their checkpoints).
 	Store *store.Store
 	// CheckpointEvery is the generation period of durable GA snapshots
 	// (default core.DefaultCheckpointEvery; meaningful only with Store).
@@ -72,25 +73,24 @@ type localJob struct {
 	cancel context.CancelFunc
 }
 
+func newLocalJob(j *Job) *localJob { return &localJob{Job: j} }
+
 // Server is the DSE job service: a bounded FIFO queue drained by a fixed
-// worker pool, an LRU result cache keyed by the canonical spec hash, and
-// the HTTP API on top. Create with New, serve via http.Server, stop with
-// Shutdown.
+// worker pool, a job Table (with its result tiers keyed by the canonical
+// spec hash), and the HTTP API on top. Create with New, serve via
+// http.Server, stop with Shutdown.
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
+	jobs    *Table[*localJob]
 	queue   chan *localJob
 	baseCtx context.Context
 	abort   context.CancelFunc // cancels all running jobs (forced shutdown)
 	metrics *Metrics
 	wg      sync.WaitGroup
 
-	mu       sync.Mutex
-	jobs     map[string]*localJob
-	order    []string // submission order, for listing
-	cache    *FrontCache
+	mu       sync.Mutex // guards draining and sends on queue
 	draining bool
-	nextID   int64
 }
 
 // New starts a job service with cfg's queue, worker-pool and cache sizes.
@@ -102,15 +102,15 @@ func New(cfg Config) *Server {
 		baseCtx: ctx,
 		abort:   abort,
 		metrics: newMetrics(),
-		jobs:    make(map[string]*localJob),
-		cache:   NewFrontCache(cfg.CacheCap),
+		jobs: NewTable("j", cfg.CacheCap, cfg.Store, func(j *localJob) ([]byte, error) {
+			return json.Marshal(&j.Spec)
+		}),
 	}
 	// Recovery pass: replay the store before serving, and size the queue so
 	// the whole recovered backlog fits alongside a full queue of new work.
-	var pending []*localJob
-	if cfg.Store != nil {
-		pending = s.recover(cfg.Store)
-	}
+	pending := s.jobs.Recover(func(raw json.RawMessage) (json.RawMessage, func(*Job) *localJob, bool) {
+		return raw, newLocalJob, true
+	})
 	s.queue = make(chan *localJob, cfg.QueueCap+len(pending))
 	for _, j := range pending {
 		s.queue <- j
@@ -161,10 +161,14 @@ func CheckBearer(r *http.Request, token string) bool {
 // within one generation) and Shutdown waits for them to unwind.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		for _, id := range s.order {
-			j := s.jobs[id]
+	first := !s.draining
+	s.draining = true
+	s.mu.Unlock()
+	if first {
+		// No enqueue follows draining, so the queue can close once its
+		// jobs are cancelled. They stay pending in the store: the next
+		// incarnation runs them.
+		for _, j := range s.jobs.Jobs() {
 			j.Lock()
 			if j.State == StateQueued {
 				j.FinishLocked(StateCancelled, "service shutting down", nil)
@@ -173,7 +177,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		close(s.queue)
 	}
-	s.mu.Unlock()
 
 	drained := make(chan struct{})
 	go func() {
@@ -230,39 +233,23 @@ func (s *Server) runJob(j *localJob) {
 	if err == nil {
 		front, err = ExecuteOnHooks(ctx, inst, flib, &j.Spec, hooks)
 	}
-	cancelled := ctx.Err() != nil
-	var wire *FrontWire
-	if !cancelled && err == nil {
-		// Cache the front before the job reads done, so a client that
-		// resubmits the moment it sees done is served from the cache.
-		wire = FrontToWire(front)
-		s.mu.Lock()
-		s.cache.Add(j.Hash, wire)
-		s.mu.Unlock()
-	}
-
-	j.Lock()
-	j.cancel = nil
-	aborted := false
 	switch {
-	case cancelled:
-		j.FinishLocked(StateCancelled, "cancelled", nil)
+	case ctx.Err() != nil && s.baseCtx.Err() != nil:
 		// A forced-shutdown abort is not a client decision: the job keeps
 		// its pending store record (plus the final cancellation checkpoint
 		// the GA just wrote), so the next incarnation re-enqueues and
-		// resumes it. A client DELETE is terminal and is journaled.
-		aborted = s.baseCtx.Err() != nil
+		// resumes it.
+		j.Lock()
+		j.FinishLocked(StateCancelled, "cancelled", nil)
+		j.Unlock()
+	case ctx.Err() != nil:
+		// A client DELETE is terminal and is journaled.
+		s.jobs.Finish(j, StateCancelled, "cancelled", nil)
 	case err != nil:
-		j.FinishLocked(StateFailed, err.Error(), nil)
+		s.jobs.Finish(j, StateFailed, err.Error(), nil)
 	default:
-		j.FinishLocked(StateDone, "", wire)
+		s.jobs.Finish(j, StateDone, "", FrontToWire(front))
 	}
-	if !aborted {
-		// In the same lock hold: no reader sees the job end before the
-		// store holds its outcome and has dropped its checkpoint.
-		j.JournalLocked(s.cfg.Store)
-	}
-	j.Unlock()
 	s.metrics.observeLatency(j.Spec.Method, time.Since(j.Started))
 }
 
@@ -275,97 +262,57 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		HTTPError(w, http.StatusServiceUnavailable, "service shutting down")
+	draining := s.draining
+	s.mu.Unlock()
+	if draining {
+		HTTPError(w, http.StatusServiceUnavailable, errDraining.Error())
 		return
 	}
 	s.metrics.incSubmitted()
-	// In-flight dedupe: a spec identical to one already queued or running
-	// is the same deterministic computation, so the second client attaches
-	// to the first job instead of doubling the work. (Finished duplicates
-	// are handled below by the result cache.)
-	for i := len(s.order) - 1; i >= 0; i-- {
-		dup := s.jobs[s.order[i]]
-		if dup.Hash != hash {
-			continue
-		}
-		dup.Lock()
-		active := dup.State == StateQueued || dup.State == StateRunning
-		dup.Unlock()
-		if active {
-			s.metrics.incDeduped()
-			s.mu.Unlock()
-			WriteJSON(w, http.StatusAccepted, dup.Wire(false))
+	j, route, err := s.jobs.Submit(spec, hash, newLocalJob, s.enqueue)
+	switch route {
+	case Attached:
+		s.metrics.incDeduped()
+		WriteJSON(w, http.StatusAccepted, j.Wire(false))
+	case CacheHit, StoreHit:
+		s.metrics.incCacheHit()
+		WriteJSON(w, http.StatusOK, j.Wire(true))
+	case Refused:
+		s.metrics.incCacheMiss()
+		s.metrics.incRejected()
+		HTTPError(w, http.StatusServiceUnavailable, err.Error())
+	case Queued:
+		s.metrics.incCacheMiss()
+		if err != nil {
+			HTTPError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
+		WriteJSON(w, http.StatusAccepted, j.Wire(false))
 	}
-	s.nextID++
-	j := &localJob{Job: NewJob(fmt.Sprintf("j%06d", s.nextID), spec, hash, time.Now())}
-	if front, ok := s.cache.Get(hash); ok {
-		// Same canonical spec (incl. seed) → same deterministic front:
-		// serve the cached result without running.
-		s.metrics.incCacheHit()
-		j.FinishCached(front)
-		s.jobs[j.ID] = j
-		s.order = append(s.order, j.ID)
-		s.mu.Unlock()
-		if st := s.cfg.Store; st != nil {
-			// Best-effort: the front itself is already durable under this
-			// hash; journaling the job record just keeps GET /v1/jobs/{id}
-			// answering across a restart.
-			if spec, err := json.Marshal(&j.Spec); err == nil {
-				_ = st.AcceptJob(j.ID, hash, spec, j.Submitted)
-				j.JournalFinish(st)
-			}
-		}
-		WriteJSON(w, http.StatusOK, j.Wire(true))
-		return
+}
+
+var errDraining = errors.New("service shutting down")
+
+// enqueue hands a miss to the workers, refusing it while draining or when
+// the queue is full.
+func (s *Server) enqueue(j *localJob) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return errDraining
 	}
-	s.metrics.incCacheMiss()
-	// Holding the job's lock across enqueue + journaling keeps a fast
-	// worker from finishing the job before its accept record is durable
-	// (runJob's first act is taking the lock).
-	j.Lock()
 	select {
 	case s.queue <- j:
+		return nil
 	default:
-		j.Unlock()
-		s.nextID--
-		s.metrics.incRejected()
-		s.mu.Unlock()
-		HTTPError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("queue full (%d jobs waiting)", s.cfg.QueueCap))
-		return
+		return fmt.Errorf("queue full (%d jobs waiting)", s.cfg.QueueCap)
 	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	s.mu.Unlock()
-	if st := s.cfg.Store; st != nil {
-		// Journal the accepted spec before acknowledging: once the client
-		// sees 202, the job survives a crash. A store failure fails the
-		// job up front rather than acknowledging work that could vanish.
-		spec, err := json.Marshal(&j.Spec)
-		if err == nil {
-			err = st.AcceptJob(j.ID, hash, spec, j.Submitted)
-		}
-		if err != nil {
-			j.FinishLocked(StateFailed, "journaling job: "+err.Error(), nil)
-			j.Unlock()
-			HTTPError(w, http.StatusInternalServerError, "journaling job: "+err.Error())
-			return
-		}
-	}
-	j.Unlock()
-	WriteJSON(w, http.StatusAccepted, j.Wire(false))
 }
 
 // lookup resolves the path's job, answering 404 when there is none.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *localJob {
-	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if j == nil {
+	j, ok := s.jobs.Get(r.PathValue("id"))
+	if !ok {
 		HTTPError(w, http.StatusNotFound, "no such job")
 	}
 	return j
@@ -390,13 +337,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	jobs := make([]*Job, len(s.order))
-	for i, id := range s.order {
-		jobs[i] = s.jobs[id].Job
-	}
-	s.mu.Unlock()
-	WriteJobList(w, jobs)
+	WriteJobList(w, s.jobs.Jobs())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -404,24 +345,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.Lock()
-	wasQueued := false
-	switch j.State {
-	case StateQueued:
-		// The job stays in the queue channel; the worker skips it.
-		wasQueued = j.FinishLocked(StateCancelled, "cancelled", nil)
-	case StateRunning:
-		// The GA polls the context between generations, so the run stops
-		// within one generation; the worker then marks the job cancelled.
-		j.cancel()
-	}
-	j.Unlock()
-	if wasQueued {
-		// A client cancellation is a terminal decision: journal it (and
-		// drop any checkpoint) so a restart does not resurrect the job.
-		// Running jobs are journaled by the worker once the GA unwinds.
-		j.JournalFinish(s.cfg.Store)
-	}
+	// A client cancellation of a queued job is a terminal decision:
+	// journaled, so a restart does not resurrect it, and the worker skips
+	// it. A running GA polls its context between generations, so the run
+	// stops within one; the worker then finishes and journals the job.
+	s.jobs.Cancel(j, func(j *localJob) { j.cancel() })
 	WriteJSON(w, http.StatusAccepted, j.Wire(false))
 }
 
@@ -457,15 +385,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		sw := StoreWire(st.Stats())
 		m.Store = &sw
 	}
-	s.mu.Lock()
-	m.Cache.Size = s.cache.Len()
+	m.Cache.Size = s.jobs.CacheLen()
 	m.Cache.Capacity = s.cfg.CacheCap
-	jobs := make([]*localJob, len(s.order))
-	for i, id := range s.order {
-		jobs[i] = s.jobs[id]
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
+	for _, j := range s.jobs.Jobs() {
 		j.Lock()
 		switch j.State {
 		case StateQueued:

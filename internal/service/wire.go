@@ -3,8 +3,8 @@
 // -json output, a canonical job specification with a content hash for
 // result caching, and a bounded job-queue server with cancellable GA runs,
 // server-sent-event progress streams and expvar-style metrics. The job
-// record and the job API's HTTP pieces (Job, ServeWait, ServeEvents,
-// DecodeSpec, FrontCache) are shared with the fleet gateway.
+// record, the job table and the job API's HTTP pieces (Job, Table,
+// ServeWait, ServeEvents, DecodeSpec) are shared with the fleet gateway.
 package service
 
 import (
