@@ -1,7 +1,7 @@
 GO ?= go
 PORT ?= 8080
 
-.PHONY: build test vet loc race fuzz-smoke validate-quick bench bench-sweep bench-snapshot bench-compare bench-islands island-smoke fpga-smoke suite-corpus quick full serve
+.PHONY: build test vet loc race fuzz-smoke validate-quick bench bench-sweep bench-snapshot bench-compare fpga-smoke suite-corpus quick full serve
 
 build:
 	$(GO) build ./...
@@ -114,27 +114,6 @@ bench-compare:
 	{ $(BENCH_SUITE_CMD) && $(BENCH_LAYER_CMD) && $(BENCH_KERNEL_CMD); } | \
 		$(GO) run ./cmd/benchsnap -compare -baseline $(BENCH_COMPARE_BASE) \
 			-max-time-pct $(BENCH_TIME_PCT) -max-alloc-pct $(BENCH_ALLOC_PCT)
-	$(GO) test -run '^$$' -bench 'Islands' -benchmem -benchtime 1x . | \
-		$(GO) run ./cmd/benchsnap -compare -baseline BENCH_ISLANDS_PR8.json \
-			-max-time-pct $(BENCH_TIME_PCT) -max-alloc-pct $(BENCH_ALLOC_PCT)
-
-# Island-quality snapshot: the equal-budget hypervolume uplift benchmarks
-# (island vs single population on sobel + synthetic), recorded as the
-# committed BENCH_ISLANDS_PR8.json artifact. The hv-uplift-% metric is
-# deterministic; only the timing columns vary across machines.
-BENCH_ISLANDS_SNAPSHOT ?= BENCH_ISLANDS_PR8.json
-bench-islands:
-	$(GO) test -run '^$$' -bench 'Islands' -benchmem -benchtime 1x . | \
-		$(GO) run ./cmd/benchsnap -o $(BENCH_ISLANDS_SNAPSHOT)
-
-# Deterministic island smoke: a quick 2-island experiment run byte-compared
-# against the committed golden. Catches any change to the migration
-# protocol, RNG stream layout or merge order that would silently break
-# cross-version reproducibility.
-island-smoke:
-	$(GO) run ./cmd/experiments -quick -run fig7 -islands 2 -migration-every 2 \
-		-timing=false > /tmp/island-smoke.out
-	cmp /tmp/island-smoke.out testdata/island_smoke.golden
 
 # Deterministic fault-model smoke: the ext-fpga extension study (SEU-only
 # vs combined transient+permanent vs checkpoint axis on the FPGA family)

@@ -73,12 +73,6 @@ func run(args []string, w io.Writer) error {
 	commPerKB := fs.Float64("comm-per-kb", 0, "interconnect cost per KB in µs")
 	memory := fs.Bool("memory", false, "enforce per-PE local memory capacities")
 	noDelta := fs.Bool("no-delta", false, "disable incremental delta evaluation (full re-evaluation of every offspring)")
-	islands := fs.Int("islands", 0, "split each GA stage into this many cooperating islands (nsga2 only; 0/1 = single population)")
-	migrationEvery := fs.Int("migration-every", 0, "generations between island migrant exchanges (required with -islands ≥ 2)")
-	migrants := fs.Int("migrants", 0, "elites exchanged per island per epoch (0 = default 2)")
-	converge := fs.Bool("converge", false, "stop GA stages early once the archive hypervolume plateaus (incompatible with -islands)")
-	convergeWindow := fs.Int("converge-window", 0, "consecutive low-improvement generations that end a stage under -converge (0 = default 8)")
-	convergeEps := fs.Float64("converge-eps", 0, "relative hypervolume-improvement threshold under -converge (0 = default 1e-3)")
 	jsonOut := fs.Bool("json", false, "emit the front as JSON in the service wire format")
 	ganttChart := fs.Bool("gantt", false, "render the most reliable mapping as a Gantt chart (proposed/fcclr only)")
 	remote := fs.String("remote", "", "gateway or daemon URL (http://KEY@host:port); offload the run with local fallback")
@@ -87,25 +81,19 @@ func run(args []string, w io.Writer) error {
 	}
 
 	spec := service.JobSpec{
-		App:            *app,
-		Tasks:          *tasks,
-		Method:         *method,
-		Pop:            *pop,
-		Gens:           *gens,
-		Seed:           *seed,
-		Engine:         *engine,
-		Catalog:        *catalog,
-		Objectives:     splitList(*objectives),
-		CommStartupUS:  *commStartup,
-		CommPerKBUS:    *commPerKB,
-		EnforceMemory:  *memory,
-		NoDelta:        *noDelta,
-		Islands:        *islands,
-		MigrationEvery: *migrationEvery,
-		Migrants:       *migrants,
-		Converge:       *converge,
-		ConvergeWindow: *convergeWindow,
-		ConvergeEps:    *convergeEps,
+		App:           *app,
+		Tasks:         *tasks,
+		Method:        *method,
+		Pop:           *pop,
+		Gens:          *gens,
+		Seed:          *seed,
+		Engine:        *engine,
+		Catalog:       *catalog,
+		Objectives:    splitList(*objectives),
+		CommStartupUS: *commStartup,
+		CommPerKBUS:   *commPerKB,
+		EnforceMemory: *memory,
+		NoDelta:       *noDelta,
 		Constraints: service.Constraints{
 			MaxMakespanUS:    *maxMakespan,
 			MinFunctionalRel: *minFRel,

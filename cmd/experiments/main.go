@@ -71,12 +71,6 @@ func run(args []string, w, errw io.Writer) error {
 	timing := fs.Bool("timing", true, "include wall-clock times in section headers")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	islands := fs.Int("islands", 0, "run every GA in island mode with this many islands (0 = single population)")
-	migrationEvery := fs.Int("migration-every", 0, "generations between island migrant exchanges (with -islands)")
-	migrants := fs.Int("migrants", 0, "elites exchanged per island per epoch (0 = default 2)")
-	converge := fs.Bool("converge", false, "stop every GA stage early once its archive hypervolume plateaus (incompatible with -islands)")
-	convergeWindow := fs.Int("converge-window", 0, "consecutive low-improvement generations that end a stage under -converge (0 = default 8)")
-	convergeEps := fs.Float64("converge-eps", 0, "relative hypervolume-improvement threshold under -converge (0 = default 1e-3)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -93,14 +87,9 @@ func run(args []string, w, errw io.Writer) error {
 				a.PairedSolves, a.SoloSolves)
 		}
 		s := core.SelectionTotals()
-		if s.GenerationsRun > 0 {
-			fmt.Fprintf(errw, "selection: %.2fs sorting, %.2fs archive; %d/%d generations run",
-				float64(s.SortNanos)/1e9, float64(s.ArchiveNanos)/1e9, s.GenerationsRun, s.GenerationsBudget)
-			if s.PlateauStops > 0 {
-				fmt.Fprintf(errw, "; plateau stopped %d runs, saved %d generations (last hypervolume %.6g)",
-					s.PlateauStops, s.GenerationsSaved, s.LastHypervolume)
-			}
-			fmt.Fprintln(errw)
+		if s.SortNanos+s.ArchiveNanos > 0 {
+			fmt.Fprintf(errw, "selection: %.2fs sorting, %.2fs archive\n",
+				float64(s.SortNanos)/1e9, float64(s.ArchiveNanos)/1e9)
 		}
 	}()
 
@@ -151,12 +140,6 @@ func run(args []string, w, errw io.Writer) error {
 		cfg.Sizes = parsed
 	}
 	cfg.Jobs = *jobs
-	cfg.Islands = *islands
-	cfg.MigrationEvery = *migrationEvery
-	cfg.Migrants = *migrants
-	cfg.Converge = *converge
-	cfg.ConvergeWindow = *convergeWindow
-	cfg.ConvergeEps = *convergeEps
 	if *remote != "" {
 		client, err := gateway.NewClient(*remote)
 		if err != nil {

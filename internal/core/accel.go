@@ -59,9 +59,8 @@ func AccelTotals() AccelStats {
 	}
 }
 
-// SelectionTotals exposes the engine-level selection-path and
-// plateau-convergence counters to the service layers — the source of the
-// daemon's /metrics selection and convergence blocks.
+// SelectionTotals exposes the engine-level selection-path counters to the
+// service layers — the source of the daemon's /metrics selection block.
 func SelectionTotals() moea.SelectionStats {
 	return moea.SelectionTotals()
 }

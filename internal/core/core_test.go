@@ -462,58 +462,6 @@ func TestMemoryConstraintEnforced(t *testing.T) {
 	}
 }
 
-func TestMappingOnlyHasNoReliability(t *testing.T) {
-	inst := sobelInstance()
-	front, err := MappingOnly(inst, smallCfg(41))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(front.Points) == 0 {
-		t.Fatal("empty mapping-only front")
-	}
-	for _, pt := range front.Points {
-		for tsk := 0; tsk < inst.Graph.NumTasks(); tsk++ {
-			_, asg, err := DecodeConfig(inst, pt.Genome, tsk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if asg.Mode != 0 || asg.HW != 0 || asg.SSW != 0 || asg.ASW != 0 {
-				t.Fatal("mapping-only design uses reliability methods")
-			}
-		}
-	}
-}
-
-func TestSingleLayerFixedPinsMapping(t *testing.T) {
-	inst := sobelInstance()
-	front, err := SingleLayerFixed(inst, smallCfg(43), LayerHW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(front.Points) == 0 {
-		t.Fatal("empty fixed single-layer front")
-	}
-	// All points share one mapping (same PE per task, same order).
-	ref := DecodePEs(inst, front.Points[0].Genome)
-	for _, pt := range front.Points {
-		pes := DecodePEs(inst, pt.Genome)
-		for tsk := range pes {
-			if pes[tsk] != ref[tsk] {
-				t.Fatal("fixed single-layer run changed the mapping")
-			}
-		}
-		for tsk := 0; tsk < inst.Graph.NumTasks(); tsk++ {
-			_, asg, err := DecodeConfig(inst, pt.Genome, tsk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if asg.Mode != 0 || asg.SSW != 0 || asg.ASW != 0 {
-				t.Fatal("fixed HW-only run leaked other layers")
-			}
-		}
-	}
-}
-
 func TestMOEADEngineOnRealProblem(t *testing.T) {
 	inst := sobelInstance()
 	cfg := smallCfg(47)

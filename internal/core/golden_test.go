@@ -55,10 +55,9 @@ func goldenStages(t *testing.T, b *strings.Builder, ck *memCheckpointer) {
 // TestEnginesGolden pins the strategy layer above both engines byte for
 // byte: Proposed on sobel under NSGA-II and MOEA/D with delta evaluation
 // on and off (uninterrupted, cancelled at fcCLR generation 3 with its
-// stage snapshots, and resumed), the island-mode Proposed (fronts only), and the
-// strategies that convert engine results themselves. Regenerate with
-// `go test ./internal/core -run TestEnginesGolden -update` only after an
-// intended change to the search.
+// stage snapshots, and resumed), and the strategies that convert engine
+// results themselves. Regenerate with `go test ./internal/core -run
+// TestEnginesGolden -update` only after an intended change to the search.
 func TestEnginesGolden(t *testing.T) {
 	got := map[string]string{}
 	record := func(name string, body func(t *testing.T, b *strings.Builder)) {
@@ -68,9 +67,6 @@ func TestEnginesGolden(t *testing.T) {
 			got[name] = fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 		})
 	}
-	// Island snapshots at cancellation depend on where each island's
-	// goroutine was when the context fired, so only the single-population
-	// runs dump their stage snapshots; every resumed front is exact.
 	proposed := func(cfg RunConfig) func(t *testing.T, b *strings.Builder) {
 		return func(t *testing.T, b *strings.Builder) {
 			inst := sobelInstance()
@@ -96,9 +92,7 @@ func TestEnginesGolden(t *testing.T) {
 			if _, err := Proposed(inst, icfg, flib); err == nil {
 				t.Fatal("interrupted run returned no error")
 			}
-			if !cfg.islandMode() {
-				goldenStages(t, b, ck)
-			}
+			goldenStages(t, b, ck)
 
 			rcfg := cfg
 			rcfg.Checkpoint = ck
@@ -115,14 +109,6 @@ func TestEnginesGolden(t *testing.T) {
 			record(fmt.Sprintf("proposed/%s/no-delta=%v", name, noDelta), proposed(cfg))
 		}
 	}
-	record("proposed/islands", proposed(RunConfig{Pop: 20, Gens: 8, Seed: 3, Workers: 1, Islands: 2, MigrationEvery: 2}))
-	record("single-layer-fixed", func(t *testing.T, b *strings.Builder) {
-		f, err := SingleLayerFixed(sobelInstance(), RunConfig{Pop: 16, Gens: 6, Seed: 9, Workers: 1}, LayerSSW)
-		if err != nil {
-			t.Fatal(err)
-		}
-		goldenFront(t, b, "front", f)
-	})
 	record("fcclr-with-params", func(t *testing.T, b *strings.Builder) {
 		params := moea.DefaultParams(16, 6, 13)
 		params.Workers = 1

@@ -20,10 +20,6 @@ type layerRestriction struct {
 	// freeHW / freeSSW / freeASW allow methods other than "none" (index 0)
 	// at the respective layer.
 	freeHW, freeSSW, freeASW bool
-	// fixedGenes, when non-nil, pins each task's PE binding and
-	// implementation choice to the given baseline design: only the free
-	// layer fields remain degrees of freedom (the Π C_t space of Eq. 5).
-	fixedGenes []moea.Gene
 }
 
 // allFree is the unrestricted cross-layer search space of fcCLR.
@@ -73,15 +69,9 @@ func (p *fcProblem) NumObjectives() int { return len(p.objs) }
 
 func (p *fcProblem) RandomGene(rng *rand.Rand, task int) moea.Gene {
 	tt := p.inst.Graph.Task(task).Type
-	var g moea.Gene
-	if p.restrict.fixedGenes != nil {
-		g = p.restrict.fixedGenes[task]
-		g.Mode, g.HW, g.SSW, g.ASW = 0, 0, 0, 0
-	} else {
-		g = moea.Gene{
-			Impl: rng.Intn(len(p.inst.Lib.ImplsShared(tt))),
-			PE:   rng.Intn(p.inst.Platform.NumPEs()),
-		}
+	g := moea.Gene{
+		Impl: rng.Intn(len(p.inst.Lib.ImplsShared(tt))),
+		PE:   rng.Intn(p.inst.Platform.NumPEs()),
 	}
 	if p.restrict.freeModes {
 		g.Mode = rng.Intn(p.maxModes)
@@ -100,10 +90,7 @@ func (p *fcProblem) RandomGene(rng *rand.Rand, task int) moea.Gene {
 
 func (p *fcProblem) MutateGene(rng *rand.Rand, task int, g moea.Gene) moea.Gene {
 	// Single-point configuration mutation: re-randomize one free field.
-	var fields []int
-	if p.restrict.fixedGenes == nil {
-		fields = []int{0, 1} // impl and pe are mapping decisions
-	}
+	fields := []int{0, 1} // impl and pe are mapping decisions
 	if p.restrict.freeModes {
 		fields = append(fields, 2)
 	}
@@ -115,9 +102,6 @@ func (p *fcProblem) MutateGene(rng *rand.Rand, task int, g moea.Gene) moea.Gene 
 	}
 	if p.restrict.freeASW {
 		fields = append(fields, 5)
-	}
-	if len(fields) == 0 {
-		return g
 	}
 	tt := p.inst.Graph.Task(task).Type
 	switch fields[rng.Intn(len(fields))] {

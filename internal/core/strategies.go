@@ -101,43 +101,13 @@ type RunConfig struct {
 	// evaluation is exact — fronts are byte-identical either way — so this
 	// is a measurement/escape hatch, not a fidelity knob.
 	DisableDelta bool
-	// Islands, when > 1 together with MigrationEvery ≥ 1, splits each GA
-	// stage into that many cooperating islands (NSGA-II only): the
-	// population divides across islands, per-island seeds derive from
-	// Seed, and elite migrants travel a fixed ring every MigrationEvery
-	// generations. The merged front is byte-identical for a fixed
-	// (Seed, Islands, MigrationEvery, Migrants) regardless of worker
-	// placement or restarts. Islands ≤ 1 — or MigrationEvery = 0 — runs
-	// the plain single-population engine, byte-identical to a config
-	// without island fields.
-	Islands int
-	// MigrationEvery is the island migration period in generations.
-	MigrationEvery int
-	// Migrants is the number of elite migrants exchanged per epoch
-	// (default 2 when island mode is active).
-	Migrants int
-	// TerminateOnPlateau, when set, lets every GA stage stop early once its
-	// archive hypervolume has plateaued (see moea.Params.TerminateOnPlateau).
-	// Off by default — runs then exhaust their full generation budget and
-	// remain byte-identical to configs without the knob. Incompatible with
-	// island mode.
-	TerminateOnPlateau bool
-	// PlateauWindow / PlateauEps tune the plateau detector (0 = the moea
-	// package defaults). Meaningful only with TerminateOnPlateau.
-	PlateauWindow int
-	PlateauEps    float64
 }
-
-// islandMode reports whether the config requests cooperative island
-// evolution. MigrationEvery = 0 deliberately degrades to the plain
-// single-population engine — the pinned compatibility contract.
-func (c RunConfig) islandMode() bool { return c.Islands > 1 && c.MigrationEvery > 0 }
 
 // ProgressEvent reports per-generation progress of one optimization stage
 // of a strategy run.
 type ProgressEvent struct {
-	// Stage names the GA stage: "pfclr", "fcclr", "mapping" or a layer
-	// name ("DVFS", "HWRel", "SSWRel", "ASWRel").
+	// Stage names the GA stage: "pfclr", "fcclr" or a layer name ("DVFS",
+	// "HWRel", "SSWRel", "ASWRel").
 	Stage string
 	// Generation counts completed generations within the stage (0 is the
 	// evaluated initial population); Generations is the stage's budget.
@@ -161,11 +131,6 @@ func (c RunConfig) paramsFor(stage string) moea.Params {
 	p.Workers = c.Workers
 	p.Ctx = c.Ctx
 	p.DisableDelta = c.DisableDelta
-	if c.TerminateOnPlateau {
-		p.TerminateOnPlateau = true
-		p.PlateauWindow = c.PlateauWindow
-		p.PlateauEps = c.PlateauEps
-	}
 	if c.Progress != nil {
 		progress := c.Progress
 		p.OnGeneration = func(g moea.GenerationInfo) {
@@ -192,21 +157,13 @@ func runProblem(p moea.Problem, decode func(*moea.Genome) *schedule.Result, cfg 
 		}
 	}
 	params := cfg.paramsFor(stage)
+	cfg.checkpointStage(&params, stage)
 	var res *moea.Result
 	var err error
-	switch {
-	case cfg.islandMode():
-		if cfg.TerminateOnPlateau {
-			return nil, fmt.Errorf("core: plateau termination is incompatible with island mode")
-		}
-		// Island mode checkpoints per island under derived stage keys;
-		// the plain stage key only ever holds the completed front.
-		res, err = runIslandStage(p, cfg, params, seeds, stage)
-	case cfg.Engine == NSGA2:
-		cfg.checkpointStage(&params, stage)
+	switch cfg.Engine {
+	case NSGA2:
 		res, err = moea.Run(p, params, seeds)
-	case cfg.Engine == MOEAD:
-		cfg.checkpointStage(&params, stage)
+	case MOEAD:
 		res, err = moea.RunMOEAD(p, params, seeds)
 	default:
 		return nil, fmt.Errorf("core: unknown engine %d", int(cfg.Engine))
@@ -422,18 +379,6 @@ func (l Layer) String() string {
 // Layers lists the four single-layer baselines.
 func Layers() []Layer { return []Layer{LayerDVFS, LayerHW, LayerSSW, LayerASW} }
 
-// MappingOnly optimizes plain task mapping (Fig. 1(a): task-to-PE binding,
-// scheduling and implementation choice) with no reliability methods and
-// nominal DVFS — the "task-mapping only" space of Eq. 5, and the baseline
-// design the single-layer optimizations start from.
-func MappingOnly(inst *Instance, cfg RunConfig) (*Front, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	p := newFCProblem(inst, layerRestriction{})
-	return runProblem(p, p.decodeResult, cfg, nil, "mapping")
-}
-
 // SingleLayer models the traditional other-layer-agnostic design flow: the
 // optimization keeps the ordinary task-mapping decisions (PE binding,
 // scheduling, implementation choice) but enables only one reliability layer
@@ -451,27 +396,6 @@ func SingleLayer(inst *Instance, cfg RunConfig, layer Layer) (*Front, error) {
 	return runProblem(p, p.decodeResult, cfg, nil, layer.String())
 }
 
-// SingleLayerFixed explores one reliability layer in the strict Π C_t
-// space of Eq. 5 ("cross-layer-reliability only"): task mapping, scheduling
-// and implementation choice are pinned to a performance-optimal baseline
-// design (the minimum-makespan point of a MappingOnly run), and only the
-// selected layer's configuration varies per task.
-func SingleLayerFixed(inst *Instance, cfg RunConfig, layer Layer) (*Front, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	baseline, evals, err := mappingBaseline(inst, cfg)
-	if err != nil {
-		return nil, err
-	}
-	front, err := singleLayerFrom(inst, cfg, layer, baseline)
-	if err != nil {
-		return nil, err
-	}
-	front.Evaluations += evals
-	return front, nil
-}
-
 func restrictionFor(layer Layer) (layerRestriction, error) {
 	var r layerRestriction
 	switch layer {
@@ -487,43 +411,6 @@ func restrictionFor(layer Layer) (layerRestriction, error) {
 		return r, fmt.Errorf("core: unknown layer %d", int(layer))
 	}
 	return r, nil
-}
-
-// mappingBaseline runs MappingOnly and returns its fastest design point.
-func mappingBaseline(inst *Instance, cfg RunConfig) (Point, int, error) {
-	base, err := MappingOnly(inst, cfg)
-	if err != nil {
-		return Point{}, 0, fmt.Errorf("core: mapping-only baseline: %w", err)
-	}
-	if len(base.Points) == 0 {
-		return Point{}, 0, fmt.Errorf("core: mapping-only baseline produced no feasible design")
-	}
-	baseline := base.Points[0]
-	for _, p := range base.Points {
-		if p.QoS.MakespanUS < baseline.QoS.MakespanUS {
-			baseline = p
-		}
-	}
-	return baseline, base.Evaluations, nil
-}
-
-// singleLayerFrom explores one layer's configurations on a fixed baseline
-// design.
-func singleLayerFrom(inst *Instance, cfg RunConfig, layer Layer, baseline Point) (*Front, error) {
-	r, err := restrictionFor(layer)
-	if err != nil {
-		return nil, err
-	}
-	r.fixedGenes = baseline.Genome.Genes
-	p := newFCProblem(inst, r)
-	params := cfg.paramsFor(layer.String())
-	params.Seed = cfg.Seed + 7
-	params.FixedOrder = baseline.Genome.Order
-	res, err := moea.Run(p, params, nil)
-	if err != nil {
-		return nil, err
-	}
-	return frontOf(res, p.decodeResult), nil
 }
 
 // Agnostic runs every single-layer optimization separately and merges the

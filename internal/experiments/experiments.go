@@ -50,19 +50,6 @@ type Config struct {
 	// form (Fig. 10, TABLE VII, ablations, task-level studies) always run
 	// locally.
 	Remote *gateway.Client
-	// Islands, MigrationEvery and Migrants switch every GA run into
-	// island mode (core.RunConfig semantics; all zero — the default —
-	// keeps the single-population engine and the canonical outputs).
-	Islands        int
-	MigrationEvery int
-	Migrants       int
-	// Converge, ConvergeWindow and ConvergeEps enable hypervolume-plateau
-	// termination on every GA run (core.RunConfig semantics; all zero — the
-	// default — exhausts full generation budgets and keeps the canonical
-	// outputs). Incompatible with island mode.
-	Converge       bool
-	ConvergeWindow int
-	ConvergeEps    float64
 }
 
 // Default returns the paper-scale configuration: applications of 10–100
@@ -84,8 +71,6 @@ func Quick() Config {
 func (c Config) run(seed int64) core.RunConfig {
 	return core.RunConfig{
 		Pop: c.Pop, Gens: c.Gens, Seed: seed, Workers: c.Workers, Jobs: c.Jobs,
-		Islands: c.Islands, MigrationEvery: c.MigrationEvery, Migrants: c.Migrants,
-		TerminateOnPlateau: c.Converge, PlateauWindow: c.ConvergeWindow, PlateauEps: c.ConvergeEps,
 	}
 }
 

@@ -45,20 +45,14 @@ func (c Config) tdseLibrary(k int) (*tdse.Library, error) {
 // it keeps worker cache keys stable across local -jobs settings.
 func (c Config) systemSpec(method string, tasks, gens int, seed int64) *service.JobSpec {
 	return &service.JobSpec{
-		App:            "synthetic",
-		Tasks:          tasks,
-		GraphSeed:      c.Seed + int64(tasks),
-		LibSeed:        c.Seed + 500,
-		Method:         method,
-		Pop:            c.Pop,
-		Gens:           gens,
-		Seed:           seed,
-		Islands:        c.Islands,
-		MigrationEvery: c.MigrationEvery,
-		Migrants:       c.Migrants,
-		Converge:       c.Converge,
-		ConvergeWindow: c.ConvergeWindow,
-		ConvergeEps:    c.ConvergeEps,
+		App:       "synthetic",
+		Tasks:     tasks,
+		GraphSeed: c.Seed + int64(tasks),
+		LibSeed:   c.Seed + 500,
+		Method:    method,
+		Pop:       c.Pop,
+		Gens:      gens,
+		Seed:      seed,
 	}
 }
 

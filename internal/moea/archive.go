@@ -26,9 +26,6 @@ type archiveState struct {
 	members []*solution
 	limit   int
 	sc      *selScratch
-	// plateau, when non-nil, observes every membership change so the 2-D
-	// hypervolume staircase stays in sync with the archive.
-	plateau *plateauState
 
 	nanos int64 // accumulated archive-update time, flushed by the run
 }
@@ -85,9 +82,6 @@ func (a *archiveState) insert(s *solution) {
 	w := 0
 	for _, m := range a.members {
 		if pareto.Dominates(obj, m.eval.Objectives) {
-			if a.plateau != nil {
-				a.plateau.onRemove(m)
-			}
 			continue
 		}
 		a.members[w] = m
@@ -95,9 +89,6 @@ func (a *archiveState) insert(s *solution) {
 	}
 	a.members = a.members[:w]
 	a.members = append(a.members, s)
-	if a.plateau != nil {
-		a.plateau.onInsert(s)
-	}
 }
 
 // truncate cuts the archive to its cap, keeping the most crowding-diverse
@@ -127,11 +118,6 @@ func (a *archiveState) truncate() {
 		a.members[i] = nil // release truncated members to the GC
 	}
 	a.members = a.members[:a.limit]
-	if a.plateau != nil {
-		// Truncation can drop staircase points wholesale; rebuild rather
-		// than replaying removals (same deterministic result, simpler).
-		a.plateau.rebuild(a.members)
-	}
 	for i := range buf {
 		buf[i] = nil
 	}

@@ -89,16 +89,6 @@ type Checkpoint struct {
 	Ideal      []uint64             `json:"ideal_bits,omitempty"`
 	Population []CheckpointSolution `json:"population"`
 	Archive    []CheckpointSolution `json:"archive"`
-	// Migration is the island's posting history — the migrants it
-	// contributed to every epoch barrier so far (empty for non-island
-	// runs). A run restarting with a fresh barrier reseeds it
-	// from these logs, so islands resumed past an epoch are still
-	// represented at it and their peers are never stranded.
-	Migration []EpochMigrants `json:"migration,omitempty"`
-	// Plateau is the hypervolume-plateau tracking state (nil unless the run
-	// tracks convergence and has fixed its reference point), so a resumed
-	// run's remaining plateau decisions match the uninterrupted run's.
-	Plateau *PlateauCheckpoint `json:"plateau,omitempty"`
 }
 
 // snapshotSolution deep-copies a live solution into durable form.

@@ -7,16 +7,15 @@ import (
 
 // engine is one MOEA family run by the shared generation driver. The
 // driver owns everything around the generation loop: parameter checks,
-// the initial or restored population, the archive and plateau tracker,
-// cancellation, progress reports, the checkpoint cadence and the final
-// front. An engine supplies only what differs between families.
+// the initial or restored population, the archive, cancellation, progress
+// reports, the checkpoint cadence and the final front. An engine supplies
+// only what differs between families.
 type engine interface {
 	// start prepares the engine once the initial population is evaluated
 	// (cp == nil) or a checkpointed one restored (cp is the checkpoint).
 	start(r *runState, cp *Checkpoint) error
-	// step advances r.pop by one generation. An error under a cancelled
-	// context is reported as the cancellation, with a snapshot at gen.
-	step(r *runState, gen int) error
+	// step advances r.pop by one generation.
+	step(r *runState)
 	// save adds the engine's own state to a generation-boundary snapshot.
 	save(cp *Checkpoint)
 }
@@ -48,9 +47,9 @@ func (r *runState) mutate(g *Genome) {
 // drive runs one engine on the problem: seeds (cloned; truncated to
 // PopSize) and random genomes form the initial population unless
 // params.Resume restores a checkpointed run, and the generation loop
-// continues until the budget is spent, the plateau detector fires or
-// params.Ctx is cancelled. newEngine runs right after Params.Validate, so
-// it can reject configurations its family does not support.
+// continues until the budget is spent or params.Ctx is cancelled.
+// newEngine runs right after Params.Validate, so it can reject
+// configurations its family does not support.
 func drive(p Problem, params Params, seeds []*Genome, newEngine func(Problem, Params) (engine, error)) (*Result, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -60,24 +59,14 @@ func drive(p Problem, params Params, seeds []*Genome, newEngine func(Problem, Pa
 		return nil, err
 	}
 	n, m := p.NumTasks(), p.NumObjectives()
-	if params.FixedOrder != nil {
-		if len(params.FixedOrder) != n {
-			return nil, fmt.Errorf("moea: fixed order has %d entries, want %d", len(params.FixedOrder), n)
-		}
-		if err := (&Genome{Order: params.FixedOrder, Genes: make([]Gene, n)}).Validate(); err != nil {
-			return nil, fmt.Errorf("moea: invalid fixed order: %w", err)
-		}
-		params.DisableOrderCrossover = true
-		params.DisableOrderMutation = true
-	}
 	archiveCap := params.ArchiveCap
 	if archiveCap <= 0 {
 		archiveCap = 256
 	}
 	src := newCountingSource(params.Seed)
-	// Per-run selection machinery: one scratch (islands run engines
-	// concurrently, so nothing is shared across runs), the incremental
-	// archive, and the plateau tracker (inert unless TerminateOnPlateau).
+	// Per-run selection machinery: one scratch (Agnostic runs its layer
+	// stages concurrently, so nothing is shared across runs) and the
+	// incremental archive.
 	r := &runState{
 		p:        p,
 		params:   params,
@@ -85,12 +74,8 @@ func drive(p Problem, params Params, seeds []*Genome, newEngine func(Problem, Pa
 		useDelta: !params.DisableDelta,
 		arch:     newArchiveState(archiveCap, new(selScratch)),
 	}
-	plateau := newPlateauState(params, m)
-	r.arch.plateau = plateau
-	startGen, doneGen, stopped := 0, 0, false
-	defer func() {
-		flushSelectionTotals(r.arch.sc, r.arch, plateau, startGen, doneGen, params.Generations, stopped)
-	}()
+	defer flushSelectionTotals(r.arch)
+	startGen := 0
 	snap := func(gen int) *Checkpoint {
 		cp := &Checkpoint{
 			Generation:  gen,
@@ -98,7 +83,6 @@ func drive(p Problem, params Params, seeds []*Genome, newEngine func(Problem, Pa
 			Draws:       src.Draws(),
 			Population:  snapshotSolutions(r.pop),
 			Archive:     snapshotSolutions(r.arch.members),
-			Plateau:     plateau.snapshot(),
 		}
 		e.save(cp)
 		return cp
@@ -119,12 +103,9 @@ func drive(p Problem, params Params, seeds []*Genome, newEngine func(Problem, Pa
 			return nil, err
 		}
 		r.arch.restore(archive)
-		if err := plateau.restore(cp.Plateau, r.arch.members); err != nil {
-			return nil, err
-		}
 		src.FastForward(cp.Draws)
 		r.evals = cp.Evaluations
-		startGen, doneGen = cp.Generation, cp.Generation
+		startGen = cp.Generation
 		if err := e.start(r, cp); err != nil {
 			return nil, err
 		}
@@ -145,18 +126,12 @@ func drive(p Problem, params Params, seeds []*Genome, newEngine func(Problem, Pa
 		for len(r.pop) < params.PopSize {
 			r.pop = append(r.pop, &solution{genome: RandomGenome(r.rng, p)})
 		}
-		if params.FixedOrder != nil {
-			for _, s := range r.pop {
-				s.genome.Order = append([]int(nil), params.FixedOrder...)
-			}
-		}
 		if err := params.cancelled(); err != nil {
 			return nil, err
 		}
 		evaluate(p, r.pop, params.Workers, r.useDelta)
 		r.evals = len(r.pop)
 		r.arch.add(r.pop)
-		plateau.observe(r.arch)
 		if err := e.start(r, nil); err != nil {
 			return nil, err
 		}
@@ -170,30 +145,11 @@ func drive(p Problem, params Params, seeds []*Genome, newEngine func(Problem, Pa
 			params.checkpointOnCancel(snap(gen))
 			return nil, err
 		}
-		if err := e.step(r, gen); err != nil {
-			if ctxErr := params.cancelled(); ctxErr != nil {
-				// Blocked through a shutdown (an island waiting at its
-				// epoch barrier): the step left the population at the
-				// boundary, so snapshot it and re-run the step on resume.
-				params.checkpointOnCancel(snap(gen))
-				return nil, ctxErr
-			}
-			return nil, err
-		}
-		doneGen = gen + 1
-		stopped = plateau.observe(r.arch)
+		e.step(r)
 		params.emit(gen+1, r.evals, len(r.arch.members))
 		if params.checkpointDue(gen + 1) {
 			params.OnCheckpoint(snap(gen + 1))
 		}
-		if stopped {
-			break
-		}
 	}
-	return &Result{
-		Front:          r.arch.front(),
-		Evaluations:    r.evals,
-		GenerationsRun: doneGen,
-		PlateauStopped: stopped,
-	}, nil
+	return &Result{Front: r.arch.front(), Evaluations: r.evals}, nil
 }

@@ -3,7 +3,6 @@ package moea
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -33,11 +32,6 @@ type Params struct {
 	DisableConfigCrossover bool
 	DisableOrderCrossover  bool
 	DisableOrderMutation   bool
-	// FixedOrder, when non-nil, pins every genome's scheduling order to
-	// this permutation and disables the order operators — the mode used by
-	// configuration-only searches (Eq. 5's "cross-layer-reliability only"
-	// space, where task mapping and scheduling are not degrees of freedom).
-	FixedOrder []int
 	// Ctx, when non-nil, is polled between generations: once it is
 	// cancelled the run stops before starting the next generation and
 	// returns ctx.Err(). A run is therefore cancellable within one
@@ -72,29 +66,6 @@ type Params struct {
 	// bit-identical either way — so this switch exists for measurement and
 	// as an escape hatch, not for correctness.
 	DisableDelta bool
-	// Migration, when non-nil, makes this run one island of an
-	// island-model search (NSGA-II engine only): every Migration.Every
-	// generations the run exchanges elite migrants with its ring
-	// neighbors through Migration.Exchange. Selection uses a dedicated
-	// epoch-seeded RNG and insertion is draw-free, so the main evolution
-	// stream is byte-identical with or without migration.
-	Migration *Migration
-	// TerminateOnPlateau, when set, stops the run early once the archive
-	// hypervolume has plateaued: PlateauWindow consecutive generations
-	// with relative improvement below PlateauEps (defaults
-	// DefaultPlateauWindow / DefaultPlateauEps when zero). The tracking is
-	// observation-only — it consumes no RNG draws and perturbs no
-	// selection decision — so a run that never hits the plateau is
-	// byte-identical to one with termination off, and the default-off
-	// setting preserves every pinned golden. Incompatible with Migration:
-	// an early-stopping island would strand its peers at the epoch
-	// barrier.
-	TerminateOnPlateau bool
-	// PlateauWindow is the plateau length in generations (0 = default).
-	PlateauWindow int
-	// PlateauEps is the relative hypervolume-improvement threshold below
-	// which a generation counts toward the plateau (0 = default).
-	PlateauEps float64
 }
 
 // GenerationInfo is a per-generation progress report delivered through
@@ -166,22 +137,6 @@ func (p Params) Validate() error {
 	if p.TournamentK < 1 {
 		return fmt.Errorf("moea: tournament size %d must be ≥ 1", p.TournamentK)
 	}
-	if err := p.Migration.validate(p.PopSize); err != nil {
-		return err
-	}
-	if p.TerminateOnPlateau {
-		if p.Migration != nil {
-			return fmt.Errorf("moea: plateau termination is incompatible with island migration")
-		}
-		if p.PlateauWindow < 0 {
-			return fmt.Errorf("moea: plateau window %d must be ≥ 0", p.PlateauWindow)
-		}
-		if math.IsNaN(p.PlateauEps) || math.IsInf(p.PlateauEps, 0) || p.PlateauEps < 0 {
-			return fmt.Errorf("moea: plateau epsilon %v must be finite and ≥ 0", p.PlateauEps)
-		}
-	} else if p.PlateauWindow != 0 || p.PlateauEps != 0 {
-		return fmt.Errorf("moea: plateau window/epsilon require TerminateOnPlateau")
-	}
 	return nil
 }
 
@@ -198,12 +153,6 @@ type Result struct {
 	Front []Solution
 	// Evaluations counts fitness evaluations performed.
 	Evaluations int
-	// GenerationsRun counts completed generations — equal to the
-	// configured budget unless plateau termination stopped the run early.
-	GenerationsRun int
-	// PlateauStopped reports that the run ended on a hypervolume plateau
-	// before exhausting its generation budget.
-	PlateauStopped bool
 }
 
 // Run executes the GA on the problem. seeds, if any, are injected into the
@@ -213,11 +162,9 @@ func Run(p Problem, params Params, seeds []*Genome) (*Result, error) {
 	return drive(p, params, seeds, newNSGA2)
 }
 
-// nsga2 is the NSGA-II engine: tournament variation, optional island
-// migration, and elitist environmental selection by non-dominated rank and
-// crowding distance.
+// nsga2 is the NSGA-II engine: tournament variation and elitist
+// environmental selection by non-dominated rank and crowding distance.
 type nsga2 struct {
-	migLog []EpochMigrants
 	// Selection-path buffers, reused every generation: the
 	// parents∪offspring union (exactly 2·PopSize), the offspring list, and
 	// the ping-pong spare that becomes the next population while the
@@ -237,25 +184,12 @@ func newNSGA2(p Problem, params Params) (engine, error) {
 }
 
 func (e *nsga2) start(r *runState, cp *Checkpoint) error {
-	if cp != nil {
-		e.migLog = cloneMigrantLog(cp.Migration)
-	}
 	r.arch.sc.rankAndCrowd(r.pop)
 	return nil
 }
 
-func (e *nsga2) step(r *runState, gen int) error {
+func (e *nsga2) step(r *runState) {
 	params := &r.params
-	if params.Migration.due(gen) {
-		// Epoch boundary: exchange migrants before any variation of this
-		// generation. Checkpoints at a boundary therefore hold
-		// pre-migration state, and a resumed island re-posts the boundary
-		// epoch byte-identically (the hub replays the cached exchange, so
-		// peers that moved on are unaffected).
-		if err := runMigration(params.Ctx, r.p, params, gen, r.pop, r.arch, &e.migLog); err != nil {
-			return err
-		}
-	}
 	// Variation: tournaments pick parents; the paper's two crossovers and
 	// two mutations produce the offspring.
 	rng := r.rng
@@ -310,10 +244,11 @@ func (e *nsga2) step(r *runState, gen int) error {
 	e.spare = r.pop[:0]
 	r.pop = next
 	r.arch.sc.rankAndCrowd(r.pop)
-	return nil
 }
 
-func (e *nsga2) save(cp *Checkpoint) { cp.Migration = cloneMigrantLog(e.migLog) }
+// save adds nothing: an NSGA-II run is fully described by its population,
+// archive and RNG position.
+func (e *nsga2) save(*Checkpoint) {}
 
 // tournament returns the best of k randomly drawn members.
 func tournament(rng *rand.Rand, pop []*solution, k int) *solution {

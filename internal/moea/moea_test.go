@@ -460,41 +460,6 @@ func TestPropertyOperatorsPreserveValidity(t *testing.T) {
 	}
 }
 
-func TestFixedOrderPinsSchedules(t *testing.T) {
-	p := &zdtProblem{n: 8, levels: 9}
-	params := DefaultParams(20, 6, 31)
-	fixed := []int{7, 6, 5, 4, 3, 2, 1, 0}
-	params.FixedOrder = fixed
-	forEngines(t, func(t *testing.T, run engineFn) {
-		res, err := run(p, params, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range res.Front {
-			for i, v := range s.Genome.Order {
-				if v != fixed[i] {
-					t.Fatal("fixed order not preserved through the run")
-				}
-			}
-		}
-	})
-}
-
-func TestFixedOrderValidation(t *testing.T) {
-	p := &zdtProblem{n: 5, levels: 9}
-	forEngines(t, func(t *testing.T, run engineFn) {
-		params := DefaultParams(10, 2, 1)
-		params.FixedOrder = []int{0, 1} // wrong arity
-		if _, err := run(p, params, nil); err == nil {
-			t.Fatal("short fixed order accepted")
-		}
-		params.FixedOrder = []int{0, 0, 1, 2, 3} // not a permutation
-		if _, err := run(p, params, nil); err == nil {
-			t.Fatal("non-permutation fixed order accepted")
-		}
-	})
-}
-
 func TestRandomSearchBasics(t *testing.T) {
 	p := &zdtProblem{n: 8, levels: 17}
 	res, err := RandomSearch(p, 500, 7)

@@ -43,9 +43,6 @@ func newMOEAD(p Problem, params Params) (engine, error) {
 	if m < 2 {
 		return nil, fmt.Errorf("moea: MOEA/D needs ≥ 2 objectives, problem has %d", m)
 	}
-	if params.Migration != nil {
-		return nil, fmt.Errorf("moea: island migration requires the NSGA-II engine")
-	}
 	n := p.NumTasks()
 	weights := weightVectors(params.PopSize, m)
 	return &moead{
@@ -88,7 +85,7 @@ func (e *moead) updateIdeal(ev Evaluation) {
 	}
 }
 
-func (e *moead) step(r *runState, gen int) error {
+func (e *moead) step(r *runState) {
 	params, rng, pop := &r.params, r.rng, r.pop
 	for i := range pop {
 		nb := e.neighbors[i]
@@ -119,7 +116,6 @@ func (e *moead) step(r *runState, gen int) error {
 			}
 		}
 	}
-	return nil
 }
 
 func (e *moead) save(cp *Checkpoint) {

@@ -1,7 +1,6 @@
 package moea
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -340,203 +339,6 @@ func TestArchiveTruncationTieBreakDeterministic(t *testing.T) {
 				t.Fatalf("trial %d position %d: truncation differs from the stable-sort oracle", trial, i)
 			}
 		}
-	}
-}
-
-func TestHVTrackerMatchesHypervolume(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	ref := []float64{10, 10}
-	for trial := 0; trial < 50; trial++ {
-		track := newHVTracker(ref)
-		var live [][]float64
-		for step := 0; step < 200; step++ {
-			if len(live) > 0 && rng.Float64() < 0.3 {
-				i := rng.Intn(len(live))
-				track.remove(live[i])
-				live = append(live[:i], live[i+1:]...)
-			} else {
-				// Distinct x coordinates keep the live set an antichain-like
-				// staircase; some points fall outside the reference box.
-				p := []float64{rng.Float64() * 12, rng.Float64() * 12}
-				conflict := false
-				for _, q := range live {
-					if q[0] == p[0] || q[1] == p[1] ||
-						pareto.WeaklyDominates(q, p) || pareto.WeaklyDominates(p, q) {
-						conflict = true
-						break
-					}
-				}
-				if conflict {
-					continue
-				}
-				track.insert(p)
-				live = append(live, p)
-			}
-			want := pareto.Hypervolume(live, ref)
-			if math.Abs(track.hv-want) > 1e-9*(1+want) {
-				t.Fatalf("trial %d step %d: tracker hv %v, Hypervolume %v", trial, step, track.hv, want)
-			}
-		}
-	}
-}
-
-// TestPlateauNeverFiringIsByteIdentical pins the observation-only contract:
-// a run with plateau termination armed but never triggered (impossible
-// epsilon) returns exactly the front of a run with termination off.
-func TestPlateauNeverFiringIsByteIdentical(t *testing.T) {
-	p := &zdtProblem{n: 8, levels: 16}
-	base := DefaultParams(24, 12, 7)
-	off, err := Run(p, base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	armed := base
-	armed.TerminateOnPlateau = true
-	armed.PlateauEps = math.SmallestNonzeroFloat64 // any improvement > 0 resets the streak
-	armed.PlateauWindow = base.Generations + 1     // and the window cannot fill regardless
-	on, err := Run(p, armed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.PlateauStopped {
-		t.Fatal("plateau fired despite an unfillable window")
-	}
-	if on.GenerationsRun != base.Generations {
-		t.Fatalf("ran %d generations, want %d", on.GenerationsRun, base.Generations)
-	}
-	assertSameFronts(t, off, on)
-}
-
-func assertSameFronts(t *testing.T, a, b *Result) {
-	t.Helper()
-	if len(a.Front) != len(b.Front) {
-		t.Fatalf("front sizes %d vs %d", len(a.Front), len(b.Front))
-	}
-	for i := range a.Front {
-		ao, bo := a.Front[i].Objectives, b.Front[i].Objectives
-		for j := range ao {
-			if math.Float64bits(ao[j]) != math.Float64bits(bo[j]) {
-				t.Fatalf("front[%d] objective %d: %v vs %v", i, j, ao[j], bo[j])
-			}
-		}
-		ag, bg := a.Front[i].Genome, b.Front[i].Genome
-		for j := range ag.Genes {
-			if ag.Genes[j] != bg.Genes[j] || ag.Order[j] != bg.Order[j] {
-				t.Fatalf("front[%d] genomes differ at gene %d", i, j)
-			}
-		}
-	}
-}
-
-// TestPlateauParity is the convergence acceptance check: on a pinned seed,
-// plateau termination must stop strictly before the generation budget while
-// keeping at least 99% of the fixed-budget run's hypervolume.
-func TestPlateauParity(t *testing.T) {
-	p := &zdtProblem{n: 8, levels: 16}
-	base := DefaultParams(40, 120, 7)
-	forEngines(t, func(t *testing.T, run engineFn) {
-		fixed, err := run(p, base, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conv := base
-		conv.TerminateOnPlateau = true
-		early, err := run(p, conv, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !early.PlateauStopped {
-			t.Fatal("plateau termination never fired on the pinned seed")
-		}
-		if early.GenerationsRun >= base.Generations {
-			t.Fatalf("plateau run used %d generations, budget %d", early.GenerationsRun, base.Generations)
-		}
-		ref := pareto.ReferencePoint(ReferenceMargin, fixed.FrontObjectives())
-		hvFixed := pareto.Hypervolume(fixed.FrontObjectives(), ref)
-		hvEarly := pareto.Hypervolume(early.FrontObjectives(), ref)
-		if hvFixed <= 0 {
-			t.Fatalf("degenerate fixed-run hypervolume %v", hvFixed)
-		}
-		if hvEarly < 0.99*hvFixed {
-			t.Fatalf("plateau run hypervolume %v below 0.99× the fixed run's %v (ratio %.4f)",
-				hvEarly, hvFixed, hvEarly/hvFixed)
-		}
-		t.Logf("plateau run: %d/%d generations, hypervolume ratio %.4f",
-			early.GenerationsRun, base.Generations, hvEarly/hvFixed)
-	})
-}
-
-// TestPlateauCheckpointResume: a plateau-tracked run interrupted at a
-// checkpoint and resumed must stop at the same generation with the same
-// front as the uninterrupted run — the PrevHVBits/streak state carries the
-// exact floating-point history across the restart.
-func TestPlateauCheckpointResume(t *testing.T) {
-	p := &zdtProblem{n: 8, levels: 16}
-	params := DefaultParams(40, 120, 7)
-	params.TerminateOnPlateau = true
-
-	full, err := Run(p, params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.PlateauStopped {
-		t.Skip("plateau never fired; parity covered elsewhere")
-	}
-
-	var cps []*Checkpoint
-	capture := params
-	capture.CheckpointEvery = 5
-	capture.OnCheckpoint = func(cp *Checkpoint) { cps = append(cps, cp) }
-	if _, err := Run(p, capture, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) == 0 {
-		t.Fatal("no checkpoints captured before the plateau stop")
-	}
-	// Resume from the midpoint snapshot (exercises a non-trivial streak).
-	resume := params
-	resume.Resume = cps[len(cps)/2]
-	if resume.Resume.Plateau == nil {
-		t.Fatal("checkpoint carries no plateau state")
-	}
-	resumed, err := Run(p, resume, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.GenerationsRun != full.GenerationsRun || resumed.PlateauStopped != full.PlateauStopped {
-		t.Fatalf("resumed run stopped at %d (stopped=%v), uninterrupted at %d (stopped=%v)",
-			resumed.GenerationsRun, resumed.PlateauStopped, full.GenerationsRun, full.PlateauStopped)
-	}
-	assertSameFronts(t, full, resumed)
-}
-
-func TestValidatePlateauParams(t *testing.T) {
-	p := DefaultParams(16, 4, 1)
-	p.PlateauWindow = 3
-	if err := p.Validate(); err == nil {
-		t.Fatal("plateau window without TerminateOnPlateau must be rejected")
-	}
-	p = DefaultParams(16, 4, 1)
-	p.TerminateOnPlateau = true
-	p.PlateauEps = math.NaN()
-	if err := p.Validate(); err == nil {
-		t.Fatal("NaN plateau epsilon must be rejected")
-	}
-	p = DefaultParams(16, 4, 1)
-	p.TerminateOnPlateau = true
-	p.Migration = &Migration{Every: 2, Count: 1, Island: 0,
-		Exchange: func(ctx context.Context, epoch int, out []Migrant) ([]Migrant, error) { return nil, nil }}
-	if err := p.Validate(); err == nil {
-		t.Fatal("plateau termination with migration must be rejected")
-	}
-}
-
-func TestRunIslandsRejectsPlateau(t *testing.T) {
-	p := &zdtProblem{n: 8, levels: 16}
-	params := DefaultParams(16, 4, 1)
-	params.TerminateOnPlateau = true
-	if _, err := RunIslands(p, params, nil, IslandConfig{N: 2, Every: 2}); err == nil {
-		t.Fatal("RunIslands must reject plateau termination")
 	}
 }
 

@@ -46,9 +46,9 @@ func constrainedDominates(a, b *solution) bool {
 // non-dominated sorting, crowding assignment and front ordering all work
 // out of these slices, so the per-generation selection path allocates only
 // when a population outgrows every previous one. Each engine run owns its
-// scratch (islands run engines concurrently), and the [][]*solution views
-// returned by nonDominatedSort are valid until the next call on the same
-// scratch.
+// scratch (Agnostic runs its layer stages concurrently), and the
+// [][]*solution views returned by nonDominatedSort are valid until the
+// next call on the same scratch.
 type selScratch struct {
 	order    []int   // population indices in ENS presort order
 	keys     []int   // order-reconstruction keys, indexed by pop index

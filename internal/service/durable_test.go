@@ -342,53 +342,77 @@ func TestMetricsIncludeStoreGauges(t *testing.T) {
 	}
 }
 
+// removedSpecFields are JobSpec fields of removed features (surrogate
+// screening, island mode, plateau termination), each with a value a build
+// that still had the field accepted.
+var removedSpecFields = []struct {
+	name string
+	v    any
+}{
+	{"surrogate", true},
+	{"surrogate_fraction", 0.5},
+	{"islands", 2},
+	{"migration_every", 2},
+	{"migrants", 2},
+	{"converge", true},
+	{"converge_window", 8},
+	{"converge_eps", 1e-3},
+}
+
 // TestRecoverRejectsRemovedSpecField checks a pending job journaled with a
 // field JobSpec no longer has: recovery must not run it as a different
-// computation under its old hash. It comes back failed with an error
-// naming the field, is journaled terminal, loses its checkpoint, and
-// never starts.
+// computation under its old hash. Each comes back failed with an error
+// naming the field, is journaled terminal, loses its checkpoint, and is
+// never queued.
 func TestRecoverRejectsRemovedSpecField(t *testing.T) {
 	spec := JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 4, Seed: 7}
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	raw := journaledWith(t, &spec, "surrogate", true)
-	dir := t.TempDir()
-	st := openTestStore(t, dir)
-	const hash = "stored-surrogate-hash"
-	if err := st.AcceptJob("j1", hash, raw, time.Now()); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveCheckpoint(hash, json.RawMessage(`{"stages":{}}`)); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
+	for _, f := range removedSpecFields {
+		t.Run(f.name, func(t *testing.T) {
+			raw := journaledWith(t, &spec, f.name, f.v)
+			dir := t.TempDir()
+			st := openTestStore(t, dir)
+			hash := "stored-" + f.name + "-hash"
+			if err := st.AcceptJob("j1", hash, raw, time.Now()); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.SaveCheckpoint(hash, json.RawMessage(`{"stages":{}}`)); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
 
-	st2 := openTestStore(t, dir)
-	s2 := New(Config{Workers: 1, Store: st2})
-	ts2 := httptest.NewServer(s2)
-	t.Cleanup(func() {
-		sctx, scancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer scancel()
-		_ = s2.Shutdown(sctx)
-		ts2.Close()
-		st2.Close()
-	})
+			st2 := openTestStore(t, dir)
+			s2 := New(Config{Workers: 1, Store: st2})
+			ts2 := httptest.NewServer(s2)
+			t.Cleanup(func() {
+				sctx, scancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+				defer scancel()
+				_ = s2.Shutdown(sctx)
+				ts2.Close()
+				st2.Close()
+			})
+			if n := len(s2.queue); n != 0 {
+				t.Fatalf("recovery queued %d jobs", n)
+			}
 
-	got := getJob(t, ts2, "j1")
-	if got.State != StateFailed || !strings.Contains(got.Error, `"surrogate"`) {
-		t.Fatalf("recovered job = %s (%q), want failed naming the field", got.State, got.Error)
-	}
-	if got.StartedAt != nil || got.Progress != nil {
-		t.Fatal("recovered job with a removed field ran")
-	}
-	for _, jr := range st2.Jobs() {
-		if jr.ID == "j1" && jr.Pending() {
-			t.Fatal("failed recovery left the job pending in the store")
-		}
-	}
-	if _, ok := st2.Checkpoint(hash); ok {
-		t.Fatal("failed recovery kept the job's checkpoint")
+			got := getJob(t, ts2, "j1")
+			if got.State != StateFailed || !strings.Contains(got.Error, `"`+f.name+`"`) {
+				t.Fatalf("recovered job = %s (%q), want failed naming the field", got.State, got.Error)
+			}
+			if got.StartedAt != nil || got.Progress != nil {
+				t.Fatal("recovered job with a removed field ran")
+			}
+			for _, jr := range st2.Jobs() {
+				if jr.ID == "j1" && jr.Pending() {
+					t.Fatal("failed recovery left the job pending in the store")
+				}
+			}
+			if _, ok := st2.Checkpoint(hash); ok {
+				t.Fatal("failed recovery kept the job's checkpoint")
+			}
+		})
 	}
 }
 

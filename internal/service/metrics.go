@@ -102,14 +102,13 @@ func (m *Metrics) observeLatency(method string, d time.Duration) {
 
 // MetricsWire is the GET /metrics payload.
 type MetricsWire struct {
-	Jobs        JobCountsWire            `json:"jobs"`
-	Queue       QueueWire                `json:"queue"`
-	Cache       CacheWire                `json:"cache"`
-	Accel       EvalAccelWire            `json:"eval_accel"`
-	Selection   SelectionWire            `json:"selection"`
-	Convergence ConvergenceWire          `json:"convergence"`
-	FaultModel  FaultModelWire           `json:"fault_model"`
-	Latency     map[string]HistogramWire `json:"latency_ms"`
+	Jobs       JobCountsWire            `json:"jobs"`
+	Queue      QueueWire                `json:"queue"`
+	Cache      CacheWire                `json:"cache"`
+	Accel      EvalAccelWire            `json:"eval_accel"`
+	Selection  SelectionWire            `json:"selection"`
+	FaultModel FaultModelWire           `json:"fault_model"`
+	Latency    map[string]HistogramWire `json:"latency_ms"`
 	// Store gauges are present when the service runs with a durable store.
 	Store *StoreWire `json:"store,omitempty"`
 }
@@ -120,20 +119,6 @@ type MetricsWire struct {
 type SelectionWire struct {
 	SortNanos    uint64 `json:"sort_ns"`
 	ArchiveNanos uint64 `json:"archive_ns"`
-}
-
-// ConvergenceWire reports plateau-termination activity across every engine
-// run: generations actually run against the configured budgets, the budget
-// saved by early stops, and the last tracked archive hypervolume.
-type ConvergenceWire struct {
-	GenerationsRun    uint64 `json:"generations_run"`
-	GenerationsBudget uint64 `json:"generations_configured"`
-	GenerationsSaved  uint64 `json:"generations_saved"`
-	PlateauStops      uint64 `json:"plateau_stops"`
-	// LastHypervolume is the final archive hypervolume of the most recent
-	// plateau-tracked run (0 until a converge-enabled run finishes a
-	// generation).
-	LastHypervolume float64 `json:"last_hypervolume"`
 }
 
 // FaultModelWire reports the process-wide fault-model subsystem counters

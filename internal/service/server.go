@@ -374,13 +374,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		PermChains:         fm.PermChains,
 		CheckpointPolicies: fm.CheckpointPolicies,
 	}
-	m.Convergence = ConvergenceWire{
-		GenerationsRun:    st.GenerationsRun,
-		GenerationsBudget: st.GenerationsBudget,
-		GenerationsSaved:  st.GenerationsSaved,
-		PlateauStops:      st.PlateauStops,
-		LastHypervolume:   st.LastHypervolume,
-	}
 	if st := s.cfg.Store; st != nil {
 		sw := StoreWire(st.Stats())
 		m.Store = &sw

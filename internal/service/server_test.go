@@ -360,9 +360,17 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			t.Errorf("case %d: status %d, want 400", i, code)
 		}
 	}
-	// Unknown JSON fields are rejected too: typos, and the removed
-	// surrogate-screening knobs.
-	for _, raw := range []string{`{"methodd":"proposed"}`, `{"surrogate":true}`, `{"surrogate_fraction":0.5}`} {
+	// Unknown JSON fields are rejected too: typos, and the fields of
+	// removed features (surrogate screening, islands, plateau termination).
+	raws := []string{`{"methodd":"proposed"}`}
+	for _, f := range removedSpecFields {
+		blob, err := json.Marshal(map[string]any{f.name: f.v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws = append(raws, string(blob))
+	}
+	for _, raw := range raws {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)

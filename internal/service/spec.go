@@ -12,7 +12,6 @@ import (
 	"repro/internal/characterize"
 	"repro/internal/core"
 	"repro/internal/faultmodel"
-	"repro/internal/moea"
 	"repro/internal/platform"
 	"repro/internal/relmodel"
 	"repro/internal/schedule"
@@ -85,24 +84,6 @@ type JobSpec struct {
 	// byte-identical either way — the switch exists for measurement — but it
 	// is part of the spec hash because it selects a different computation.
 	NoDelta bool `json:"no_delta,omitempty"`
-	// Islands splits each GA stage into that many cooperating islands
-	// (NSGA-II engine only; 0 or 1 is the plain single population).
-	// MigrationEvery is the epoch length in generations between elite
-	// exchanges over the fixed ring; Migrants is the elites sent per island
-	// per epoch (default 2). Results are deterministic for fixed knobs, so
-	// all three are part of the spec hash.
-	Islands        int `json:"islands,omitempty"`
-	MigrationEvery int `json:"migration_every,omitempty"`
-	Migrants       int `json:"migrants,omitempty"`
-	// Converge enables hypervolume-plateau termination: each GA stage stops
-	// early once ConvergeWindow consecutive generations improved the archive
-	// hypervolume by less than ConvergeEps (relative). Off by default —
-	// results are then byte-identical to specs without the knobs.
-	// Incompatible with island mode. ConvergeWindow defaults to
-	// moea.DefaultPlateauWindow, ConvergeEps to moea.DefaultPlateauEps.
-	Converge       bool    `json:"converge,omitempty"`
-	ConvergeWindow int     `json:"converge_window,omitempty"`
-	ConvergeEps    float64 `json:"converge_eps,omitempty"`
 	// Platform selects the platform family: the paper's HMPSoC ("",
 	// "default", "hmpsoc" — all canonicalized to "" so legacy specs hash
 	// identically) or "fpga" (soft cores in configuration memory with
@@ -271,57 +252,6 @@ func (s *JobSpec) Normalize() error {
 	}
 	if s.Constraints.MinFunctionalRel > 1 {
 		return fmt.Errorf("service: min_functional_rel = %v outside [0,1]", s.Constraints.MinFunctionalRel)
-	}
-	if s.Islands < 0 {
-		return fmt.Errorf("service: islands = %d must be non-negative", s.Islands)
-	}
-	if s.Islands <= 1 {
-		// 0 and 1 are both the plain single population; zero all three knobs
-		// so the degraded forms hash (and so cache) identically.
-		if s.MigrationEvery != 0 || s.Migrants != 0 {
-			return fmt.Errorf("service: migration_every/migrants require islands ≥ 2")
-		}
-		s.Islands = 0
-	} else {
-		if s.Engine != "nsga2" {
-			return fmt.Errorf("service: island mode requires the nsga2 engine")
-		}
-		if s.Islands > 64 {
-			return fmt.Errorf("service: islands = %d exceeds the 64-island cap", s.Islands)
-		}
-		if s.MigrationEvery <= 0 {
-			return fmt.Errorf("service: islands ≥ 2 requires migration_every ≥ 1")
-		}
-		if s.Pop < 2*s.Islands {
-			return fmt.Errorf("service: population %d too small for %d islands (need ≥ %d)",
-				s.Pop, s.Islands, 2*s.Islands)
-		}
-		if s.Migrants == 0 {
-			s.Migrants = 2
-		}
-		if s.Migrants < 0 || s.Migrants >= s.Pop/s.Islands {
-			return fmt.Errorf("service: migrants = %d outside [1,%d) for pop %d over %d islands",
-				s.Migrants, s.Pop/s.Islands, s.Pop, s.Islands)
-		}
-	}
-	if s.Converge {
-		if s.Islands >= 2 {
-			return fmt.Errorf("service: converge is incompatible with island mode")
-		}
-		if s.ConvergeWindow < 0 {
-			return fmt.Errorf("service: converge_window = %d must be non-negative", s.ConvergeWindow)
-		}
-		if math.IsNaN(s.ConvergeEps) || math.IsInf(s.ConvergeEps, 0) || s.ConvergeEps < 0 {
-			return fmt.Errorf("service: converge_eps = %v must be finite and non-negative", s.ConvergeEps)
-		}
-		if s.ConvergeWindow == 0 {
-			s.ConvergeWindow = moea.DefaultPlateauWindow
-		}
-		if s.ConvergeEps == 0 {
-			s.ConvergeEps = moea.DefaultPlateauEps
-		}
-	} else if s.ConvergeWindow != 0 || s.ConvergeEps != 0 {
-		return fmt.Errorf("service: converge_window/converge_eps require converge")
 	}
 	s.Platform = strings.ToLower(strings.TrimSpace(s.Platform))
 	switch s.Platform {
@@ -519,14 +449,6 @@ func ExecuteOnHooks(ctx context.Context, inst *core.Instance, flib *tdse.Library
 		Checkpoint:      hooks.Checkpoint,
 		CheckpointEvery: hooks.CheckpointEvery,
 		DisableDelta:    s.NoDelta,
-		Islands:         s.Islands,
-		MigrationEvery:  s.MigrationEvery,
-		Migrants:        s.Migrants,
-	}
-	if s.Converge {
-		cfg.TerminateOnPlateau = true
-		cfg.PlateauWindow = s.ConvergeWindow
-		cfg.PlateauEps = s.ConvergeEps
 	}
 	if s.Engine == "moead" {
 		cfg.Engine = core.MOEAD

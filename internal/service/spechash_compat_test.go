@@ -35,11 +35,11 @@ var specHashCorpus = map[string]string{
 }
 
 // removedCorpusEntries names corpus entries whose spec sets a field JobSpec
-// no longer has (surrogate screening was removed). Their pinned hashes
-// record the old cache keys; strict decoding must now reject the spec, so
-// such a job can never be served or recovered under a different
-// computation.
-var removedCorpusEntries = map[string]bool{"surrogate": true}
+// no longer has (surrogate screening, island mode and plateau termination
+// were removed). Their pinned hashes record the old cache keys; strict
+// decoding must now reject the spec, so such a job can never be served or
+// recovered under a different computation.
+var removedCorpusEntries = map[string]bool{"surrogate": true, "islands": true, "converge": true}
 
 type specHashEntry struct {
 	Spec string `json:"spec"`
