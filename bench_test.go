@@ -6,6 +6,8 @@
 package repro_test
 
 import (
+	"encoding/json"
+	"os"
 	"runtime"
 	"testing"
 
@@ -17,6 +19,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/relmodel"
 	"repro/internal/schedule"
+	"repro/internal/service"
 	"repro/internal/taskgraph"
 	"repro/internal/tdse"
 	"repro/internal/tgff"
@@ -356,6 +359,42 @@ func BenchmarkTDSEExplore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tdse.Explore(lib, taskgraph.SobelGSmth, p, cat, tdse.DefaultOptions(), objs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTDSEBuildSafetyCritical times tdse.Build of the committed
+// app_00_safety-critical scenario spec (FPGA family, permanent faults and
+// the checkpoint axis): about 61k candidates whose chain analyses are the
+// cost that dominates the faults-suite workload. Validation runs once,
+// outside the timer.
+func BenchmarkTDSEBuildSafetyCritical(b *testing.B) {
+	blob, err := os.ReadFile("cmd/tgffgen/testdata/suite/app_00_safety-critical.job.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var spec service.JobSpec
+	if err := json.Unmarshal(blob, &spec); err != nil {
+		b.Fatal(err)
+	}
+	if err := spec.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	inst, err := service.Validate(&spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := tdse.DefaultOptions()
+	opt.Faults = spec.Faults
+	if spec.CkptModes {
+		opt.Checkpoints = tdse.CheckpointAxis(spec.CkptIntervals)
+	}
+	objs := tdse.StudyObjectiveSets()[spec.TDSESet]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tdse.Build(inst.Lib, inst.Platform, inst.Catalog, opt, objs); err != nil {
 			b.Fatal(err)
 		}
 	}

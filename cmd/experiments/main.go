@@ -82,9 +82,9 @@ func run(args []string, w, errw io.Writer) error {
 	defer func() {
 		a := core.AccelTotals()
 		if a.DeltaParentReuse+a.DeltaPrefixRuns+a.DeltaFullRuns+a.PairedSolves+a.SoloSolves > 0 {
-			fmt.Fprintf(errw, "eval accel: delta %d reused / %d prefix / %d full, %d metrics reused, %d batch-warmed; chain solves %d paired / %d solo\n",
+			fmt.Fprintf(errw, "eval accel: delta %d reused / %d prefix / %d full, %d metrics reused, %d batch-warmed; chain solves %d paired / %d solo, %d plans compiled, %d dense fallbacks\n",
 				a.DeltaParentReuse, a.DeltaPrefixRuns, a.DeltaFullRuns, a.MetricsReused, a.BatchWarmed,
-				a.PairedSolves, a.SoloSolves)
+				a.PairedSolves, a.SoloSolves, a.PlanCompiles, a.DenseFallbacks)
 		}
 		s := core.SelectionTotals()
 		if s.SortNanos+s.ArchiveNanos > 0 {

@@ -41,6 +41,9 @@ type AccelStats struct {
 	// did not share one factorization between the timing and functional
 	// chains (see relmodel.PairSolveTotals).
 	PairedSolves, SoloSolves uint64
+	// PlanCompiles counts chain-structure plans compiled; DenseFallbacks
+	// counts chain systems that left the plan replay for the dense kernel.
+	PlanCompiles, DenseFallbacks uint64
 }
 
 // AccelTotals aggregates the process-wide evaluation-acceleration counters
@@ -56,6 +59,8 @@ func AccelTotals() AccelStats {
 		BatchWarmed:      accelCounters.batchWarmed.Load(),
 		PairedSolves:     pair.Paired,
 		SoloSolves:       pair.Solo,
+		PlanCompiles:     pair.PlanCompiles,
+		DenseFallbacks:   pair.DenseFallbacks,
 	}
 }
 

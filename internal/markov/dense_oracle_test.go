@@ -9,8 +9,8 @@ import (
 	"repro/internal/matrix"
 )
 
-// analyzePairDense is the dense reference analysis the sparse production
-// path must match bit for bit: (I − Q)ᵀ and R assembled into zeroed dense
+// analyzePairDense is the dense reference analysis the plan-replay
+// production path must match bit for bit: (I − Q)ᵀ and R assembled into zeroed dense
 // matrices, matrix.FactorizeInto/SolveVecInto, the shared-system test by
 // Dense.EqualBits, and the absorption sums taken over every transient
 // state, zeros included.
@@ -212,15 +212,19 @@ func TestCollectNonFiniteVisits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, err := c.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc := &analyzeScratch{}
-	if err := c.assemble(sc); err != nil {
+	if err := c.assemble(p, sc); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []float64{math.Inf(1), math.NaN()} {
 		visits := []float64{0.5, bad, 2}
 		sc.visits = append(sc.visits[:0], visits...)
 		var got Result
-		c.collect(sc, &got)
+		c.collect(p, sc, &got)
 		if want := d.collect(c, visits); !resultsEqualBits(&got, want) {
 			t.Fatalf("visit %v: collect %+v, dense oracle %+v", bad, got, *want)
 		}

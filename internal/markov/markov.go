@@ -17,17 +17,29 @@
 // evaluation, so the builder is allocation-conscious: edges live in one
 // per-chain arena (a linked list threaded through a single slice), and
 // state names are formatted lazily (only error paths and dumps read them).
-// The analysis assembles (I − Q)ᵀ straight from the edge arena into a
-// matrix.Sparse drawn from a package-level scratch free list; its
-// elimination visits only the nonzeros yet returns the dense LU's bits. Results are
+// While a chain is built it records its structure key: each state's
+// absorbing flag and each transition's ends, in call order. Analysis looks
+// the key up in a process-wide, size-bounded plan table, compiling a plan
+// on a miss: the state partition, the slot of every edge in (I − Q)ᵀ or R,
+// and a matrix.Plan, the no-swap symbolic LU of (I − Q)ᵀ. Each analysis
+// then only scatters the chain's probabilities into those slots, checking
+// each state's outgoing mass, and replays the plan's elimination and
+// substitutions, which perform the dense LU's operations in its order. A
+// replay guard that trips sends that system to the dense kernel, so
+// results and errors are the dense analysis' bit for bit. Results are
 // slices indexed by state handle, and AnalyzePairInto reuses the caller's
 // Result storage. Reset lets callers reuse a chain's storage across builds.
 package markov
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/matrix"
 	"repro/internal/sweep"
@@ -60,6 +72,12 @@ type Chain struct {
 	earena     []edgeNode
 	start      int
 	hasStart   bool
+	// key is the chain's structure as built, one entry per builder call
+	// that shapes the arena: a state (byte 1 if absorbing, else 0) or a
+	// transition (byte 2, then the uvarint handles of its ends). Chains
+	// with equal keys have the same partition and edge layout, so they
+	// share one analysis plan.
+	key []byte
 }
 
 type edgeNode struct {
@@ -84,6 +102,7 @@ func (c *Chain) Reset() {
 	c.earena = c.earena[:0]
 	c.start = 0
 	c.hasStart = false
+	c.key = c.key[:0]
 }
 
 func (c *Chain) addNamed(name stateName, residence float64, absorbing bool) int {
@@ -92,6 +111,11 @@ func (c *Chain) addNamed(name stateName, residence float64, absorbing bool) int 
 	c.absorbing = append(c.absorbing, absorbing)
 	c.head = append(c.head, -1)
 	c.tail = append(c.tail, -1)
+	tag := byte(0)
+	if absorbing {
+		tag = 1
+	}
+	c.key = append(c.key, tag)
 	return len(c.names) - 1
 }
 
@@ -140,6 +164,7 @@ func (c *Chain) Transition(from, to int, prob float64) {
 		c.earena[c.tail[from]].next = e
 	}
 	c.tail[from] = e
+	c.key = binary.AppendUvarint(binary.AppendUvarint(append(c.key, 2), uint64(from)), uint64(to))
 }
 
 // edges iterates the out-edges of state s in insertion order.
@@ -204,36 +229,149 @@ func zeroed(s []float64, n int) []float64 {
 	return s
 }
 
-// analyzeScratch holds the per-analysis working set: state partitions and
-// index tables, the (I − Q)ᵀ system with its in-place factorization, the
-// transient→absorbing block R and the solve vectors. Kept on a free list so
-// steady-state analyses reuse one allocation set.
+// chainPlan is the compiled analysis of one chain structure: the state
+// partition, the slot of every edge in (I − Q)ᵀ or R, and the matrix plan
+// of (I − Q)ᵀ. It depends on the structure key alone, holds no values and
+// is never written after compile, so every chain with that key shares it.
+type chainPlan struct {
+	transient, absorbing []int32 // state handles, ascending
+	tIndex               []int32 // state handle → transient index
+	// slots[e] places arena edge e: a slot of sys when ≥ 0, else R slot
+	// ^slots[e].
+	slots []int32
+	// R by absorbing column: column a holds R slots rStart[a] up to
+	// rStart[a+1], whose transient indexes rT lists in ascending order.
+	rStart, rT []int32
+	sys        *matrix.Plan
+}
+
+// maxPlans bounds the plan table. The tDSE libraries of the six committed
+// scenario specs take 144 chain plans, and the corpus oracle together with
+// its sweep of fault rates, checkpoint counts and permanent-fault settings
+// about 210; an insert into a full table starts a fresh one.
+const maxPlans = 1024
+
+// plans is the process-wide plan table, an immutable map replaced whole on
+// insert, so lookups take no lock.
+var plans struct {
+	mu sync.Mutex // serializes inserts
+	m  atomic.Pointer[map[string]*chainPlan]
+}
+
+var planCounters struct {
+	compiles, fallbacks atomic.Uint64
+}
+
+// PlanStats reports the process-wide plan counters.
+type PlanStats struct {
+	// Compiles counts chain plans compiled; Fallbacks counts systems that
+	// tripped a replay guard and ran on the dense kernel.
+	Compiles, Fallbacks uint64
+}
+
+// PlanTotals returns the accumulated plan counters.
+func PlanTotals() PlanStats {
+	return PlanStats{
+		Compiles:  planCounters.compiles.Load(),
+		Fallbacks: planCounters.fallbacks.Load(),
+	}
+}
+
+// plan returns the chain's plan from the table, compiling and inserting it
+// on a miss.
+func (c *Chain) plan() (*chainPlan, error) {
+	if m := plans.m.Load(); m != nil {
+		if p := (*m)[string(c.key)]; p != nil {
+			return p, nil
+		}
+	}
+	p, err := c.compile()
+	if err != nil {
+		return nil, err
+	}
+	planCounters.compiles.Add(1)
+	plans.mu.Lock()
+	next := map[string]*chainPlan{}
+	if m := plans.m.Load(); m != nil && len(*m) < maxPlans {
+		next = maps.Clone(*m)
+	}
+	next[string(c.key)] = p
+	plans.m.Store(&next)
+	plans.mu.Unlock()
+	return p, nil
+}
+
+// compile partitions the states, lays out R, and compiles the pattern of
+// (I − Q)ᵀ: transition i→j of transient states is entry (j, i).
+func (c *Chain) compile() (*chainPlan, error) {
+	ns := len(c.names)
+	p := &chainPlan{tIndex: make([]int32, ns)}
+	aIndex := make([]int32, ns)
+	for s := 0; s < ns; s++ {
+		if c.absorbing[s] {
+			aIndex[s] = int32(len(p.absorbing))
+			p.absorbing = append(p.absorbing, int32(s))
+		} else {
+			p.tIndex[s] = int32(len(p.transient))
+			p.transient = append(p.transient, int32(s))
+		}
+	}
+	if len(p.absorbing) == 0 {
+		return nil, fmt.Errorf("markov: chain has no absorbing state")
+	}
+	// Transients are visited in ascending index, so each R column lists
+	// them ascending and repeated edges into one absorbing state share the
+	// column's last entry.
+	rcols := make([][]int32, len(p.absorbing))
+	var rows, cols []int32
+	for i, s := range p.transient {
+		for e := c.head[s]; e >= 0; e = c.earena[e].next {
+			to := c.earena[e].to
+			if c.absorbing[to] {
+				col := &rcols[aIndex[to]]
+				if n := len(*col); n == 0 || (*col)[n-1] != int32(i) {
+					*col = append(*col, int32(i))
+				}
+			} else {
+				rows, cols = append(rows, p.tIndex[to]), append(cols, int32(i))
+			}
+		}
+	}
+	p.sys = matrix.NewPlan(len(p.transient), rows, cols)
+	p.rStart = make([]int32, len(rcols)+1)
+	for a, col := range rcols {
+		p.rStart[a+1] = p.rStart[a] + int32(len(col))
+		p.rT = append(p.rT, col...)
+	}
+	p.slots = make([]int32, len(c.earena))
+	for i, s := range p.transient {
+		for e := c.head[s]; e >= 0; e = c.earena[e].next {
+			to := c.earena[e].to
+			if c.absorbing[to] {
+				lo, hi := p.rStart[aIndex[to]], p.rStart[aIndex[to]+1]
+				k, _ := slices.BinarySearch(p.rT[lo:hi], int32(i))
+				p.slots[e] = ^(lo + int32(k))
+			} else {
+				p.slots[e] = int32(p.sys.Slot(int(p.tIndex[to]), i))
+			}
+		}
+	}
+	return p, nil
+}
+
+// analyzeScratch holds the per-analysis values: the (I − Q)ᵀ system with
+// its factorization, the transient→absorbing block R by plan slot, and the
+// solve vectors. Kept on a free list so steady-state analyses reuse one
+// allocation set.
 type analyzeScratch struct {
-	transient, absorbing []int32
-	tIndex, aIndex       []int32 // state handle → row/column index
-	sys                  matrix.Sparse
-	// rcols[a] lists the nonzero entries of column a of R in ascending
-	// transient index.
-	rcols     [][]rEntry
+	sys       matrix.System
+	r         []float64
 	e, visits []float64
 }
 
-// rEntry is one nonzero R[t][a]: the transient state with index t moves
-// to absorbing state a with probability v.
-type rEntry struct {
-	t int32
-	v float64
-}
-
-var scratchPool = sweep.FreeList[*analyzeScratch]{New: func() *analyzeScratch { return &analyzeScratch{} }}
-
-// grow returns s resized to n entries, reusing capacity.
-func grow(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
+// scratchPool hands scratch out in pairs, one per chain of AnalyzePair, so
+// a pair analysis takes one value off the list.
+var scratchPool = sweep.FreeList[*[2]analyzeScratch]{New: func() *[2]analyzeScratch { return new([2]analyzeScratch) }}
 
 func growF(s []float64, n int) []float64 {
 	if cap(s) < n {
@@ -242,61 +380,28 @@ func growF(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// assemble partitions the states and builds the (I − Q)ᵀ system and the
-// transient→absorbing block R into sc — the front half of an analysis.
-// Callers have already handled the degenerate absorbed-at-start case.
+// assemble scatters the chain's probabilities into the plan's slots of
+// (I − Q)ᵀ and R, checking each transient state's outgoing mass — the
+// front half of an analysis. Callers have already handled the degenerate
+// absorbed-at-start case.
 //
 // Fundamental matrix N = (I − Q)⁻¹. We only need the start row of N:
 // visits v = e_startᵀ·N, obtained by solving (I − Q)ᵀ·vᵀ = e_start.
-// (I − Q)ᵀ is assembled straight from the edge arena — transition i→j
-// contributes −Q[i][j] to entry (j, i) — into a sparse system whose
-// solution is bit-identical to the dense one (see matrix.Sparse).
-func (c *Chain) assemble(sc *analyzeScratch) error {
-	ns := len(c.names)
-	sc.transient, sc.absorbing = sc.transient[:0], sc.absorbing[:0]
-	sc.tIndex, sc.aIndex = grow(sc.tIndex, ns), grow(sc.aIndex, ns)
-	for s := 0; s < ns; s++ {
-		if c.absorbing[s] {
-			sc.aIndex[s] = int32(len(sc.absorbing))
-			sc.absorbing = append(sc.absorbing, int32(s))
-		} else {
-			sc.tIndex[s] = int32(len(sc.transient))
-			sc.transient = append(sc.transient, int32(s))
-		}
-	}
-	if len(sc.absorbing) == 0 {
-		return fmt.Errorf("markov: chain has no absorbing state")
-	}
-	nT, nA := len(sc.transient), len(sc.absorbing)
-	if cap(sc.rcols) < nA {
-		sc.rcols = append(sc.rcols[:cap(sc.rcols)], make([][]rEntry, nA-cap(sc.rcols))...)
-	}
-	sc.rcols = sc.rcols[:nA]
-	for a := range sc.rcols {
-		sc.rcols[a] = sc.rcols[a][:0]
-	}
-	sys := &sc.sys
-	sys.Reset(nT)
-	for i := 0; i < nT; i++ {
-		sys.Add(i, i, 1)
-	}
-	for _, s := range sc.transient {
-		i := sc.tIndex[s]
+// Transition i→j contributes −Q[i][j] to entry (j, i), accumulated in each
+// state's edge order, as a zeroed dense system would be.
+func (c *Chain) assemble(p *chainPlan, sc *analyzeScratch) error {
+	sc.sys.Reset(p.sys)
+	sc.sys.AddDiagonal(1)
+	sc.r = zeroed(sc.r, len(p.rT))
+	for _, s := range p.transient {
 		sum := 0.0 // outgoing probability mass, validated per state
 		for e := c.head[s]; e >= 0; e = c.earena[e].next {
-			to, prob := int(c.earena[e].to), c.earena[e].prob
+			prob := c.earena[e].prob
 			sum += prob
-			if c.absorbing[to] {
-				// Rows arrive in ascending transient index, so repeated edges
-				// into one absorbing state accumulate in the last entry.
-				col := &sc.rcols[sc.aIndex[to]]
-				if n := len(*col); n > 0 && (*col)[n-1].t == i {
-					(*col)[n-1].v += prob
-				} else {
-					*col = append(*col, rEntry{t: i, v: prob})
-				}
+			if q := p.slots[e]; q >= 0 {
+				sc.sys.Add(int(q), -prob)
 			} else {
-				sys.Add(int(sc.tIndex[to]), int(i), -prob)
+				sc.r[^q] += prob
 			}
 		}
 		if math.Abs(sum-1) > 1e-9 {
@@ -308,19 +413,30 @@ func (c *Chain) assemble(sc *analyzeScratch) error {
 
 // factorAndSolve factorizes the assembled system and solves for the
 // start-row visits vector — the back half of an analysis.
-func (c *Chain) factorAndSolve(sc *analyzeScratch) error {
-	if err := sc.sys.Factorize(); err != nil {
+func (c *Chain) factorAndSolve(p *chainPlan, sc *analyzeScratch) error {
+	err := sc.sys.Factorize()
+	if err == nil {
+		sc.solveUnit(&sc.sys, len(p.transient), int(p.tIndex[c.start]))
+	}
+	countFallback(&sc.sys)
+	if err != nil {
 		return fmt.Errorf("markov: chain is not absorbing from every transient state: %w", err)
 	}
-	sc.solveUnit(&sc.sys, int(sc.tIndex[c.start]))
 	return nil
+}
+
+// countFallback adds sys to the fallback count when its factorization or
+// a solve with it ran on the dense kernel.
+func countFallback(sys *matrix.System) {
+	if sys.FellBack() {
+		planCounters.fallbacks.Add(1)
+	}
 }
 
 // solveUnit solves sys·visits = e_idx into sc.visits with sys's
 // factorization.
-func (sc *analyzeScratch) solveUnit(sys *matrix.Sparse, idx int) {
-	nT := len(sc.transient)
-	sc.e, sc.visits = growF(sc.e, nT), growF(sc.visits, nT)
+func (sc *analyzeScratch) solveUnit(sys *matrix.System, n, idx int) {
+	sc.e, sc.visits = growF(sc.e, n), growF(sc.visits, n)
 	clear(sc.e)
 	sc.e[idx] = 1
 	sys.SolveVecInto(sc.visits, sc.e)
@@ -328,11 +444,11 @@ func (sc *analyzeScratch) solveUnit(sys *matrix.Sparse, idx int) {
 
 // collect turns the solved visits vector into res, replicating the dense
 // analysis' summation order exactly.
-func (c *Chain) collect(sc *analyzeScratch, res *Result) {
+func (c *Chain) collect(p *chainPlan, sc *analyzeScratch, res *Result) {
 	res.reset(len(c.names))
 	finite := true
-	for _, s := range sc.transient {
-		v := sc.visits[sc.tIndex[s]]
+	for i, s := range p.transient {
+		v := sc.visits[i]
 		res.ExpectedVisits[s] = v
 		res.ExpectedTime += v * c.residence[s]
 		finite = finite && !math.IsInf(v, 0) && !math.IsNaN(v)
@@ -340,25 +456,25 @@ func (c *Chain) collect(sc *analyzeScratch, res *Result) {
 	// Absorption probabilities B = N·R; start row is visitsᵀ·R, summed in
 	// ascending transient index. Zero entries of R add v·0 = ±0, which
 	// leaves the +0-started sum unchanged unless v is not finite.
-	for a, s := range sc.absorbing {
-		col := sc.rcols[a]
-		p := 0.0
+	for a, s := range p.absorbing {
+		lo, hi := int(p.rStart[a]), int(p.rStart[a+1])
+		pr := 0.0
 		if finite {
-			for _, e := range col {
-				p += sc.visits[e.t] * e.v
+			for k := lo; k < hi; k++ {
+				pr += sc.visits[p.rT[k]] * sc.r[k]
 			}
 		} else {
-			k := 0
+			k := lo
 			for t, v := range sc.visits {
 				r := 0.0
-				if k < len(col) && int(col[k].t) == t {
-					r = col[k].v
+				if k < hi && int(p.rT[k]) == t {
+					r = sc.r[k]
 					k++
 				}
-				p += v * r
+				pr += v * r
 			}
 		}
-		res.Absorption[s] = p
+		res.Absorption[s] = pr
 	}
 }
 
@@ -382,15 +498,20 @@ func (c *Chain) analyzeInto(res *Result) error {
 		res.Absorption[c.start] = 1
 		return nil
 	}
-	sc := scratchPool.Get()
-	defer scratchPool.Put(sc)
-	if err := c.assemble(sc); err != nil {
+	p, err := c.plan()
+	if err != nil {
 		return err
 	}
-	if err := c.factorAndSolve(sc); err != nil {
+	ss := scratchPool.Get()
+	defer scratchPool.Put(ss)
+	sc := &ss[0]
+	if err := c.assemble(p, sc); err != nil {
 		return err
 	}
-	c.collect(sc, res)
+	if err := c.factorAndSolve(p, sc); err != nil {
+		return err
+	}
+	c.collect(p, sc, res)
 	return nil
 }
 
@@ -427,43 +548,55 @@ func AnalyzePairInto(a, b *Chain, ra, rb *Result) (shared bool, err error) {
 		}
 		return false, nil
 	}
-	sa := scratchPool.Get()
-	defer scratchPool.Put(sa)
-	sb := scratchPool.Get()
-	defer scratchPool.Put(sb)
-	if err = a.assemble(sa); err != nil {
+	pa, err := a.plan()
+	if err != nil {
 		return false, err
 	}
-	if err = b.assemble(sb); err != nil {
+	ss := scratchPool.Get()
+	defer scratchPool.Put(ss)
+	sa, sb := &ss[0], &ss[1]
+	if err = a.assemble(pa, sa); err != nil {
+		return false, err
+	}
+	pb, err := b.plan()
+	if err != nil {
+		return false, err
+	}
+	if err = b.assemble(pb, sb); err != nil {
 		return false, err
 	}
 	if sa.sys.EqualBits(&sb.sys) {
 		// One factorization serves both: it is a deterministic function of
 		// the matrix bits, so b's visits are exactly what its own
 		// factorization would give.
-		if err = sa.sys.Factorize(); err != nil {
+		err = sa.sys.Factorize()
+		if err == nil {
+			n := len(pa.transient)
+			ia, ib := int(pa.tIndex[a.start]), int(pb.tIndex[b.start])
+			sa.solveUnit(&sa.sys, n, ia)
+			if ia == ib {
+				sb.visits = growF(sb.visits, n)
+				copy(sb.visits, sa.visits)
+			} else {
+				sb.solveUnit(&sa.sys, n, ib)
+			}
+		}
+		countFallback(&sa.sys)
+		if err != nil {
 			return false, fmt.Errorf("markov: chain is not absorbing from every transient state: %w", err)
 		}
-		ia, ib := int(sa.tIndex[a.start]), int(sb.tIndex[b.start])
-		sa.solveUnit(&sa.sys, ia)
-		if ia == ib {
-			sb.visits = growF(sb.visits, len(sa.visits))
-			copy(sb.visits, sa.visits)
-		} else {
-			sb.solveUnit(&sa.sys, ib)
-		}
-		a.collect(sa, ra)
-		b.collect(sb, rb)
+		a.collect(pa, sa, ra)
+		b.collect(pb, sb, rb)
 		return true, nil
 	}
-	if err = a.factorAndSolve(sa); err != nil {
+	if err = a.factorAndSolve(pa, sa); err != nil {
 		return false, err
 	}
-	if err = b.factorAndSolve(sb); err != nil {
+	if err = b.factorAndSolve(pb, sb); err != nil {
 		return false, err
 	}
-	a.collect(sa, ra)
-	b.collect(sb, rb)
+	a.collect(pa, sa, ra)
+	b.collect(pb, sb, rb)
 	return false, nil
 }
 

@@ -18,6 +18,19 @@ type oracleCounts struct {
 	pairs, shared int
 }
 
+// requireNoFallbacks fails the test if any chain system analyzed since
+// before left the plan replay for the dense kernel: the oracle inputs are
+// ordinary chains, and sending them to the dense kernel would keep their
+// bits while silently losing the replay's speed.
+func requireNoFallbacks(t *testing.T, before relmodel.PairSolveStats) {
+	t.Helper()
+	after := relmodel.PairSolveTotals()
+	if n := after.DenseFallbacks - before.DenseFallbacks; n != 0 {
+		t.Fatalf("%d chain systems fell back to the dense kernel, want 0", n)
+	}
+	t.Logf("%d plans compiled", after.PlanCompiles-before.PlanCompiles)
+}
+
 // checkParams analyzes the Fig. 3 chains of p through the production path
 // (markov.AnalyzePair and relmodel.AnalyzeChains) and the dense oracle, and
 // requires the same error, the same shared-system verdict and bit-identical
@@ -67,9 +80,10 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // TestChainParamsSweepMatchesDenseOracle sweeps the chain parameters over
 // fault rates from 1e-18 to 1e-2 per µs, 0–6 checkpoints with equal and
 // unequal intervals, checkpoint errors on and off, and the permanent
-// process off and on.
+// process off and on, with no system leaving the plan replay.
 func TestChainParamsSweepMatchesDenseOracle(t *testing.T) {
 	var n oracleCounts
+	before := relmodel.PairSolveTotals()
 	for _, lambda := range []float64{0, 1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2} {
 		for ck := 0; ck <= 6; ck++ {
 			for _, unequal := range []bool{false, true} {
@@ -98,11 +112,13 @@ func TestChainParamsSweepMatchesDenseOracle(t *testing.T) {
 	if n.shared == 0 || n.shared == n.pairs {
 		t.Fatalf("sweep covered %d pairs, %d shared: want both shared and solo solves", n.pairs, n.shared)
 	}
+	requireNoFallbacks(t, before)
 }
 
 // TestCorpusCandidatesMatchDenseOracle checks the chains of every tDSE
 // candidate of the committed mixed-criticality corpus against the dense
-// oracle (every 16th candidate under the race detector).
+// oracle (every 16th candidate under the race detector), with no system
+// leaving the plan replay.
 func TestCorpusCandidatesMatchDenseOracle(t *testing.T) {
 	files, err := filepath.Glob("../../cmd/tgffgen/testdata/suite/*.job.json")
 	if err != nil || len(files) == 0 {
@@ -113,6 +129,7 @@ func TestCorpusCandidatesMatchDenseOracle(t *testing.T) {
 		stride = 16
 	}
 	var n oracleCounts
+	before := relmodel.PairSolveTotals()
 	for _, f := range files {
 		blob, err := os.ReadFile(f)
 		if err != nil {
@@ -158,4 +175,5 @@ func TestCorpusCandidatesMatchDenseOracle(t *testing.T) {
 	if n.shared == 0 || n.shared == n.pairs {
 		t.Fatalf("corpus covered %d pairs, %d shared: want both shared and solo solves", n.pairs, n.shared)
 	}
+	requireNoFallbacks(t, before)
 }

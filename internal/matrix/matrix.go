@@ -3,12 +3,16 @@
 // forward/back substitution.
 //
 // A cross-layer reliability chain has 5 to 60 transient states, and its
-// (I − Q)ᵀ rows hold only two to four nonzeros. The chain analysis runs on
-// Sparse, which eliminates only the nonzeros yet performs the dense
-// kernel's floating-point operations in the dense kernel's order, so its
-// solutions are bit-identical to the dense FactorizeInto/SolveVecInto.
-// Dense stays only as that reference implementation: the oracle tests
-// check Sparse against it bit for bit.
+// (I − Q)ᵀ rows hold only two to four nonzeros; thousands of chains share
+// one sparsity pattern. A Plan compiles a pattern's no-swap symbolic LU
+// once, and a System over it replays the elimination and substitutions on
+// the nonzeros alone, performing the dense kernel's floating-point
+// operations in the dense kernel's order. Guards check, step by step, that
+// the dense kernel would not have pivoted differently or met a non-finite
+// value; where one trips, the System runs the dense FactorizeInto and
+// SolveVecInto instead, so its solutions and errors are the dense kernel's
+// in every case. Dense is that reference and fallback, and the oracle
+// tests check the replay against it bit for bit.
 package matrix
 
 import (

@@ -87,100 +87,176 @@ func randomOps(rng *rand.Rand, n int, kind systemKind) []addOp {
 	return ops
 }
 
-// checkSparseAgainstDense assembles ops into a Sparse (reused across calls)
-// and a fresh Dense, factorizes both, and requires the same error or
-// bit-identical solutions for every unit right-hand side, a random one, and
-// random ones holding an infinity or a NaN (which drive both substitutions
-// onto their dense loops). It reports whether the system factorized.
-func checkSparseAgainstDense(t *testing.T, s *Sparse, n int, ops []addOp, rng *rand.Rand) bool {
-	t.Helper()
-	d := New(n, n)
-	s.Reset(n)
-	for _, op := range ops {
-		d.Add(op.i, op.j, op.v)
-		s.Add(op.i, op.j, op.v)
+// planFor compiles the pattern of the positions ops touch.
+func planFor(n int, ops []addOp) *Plan {
+	rows, cols := make([]int32, len(ops)), make([]int32, len(ops))
+	for q, op := range ops {
+		rows[q], cols[q] = int32(op.i), int32(op.j)
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if math.Float64bits(s.At(i, j)) != math.Float64bits(d.At(i, j)) {
-				t.Fatalf("assembled entry (%d,%d): sparse %v, dense %v", i, j, s.At(i, j), d.At(i, j))
-			}
-		}
-	}
-	var lu LU
-	errD := FactorizeInto(&lu, d)
-	errS := s.Factorize()
-	if (errD == nil) != (errS == nil) || errD != nil && errD.Error() != errS.Error() {
-		t.Fatalf("factorization errors differ: dense %v, sparse %v\nops %v", errD, errS, ops)
-	}
-	if errD != nil {
-		return false
-	}
-	b := make([]float64, n)
-	xd, xs := make([]float64, n), make([]float64, n)
-	for rhs := 0; rhs < n+3; rhs++ {
-		for i := range b {
-			b[i] = 0
-		}
-		if rhs < n {
-			b[rhs] = 1
+	return NewPlan(n, rows, cols)
+}
+
+// unitAndRandomRHS returns every unit right-hand side, a random one, and
+// random ones holding an infinity or a NaN (which drive the replay onto
+// the dense kernel), in that order.
+func unitAndRandomRHS(rng *rand.Rand, n int) [][]float64 {
+	var rhs [][]float64
+	for i := 0; i < n+3; i++ {
+		b := make([]float64, n)
+		if i < n {
+			b[i] = 1
 		} else {
-			for i := range b {
-				b[i] = rng.NormFloat64()
+			for j := range b {
+				b[j] = rng.NormFloat64()
 			}
 		}
-		switch rhs {
+		switch i {
 		case n + 1:
 			b[rng.Intn(n)] = math.Inf(1)
 		case n + 2:
 			b[rng.Intn(n)] = math.NaN()
 		}
-		lu.SolveVecInto(xd, b)
-		s.SolveVecInto(xs, b)
-		for i := range xd {
-			if math.Float64bits(xd[i]) != math.Float64bits(xs[i]) {
-				t.Fatalf("rhs %d: x[%d] sparse %v (%#x), dense %v (%#x)\nops %v",
-					rhs, i, xs[i], math.Float64bits(xs[i]), xd[i], math.Float64bits(xd[i]), ops)
-			}
-		}
+		rhs = append(rhs, b)
 	}
-	return true
+	return rhs
 }
 
-// TestSparseMatchesDenseKernel is the sparse kernel's oracle test: random
+// assembledAt returns entry (i, j) of s's assembled system, 0 outside the
+// pattern.
+func assembledAt(s *System, i, j int) float64 {
+	if q := s.plan.Slot(i, j); q >= 0 {
+		return s.a[q]
+	}
+	return 0
+}
+
+// planOutcome is what one system did on the plan path.
+type planOutcome struct {
+	solved bool // the dense kernel factorized it
+	// fell reports whether the factorization or a solve with a finite
+	// right-hand side (the leading unit vectors) ran on the dense kernel.
+	fell bool
+}
+
+// checkPlanAgainstDense assembles ops into a Dense and into s over a plan
+// compiled for their pattern, and requires the same assembled entries, the
+// same factorization error, and bit-identical solutions for every
+// right-hand side. It runs the plan path twice: the call that compiles the
+// plan and a replay of the compiled plan, which must agree. The first
+// finite right-hand sides are unit vectors: finite counts how many.
+func checkPlanAgainstDense(t testing.TB, s *System, n int, ops []addOp, rhs [][]float64, finite int) planOutcome {
+	t.Helper()
+	d := New(n, n)
+	for _, op := range ops {
+		d.Add(op.i, op.j, op.v)
+	}
+	assembled := d.Clone()
+	var lu LU
+	errD := FactorizeInto(&lu, d)
+	var want [][]float64
+	if errD == nil {
+		for _, b := range rhs {
+			want = append(want, lu.SolveVec(b))
+		}
+	}
+	var p *Plan
+	var out planOutcome
+	for call := 0; call < 2; call++ {
+		if call == 0 {
+			p = planFor(n, ops)
+		}
+		s.Reset(p)
+		for _, op := range ops {
+			s.Add(p.Slot(op.i, op.j), op.v)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if got := assembledAt(s, i, j); math.Float64bits(got) != math.Float64bits(assembled.At(i, j)) {
+					t.Fatalf("call %d: assembled entry (%d,%d): plan %v, dense %v", call, i, j, got, assembled.At(i, j))
+				}
+			}
+		}
+		errS := s.Factorize()
+		if (errD == nil) != (errS == nil) || errD != nil && errD.Error() != errS.Error() {
+			t.Fatalf("call %d: factorization errors differ: dense %v, plan %v\nops %v", call, errD, errS, ops)
+		}
+		fell := s.FellBack()
+		if errD != nil {
+			if !fell {
+				t.Fatalf("call %d: singular system did not fall back to the dense kernel", call)
+			}
+			out.fell = true
+			continue
+		}
+		x := make([]float64, n)
+		for r, b := range rhs {
+			s.SolveVecInto(x, b)
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(want[r][i]) {
+					t.Fatalf("call %d rhs %d: x[%d] plan %v (%#x), dense %v (%#x)\nops %v", call, r, i,
+						x[i], math.Float64bits(x[i]), want[r][i], math.Float64bits(want[r][i]), ops)
+				}
+			}
+			if r == finite-1 {
+				fell = s.FellBack()
+			}
+		}
+		if call == 1 && fell != out.fell {
+			t.Fatalf("replay fell back %v, compiling call %v", fell, out.fell)
+		}
+		out.fell = fell
+	}
+	out.solved = errD == nil
+	return out
+}
+
+// TestSparseMatchesDenseKernel is the plan path's oracle test: random
 // sparse systems of every hazard kind must factorize with the dense
-// kernel's error or solve to its bits.
+// kernel's error or solve to its bits, both on the call that compiles the
+// plan and on a replay of it.
 func TestSparseMatchesDenseKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var s Sparse
+	var s System
 	outcomes := map[systemKind][2]int{}
+	replayed, fell := 0, 0
 	for trial := 0; trial < 6000; trial++ {
 		kind := systemKind(trial % int(numSystemKinds))
 		n := 1 + rng.Intn(12)
 		if trial%20 == 0 {
-			n = 50 + rng.Intn(100) // multi-word row and column bitsets
+			n = 50 + rng.Intn(100) // many elimination steps and long rows
 		}
 		ops := randomOps(rng, n, kind)
 		o := outcomes[kind]
-		if checkSparseAgainstDense(t, &s, n, ops, rng) {
+		out := checkPlanAgainstDense(t, &s, n, ops, unitAndRandomRHS(rng, n), n)
+		if out.solved {
 			o[0]++
+			if out.fell {
+				fell++
+			} else {
+				replayed++
+			}
 		} else {
 			o[1]++
 		}
 		outcomes[kind] = o
 	}
-	// Every hazard must have produced both solvable systems and errors, or
-	// the generator no longer covers what the test claims.
+	// Every hazard must have produced both solvable systems and errors, and
+	// the solvable ones both replays and dense fallbacks, or the generator
+	// no longer covers what the test claims.
 	for kind := plainSystem; kind < numSystemKinds; kind++ {
 		if o := outcomes[kind]; o[0] == 0 || o[1] == 0 {
 			t.Errorf("kind %d: %d solved, %d singular; want both", kind, o[0], o[1])
 		}
 	}
+	t.Logf("%d solvable systems replayed, %d fell back", replayed, fell)
+	if replayed == 0 || fell == 0 {
+		t.Errorf("%d solvable systems replayed, %d fell back; want both", replayed, fell)
+	}
 }
 
 func TestSparseKnownCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	var s Sparse
+	var s System
 	for _, tc := range []struct {
 		name string
 		n    int
@@ -198,27 +274,58 @@ func TestSparseKnownCases(t *testing.T) {
 		{"infinite entry", 2, []addOp{{0, 0, math.Inf(1)}, {1, 0, 1}, {0, 1, 1}, {1, 1, 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			checkSparseAgainstDense(t, &s, tc.n, tc.ops, rng)
+			checkPlanAgainstDense(t, &s, tc.n, tc.ops, unitAndRandomRHS(rng, tc.n), tc.n)
 		})
 	}
-	s.Reset(2)
-	s.Add(0, 0, 1)
-	s.Add(0, 1, 2)
-	s.Add(1, 0, 2)
-	s.Add(1, 1, 4)
+	ops := []addOp{{0, 0, 1}, {0, 1, 2}, {1, 0, 2}, {1, 1, 4}}
+	s.Reset(planFor(2, ops))
+	for _, op := range ops {
+		s.Add(s.plan.Slot(op.i, op.j), op.v)
+	}
 	if err := s.Factorize(); err == nil || err.Error() != "matrix: singular matrix at pivot 1" {
 		t.Fatalf("singular system: got %v", err)
+	}
+}
+
+// TestPlanGuardsFallBack trips each replay guard once: the system must run
+// on the dense kernel and still match it bit for bit. A plain system is
+// the control that replays.
+func TestPlanGuardsFallBack(t *testing.T) {
+	var s System
+	for _, tc := range []struct {
+		name string
+		n    int
+		ops  []addOp
+		b    []float64
+		fell bool
+	}{
+		{"replay", 2, []addOp{{0, 0, 2}, {1, 0, 1}, {0, 1, 1}, {1, 1, 2}}, []float64{1, 0}, false},
+		{"pivot swap", 2, []addOp{{0, 0, 1}, {1, 0, 2}, {0, 1, 1}, {1, 1, 1}}, []float64{1, 0}, true},
+		{"zero pivot", 2, []addOp{{0, 0, 2}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0.5}}, []float64{1, 0}, true},
+		{"NaN pivot", 2, []addOp{{0, 0, math.NaN()}, {1, 1, 1}}, []float64{1, 0}, true},
+		{"infinite pivot", 2, []addOp{{0, 0, math.Inf(1)}, {1, 0, 1}, {0, 1, 1}, {1, 1, 1}}, []float64{1, 0}, true},
+		{"reciprocal overflow", 2, []addOp{{0, 0, 1e-310}, {0, 1, 1}, {1, 1, 1}}, []float64{1, 0}, true},
+		{"zero multiplier", 2, []addOp{{0, 0, 1}, {1, 0, 0.5}, {1, 0, -0.5}, {0, 1, 1}, {1, 1, 1}}, []float64{1, 0}, true},
+		{"NaN multiplier", 2, []addOp{{0, 0, 1}, {1, 0, math.NaN()}, {1, 1, 1}}, []float64{1, 0}, true},
+		{"non-finite solution", 1, []addOp{{0, 0, 1e-300}}, []float64{1e10}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := checkPlanAgainstDense(t, &s, tc.n, tc.ops, [][]float64{tc.b}, 1)
+			if out.fell != tc.fell {
+				t.Fatalf("fell back %v, want %v", out.fell, tc.fell)
+			}
+		})
 	}
 }
 
 // TestSparseEqualBits pins EqualBits to Dense.EqualBits: an entry that
 // cancels to +0 equals an absent one, a −0 or a different value does not.
 func TestSparseEqualBits(t *testing.T) {
-	build := func(ops ...addOp) (*Sparse, *Dense) {
-		s, d := &Sparse{}, New(2, 2)
-		s.Reset(2)
+	build := func(ops ...addOp) (*System, *Dense) {
+		s, d := &System{}, New(2, 2)
+		s.Reset(planFor(2, ops))
 		for _, op := range ops {
-			s.Add(op.i, op.j, op.v)
+			s.Add(s.plan.Slot(op.i, op.j), op.v)
 			d.Add(op.i, op.j, op.v)
 		}
 		return s, d
@@ -242,9 +349,46 @@ func TestSparseEqualBits(t *testing.T) {
 			t.Errorf("%s (reversed): EqualBits %v, dense %v", tc.name, got, want)
 		}
 	}
-	other := &Sparse{}
-	other.Reset(3)
+	other := &System{}
+	other.Reset(NewPlan(3, nil, nil))
 	if base.EqualBits(other) {
 		t.Error("dimension mismatch claimed equal")
 	}
+}
+
+// fuzzValues are the entries a fuzz input can name besides small dyadic
+// ones: the hazards every guard exists for.
+var fuzzValues = []float64{
+	0, 1, -1, 1e-310, -1e-310, 5e-324, 1e300, -1e300, 1e-300,
+	math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+}
+
+// FuzzPlanMatchesDense decodes a system from bytes — the dimension from
+// the first (n ≤ 64), then (row, column, value) triples — and requires the
+// plan path, on the compiling call and on the replay, to match the dense
+// kernel's error or its bits for every unit right-hand side. The seed
+// corpus under testdata/fuzz holds one system per replay guard.
+func FuzzPlanMatchesDense(f *testing.F) {
+	var s System
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%64
+		var ops []addOp
+		for q := 1; q+2 < len(data); q += 3 {
+			v := float64(int(data[q+2])-100) / 16
+			if code := int(data[q+2]) - 200; code >= 0 {
+				v = fuzzValues[code%len(fuzzValues)]
+			}
+			ops = append(ops, addOp{int(data[q]) % n, int(data[q+1]) % n, v})
+		}
+		var rhs [][]float64
+		for i := 0; i < n; i++ {
+			b := make([]float64, n)
+			b[i] = 1
+			rhs = append(rhs, b)
+		}
+		checkPlanAgainstDense(t, &s, n, ops, rhs, n)
+	})
 }

@@ -257,17 +257,25 @@ func buildTimingChainInto(c *markov.Chain, execStates []int, p ChainParams) erro
 // can themselves fail (the dotted p_Chke edge of Fig. 3(b)).
 func BuildFunctionalChain(p ChainParams) (*markov.Chain, error) {
 	c := markov.New()
-	if err := buildFunctionalChainInto(c, nil, p); err != nil {
+	if _, err := buildFunctionalChainInto(c, nil, p); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
+// functionalStates are the absorbing states of a functional chain whose
+// absorption AnalyzeChains reads. permFail is -1 when the permanent process
+// is off.
+type functionalStates struct {
+	errS, permFail int
+}
+
 // buildFunctionalChainInto assembles the functional chain into c (fresh or
-// Reset), reusing execStates as scratch when non-nil.
-func buildFunctionalChainInto(c *markov.Chain, execStates []int, p ChainParams) error {
+// Reset), reusing execStates as scratch when non-nil, and returns the
+// handles of its Error and PermFail states.
+func buildFunctionalChainInto(c *markov.Chain, execStates []int, p ChainParams) (functionalStates, error) {
 	if err := p.Validate(); err != nil {
-		return err
+		return functionalStates{}, err
 	}
 	n := p.Checkpoints + 1
 	pChkE := p.pChkError()
@@ -277,7 +285,7 @@ func buildFunctionalChainInto(c *markov.Chain, execStates []int, p ChainParams) 
 	// Permanent-fault states mirror the timing chain (zero residence: the
 	// functional chain resolves probabilities, not time).
 	perm := p.PermPerUS > 0
-	var permFail int
+	permFail := -1
 	if perm {
 		permFail = c.AddAbsorbing("PermFail")
 	}
@@ -342,7 +350,7 @@ func buildFunctionalChainInto(c *markov.Chain, execStates []int, p ChainParams) 
 		c.Transition(asw, errS, 1-p.MASW)
 	}
 	c.SetStart(execStates[0])
-	return nil
+	return functionalStates{errS: errS, permFail: permFail}, nil
 }
 
 // TaskReliability bundles the two chain analyses for one configuration.
@@ -389,14 +397,22 @@ type PairSolveStats struct {
 	// Paired counts chain pairs solved through one shared factorization;
 	// Solo counts pairs that fell back to two independent solves.
 	Paired, Solo uint64
+	// PlanCompiles counts chain-structure plans compiled, and
+	// DenseFallbacks systems that left the plan replay for the dense
+	// kernel (markov.PlanTotals, every chain analysis in the process).
+	PlanCompiles, DenseFallbacks uint64
 }
 
 // PairSolveTotals returns the accumulated counters of AnalyzeChains' paired
-// solving, the source of the eval_accel gauges in clrearlyd's /metrics.
+// solving and of the chain plans beneath it, the source of the eval_accel
+// gauges in clrearlyd's /metrics.
 func PairSolveTotals() PairSolveStats {
+	plan := markov.PlanTotals()
 	return PairSolveStats{
-		Paired: pairSolveTotals.paired.Load(),
-		Solo:   pairSolveTotals.solo.Load(),
+		Paired:         pairSolveTotals.paired.Load(),
+		Solo:           pairSolveTotals.solo.Load(),
+		PlanCompiles:   plan.Compiles,
+		DenseFallbacks: plan.Fallbacks,
 	}
 }
 
@@ -427,7 +443,8 @@ func AnalyzeChains(p ChainParams) (TaskReliability, error) {
 	}
 	fc := sc.functional
 	fc.Reset()
-	if err := buildFunctionalChainInto(fc, sc.execStates, p); err != nil {
+	fs, err := buildFunctionalChainInto(fc, sc.execStates, p)
+	if err != nil {
 		return out, err
 	}
 	tr, fr := &sc.tr, &sc.fr
@@ -441,20 +458,11 @@ func AnalyzeChains(p ChainParams) (TaskReliability, error) {
 		pairSolveTotals.solo.Add(1)
 	}
 	out.AvgExTimeUS = tr.ExpectedTime
-
-	pErr, ok := fc.AbsorptionProbability(fr, "Error")
-	if !ok {
-		return out, fmt.Errorf("relmodel: functional chain lacks Error state")
-	}
-	if p.PermPerUS > 0 {
-		pPerm, ok := fc.AbsorptionProbability(fr, "PermFail")
-		if !ok {
-			return out, fmt.Errorf("relmodel: functional chain lacks PermFail state")
-		}
-		out.PermFailProb = pPerm
+	out.ErrProb = fr.Absorption[fs.errS]
+	if fs.permFail >= 0 {
+		out.PermFailProb = fr.Absorption[fs.permFail]
 	}
 	n := float64(p.Checkpoints + 1)
 	out.MinExTimeUS = p.ExecTimeUS + n*p.DetTimeUS + float64(p.Checkpoints)*p.ChkTimeUS
-	out.ErrProb = pErr
 	return out, nil
 }

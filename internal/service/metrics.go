@@ -196,6 +196,11 @@ type EvalAccelWire struct {
 	// factorization (two RHS per solve); SoloSolves went one-by-one.
 	PairedSolves uint64 `json:"paired_solves"`
 	SoloSolves   uint64 `json:"solo_solves"`
+	// PlanCompiles counts chain-structure plans compiled (one per distinct
+	// chain shape while the plan table holds it); DenseFallbacks counts
+	// chain systems a replay guard sent to the dense LU.
+	PlanCompiles   uint64 `json:"plan_compiles"`
+	DenseFallbacks uint64 `json:"dense_fallbacks"`
 }
 
 // snapshot captures the counter-side metrics; the server fills in the

@@ -365,6 +365,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		BatchWarmed:      at.BatchWarmed,
 		PairedSolves:     at.PairedSolves,
 		SoloSolves:       at.SoloSolves,
+		PlanCompiles:     at.PlanCompiles,
+		DenseFallbacks:   at.DenseFallbacks,
 	}
 	st := core.SelectionTotals()
 	m.Selection = SelectionWire{SortNanos: st.SortNanos, ArchiveNanos: st.ArchiveNanos}
