@@ -82,8 +82,8 @@ func run(args []string, w, errw io.Writer) error {
 	defer func() {
 		a := core.AccelTotals()
 		if a.DeltaParentReuse+a.DeltaPrefixRuns+a.DeltaFullRuns+a.PairedSolves+a.SoloSolves > 0 {
-			fmt.Fprintf(errw, "eval accel: delta %d reused / %d prefix / %d full, %d metrics reused, %d batch-warmed; chain solves %d paired / %d solo, %d plans compiled, %d dense fallbacks\n",
-				a.DeltaParentReuse, a.DeltaPrefixRuns, a.DeltaFullRuns, a.MetricsReused, a.BatchWarmed,
+			fmt.Fprintf(errw, "eval accel: delta %d reused / %d prefix / %d full, %d metrics reused; chain solves %d paired / %d solo, %d plans compiled, %d dense fallbacks\n",
+				a.DeltaParentReuse, a.DeltaPrefixRuns, a.DeltaFullRuns, a.MetricsReused,
 				a.PairedSolves, a.SoloSolves, a.PlanCompiles, a.DenseFallbacks)
 		}
 		s := core.SelectionTotals()

@@ -9,41 +9,39 @@ import (
 
 // accelCounters accumulates process-wide evaluation-acceleration activity:
 // how often the delta evaluator reused its parent outright, replayed a
-// schedule prefix, or fell back to a full run; how many per-task metric
-// decodes were skipped; and how many cache entries batch preparation
-// warmed. They are monotone totals across all instances.
+// schedule prefix, or fell back to a full run, and how many per-task metric
+// decodes were skipped. They are monotone totals across all instances.
 var accelCounters struct {
 	deltaParentReuse atomic.Uint64
 	deltaPrefixRuns  atomic.Uint64
 	deltaFullRuns    atomic.Uint64
 	metricsReused    atomic.Uint64
-	batchWarmed      atomic.Uint64
 }
 
 // AccelStats is a snapshot of the process-wide evaluation-acceleration
-// counters: the delta-evaluation, batching and paired chain-solve
-// machinery of the DSE hot path.
+// counters: the delta-evaluation and paired chain-solve machinery of the
+// DSE hot path. The daemon serves it as the /metrics eval_accel block.
 type AccelStats struct {
 	// DeltaParentReuse counts evaluations answered by the parent's result
 	// because the child decoded to identical schedule inputs.
-	DeltaParentReuse uint64
+	DeltaParentReuse uint64 `json:"delta_parent_reuse"`
 	// DeltaPrefixRuns counts schedule evaluations that replayed a parent
 	// prefix; DeltaFullRuns counts full schedule runs (initial populations,
 	// changed orders, missing replay state).
-	DeltaPrefixRuns, DeltaFullRuns uint64
+	DeltaPrefixRuns uint64 `json:"delta_prefix_runs"`
+	DeltaFullRuns   uint64 `json:"delta_full_runs"`
 	// MetricsReused counts per-task metric decodes skipped because the gene
 	// matched the parent's.
-	MetricsReused uint64
-	// BatchWarmed counts metric-cache entries warmed by generation batch
-	// preparation.
-	BatchWarmed uint64
+	MetricsReused uint64 `json:"metrics_reused"`
 	// PairedSolves / SoloSolves count reliability chain analyses that did /
 	// did not share one factorization between the timing and functional
 	// chains (see relmodel.PairSolveTotals).
-	PairedSolves, SoloSolves uint64
+	PairedSolves uint64 `json:"paired_solves"`
+	SoloSolves   uint64 `json:"solo_solves"`
 	// PlanCompiles counts chain-structure plans compiled; DenseFallbacks
 	// counts chain systems that left the plan replay for the dense kernel.
-	PlanCompiles, DenseFallbacks uint64
+	PlanCompiles   uint64 `json:"plan_compiles"`
+	DenseFallbacks uint64 `json:"dense_fallbacks"`
 }
 
 // AccelTotals aggregates the process-wide evaluation-acceleration counters
@@ -56,7 +54,6 @@ func AccelTotals() AccelStats {
 		DeltaPrefixRuns:  accelCounters.deltaPrefixRuns.Load(),
 		DeltaFullRuns:    accelCounters.deltaFullRuns.Load(),
 		MetricsReused:    accelCounters.metricsReused.Load(),
-		BatchWarmed:      accelCounters.batchWarmed.Load(),
 		PairedSolves:     pair.Paired,
 		SoloSolves:       pair.Solo,
 		PlanCompiles:     pair.PlanCompiles,

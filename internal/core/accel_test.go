@@ -283,7 +283,7 @@ func TestSkippedAggregatesOracle(t *testing.T) {
 		tight := schedule.Spec{MaxMakespanUS: math.Inf(1), MaxEnergyUJ: math.Inf(1), MaxPeakPowerW: math.Inf(1)}
 		for i := 0; i < 5; i++ {
 			g := randomGenomeFor(p0, rng)
-			r, err := schedule.RunWithComm(base.Graph, base.Platform, g.Order, decisionsIntoCore(p0, nil, g), base.Comm)
+			r, err := schedule.RunWithComm(base.Graph, base.Platform, g.Order, decisionsInto(p0, nil, g), base.Comm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,7 +320,7 @@ func TestSkippedAggregatesOracle(t *testing.T) {
 					p := pk.make(&inst)
 					check := func(what string, g *moea.Genome, got moea.Evaluation) {
 						t.Helper()
-						res, err := schedule.RunWithComm(inst.Graph, inst.Platform, g.Order, decisionsIntoCore(p, nil, g), inst.Comm)
+						res, err := schedule.RunWithComm(inst.Graph, inst.Platform, g.Order, decisionsInto(p, nil, g), inst.Comm)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -416,5 +416,30 @@ func TestAccelCountersMove(t *testing.T) {
 	after := AccelTotals()
 	if after.DeltaPrefixRuns+after.DeltaParentReuse == before.DeltaPrefixRuns+before.DeltaParentReuse {
 		t.Fatal("delta counters did not advance")
+	}
+}
+
+// TestFcCLRParallelMissesComputeOnce runs fcCLR on fresh instances with
+// four evaluation workers and with one. Workers fault metric-cache misses
+// in through the cache's single-flight slots, so both runs must return the
+// same front and solve exactly one chain pair per cache entry.
+func TestFcCLRParallelMissesComputeOnce(t *testing.T) {
+	run := func(workers int) *Front {
+		inst := synInstance(20, 31)
+		before := AccelTotals()
+		front, err := FcCLR(inst, RunConfig{Pop: 24, Gens: 8, Seed: 31, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := AccelTotals()
+		solves := after.PairedSolves + after.SoloSolves - before.PairedSolves - before.SoloSolves
+		entries := inst.MetricsCacheStats().Entries
+		if entries == 0 || solves != uint64(entries) {
+			t.Errorf("workers %d: %d chain solves for %d metric-cache entries", workers, solves, entries)
+		}
+		return front
+	}
+	if par, ser := run(4), run(1); !reflect.DeepEqual(par, ser) {
+		t.Fatal("fcCLR fronts differ between 4 workers and 1")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/moea"
-	"repro/internal/schedule"
 )
 
 // Checkpointer is the durability hook of a strategy run. Strategies are
@@ -65,9 +64,9 @@ func SnapshotFront(f *Front) *FrontSnapshot {
 }
 
 // restoreFront rebuilds a live front from its snapshot, re-deriving each
-// point's QoS metrics through the stage's decoder (archive order is
+// point's QoS metrics through the stage's problem (archive order is
 // preserved, so the restored front is byte-identical to the one saved).
-func restoreFront(fs *FrontSnapshot, decode func(*moea.Genome) *schedule.Result) *Front {
+func restoreFront(fs *FrontSnapshot, p problemCore) *Front {
 	out := &Front{Evaluations: fs.Evaluations, Points: make([]Point, len(fs.Points))}
 	for i, fp := range fs.Points {
 		objs := make([]float64, len(fp.Objectives))
@@ -78,7 +77,7 @@ func restoreFront(fs *FrontSnapshot, decode func(*moea.Genome) *schedule.Result)
 			Order: append([]int(nil), fp.Order...),
 			Genes: append([]moea.Gene(nil), fp.Genes...),
 		}
-		out.Points[i] = Point{Objectives: objs, QoS: decode(g), Genome: g}
+		out.Points[i] = Point{Objectives: objs, QoS: decodeResult(p, g), Genome: g}
 	}
 	return out
 }

@@ -226,7 +226,7 @@ func TestFrontSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := newFCProblem(inst, allFree)
-	restored := restoreFront(back, p.decodeResult)
+	restored := restoreFront(back, p)
 	if frontBytes(t, front) != frontBytes(t, restored) {
 		t.Fatal("front snapshot round-trip is not byte-identical")
 	}

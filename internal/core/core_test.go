@@ -349,7 +349,7 @@ func TestReencodeSeedsPreserveQoS(t *testing.T) {
 	}
 	fc := newFCProblem(inst, allFree)
 	for i, s := range seeds {
-		res := fc.decodeResult(s)
+		res := decodeResult(fc, s)
 		want := pf.Points[i].QoS
 		if math.Abs(res.MakespanUS-want.MakespanUS) > 1e-9 ||
 			math.Abs(res.ErrProb-want.ErrProb) > 1e-12 {
@@ -508,7 +508,7 @@ func TestHEFTSeedValidAndStrong(t *testing.T) {
 	const trials = 40
 	for i := 0; i < trials; i++ {
 		g := moea.RandomGenome(rng, p)
-		r := p.decodeResult(g)
+		r := decodeResult(p, g)
 		if qos.MakespanUS < r.MakespanUS {
 			better++
 		}

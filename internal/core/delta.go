@@ -20,9 +20,9 @@ type problemCore interface {
 	decodeDecision(task int, g moea.Gene) schedule.TaskDecision
 }
 
-// decisionsIntoCore resolves a whole genome into per-task schedule
-// decisions, reusing dst's capacity.
-func decisionsIntoCore(p problemCore, dst []schedule.TaskDecision, g *moea.Genome) []schedule.TaskDecision {
+// decisionsInto resolves a whole genome into per-task schedule decisions,
+// reusing dst's capacity.
+func decisionsInto(p problemCore, dst []schedule.TaskDecision, g *moea.Genome) []schedule.TaskDecision {
 	n := p.NumTasks()
 	if cap(dst) < n {
 		dst = make([]schedule.TaskDecision, n)
@@ -32,6 +32,17 @@ func decisionsIntoCore(p problemCore, dst []schedule.TaskDecision, g *moea.Genom
 		dst[t] = p.decodeDecision(t, g.Genes[t])
 	}
 	return dst
+}
+
+// decodeResult re-runs the scheduler on a genome for reporting: the QoS of
+// a front point.
+func decodeResult(p problemCore, g *moea.Genome) *schedule.Result {
+	inst := p.instance()
+	res, err := schedule.RunWithComm(inst.Graph, inst.Platform, g.Order, decisionsInto(p, nil, g), inst.Comm)
+	if err != nil {
+		panic("core: schedule decoding failed: " + err.Error())
+	}
+	return res
 }
 
 // sameDecision reports whether two decisions are bitwise equal in every
@@ -81,7 +92,7 @@ func newCoreEvaluator(p problemCore) *coreEvaluator {
 }
 
 func (e *coreEvaluator) Evaluate(g *moea.Genome) moea.Evaluation {
-	e.decisions = decisionsIntoCore(e.p, e.decisions, g)
+	e.decisions = decisionsInto(e.p, e.decisions, g)
 	return e.run(g.Order, e.decisions, nil, nil)
 }
 
@@ -180,7 +191,7 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 // for initial-population members and parentless offspring.
 func (e *coreEvaluator) evaluateRetain(g *moea.Genome) (moea.Evaluation, any) {
 	accelCounters.deltaFullRuns.Add(1)
-	rec := &replayState{decisions: decisionsIntoCore(e.p, nil, g)}
+	rec := &replayState{decisions: decisionsInto(e.p, nil, g)}
 	rec.eval = e.run(g.Order, rec.decisions, nil, &rec.times)
 	return rec.eval, rec
 }

@@ -94,7 +94,7 @@ func PfCLRWithSeeds(inst *Instance, cfg RunConfig, flib *tdse.Library, seeds []*
 		return nil, err
 	}
 	p := newPFProblem(inst, flib)
-	return runProblem(p, p.decodeResult, cfg, seeds, "pfclr")
+	return runProblem(p, cfg, seeds, "pfclr")
 }
 
 // EvaluatePFMapping decodes a pfCLR-encoded genome (as produced by
@@ -114,5 +114,5 @@ func EvaluatePFMapping(inst *Instance, flib *tdse.Library, g *moea.Genome) (*sch
 			len(g.Genes), inst.Graph.NumTasks())
 	}
 	p := newPFProblem(inst, flib)
-	return p.decodeResult(g), nil
+	return decodeResult(p, g), nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/faultmodel"
 	"repro/internal/moea"
@@ -45,12 +44,6 @@ type fcProblem struct {
 	maxModes int
 	objs     []SystemObjective
 	cache    *metricsCache
-
-	// batchMu guards batchSeen, PrepareBatch's dedup scratch: the engines
-	// call PrepareBatch from the engine goroutine, but one problem may
-	// serve several concurrent runs.
-	batchMu   sync.Mutex
-	batchSeen map[metricsKey]struct{}
 }
 
 func newFCProblem(inst *Instance, restrict layerRestriction) *fcProblem {
@@ -181,52 +174,6 @@ func (p *fcProblem) taskMetrics(task int, g moea.Gene) (relmodel.Metrics, int) {
 	return m, pe
 }
 
-// PrepareBatch implements moea.BatchProblem for the fcCLR problem: before
-// a generation's offspring fan out to the evaluation workers, the distinct
-// task configurations that differ from their parents' are decoded once on
-// the engine goroutine, warming the shared Markov-metric cache in a single
-// deduplicated pass (each warm solves the task's timing and functional
-// chains as one batched pair, see relmodel.AnalyzeChains). Workers then
-// hit warm entries instead of serializing on the cache's single-flight
-// slots. Purely a cache effect — evaluation results are unchanged.
-func (p *fcProblem) PrepareBatch(items []moea.BatchItem) {
-	p.batchMu.Lock()
-	defer p.batchMu.Unlock()
-	if p.batchSeen == nil {
-		p.batchSeen = make(map[metricsKey]struct{}, 64)
-	}
-	warmed := 0
-	for _, it := range items {
-		if it.Genome == nil {
-			continue
-		}
-		for t, gene := range it.Genome.Genes {
-			if it.Parent != nil && gene == it.Parent.Genes[t] {
-				continue
-			}
-			key := p.metricsKeyFor(t, gene)
-			if _, ok := p.batchSeen[key]; ok {
-				continue
-			}
-			p.batchSeen[key] = struct{}{}
-			p.taskMetrics(t, gene)
-			warmed++
-		}
-	}
-	clear(p.batchSeen)
-	if warmed > 0 {
-		accelCounters.batchWarmed.Add(uint64(warmed))
-	}
-}
-
-// metricsKeyFor builds the metric-cache key of one task's gene, mirroring
-// taskMetrics' key construction.
-func (p *fcProblem) metricsKeyFor(task int, g moea.Gene) metricsKey {
-	_, asg, _ := p.decodeGene(task, g)
-	tt := p.inst.Graph.Task(task).Type
-	return metricsKey{taskType: tt, impl: mod(g.Impl, len(p.inst.Lib.ImplsShared(tt))), asg: asg}
-}
-
 // decodeDecision resolves one task's gene into its schedule decision — the
 // per-task decode step shared by full and delta evaluation.
 func (p *fcProblem) decodeDecision(task int, g moea.Gene) schedule.TaskDecision {
@@ -243,26 +190,11 @@ func (p *fcProblem) decodeDecision(task int, g moea.Gene) schedule.TaskDecision 
 func (p *fcProblem) instance() *Instance        { return p.inst }
 func (p *fcProblem) sysObjs() []SystemObjective { return p.objs }
 
-// decisionsInto resolves the genome into per-task schedule decisions,
-// reusing dst's capacity.
-func (p *fcProblem) decisionsInto(dst []schedule.TaskDecision, g *moea.Genome) []schedule.TaskDecision {
-	return decisionsIntoCore(p, dst, g)
-}
-
 // NewEvaluator implements moea.ScratchProblem.
 func (p *fcProblem) NewEvaluator() moea.Evaluator { return newCoreEvaluator(p) }
 
 func (p *fcProblem) Evaluate(g *moea.Genome) moea.Evaluation {
 	return p.NewEvaluator().Evaluate(g)
-}
-
-// decodeResult re-runs the scheduler for reporting purposes.
-func (p *fcProblem) decodeResult(g *moea.Genome) *schedule.Result {
-	res, err := schedule.RunWithComm(p.inst.Graph, p.inst.Platform, g.Order, p.decisionsInto(nil, g), p.inst.Comm)
-	if err != nil {
-		panic("core: schedule decoding failed: " + err.Error())
-	}
-	return res
 }
 
 // pfProblem is the Pareto-filtered task-mapping problem (pfCLR): the Impl
@@ -333,25 +265,11 @@ func (p *pfProblem) decodeDecision(task int, g moea.Gene) schedule.TaskDecision 
 func (p *pfProblem) instance() *Instance        { return p.inst }
 func (p *pfProblem) sysObjs() []SystemObjective { return p.objs }
 
-// decisionsInto resolves the genome against the Pareto-filtered candidate
-// library, reusing dst's capacity.
-func (p *pfProblem) decisionsInto(dst []schedule.TaskDecision, g *moea.Genome) []schedule.TaskDecision {
-	return decisionsIntoCore(p, dst, g)
-}
-
 // NewEvaluator implements moea.ScratchProblem.
 func (p *pfProblem) NewEvaluator() moea.Evaluator { return newCoreEvaluator(p) }
 
 func (p *pfProblem) Evaluate(g *moea.Genome) moea.Evaluation {
 	return p.NewEvaluator().Evaluate(g)
-}
-
-func (p *pfProblem) decodeResult(g *moea.Genome) *schedule.Result {
-	res, err := schedule.RunWithComm(p.inst.Graph, p.inst.Platform, g.Order, p.decisionsInto(nil, g), p.inst.Comm)
-	if err != nil {
-		panic("core: schedule decoding failed: " + err.Error())
-	}
-	return res
 }
 
 func objectiveVector(r *schedule.Result, objs []SystemObjective) []float64 {

@@ -150,10 +150,10 @@ func (c RunConfig) paramsFor(stage string) moea.Params {
 // With cfg.Checkpoint set, a stage whose front was already saved is
 // restored without running, an interrupted stage resumes from its engine
 // snapshot, and the completed front is saved for the next resume.
-func runProblem(p moea.Problem, decode func(*moea.Genome) *schedule.Result, cfg RunConfig, seeds []*moea.Genome, stage string) (*Front, error) {
+func runProblem(p problemCore, cfg RunConfig, seeds []*moea.Genome, stage string) (*Front, error) {
 	if cfg.Checkpoint != nil {
 		if fs := cfg.Checkpoint.ResumeFront(stage); fs != nil {
-			return restoreFront(fs, decode), nil
+			return restoreFront(fs, p), nil
 		}
 	}
 	params := cfg.paramsFor(stage)
@@ -171,7 +171,7 @@ func runProblem(p moea.Problem, decode func(*moea.Genome) *schedule.Result, cfg 
 	if err != nil {
 		return nil, err
 	}
-	front := frontOf(res, decode)
+	front := frontOf(res, p)
 	if cfg.Checkpoint != nil {
 		cfg.Checkpoint.SaveFront(stage, SnapshotFront(front))
 	}
@@ -195,12 +195,12 @@ func (c RunConfig) checkpointStage(params *moea.Params, stage string) {
 
 // frontOf turns an engine result into a Front, decoding each genome's QoS
 // metrics. Front points share the result's genomes and objective slices.
-func frontOf(res *moea.Result, decode func(*moea.Genome) *schedule.Result) *Front {
+func frontOf(res *moea.Result, p problemCore) *Front {
 	front := &Front{Evaluations: res.Evaluations}
 	for _, s := range res.Front {
 		front.Points = append(front.Points, Point{
 			Objectives: s.Objectives,
-			QoS:        decode(s.Genome),
+			QoS:        decodeResult(p, s.Genome),
 			Genome:     s.Genome,
 		})
 	}
@@ -214,7 +214,7 @@ func FcCLR(inst *Instance, cfg RunConfig) (*Front, error) {
 		return nil, err
 	}
 	p := newFCProblem(inst, allFree)
-	return runProblem(p, p.decodeResult, cfg, nil, "fcclr")
+	return runProblem(p, cfg, nil, "fcclr")
 }
 
 // PfCLR runs the task-level-Pareto-filtered task mapping (§V.B.2) over the
@@ -227,7 +227,7 @@ func PfCLR(inst *Instance, cfg RunConfig, flib *tdse.Library) (*Front, error) {
 		return nil, err
 	}
 	p := newPFProblem(inst, flib)
-	return runProblem(p, p.decodeResult, cfg, nil, "pfclr")
+	return runProblem(p, cfg, nil, "pfclr")
 }
 
 // Proposed runs the paper's two-stage methodology (§V.B.3, Fig. 4(b)):
@@ -267,7 +267,7 @@ func ProposedFrom(inst *Instance, cfg RunConfig, flib *tdse.Library, pfStage *Fr
 	fcCfg := cfg
 	fcCfg.Seed = cfg.Seed + 1
 	p := newFCProblem(inst, allFree)
-	front, err := runProblem(p, p.decodeResult, fcCfg, seeds, "fcclr")
+	front, err := runProblem(p, fcCfg, seeds, "fcclr")
 	if err != nil {
 		return nil, fmt.Errorf("core: seeded fcCLR stage: %w", err)
 	}
@@ -279,7 +279,7 @@ func ProposedFrom(inst *Instance, cfg RunConfig, flib *tdse.Library, pfStage *Fr
 	// from the instance (e.g. a different operating environment).
 	seedFront := &Front{Evaluations: pfStage.Evaluations}
 	for _, seed := range seeds {
-		q := p.decodeResult(seed)
+		q := decodeResult(p, seed)
 		seedFront.Points = append(seedFront.Points, Point{
 			Objectives: objectiveVector(q, inst.objectives()),
 			QoS:        q,
@@ -393,7 +393,7 @@ func SingleLayer(inst *Instance, cfg RunConfig, layer Layer) (*Front, error) {
 		return nil, err
 	}
 	p := newFCProblem(inst, r)
-	return runProblem(p, p.decodeResult, cfg, nil, layer.String())
+	return runProblem(p, cfg, nil, layer.String())
 }
 
 func restrictionFor(layer Layer) (layerRestriction, error) {
@@ -504,7 +504,7 @@ func FcCLRWithParams(inst *Instance, params moea.Params) (*Front, error) {
 	if err != nil {
 		return nil, err
 	}
-	return frontOf(res, p.decodeResult), nil
+	return frontOf(res, p), nil
 }
 
 // RandomSearch evaluates random full-configuration design points — the
@@ -518,7 +518,7 @@ func RandomSearch(inst *Instance, evals int, seed int64) (*Front, error) {
 	if err != nil {
 		return nil, err
 	}
-	return frontOf(res, p.decodeResult), nil
+	return frontOf(res, p), nil
 }
 
 // DecodePEs resolves the concrete PE id of every task of a
@@ -566,5 +566,5 @@ func EvaluateMapping(inst *Instance, g *moea.Genome) (*schedule.Result, error) {
 			len(g.Genes), inst.Graph.NumTasks())
 	}
 	p := newFCProblem(inst, allFree)
-	return p.decodeResult(g), nil
+	return decodeResult(p, g), nil
 }

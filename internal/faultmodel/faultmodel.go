@@ -328,13 +328,16 @@ func CountPermChain() { totals.permChains.Add(1) }
 // CountCheckpointPolicy records one evaluation under an active policy.
 func CountCheckpointPolicy() { totals.ckptPolicies.Add(1) }
 
-// Stats is the snapshot form of the package counters.
+// Stats is the snapshot form of the package counters, served as the
+// daemon's /metrics fault_model block.
 type Stats struct {
 	// Evals counts task-metric evaluations with an enabled fault model or
 	// checkpoint policy; PermChains counts chain pairs that carried
 	// permanent/repair states; CheckpointPolicies counts evaluations under
 	// an active checkpoint policy.
-	Evals, PermChains, CheckpointPolicies uint64
+	Evals              uint64 `json:"evals"`
+	PermChains         uint64 `json:"perm_chains"`
+	CheckpointPolicies uint64 `json:"checkpoint_policies"`
 }
 
 // Totals returns the accumulated process-wide counters.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/store"
 )
 
 // gwMetrics are the gateway's lock-free counters.
@@ -135,7 +136,7 @@ type MetricsWire struct {
 	CacheSize     int `json:"cache_size"`
 	CacheCapacity int `json:"cache_capacity"`
 	// Store gauges are present when the gateway runs with a durable store.
-	Store *service.StoreWire `json:"store,omitempty"`
+	Store *store.Stats `json:"store,omitempty"`
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -228,7 +229,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if st := g.cfg.Store; st != nil {
-		sw := service.StoreWire(st.Stats())
+		sw := st.Stats()
 		m.Store = &sw
 	}
 	service.WriteJSON(w, http.StatusOK, m)

@@ -264,8 +264,8 @@ var planCounters struct {
 
 // PlanStats reports the process-wide plan counters.
 type PlanStats struct {
-	// Compiles counts chain plans compiled; Fallbacks counts systems that
-	// tripped a replay guard and ran on the dense kernel.
+	// Compiles counts chain plans entered into the table; Fallbacks counts
+	// systems that tripped a replay guard and ran on the dense kernel.
 	Compiles, Fallbacks uint64
 }
 
@@ -278,7 +278,9 @@ func PlanTotals() PlanStats {
 }
 
 // plan returns the chain's plan from the table, compiling and inserting it
-// on a miss.
+// on a miss. Goroutines that miss on one structure at once each compile it,
+// but only the first insert enters the table and counts as a compile; the
+// others return that plan.
 func (c *Chain) plan() (*chainPlan, error) {
 	if m := plans.m.Load(); m != nil {
 		if p := (*m)[string(c.key)]; p != nil {
@@ -289,15 +291,21 @@ func (c *Chain) plan() (*chainPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	planCounters.compiles.Add(1)
 	plans.mu.Lock()
+	defer plans.mu.Unlock()
+	m := plans.m.Load()
+	if m != nil {
+		if q := (*m)[string(c.key)]; q != nil {
+			return q, nil
+		}
+	}
 	next := map[string]*chainPlan{}
-	if m := plans.m.Load(); m != nil && len(*m) < maxPlans {
+	if m != nil && len(*m) < maxPlans {
 		next = maps.Clone(*m)
 	}
 	next[string(c.key)] = p
 	plans.m.Store(&next)
-	plans.mu.Unlock()
+	planCounters.compiles.Add(1)
 	return p, nil
 }
 

@@ -88,3 +88,48 @@ func TestPlanTableConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPlanCompileCountedOnce starts goroutines behind a barrier on one
+// structure the table does not hold, so several miss on it at once, and
+// requires the compile count to move by exactly one and every goroutine to
+// get the same plan.
+func TestPlanCompileCountedOnce(t *testing.T) {
+	const workers = 8
+	plans.m.Store(nil)
+	for round := 0; round < 10; round++ {
+		n := 40 + round // a structure no earlier round compiled
+		chains := make([]*Chain, workers)
+		for w := range chains {
+			chains[w] = randomAbsorbingChain(rand.New(rand.NewSource(int64(round))), n)
+		}
+		before := PlanTotals().Compiles
+		got := make([]*chainPlan, workers)
+		var ready, done sync.WaitGroup
+		start := make(chan struct{})
+		ready.Add(workers)
+		done.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				defer done.Done()
+				ready.Done()
+				<-start
+				p, err := chains[w].plan()
+				if err != nil {
+					t.Error(err)
+				}
+				got[w] = p
+			}(w)
+		}
+		ready.Wait()
+		close(start)
+		done.Wait()
+		if d := PlanTotals().Compiles - before; d != 1 {
+			t.Fatalf("round %d: %d goroutines on one fresh structure counted %d compiles, want 1", round, workers, d)
+		}
+		for w, p := range got {
+			if p == nil || p != got[0] {
+				t.Fatalf("round %d: goroutine %d got a plan other than the table's", round, w)
+			}
+		}
+	}
+}

@@ -280,16 +280,6 @@ func evaluate(p Problem, sols []*solution, workers int, useDelta bool) {
 	if len(sols) == 0 {
 		return
 	}
-	if bp, ok := p.(BatchProblem); ok {
-		items := make([]BatchItem, len(sols))
-		for i, s := range sols {
-			items[i] = BatchItem{Genome: s.genome}
-			if s.parent != nil {
-				items[i].Parent = s.parent.genome
-			}
-		}
-		bp.PrepareBatch(items)
-	}
 	if workers <= 0 {
 		want := runtime.GOMAXPROCS(0)
 		if want > len(sols) {

@@ -15,8 +15,8 @@ var selectionTotals struct {
 type SelectionStats struct {
 	// SortNanos / ArchiveNanos are the cumulative wall-clock nanoseconds
 	// spent in non-dominated sorting + crowding and in archive updates.
-	SortNanos    uint64
-	ArchiveNanos uint64
+	SortNanos    uint64 `json:"sort_ns"`
+	ArchiveNanos uint64 `json:"archive_ns"`
 }
 
 // SelectionTotals returns the process-wide selection counters.

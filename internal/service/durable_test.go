@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -433,4 +436,61 @@ func journaledWith(t *testing.T, spec *JobSpec, field string, v any) json.RawMes
 		t.Fatal(err)
 	}
 	return blob
+}
+
+// TestMetricsCounterBlockKeys pins the JSON key paths of the /metrics
+// blocks served straight from the counter structs (core.AccelStats,
+// moea.SelectionStats, faultmodel.Stats, store.Stats): a renamed, added or
+// dropped field changes the wire and must change this list with it.
+func TestMetricsCounterBlockKeys(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	t.Cleanup(func() { st.Close() })
+	_, ts := newTestServer(t, Config{Workers: 1, Store: st})
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, block := range []string{"eval_accel", "selection", "fault_model", "store"} {
+		fields, ok := m[block].(map[string]any)
+		if !ok {
+			t.Fatalf("/metrics has no %q object", block)
+		}
+		for k := range fields {
+			got = append(got, block+"."+k)
+		}
+	}
+	sort.Strings(got)
+	want := []string{
+		"eval_accel.delta_full_runs",
+		"eval_accel.delta_parent_reuse",
+		"eval_accel.delta_prefix_runs",
+		"eval_accel.dense_fallbacks",
+		"eval_accel.metrics_reused",
+		"eval_accel.paired_solves",
+		"eval_accel.plan_compiles",
+		"eval_accel.solo_solves",
+		"fault_model.checkpoint_policies",
+		"fault_model.evals",
+		"fault_model.perm_chains",
+		"selection.archive_ns",
+		"selection.sort_ns",
+		"store.appends",
+		"store.checkpoints",
+		"store.compactions",
+		"store.jobs",
+		"store.pending_jobs",
+		"store.results",
+		"store.syncs",
+		"store.torn_bytes_truncated",
+		"store.wal_bytes",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/metrics counter key paths:\n got %q\nwant %q", got, want)
+	}
 }

@@ -1,8 +1,14 @@
 package service
 
 import (
+	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/faultmodel"
+	"repro/internal/moea"
+	"repro/internal/store"
 )
 
 // latencyBucketsMS are the upper bounds of the per-method job-latency
@@ -50,21 +56,7 @@ func (h *histogram) wire() HistogramWire {
 
 func leLabel(bound float64) string {
 	// Bounds are whole milliseconds; render without a decimal point.
-	return "le_" + itoa(int64(bound)) + "ms"
-}
-
-func itoa(n int64) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return "le_" + strconv.FormatInt(int64(bound), 10) + "ms"
 }
 
 // Metrics holds the service's expvar-style counters. All methods are safe
@@ -105,46 +97,12 @@ type MetricsWire struct {
 	Jobs       JobCountsWire            `json:"jobs"`
 	Queue      QueueWire                `json:"queue"`
 	Cache      CacheWire                `json:"cache"`
-	Accel      EvalAccelWire            `json:"eval_accel"`
-	Selection  SelectionWire            `json:"selection"`
-	FaultModel FaultModelWire           `json:"fault_model"`
+	Accel      core.AccelStats          `json:"eval_accel"`
+	Selection  moea.SelectionStats      `json:"selection"`
+	FaultModel faultmodel.Stats         `json:"fault_model"`
 	Latency    map[string]HistogramWire `json:"latency_ms"`
 	// Store gauges are present when the service runs with a durable store.
-	Store *StoreWire `json:"store,omitempty"`
-}
-
-// SelectionWire reports the cumulative time the engines spent in the
-// selection hot path (see core.SelectionTotals): non-dominated sorting plus
-// crowding, and external-archive maintenance.
-type SelectionWire struct {
-	SortNanos    uint64 `json:"sort_ns"`
-	ArchiveNanos uint64 `json:"archive_ns"`
-}
-
-// FaultModelWire reports the process-wide fault-model subsystem counters
-// (see faultmodel.Totals): task evaluations with the subsystem active,
-// chain pairs built with permanent/repair states, and evaluations under an
-// active checkpoint policy. All zero on a daemon that has only served
-// legacy SEU-only jobs.
-type FaultModelWire struct {
-	Evals              uint64 `json:"evals"`
-	PermChains         uint64 `json:"perm_chains"`
-	CheckpointPolicies uint64 `json:"checkpoint_policies"`
-}
-
-// StoreWire reports the durable store's gauges: WAL size and I/O counters,
-// compactions, torn bytes dropped at recovery, and retained record counts.
-// The field set mirrors store.Stats.
-type StoreWire struct {
-	WALBytes    int64 `json:"wal_bytes"`
-	Appends     int64 `json:"appends"`
-	Syncs       int64 `json:"syncs"`
-	Compactions int64 `json:"compactions"`
-	TornBytes   int64 `json:"torn_bytes_truncated"`
-	PendingJobs int   `json:"pending_jobs"`
-	Jobs        int   `json:"jobs"`
-	Results     int   `json:"results"`
-	Checkpoints int   `json:"checkpoints"`
+	Store *store.Stats `json:"store,omitempty"`
 }
 
 // JobCountsWire counts jobs by lifecycle state plus the submission and
@@ -173,34 +131,6 @@ type CacheWire struct {
 	Misses   int64 `json:"misses"`
 	Size     int   `json:"size"`
 	Capacity int   `json:"capacity"`
-}
-
-// EvalAccelWire reports the process-wide evaluation-acceleration counters
-// accumulated across every job's DSE instance (see core.AccelTotals):
-// delta-evaluation reuse, batch warming, and batched chain solving.
-type EvalAccelWire struct {
-	// DeltaParentReuse counts offspring whose fitness was returned
-	// verbatim from the parent (no gene changed the schedule inputs).
-	DeltaParentReuse uint64 `json:"delta_parent_reuse"`
-	// DeltaPrefixRuns counts delta evaluations that replayed a parent's
-	// schedule prefix; DeltaFullRuns fell back to a full list schedule.
-	DeltaPrefixRuns uint64 `json:"delta_prefix_runs"`
-	DeltaFullRuns   uint64 `json:"delta_full_runs"`
-	// MetricsReused counts per-task metric decodes skipped because the
-	// gene was unchanged from the parent.
-	MetricsReused uint64 `json:"metrics_reused"`
-	// BatchWarmed counts metric-cache entries pre-warmed in deduplicated
-	// generation batches before workers fanned out.
-	BatchWarmed uint64 `json:"batch_warmed"`
-	// PairedSolves counts absorbing-chain pairs solved with one shared
-	// factorization (two RHS per solve); SoloSolves went one-by-one.
-	PairedSolves uint64 `json:"paired_solves"`
-	SoloSolves   uint64 `json:"solo_solves"`
-	// PlanCompiles counts chain-structure plans compiled (one per distinct
-	// chain shape while the plan table holds it); DenseFallbacks counts
-	// chain systems a replay guard sent to the dense LU.
-	PlanCompiles   uint64 `json:"plan_compiles"`
-	DenseFallbacks uint64 `json:"dense_fallbacks"`
 }
 
 // snapshot captures the counter-side metrics; the server fills in the

@@ -356,28 +356,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.metrics.snapshot()
 	m.Queue = QueueWire{Depth: len(s.queue), Capacity: s.cfg.QueueCap}
-	at := core.AccelTotals()
-	m.Accel = EvalAccelWire{
-		DeltaParentReuse: at.DeltaParentReuse,
-		DeltaPrefixRuns:  at.DeltaPrefixRuns,
-		DeltaFullRuns:    at.DeltaFullRuns,
-		MetricsReused:    at.MetricsReused,
-		BatchWarmed:      at.BatchWarmed,
-		PairedSolves:     at.PairedSolves,
-		SoloSolves:       at.SoloSolves,
-		PlanCompiles:     at.PlanCompiles,
-		DenseFallbacks:   at.DenseFallbacks,
-	}
-	st := core.SelectionTotals()
-	m.Selection = SelectionWire{SortNanos: st.SortNanos, ArchiveNanos: st.ArchiveNanos}
-	fm := faultmodel.Totals()
-	m.FaultModel = FaultModelWire{
-		Evals:              fm.Evals,
-		PermChains:         fm.PermChains,
-		CheckpointPolicies: fm.CheckpointPolicies,
-	}
+	m.Accel = core.AccelTotals()
+	m.Selection = core.SelectionTotals()
+	m.FaultModel = faultmodel.Totals()
 	if st := s.cfg.Store; st != nil {
-		sw := StoreWire(st.Stats())
+		sw := st.Stats()
 		m.Store = &sw
 	}
 	m.Cache.Size = s.jobs.CacheLen()
