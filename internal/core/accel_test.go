@@ -137,17 +137,18 @@ func TestSameDecisionBitwise(t *testing.T) {
 		t.Fatal("one gene decoded to different decisions")
 	}
 	for name, edit := range map[string]func(d *schedule.TaskDecision){
-		"pe":      func(d *schedule.TaskDecision) { d.PE++ },
-		"eta":     func(d *schedule.TaskDecision) { d.Metrics.EtaHours *= 2 },
-		"minex":   func(d *schedule.TaskDecision) { d.Metrics.MinExTimeUS++ },
-		"avgex":   func(d *schedule.TaskDecision) { d.Metrics.AvgExTimeUS++ },
-		"errprob": func(d *schedule.TaskDecision) { d.Metrics.ErrProb /= 2 },
-		"mttf":    func(d *schedule.TaskDecision) { d.Metrics.MTTFHours++ },
-		"power":   func(d *schedule.TaskDecision) { d.Metrics.PowerW++ },
-		"energy":  func(d *schedule.TaskDecision) { d.Metrics.EnergyUJ++ },
-		"temp":    func(d *schedule.TaskDecision) { d.Metrics.TempC++ },
-		"mem":     func(d *schedule.TaskDecision) { d.MemKB++ },
-		"negzero": func(d *schedule.TaskDecision) { d.MemKB = math.Copysign(0, -1) },
+		"pe":       func(d *schedule.TaskDecision) { d.PE++ },
+		"eta":      func(d *schedule.TaskDecision) { d.Metrics.EtaHours *= 2 },
+		"minex":    func(d *schedule.TaskDecision) { d.Metrics.MinExTimeUS++ },
+		"avgex":    func(d *schedule.TaskDecision) { d.Metrics.AvgExTimeUS++ },
+		"errprob":  func(d *schedule.TaskDecision) { d.Metrics.ErrProb /= 2 },
+		"permfail": func(d *schedule.TaskDecision) { d.Metrics.PermFailProb++ },
+		"mttf":     func(d *schedule.TaskDecision) { d.Metrics.MTTFHours++ },
+		"power":    func(d *schedule.TaskDecision) { d.Metrics.PowerW++ },
+		"energy":   func(d *schedule.TaskDecision) { d.Metrics.EnergyUJ++ },
+		"temp":     func(d *schedule.TaskDecision) { d.Metrics.TempC++ },
+		"mem":      func(d *schedule.TaskDecision) { d.MemKB++ },
+		"negzero":  func(d *schedule.TaskDecision) { d.MemKB = math.Copysign(0, -1) },
 	} {
 		c := a
 		c.MemKB = 0
@@ -161,8 +162,10 @@ func TestSameDecisionBitwise(t *testing.T) {
 
 // TestReplayStateNotAliased delta-evaluates children against one parent
 // record — with the order kept (prefix replay) and with it changed (full
-// run) — and checks the parent's record is unchanged bit for bit, and each
-// child's evaluation equals a from-scratch one.
+// run) — and checks the parent's record is unchanged bit for bit, the
+// page holding the changed decision is the child's own while every other
+// page is the parent's, and each child's evaluation equals a from-scratch
+// one.
 func TestReplayStateNotAliased(t *testing.T) {
 	inst := synInstance(18, 23)
 	inst.Comm.StartupUS = 4
@@ -173,7 +176,7 @@ func TestReplayStateNotAliased(t *testing.T) {
 	parent := randomGenomeFor(p, rng)
 	_, st := ev.EvaluateDelta(parent, nil, nil)
 	rec := st.(*replayState)
-	want := fmt.Sprintf("%v|%v", rec.decisions, replayBits(rec))
+	want := fmt.Sprintf("%v|%v", pagedDecisions(rec, p.NumTasks()), replayBits(rec))
 
 	for _, reorder := range []bool{false, true} {
 		child := parent.Clone()
@@ -193,16 +196,31 @@ func TestReplayStateNotAliased(t *testing.T) {
 		}
 		got, cst := ev.EvaluateDelta(child, parent, rec)
 		crec := cst.(*replayState)
-		if crec == rec || &crec.decisions[0] == &rec.decisions[0] {
-			t.Fatalf("reorder=%v: child shares the parent's record", reorder)
+		if crec == rec || crec.pages[task/pageSize] == rec.pages[task/pageSize] {
+			t.Fatalf("reorder=%v: child shares the parent's page of the changed task", reorder)
+		}
+		for k := range rec.pages {
+			if k != task/pageSize && crec.pages[k] != rec.pages[k] {
+				t.Fatalf("reorder=%v: child copied unchanged page %d", reorder, k)
+			}
 		}
 		if full := p.Evaluate(child); !reflect.DeepEqual(got, full) {
 			t.Fatalf("reorder=%v: delta %+v, full %+v", reorder, got, full)
 		}
-		if now := fmt.Sprintf("%v|%v", rec.decisions, replayBits(rec)); now != want {
+		if now := fmt.Sprintf("%v|%v", pagedDecisions(rec, p.NumTasks()), replayBits(rec)); now != want {
 			t.Fatalf("reorder=%v: parent record changed by a child's evaluation", reorder)
 		}
 	}
+}
+
+// pagedDecisions puts a record's pages together into the n decisions the
+// scheduler reads.
+func pagedDecisions(r *replayState, n int) []schedule.TaskDecision {
+	out := make([]schedule.TaskDecision, 0, len(r.pages)*pageSize)
+	for _, pg := range r.pages {
+		out = append(out, pg[:]...)
+	}
+	return out[:n]
 }
 
 // replayBits renders a record's captured times as exact bit patterns.

@@ -257,12 +257,12 @@ func TestDecodeGeneAlwaysValid(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		task := rng.Intn(inst.Graph.NumTasks())
 		g := moea.Gene{
-			Impl: rng.Intn(1000) - 500,
-			PE:   rng.Intn(1000) - 500,
-			Mode: rng.Intn(1000) - 500,
-			HW:   rng.Intn(1000) - 500,
-			SSW:  rng.Intn(1000) - 500,
-			ASW:  rng.Intn(1000) - 500,
+			Impl: int32(rng.Intn(1000) - 500),
+			PE:   int32(rng.Intn(1000) - 500),
+			Mode: int32(rng.Intn(1000) - 500),
+			HW:   int32(rng.Intn(1000) - 500),
+			SSW:  int32(rng.Intn(1000) - 500),
+			ASW:  int32(rng.Intn(1000) - 500),
 		}
 		impl, asg, pe := p.decodeGene(task, g)
 		if pe < 0 || pe >= inst.Platform.NumPEs() {

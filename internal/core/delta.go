@@ -46,7 +46,8 @@ func decodeResult(p problemCore, g *moea.Genome) *schedule.Result {
 }
 
 // sameDecision reports whether two decisions are bitwise equal in every
-// field the schedule reads: the PE, the metric fields and the footprint.
+// field: the PE, the metric fields and the footprint. A record's pages
+// therefore always equal its genome's decode bit for bit.
 func sameDecision(a, b *schedule.TaskDecision) bool {
 	bits := math.Float64bits
 	return a.PE == b.PE &&
@@ -54,6 +55,7 @@ func sameDecision(a, b *schedule.TaskDecision) bool {
 		bits(a.Metrics.MinExTimeUS) == bits(b.Metrics.MinExTimeUS) &&
 		bits(a.Metrics.AvgExTimeUS) == bits(b.Metrics.AvgExTimeUS) &&
 		bits(a.Metrics.ErrProb) == bits(b.Metrics.ErrProb) &&
+		bits(a.Metrics.PermFailProb) == bits(b.Metrics.PermFailProb) &&
 		bits(a.Metrics.MTTFHours) == bits(b.Metrics.MTTFHours) &&
 		bits(a.Metrics.PowerW) == bits(b.Metrics.PowerW) &&
 		bits(a.Metrics.EnergyUJ) == bits(b.Metrics.EnergyUJ) &&
@@ -61,22 +63,40 @@ func sameDecision(a, b *schedule.TaskDecision) bool {
 		bits(a.MemKB) == bits(b.MemKB)
 }
 
+// pageSize is the number of consecutive tasks whose decisions share one
+// replay page. A child copies a whole page to change one decision in it,
+// so smaller pages copy less per change while larger ones keep the page
+// table shorter; 8 tasks make a 704-byte page.
+const pageSize = 8
+
+// decisionPage holds the decisions of tasks [k·pageSize, (k+1)·pageSize)
+// of page k. The last page of a genome whose length is not a multiple of
+// pageSize leaves its tail zero.
+type decisionPage [pageSize]schedule.TaskDecision
+
+// numPages is the page count of an n-task genome.
+func numPages(n int) int { return (n + pageSize - 1) / pageSize }
+
 // replayState is the delta-evaluation replay state of one evaluated genome
 // (the opaque state coreEvaluator.EvaluateDelta returns): the decoded
-// schedule inputs, the evaluation, and the captured schedule times. A
-// record is immutable once returned, so offspring may share it. It costs
-// ≈ 88·n bytes of decisions plus ≈ 20·n bytes of times per live genome.
+// schedule inputs as copy-on-write pages, the evaluation, and the captured
+// schedule times. A record and its pages are immutable once returned, so
+// offspring share them: a child allocates only the pages that hold one of
+// its changed decisions and points at its parent's for the rest. A record
+// costs its page table (8 bytes per page) plus its new pages (704 bytes
+// each) and ≈ 20·n bytes of times; a record built from scratch owns every
+// page, ≈ 88·n bytes.
 type replayState struct {
-	decisions []schedule.TaskDecision
-	eval      moea.Evaluation
-	times     schedule.SeqTimes
+	pages []*decisionPage
+	eval  moea.Evaluation
+	times schedule.SeqTimes
 }
 
 // coreEvaluator is the per-worker evaluation scratch shared by both
-// problem formulations: a reusable decision buffer, a reusable schedule
-// evaluator and the delta change mask. It implements moea.DeltaEvaluator;
-// delta evaluation is exact — every path produces bit-identical
-// evaluations to Evaluate.
+// problem formulations: the contiguous decision buffer the scheduler
+// reads, a reusable schedule evaluator and the delta change mask. It
+// implements moea.DeltaEvaluator; delta evaluation is exact — every path
+// produces bit-identical evaluations to Evaluate.
 type coreEvaluator struct {
 	p         problemCore
 	sched     *schedule.Evaluator
@@ -94,6 +114,20 @@ func newCoreEvaluator(p problemCore) *coreEvaluator {
 func (e *coreEvaluator) Evaluate(g *moea.Genome) moea.Evaluation {
 	e.decisions = decisionsInto(e.p, e.decisions, g)
 	return e.run(g.Order, e.decisions, nil, nil)
+}
+
+// load copies pages into the contiguous decision buffer the scheduler
+// reads and returns the buffer.
+func (e *coreEvaluator) load(pages []*decisionPage) []schedule.TaskDecision {
+	n := e.p.NumTasks()
+	if cap(e.decisions) < n {
+		e.decisions = make([]schedule.TaskDecision, n)
+	}
+	e.decisions = e.decisions[:n]
+	for k, pg := range pages {
+		copy(e.decisions[k*pageSize:], pg[:])
+	}
+	return e.decisions
 }
 
 // run schedules the decoded decisions and derives the evaluation,
@@ -119,9 +153,10 @@ func (e *coreEvaluator) run(order []int, decisions []schedule.TaskDecision, prev
 
 // EvaluateDelta implements moea.DeltaEvaluator; the replay state is a
 // *replayState. With a usable parent record it decodes only the genes that
-// differ from the parent and — when the scheduling order is unchanged —
-// replays the parent's schedule prefix up to the first affected task.
-// Every shortcut is exactness-preserving:
+// differ from the parent, copies only the pages holding a changed
+// decision, and — when the scheduling order is unchanged — replays the
+// parent's schedule prefix up to the first affected task. Every shortcut
+// is exactness-preserving:
 //
 //   - fitness depends only on the order and the decoded decisions, so a
 //     child whose inputs equal the parent's returns the parent's record;
@@ -141,7 +176,7 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 		e.changed = make([]bool, n)
 	}
 	e.changed = e.changed[:n]
-	var decisions []schedule.TaskDecision // the parent's, copied on first change
+	var pages []*decisionPage // the parent's page table, copied on first change
 	reused := 0
 	for t := 0; t < n; t++ {
 		e.changed[t] = false
@@ -150,31 +185,37 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 			continue
 		}
 		d := e.p.decodeDecision(t, g.Genes[t])
-		if sameDecision(&d, &st.decisions[t]) {
+		k := t / pageSize
+		if sameDecision(&d, &st.pages[k][t%pageSize]) {
 			continue
 		}
-		if decisions == nil {
-			decisions = slices.Clone(st.decisions)
+		if pages == nil {
+			pages = slices.Clone(st.pages)
 		}
-		decisions[t] = d
+		if pages[k] == st.pages[k] {
+			pg := new(decisionPage)
+			*pg = *st.pages[k]
+			pages[k] = pg
+		}
+		pages[k][t%pageSize] = d
 		e.changed[t] = true
 	}
 	if reused > 0 {
 		accelCounters.metricsReused.Add(uint64(reused))
 	}
-	if decisions == nil {
+	if pages == nil {
 		if sameOrder {
 			// Identical schedule inputs: the parent's evaluation is the
 			// child's, no scheduling at all.
 			accelCounters.deltaParentReuse.Add(1)
 			return st.eval, st
 		}
-		// Only the order changed: records are immutable, so the child's
-		// may share the parent's decisions.
-		decisions = st.decisions
+		// Only the order changed: the child shares all of the parent's
+		// pages.
+		pages = st.pages
 	}
 
-	rec := &replayState{decisions: decisions}
+	rec := &replayState{pages: pages}
 	var prev *schedule.SeqTimes
 	if sameOrder {
 		accelCounters.deltaPrefixRuns.Add(1)
@@ -182,16 +223,24 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 	} else {
 		accelCounters.deltaFullRuns.Add(1)
 	}
-	rec.eval = e.run(g.Order, rec.decisions, prev, &rec.times)
+	rec.eval = e.run(g.Order, e.load(pages), prev, &rec.times)
 	return rec.eval, rec
 }
 
 // evaluateRetain is a full evaluation that additionally captures the
 // replay state a later EvaluateDelta call can build on — the path taken
-// for initial-population members and parentless offspring.
+// for initial-population members and parentless offspring. Each page is
+// its own allocation, so a descendant that shares one page keeps only
+// that page alive.
 func (e *coreEvaluator) evaluateRetain(g *moea.Genome) (moea.Evaluation, any) {
 	accelCounters.deltaFullRuns.Add(1)
-	rec := &replayState{decisions: decisionsInto(e.p, nil, g)}
-	rec.eval = e.run(g.Order, rec.decisions, nil, &rec.times)
+	e.decisions = decisionsInto(e.p, e.decisions, g)
+	rec := &replayState{pages: make([]*decisionPage, numPages(len(e.decisions)))}
+	for k := range rec.pages {
+		pg := new(decisionPage)
+		copy(pg[:], e.decisions[k*pageSize:])
+		rec.pages[k] = pg
+	}
+	rec.eval = e.run(g.Order, e.decisions, nil, &rec.times)
 	return rec.eval, rec
 }

@@ -79,7 +79,7 @@ func HEFTSeed(inst *Instance, flib *tdse.Library) (*moea.Genome, error) {
 		if sub < 0 {
 			return nil, fmt.Errorf("core: PE %d missing from its compatibility list", pe)
 		}
-		g.Genes[t] = moea.Gene{Impl: ci, PE: sub}
+		g.Genes[t] = moea.Gene{Impl: int32(ci), PE: int32(sub)}
 	}
 	return g, nil
 }

@@ -38,22 +38,24 @@ type metricsKey struct {
 // cache, so concurrent strategies on the same instance reuse each other's
 // work (see cache.go).
 type fcProblem struct {
-	inst     *Instance
-	restrict layerRestriction
-	compat   [][]int // PE ids per PE type index
-	maxModes int
-	objs     []SystemObjective
-	cache    *metricsCache
+	inst      *Instance
+	restrict  layerRestriction
+	mutFields []int   // the gene fields MutateGene draws from
+	compat    [][]int // PE ids per PE type index
+	maxModes  int
+	objs      []SystemObjective
+	cache     *metricsCache
 }
 
 func newFCProblem(inst *Instance, restrict layerRestriction) *fcProblem {
 	return &fcProblem{
-		inst:     inst,
-		restrict: restrict,
-		compat:   compatiblePEs(inst.Platform),
-		maxModes: maxModes(inst.Platform),
-		objs:     inst.objectives(),
-		cache:    inst.sharedMetrics(),
+		inst:      inst,
+		restrict:  restrict,
+		mutFields: mutableFields(restrict),
+		compat:    compatiblePEs(inst.Platform),
+		maxModes:  maxModes(inst.Platform),
+		objs:      inst.objectives(),
+		cache:     inst.sharedMetrics(),
 	}
 }
 
@@ -63,56 +65,66 @@ func (p *fcProblem) NumObjectives() int { return len(p.objs) }
 func (p *fcProblem) RandomGene(rng *rand.Rand, task int) moea.Gene {
 	tt := p.inst.Graph.Task(task).Type
 	g := moea.Gene{
-		Impl: rng.Intn(len(p.inst.Lib.ImplsShared(tt))),
-		PE:   rng.Intn(p.inst.Platform.NumPEs()),
+		Impl: draw(rng, len(p.inst.Lib.ImplsShared(tt))),
+		PE:   draw(rng, p.inst.Platform.NumPEs()),
 	}
 	if p.restrict.freeModes {
-		g.Mode = rng.Intn(p.maxModes)
+		g.Mode = draw(rng, p.maxModes)
 	}
 	if p.restrict.freeHW {
-		g.HW = rng.Intn(len(p.inst.Catalog.HW))
+		g.HW = draw(rng, len(p.inst.Catalog.HW))
 	}
 	if p.restrict.freeSSW {
-		g.SSW = rng.Intn(len(p.inst.Catalog.SSW))
+		g.SSW = draw(rng, len(p.inst.Catalog.SSW))
 	}
 	if p.restrict.freeASW {
-		g.ASW = rng.Intn(len(p.inst.Catalog.ASW))
+		g.ASW = draw(rng, len(p.inst.Catalog.ASW))
 	}
 	return g
 }
 
 func (p *fcProblem) MutateGene(rng *rand.Rand, task int, g moea.Gene) moea.Gene {
 	// Single-point configuration mutation: re-randomize one free field.
-	fields := []int{0, 1} // impl and pe are mapping decisions
-	if p.restrict.freeModes {
-		fields = append(fields, 2)
-	}
-	if p.restrict.freeHW {
-		fields = append(fields, 3)
-	}
-	if p.restrict.freeSSW {
-		fields = append(fields, 4)
-	}
-	if p.restrict.freeASW {
-		fields = append(fields, 5)
-	}
 	tt := p.inst.Graph.Task(task).Type
-	switch fields[rng.Intn(len(fields))] {
+	switch p.mutFields[rng.Intn(len(p.mutFields))] {
 	case 0:
-		g.Impl = rng.Intn(len(p.inst.Lib.ImplsShared(tt)))
+		g.Impl = draw(rng, len(p.inst.Lib.ImplsShared(tt)))
 	case 1:
-		g.PE = rng.Intn(p.inst.Platform.NumPEs())
+		g.PE = draw(rng, p.inst.Platform.NumPEs())
 	case 2:
-		g.Mode = rng.Intn(p.maxModes)
+		g.Mode = draw(rng, p.maxModes)
 	case 3:
-		g.HW = rng.Intn(len(p.inst.Catalog.HW))
+		g.HW = draw(rng, len(p.inst.Catalog.HW))
 	case 4:
-		g.SSW = rng.Intn(len(p.inst.Catalog.SSW))
+		g.SSW = draw(rng, len(p.inst.Catalog.SSW))
 	case 5:
-		g.ASW = rng.Intn(len(p.inst.Catalog.ASW))
+		g.ASW = draw(rng, len(p.inst.Catalog.ASW))
 	}
 	return g
 }
+
+// mutableFields lists the gene fields MutateGene may re-randomize under r,
+// numbered as its switch numbers them.
+func mutableFields(r layerRestriction) []int {
+	fields := []int{0, 1} // impl and pe are mapping decisions
+	if r.freeModes {
+		fields = append(fields, 2)
+	}
+	if r.freeHW {
+		fields = append(fields, 3)
+	}
+	if r.freeSSW {
+		fields = append(fields, 4)
+	}
+	if r.freeASW {
+		fields = append(fields, 5)
+	}
+	return fields
+}
+
+// draw is rng.Intn(n) as a gene value: the same random stream, stored in
+// the gene's width.
+func draw(rng *rand.Rand, n int) int32 { return int32(rng.Intn(n)) }
 
 // decodeGene resolves a gene into the concrete (implementation, assignment,
 // PE id) triple. The PE field indexes into the PEs compatible with the
@@ -120,14 +132,14 @@ func (p *fcProblem) MutateGene(rng *rand.Rand, task int, g moea.Gene) moea.Gene 
 func (p *fcProblem) decodeGene(task int, g moea.Gene) (relmodel.Impl, relmodel.Assignment, int) {
 	tt := p.inst.Graph.Task(task).Type
 	impls := p.inst.Lib.ImplsShared(tt)
-	implIdx := mod(g.Impl, len(impls))
+	implIdx := mod(int(g.Impl), len(impls))
 	impl := impls[implIdx]
 	pt := p.inst.Platform.Types()[impl.PETypeIndex]
 	asg := relmodel.Assignment{
-		Mode: mod(g.Mode, len(pt.Modes)),
-		HW:   mod(g.HW, len(p.inst.Catalog.HW)),
-		SSW:  mod(g.SSW, len(p.inst.Catalog.SSW)),
-		ASW:  mod(g.ASW, len(p.inst.Catalog.ASW)),
+		Mode: mod(int(g.Mode), len(pt.Modes)),
+		HW:   mod(int(g.HW), len(p.inst.Catalog.HW)),
+		SSW:  mod(int(g.SSW), len(p.inst.Catalog.SSW)),
+		ASW:  mod(int(g.ASW), len(p.inst.Catalog.ASW)),
 	}
 	if !p.restrict.freeModes {
 		asg.Mode = 0
@@ -142,7 +154,7 @@ func (p *fcProblem) decodeGene(task int, g moea.Gene) (relmodel.Impl, relmodel.A
 		asg.ASW = 0
 	}
 	peList := p.compat[impl.PETypeIndex]
-	pe := peList[mod(g.PE, len(peList))]
+	pe := peList[mod(int(g.PE), len(peList))]
 	return impl, asg, pe
 }
 
@@ -150,7 +162,7 @@ func (p *fcProblem) taskMetrics(task int, g moea.Gene) (relmodel.Metrics, int) {
 	impl, asg, pe := p.decodeGene(task, g)
 	tt := p.inst.Graph.Task(task).Type
 	impls := p.inst.Lib.ImplsShared(tt)
-	key := metricsKey{taskType: tt, impl: mod(g.Impl, len(impls)), asg: asg}
+	key := metricsKey{taskType: tt, impl: mod(int(g.Impl), len(impls)), asg: asg}
 	m := p.cache.lookup(key, func() relmodel.Metrics {
 		pt := p.inst.Platform.Types()[impl.PETypeIndex]
 		var m relmodel.Metrics
@@ -223,17 +235,17 @@ func (p *pfProblem) NumObjectives() int { return len(p.objs) }
 func (p *pfProblem) RandomGene(rng *rand.Rand, task int) moea.Gene {
 	tt := p.inst.Graph.Task(task).Type
 	return moea.Gene{
-		Impl: rng.Intn(len(p.flib.Impls(tt))),
-		PE:   rng.Intn(p.inst.Platform.NumPEs()),
+		Impl: draw(rng, len(p.flib.Impls(tt))),
+		PE:   draw(rng, p.inst.Platform.NumPEs()),
 	}
 }
 
 func (p *pfProblem) MutateGene(rng *rand.Rand, task int, g moea.Gene) moea.Gene {
 	tt := p.inst.Graph.Task(task).Type
 	if rng.Intn(2) == 0 {
-		g.Impl = rng.Intn(len(p.flib.Impls(tt)))
+		g.Impl = draw(rng, len(p.flib.Impls(tt)))
 	} else {
-		g.PE = rng.Intn(p.inst.Platform.NumPEs())
+		g.PE = draw(rng, p.inst.Platform.NumPEs())
 	}
 	return g
 }
@@ -244,9 +256,9 @@ func (p *pfProblem) MutateGene(rng *rand.Rand, task int, g moea.Gene) moea.Gene 
 func (p *pfProblem) decodeGene(task int, g moea.Gene) (*tdse.Candidate, int) {
 	tt := p.inst.Graph.Task(task).Type
 	cands := p.flib.Impls(tt)
-	c := &cands[mod(g.Impl, len(cands))]
+	c := &cands[mod(int(g.Impl), len(cands))]
 	peList := p.compat[c.Base.PETypeIndex]
-	pe := peList[mod(g.PE, len(peList))]
+	pe := peList[mod(int(g.PE), len(peList))]
 	return c, pe
 }
 

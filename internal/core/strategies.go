@@ -308,19 +308,19 @@ func reencodeSeeds(inst *Instance, flib *tdse.Library, pf *Front) ([]*moea.Genom
 		for t := 0; t < inst.Graph.NumTasks(); t++ {
 			tt := inst.Graph.Task(t).Type
 			cands := flib.Impls(tt)
-			c := cands[mod(g.Genes[t].Impl, len(cands))]
+			c := cands[mod(int(g.Genes[t].Impl), len(cands))]
 			base, ok := implIndex[tt][c.Base.Name]
 			if !ok {
 				return nil, fmt.Errorf("core: candidate %q not found in base library", c.Base.Name)
 			}
 			peList := compat[c.Base.PETypeIndex]
 			g.Genes[t] = moea.Gene{
-				Impl: base,
-				PE:   mod(g.Genes[t].PE, len(peList)),
-				Mode: c.Assignment.Mode,
-				HW:   c.Assignment.HW,
-				SSW:  c.Assignment.SSW,
-				ASW:  c.Assignment.ASW,
+				Impl: int32(base),
+				PE:   int32(mod(int(g.Genes[t].PE), len(peList))),
+				Mode: int32(c.Assignment.Mode),
+				HW:   int32(c.Assignment.HW),
+				SSW:  int32(c.Assignment.SSW),
+				ASW:  int32(c.Assignment.ASW),
 			}
 		}
 		seeds = append(seeds, g)

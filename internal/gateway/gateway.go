@@ -315,7 +315,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Content-addressed routing, cheapest source first: an identical job
 	// in flight, the gateway-local LRU, the replicated result store; only
 	// a miss meets admission control: tenant quota, then queue depth.
-	j, route, err := g.jobs.Submit(spec, hash, newGWJob(t), func(j *gwJob) error {
+	j, wire, route, err := g.jobs.Submit(spec, hash, newGWJob(t), func(j *gwJob) error {
 		if !t.reserveActive() {
 			t.rejectedQuota.Add(1)
 			g.m.rejectedQuota.Add(1)
@@ -333,7 +333,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case service.Attached:
 		t.deduped.Add(1)
 		g.m.attachHits.Add(1)
-		service.WriteJSON(w, http.StatusAccepted, j.Wire(false))
+		service.WriteJSON(w, http.StatusAccepted, wire)
 	case service.CacheHit, service.StoreHit:
 		hits := &g.m.cacheHits
 		if route == service.StoreHit {
@@ -341,7 +341,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		hits.Add(1)
 		t.deduped.Add(1)
-		service.WriteJSON(w, http.StatusOK, j.Wire(true))
+		service.WriteJSON(w, http.StatusOK, wire)
 	case service.Refused:
 		g.m.misses.Add(1)
 		retryAfter(w, time.Second)
@@ -355,7 +355,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			service.HTTPError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		service.WriteJSON(w, http.StatusAccepted, j.Wire(false))
+		service.WriteJSON(w, http.StatusAccepted, wire)
 	}
 }
 

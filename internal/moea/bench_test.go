@@ -16,19 +16,19 @@ func (p *benchProblem) NumTasks() int      { return p.n }
 func (p *benchProblem) NumObjectives() int { return 2 }
 
 func (p *benchProblem) RandomGene(rng *rand.Rand, task int) Gene {
-	return Gene{PE: rng.Intn(4), Impl: rng.Intn(3)}
+	return Gene{PE: int32(rng.Intn(4)), Impl: int32(rng.Intn(3))}
 }
 
 func (p *benchProblem) MutateGene(rng *rand.Rand, task int, g Gene) Gene {
-	g.PE = rng.Intn(4)
+	g.PE = int32(rng.Intn(4))
 	return g
 }
 
 func (p *benchProblem) Evaluate(g *Genome) Evaluation {
 	a, b := 0.0, 0.0
 	for t, gene := range g.Genes {
-		a += float64(gene.PE * (t + 1))
-		b += float64(gene.Impl * (t + 2))
+		a += float64(int(gene.PE) * (t + 1))
+		b += float64(int(gene.Impl) * (t + 2))
 	}
 	return Evaluation{Objectives: []float64{a, b}}
 }
@@ -45,10 +45,11 @@ func benchPopulation(p Problem, size int) []*solution {
 func benchmarkEvaluate(b *testing.B, workers int) {
 	p := &benchProblem{n: 50}
 	pop := benchPopulation(p, 96)
+	r := &runState{p: p, params: Params{Workers: workers}, useDelta: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		evaluate(p, pop, workers, true)
+		r.evaluate(pop)
 	}
 }
 

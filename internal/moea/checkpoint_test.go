@@ -1,10 +1,14 @@
 package moea
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -290,5 +294,59 @@ func TestResumeValidation(t *testing.T) {
 				t.Fatal("corrupt checkpoint accepted")
 			}
 		})
+	}
+}
+
+// TestResumeIntGeneCheckpoint restores a MOEA/D snapshot (generation 3 of
+// a 6-generation run) written when Gene's fields were int: the narrower
+// fields keep the JSON as it was, so the snapshot re-encodes to the same
+// bytes and resumes to the uninterrupted run's front.
+func TestResumeIntGeneCheckpoint(t *testing.T) {
+	blob, err := os.ReadFile("testdata/checkpoint_int_genes.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := new(Checkpoint)
+	if err := json.Unmarshal(blob, cp); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := json.Marshal(cp); err != nil || !bytes.Equal(again, bytes.TrimSpace(blob)) {
+		t.Fatalf("the snapshot does not re-encode to its bytes (err %v)", err)
+	}
+	problem := &zdtProblem{n: 8, levels: 16}
+	params := DefaultParams(8, 6, 7)
+	params.Workers = 1
+	ref, err := RunMOEAD(problem, params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params.Resume = cp
+	res, err := RunMOEAD(problem, params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frontFingerprint(t, res) != frontFingerprint(t, ref) || res.Evaluations != ref.Evaluations {
+		t.Fatal("the resumed front differs from the uninterrupted run's")
+	}
+}
+
+// TestCheckpointGeneOutOfRange checks a gene value outside int32 is a
+// decoding error, not a value that wraps, while the range's ends decode
+// exactly.
+func TestCheckpointGeneOutOfRange(t *testing.T) {
+	decode := func(v string) (*Checkpoint, error) {
+		cp := new(Checkpoint)
+		return cp, json.Unmarshal([]byte(`{"population":[{"order":[0],"genes":[{"PE":`+v+`}]}]}`), cp)
+	}
+	for _, v := range []string{"2147483648", "-2147483649", "4294967296"} {
+		if _, err := decode(v); err == nil {
+			t.Errorf("gene value %s decoded without error", v)
+		}
+	}
+	for _, v := range []int32{math.MaxInt32, math.MinInt32} {
+		cp, err := decode(strconv.Itoa(int(v)))
+		if err != nil || cp.Population[0].Genes[0].PE != v {
+			t.Errorf("gene value %d: err %v", v, err)
+		}
 	}
 }

@@ -13,17 +13,17 @@ type ctxProblem struct{}
 func (ctxProblem) NumTasks() int      { return 6 }
 func (ctxProblem) NumObjectives() int { return 2 }
 func (ctxProblem) RandomGene(rng *rand.Rand, task int) Gene {
-	return Gene{Impl: rng.Intn(4), PE: rng.Intn(3)}
+	return Gene{Impl: int32(rng.Intn(4)), PE: int32(rng.Intn(3))}
 }
 func (ctxProblem) MutateGene(rng *rand.Rand, task int, g Gene) Gene {
-	g.Impl = rng.Intn(4)
+	g.Impl = int32(rng.Intn(4))
 	return g
 }
 func (ctxProblem) Evaluate(g *Genome) Evaluation {
 	a, b := 0.0, 0.0
 	for t, gene := range g.Genes {
-		a += float64(gene.Impl * (t + 1))
-		b += float64(gene.PE * (7 - t))
+		a += float64(int(gene.Impl) * (t + 1))
+		b += float64(int(gene.PE) * (7 - t))
 	}
 	return Evaluation{Objectives: []float64{a, b}}
 }

@@ -29,6 +29,8 @@ type runState struct {
 	arch     *archiveState
 	pop      []*solution
 	evals    int
+	// evs are the run's per-worker evaluators (see evaluators).
+	evs []Evaluator
 }
 
 // mutate applies the per-gene mutation and, unless switched off, the order
@@ -129,7 +131,7 @@ func drive(p Problem, params Params, seeds []*Genome, newEngine func(Problem, Pa
 		if err := params.cancelled(); err != nil {
 			return nil, err
 		}
-		evaluate(p, r.pop, params.Workers, r.useDelta)
+		r.evaluate(r.pop)
 		r.evals = len(r.pop)
 		r.arch.add(r.pop)
 		if err := e.start(r, nil); err != nil {

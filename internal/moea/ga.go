@@ -219,7 +219,7 @@ func (e *nsga2) step(r *runState) {
 			}
 		}
 	}
-	evaluate(r.p, offspring, params.Workers, r.useDelta)
+	r.evaluate(offspring)
 	r.evals += len(offspring)
 	r.arch.add(offspring)
 
@@ -263,23 +263,24 @@ func tournament(rng *rand.Rand, pop []*solution, k int) *solution {
 }
 
 // evaluate computes fitness for all solutions, in parallel when beneficial.
-// With workers ≤ 0 it claims CPU tokens from the process-wide budget shared
-// with the sweep engine, so GA evaluators nested under parallel sweep cells
-// divide GOMAXPROCS instead of oversubscribing it; the request is clamped
-// to len(sols) up front so tokens a small batch could never use are not
-// taken from concurrent runs even for an instant. Worker count never
-// affects results: each solution's evaluation is independent and written to
-// its own slot.
+// With Params.Workers ≤ 0 it claims CPU tokens from the process-wide
+// budget shared with the sweep engine, so GA evaluators nested under
+// parallel sweep cells divide GOMAXPROCS instead of oversubscribing it;
+// the request is clamped to len(sols) up front so tokens a small batch
+// could never use are not taken from concurrent runs even for an instant.
+// Worker count never affects results: each solution's evaluation is
+// independent and written to its own slot.
 //
-// When useDelta is set and the problem's evaluators implement
+// When delta evaluation is on and the problem's evaluators implement
 // DeltaEvaluator, each solution with a recorded parent is evaluated
 // incrementally against that parent's replay state — an exact optimization
 // (results are bit-identical to full evaluation). Parent links are cleared
 // afterwards so retired generations can be collected.
-func evaluate(p Problem, sols []*solution, workers int, useDelta bool) {
+func (r *runState) evaluate(sols []*solution) {
 	if len(sols) == 0 {
 		return
 	}
+	workers := r.params.Workers
 	if workers <= 0 {
 		want := runtime.GOMAXPROCS(0)
 		if want > len(sols) {
@@ -291,10 +292,10 @@ func evaluate(p Problem, sols []*solution, workers int, useDelta bool) {
 	} else if workers > len(sols) {
 		workers = len(sols)
 	}
+	evs := r.evaluators(max(workers, 1))
 	if workers <= 1 {
-		ev := newEvaluator(p)
 		for _, s := range sols {
-			evalOne(ev, s, useDelta)
+			evalOne(evs[0], s, r.useDelta)
 		}
 		return
 	}
@@ -304,20 +305,29 @@ func evaluate(p Problem, sols []*solution, workers int, useDelta bool) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for _, ev := range evs {
 		go func() {
 			defer wg.Done()
-			ev := newEvaluator(p)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(sols) {
 					return
 				}
-				evalOne(ev, sols[i], useDelta)
+				evalOne(ev, sols[i], r.useDelta)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// evaluators returns k of the run's evaluators, minting any it lacks. They
+// live as long as the run, so each keeps its scratch from one generation
+// to the next.
+func (r *runState) evaluators(k int) []Evaluator {
+	for len(r.evs) < k {
+		r.evs = append(r.evs, newEvaluator(r.p))
+	}
+	return r.evs[:k]
 }
 
 // evalOne scores one solution with ev: incrementally against its parent's

@@ -17,14 +17,16 @@ import (
 // sub-sequence s(i,q) of Fig. 5): the PE binding, the implementation index
 // and — for full-configuration CLR — the DVFS mode and the per-layer
 // reliability method indices. Problems that do not use a field (e.g. pfCLR
-// folds the CLR choice into Impl) simply ignore it.
+// folds the CLR choice into Impl) simply ignore it. The fields are int32,
+// 24 bytes a gene, because every offspring clones its parent's genes; the
+// values are small indices, and their JSON form is that of plain ints.
 type Gene struct {
-	PE   int
-	Impl int
-	Mode int
-	HW   int
-	SSW  int
-	ASW  int
+	PE   int32
+	Impl int32
+	Mode int32
+	HW   int32
+	SSW  int32
+	ASW  int32
 }
 
 // Genome is one individual: a scheduling order (the sequence position of

@@ -159,7 +159,7 @@ func TestEnginesGolden(t *testing.T) {
 	seed := &Genome{Order: []int{0, 1, 2, 3, 4, 5, 6, 7}, Genes: make([]Gene, 8)}
 	seed2 := &Genome{Order: []int{7, 6, 5, 4, 3, 2, 1, 0}, Genes: make([]Gene, 8)}
 	for i := range seed2.Genes {
-		seed2.Genes[i].Impl = 15 - i
+		seed2.Genes[i].Impl = int32(15 - i)
 	}
 	cases := []struct {
 		name    string

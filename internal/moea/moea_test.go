@@ -31,10 +31,10 @@ type zdtProblem struct {
 func (p *zdtProblem) NumTasks() int      { return p.n }
 func (p *zdtProblem) NumObjectives() int { return 2 }
 func (p *zdtProblem) RandomGene(rng *rand.Rand, task int) Gene {
-	return Gene{Impl: rng.Intn(p.levels)}
+	return Gene{Impl: int32(rng.Intn(p.levels))}
 }
 func (p *zdtProblem) MutateGene(rng *rand.Rand, task int, g Gene) Gene {
-	g.Impl = rng.Intn(p.levels)
+	g.Impl = int32(rng.Intn(p.levels))
 	return g
 }
 func (p *zdtProblem) Evaluate(g *Genome) Evaluation {
@@ -338,7 +338,7 @@ func TestSeedingImprovesEarlyQuality(t *testing.T) {
 		for i := range g.Order {
 			g.Order[i] = i
 		}
-		g.Genes[0].Impl = k * 4
+		g.Genes[0].Impl = int32(k * 4)
 		seeds = append(seeds, g)
 	}
 	seeded, err := Run(p, params, seeds)

@@ -31,7 +31,6 @@ type moead struct {
 	weights   [][]float64
 	neighbors [][]int
 	ideal     []float64
-	ev        Evaluator
 	// Only the first child of a mating survives, so the second parent is
 	// copied into one per-run genome instead of being cloned.
 	mate *Genome
@@ -49,7 +48,6 @@ func newMOEAD(p Problem, params Params) (engine, error) {
 		weights:   weights,
 		neighbors: neighborhoods(weights, min(DefaultMOEADNeighbors, params.PopSize)),
 		ideal:     make([]float64, m),
-		ev:        newEvaluator(p),
 		mate:      &Genome{Order: make([]int, n), Genes: make([]Gene, n)},
 	}, nil
 }
@@ -87,6 +85,7 @@ func (e *moead) updateIdeal(ev Evaluation) {
 
 func (e *moead) step(r *runState) {
 	params, rng, pop := &r.params, r.rng, r.pop
+	ev := r.evaluators(1)[0]
 	for i := range pop {
 		nb := e.neighbors[i]
 		pa := pop[nb[rng.Intn(len(nb))]]
@@ -104,7 +103,7 @@ func (e *moead) step(r *runState) {
 		// The child started as pa's clone, so pa is its delta-evaluation
 		// reference; pa stays valid even if a pop slot was replaced.
 		cs := &solution{genome: child, parent: pa}
-		evalOne(e.ev, cs, r.useDelta)
+		evalOne(ev, cs, r.useDelta)
 		r.evals++
 		e.updateIdeal(cs.eval)
 		r.arch.add([]*solution{cs})

@@ -347,7 +347,7 @@ func TestArchiveTruncationTieBreakDeterministic(t *testing.T) {
 func benchEvaluated(size int) []*solution {
 	p := &benchProblem{n: 30}
 	pop := benchPopulation(p, size)
-	evaluate(p, pop, 1, false)
+	(&runState{p: p, params: Params{Workers: 1}}).evaluate(pop)
 	return pop
 }
 

@@ -233,6 +233,19 @@ func (ev *Evaluator) heapPop() int32 {
 	return top
 }
 
+// laterOf is math.Max(a, b) for the two scheduling loops' start times, by
+// plain comparison. The two give the same bits on these inputs: the ready
+// time starts at +0 and only grows, and a PE's free time starts at +0 and
+// then holds end times, start plus a positive execution time. So neither
+// operand is NaN or −0, the only inputs on which math.Max and a comparison
+// differ (prep rejects non-finite execution times and powers).
+func laterOf(a, b float64) float64 {
+	if b > a {
+		return b
+	}
+	return a
+}
+
 // SeqTimes is the replay artifact of one schedule evaluation: the tasks in
 // scheduling (pop) order plus every task's start and end time, the state
 // RunWithCommDelta needs to reuse a neighbor schedule's prefix. Seq depends
@@ -361,7 +374,7 @@ func (ev *Evaluator) RunWithCommCapture(g *taskgraph.Graph, p *platform.Platform
 				readyAt = at
 			}
 		}
-		start := math.Max(readyAt, ev.peFree[d.PE])
+		start := laterOf(readyAt, ev.peFree[d.PE])
 		end := start + d.Metrics.AvgExTimeUS
 		res.StartUS[t] = start
 		res.EndUS[t] = end
@@ -446,7 +459,7 @@ func (ev *Evaluator) RunWithCommDelta(g *taskgraph.Graph, p *platform.Platform, 
 				readyAt = at
 			}
 		}
-		start := math.Max(readyAt, ev.peFree[d.PE])
+		start := laterOf(readyAt, ev.peFree[d.PE])
 		end := start + d.Metrics.AvgExTimeUS
 		res.StartUS[t] = start
 		res.EndUS[t] = end

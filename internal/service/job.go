@@ -50,6 +50,11 @@ func newJob(id string, spec JobSpec, hash string, submitted time.Time) *Job {
 func (j *Job) Wire(includeFront bool) *JobWire {
 	j.Lock()
 	defer j.Unlock()
+	return j.wireLocked(includeFront)
+}
+
+// wireLocked is Wire for a caller that holds the job's lock.
+func (j *Job) wireLocked(includeFront bool) *JobWire {
 	w := &JobWire{
 		ID:          j.ID,
 		State:       j.State,

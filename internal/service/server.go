@@ -269,14 +269,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.incSubmitted()
-	j, route, err := s.jobs.Submit(spec, hash, newLocalJob, s.enqueue)
+	_, wire, route, err := s.jobs.Submit(spec, hash, newLocalJob, s.enqueue)
 	switch route {
 	case Attached:
 		s.metrics.incDeduped()
-		WriteJSON(w, http.StatusAccepted, j.Wire(false))
+		WriteJSON(w, http.StatusAccepted, wire)
 	case CacheHit, StoreHit:
 		s.metrics.incCacheHit()
-		WriteJSON(w, http.StatusOK, j.Wire(true))
+		WriteJSON(w, http.StatusOK, wire)
 	case Refused:
 		s.metrics.incCacheMiss()
 		s.metrics.incRejected()
@@ -287,7 +287,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			HTTPError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		WriteJSON(w, http.StatusAccepted, j.Wire(false))
+		WriteJSON(w, http.StatusAccepted, wire)
 	}
 }
 

@@ -73,11 +73,16 @@ func NewTable[J entry](prefix string, cacheCap int, st *store.Store, encode func
 // worker can finish the job before the store knows it (the store drops a
 // finish for an unknown ID). A journaling error fails the new job and is
 // returned with it.
-func (t *Table[J]) Submit(spec JobSpec, hash string, wrap func(*Job) J, enqueue func(J) error) (J, Route, error) {
+//
+// The returned wire is the job's status at submission, the reply the
+// surface sends: a new job's is taken before its lock is released, so it
+// reads queued (or failed) even if a worker starts the job at once; a
+// hit's carries the front.
+func (t *Table[J]) Submit(spec JobSpec, hash string, wrap func(*Job) J, enqueue func(J) error) (J, *JobWire, Route, error) {
 	t.mu.Lock()
 	if dup, ok := t.active[hash]; ok {
 		t.mu.Unlock()
-		return dup, Attached, nil
+		return dup, dup.record().Wire(false), Attached, nil
 	}
 	route := CacheHit
 	front, ok := t.cache.Get(hash)
@@ -103,8 +108,9 @@ func (t *Table[J]) Submit(spec JobSpec, hash string, wrap func(*Job) J, enqueue 
 		_ = t.journalAccept(j)
 		rec.Lock()
 		rec.JournalLocked(t.st)
+		w := rec.wireLocked(true)
 		rec.Unlock()
-		return j, route, nil
+		return j, w, route, nil
 	}
 	rec.Lock()
 	if err := enqueue(j); err != nil {
@@ -112,7 +118,7 @@ func (t *Table[J]) Submit(spec JobSpec, hash string, wrap func(*Job) J, enqueue 
 		t.nextID--
 		t.mu.Unlock()
 		var zero J
-		return zero, Refused, err
+		return zero, nil, Refused, err
 	}
 	t.add(j)
 	t.active[hash] = j
@@ -124,13 +130,14 @@ func (t *Table[J]) Submit(spec JobSpec, hash string, wrap func(*Job) J, enqueue 
 		rec.FinishLocked(StateFailed, err.Error(), nil)
 		rec.JournalLocked(t.st)
 	}
+	w := rec.wireLocked(false)
 	rec.Unlock()
 	if err != nil {
 		t.mu.Lock()
 		t.unindex(j)
 		t.mu.Unlock()
 	}
-	return j, Queued, err
+	return j, w, Queued, err
 }
 
 func (t *Table[J]) journalAccept(j J) error {

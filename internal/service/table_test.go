@@ -51,12 +51,15 @@ func TestTableRoutingOrder(t *testing.T) {
 	}
 	for i, s := range steps {
 		spec, hash := specN(s.n)
-		j, route, err := tb.Submit(spec, hash, self, accept)
+		j, w, route, err := tb.Submit(spec, hash, self, accept)
 		if err != nil || route != s.want {
 			t.Fatalf("step %d (%s): route %d, err %v; want route %d", i, hash, route, err, s.want)
 		}
+		if w.ID != j.ID {
+			t.Fatalf("step %d: reply for %s, job is %s", i, w.ID, j.ID)
+		}
 		if route == CacheHit || route == StoreHit {
-			if w := j.Wire(true); w.State != StateDone || !w.Cached || w.Front.Evaluations != fronts[hash].Evaluations {
+			if w.State != StateDone || !w.Cached || w.Front.Evaluations != fronts[hash].Evaluations {
 				t.Fatalf("step %d: hit answered %+v", i, w)
 			}
 		}
@@ -74,7 +77,7 @@ func TestTableRecovery(t *testing.T) {
 	st := openTestStore(t, dir)
 	tb := newTestTable(1, st)
 	spec1, h1 := specN(1)
-	j1, _, _ := tb.Submit(spec1, h1, self, accept)
+	j1, _, _, _ := tb.Submit(spec1, h1, self, accept)
 	tb.Finish(j1, StateDone, "", &FrontWire{Evaluations: 11})
 	spec2, h2 := specN(2)
 	tb.Submit(spec2, h2, self, accept) // left pending
@@ -99,11 +102,11 @@ func TestTableRecovery(t *testing.T) {
 	if w := got.Wire(true); !ok || w.State != StateDone || w.Front == nil || w.Front.Evaluations != 11 {
 		t.Fatalf("recovered done job = %+v, want done with its stored front", w)
 	}
-	if j, route, _ := tb.Submit(spec2, h2, self, accept); route != Attached || j != pending[0] {
+	if j, _, route, _ := tb.Submit(spec2, h2, self, accept); route != Attached || j != pending[0] {
 		t.Fatalf("pending spec routed %d to %s, want attached to t000002", route, j.ID)
 	}
 	spec3, h3 := specN(3)
-	if j, _, _ := tb.Submit(spec3, h3, self, accept); j.ID != "t000010" {
+	if j, _, _, _ := tb.Submit(spec3, h3, self, accept); j.ID != "t000010" {
 		t.Fatalf("new job ID %s, want t000010", j.ID)
 	}
 }
@@ -114,13 +117,13 @@ func TestTableRefusedEnqueue(t *testing.T) {
 	tb := newTestTable(4, nil)
 	spec, hash := specN(1)
 	full := errors.New("full")
-	if _, route, err := tb.Submit(spec, hash, self, func(*Job) error { return full }); route != Refused || !errors.Is(err, full) {
+	if _, _, route, err := tb.Submit(spec, hash, self, func(*Job) error { return full }); route != Refused || !errors.Is(err, full) {
 		t.Fatalf("refused submit: route %d, err %v", route, err)
 	}
 	if n := len(tb.Jobs()); n != 0 {
 		t.Fatalf("refused submit left %d jobs", n)
 	}
-	j, route, err := tb.Submit(spec, hash, self, accept)
+	j, _, route, err := tb.Submit(spec, hash, self, accept)
 	if route != Queued || err != nil || j.ID != "t000001" {
 		t.Fatalf("resubmit: route %d, ID %s, err %v; want queued t000001", route, j.ID, err)
 	}
@@ -140,11 +143,11 @@ func TestTableEndFreesHash(t *testing.T) {
 		t.Run(end.name, func(t *testing.T) {
 			tb := newTestTable(4, nil)
 			spec, hash := specN(1)
-			j, _, _ := tb.Submit(spec, hash, self, accept)
+			j, _, _, _ := tb.Submit(spec, hash, self, accept)
 			if !end.end(tb, j) {
 				t.Fatal("the queued job did not end")
 			}
-			again, route, _ := tb.Submit(spec, hash, self, accept)
+			again, _, route, _ := tb.Submit(spec, hash, self, accept)
 			if route != Queued || again == j {
 				t.Fatalf("resubmit after %s: route %d, want a new queued job", end.name, route)
 			}
@@ -153,7 +156,7 @@ func TestTableEndFreesHash(t *testing.T) {
 
 	tb := newTestTable(4, nil)
 	spec, hash := specN(1)
-	j, _, _ := tb.Submit(spec, hash, self, accept)
+	j, _, _, _ := tb.Submit(spec, hash, self, accept)
 	j.Lock()
 	j.State = StateRunning
 	j.Unlock()
@@ -161,7 +164,7 @@ func TestTableEndFreesHash(t *testing.T) {
 	if tb.Cancel(j, func(*Job) { stopped = true }) || !stopped {
 		t.Fatalf("Cancel of a running job: ended it or did not stop it (stopped %t)", stopped)
 	}
-	if dup, route, _ := tb.Submit(spec, hash, self, accept); route != Attached || dup != j {
+	if dup, _, route, _ := tb.Submit(spec, hash, self, accept); route != Attached || dup != j {
 		t.Fatalf("running job left the index: route %d", route)
 	}
 }
@@ -176,7 +179,7 @@ func TestTableAcceptBeforeFinish(t *testing.T) {
 	tb := newTestTable(4, st)
 	spec, hash := specN(1)
 	finished := make(chan struct{})
-	j, route, err := tb.Submit(spec, hash, self, func(j *Job) error {
+	j, _, route, err := tb.Submit(spec, hash, self, func(j *Job) error {
 		go func() {
 			defer close(finished)
 			tb.Finish(j, StateDone, "", &FrontWire{Evaluations: 7})
@@ -197,5 +200,34 @@ func TestTableAcceptBeforeFinish(t *testing.T) {
 	}
 	if _, ok := st.Result(hash); !ok {
 		t.Fatal("the finished front was not stored")
+	}
+}
+
+// TestTableSubmitReplyQueued checks a new job's submission reply reads
+// queued even when a worker starts the job the moment it is enqueued: the
+// reply is the status taken before the job's lock is released, not a read
+// made after the worker may have run. Run it under -race.
+func TestTableSubmitReplyQueued(t *testing.T) {
+	tb := newTestTable(4, nil)
+	spec, hash := specN(1)
+	started := make(chan struct{})
+	j, w, route, err := tb.Submit(spec, hash, self, func(j *Job) error {
+		go func() {
+			defer close(started)
+			j.Lock()
+			j.State, j.Started = StateRunning, time.Now()
+			j.Unlock()
+		}()
+		return nil
+	})
+	if route != Queued || err != nil {
+		t.Fatalf("submit: route %d, err %v", route, err)
+	}
+	<-started
+	if w.State != StateQueued || w.StartedAt != nil {
+		t.Fatalf("reply = %+v, want queued and not started", w)
+	}
+	if now := j.Wire(false); now.State != StateRunning {
+		t.Fatalf("the worker did not start the job: %s", now.State)
 	}
 }
