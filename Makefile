@@ -25,8 +25,9 @@ loc:
 
 # Race-check the concurrency-bearing packages: the sweep executor, the
 # shared metrics cache in core, the GA evaluate workers in moea, the
-# job-queue service, the durable store, the fleet gateway and its job-API
-# client, the parallel candidate evaluation in tdse, and the
+# job table and the daemon's HTTP tests (a gateway with in-process agents),
+# the durable store, the fleet gateway and its job-API client, the
+# parallel candidate evaluation in tdse, and the
 # pooled chain-solve path (relmodel/markov/matrix) plus the HEFT
 # scheduler behind the proposed method's directed seeding and the
 # fault-model evaluation counters read by /metrics.

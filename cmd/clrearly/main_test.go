@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gateway"
 	"repro/internal/service"
 )
 
@@ -263,15 +264,24 @@ func TestRunFaultFlagErrors(t *testing.T) {
 	}
 }
 
-// TestRunRemote sends the run to a daemon that requires a bearer token:
+// TestRunRemote sends the run to a daemon (a gateway with an in-process
+// agent, as clrearlyd serves it) that requires a bearer token:
 // with the key in the URL's userinfo the output equals the local run's,
 // and with a wrong key the run ends in an error instead of running
 // locally.
 func TestRunRemote(t *testing.T) {
-	svc := service.New(service.Config{AuthToken: "k1"})
+	gw, err := gateway.New(gateway.Config{
+		Tenants:     []gateway.TenantConfig{{Name: "clrearlyd", Key: "k1", MaxActive: -1}},
+		WorkerToken: "k1",
+		Workers:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	svc := service.RequireBearer("k1", gw)
 	srv := httptest.NewServer(svc)
 	defer srv.Close()
-	defer svc.Shutdown(context.Background())
 
 	var local, remote bytes.Buffer
 	if err := run(small(), &local); err != nil {
@@ -298,7 +308,7 @@ func TestRunRemote(t *testing.T) {
 
 	wrong := strings.Replace(srv.URL, "://", "://wrong@", 1)
 	var out bytes.Buffer
-	err := run(small("-remote", wrong), &out)
+	err = run(small("-remote", wrong), &out)
 	if err == nil || !strings.Contains(err.Error(), srv.URL) {
 		t.Fatalf("wrong key: err = %v, want a 401 error naming %s", err, srv.URL)
 	}

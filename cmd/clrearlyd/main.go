@@ -1,8 +1,8 @@
 // Command clrearlyd serves CL(R)Early DSE as a long-running HTTP service:
-// jobs are submitted as JSON specs, queued into a bounded FIFO, run by a
-// worker pool whose GAs share the process-wide CPU-token budget, and
-// streamed back as generation-by-generation SSE progress plus a typed
-// Pareto front. Identical specs are served from an LRU result cache.
+// jobs are submitted as JSON specs, queued, run by in-process workers
+// whose GAs share the process-wide CPU-token budget, and streamed back as
+// generation-by-generation SSE progress plus a typed Pareto front.
+// Identical specs are answered from an LRU result cache.
 //
 // Usage:
 //
@@ -11,34 +11,36 @@
 //	          [-pprof addr] [-worker-token TOK] [-max-body N]
 //	          [-gateway URL] [-worker-name NAME]
 //
-// With -gateway the daemon additionally joins a clrearlygw fleet: it
-// long-polls the gateway for job leases, executes them locally, and
-// streams progress and results back, while still serving its own API.
-// -worker-token then does double duty — it locks the local job API and
-// authenticates the agent to the gateway.
+// The daemon is the fleet gateway (internal/gateway) running -workers
+// agents in process, with one tenant whose key is -worker-token. With a
+// token every endpoint but /healthz requires "Authorization: Bearer TOK";
+// without one the API is open, and the agents lease with a random
+// per-process token. A full queue answers 429 with Retry-After.
 //
-// With -store the daemon is durable: accepted jobs and finished results are
-// journaled to a write-ahead log under DIR, GA runs checkpoint every K
-// generations, and a restart re-enqueues unfinished jobs (resuming them
-// mid-evolution) and re-serves cached results — a crash loses no
-// acknowledged work.
+// With -gateway URL the process is only a worker of a clrearlygw fleet:
+// it leases jobs from the gateway, runs them and reports back, presenting
+// -worker-token, and serves /healthz and the engine counters on /metrics.
+//
+// With -store, accepted jobs, finished results and run checkpoints (every
+// K generations) are journaled to a write-ahead log under DIR, and a
+// restart resumes unfinished jobs mid-evolution and re-serves cached
+// results. SIGINT/SIGTERM drain HTTP requests for up to -drain, then stop
+// running jobs within one generation; with -store they resume on restart.
 //
 // API:
 //
 //	POST   /v1/jobs             submit a job spec, returns the job status
-//	GET    /v1/jobs             list jobs
+//	GET    /v1/jobs             list jobs (the newest 1024)
 //	GET    /v1/jobs/{id}        job status (+ Pareto front when done)
 //	GET    /v1/jobs/{id}/wait   long-poll job status (?timeout=30s)
 //	GET    /v1/jobs/{id}/events SSE stream of per-generation progress
 //	DELETE /v1/jobs/{id}        cancel (queued or running)
 //	GET    /healthz             liveness probe
-//	GET    /metrics             jobs by state, queue depth, result-cache
-//	                            hit rate, evaluation counters, per-method
-//	                            latency histograms, store gauges
+//	GET    /metrics             admission, queue, lease and store gauges,
+//	                            evaluation counters, latency histograms
 //
-// -pprof serves net/http/pprof (goroutine, heap, CPU profiles) on a
-// separate address, e.g. -pprof localhost:6060; off by default so
-// profiling endpoints are never exposed unintentionally.
+// -pprof serves net/http/pprof on a separate address, e.g. -pprof
+// localhost:6060; off by default.
 package main
 
 import (
@@ -71,20 +73,20 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("clrearlyd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 2, "concurrent job runners (their GAs share the CPU-token pool)")
-	queueCap := fs.Int("queue", 64, "queued-job capacity; beyond it submissions get 503")
+	workers := fs.Int("workers", 2, "in-process job runners (their GAs share the CPU-token pool; ≤ 0: 2)")
+	queueCap := fs.Int("queue", 64, "queued-job capacity; beyond it submissions get 429")
 	cacheCap := fs.Int("cache", 128, "LRU result-cache capacity (fronts)")
-	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for running jobs")
+	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for open HTTP requests")
 	storeDir := fs.String("store", "", "durable store directory (empty = in-memory only)")
 	fsyncMode := fs.String("fsync", "always", "store fsync policy: always, interval or never")
 	ckptEvery := fs.Int("checkpoint-every", core.DefaultCheckpointEvery,
 		"GA generations between durable run checkpoints (with -store)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	workerToken := fs.String("worker-token", "",
-		"bearer token required on the job API (and presented to -gateway); empty = open")
+		"bearer token required on every endpoint but /healthz (and presented to -gateway); empty = open")
 	maxBody := fs.Int64("max-body", 1<<20, "POST /v1/jobs body size cap in bytes (negative = unbounded)")
 	gatewayURL := fs.String("gateway", "",
-		"lease work from this clrearlygw gateway in addition to serving the local API")
+		"run as a worker leasing from this clrearlygw gateway instead of serving a job API")
 	workerName := fs.String("worker-name", "", "worker name advertised to the gateway (default host:pid)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,32 +103,20 @@ func run(args []string) error {
 		}()
 	}
 
-	cfg := service.Config{
-		QueueCap:        *queueCap,
-		Workers:         *workers,
-		CacheCap:        *cacheCap,
-		CheckpointEvery: *ckptEvery,
-		AuthToken:       *workerToken,
-		MaxBodyBytes:    *maxBody,
-	}
+	var st *store.Store
 	if *storeDir != "" {
 		policy, err := store.ParseSyncPolicy(*fsyncMode)
 		if err != nil {
 			return err
 		}
-		st, err := store.Open(*storeDir, store.Options{Sync: policy})
-		if err != nil {
+		if st, err = store.Open(*storeDir, store.Options{Sync: policy}); err != nil {
 			return err
 		}
 		defer st.Close()
-		cfg.Store = st
 		stats := st.Stats()
 		log.Printf("store %s opened (fsync=%s): %d jobs (%d pending), %d results, %d checkpoints",
 			*storeDir, policy, stats.Jobs, stats.PendingJobs, stats.Results, stats.Checkpoints)
 	}
-
-	svc := service.New(cfg)
-	hs := &http.Server{Handler: svc}
 
 	// An explicit listener (rather than ListenAndServe) reports the bound
 	// address, so ":0" works for tests and scripts that parse the log line.
@@ -138,52 +128,67 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var agent *gateway.Agent
+	var handler http.Handler
+	var halt func() // stops the runs; each returns within one generation
 	if *gatewayURL != "" {
 		name := *workerName
 		if name == "" {
 			host, _ := os.Hostname()
 			name = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
-		agent, err = gateway.NewAgent(gateway.AgentConfig{
-			Gateway: *gatewayURL,
-			Token:   *workerToken,
-			Name:    name,
-			Addr:    "http://" + ln.Addr().String(),
+		agent, err := gateway.NewAgent(gateway.AgentConfig{Gateway: *gatewayURL, Token: *workerToken, Name: name,
+			Addr: "http://" + ln.Addr().String(), Exec: service.DurableExecute(st, *ckptEvery)})
+		if err != nil {
+			return err
+		}
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /healthz", service.HandleHealthz)
+		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+			service.WriteJSON(w, http.StatusOK, gateway.EngineTotals())
+		})
+		handler, halt = mux, agent.Stop
+		go agent.Run(ctx)
+		log.Printf("clrearlyd listening on %s (leasing from gateway %s as %q)", ln.Addr(), *gatewayURL, name)
+	} else {
+		if *workers <= 0 {
+			*workers = 2
+		}
+		gw, err := gateway.New(gateway.Config{
+			Tenants:         []gateway.TenantConfig{{Name: "clrearlyd", Key: *workerToken, MaxActive: -1}},
+			WorkerToken:     *workerToken,
+			QueueCap:        *queueCap,
+			CacheCap:        *cacheCap,
+			Store:           st,
+			MaxBodyBytes:    *maxBody,
+			Workers:         *workers,
+			CheckpointEvery: *ckptEvery,
 		})
 		if err != nil {
 			return err
 		}
-		go func() {
-			log.Printf("leasing work from gateway %s as %q", *gatewayURL, name)
-			agent.Run(ctx)
-		}()
-	}
-
-	errc := make(chan error, 1)
-	go func() {
+		handler, halt = gw, gw.Close
 		log.Printf("clrearlyd listening on %s (workers=%d queue=%d cache=%d)",
 			ln.Addr(), *workers, *queueCap, *cacheCap)
-		errc <- hs.Serve(ln)
-	}()
+	}
+	hs := &http.Server{Handler: service.RequireBearer(*workerToken, handler)}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
 
 	select {
 	case err := <-errc:
+		halt()
 		return err
 	case <-ctx.Done():
 	}
-	log.Printf("shutting down: draining running jobs (deadline %s)", *drain)
-	if agent != nil {
-		agent.Stop() // abandon any held lease so the gateway redelivers it
-	}
+	log.Printf("shutting down: draining HTTP requests (deadline %s)", *drain)
 	shCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := hs.Shutdown(shCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("http shutdown: %v", err)
 	}
-	if err := svc.Shutdown(shCtx); err != nil {
-		log.Printf("job drain hit deadline; running jobs were cancelled (checkpointed runs resume on restart)")
-	}
+	// The running jobs stop within a generation and, with -store, stay
+	// pending with a final checkpoint: the next start resumes them.
+	halt()
 	log.Printf("clrearlyd stopped")
 	return nil
 }

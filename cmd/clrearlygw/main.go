@@ -26,7 +26,7 @@
 // serving cached results.
 //
 // The tenant-facing job API (POST/GET/DELETE /v1/jobs, /wait, /events
-// SSE) runs clrearlyd's own code, so existing clients work unchanged;
+// SSE) is the one clrearlyd serves, since clrearlyd runs this gateway too;
 // requests authenticate with "X-API-Key: <key>" or a bearer token.
 package main
 

@@ -43,18 +43,18 @@ type AgentConfig struct {
 // Agent is the worker half of the pull-based control plane: it long-polls
 // the gateway for leases, executes the granted specs locally, posts
 // per-generation progress (which renews the lease), and reports terminal
-// outcomes. A clrearlyd started with -gateway runs one Agent alongside its
-// own HTTP API.
+// outcomes. A clrearlyd started with -gateway runs one Agent; without it,
+// clrearlyd's gateway runs its agents in process (Config.Workers).
 type Agent struct {
 	cfg     AgentConfig
 	client  *http.Client
 	backoff *backoff
 
-	killed atomic.Bool        // hard-death simulation: abandon everything silently
-	cancel context.CancelFunc // cancels the Run loop and any in-flight job
-	mu     sync.Mutex
-	runC   context.CancelFunc // cancels just the in-flight job, if any
-	wg     sync.WaitGroup
+	killed  atomic.Bool // hard-death simulation: abandon everything silently
+	mu      sync.Mutex
+	cancel  context.CancelFunc // cancels the Run loop and any in-flight job
+	stopped bool               // Stop was called; a later Run returns at once
+	wg      sync.WaitGroup     // the Run loop and its renewal goroutines
 }
 
 // NewAgent validates the config and returns an unstarted agent.
@@ -88,10 +88,16 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 // more workers, not more goroutines per worker.
 func (a *Agent) Run(ctx context.Context) {
 	ctx, cancel := context.WithCancel(ctx)
-	a.mu.Lock()
-	a.cancel = cancel
-	a.mu.Unlock()
 	defer cancel()
+	a.mu.Lock()
+	if a.stopped {
+		a.mu.Unlock()
+		return
+	}
+	a.cancel = cancel
+	a.wg.Add(1)
+	a.mu.Unlock()
+	defer a.wg.Done()
 
 	attempt := 0
 	for ctx.Err() == nil && !a.killed.Load() {
@@ -112,12 +118,14 @@ func (a *Agent) Run(ctx context.Context) {
 	}
 }
 
-// Stop cancels the run loop and any in-flight job, then waits for the
-// lease-renewal goroutine to drain. The in-flight job is abandoned without
+// Stop cancels the run loop and any in-flight job, then waits for Run to
+// return: the run stops within one generation, and a checkpointing Exec
+// has written its final snapshot. The in-flight job is abandoned without
 // a completion call, so its lease expires and the gateway re-enqueues it —
 // exactly the behaviour wanted when draining a worker out of the fleet.
 func (a *Agent) Stop() {
 	a.mu.Lock()
+	a.stopped = true
 	cancel := a.cancel
 	a.mu.Unlock()
 	if cancel != nil {
@@ -169,15 +177,7 @@ func (a *Agent) lease(ctx context.Context) (*LeaseGrant, error) {
 // generations.
 func (a *Agent) runOne(ctx context.Context, grant *LeaseGrant) {
 	runCtx, cancelRun := context.WithCancel(ctx)
-	a.mu.Lock()
-	a.runC = cancelRun
-	a.mu.Unlock()
-	defer func() {
-		a.mu.Lock()
-		a.runC = nil
-		a.mu.Unlock()
-		cancelRun()
-	}()
+	defer cancelRun()
 
 	ttl := time.Duration(grant.TTLMS) * time.Millisecond
 	renewEvery := ttl / 3

@@ -60,20 +60,34 @@ func newClient(t *testing.T, rawURL string) *Client {
 // withKey puts an API key into a base URL's userinfo.
 func withKey(base, key string) string { return strings.Replace(base, "://", "://"+key+"@", 1) }
 
+// newDaemon is what clrearlyd serves without -gateway and without a token:
+// a gateway with in-process agents (one unless cfg sets Workers) and one
+// open tenant. The caller closes it.
+func newDaemon(t *testing.T, cfg Config) *Gateway {
+	t.Helper()
+	cfg.Tenants = []TenantConfig{{Name: "clrearlyd", MaxActive: -1}}
+	cfg.Workers = max(cfg.Workers, 1)
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // flakyServer is an in-process clrearlyd behind a fixed URL that can be
 // killed (502 to everything, running jobs aborted as if the process died)
 // and revived from its factory — a factory over a shared store yields a
 // durable server that resumes its jobs.
 type flakyServer struct {
 	srv     *httptest.Server
-	factory func() *service.Server
+	factory func() *Gateway
 	submits atomic.Int64
 
 	mu    sync.Mutex
-	inner *service.Server
+	inner *Gateway
 }
 
-func newFlakyServer(t *testing.T, factory func() *service.Server) *flakyServer {
+func newFlakyServer(t *testing.T, factory func() *Gateway) *flakyServer {
 	t.Helper()
 	f := &flakyServer{factory: factory, inner: factory()}
 	f.srv = httptest.NewServer(f)
@@ -101,9 +115,8 @@ func (f *flakyServer) kill() {
 	f.inner = nil
 	f.mu.Unlock()
 	if inner != nil {
-		expired, cancel := context.WithCancel(context.Background())
-		cancel()
-		inner.Shutdown(expired)
+		inner.Close()
+		f.srv.CloseClientConnections() // a dead process drops its connections
 	}
 }
 
@@ -141,7 +154,7 @@ func TestClientUnreachableFallsBackToLocal(t *testing.T) {
 }
 
 func TestClientRejectedSpecRunsLocal(t *testing.T) {
-	f := newFlakyServer(t, func() *service.Server { return service.New(service.Config{}) })
+	f := newFlakyServer(t, func() *Gateway { return newDaemon(t, Config{}) })
 	c := newClient(t, f.srv.URL)
 
 	// The server rejects the spec with 400; the local closure reproduces
@@ -189,8 +202,8 @@ func TestDurableWorkerRestartResumesSameJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	f := newFlakyServer(t, func() *service.Server {
-		return service.New(service.Config{Workers: 2, Store: st, CheckpointEvery: 2})
+	f := newFlakyServer(t, func() *Gateway {
+		return newDaemon(t, Config{Workers: 2, Store: st, CheckpointEvery: 2})
 	})
 	c := newClient(t, f.srv.URL)
 
@@ -449,8 +462,8 @@ func TestClientSweepSurvivesKilledAgent(t *testing.T) {
 // retried with backoff until the job's result comes through — one
 // submit, no fallback, and the front of the local run.
 func TestClientRetriesTransientWaitFailure(t *testing.T) {
-	inner := service.New(service.Config{})
-	t.Cleanup(func() { inner.Shutdown(context.Background()) })
+	inner := newDaemon(t, Config{})
+	t.Cleanup(inner.Close)
 	const outages = 3
 	var submits, failed atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -1,7 +1,9 @@
-// Package gateway is the fleet control plane in front of N clrearlyd
-// workers: one HTTP service that owns admission, routing and result
-// storage, so a fleet of stateless-from-the-client's-view workers behaves
-// like a single large daemon.
+// Package gateway is the job service: one HTTP service that owns
+// admission, routing, result storage and the job lifecycle, with workers
+// that lease the jobs and run them. clrearlygw runs it in front of a fleet
+// of `clrearlyd -gateway URL` workers; clrearlyd runs it with its agents
+// in process (Config.Workers), so a single daemon and a fleet are one
+// lifecycle.
 //
 // Three mechanisms carry the design:
 //
@@ -27,19 +29,23 @@
 //     answers 429 with Retry-After, never an unbounded queue.
 //
 // The tenant-facing job API (POST/GET/DELETE /v1/jobs, /wait, /events
-// SSE) shares the daemon's code: gateway jobs embed service.Job and live
-// in a service.Table (IDs, routing, result tiers, recovery), and the wait,
-// SSE and spec-intake code is internal/service's, so existing clients
-// work unchanged against a fleet.
+// SSE) is built from internal/service: gateway jobs embed service.Job and
+// live in a service.Table (IDs, routing, result tiers, recovery), and the
+// wait, SSE and spec-intake code is internal/service's.
 package gateway
 
 import (
+	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -78,6 +84,16 @@ type Config struct {
 	ProbeEvery time.Duration
 	// Client is the HTTP client used for worker probes.
 	Client *http.Client
+	// Workers, when positive, runs that many agents in this process. They
+	// lease over an in-memory transport with WorkerToken (a random one
+	// when it is empty, so the lease API is never open) and run specs
+	// with service.DurableExecute over Store. /metrics then adds the
+	// engine counter blocks and the run latencies, and Close waits for
+	// their runs to return.
+	Workers int
+	// CheckpointEvery is the generation period of the in-process agents'
+	// run checkpoints (default core.DefaultCheckpointEvery; with Store).
+	CheckpointEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -118,12 +134,14 @@ type Gateway struct {
 	closed  chan struct{}
 	loopsWG sync.WaitGroup
 
-	jobs *service.Table[*gwJob]
+	jobs   *service.Table[*gwJob]
+	agents []*Agent // the in-process agents
 
-	mu        sync.Mutex // guards leases, workers and nextLease
+	mu        sync.Mutex // guards leases, workers, nextLease and latency
 	leases    map[string]*lease
 	workers   map[string]*workerInfo
 	nextLease int64
+	latency   map[string]*service.Histogram // in-process run latency by method
 }
 
 // lease is one outstanding claim of a job by a worker.
@@ -151,6 +169,13 @@ type workerInfo struct {
 // and worker-probe loops.
 func New(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Workers > 0 && cfg.WorkerToken == "" {
+		b := make([]byte, 16)
+		if _, err := rand.Read(b); err != nil {
+			return nil, err
+		}
+		cfg.WorkerToken = hex.EncodeToString(b)
+	}
 	g := &Gateway{
 		cfg:     cfg,
 		queue:   newWorkQueue(cfg.QueueCap),
@@ -160,6 +185,7 @@ func New(cfg Config) (*Gateway, error) {
 		jobs:    service.NewTable("g", cfg.CacheCap, cfg.Store, encodeJob),
 		leases:  make(map[string]*lease),
 		workers: make(map[string]*workerInfo),
+		latency: make(map[string]*service.Histogram),
 	}
 	for _, tc := range cfg.Tenants {
 		t := newTenant(tc)
@@ -195,15 +221,58 @@ func New(cfg Config) (*Gateway, error) {
 		g.loopsWG.Add(1)
 		go g.probeLoop()
 	}
+	run := service.DurableExecute(cfg.Store, cfg.CheckpointEvery)
+	exec := func(ctx context.Context, s *service.JobSpec, progress func(core.ProgressEvent)) (*core.Front, error) {
+		start := time.Now()
+		front, err := run(ctx, s, progress)
+		g.mu.Lock()
+		if g.latency[s.Method] == nil {
+			g.latency[s.Method] = new(service.Histogram)
+		}
+		g.latency[s.Method].Observe(float64(time.Since(start)) / float64(time.Millisecond))
+		g.mu.Unlock()
+		return front, err
+	}
+	for i := 0; i < cfg.Workers; i++ {
+		a, err := NewAgent(AgentConfig{
+			Gateway: "http://in-process", Token: cfg.WorkerToken, Name: fmt.Sprintf("local-%d", i),
+			Exec: exec, Client: &http.Client{Transport: handlerTransport{g}},
+		})
+		if err != nil {
+			g.Close()
+			return nil, err
+		}
+		g.agents = append(g.agents, a)
+		go a.Run(context.Background())
+	}
 	return g, nil
+}
+
+// handlerTransport is an http.RoundTripper that serves each request with
+// a handler in process: the in-process agents' link to their gateway.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if err := r.Context().Err(); err != nil {
+		return nil, err
+	}
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, r)
+	return rec.Result(), nil
 }
 
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
 
-// Close stops the expiry and probe loops. Outstanding HTTP requests are
-// the http.Server's to drain.
+// Close stops the in-process agents, waiting for their runs to return (a
+// stopped run's job stays pending in the store, its final checkpoint
+// written, and resumes when a gateway next opens the store), then the
+// expiry and probe loops. Outstanding HTTP requests are the http.Server's
+// to drain.
 func (g *Gateway) Close() {
+	for _, a := range g.agents {
+		a.Stop()
+	}
 	select {
 	case <-g.closed:
 	default:
@@ -219,8 +288,16 @@ func (g *Gateway) Close() {
 func (g *Gateway) recover() {
 	pending := g.jobs.Recover(func(raw json.RawMessage) (json.RawMessage, func(*service.Job) *gwJob, bool) {
 		var rec storedJob
-		if err := json.Unmarshal(raw, &rec); err != nil || rec.Spec == nil {
+		if err := json.Unmarshal(raw, &rec); err != nil {
 			return nil, nil, false // journaled by a newer build; unusable but harmless
+		}
+		if rec.Spec == nil {
+			// A bare spec, journaled by clrearlyd before it ran a gateway:
+			// the job belongs to the daemon's one tenant.
+			rec.Spec = raw
+			if len(g.cfg.Tenants) == 1 {
+				rec.Tenant = g.cfg.Tenants[0].Name
+			}
 		}
 		t := g.byName[rec.Tenant]
 		if t == nil {
@@ -264,7 +341,9 @@ func newGWJob(t *tenant) func(*service.Job) *gwJob {
 // ---- tenant-facing handlers ----
 
 // authTenant resolves the request's API key ("Authorization: Bearer" or
-// "X-API-Key") to a tenant, answering 401 when it matches none.
+// "X-API-Key") to a tenant, answering 401 when it matches none. A tenant
+// with an empty key (only Config can make one, ParseTenants refuses it)
+// is open: it takes every request no other key claims.
 func (g *Gateway) authTenant(w http.ResponseWriter, r *http.Request) *tenant {
 	key := r.Header.Get("X-API-Key")
 	if key == "" {
@@ -274,7 +353,10 @@ func (g *Gateway) authTenant(w http.ResponseWriter, r *http.Request) *tenant {
 		}
 	}
 	t := g.byKey[key]
-	if key == "" || t == nil {
+	if t == nil {
+		t = g.byKey[""]
+	}
+	if t == nil {
 		g.m.rejectedAuth.Add(1)
 		service.HTTPError(w, http.StatusUnauthorized, "missing or unknown API key")
 		return nil
@@ -414,17 +496,17 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	var jobs []*gwJob
+	jobs := []*service.JobWire{} // fronts are never inlined
 	for _, j := range g.jobs.Jobs() {
 		if j.tenant == t {
-			jobs = append(jobs, j)
+			jobs = append(jobs, j.Wire(false))
 		}
 	}
-	service.WriteJobList(w, jobs)
+	service.WriteJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 }
 
-// handleWait is the daemon's /wait, so a Client can front a gateway or a
-// single daemon alike.
+// handleWait long-polls a job's status: gateway.Client awaits its cells
+// here.
 func (g *Gateway) handleWait(w http.ResponseWriter, r *http.Request) {
 	if j := g.lookup(w, r); j != nil {
 		service.ServeWait(w, r, j.Job)
@@ -452,7 +534,7 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 	service.WriteJSON(w, http.StatusAccepted, j.Wire(false))
 }
 
-// handleEvents is the daemon's SSE stream, relayed from the lease
+// handleEvents is the job's SSE stream, relayed from the lease
 // holder's progress reports.
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if j := g.lookup(w, r); j != nil {

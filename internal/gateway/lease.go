@@ -201,7 +201,7 @@ func (g *Gateway) takeLease(w http.ResponseWriter, r *http.Request, consume bool
 
 // handleLeaseProgress ingests a per-generation progress report: it renews
 // the lease and fans the event out to the job's SSE subscribers — the
-// gateway-side half of the daemon's progress stream.
+// gateway-side half of the job's progress stream.
 func (g *Gateway) handleLeaseProgress(w http.ResponseWriter, r *http.Request) {
 	l := g.takeLease(w, r, false)
 	if l == nil {

@@ -6,6 +6,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/faultmodel"
+	"repro/internal/moea"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -112,10 +115,26 @@ type TenantStatusWire struct {
 	Cancelled     int64  `json:"cancelled"`
 }
 
-// MetricsWire is the GET /metrics payload: the fleet-wide control-plane
-// gauges (per-tenant admission ledgers, queue depths per priority class,
-// lease ages, worker liveness, dedup sources) — the gateway analogue of
-// the daemon's per-process metrics block.
+// EngineWire is the engine counter block of a process that runs specs:
+// the process-wide evaluation-acceleration, selection and fault-model
+// counters, served straight from their structs.
+type EngineWire struct {
+	Accel      *core.AccelStats     `json:"eval_accel,omitempty"`
+	Selection  *moea.SelectionStats `json:"selection,omitempty"`
+	FaultModel *faultmodel.Stats    `json:"fault_model,omitempty"`
+}
+
+// EngineTotals reads this process's engine counter block.
+func EngineTotals() EngineWire {
+	a, s, f := core.AccelTotals(), core.SelectionTotals(), faultmodel.Totals()
+	return EngineWire{Accel: &a, Selection: &s, FaultModel: &f}
+}
+
+// MetricsWire is the GET /metrics payload: the control-plane gauges
+// (per-tenant admission ledgers, queue depths per priority class, lease
+// ages, worker liveness, dedup sources), plus, when the gateway runs
+// agents in process, the engine counter block and the run latencies. A
+// gateway that runs no engine reports no engine counters.
 type MetricsWire struct {
 	Submitted int64 `json:"submitted"`
 	Admitted  int64 `json:"admitted"`
@@ -135,6 +154,9 @@ type MetricsWire struct {
 
 	CacheSize     int `json:"cache_size"`
 	CacheCapacity int `json:"cache_capacity"`
+
+	EngineWire
+	Latency map[string]service.HistogramWire `json:"latency_ms,omitempty"`
 	// Store gauges are present when the gateway runs with a durable store.
 	Store *store.Stats `json:"store,omitempty"`
 }
@@ -227,6 +249,15 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Failed:        t.failed.Load(),
 			Cancelled:     t.cancelled.Load(),
 		}
+	}
+	if len(g.agents) > 0 {
+		m.EngineWire = EngineTotals()
+		g.mu.Lock()
+		m.Latency = make(map[string]service.HistogramWire, len(g.latency))
+		for method, h := range g.latency {
+			m.Latency[method] = h.Wire()
+		}
+		g.mu.Unlock()
 	}
 	if st := g.cfg.Store; st != nil {
 		sw := st.Stats()

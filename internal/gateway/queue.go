@@ -7,9 +7,9 @@ import (
 )
 
 // gwJob is the gateway-side state of one admitted job: the shared job
-// record (so clients speak the exact protocol a single clrearlyd exposes)
-// plus what leases and tenancy need. The gateway never executes jobs
-// itself: a gwJob moves queued → running (leased to a worker) →
+// record plus what leases and tenancy need. Only agents, remote or in
+// process, execute jobs, through leases: a gwJob moves queued → running
+// (leased to a worker) →
 // done/failed/cancelled, with lease expiry pushing it back to queued until
 // its delivery budget runs out.
 type gwJob struct {

@@ -108,18 +108,14 @@ func marshalFront(t *testing.T, fw *service.FrontWire) []byte {
 	return b
 }
 
-// TestJobAPISurfaces runs one table of job-API cases against a daemon and
-// a gateway fronting an in-process agent: both serve the same /wait and
-// /events contract, and the same spec yields the same front bytes.
+// TestJobAPISurfaces runs one table of job-API cases against a daemon (a
+// gateway with an in-process agent) and a gateway fronting an agent over
+// HTTP: both serve the same /wait and /events contract, and the same spec
+// yields the same front bytes.
 func TestJobAPISurfaces(t *testing.T) {
-	daemon := service.New(service.Config{Workers: 1})
+	daemon := newDaemon(t, Config{})
 	dts := httptest.NewServer(daemon)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
-		_ = daemon.Shutdown(ctx)
-		dts.Close()
-	})
+	t.Cleanup(func() { dts.Close(); daemon.Close() })
 	_, gts := newTestGateway(t, Config{ProbeEvery: -1})
 	startAgent(t, AgentConfig{Gateway: gts.URL, Name: "w0"})
 
@@ -232,14 +228,9 @@ func TestJobAPISurfaces(t *testing.T) {
 	outputs := make(map[string][]byte)
 	for _, surface := range []surface{
 		{"daemon", dts, func(st *store.Store) (*httptest.Server, func()) {
-			d := service.New(service.Config{Workers: 1, CacheCap: 1, Store: st})
+			d := newDaemon(t, Config{CacheCap: 1, Store: st})
 			ts := httptest.NewServer(d)
-			return ts, func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-				defer cancel()
-				_ = d.Shutdown(ctx)
-				ts.Close()
-			}
+			return ts, func() { ts.Close(); d.Close() }
 		}},
 		{"gateway", gts, func(st *store.Store) (*httptest.Server, func()) {
 			g, err := New(Config{Tenants: []TenantConfig{testTenant()}, CacheCap: 1, Store: st, ProbeEvery: -1})

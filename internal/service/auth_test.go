@@ -1,4 +1,4 @@
-package service
+package service_test
 
 import (
 	"bytes"
@@ -6,12 +6,18 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/gateway"
+	"repro/internal/service"
 )
 
 // TestAuthToken locks the API behind a bearer token and checks every
 // combination of header against it; /healthz stays open so probes work.
+// /metrics and the lease API are locked too, and a daemon started without
+// a token still refuses leases: its agents present a random one.
 func TestAuthToken(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, AuthToken: "secret-token"})
+	g, ts := newDaemon(t, gateway.Config{Workers: 1}, "secret-token")
+	t.Cleanup(func() { ts.Close(); g.Close() })
 
 	cases := []struct {
 		name   string
@@ -27,43 +33,56 @@ func TestAuthToken(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.header != "" {
-				req.Header.Set("Authorization", tc.header)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != tc.want {
-				t.Fatalf("GET /v1/jobs with %q = %d, want %d", tc.header, resp.StatusCode, tc.want)
+			if code := call(t, http.MethodGet, ts.URL+"/v1/jobs", tc.header); code != tc.want {
+				t.Fatalf("GET /v1/jobs with %q = %d, want %d", tc.header, code, tc.want)
 			}
 		})
 	}
 
-	// The liveness probe must not require credentials.
-	resp, err := http.Get(ts.URL + "/healthz")
+	_, ots := newTestServer(t, gateway.Config{Workers: 1})
+	for _, c := range []struct {
+		method, url string
+		want        int
+	}{
+		// The liveness probe must not require credentials.
+		{http.MethodGet, ts.URL + "/healthz", http.StatusOK},
+		{http.MethodGet, ts.URL + "/metrics", http.StatusUnauthorized},
+		{http.MethodPost, ts.URL + "/v1/lease", http.StatusUnauthorized},
+		{http.MethodPost, ots.URL + "/v1/lease", http.StatusUnauthorized},
+	} {
+		if code := call(t, c.method, c.url, ""); code != c.want {
+			t.Fatalf("%s %s without token = %d, want %d", c.method, c.url, code, c.want)
+		}
+	}
+}
+
+// call sends one request with an optional Authorization header and
+// returns its status.
+func call(t *testing.T, method, url, auth string) int {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(`{"worker":"intruder","timeout":"1ms"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auth != "" {
+		req.Header.Set("Authorization", auth)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /healthz without token = %d, want 200", resp.StatusCode)
-	}
+	return resp.StatusCode
 }
 
 // TestMaxBodyBytes rejects oversized submissions with 413 and leaves
 // normal-sized ones unaffected.
 func TestMaxBodyBytes(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 256})
+	_, ts := newTestServer(t, gateway.Config{Workers: 1, MaxBodyBytes: 256})
 
 	// A spec padded past the cap via a long graph_text. The decoder must
 	// hit the byte limit before it can finish reading.
-	big, err := json.Marshal(JobSpec{GraphText: strings.Repeat("x", 1024)})
+	big, err := json.Marshal(service.JobSpec{GraphText: strings.Repeat("x", 1024)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +95,7 @@ func TestMaxBodyBytes(t *testing.T) {
 		t.Fatalf("oversized spec = %d, want 413", resp.StatusCode)
 	}
 
-	if _, code := postJob(t, ts, JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 1, Seed: 1}); code != http.StatusAccepted {
+	if _, code := postJob(t, ts, service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 1, Seed: 1}); code != http.StatusAccepted {
 		t.Fatalf("small spec = %d, want 202", code)
 	}
 }

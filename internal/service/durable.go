@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"sync"
 
@@ -8,6 +9,28 @@ import (
 	"repro/internal/moea"
 	"repro/internal/store"
 )
+
+// DurableExecute returns Execute with run checkpoints in st: each run
+// snapshots every `every` generations (≤ 0: core.DefaultCheckpointEvery)
+// under its spec hash, and resumes from the snapshot an earlier process
+// left there. Finishing the job in st drops the snapshot. A nil st
+// returns plain Execute.
+func DurableExecute(st *store.Store, every int) func(context.Context, *JobSpec, func(core.ProgressEvent)) (*core.Front, error) {
+	if st == nil {
+		return Execute
+	}
+	return func(ctx context.Context, s *JobSpec, progress func(core.ProgressEvent)) (*core.Front, error) {
+		inst, flib, err := Build(s)
+		if err != nil {
+			return nil, err
+		}
+		return ExecuteOnHooks(ctx, inst, flib, s, RunHooks{
+			Progress:        progress,
+			Checkpoint:      newJobCheckpointer(st, s.Hash()),
+			CheckpointEvery: every,
+		})
+	}
+}
 
 // runCheckpoint is the durable form of one job's strategy progress: the
 // engine snapshot of the stage in flight plus the fronts of stages already

@@ -1,17 +1,18 @@
-package service
+package service_test
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/gateway"
+	"repro/internal/service"
 	"repro/internal/store"
 )
 
@@ -29,23 +30,23 @@ func openTestStore(t *testing.T, dir string) *store.Store {
 
 // referenceFront runs the spec uninterrupted in-process and returns the
 // canonical wire-form bytes of its front.
-func referenceFront(t *testing.T, spec JobSpec) []byte {
+func referenceFront(t *testing.T, spec service.JobSpec) []byte {
 	t.Helper()
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	front, err := Execute(context.Background(), &spec, nil)
+	front, err := service.Execute(context.Background(), &spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(FrontToWire(front))
+	b, err := json.Marshal(service.FrontToWire(front))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
-func marshalWireFront(t *testing.T, fw *FrontWire) []byte {
+func marshalWireFront(t *testing.T, fw *service.FrontWire) []byte {
 	t.Helper()
 	b, err := json.Marshal(fw)
 	if err != nil {
@@ -64,13 +65,12 @@ func TestCrashResumeByteIdenticalFront(t *testing.T) {
 	// GA clears hundreds of sobel generations per second, and the gap
 	// between observing generation ≥ 4 and the abort taking effect spans
 	// many generations.
-	spec := JobSpec{App: "sobel", Method: "proposed", Pop: 16, Gens: 1200, Seed: 42}
+	spec := service.JobSpec{App: "sobel", Method: "proposed", Pop: 16, Gens: 1200, Seed: 42}
 	want := referenceFront(t, spec)
 
 	dir := t.TempDir()
 	st := openTestStore(t, dir)
-	s1 := New(Config{Workers: 1, Store: st, CheckpointEvery: 2})
-	ts1 := httptest.NewServer(s1)
+	s1, ts1 := newDaemon(t, gateway.Config{Workers: 1, Store: st, CheckpointEvery: 2}, "")
 
 	jw, code := postJob(t, ts1, spec)
 	if code != 202 {
@@ -78,22 +78,35 @@ func TestCrashResumeByteIdenticalFront(t *testing.T) {
 	}
 	// Let the run get past a few checkpoints, then pull the plug: an
 	// already-expired shutdown context forces the abort path immediately.
-	waitFor(t, ts1, jw.ID, 30*time.Second, func(w *JobWire) bool {
+	waitFor(t, ts1, jw.ID, 30*time.Second, func(w *service.JobWire) bool {
 		return w.Progress != nil && w.Progress.Generation >= 4
 	})
-	expired, cancel := context.WithCancel(context.Background())
-	cancel()
-	_ = s1.Shutdown(expired)
+	s1.Close()
+	last := getJob(t, ts1, jw.ID).Progress
 	ts1.Close()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The aborted job must still be pending with a saved checkpoint —
-	// aborts are not terminal states.
+	// aborts are not terminal states — and shutdown returned only after
+	// the run wrote its final one: no generation it reported is lost.
 	st2 := openTestStore(t, dir)
-	if _, ok := st2.Checkpoint(jw.SpecHash); !ok {
+	blob, ok := st2.Checkpoint(jw.SpecHash)
+	if !ok {
 		t.Fatal("aborted run left no checkpoint")
+	}
+	var cp struct {
+		Stages map[string]struct {
+			Generation int `json:"generation"`
+		} `json:"stages"`
+		Fronts map[string]json.RawMessage `json:"fronts"`
+	}
+	if err := json.Unmarshal(blob, &cp); err != nil {
+		t.Fatal(err)
+	}
+	if stage, done := cp.Stages[last.Stage], cp.Fronts[last.Stage] != nil; !done && stage.Generation < last.Generation {
+		t.Fatalf("checkpoint of stage %s at generation %d, but the job reported %d", last.Stage, stage.Generation, last.Generation)
 	}
 	pending := 0
 	for _, jr := range st2.Jobs() {
@@ -105,19 +118,16 @@ func TestCrashResumeByteIdenticalFront(t *testing.T) {
 		t.Fatalf("store has %d pending jobs after abort, want 1", pending)
 	}
 
-	s2 := New(Config{Workers: 1, Store: st2, CheckpointEvery: 2})
-	ts2 := httptest.NewServer(s2)
+	s2, ts2 := newDaemon(t, gateway.Config{Workers: 1, Store: st2, CheckpointEvery: 2}, "")
 	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
-		_ = s2.Shutdown(ctx)
+		s2.Close()
 		ts2.Close()
 		st2.Close()
 	})
 
 	// Same job ID: the restart re-enqueued the accepted job, not a copy.
 	final := waitFor(t, ts2, jw.ID, 60*time.Second, terminal)
-	if final.State != StateDone {
+	if final.State != service.StateDone {
 		t.Fatalf("resumed job ended %s (%s)", final.State, final.Error)
 	}
 	if final.Cached {
@@ -135,40 +145,34 @@ func TestCrashResumeByteIdenticalFront(t *testing.T) {
 // records are re-served by the next incarnation with zero client-visible
 // loss.
 func TestResultCacheSurvivesRestart(t *testing.T) {
-	spec := JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 4, Seed: 7}
+	spec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 4, Seed: 7}
 	dir := t.TempDir()
 	st := openTestStore(t, dir)
-	s1 := New(Config{Workers: 1, Store: st})
-	ts1 := httptest.NewServer(s1)
+	s1, ts1 := newDaemon(t, gateway.Config{Workers: 1, Store: st}, "")
 
 	jw, code := postJob(t, ts1, spec)
 	if code != 202 {
 		t.Fatalf("submit: %d %s", code, jw.Error)
 	}
 	done := waitFor(t, ts1, jw.ID, 30*time.Second, terminal)
-	if done.State != StateDone {
+	if done.State != service.StateDone {
 		t.Fatalf("job ended %s (%s)", done.State, done.Error)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	_ = s1.Shutdown(ctx)
+	s1.Close()
 	ts1.Close()
 	st.Close()
 
 	st2 := openTestStore(t, dir)
-	s2 := New(Config{Workers: 1, Store: st2})
-	ts2 := httptest.NewServer(s2)
+	s2, ts2 := newDaemon(t, gateway.Config{Workers: 1, Store: st2}, "")
 	t.Cleanup(func() {
-		sctx, scancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer scancel()
-		_ = s2.Shutdown(sctx)
+		s2.Close()
 		ts2.Close()
 		st2.Close()
 	})
 
 	// The finished job is still addressable, front included.
 	got := getJob(t, ts2, jw.ID)
-	if got.State != StateDone || got.Front == nil {
+	if got.State != service.StateDone || got.Front == nil {
 		t.Fatalf("recovered job = %s, front %v", got.State, got.Front != nil)
 	}
 	if string(marshalWireFront(t, got.Front)) != string(marshalWireFront(t, done.Front)) {
@@ -180,7 +184,7 @@ func TestResultCacheSurvivesRestart(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("resubmit after restart: %d %s", code, dup.Error)
 	}
-	if !dup.Cached || dup.State != StateDone {
+	if !dup.Cached || dup.State != service.StateDone {
 		t.Fatalf("resubmission not served from persistent cache: %+v", dup)
 	}
 	if dup.ID == jw.ID {
@@ -197,17 +201,17 @@ func TestResultCacheSurvivesRestart(t *testing.T) {
 func TestStoreAnswersAfterEviction(t *testing.T) {
 	st := openTestStore(t, t.TempDir())
 	t.Cleanup(func() { st.Close() })
-	_, ts := newTestServer(t, Config{Workers: 1, CacheCap: 1, Store: st})
-	specA := JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 31}
-	specB := JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 32}
+	_, ts := newTestServer(t, gateway.Config{Workers: 1, CacheCap: 1, Store: st})
+	specA := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 31}
+	specB := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 32}
 	var frontA []byte
-	for _, spec := range []JobSpec{specA, specB} {
+	for _, spec := range []service.JobSpec{specA, specB} {
 		jw, code := postJob(t, ts, spec)
 		if code != 202 {
 			t.Fatalf("submit: %d %s", code, jw.Error)
 		}
 		done := waitFor(t, ts, jw.ID, 30*time.Second, terminal)
-		if done.State != StateDone {
+		if done.State != service.StateDone {
 			t.Fatalf("job ended %s (%s)", done.State, done.Error)
 		}
 		if frontA == nil {
@@ -215,14 +219,14 @@ func TestStoreAnswersAfterEviction(t *testing.T) {
 		}
 	}
 	again, code := postJob(t, ts, specA)
-	if code != 200 || !again.Cached || again.State != StateDone {
+	if code != 200 || !again.Cached || again.State != service.StateDone {
 		t.Fatalf("evicted repeat = %d %+v, want 200 cached", code, again)
 	}
 	if got := marshalWireFront(t, again.Front); !bytes.Equal(got, frontA) {
 		t.Fatalf("stored front differs:\n got %s\nwant %s", got, frontA)
 	}
-	if m := getMetrics(t, ts); m.Cache.Hits != 1 || m.Cache.Misses != 2 {
-		t.Fatalf("cache counters = %+v, want 1 hit and 2 misses", m.Cache)
+	if m := getMetrics(t, ts); m.Dedup.StoreHits != 1 || m.Dedup.CacheHits != 0 || m.Dedup.Misses != 2 {
+		t.Fatalf("dedup counters = %+v, want 1 store hit and 2 misses", m.Dedup)
 	}
 }
 
@@ -232,25 +236,22 @@ func TestStoreAnswersAfterEviction(t *testing.T) {
 func TestUserCancelIsDurable(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir)
-	s1 := New(Config{Workers: 1, Store: st, CheckpointEvery: 2})
-	ts1 := httptest.NewServer(s1)
+	s1, ts1 := newDaemon(t, gateway.Config{Workers: 1, Store: st, CheckpointEvery: 2}, "")
 
-	spec := JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 50000, Seed: 3}
+	spec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 50000, Seed: 3}
 	jw, code := postJob(t, ts1, spec)
 	if code != 202 {
 		t.Fatalf("submit: %d %s", code, jw.Error)
 	}
-	waitFor(t, ts1, jw.ID, 30*time.Second, func(w *JobWire) bool {
+	waitFor(t, ts1, jw.ID, 30*time.Second, func(w *service.JobWire) bool {
 		return w.Progress != nil && w.Progress.Generation >= 4
 	})
 	cancelJob(t, ts1, jw.ID)
 	final := waitFor(t, ts1, jw.ID, 10*time.Second, terminal)
-	if final.State != StateCancelled {
+	if final.State != service.StateCancelled {
 		t.Fatalf("job ended %s", final.State)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	_ = s1.Shutdown(ctx)
+	s1.Close()
 	ts1.Close()
 	st.Close()
 
@@ -264,15 +265,12 @@ func TestUserCancelIsDurable(t *testing.T) {
 	if _, ok := st2.Checkpoint(jw.SpecHash); ok {
 		t.Fatal("cancelled job kept its checkpoint")
 	}
-	s2 := New(Config{Workers: 1, Store: st2})
-	ts2 := httptest.NewServer(s2)
+	s2, ts2 := newDaemon(t, gateway.Config{Workers: 1, Store: st2}, "")
 	t.Cleanup(func() {
-		sctx, scancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer scancel()
-		_ = s2.Shutdown(sctx)
+		s2.Close()
 		ts2.Close()
 	})
-	if got := getJob(t, ts2, jw.ID); got.State != StateCancelled {
+	if got := getJob(t, ts2, jw.ID); got.State != service.StateCancelled {
 		t.Fatalf("recovered cancelled job reports %s", got.State)
 	}
 }
@@ -280,8 +278,8 @@ func TestUserCancelIsDurable(t *testing.T) {
 // TestInflightDedupe checks a second submission of an identical spec
 // attaches to the first job instead of queueing duplicate work.
 func TestInflightDedupe(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	spec := JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 50000, Seed: 9}
+	_, ts := newTestServer(t, gateway.Config{Workers: 1})
+	spec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 50000, Seed: 9}
 	first, code := postJob(t, ts, spec)
 	if code != 202 {
 		t.Fatalf("submit: %d %s", code, first.Error)
@@ -294,13 +292,13 @@ func TestInflightDedupe(t *testing.T) {
 		t.Fatalf("duplicate got its own job %s, want %s", second.ID, first.ID)
 	}
 	// A different seed is different work — no dedupe.
-	other, code := postJob(t, ts, JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 50000, Seed: 10})
+	other, code := postJob(t, ts, service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 50000, Seed: 10})
 	if code != 202 || other.ID == first.ID {
 		t.Fatalf("distinct spec deduped: %d %+v", code, other)
 	}
 	m := getMetrics(t, ts)
-	if m.Jobs.Deduped != 1 {
-		t.Fatalf("deduped counter = %d, want 1", m.Jobs.Deduped)
+	if m.Dedup.InflightAttach != 1 {
+		t.Fatalf("deduped counter = %d, want 1", m.Dedup.InflightAttach)
 	}
 	cancelJob(t, ts, first.ID)
 	cancelJob(t, ts, other.ID)
@@ -321,16 +319,13 @@ func TestInflightDedupe(t *testing.T) {
 // when the service runs durably.
 func TestMetricsIncludeStoreGauges(t *testing.T) {
 	st := openTestStore(t, t.TempDir())
-	s := New(Config{Workers: 1, Store: st})
-	ts := httptest.NewServer(s)
+	s, ts := newDaemon(t, gateway.Config{Workers: 1, Store: st}, "")
 	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
-		_ = s.Shutdown(ctx)
+		s.Close()
 		ts.Close()
 		st.Close()
 	})
-	spec := JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 3, Seed: 8}
+	spec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 3, Seed: 8}
 	jw, code := postJob(t, ts, spec)
 	if code != 202 {
 		t.Fatalf("submit: %d", code)
@@ -345,7 +340,7 @@ func TestMetricsIncludeStoreGauges(t *testing.T) {
 	}
 }
 
-// removedSpecFields are JobSpec fields of removed features (surrogate
+// removedSpecFields are service.JobSpec fields of removed features (surrogate
 // screening, island mode, plateau termination), each with a value a build
 // that still had the field accepted.
 var removedSpecFields = []struct {
@@ -363,12 +358,12 @@ var removedSpecFields = []struct {
 }
 
 // TestRecoverRejectsRemovedSpecField checks a pending job journaled with a
-// field JobSpec no longer has: recovery must not run it as a different
+// field service.JobSpec no longer has: recovery must not run it as a different
 // computation under its old hash. Each comes back failed with an error
 // naming the field, is journaled terminal, loses its checkpoint, and is
 // never queued.
 func TestRecoverRejectsRemovedSpecField(t *testing.T) {
-	spec := JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 4, Seed: 7}
+	spec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 4, Seed: 7}
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -387,21 +382,18 @@ func TestRecoverRejectsRemovedSpecField(t *testing.T) {
 			st.Close()
 
 			st2 := openTestStore(t, dir)
-			s2 := New(Config{Workers: 1, Store: st2})
-			ts2 := httptest.NewServer(s2)
+			s2, ts2 := newDaemon(t, gateway.Config{Workers: 1, Store: st2}, "")
 			t.Cleanup(func() {
-				sctx, scancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-				defer scancel()
-				_ = s2.Shutdown(sctx)
+				s2.Close()
 				ts2.Close()
 				st2.Close()
 			})
-			if n := len(s2.queue); n != 0 {
-				t.Fatalf("recovery queued %d jobs", n)
+			if m := getMetrics(t, ts2); m.Queue.Normal != 0 || m.Leases.Granted != 0 {
+				t.Fatalf("recovery queued the job: queue %+v, %d leases", m.Queue, m.Leases.Granted)
 			}
 
 			got := getJob(t, ts2, "j1")
-			if got.State != StateFailed || !strings.Contains(got.Error, `"`+f.name+`"`) {
+			if got.State != service.StateFailed || !strings.Contains(got.Error, `"`+f.name+`"`) {
 				t.Fatalf("recovered job = %s (%q), want failed naming the field", got.State, got.Error)
 			}
 			if got.StartedAt != nil || got.Progress != nil {
@@ -421,7 +413,7 @@ func TestRecoverRejectsRemovedSpecField(t *testing.T) {
 
 // journaledWith returns the journal form of a normalized spec plus one
 // extra top-level field, as a build that still had the field wrote it.
-func journaledWith(t *testing.T, spec *JobSpec, field string, v any) json.RawMessage {
+func journaledWith(t *testing.T, spec *service.JobSpec, field string, v any) json.RawMessage {
 	t.Helper()
 	blob, err := json.Marshal(spec)
 	if err != nil {
@@ -445,7 +437,7 @@ func journaledWith(t *testing.T, spec *JobSpec, field string, v any) json.RawMes
 func TestMetricsCounterBlockKeys(t *testing.T) {
 	st := openTestStore(t, t.TempDir())
 	t.Cleanup(func() { st.Close() })
-	_, ts := newTestServer(t, Config{Workers: 1, Store: st})
+	_, ts := newTestServer(t, gateway.Config{Workers: 1, Store: st})
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-package service
+package service_test
 
 import (
 	"net/http"
@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/faultmodel"
+	"repro/internal/gateway"
+	"repro/internal/service"
 )
 
 // TestFPGAFaultJobEndToEnd drives the whole fault-model path through the
@@ -15,9 +17,9 @@ import (
 // deltas).
 func TestFPGAFaultJobEndToEnd(t *testing.T) {
 	before := faultmodel.Totals()
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, CacheCap: 8})
+	_, ts := newTestServer(t, gateway.Config{Workers: 1, QueueCap: 8, CacheCap: 8})
 
-	spec := JobSpec{
+	spec := service.JobSpec{
 		App:      "sobel",
 		Method:   "pfclr",
 		Platform: "fpga",
@@ -35,7 +37,7 @@ func TestFPGAFaultJobEndToEnd(t *testing.T) {
 		t.Fatalf("submit: status %d (%s)", code, jw.Error)
 	}
 	final := waitFor(t, ts, jw.ID, 30*time.Second, terminal)
-	if final.State != StateDone {
+	if final.State != service.StateDone {
 		t.Fatalf("job ended %s: %s", final.State, final.Error)
 	}
 	if final.Front == nil || len(final.Front.Points) == 0 {
@@ -61,7 +63,7 @@ func TestFPGAFaultJobEndToEnd(t *testing.T) {
 		t.Fatalf("resubmit: status %d (%s), want a cache hit", code, jw2.Error)
 	}
 	final2 := waitFor(t, ts, jw2.ID, 30*time.Second, terminal)
-	if final2.State != StateDone {
+	if final2.State != service.StateDone {
 		t.Fatalf("resubmitted job ended %s: %s", final2.State, final2.Error)
 	}
 	if len(final2.Front.Points) != len(final.Front.Points) {
@@ -73,7 +75,7 @@ func TestFPGAFaultJobEndToEnd(t *testing.T) {
 // two daemons running the same fault-model spec must return identical
 // fronts.
 func TestFaultJobDeterministic(t *testing.T) {
-	spec := JobSpec{
+	spec := service.JobSpec{
 		App:    "sobel",
 		Method: "proposed",
 		Pop:    16,
@@ -85,15 +87,15 @@ func TestFaultJobDeterministic(t *testing.T) {
 		CkptModes:     true,
 		CkptIntervals: []int{1},
 	}
-	fronts := make([][]PointWire, 2)
+	fronts := make([][]service.PointWire, 2)
 	for i := range fronts {
-		_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4, CacheCap: 4})
+		_, ts := newTestServer(t, gateway.Config{Workers: 1, QueueCap: 4, CacheCap: 4})
 		jw, code := postJob(t, ts, spec)
 		if code != http.StatusAccepted {
 			t.Fatalf("run %d: submit status %d (%s)", i, code, jw.Error)
 		}
 		final := waitFor(t, ts, jw.ID, 30*time.Second, terminal)
-		if final.State != StateDone {
+		if final.State != service.StateDone {
 			t.Fatalf("run %d: ended %s: %s", i, final.State, final.Error)
 		}
 		fronts[i] = final.Front.Points

@@ -8,12 +8,10 @@ import (
 	"repro/internal/store"
 )
 
-// Job is the lifecycle record of one submitted run, shared by the daemon
-// and the fleet gateway: identity, state, result, the latest progress
-// snapshot and its SSE subscribers. Each surface embeds it and adds only
-// what its execution model needs — the daemon a cancel func, the gateway
-// lease and tenancy fields — and keeps those fields under the record's
-// mutex, which guards every field below it.
+// Job is the lifecycle record of one submitted run: identity, state,
+// result, the latest progress snapshot and its SSE subscribers. The
+// gateway's job embeds it, adds its lease and tenancy fields, and keeps
+// them under the record's mutex, which guards every field below it.
 type Job struct {
 	ID   string
 	Spec JobSpec

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,9 +10,8 @@ import (
 	"time"
 )
 
-// The job API's HTTP pieces, shared by the daemon and the gateway so both
-// surfaces emit the same bytes. Each surface resolves the job (and answers
-// 404 or 401) itself.
+// The job API's HTTP pieces. The gateway (internal/gateway) resolves the
+// job for a request, and answers 404 or 401, itself.
 
 // DecodeSpec is the submission intake: a strict decode capped at maxBytes
 // (≤ 0: uncapped), Normalize and Validate, so malformed specs (e.g. bad
@@ -142,13 +142,31 @@ func ServeEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	}
 }
 
-// WriteJobList answers a job listing; fronts are never inlined.
-func WriteJobList[J entry](w http.ResponseWriter, jobs []J) {
-	out := make([]*JobWire, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.record().Wire(false)
+// CheckBearer reports whether r carries "Authorization: Bearer <token>".
+// The comparison is constant-time so the token cannot be guessed
+// byte-by-byte from response timing.
+func CheckBearer(r *http.Request, token string) bool {
+	h := r.Header.Get("Authorization")
+	const prefix = "Bearer "
+	if len(h) <= len(prefix) || h[:len(prefix)] != prefix {
+		return false
 	}
-	WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	return subtle.ConstantTimeCompare([]byte(h[len(prefix):]), []byte(token)) == 1
+}
+
+// RequireBearer locks h behind a bearer token: every request except GET
+// /healthz must carry it, or gets 401. An empty token leaves h open.
+func RequireBearer(token string, h http.Handler) http.Handler {
+	if token == "" {
+		return h
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" && !CheckBearer(r, token) {
+			HTTPError(w, http.StatusUnauthorized, "missing or invalid bearer token")
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // HandleHealthz is the liveness probe.

@@ -1,4 +1,4 @@
-package service
+package service_test
 
 import (
 	"bufio"
@@ -14,24 +14,42 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultmodel"
+	"repro/internal/gateway"
+	"repro/internal/service"
 )
 
-// newTestServer starts a service plus an HTTP front end and wires teardown.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// The daemon's HTTP tests: clrearlyd without -gateway serves the gateway
+// with in-process agents, so these drive gateway.New configured the way
+// cmd/clrearlyd configures it.
+
+// newDaemon starts what clrearlyd serves without -gateway: a gateway with
+// in-process agents (two unless cfg sets Workers) and one tenant keyed by
+// token (open when empty), behind the bearer check on every path but
+// /healthz. The caller closes both.
+func newDaemon(t *testing.T, cfg gateway.Config, token string) (*gateway.Gateway, *httptest.Server) {
 	t.Helper()
-	s := New(cfg)
-	ts := httptest.NewServer(s)
-	t.Cleanup(func() {
-		// Force-cancel whatever is still running so teardown is fast.
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-		ts.Close()
-	})
-	return s, ts
+	cfg.Tenants = []gateway.TenantConfig{{Name: "clrearlyd", Key: token, MaxActive: -1}}
+	cfg.WorkerToken = token
+	if cfg.Workers == 0 {
+		cfg.Workers = 2
+	}
+	g, err := gateway.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, httptest.NewServer(service.RequireBearer(token, g))
 }
 
-func postJob(t *testing.T, ts *httptest.Server, spec JobSpec) (*JobWire, int) {
+// newTestServer starts an open daemon and wires teardown: closing the
+// gateway stops whatever still runs within one generation.
+func newTestServer(t *testing.T, cfg gateway.Config) (*gateway.Gateway, *httptest.Server) {
+	t.Helper()
+	g, ts := newDaemon(t, cfg, "")
+	t.Cleanup(func() { ts.Close(); g.Close() })
+	return g, ts
+}
+
+func postJob(t *testing.T, ts *httptest.Server, spec service.JobSpec) (*service.JobWire, int) {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -45,30 +63,30 @@ func postJob(t *testing.T, ts *httptest.Server, spec JobSpec) (*JobWire, int) {
 	if resp.StatusCode >= 400 {
 		var e map[string]string
 		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return &JobWire{Error: e["error"]}, resp.StatusCode
+		return &service.JobWire{Error: e["error"]}, resp.StatusCode
 	}
-	var jw JobWire
+	var jw service.JobWire
 	if err := json.NewDecoder(resp.Body).Decode(&jw); err != nil {
 		t.Fatal(err)
 	}
 	return &jw, resp.StatusCode
 }
 
-func getJob(t *testing.T, ts *httptest.Server, id string) *JobWire {
+func getJob(t *testing.T, ts *httptest.Server, id string) *service.JobWire {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var jw JobWire
+	var jw service.JobWire
 	if err := json.NewDecoder(resp.Body).Decode(&jw); err != nil {
 		t.Fatal(err)
 	}
 	return &jw
 }
 
-func cancelJob(t *testing.T, ts *httptest.Server, id string) *JobWire {
+func cancelJob(t *testing.T, ts *httptest.Server, id string) *service.JobWire {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
 	if err != nil {
@@ -79,21 +97,21 @@ func cancelJob(t *testing.T, ts *httptest.Server, id string) *JobWire {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var jw JobWire
+	var jw service.JobWire
 	if err := json.NewDecoder(resp.Body).Decode(&jw); err != nil {
 		t.Fatal(err)
 	}
 	return &jw
 }
 
-func getMetrics(t *testing.T, ts *httptest.Server) *MetricsWire {
+func getMetrics(t *testing.T, ts *httptest.Server) *gateway.MetricsWire {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m MetricsWire
+	var m gateway.MetricsWire
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +119,7 @@ func getMetrics(t *testing.T, ts *httptest.Server) *MetricsWire {
 }
 
 // waitFor polls the job until cond holds or the deadline passes.
-func waitFor(t *testing.T, ts *httptest.Server, id string, timeout time.Duration, cond func(*JobWire) bool) *JobWire {
+func waitFor(t *testing.T, ts *httptest.Server, id string, timeout time.Duration, cond func(*service.JobWire) bool) *service.JobWire {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -116,9 +134,9 @@ func waitFor(t *testing.T, ts *httptest.Server, id string, timeout time.Duration
 	}
 }
 
-func terminal(jw *JobWire) bool {
+func terminal(jw *service.JobWire) bool {
 	switch jw.State {
-	case StateDone, StateFailed, StateCancelled:
+	case service.StateDone, service.StateFailed, service.StateCancelled:
 		return true
 	}
 	return false
@@ -156,7 +174,7 @@ func readSSE(t *testing.T, ts *httptest.Server, id string) []sseEvent {
 		case line == "":
 			if cur.name != "" {
 				events = append(events, cur)
-				if cur.name == StateDone || cur.name == StateFailed || cur.name == StateCancelled {
+				if cur.name == service.StateDone || cur.name == service.StateFailed || cur.name == service.StateCancelled {
 					return events
 				}
 				cur = sseEvent{}
@@ -167,8 +185,8 @@ func readSSE(t *testing.T, ts *httptest.Server, id string) []sseEvent {
 }
 
 // longSpec is a job that cannot finish on its own within the test.
-func longSpec(seed int64) JobSpec {
-	return JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 50000, Seed: seed}
+func longSpec(seed int64) service.JobSpec {
+	return service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 50000, Seed: seed}
 }
 
 // TestEndToEndProposed is the acceptance path: submit a sobel proposed
@@ -176,33 +194,33 @@ func longSpec(seed int64) JobSpec {
 // Pareto front, check it equals a direct core run at the same seed, and
 // confirm a duplicate submission is served from the result cache.
 func TestEndToEndProposed(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, CacheCap: 8})
-	spec := JobSpec{App: "sobel", Method: "proposed", Pop: 16, Gens: 40, Seed: 1}
+	_, ts := newTestServer(t, gateway.Config{Workers: 1, QueueCap: 8, CacheCap: 8})
+	spec := service.JobSpec{App: "sobel", Method: "proposed", Pop: 16, Gens: 40, Seed: 1}
 
 	jw, code := postJob(t, ts, spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d (%s)", code, jw.Error)
 	}
-	if jw.State != StateQueued || jw.SpecHash == "" {
+	if jw.State != service.StateQueued || jw.SpecHash == "" {
 		t.Fatalf("unexpected submit response: %+v", jw)
 	}
 
 	events := readSSE(t, ts, jw.ID)
-	var progress []ProgressWire
+	var progress []service.ProgressWire
 	var finalEvent *sseEvent
 	for i, e := range events {
 		switch e.name {
 		case "progress":
-			var p ProgressWire
+			var p service.ProgressWire
 			if err := json.Unmarshal(e.data, &p); err != nil {
 				t.Fatalf("bad progress payload: %v", err)
 			}
 			progress = append(progress, p)
-		case StateDone, StateFailed, StateCancelled:
+		case service.StateDone, service.StateFailed, service.StateCancelled:
 			finalEvent = &events[i]
 		}
 	}
-	if finalEvent == nil || finalEvent.name != StateDone {
+	if finalEvent == nil || finalEvent.name != service.StateDone {
 		t.Fatalf("no done event on the stream; events: %d, last %+v", len(events), events[len(events)-1])
 	}
 	if len(progress) == 0 {
@@ -218,7 +236,7 @@ func TestEndToEndProposed(t *testing.T) {
 	}
 
 	done := getJob(t, ts, jw.ID)
-	if done.State != StateDone || done.Front == nil || len(done.Front.Points) == 0 {
+	if done.State != service.StateDone || done.Front == nil || len(done.Front.Points) == 0 {
 		t.Fatalf("job did not finish with a front: %+v", done)
 	}
 
@@ -227,11 +245,11 @@ func TestEndToEndProposed(t *testing.T) {
 	if err := direct.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	front, err := Execute(context.Background(), &direct, nil)
+	front, err := service.Execute(context.Background(), &direct, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := FrontToWire(front)
+	want := service.FrontToWire(front)
 	if !reflect.DeepEqual(done.Front, want) {
 		t.Fatalf("service front diverges from direct run:\nservice: %+v\ndirect:  %+v", done.Front, want)
 	}
@@ -239,18 +257,19 @@ func TestEndToEndProposed(t *testing.T) {
 	// A second identical submission is a cache hit: it completes
 	// instantly with the same front and bumps the hit counter.
 	jw2, code2 := postJob(t, ts, spec)
-	if code2 != http.StatusOK || !jw2.Cached || jw2.State != StateDone {
+	if code2 != http.StatusOK || !jw2.Cached || jw2.State != service.StateDone {
 		t.Fatalf("duplicate spec not served from cache: status %d, %+v", code2, jw2)
 	}
 	if !reflect.DeepEqual(jw2.Front, want) {
 		t.Fatal("cached front differs from the computed one")
 	}
 	m := getMetrics(t, ts)
-	if m.Cache.Hits != 1 || m.Cache.Misses != 1 {
-		t.Fatalf("cache counters: %+v, want 1 hit / 1 miss", m.Cache)
+	if m.Dedup.CacheHits != 1 || m.Dedup.Misses != 1 {
+		t.Fatalf("cache counters: %+v, want 1 hit / 1 miss", m.Dedup)
 	}
-	if m.Jobs.Done != 2 || m.Jobs.Submitted != 2 {
-		t.Fatalf("job counters: %+v", m.Jobs)
+	// A cache hit is done at once without running: one job completed.
+	if m.Completed != 1 || m.Submitted != 2 {
+		t.Fatalf("job counters: %d submitted, %d completed; want 2 and 1", m.Submitted, m.Completed)
 	}
 	if _, ok := m.Latency["proposed"]; !ok {
 		t.Fatalf("no latency histogram for proposed: %+v", m.Latency)
@@ -258,20 +277,20 @@ func TestEndToEndProposed(t *testing.T) {
 }
 
 func TestCancelWhileQueued(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	_, ts := newTestServer(t, gateway.Config{Workers: 1, QueueCap: 4})
 	// Occupy the single worker so the next job stays queued.
 	blocker, code := postJob(t, ts, longSpec(11))
 	if code != http.StatusAccepted {
 		t.Fatalf("blocker: status %d", code)
 	}
-	waitFor(t, ts, blocker.ID, 10*time.Second, func(jw *JobWire) bool { return jw.State == StateRunning })
+	waitFor(t, ts, blocker.ID, 10*time.Second, func(jw *service.JobWire) bool { return jw.State == service.StateRunning })
 
 	queued, code := postJob(t, ts, longSpec(12))
-	if code != http.StatusAccepted || queued.State != StateQueued {
+	if code != http.StatusAccepted || queued.State != service.StateQueued {
 		t.Fatalf("second job: status %d, %+v", code, queued)
 	}
 	got := cancelJob(t, ts, queued.ID)
-	if got.State != StateCancelled {
+	if got.State != service.StateCancelled {
 		t.Fatalf("cancel-while-queued: state %q, want cancelled", got.State)
 	}
 
@@ -279,24 +298,24 @@ func TestCancelWhileQueued(t *testing.T) {
 	cancelJob(t, ts, blocker.ID)
 	waitFor(t, ts, blocker.ID, 10*time.Second, terminal)
 	time.Sleep(20 * time.Millisecond)
-	if jw := getJob(t, ts, queued.ID); jw.State != StateCancelled || jw.StartedAt != nil {
+	if jw := getJob(t, ts, queued.ID); jw.State != service.StateCancelled || jw.StartedAt != nil {
 		t.Fatalf("cancelled queued job was started: %+v", jw)
 	}
 }
 
 func TestCancelWhileRunningStopsWithinOneGeneration(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	_, ts := newTestServer(t, gateway.Config{Workers: 1, QueueCap: 4})
 	jw, code := postJob(t, ts, longSpec(13))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
 	// Wait until the GA is demonstrably advancing.
-	waitFor(t, ts, jw.ID, 10*time.Second, func(w *JobWire) bool {
-		return w.State == StateRunning && w.Progress != nil && w.Progress.Generation >= 1
+	waitFor(t, ts, jw.ID, 10*time.Second, func(w *service.JobWire) bool {
+		return w.State == service.StateRunning && w.Progress != nil && w.Progress.Generation >= 1
 	})
 	snap := cancelJob(t, ts, jw.ID) // snapshot taken after ctx cancellation
 	final := waitFor(t, ts, jw.ID, 10*time.Second, terminal)
-	if final.State != StateCancelled {
+	if final.State != service.StateCancelled {
 		t.Fatalf("state %q, want cancelled", final.State)
 	}
 	if final.Front != nil {
@@ -315,26 +334,26 @@ func TestCancelWhileRunningStopsWithinOneGeneration(t *testing.T) {
 }
 
 func TestQueueFullRejection(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1})
+	_, ts := newTestServer(t, gateway.Config{Workers: 1, QueueCap: 1})
 	blocker, code := postJob(t, ts, longSpec(21))
 	if code != http.StatusAccepted {
 		t.Fatalf("blocker: status %d", code)
 	}
-	waitFor(t, ts, blocker.ID, 10*time.Second, func(jw *JobWire) bool { return jw.State == StateRunning })
+	waitFor(t, ts, blocker.ID, 10*time.Second, func(jw *service.JobWire) bool { return jw.State == service.StateRunning })
 
 	queued, code := postJob(t, ts, longSpec(22))
 	if code != http.StatusAccepted {
 		t.Fatalf("filler: status %d, %+v", code, queued)
 	}
 	over, code := postJob(t, ts, longSpec(23))
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("over-capacity submit: status %d, want 503 (%+v)", code, over)
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("over-capacity submit: status %d, want 429 (%+v)", code, over)
 	}
 	m := getMetrics(t, ts)
-	if m.Jobs.Rejected != 1 {
-		t.Fatalf("rejected counter = %d, want 1", m.Jobs.Rejected)
+	if m.Rejects.Backpressure != 1 {
+		t.Fatalf("rejected counter = %d, want 1", m.Rejects.Backpressure)
 	}
-	if m.Queue.Depth != 1 || m.Queue.Capacity != 1 {
+	if m.Queue.Normal != 1 || m.Queue.Capacity != 1 {
 		t.Fatalf("queue gauge: %+v", m.Queue)
 	}
 	cancelJob(t, ts, queued.ID)
@@ -343,13 +362,13 @@ func TestQueueFullRejection(t *testing.T) {
 }
 
 func TestSubmitRejectsBadSpecs(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	cases := []JobSpec{
+	_, ts := newTestServer(t, gateway.Config{Workers: 1})
+	cases := []service.JobSpec{
 		{Method: "bogus"},
 		{App: "bogus"},
 		{GraphText: "not a task graph"},
 		{Objectives: []string{"makespan"}},
-		{App: "synthetic", Tasks: MaxSyntheticTasks + 1},
+		{App: "synthetic", Tasks: service.MaxSyntheticTasks + 1},
 		// Saturating permanent faults with perfect repair: the library
 		// method's chains would be singular, the fcCLR run's likewise.
 		{Method: "pfclr", Faults: saturatingFaults()},
@@ -380,7 +399,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			t.Fatalf("unknown field %s: status %d, want 400", raw, resp.StatusCode)
 		}
 	}
-	if _, code := postJob(t, ts, JobSpec{}); code != http.StatusAccepted {
+	if _, code := postJob(t, ts, service.JobSpec{}); code != http.StatusAccepted {
 		t.Fatalf("empty spec (all defaults) should be accepted, got %d", code)
 	}
 }
@@ -401,15 +420,15 @@ func chainSolves() uint64 {
 // TestDaemonBuildsLibraryOncePerMiss: a daemon miss builds its task-level
 // library once, in the worker, not a second time at intake. A pfCLR run
 // solves no chains of its own, so the daemon's whole chain count for the
-// job must equal one Build's. Not parallel: the counter is process-wide.
+// job must equal one service.Build's. Not parallel: the counter is process-wide.
 func TestDaemonBuildsLibraryOncePerMiss(t *testing.T) {
-	spec := JobSpec{App: "sobel", Method: "pfclr", Pop: 8, Gens: 2, Seed: 41}
+	spec := service.JobSpec{App: "sobel", Method: "pfclr", Pop: 8, Gens: 2, Seed: 41}
 	norm := spec
 	if err := norm.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	before := chainSolves()
-	inst, flib, err := Build(&norm)
+	inst, flib, err := service.Build(&norm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,20 +437,20 @@ func TestDaemonBuildsLibraryOncePerMiss(t *testing.T) {
 		t.Fatal("a library build solved no chains")
 	}
 	before = chainSolves()
-	if _, err := ExecuteOn(context.Background(), inst, flib, &norm, nil); err != nil {
+	if _, err := service.ExecuteOn(context.Background(), inst, flib, &norm, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := chainSolves() - before; n != 0 {
 		t.Fatalf("a pfCLR run solved %d chains, want 0", n)
 	}
 
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, gateway.Config{Workers: 1})
 	before = chainSolves()
 	jw, code := postJob(t, ts, spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", code)
 	}
-	if done := waitFor(t, ts, jw.ID, 30*time.Second, terminal); done.State != StateDone {
+	if done := waitFor(t, ts, jw.ID, 30*time.Second, terminal); done.State != service.StateDone {
 		t.Fatalf("job ended %s: %s", done.State, done.Error)
 	}
 	if n := chainSolves() - before; n != perBuild {
@@ -440,7 +459,7 @@ func TestDaemonBuildsLibraryOncePerMiss(t *testing.T) {
 }
 
 func TestUnknownJobRoutes(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, gateway.Config{})
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/events"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -461,39 +480,45 @@ func TestUnknownJobRoutes(t *testing.T) {
 	}
 }
 
+// TestGracefulShutdownCancelsRunningAndQueued: shutting the daemon down
+// stops its running job within one generation and returns only once the
+// run has returned. Neither the running nor the queued job is journaled
+// as ended: both stay pending in the store for the next start to run.
+// Shutdown is idempotent.
 func TestGracefulShutdownCancelsRunningAndQueued(t *testing.T) {
-	s := New(Config{Workers: 1, QueueCap: 4})
-	ts := httptest.NewServer(s)
+	st := openTestStore(t, t.TempDir())
+	t.Cleanup(func() { st.Close() })
+	g, ts := newDaemon(t, gateway.Config{Workers: 1, QueueCap: 4, Store: st}, "")
 	defer ts.Close()
 
 	running, _ := postJob(t, ts, longSpec(31))
-	waitFor(t, ts, running.ID, 10*time.Second, func(jw *JobWire) bool { return jw.State == StateRunning })
+	waitFor(t, ts, running.ID, 10*time.Second, func(jw *service.JobWire) bool {
+		return jw.State == service.StateRunning && jw.Progress != nil
+	})
 	queued, _ := postJob(t, ts, longSpec(32))
 
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("Shutdown = %v, want DeadlineExceeded (job outlives the drain window)", err)
+	g.Close()
+	at := getJob(t, ts, running.ID).Progress.Generation
+	time.Sleep(50 * time.Millisecond)
+	if now := getJob(t, ts, running.ID).Progress.Generation; now != at {
+		t.Fatalf("the run went on after shutdown: generation %d, then %d", at, now)
 	}
-	if jw := getJob(t, ts, running.ID); jw.State != StateCancelled {
-		t.Fatalf("running job after shutdown: %q, want cancelled", jw.State)
-	}
-	if jw := getJob(t, ts, queued.ID); jw.State != StateCancelled {
-		t.Fatalf("queued job after shutdown: %q, want cancelled", jw.State)
-	}
-	// The drained server refuses new work but keeps answering reads.
-	if _, code := postJob(t, ts, JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 5}); code != http.StatusServiceUnavailable {
-		t.Fatalf("post-shutdown submit: status %d, want 503", code)
+	for _, id := range []string{running.ID, queued.ID} {
+		pending := false
+		for _, jr := range st.Jobs() {
+			pending = pending || (jr.ID == id && jr.Pending())
+		}
+		if !pending {
+			t.Fatalf("job %s is not pending in the store after shutdown", id)
+		}
 	}
 	// Idempotent.
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatalf("second Shutdown: %v", err)
-	}
+	g.Close()
 }
 
 func TestSSEOnFinishedJobDeliversTerminalEventImmediately(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	spec := JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 41}
+	_, ts := newTestServer(t, gateway.Config{Workers: 1})
+	spec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 41}
 	jw, _ := postJob(t, ts, spec)
 	waitFor(t, ts, jw.ID, 10*time.Second, terminal)
 
@@ -502,10 +527,10 @@ func TestSSEOnFinishedJobDeliversTerminalEventImmediately(t *testing.T) {
 		t.Fatal("no events on finished job")
 	}
 	last := events[len(events)-1]
-	if last.name != StateDone {
+	if last.name != service.StateDone {
 		t.Fatalf("terminal event %q, want done", last.name)
 	}
-	var final JobWire
+	var final service.JobWire
 	if err := json.Unmarshal(last.data, &final); err != nil {
 		t.Fatal(err)
 	}
@@ -515,8 +540,8 @@ func TestSSEOnFinishedJobDeliversTerminalEventImmediately(t *testing.T) {
 }
 
 func TestListJobs(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	spec := JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 51}
+	_, ts := newTestServer(t, gateway.Config{Workers: 1})
+	spec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 51}
 	jw, _ := postJob(t, ts, spec)
 	waitFor(t, ts, jw.ID, 10*time.Second, terminal)
 	resp, err := http.Get(ts.URL + "/v1/jobs")
@@ -525,7 +550,7 @@ func TestListJobs(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var out struct {
-		Jobs []*JobWire `json:"jobs"`
+		Jobs []*service.JobWire `json:"jobs"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
@@ -542,25 +567,25 @@ func TestListJobs(t *testing.T) {
 // the worker pool: both must finish, and determinism must hold — the
 // front of a spec is identical whether it ran alone or alongside another.
 func TestConcurrentJobsShareTokenPool(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8})
-	a := JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 10, Seed: 61}
-	b := JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 10, Seed: 62}
+	_, ts := newTestServer(t, gateway.Config{Workers: 2, QueueCap: 8})
+	a := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 10, Seed: 61}
+	b := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 10, Seed: 62}
 	ja, _ := postJob(t, ts, a)
 	jb, _ := postJob(t, ts, b)
 	fa := waitFor(t, ts, ja.ID, 30*time.Second, terminal)
 	fb := waitFor(t, ts, jb.ID, 30*time.Second, terminal)
-	if fa.State != StateDone || fb.State != StateDone {
+	if fa.State != service.StateDone || fb.State != service.StateDone {
 		t.Fatalf("states: %s / %s", fa.State, fb.State)
 	}
 	direct := a
 	if err := direct.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	front, err := Execute(context.Background(), &direct, nil)
+	front, err := service.Execute(context.Background(), &direct, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fa.Front, FrontToWire(front)) {
+	if !reflect.DeepEqual(fa.Front, service.FrontToWire(front)) {
 		t.Fatal("front computed under concurrency diverges from solo run")
 	}
 }

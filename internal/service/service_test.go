@@ -207,12 +207,12 @@ func TestLRUCache(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	var h histogram
-	h.observe(5)      // le_10ms
-	h.observe(10)     // le_10ms (inclusive upper bound)
-	h.observe(11)     // le_30ms
-	h.observe(200000) // le_inf
-	w := h.wire()
+	var h Histogram
+	h.Observe(5)      // le_10ms
+	h.Observe(10)     // le_10ms (inclusive upper bound)
+	h.Observe(11)     // le_30ms
+	h.Observe(200000) // le_inf
+	w := h.Wire()
 	if w.Count != 4 {
 		t.Fatalf("count = %d, want 4", w.Count)
 	}

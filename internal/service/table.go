@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,12 +31,15 @@ const (
 	Refused               // a miss the surface's enqueue refused
 )
 
-// Table is the job table of one job surface, the daemon's or the
-// gateway's: the jobs by ID and in submission order, the ID counter, the
-// in-flight index by spec hash and the result tiers (the LRU, then the
-// store). Runs are deterministic per normalized spec, which is what makes
-// routing by hash sound. J is the surface's job type, which embeds *Job.
-// Lock order: the table's lock, then a job's, never the reverse.
+// Table is the job table of the gateway (internal/gateway), whether it
+// fronts a fleet or runs its agents in process as clrearlyd: the jobs by
+// ID and in submission order, the ID counter, the in-flight index by spec
+// hash and the result tiers (the LRU, then the store). Runs are
+// deterministic per normalized spec, which is what makes routing by hash
+// sound. J is the surface's job type, which embeds *Job. Terminal records
+// are capped at store.DefaultMaxTerminalJobs, the oldest ended dropped
+// first; queued and running ones are never dropped. Lock order: the
+// table's lock, then a job's, never the reverse.
 type Table[J entry] struct {
 	prefix string
 	st     *store.Store
@@ -44,6 +48,7 @@ type Table[J entry] struct {
 	mu     sync.Mutex
 	jobs   map[string]J
 	order  []J          // submission order, for listing
+	ended  []J          // terminal jobs in the order they ended
 	active map[string]J // queued or running jobs by spec hash
 	cache  *FrontCache
 	nextID int64
@@ -102,6 +107,7 @@ func (t *Table[J]) Submit(spec JobSpec, hash string, wrap func(*Job) J, enqueue 
 		rec.State, rec.Cached, rec.Front, rec.Finished = StateDone, true, front, rec.Submitted
 		close(rec.done)
 		t.add(j)
+		t.retire(j)
 		t.mu.Unlock()
 		// Best-effort: the front is already durable under its hash; the
 		// record keeps GET /v1/jobs/{id} answering across a restart.
@@ -135,6 +141,7 @@ func (t *Table[J]) Submit(spec JobSpec, hash string, wrap func(*Job) J, enqueue 
 	if err != nil {
 		t.mu.Lock()
 		t.unindex(j)
+		t.retire(j)
 		t.mu.Unlock()
 	}
 	return j, w, Queued, err
@@ -156,6 +163,20 @@ func (t *Table[J]) journalAccept(j J) error {
 func (t *Table[J]) add(j J) {
 	t.jobs[j.record().ID] = j
 	t.order = append(t.order, j)
+}
+
+// retire counts j, which just ended, against the cap on terminal records
+// and drops the oldest ended records beyond it; the caller holds t.mu.
+func (t *Table[J]) retire(j J) {
+	t.ended = append(t.ended, j)
+	for len(t.ended) > store.DefaultMaxTerminalJobs {
+		old := t.ended[0]
+		t.ended = t.ended[1:]
+		delete(t.jobs, old.record().ID)
+		if i := slices.Index(t.order, old); i >= 0 {
+			t.order = slices.Delete(t.order, i, i+1)
+		}
+	}
 }
 
 // unindex drops j from the in-flight index; the caller holds t.mu.
@@ -196,6 +217,7 @@ func (t *Table[J]) finish(j J, state, errMsg string, front *FrontWire, may func(
 	ended := (may == nil || may(rec.State)) && rec.FinishLocked(state, errMsg, front)
 	if ended {
 		t.unindex(j)
+		t.retire(j)
 		if front != nil {
 			t.cache.Add(rec.Hash, front)
 		}
@@ -215,11 +237,12 @@ func (t *Table[J]) Get(id string) (J, bool) {
 	return j, ok
 }
 
-// Jobs lists every job in submission order.
+// Jobs lists the newest jobs in submission order, at most as many as the
+// cap on terminal records.
 func (t *Table[J]) Jobs() []J {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]J(nil), t.order...)
+	return slices.Clone(t.order[max(0, len(t.order)-store.DefaultMaxTerminalJobs):])
 }
 
 // CacheLen is the LRU's entry count.
@@ -264,11 +287,13 @@ func (t *Table[J]) Recover(decode func(json.RawMessage) (json.RawMessage, func(*
 				rec.Front = decodeFront(payload)
 			}
 			close(rec.done)
+			t.retire(j)
 		} else if err := decodeStrict(bytes.NewReader(raw), new(JobSpec)); err != nil {
 			rec.Lock()
 			rec.FinishLocked(StateFailed, "recovering stored spec: "+err.Error(), nil)
 			rec.JournalLocked(t.st)
 			rec.Unlock()
+			t.retire(j)
 		} else {
 			t.active[jr.Hash] = j
 			pending = append(pending, j)

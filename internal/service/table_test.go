@@ -10,6 +10,16 @@ import (
 	"repro/internal/store"
 )
 
+// openTestStore opens a store in dir with the fast fsync policy.
+func openTestStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func newTestTable(cacheCap int, st *store.Store) *Table[*Job] {
 	return NewTable("t", cacheCap, st, func(j *Job) ([]byte, error) { return json.Marshal(&j.Spec) })
 }

@@ -9,6 +9,9 @@ import (
 	"time"
 )
 
+// DefaultMaxTerminalJobs is the default of Options.MaxTerminalJobs.
+const DefaultMaxTerminalJobs = 1024
+
 // Options tunes a Store.
 type Options struct {
 	// Sync / Interval select the WAL fsync policy (default SyncAlways).
@@ -18,7 +21,8 @@ type Options struct {
 	// many bytes (default 8 MB; checkpoints dominate WAL volume).
 	CompactAt int64
 	// MaxTerminalJobs bounds how many finished job records the store
-	// retains (default 1024). Pending jobs are never dropped.
+	// retains (default DefaultMaxTerminalJobs). Pending jobs are never
+	// dropped.
 	MaxTerminalJobs int
 	// MaxResults bounds the persistent result cache (default 1024).
 	MaxResults int
@@ -29,7 +33,7 @@ func (o Options) withDefaults() Options {
 		o.CompactAt = 8 << 20
 	}
 	if o.MaxTerminalJobs <= 0 {
-		o.MaxTerminalJobs = 1024
+		o.MaxTerminalJobs = DefaultMaxTerminalJobs
 	}
 	if o.MaxResults <= 0 {
 		o.MaxResults = 1024
