@@ -77,7 +77,7 @@ bench-sweep:
 # one whole-mapping evaluation (EvaluateMapping*),
 # fcCLR runs with delta evaluation on and off (internal/core DeltaEval*),
 # and the engine runs (internal/moea GARun on a synthetic problem,
-# MOEADSobel).
+# MOEADSobel, and PfCLRMapping: both engines at the ga-mapping job shape).
 # Both snapshot and gate take best-of-3 per benchmark (-count=3, collapsed
 # to the fastest run by benchsnap): preemption and VM CPU steal only ever
 # add time, so the minimum is the robust timing estimate. The suite
@@ -92,6 +92,7 @@ BENCH_LAYER_CMD = $(GO) test -run '^$$' -bench 'ChainSolve' -benchmem -benchtime
 	$(GO) test -run '^$$' -bench '^Benchmark(MarkovAnalyze|TaskEvaluate|ScheduleEvaluator(Sobel|50|50Default)|EvaluateMapping(Sobel|Synthetic))$$' -benchmem -benchtime 20000x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^Benchmark(TDSEExplore|MOEADSobel)$$' -benchmem -benchtime 50x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkTDSEBuildSafetyCritical$$' -benchmem -benchtime 3x -count 3 . && \
+	$(GO) test -run '^$$' -bench '^BenchmarkPfCLRMapping$$' -benchmem -benchtime 3x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkDeltaEval(On|Off)$$' -benchmem -benchtime 20x -count 3 ./internal/core && \
 	$(GO) test -run '^$$' -bench '^BenchmarkGARun$$' -benchmem -benchtime 100x -count 3 ./internal/moea && \
 	$(GO) test -run '^$$' -bench '^BenchmarkEvaluatorGroupedByPE$$' -benchmem -benchtime 5000x -count 3 ./internal/schedule

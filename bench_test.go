@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"runtime"
@@ -437,6 +438,34 @@ func BenchmarkMOEADSobel(b *testing.B) {
 		if _, err := core.FcCLR(inst, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPfCLRMapping is the engine-run row at the ga-mapping job
+// shape: pfCLR on synthetic-60 at pop 100 / gens 150, one sub-benchmark
+// per engine, run as a daemon job runs it (service.ExecuteOn, delta
+// evaluation on). The instance and tDSE library are built once, outside
+// the timer, so the row times and counts the GA alone: offspring
+// genomes, replay records and selection.
+func BenchmarkPfCLRMapping(b *testing.B) {
+	for _, engine := range []string{"nsga2", "moead"} {
+		b.Run(engine, func(b *testing.B) {
+			spec := service.JobSpec{App: "synthetic", Tasks: 60, Method: "pfclr", Engine: engine, Pop: 100, Gens: 150, Seed: 1}
+			if err := spec.Normalize(); err != nil {
+				b.Fatal(err)
+			}
+			inst, flib, err := service.Build(&spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := service.ExecuteOn(context.Background(), inst, flib, &spec, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

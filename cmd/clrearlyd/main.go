@@ -24,8 +24,9 @@
 // With -store, accepted jobs, finished results and run checkpoints (every
 // K generations) are journaled to a write-ahead log under DIR, and a
 // restart resumes unfinished jobs mid-evolution and re-serves cached
-// results. SIGINT/SIGTERM drain HTTP requests for up to -drain, then stop
-// running jobs within one generation; with -store they resume on restart.
+// results. SIGINT/SIGTERM end open /wait and /events requests at once,
+// drain the other HTTP requests for up to -drain, then stop running jobs
+// within one generation; with -store they resume on restart.
 //
 // API:
 //
@@ -171,6 +172,7 @@ func run(args []string) error {
 			ln.Addr(), *workers, *queueCap, *cacheCap)
 	}
 	hs := &http.Server{Handler: service.RequireBearer(*workerToken, handler)}
+	service.EndLongPollsOnShutdown(hs)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -48,12 +49,13 @@ type daemon struct {
 }
 
 // startDaemon spawns the helper on an ephemeral port with the given store
-// directory and waits for its "listening on" log line.
-func startDaemon(t *testing.T, storeDir string) *daemon {
+// directory and extra flags, and waits for its "listening on" log line.
+func startDaemon(t *testing.T, storeDir string, flags ...string) *daemon {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], "-test.run=TestHelperDaemon", "--",
+	args := append([]string{"-test.run=TestHelperDaemon", "--",
 		"-addr", "127.0.0.1:0", "-workers", "1",
-		"-store", storeDir, "-fsync", "interval", "-checkpoint-every", "2")
+		"-store", storeDir, "-fsync", "interval", "-checkpoint-every", "2"}, flags...)
+	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), helperEnv+"=1")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -211,5 +213,56 @@ func TestSIGKILLRecovery(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatal("front after SIGKILL recovery differs from uninterrupted run")
+	}
+}
+
+// TestShutdownEndsEventStream holds an /events stream open on a job that
+// cannot finish and sends the daemon SIGTERM: with -drain 5s it must end
+// the stream and exit well within the drain deadline, which it used to
+// spend in full waiting for the stream to end.
+func TestShutdownEndsEventStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real daemon process")
+	}
+	d := startDaemon(t, t.TempDir(), "-drain", "5s")
+	blob, _ := json.Marshal(service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 50000, Seed: 5})
+	resp, err := http.Post(d.base+"/v1/jobs", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jw service.JobWire
+	if err := json.NewDecoder(resp.Body).Decode(&jw); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	stream, err := http.Get(d.base + "/v1/jobs/" + jw.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	sc := bufio.NewScanner(stream.Body)
+	if !sc.Scan() || sc.Text() != "event: status" {
+		t.Fatalf("stream opened with %q, want its status event", sc.Text())
+	}
+
+	start := time.Now()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- d.cmd.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("daemon exited with %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon still running 10 s after SIGTERM")
+	}
+	if took := time.Since(start); took > 2500*time.Millisecond {
+		t.Fatalf("daemon took %v to exit with -drain 5s and one open stream", took)
+	}
+	for sc.Scan() {
 	}
 }

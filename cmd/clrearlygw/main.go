@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/gateway"
+	"repro/internal/service"
 	"repro/internal/store"
 )
 
@@ -114,6 +115,7 @@ func run(args []string) error {
 	}
 	defer gw.Close()
 	hs := &http.Server{Handler: gw}
+	service.EndLongPollsOnShutdown(hs)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

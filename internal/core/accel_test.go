@@ -213,6 +213,106 @@ func TestReplayStateNotAliased(t *testing.T) {
 	}
 }
 
+// TestReleaseRecyclesOnlyTheChildsOwn releases children of one parent
+// record through a second evaluator and evaluates more children into what
+// came back. The children are one identical to the parent (the
+// parent-reuse path returns the parent's record), one with only its order
+// changed (it shares the parent's page table), one with a changed decision
+// in the parent's order (it shares the parent's Seq) and one without a
+// parent (it owns every page). Only the child's own record and pages may
+// reach the free lists, and those of the record's owner; the parent's
+// record must stay unchanged bit for bit; and every evaluation must equal
+// a from-scratch one.
+func TestReleaseRecyclesOnlyTheChildsOwn(t *testing.T) {
+	inst := synInstance(18, 23)
+	inst.Comm.StartupUS = 4
+	inst.Comm.PerKBUS = 0.3
+	p := newFCProblem(inst, allFree)
+	ev := p.NewEvaluator().(*coreEvaluator)
+	other := p.NewEvaluator().(*coreEvaluator)
+	rng := rand.New(rand.NewSource(9))
+	n := p.NumTasks()
+	parent := randomGenomeFor(p, rng)
+	_, st := ev.EvaluateDelta(parent, nil, nil)
+	rec := st.(*replayState)
+	want := fmt.Sprintf("%v|%v", pagedDecisions(rec, n), replayBits(rec))
+
+	// changed returns a copy of parent with the decision of the task
+	// scheduled last but one changed, and a new order when reorder is set.
+	changed := func(reorder bool) *moea.Genome {
+		child := parent.Clone()
+		task := child.Order[len(child.Order)-2]
+		before := p.decodeDecision(task, child.Genes[task])
+		for {
+			child.Genes[task] = p.MutateGene(rng, task, child.Genes[task])
+			after := p.decodeDecision(task, child.Genes[task])
+			if !sameDecision(&before, &after) {
+				break
+			}
+		}
+		if reorder {
+			child.Order = rng.Perm(n)
+		}
+		return child
+	}
+	eval := func(name string, g, par *moea.Genome, pst any) *replayState {
+		t.Helper()
+		got, cst := ev.EvaluateDelta(g, par, pst)
+		if full := p.Evaluate(g); !reflect.DeepEqual(got, full) {
+			t.Fatalf("%s: delta %+v, full %+v", name, got, full)
+		}
+		if now := fmt.Sprintf("%v|%v", pagedDecisions(rec, n), replayBits(rec)); now != want {
+			t.Fatalf("%s: parent record changed", name)
+		}
+		return cst.(*replayState)
+	}
+	free := func(name string, recs, pages int) {
+		t.Helper()
+		if len(ev.freeRecs) != recs || len(ev.freePages) != pages || len(other.freeRecs)+len(other.freePages) != 0 {
+			t.Fatalf("%s: free lists hold %d records and %d pages (want %d and %d), the other evaluator's %d and %d",
+				name, len(ev.freeRecs), len(ev.freePages), recs, pages, len(other.freeRecs), len(other.freePages))
+		}
+	}
+
+	if c := eval("parent reuse", parent.Clone(), parent, rec); c != rec {
+		t.Fatal("an identical child did not get the parent's record")
+	} else {
+		other.Release(c, rec)
+	}
+	free("parent reuse", 0, 0)
+
+	reordered := parent.Clone()
+	reordered.Order = rng.Perm(n)
+	orderOnly := eval("order only", reordered, parent, rec)
+	if !sameArray(orderOnly.pages, rec.pages) {
+		t.Fatal("an order-only child does not share the parent's page table")
+	}
+	other.Release(orderOnly, rec)
+	free("order only", 1, 0)
+
+	prefix := eval("prefix replay", changed(false), parent, rec)
+	if prefix != orderOnly || !sameArray(prefix.times.Seq, rec.times.Seq) {
+		t.Fatal("a same-order child did not reuse the released record or does not share the parent's Seq")
+	}
+	other.Release(prefix, rec)
+	free("prefix replay", 1, 1)
+
+	// A full run into the recycled record and page: writing its Seq or
+	// its page table into the parent's would change the parent's record.
+	full := eval("full run", changed(true), parent, rec)
+	if full != orderOnly {
+		t.Fatal("a reordered child did not reuse the released record")
+	}
+	other.Release(full, rec)
+	free("full run", 1, 1)
+
+	scratch := eval("from scratch", randomGenomeFor(p, rng), nil, nil)
+	other.Release(scratch, nil)
+	free("from scratch", 1, numPages(n))
+	eval("after scratch", changed(false), parent, rec)
+	eval("parentless reuse", randomGenomeFor(p, rng), nil, nil)
+}
+
 // pagedDecisions puts a record's pages together into the n decisions the
 // scheduler reads.
 func pagedDecisions(r *replayState, n int) []schedule.TaskDecision {

@@ -80,28 +80,35 @@ func numPages(n int) int { return (n + pageSize - 1) / pageSize }
 // replayState is the delta-evaluation replay state of one evaluated genome
 // (the opaque state coreEvaluator.EvaluateDelta returns): the decoded
 // schedule inputs as copy-on-write pages, the evaluation, and the captured
-// schedule times. A record and its pages are immutable once returned, so
-// offspring share them: a child allocates only the pages that hold one of
-// its changed decisions and points at its parent's for the rest. A record
+// schedule times. A record and its pages are immutable once returned
+// (until Release recycles a dead child's), so offspring share them: a
+// child allocates only the pages that hold one of its changed decisions
+// and points at its parent's for the rest. A record
 // costs its page table (8 bytes per page) plus its new pages (704 bytes
 // each) and ≈ 20·n bytes of times; a record built from scratch owns every
-// page, ≈ 88·n bytes.
+// page, ≈ 88·n bytes. owner is the evaluator whose free lists the record
+// and its own pages return to (see Release).
 type replayState struct {
 	pages []*decisionPage
 	eval  moea.Evaluation
 	times schedule.SeqTimes
+	owner *coreEvaluator
 }
 
 // coreEvaluator is the per-worker evaluation scratch shared by both
 // problem formulations: the contiguous decision buffer the scheduler
-// reads, a reusable schedule evaluator and the delta change mask. It
-// implements moea.DeltaEvaluator; delta evaluation is exact — every path
-// produces bit-identical evaluations to Evaluate.
+// reads, a reusable schedule evaluator, the delta change mask, and free
+// lists of the replay records and pages it made for children that died
+// at birth. It implements moea.DeltaEvaluator and moea.StateReleaser;
+// delta evaluation is exact — every path produces bit-identical
+// evaluations to Evaluate.
 type coreEvaluator struct {
 	p         problemCore
 	sched     *schedule.Evaluator
 	decisions []schedule.TaskDecision
 	changed   []bool
+	freeRecs  []*replayState
+	freePages []*decisionPage
 }
 
 // newCoreEvaluator returns p's evaluation scratch, its schedule evaluator
@@ -176,7 +183,7 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 		e.changed = make([]bool, n)
 	}
 	e.changed = e.changed[:n]
-	var pages []*decisionPage // the parent's page table, copied on first change
+	var rec *replayState // the child's record, taken on its first change
 	reused := 0
 	for t := 0; t < n; t++ {
 		e.changed[t] = false
@@ -189,33 +196,34 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 		if sameDecision(&d, &st.pages[k][t%pageSize]) {
 			continue
 		}
-		if pages == nil {
-			pages = slices.Clone(st.pages)
+		if rec == nil {
+			rec = e.record()
+			rec.pages = append(rec.pages[:0], st.pages...)
 		}
-		if pages[k] == st.pages[k] {
-			pg := new(decisionPage)
+		if rec.pages[k] == st.pages[k] {
+			pg := e.page()
 			*pg = *st.pages[k]
-			pages[k] = pg
+			rec.pages[k] = pg
 		}
-		pages[k][t%pageSize] = d
+		rec.pages[k][t%pageSize] = d
 		e.changed[t] = true
 	}
 	if reused > 0 {
 		accelCounters.metricsReused.Add(uint64(reused))
 	}
-	if pages == nil {
+	if rec == nil {
 		if sameOrder {
 			// Identical schedule inputs: the parent's evaluation is the
 			// child's, no scheduling at all.
 			accelCounters.deltaParentReuse.Add(1)
 			return st.eval, st
 		}
-		// Only the order changed: the child shares all of the parent's
-		// pages.
-		pages = st.pages
+		// Only the order changed: the child shares the parent's page
+		// table.
+		rec = e.record()
+		rec.pages = st.pages
 	}
 
-	rec := &replayState{pages: pages}
 	var prev *schedule.SeqTimes
 	if sameOrder {
 		accelCounters.deltaPrefixRuns.Add(1)
@@ -223,7 +231,7 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 	} else {
 		accelCounters.deltaFullRuns.Add(1)
 	}
-	rec.eval = e.run(g.Order, e.load(pages), prev, &rec.times)
+	rec.eval = e.run(g.Order, e.load(rec.pages), prev, &rec.times)
 	return rec.eval, rec
 }
 
@@ -235,12 +243,86 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 func (e *coreEvaluator) evaluateRetain(g *moea.Genome) (moea.Evaluation, any) {
 	accelCounters.deltaFullRuns.Add(1)
 	e.decisions = decisionsInto(e.p, e.decisions, g)
-	rec := &replayState{pages: make([]*decisionPage, numPages(len(e.decisions)))}
-	for k := range rec.pages {
-		pg := new(decisionPage)
-		copy(pg[:], e.decisions[k*pageSize:])
-		rec.pages[k] = pg
+	rec := e.record()
+	rec.pages = rec.pages[:0]
+	for k := range numPages(len(e.decisions)) {
+		pg := e.page()
+		if c := copy(pg[:], e.decisions[k*pageSize:]); c < pageSize {
+			clear(pg[c:])
+		}
+		rec.pages = append(rec.pages, pg)
 	}
 	rec.eval = e.run(g.Order, e.decisions, nil, &rec.times)
 	return rec.eval, rec
+}
+
+// record returns an empty replay record owned by e, recycled when one is
+// free. A recycled record keeps the buffers it owns: its page table, its
+// times and a Seq of its own.
+func (e *coreEvaluator) record() *replayState {
+	k := len(e.freeRecs)
+	if k == 0 {
+		return &replayState{owner: e}
+	}
+	rec := e.freeRecs[k-1]
+	e.freeRecs = e.freeRecs[:k-1]
+	return rec
+}
+
+// page returns a decision page for e's caller to overwrite, recycled when
+// one is free.
+func (e *coreEvaluator) page() *decisionPage {
+	k := len(e.freePages)
+	if k == 0 {
+		return new(decisionPage)
+	}
+	pg := e.freePages[k-1]
+	e.freePages = e.freePages[:k-1]
+	return pg
+}
+
+// Release implements moea.StateReleaser. It takes back the record of a
+// child that died in its birth generation, and returns to the free lists
+// only what that child's evaluation allocated:
+//
+//   - nothing for the parent-reuse path, whose state is the parent's
+//     record;
+//   - the pages the parent's table does not hold (every page of a record
+//     built from scratch), and the record with its own page table, times
+//     and Seq;
+//   - but never the parent's table, which an order-only child shares, nor
+//     a Seq aliased from the parent, which every prefix replay shares.
+//
+// Both go back to the record's owner, whichever evaluator is called: each
+// evaluator then holds at most what it allocated itself, so its free lists
+// stay within the run's peak live set however the engine spreads children
+// over workers. Release must not run concurrently with the owner's
+// evaluations.
+func (e *coreEvaluator) Release(state, parentState any) {
+	rec, _ := state.(*replayState)
+	if rec == nil || state == parentState {
+		return
+	}
+	o := rec.owner
+	pst, _ := parentState.(*replayState)
+	if pst != nil && sameArray(rec.pages, pst.pages) {
+		rec.pages = nil
+	} else {
+		for k, pg := range rec.pages {
+			if pst == nil || pg != pst.pages[k] {
+				o.freePages = append(o.freePages, pg)
+			}
+		}
+	}
+	if pst != nil && sameArray(rec.times.Seq, pst.times.Seq) {
+		rec.times.Seq = nil
+	}
+	rec.eval = moea.Evaluation{}
+	o.freeRecs = append(o.freeRecs, rec)
+}
+
+// sameArray reports whether two non-empty slices start at the same
+// element, that is, share their backing array from the start.
+func sameArray[T any](a, b []T) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,10 +22,13 @@ import (
 //     page, and a page with a changed decision is new — no record seen so
 //     far holds it;
 //   - no record ever changes once returned (checked at every use as a
-//     parent and again by verifyAll).
+//     parent and again by verifyAll) until the engine releases it.
 //
-// Evaluations run on the engines' worker goroutines, so a violation is
-// reported with Errorf.
+// A released record and the pages the oracle saw it make are forgotten,
+// so they may come back in later records; a page or record released while
+// a live record still holds it shows up as a changed record or as a
+// "new" page already seen. Evaluations run on the engines' worker
+// goroutines, so a violation is reported with Errorf.
 type pageOracle struct {
 	problemCore
 	t *testing.T
@@ -33,8 +37,9 @@ type pageOracle struct {
 	recs map[*replayState]string // record → fingerprint when returned
 	seen map[*decisionPage]bool
 	// children counts records made against a parent; shared and copied
-	// count their pages by outcome, so a run cannot pass vacuously.
-	children, shared, copied int
+	// count their pages by outcome, and released the records released, so
+	// a run cannot pass vacuously.
+	children, shared, copied, released int
 }
 
 func newPageOracle(t *testing.T, p problemCore) *pageOracle {
@@ -62,6 +67,28 @@ func (e *pageCheckingEvaluator) EvaluateDelta(g, parent *moea.Genome, pst any) (
 	}
 	e.o.check(g, prec, st.(*replayState))
 	return ev, st
+}
+
+// Release forwards to the core evaluator and forgets the record and the
+// pages it made itself: those its parent's table does not hold.
+func (e *pageCheckingEvaluator) Release(state, pst any) {
+	rec, _ := state.(*replayState)
+	prec, _ := pst.(*replayState)
+	pages := slices.Clone(rec.pages)
+	e.inner.Release(state, pst)
+	if rec == prec {
+		return
+	}
+	o := e.o
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.released++
+	delete(o.recs, rec)
+	for k, pg := range pages {
+		if prec == nil || pg != prec.pages[k] {
+			delete(o.seen, pg)
+		}
+	}
 }
 
 func (o *pageOracle) check(g *moea.Genome, prec, rec *replayState) {
@@ -197,9 +224,9 @@ func TestReplayPagesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				o.verifyAll()
-				if o.children == 0 || o.shared == 0 || o.copied == 0 {
-					t.Fatalf("vacuous run: %d children, %d shared and %d copied pages",
-						o.children, o.shared, o.copied)
+				if o.children == 0 || o.shared == 0 || o.copied == 0 || o.released == 0 {
+					t.Fatalf("vacuous run: %d children, %d shared and %d copied pages, %d released",
+						o.children, o.shared, o.copied, o.released)
 				}
 			})
 		}

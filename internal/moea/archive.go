@@ -37,6 +37,9 @@ func newArchiveState(limit int, sc *selScratch) *archiveState {
 // restore adopts a checkpoint-restored member list wholesale (already an
 // antichain in archive order).
 func (a *archiveState) restore(members []*solution) {
+	for _, s := range members {
+		s.archived = true
+	}
 	a.members = members
 }
 
@@ -82,6 +85,7 @@ func (a *archiveState) insert(s *solution) {
 	w := 0
 	for _, m := range a.members {
 		if pareto.Dominates(obj, m.eval.Objectives) {
+			m.archived = false
 			continue
 		}
 		a.members[w] = m
@@ -89,6 +93,7 @@ func (a *archiveState) insert(s *solution) {
 	}
 	a.members = a.members[:w]
 	a.members = append(a.members, s)
+	s.archived = true
 }
 
 // truncate cuts the archive to its cap, keeping the most crowding-diverse
@@ -114,6 +119,9 @@ func (a *archiveState) truncate() {
 		buf[i] = a.members[j]
 	}
 	copy(a.members, buf[:a.limit])
+	for _, m := range buf[a.limit:] {
+		m.archived = false
+	}
 	for i := a.limit; i < n; i++ {
 		a.members[i] = nil // release truncated members to the GC
 	}

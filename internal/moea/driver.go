@@ -31,6 +31,45 @@ type runState struct {
 	evals    int
 	// evs are the run's per-worker evaluators (see evaluators).
 	evs []Evaluator
+	// free holds the genomes of solutions that left the run; children are
+	// filled from it before a genome is allocated (see child).
+	free []*Genome
+}
+
+// child returns a copy of src for a new offspring, reusing a free genome
+// when there is one. Every genome of a run has the problem's task count.
+func (r *runState) child(src *Genome) *Genome {
+	k := len(r.free)
+	if k == 0 {
+		return src.Clone()
+	}
+	g := r.free[k-1]
+	r.free = r.free[:k-1]
+	copy(g.Order, src.Order)
+	copy(g.Genes, src.Genes)
+	return g
+}
+
+// retire puts the genome of a solution that is in no population slot and
+// not archived on the free list: nothing reads such a solution again.
+func (r *runState) retire(s *solution) {
+	r.free = append(r.free, s.genome)
+	s.genome = nil
+}
+
+// discard retires a child that died in its birth generation and hands its
+// replay state back to the evaluator, which may recycle whatever the child
+// allocated itself: only population members are ever parents, so no other
+// solution can hold that state. parent is the solution the child was
+// derived from.
+func (r *runState) discard(s, parent *solution) {
+	if s.delta != nil {
+		if rel, ok := r.evs[0].(StateReleaser); ok {
+			rel.Release(s.delta, parent.delta)
+		}
+		s.delta = nil
+	}
+	r.retire(s)
 }
 
 // mutate applies the per-gene mutation and, unless switched off, the order

@@ -170,7 +170,7 @@ type nsga2 struct {
 	// the ping-pong spare that becomes the next population while the
 	// outgoing population's array is recycled, plus the order-crossover
 	// scratch. Solutions themselves are freshly allocated per generation;
-	// only the pointer slices are reused.
+	// their genomes come from the run's free list (runState.child).
 	unionBuf, offBuf, spare []*solution
 	osc                     orderScratch
 }
@@ -197,8 +197,8 @@ func (e *nsga2) step(r *runState) {
 	for len(offspring) < params.PopSize {
 		pa := tournament(rng, r.pop, params.TournamentK)
 		pb := tournament(rng, r.pop, params.TournamentK)
-		a := pa.genome.Clone()
-		b := pb.genome.Clone()
+		a := r.child(pa.genome)
+		b := r.child(pb.genome)
 		if !params.DisableConfigCrossover && rng.Float64() < params.CrossoverProb {
 			crossoverConfig(rng, a, b)
 		}
@@ -216,6 +216,8 @@ func (e *nsga2) step(r *runState) {
 					par = pb
 				}
 				offspring = append(offspring, &solution{genome: child, parent: par})
+			} else {
+				r.free = append(r.free, child)
 			}
 		}
 	}
@@ -240,6 +242,26 @@ func (e *nsga2) step(r *runState) {
 		sort.Sort(crowdDescSorter(f))
 		next = append(next, f[:params.PopSize-len(next)]...)
 		break
+	}
+	// Retire what selection dropped and the archive does not hold. Dead
+	// offspring go first: their parents' replay states must still be
+	// attached when the evaluator takes back the children's.
+	for _, s := range next {
+		s.survived = true
+	}
+	for _, s := range offspring {
+		if !s.survived && !s.archived {
+			r.discard(s, s.parent)
+		}
+		s.parent = nil
+	}
+	for _, s := range r.pop {
+		if !s.survived && !s.archived {
+			r.retire(s)
+		}
+	}
+	for _, s := range next {
+		s.survived = false
 	}
 	e.spare = r.pop[:0]
 	r.pop = next
@@ -274,8 +296,7 @@ func tournament(rng *rand.Rand, pop []*solution, k int) *solution {
 // When delta evaluation is on and the problem's evaluators implement
 // DeltaEvaluator, each solution with a recorded parent is evaluated
 // incrementally against that parent's replay state — an exact optimization
-// (results are bit-identical to full evaluation). Parent links are cleared
-// afterwards so retired generations can be collected.
+// (results are bit-identical to full evaluation).
 func (r *runState) evaluate(sols []*solution) {
 	if len(sols) == 0 {
 		return
@@ -331,9 +352,7 @@ func (r *runState) evaluators(k int) []Evaluator {
 }
 
 // evalOne scores one solution with ev: incrementally against its parent's
-// replay state when delta evaluation applies, in full otherwise. The
-// parent link is cleared afterwards so retired generations can be
-// collected.
+// replay state when delta evaluation applies, in full otherwise.
 func evalOne(ev Evaluator, s *solution, useDelta bool) {
 	if de, ok := ev.(DeltaEvaluator); ok && useDelta {
 		var pg *Genome
@@ -346,7 +365,6 @@ func evalOne(ev Evaluator, s *solution, useDelta bool) {
 		s.eval = ev.Evaluate(s.genome)
 		s.delta = nil
 	}
-	s.parent = nil
 }
 
 // RandomSearch evaluates the given number of uniformly random genomes and

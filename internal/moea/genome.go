@@ -18,7 +18,7 @@ import (
 // and — for full-configuration CLR — the DVFS mode and the per-layer
 // reliability method indices. Problems that do not use a field (e.g. pfCLR
 // folds the CLR choice into Impl) simply ignore it. The fields are int32,
-// 24 bytes a gene, because every offspring clones its parent's genes; the
+// 24 bytes a gene, because every offspring copies its parent's genes; the
 // values are small indices, and their JSON form is that of plain ints.
 type Gene struct {
 	PE   int32
@@ -123,10 +123,23 @@ func newEvaluator(p Problem) Evaluator {
 // in which case the call is a full evaluation that still captures state.
 // Implementations must be exact: EvaluateDelta returns bit-identical
 // evaluations to Evaluate for every genome, parent or not. States are
-// immutable once returned and may be shared by several offspring.
+// immutable once returned and may be shared by several offspring; only a
+// StateReleaser may reuse one, once the engine has released it.
 type DeltaEvaluator interface {
 	Evaluator
 	EvaluateDelta(g *Genome, parent *Genome, parentState any) (Evaluation, any)
+}
+
+// StateReleaser is a DeltaEvaluator that can recycle the replay state of
+// a child that died in its birth generation. The engines call Release on
+// one of the run's evaluators, between evaluation batches, once per dead
+// child, with the state its EvaluateDelta returned and the parent state it
+// was evaluated against (nil for none). The state is never used again, but
+// it may be the parent's own state, which stays live, and it may share
+// parts of the parent's; the implementation must recycle only what the
+// child's evaluation allocated.
+type StateReleaser interface {
+	Release(state, parentState any)
 }
 
 // RandomGenome draws a uniformly random individual for the problem.

@@ -89,7 +89,7 @@ func (e *moead) step(r *runState) {
 	for i := range pop {
 		nb := e.neighbors[i]
 		pa := pop[nb[rng.Intn(len(nb))]]
-		child := pa.genome.Clone()
+		child := r.child(pa.genome)
 		pb := pop[nb[rng.Intn(len(nb))]].genome
 		copy(e.mate.Order, pb.Order)
 		copy(e.mate.Genes, pb.Genes)
@@ -100,19 +100,25 @@ func (e *moead) step(r *runState) {
 			crossoverOrder(rng, child, e.mate, &e.osc)
 		}
 		r.mutate(child)
-		// The child started as pa's clone, so pa is its delta-evaluation
+		// The child started as a copy of pa, so pa is its delta-evaluation
 		// reference; pa stays valid even if a pop slot was replaced.
 		cs := &solution{genome: child, parent: pa}
 		evalOne(ev, cs, r.useDelta)
+		cs.parent = nil
 		r.evals++
 		e.updateIdeal(cs.eval)
 		r.arch.add([]*solution{cs})
 
 		// Update neighbors whose subproblem the child improves.
+		placed := false
 		for _, j := range nb {
 			if tchebycheff(cs.eval, e.weights[j], e.ideal) < tchebycheff(pop[j].eval, e.weights[j], e.ideal) {
 				pop[j] = cs
+				placed = true
 			}
+		}
+		if !placed && !cs.archived {
+			r.discard(cs, pa)
 		}
 	}
 }

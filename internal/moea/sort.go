@@ -15,12 +15,17 @@ type solution struct {
 	rank   int
 	crowd  float64
 	// parent links an offspring to the solution its genome was derived
-	// from, for delta evaluation; evaluate clears it so retired parents
-	// are not retained across generations.
+	// from, for delta evaluation. The engines clear it once the child's
+	// fate is settled, so retired parents are not retained across
+	// generations.
 	parent *solution
 	// delta is the opaque replay state a DeltaEvaluator returned for this
 	// solution's exact evaluation (nil if none).
 	delta any
+	// archived marks a member of the external archive. survived marks a
+	// member of the next NSGA-II population while selection retires the
+	// union members that have neither mark.
+	archived, survived bool
 }
 
 // constrainedDominates implements constraint-domination (Deb): a feasible

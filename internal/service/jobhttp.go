@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -75,6 +76,7 @@ func ServeWait(w http.ResponseWriter, r *http.Request, j *Job) {
 	select {
 	case <-j.done:
 	case <-timer.C:
+	case <-shuttingDown(r):
 	case <-r.Context().Done():
 		return
 	}
@@ -136,10 +138,36 @@ func ServeEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 					return
 				}
 			}
+		case <-shuttingDown(r):
+			return
 		case <-r.Context().Done():
 			return
 		}
 	}
+}
+
+type shutdownKey struct{}
+
+// EndLongPollsOnShutdown makes hs end its long-lived job responses once
+// Shutdown starts: a ServeWait answers the job's current status, as at its
+// timeout, and a ServeEvents stream ends. Shutdown waits for every open
+// request, and these end only with their job, so without it one client
+// watching a long run held shutdown for its whole deadline. Call it once,
+// after hs.Handler is set.
+func EndLongPollsOnShutdown(hs *http.Server) {
+	closing := make(chan struct{})
+	h := hs.Handler
+	hs.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), shutdownKey{}, closing)))
+	})
+	hs.RegisterOnShutdown(func() { close(closing) })
+}
+
+// shuttingDown is closed once the server serving r starts shutting down;
+// it is nil (never ready) outside EndLongPollsOnShutdown.
+func shuttingDown(r *http.Request) <-chan struct{} {
+	c, _ := r.Context().Value(shutdownKey{}).(chan struct{})
+	return c
 }
 
 // CheckBearer reports whether r carries "Authorization: Bearer <token>".

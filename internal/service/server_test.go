@@ -516,6 +516,69 @@ func TestGracefulShutdownCancelsRunningAndQueued(t *testing.T) {
 	g.Close()
 }
 
+// TestShutdownEndsLongPolls holds a /wait long-poll and an /events stream
+// open on a job that cannot finish, then shuts the HTTP server down with
+// a 5 s deadline: both must end at once, the wait answering the job's
+// running status, so Shutdown returns well within its deadline.
+func TestShutdownEndsLongPolls(t *testing.T) {
+	g, err := gateway.New(gateway.Config{
+		Tenants: []gateway.TenantConfig{{Name: "clrearlyd", MaxActive: -1}},
+		Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	entered := make(chan string, 2)
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/wait") || strings.HasSuffix(r.URL.Path, "/events") {
+			entered <- r.URL.Path
+		}
+		g.ServeHTTP(w, r)
+	}))
+	service.EndLongPollsOnShutdown(ts.Config)
+	ts.Start()
+	defer ts.Close()
+
+	jw, _ := postJob(t, ts, longSpec(41))
+	waitFor(t, ts, jw.ID, 10*time.Second, func(jw *service.JobWire) bool { return jw.State == service.StateRunning })
+	waited := make(chan *service.JobWire, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + jw.ID + "/wait?timeout=5m")
+		if err != nil {
+			t.Error(err)
+			waited <- nil
+			return
+		}
+		defer resp.Body.Close()
+		var got service.JobWire
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Errorf("decoding the wait answer (status %d): %v", resp.StatusCode, err)
+		}
+		waited <- &got
+	}()
+	streamed := make(chan []sseEvent, 1)
+	go func() { streamed <- readSSE(t, ts, jw.ID) }()
+	<-entered
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := ts.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v after %v", err, time.Since(start))
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("Shutdown took %v with a wait and a stream open", took)
+	}
+	if got := <-waited; got == nil || got.State != service.StateRunning {
+		t.Fatalf("the wait answered %+v, want the running status", got)
+	}
+	if events := <-streamed; len(events) == 0 || events[0].name != "status" {
+		t.Fatalf("the stream delivered %v, want its status event before it ended", events)
+	}
+}
+
 func TestSSEOnFinishedJobDeliversTerminalEventImmediately(t *testing.T) {
 	_, ts := newTestServer(t, gateway.Config{Workers: 1})
 	spec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 41}

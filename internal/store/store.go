@@ -2,12 +2,17 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 )
+
+// ErrClosed is returned by every write to a store after Close: a run that
+// outlives shutdown loses its checkpoint, not the process.
+var ErrClosed = errors.New("store: closed")
 
 // DefaultMaxTerminalJobs is the default of Options.MaxTerminalJobs.
 const DefaultMaxTerminalJobs = 1024
@@ -256,6 +261,9 @@ func (s *Store) trimTerminal() {
 // appendLocked journals a record and compacts if the WAL has outgrown the
 // threshold. Callers hold s.mu.
 func (s *Store) appendLocked(rec *record) error {
+	if s.wal == nil {
+		return ErrClosed
+	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("store: encoding record: %w", err)
@@ -353,6 +361,9 @@ func (s *Store) Jobs() []*JobRecord {
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.wal == nil {
+		return ErrClosed
+	}
 	return s.compactLocked()
 }
 

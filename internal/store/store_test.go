@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -57,6 +58,48 @@ func TestStoreJobLifecycleSurvivesReopen(t *testing.T) {
 	}
 	if _, ok := s2.Result("bbbb"); ok {
 		t.Fatal("pending job has a result")
+	}
+}
+
+// TestStoreWritesAfterCloseFail requires every write to a closed store to
+// return ErrClosed instead of touching the closed WAL, and the state
+// written before Close to survive.
+func TestStoreWritesAfterCloseFail(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	spec := json.RawMessage(`{"benchmark":"sobel"}`)
+	if err := s.AcceptJob("j000001", "aaaa", spec, t0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveCheckpoint("aaaa", json.RawMessage(`{"generation":3}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writes := map[string]func() error{
+		"AcceptJob":       func() error { return s.AcceptJob("j000002", "bbbb", spec, t0) },
+		"SaveCheckpoint":  func() error { return s.SaveCheckpoint("aaaa", json.RawMessage(`{"generation":4}`)) },
+		"FinishJob":       func() error { return s.FinishJob("j000001", "done", "aaaa", "", false, json.RawMessage(`{}`), t0) },
+		"ClearCheckpoint": func() error { return s.ClearCheckpoint("aaaa") },
+		"Compact":         s.Compact,
+	}
+	for name, write := range writes {
+		if err := write(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close: err = %v, want ErrClosed", name, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+
+	s2 := openStore(t, dir, Options{})
+	defer s2.Close()
+	if jobs := s2.Jobs(); len(jobs) != 1 || !jobs[0].Pending() {
+		t.Fatalf("reopened store holds %+v, want the one pending job", jobs)
+	}
+	if got, ok := s2.Checkpoint("aaaa"); !ok || string(got) != `{"generation":3}` {
+		t.Fatalf("Checkpoint(aaaa) = %q, %v", got, ok)
 	}
 }
 
