@@ -37,8 +37,9 @@ race:
 # Short continuous-fuzzing pass over the input-parsing surfaces: the TGFF
 # text parser, the JobSpec normalizer, the admission contract (a spec
 # Validate accepts builds), the WAL replayer, the gateway tenant-config
-# parser, the fault-model JSON decoder and the chain solver's plan replay
-# against the dense LU. Each target gets 10s on top of the checked-in
+# parser, the fault-model JSON decoder, the chain solver's plan replay
+# against the dense LU and the screened tDSE against the unscreened one.
+# Each target gets 10s on top of the checked-in
 # corpus under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseText -fuzztime 10s ./internal/tgff
@@ -48,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseTenants -fuzztime 10s ./internal/gateway
 	$(GO) test -run xxx -fuzz FuzzFaultModelDecode -fuzztime 10s ./internal/faultmodel
 	$(GO) test -run xxx -fuzz FuzzPlanMatchesDense -fuzztime 10s ./internal/matrix
+	$(GO) test -run xxx -fuzz FuzzExploreMatchesFilter -fuzztime 10s ./internal/tdse
 
 # Quick statistical cross-validation of the analytical models against the
 # fault-injection simulator (a reduced-trial version of cmd/validate).
@@ -71,7 +73,9 @@ bench-sweep:
 # (MarkovAnalyze), one task evaluation (TaskEvaluate), one task type's
 # tDSE (TDSEExplore), the whole tDSE library of the committed
 # safety-critical scenario spec (TDSEBuildSafetyCritical, the cost that
-# dominates the faults-suite workload), one list schedule with its Eq. 1–4 reduction
+# dominates the faults-suite workload) and its unscreened enumeration, a
+# chain analysis per candidate (TDSEEnumerateSafetyCritical), one list
+# schedule with its Eq. 1–4 reduction
 # (ScheduleEvaluator*; ScheduleEvaluator50Default computes only the
 # makespan/error-probability aggregates a default-objective GA reads),
 # one whole-mapping evaluation (EvaluateMapping*),
@@ -91,7 +95,7 @@ BENCH_SUITE_CMD = $(GO) test -run '^$$' -bench 'Sweep|Fig|Table' -benchmem -benc
 BENCH_LAYER_CMD = $(GO) test -run '^$$' -bench 'ChainSolve' -benchmem -benchtime 20000x -count 3 ./internal/relmodel && \
 	$(GO) test -run '^$$' -bench '^Benchmark(MarkovAnalyze|TaskEvaluate|ScheduleEvaluator(Sobel|50|50Default)|EvaluateMapping(Sobel|Synthetic))$$' -benchmem -benchtime 20000x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^Benchmark(TDSEExplore|MOEADSobel)$$' -benchmem -benchtime 50x -count 3 . && \
-	$(GO) test -run '^$$' -bench '^BenchmarkTDSEBuildSafetyCritical$$' -benchmem -benchtime 3x -count 3 . && \
+	$(GO) test -run '^$$' -bench '^BenchmarkTDSE(Build|Enumerate)SafetyCritical$$' -benchmem -benchtime 3x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkPfCLRMapping$$' -benchmem -benchtime 3x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkDeltaEval(On|Off)$$' -benchmem -benchtime 20x -count 3 ./internal/core && \
 	$(GO) test -run '^$$' -bench '^BenchmarkGARun$$' -benchmem -benchtime 100x -count 3 ./internal/moea && \

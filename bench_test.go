@@ -365,12 +365,10 @@ func BenchmarkTDSEExplore(b *testing.B) {
 	}
 }
 
-// BenchmarkTDSEBuildSafetyCritical times tdse.Build of the committed
-// app_00_safety-critical scenario spec (FPGA family, permanent faults and
-// the checkpoint axis): about 61k candidates whose chain analyses are the
-// cost that dominates the faults-suite workload. Validation runs once,
-// outside the timer.
-func BenchmarkTDSEBuildSafetyCritical(b *testing.B) {
+// safetyCriticalSpec validates the committed app_00_safety-critical
+// scenario spec (FPGA family, permanent faults and the checkpoint axis) and
+// returns its instance, tDSE options and objective set.
+func safetyCriticalSpec(b *testing.B) (*core.Instance, tdse.Options, []tdse.Objective) {
 	blob, err := os.ReadFile("cmd/tgffgen/testdata/suite/app_00_safety-critical.job.json")
 	if err != nil {
 		b.Fatal(err)
@@ -391,12 +389,36 @@ func BenchmarkTDSEBuildSafetyCritical(b *testing.B) {
 	if spec.CkptModes {
 		opt.Checkpoints = tdse.CheckpointAxis(spec.CkptIntervals)
 	}
-	objs := tdse.StudyObjectiveSets()[spec.TDSESet]
+	return inst, opt, tdse.StudyObjectiveSets()[spec.TDSESet]
+}
+
+// BenchmarkTDSEBuildSafetyCritical times tdse.Build of the committed
+// app_00_safety-critical scenario spec: about 61k candidates, screened by
+// their closed-form estimates, of which only those that can reach the
+// library get a chain analysis. Validation runs once, outside the timer.
+func BenchmarkTDSEBuildSafetyCritical(b *testing.B) {
+	inst, opt, objs := safetyCriticalSpec(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tdse.Build(inst.Lib, inst.Platform, inst.Catalog, opt, objs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTDSEEnumerateSafetyCritical is the unscreened path of the same
+// spec: tdse.Enumerate of every task type, a chain analysis per candidate
+// (the chain layer's row in the bench ladder).
+func BenchmarkTDSEEnumerateSafetyCritical(b *testing.B) {
+	inst, opt, _ := safetyCriticalSpec(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for tt := 0; tt < inst.Lib.NumTypes(); tt++ {
+			if _, err := tdse.Enumerate(inst.Lib, tt, inst.Platform, inst.Catalog, opt); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

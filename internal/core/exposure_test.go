@@ -189,3 +189,28 @@ func TestRollbackLoopsEscape(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsInvalidFaultModelsWithoutExposure: a PE type with no
+// permanent process skips the exposure check of all but its first
+// implementation, yet an invalid fault model on it, in the default or in a
+// per-type override, is still rejected.
+func TestValidateRejectsInvalidFaultModelsWithoutExposure(t *testing.T) {
+	inst := sobelInstance()
+	impls := inst.Lib.ImplsShared(inst.Lib.NumTypes() - 1)
+	last := inst.Platform.Types()[impls[len(impls)-1].PETypeIndex].Name
+	for name, m := range map[string]*faultmodel.Model{
+		"default":  {Default: faultmodel.FaultModel{TransientScale: -1}},
+		"per-type": {PerType: map[string]faultmodel.FaultModel{last: {RepairProb: 2}}},
+	} {
+		in := *inst
+		in.Faults = m
+		if err := in.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted an invalid fault model", name)
+		}
+	}
+	in := *inst
+	in.Faults = &faultmodel.Model{Default: faultmodel.FaultModel{TransientScale: 2}}
+	if err := in.Validate(); err != nil {
+		t.Fatalf("valid transient-only model: %v", err)
+	}
+}

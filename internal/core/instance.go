@@ -163,7 +163,10 @@ const MaxPermanentHits = 10
 
 // checkPermanentExposure enforces MaxPermanentHits. Exposure grows with
 // execution time alone, so each implementation is checked once, under the
-// assignment that makes it slowest.
+// assignment that makes it slowest. A PE type without a permanent process
+// (no permanent rate in its fault model, no configuration-memory upsets)
+// exposes nothing: only its first implementation is checked, which still
+// validates the type's fault model, as every later one would.
 func (in *Instance) checkPermanentExposure() error {
 	var slow relmodel.Assignment
 	for i, m := range in.Catalog.HW {
@@ -176,14 +179,23 @@ func (in *Instance) checkPermanentExposure() error {
 			slow.ASW = i
 		}
 	}
+	var unexposed uint64 // bit i: PE type i is checked and has no permanent process
 	for tt := 0; tt < in.Lib.NumTypes(); tt++ {
 		for _, impl := range in.Lib.ImplsShared(tt) {
-			pt := in.Platform.Types()[impl.PETypeIndex]
+			pti := impl.PETypeIndex
+			if pti < 64 && unexposed&(1<<pti) != 0 {
+				continue
+			}
+			pt := in.Platform.Types()[pti]
 			asg := slow
 			asg.Mode = len(pt.Modes) - 1 // modes are ordered nominal-first: the last is the slowest
-			p, err := relmodel.ChainParamsFor(impl, asg, pt, in.Catalog, in.Faults.For(pt.Name), faultmodel.CheckpointPolicy{})
+			fm := in.Faults.For(pt.Name)
+			p, err := relmodel.ChainParamsFor(impl, asg, pt, in.Catalog, fm, faultmodel.CheckpointPolicy{})
 			if err != nil {
 				return err
+			}
+			if fm.PermanentPerHour == 0 && pt.ConfigSEURatePerSec == 0 && pti < 64 {
+				unexposed |= 1 << pti
 			}
 			if hits := p.PermPerUS * p.ExecTimeUS; !(hits <= MaxPermanentHits) {
 				return fmt.Errorf("core: %.3g expected permanent-fault hits per execution of %q on %s exceed %d",

@@ -106,7 +106,7 @@ func (p *fcProblem) MutateGene(rng *rand.Rand, task int, g moea.Gene) moea.Gene 
 // mutableFields lists the gene fields MutateGene may re-randomize under r,
 // numbered as its switch numbers them.
 func mutableFields(r layerRestriction) []int {
-	fields := []int{0, 1} // impl and pe are mapping decisions
+	fields := append(make([]int, 0, 6), 0, 1) // impl and pe are mapping decisions
 	if r.freeModes {
 		fields = append(fields, 2)
 	}

@@ -466,3 +466,89 @@ func AnalyzeChains(p ChainParams) (TaskReliability, error) {
 	out.MinExTimeUS = p.ExecTimeUS + n*p.DetTimeUS + float64(p.Checkpoints)*p.ChkTimeUS
 	return out, nil
 }
+
+// EstimateChains computes the results of AnalyzeChains in closed form,
+// without building or solving a chain. The two chains are a series of
+// per-interval retry loops, so their absorption and residence figures are
+// products of per-interval ratios. From interval i's ExecICI state one
+// attempt ends in one of four ways, with the probabilities of the chain's
+// own edges (s = 1 − pp is pSurv, a = (1 − pne)·s the error mass, and
+// d = a·(1 − m_HW)·(1 − m_implSSW) the mass that reaches SSWDet):
+//
+//	clean  = pne·s + a·m_HW + a·(1 − m_HW)·m_implSSW   masked or error-free
+//	tol    = d·cov_Det                                  detected
+//	undet  = d·(1 − cov_Det)                            undetected
+//	perm   = pp                                         permanent hit
+//
+// A tolerated error (tol·m_Tol) and a repaired hit (pp·r) loop back to
+// ExecICI; everything else leaves the interval. The exit mass is
+//
+//	X = clean + tol·(1 − m_Tol) + undet + pp·(1 − r)
+//
+// and, the loop being geometric, the interval is entered 1/X times per
+// arrival, SSWTol tol/X times and PermHit pp/X times. The timing chain moves
+// on with probability (X − pp·(1 − r))/X, and its expected time in the
+// interval is (T_exec + T_Det + tol·T_Tol + pp·T_repair)/X. The functional
+// chain leaves the interval correct with pass/X, wrong with err/X and
+// permanently lost with pp·(1 − r)/X, where
+//
+//	pass = clean + undet·m_ASW,   err = tol·(1 − m_Tol) + undet·(1 − m_ASW).
+//
+// A checkpoint is a self-loop redone with pRedo = p_Chke·cov_Det·m_Tol: it
+// takes T_Chk/(1 − pRedo) and, in the functional chain, corrupts the state
+// with (p_Chke − pRedo)/(1 − pRedo). Chaining the intervals in order, each
+// weighted by the probability of reaching it, gives AvgExT, ErrProb and
+// PermFailProb. X is summed from exit edges rather than taken as 1 minus
+// the loop mass, so a loop close to 1 loses no digits to cancellation.
+//
+// The figures agree with AnalyzeChains to rounding (TestEstimateMatches*
+// bound the relative gap), but not bit for bit: callers that need the
+// chain solver's exact bits must still call AnalyzeChains. A chain that
+// never leaves some interval (X = 0) has no finite estimate; the result
+// then holds a non-finite AvgExTimeUS, where AnalyzeChains fails.
+func EstimateChains(p ChainParams) (TaskReliability, error) {
+	var out TaskReliability
+	if err := p.Validate(); err != nil {
+		return out, err
+	}
+	n := p.Checkpoints + 1
+	pChkE := p.pChkError()
+	pRedo := pChkE * p.CovDet * p.MTol
+	chkTime := p.ChkTimeUS / (1 - pRedo)
+	chkPass := (1 - pChkE) / (1 - pRedo)
+	chkErr := (pChkE - pRedo) / (1 - pRedo)
+
+	// reachT and reachF are the probabilities that the timing and the
+	// functional chain reach interval i.
+	reachT, reachF := 1.0, 1.0
+	// Equal intervals share their fault probabilities.
+	pne, pp := p.pNoError(0), p.pPerm(0)
+	for i := 0; i < n; i++ {
+		if i > 0 && p.IntervalFracs != nil {
+			pne, pp = p.pNoError(i), p.pPerm(i)
+		}
+		s := 1 - pp
+		a := (1 - pne) * s
+		b := a * (1 - p.MHW)
+		d := b * (1 - p.MImplSSW)
+		clean := pne*s + a*p.MHW + b*p.MImplSSW
+		tol := d * p.CovDet
+		undet := d * (1 - p.CovDet)
+		lost := pp * (1 - p.RepairProb)
+		moveOn := clean + tol*(1-p.MTol) + undet
+		x := moveOn + lost
+
+		out.AvgExTimeUS += reachT * (p.intervalExec(i) + p.DetTimeUS + tol*p.TolTimeUS + pp*p.RepairTimeUS) / x
+		out.ErrProb += reachF * (tol*(1-p.MTol) + undet*(1-p.MASW)) / x
+		out.PermFailProb += reachF * lost / x
+		reachT *= moveOn / x
+		reachF *= (clean + undet*p.MASW) / x
+		if i < n-1 {
+			out.AvgExTimeUS += reachT * chkTime
+			out.ErrProb += reachF * chkErr
+			reachF *= chkPass
+		}
+	}
+	out.MinExTimeUS = p.ExecTimeUS + float64(n)*p.DetTimeUS + float64(p.Checkpoints)*p.ChkTimeUS
+	return out, nil
+}

@@ -215,12 +215,34 @@ func ChainParamsFor(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog
 // bit-identical to Evaluate.
 func EvaluateFM(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
 	fm faultmodel.FaultModel, ckpt faultmodel.CheckpointPolicy) (Metrics, error) {
+	return evaluateFM(impl, asg, pt, cat, fm, ckpt, true)
+}
+
+// EstimateFM is EvaluateFM with the chain analysis replaced by its closed
+// form (EstimateChains): MinExTimeUS, EtaHours, PowerW and TempC are
+// bit-identical to EvaluateFM's, and the chain-derived AvgExTimeUS,
+// ErrProb, PermFailProb, MTTFHours and EnergyUJ agree to rounding. It
+// counts nothing in the fault-model counters, which count analyses.
+func EstimateFM(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
+	fm faultmodel.FaultModel, ckpt faultmodel.CheckpointPolicy) (Metrics, error) {
+	return evaluateFM(impl, asg, pt, cat, fm, ckpt, false)
+}
+
+// evaluateFM is EvaluateFM (exact) or EstimateFM: both share everything
+// but the chain half.
+func evaluateFM(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
+	fm faultmodel.FaultModel, ckpt faultmodel.CheckpointPolicy, exact bool) (Metrics, error) {
 	var out Metrics
 	params, err := ChainParamsFor(impl, asg, pt, cat, fm, ckpt)
 	if err != nil {
 		return out, err
 	}
-	rel, err := AnalyzeChains(params)
+	var rel TaskReliability
+	if exact {
+		rel, err = AnalyzeChains(params)
+	} else {
+		rel, err = EstimateChains(params)
+	}
 	if err != nil {
 		return out, fmt.Errorf("relmodel: evaluating %q: %w", impl.Name, err)
 	}
@@ -261,7 +283,7 @@ func EvaluateFM(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
 		// the surviving-error probability.
 		out.ErrProb = rel.ErrProb + rel.PermFailProb
 	}
-	if fmOn || ckptOn || cfgOn {
+	if exact && (fmOn || ckptOn || cfgOn) {
 		faultmodel.CountEval()
 		if params.PermPerUS > 0 {
 			faultmodel.CountPermChain()

@@ -10,12 +10,23 @@
 // mapping, so dominance is only meaningful within one PE type. This matches
 // TABLE IV row I, where a single-objective filter still leaves one point
 // per compatible PE type.
+//
+// Enumerate analyses the chains of every candidate; Fig. 6(a), cmd/tdse and
+// the oracles need them all. Explore and Build return the same libraries
+// bit for bit but analyse far fewer: they estimate every candidate in
+// closed form (relmodel.EstimateFM), drop those another candidate's
+// estimate beats by more than ScreenSlack in every estimated objective,
+// and solve the chains only of the rest before filtering. See Explore for
+// the rule and its fallback to the full path.
 package tdse
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/characterize"
 	"repro/internal/faultmodel"
@@ -183,6 +194,20 @@ func CheckpointAxis(intervals []int) []faultmodel.CheckpointPolicy {
 // metrics do not depend on the worker count, and an evaluation error is the
 // lowest failing candidate's, the one a serial enumeration would report.
 func Enumerate(lib *characterize.Library, taskType int, p *platform.Platform, cat *relmodel.Catalog, opt Options) ([]Candidate, error) {
+	cands, err := list(nil, lib, taskType, p, cat, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := evaluate(cands, nil, taskType, p, cat, opt.Faults, pass{}); err != nil {
+		return nil, err
+	}
+	return cands, nil
+}
+
+// list generates the candidates of one task type, in enumeration order and
+// with their metrics still zero, into buf if it has the capacity and into a
+// new slice of exact capacity otherwise.
+func list(buf []Candidate, lib *characterize.Library, taskType int, p *platform.Platform, cat *relmodel.Catalog, opt Options) ([]Candidate, error) {
 	if err := cat.Validate(); err != nil {
 		return nil, err
 	}
@@ -191,8 +216,8 @@ func Enumerate(lib *characterize.Library, taskType int, p *platform.Platform, ca
 	asws := indicesOrAll(opt.ASW, len(cat.ASW))
 	// The checkpoint-policy axis multiplies the enumeration; a nil axis is
 	// the single zero policy, which — together with a nil fault model —
-	// routes through the legacy Evaluate so candidate order and metrics stay
-	// bit-identical to the pre-subsystem engine.
+	// evaluates exactly as the pre-subsystem engine did, so candidate order
+	// and metrics stay bit-identical to it.
 	policies := opt.Checkpoints
 	if policies == nil {
 		policies = zeroPolicyAxis[:]
@@ -210,7 +235,10 @@ func Enumerate(lib *characterize.Library, taskType int, p *platform.Platform, ca
 	if total == 0 {
 		return nil, fmt.Errorf("tdse: task type %d yielded no candidates", taskType)
 	}
-	out := make([]Candidate, 0, total)
+	out := buf[:0]
+	if cap(out) < total {
+		out = make([]Candidate, 0, total)
+	}
 	for _, base := range bases {
 		if opt.ImplicitMaskingOverride >= 0 {
 			base.ImplicitMasking = opt.ImplicitMaskingOverride
@@ -232,40 +260,77 @@ func Enumerate(lib *characterize.Library, taskType int, p *platform.Platform, ca
 			}
 		}
 	}
-	if err := evaluate(out, taskType, p, cat, opt.Faults); err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
 // evalChunk is the number of consecutive candidates one evaluation task
 // covers: enough to amortize the task's dispatch, few enough that workers
-// share the tail of a task type evenly.
-const evalChunk = 64
+// share the tail of a task type evenly. Closed-form estimates cost a small
+// fraction of a chain analysis and run in larger chunks.
+const (
+	evalChunk     = 64
+	estimateChunk = 1024
+)
 
-// evaluate fills in the metrics of every candidate. Consecutive chunks of
-// candidates run as sweep.Run tasks on workers from the CPU-token pool;
-// sweep.Run reports the lowest failing task's error, and a task stops at
-// its first failing candidate, so the error is the lowest failing
-// candidate's.
-func evaluate(cands []Candidate, taskType int, p *platform.Platform, cat *relmodel.Catalog, faults *faultmodel.Model) error {
+// pass selects what evaluate computes for each candidate.
+type pass struct {
+	// estimate computes the closed-form estimate (relmodel.EstimateFM)
+	// instead of the exact chain analysis (relmodel.EvaluateFM).
+	estimate bool
+	// check, on an exact pass over estimated candidates, requires every
+	// exact objective value in it to fall within the estimate's band
+	// (inBand) and fails with errOutsideBand otherwise.
+	check []Objective
+}
+
+// errOutsideBand reports an exact value outside its estimate's band.
+var errOutsideBand = errors.New("exact metrics outside the estimate's band")
+
+// evaluate fills in the metrics of the candidates sel lists (all of them
+// when sel is nil), as ps selects. Consecutive chunks of candidates run as
+// sweep.Run tasks on workers from the CPU-token pool; sweep.Run reports the
+// lowest failing task's error, and a task stops at its first failing
+// candidate, so the error is the lowest failing candidate's.
+func evaluate(cands []Candidate, sel []int32, taskType int, p *platform.Platform, cat *relmodel.Catalog, faults *faultmodel.Model, ps pass) error {
 	types := p.Types()
-	tasks := make([]func() error, 0, (len(cands)+evalChunk-1)/evalChunk)
-	for lo := 0; lo < len(cands); lo += evalChunk {
-		chunk := cands[lo:min(lo+evalChunk, len(cands))]
+	n, chunk := len(cands), evalChunk
+	if sel != nil {
+		n = len(sel)
+	}
+	if ps.estimate {
+		chunk = estimateChunk
+	}
+	tasks := make([]func() error, 0, (n+chunk-1)/chunk)
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
 		tasks = append(tasks, func() error {
-			for i := range chunk {
-				c := &chunk[i]
+			for j := lo; j < hi; j++ {
+				i := j
+				if sel != nil {
+					i = int(sel[j])
+				}
+				c := &cands[i]
 				pt := types[c.Base.PETypeIndex]
+				fm, ck := faults.For(pt.Name), c.Checkpoint
+				if faults == nil && !ck.Enabled() {
+					// The legacy path (relmodel.Evaluate): without a fault
+					// model a disabled policy is no policy at all.
+					ck = faultmodel.CheckpointPolicy{}
+				}
+				var m relmodel.Metrics
 				var err error
-				if faults == nil && !c.Checkpoint.Enabled() {
-					c.Metrics, err = relmodel.Evaluate(c.Base, c.Assignment, pt, cat)
+				if ps.estimate {
+					m, err = relmodel.EstimateFM(c.Base, c.Assignment, pt, cat, fm, ck)
 				} else {
-					c.Metrics, err = relmodel.EvaluateFM(c.Base, c.Assignment, pt, cat, faults.For(pt.Name), c.Checkpoint)
+					m, err = relmodel.EvaluateFM(c.Base, c.Assignment, pt, cat, fm, ck)
+				}
+				if err == nil && ps.check != nil && !inBand(m, c.Metrics, ps.check) {
+					err = errOutsideBand
 				}
 				if err != nil {
 					return fmt.Errorf("tdse: task type %d: %w", taskType, err)
 				}
+				c.Metrics = m
 			}
 			return nil
 		})
@@ -295,15 +360,18 @@ func indicesOrAll(sel []int, n int) []int {
 // order. Only the survivors are copied; the objective vectors of one PE
 // type share a single buffer.
 func Filter(cands []Candidate, objectives []Objective) []Candidate {
+	return filter(cands, nil, objectives)
+}
+
+// filter is Filter over the candidates sel lists (all of them when sel is
+// nil), each PE type's in ascending order. PE types still come in order of
+// first appearance in cands, so filtering a subset that keeps every type's
+// front returns what Filter returns for all of cands.
+func filter(cands []Candidate, sel []int32, objectives []Objective) []Candidate {
 	if len(objectives) == 0 {
 		panic("tdse: empty objective set")
 	}
-	var types []int
-	for i := range cands {
-		if pti := cands[i].Base.PETypeIndex; !slices.Contains(types, pti) {
-			types = append(types, pti)
-		}
-	}
+	types := peTypes(cands)
 	k := len(objectives)
 	var (
 		out     []Candidate
@@ -313,9 +381,17 @@ func Filter(cands []Candidate, objectives []Objective) []Candidate {
 	)
 	for _, pti := range types {
 		members = members[:0]
-		for i := range cands {
-			if cands[i].Base.PETypeIndex == pti {
-				members = append(members, i)
+		if sel == nil {
+			for i := range cands {
+				if cands[i].Base.PETypeIndex == pti {
+					members = append(members, i)
+				}
+			}
+		} else {
+			for _, i := range sel {
+				if cands[i].Base.PETypeIndex == pti {
+					members = append(members, int(i))
+				}
 			}
 		}
 		if n := len(members) * k; cap(flat) < n {
@@ -337,14 +413,194 @@ func Filter(cands []Candidate, objectives []Objective) []Candidate {
 	return out
 }
 
-// Explore is Enumerate followed by Filter: the tDSE of one task type.
+// peTypes lists the PE types of cands in order of first appearance.
+func peTypes(cands []Candidate) []int {
+	var types []int
+	for i := range cands {
+		if pti := cands[i].Base.PETypeIndex; !slices.Contains(types, pti) {
+			types = append(types, pti)
+		}
+	}
+	return types
+}
+
+// ScreenSlack is the relative slack δ of Explore's screen: an estimated
+// objective value v stands for the band [v − δ|v|, v + δ|v|], which must
+// hold the exact value. The closed forms agree with the chain solver to a
+// relative 5e-14 on the committed corpus (relmodel's oracle tests bound the
+// gap at δ/1000), so the band is far wider than it needs to be.
+const ScreenSlack = 1e-6
+
+// estimated reports whether objective o is derived from the chain
+// analyses, which the screen only estimates; the other objectives (power,
+// temperature, minimum execution time) are exact in the estimate.
+func estimated(o Objective) bool {
+	switch o {
+	case AvgExT, ErrProb, MTTF, Energy:
+		return true
+	}
+	return false
+}
+
+// inBand reports whether the exact metrics fall within the estimate's band
+// on every objective: within ScreenSlack on the estimated objectives,
+// equal on the exact ones.
+func inBand(exact, est relmodel.Metrics, objectives []Objective) bool {
+	for _, o := range objectives {
+		x, e := Value(exact, o), Value(est, o)
+		if estimated(o) {
+			if !(math.Abs(x-e) <= ScreenSlack*math.Abs(e)) {
+				return false
+			}
+		} else if x != e {
+			return false
+		}
+	}
+	return true
+}
+
+// Explore is the tDSE of one task type: the library
+// Filter(Enumerate(...)) returns, bit for bit, with the exact chain
+// analysis run only on the candidates that can reach it.
+//
+// Every candidate is first estimated in closed form (relmodel.EstimateFM).
+// Within each PE type, a candidate p is screened out when another
+// candidate q beats it: q's band lies strictly below p's on every
+// estimated objective, q is no worse on every exact one, and strictly
+// better on at least one objective. Screened-out candidates are never
+// analyzed; the survivors are evaluated exactly and then filtered. The
+// output cannot change: a screened-out candidate is strictly dominated by
+// a survivor (follow the chain of candidates that beat it), so removing it
+// changes no survivor's fate, and filter keeps each PE type in order of
+// first appearance among all candidates. The screen falls back to the
+// full path — Enumerate's exact evaluation of every candidate, then
+// Filter — if any estimate is not finite, any evaluation fails or any
+// survivor's exact value leaves its estimate's band; errors are therefore
+// the lowest failing candidate's, as with Enumerate.
 func Explore(lib *characterize.Library, taskType int, p *platform.Platform, cat *relmodel.Catalog, opt Options, objectives []Objective) ([]Candidate, error) {
-	cands, err := Enumerate(lib, taskType, p, cat, opt)
+	var buf []Candidate
+	return explore(&buf, lib, taskType, p, cat, opt, objectives)
+}
+
+// explore is Explore with its candidate list in *buf, which it grows as
+// needed and leaves there for the next task type: the library holds only
+// copies of the survivors.
+func explore(buf *[]Candidate, lib *characterize.Library, taskType int, p *platform.Platform, cat *relmodel.Catalog, opt Options, objectives []Objective) ([]Candidate, error) {
+	cands, err := list(*buf, lib, taskType, p, cat, opt)
 	if err != nil {
+		return nil, err
+	}
+	*buf = cands
+	// The screen holds one objective vector on the stack; a longer set
+	// repeats an objective and takes the full path.
+	if len(objectives) > 0 && len(objectives) <= int(numObjectives) {
+		sc := screenPool.Get()
+		defer screenPool.Put(sc)
+		if evaluate(cands, nil, taskType, p, cat, opt.Faults, pass{estimate: true}) == nil {
+			if keep, ok := sc.screen(cands, objectives); ok &&
+				evaluate(cands, keep, taskType, p, cat, opt.Faults, pass{check: objectives}) == nil {
+				return filter(cands, keep, objectives), nil
+			}
+		}
+	}
+	screenFallbacks.Add(1)
+	if err := evaluate(cands, nil, taskType, p, cat, opt.Faults, pass{}); err != nil {
 		return nil, err
 	}
 	return Filter(cands, objectives), nil
 }
+
+// screenFallbacks counts, process-wide, the task types Explore evaluated on
+// the full path; the tests require none on valid inputs.
+var screenFallbacks atomic.Uint64
+
+// screenScratch is the working set of one screen: the candidate indices of
+// the unbeaten set and, k per member, their estimated objective values.
+// Kept on a free list, so a process holds only as many as ever ran at
+// once.
+type screenScratch struct {
+	keep []int32
+	vals []float64
+}
+
+var screenPool = sweep.FreeList[*screenScratch]{New: func() *screenScratch { return new(screenScratch) }}
+
+// screen returns the candidates that no other candidate of their PE type
+// beats (see Explore), grouped by PE type in order of first appearance and
+// in candidate order within a type. It reports false if an estimate is not
+// finite. One pass per PE type keeps a running set of unbeaten candidates:
+// a newcomer is dropped if a member beats it, and otherwise drops the
+// members it beats and joins. Beating is a strict partial order, so the
+// final set is exactly the candidates nobody beats, whatever the order.
+func (sc *screenScratch) screen(cands []Candidate, objectives []Objective) ([]int32, bool) {
+	k := len(objectives)
+	var slack [numObjectives]float64
+	anyEstimated := false
+	for o, obj := range objectives {
+		if estimated(obj) {
+			slack[o] = ScreenSlack
+			anyEstimated = true
+		}
+	}
+	// beats reports whether values q beat values p: q's band strictly
+	// below p's where estimated, q ≤ p where exact, q < p somewhere.
+	beats := func(q, p []float64) bool {
+		strict := anyEstimated
+		for o, d := range slack[:k] {
+			switch {
+			case d != 0:
+				if !(q[o]+d*math.Abs(q[o]) < p[o]-d*math.Abs(p[o])) {
+					return false
+				}
+			case q[o] > p[o]:
+				return false
+			case q[o] < p[o]:
+				strict = true
+			}
+		}
+		return strict
+	}
+	var x [numObjectives]float64
+	keep, vals := sc.keep[:0], sc.vals[:0]
+	for _, pti := range peTypes(cands) {
+		first := len(keep) // this PE type's members are keep[first:]
+		for i := range cands {
+			if cands[i].Base.PETypeIndex != pti {
+				continue
+			}
+			if !finite(cands[i].Metrics.AvgExTimeUS) {
+				return nil, false // a chain that may never absorb
+			}
+			for o, obj := range objectives {
+				if x[o] = Value(cands[i].Metrics, obj); !finite(x[o]) {
+					return nil, false
+				}
+			}
+			beaten := false
+			for m := first; m < len(keep) && !beaten; m++ {
+				beaten = beats(vals[m*k:(m+1)*k], x[:k])
+			}
+			if beaten {
+				continue
+			}
+			w := first
+			for m := first; m < len(keep); m++ {
+				if !beats(x[:k], vals[m*k:(m+1)*k]) {
+					keep[w] = keep[m]
+					copy(vals[w*k:(w+1)*k], vals[m*k:(m+1)*k])
+					w++
+				}
+			}
+			keep = append(keep[:w], int32(i))
+			vals = append(vals[:w*k], x[:k]...)
+		}
+	}
+	sc.keep, sc.vals = keep, vals
+	return keep, true
+}
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Library holds the Pareto-filtered implementation sets of every task type:
 // the Ipf_t of §V.B, the input to pfCLR system-level DSE.
@@ -352,11 +608,13 @@ type Library struct {
 	ByType [][]Candidate
 }
 
-// Build runs Explore for every task type of the characterization library.
+// Build runs Explore for every task type of the characterization library,
+// on one candidate list.
 func Build(lib *characterize.Library, p *platform.Platform, cat *relmodel.Catalog, opt Options, objectives []Objective) (*Library, error) {
 	out := &Library{ByType: make([][]Candidate, lib.NumTypes())}
+	var buf []Candidate
 	for tt := 0; tt < lib.NumTypes(); tt++ {
-		f, err := Explore(lib, tt, p, cat, opt, objectives)
+		f, err := explore(&buf, lib, tt, p, cat, opt, objectives)
 		if err != nil {
 			return nil, err
 		}
