@@ -74,7 +74,9 @@ bench-sweep:
 # tDSE (TDSEExplore), the whole tDSE library of the committed
 # safety-critical scenario spec (TDSEBuildSafetyCritical, the cost that
 # dominates the faults-suite workload) and its unscreened enumeration, a
-# chain analysis per candidate (TDSEEnumerateSafetyCritical), one list
+# chain analysis per candidate (TDSEEnumerateSafetyCritical), the legacy
+# library of a proposed synthetic-16 spec (TDSEBuildSynthetic, what the
+# paper-mix and fleet-open workloads build), one list
 # schedule with its Eq. 1–4 reduction
 # (ScheduleEvaluator*; ScheduleEvaluator50Default computes only the
 # makespan/error-probability aggregates a default-objective GA reads),
@@ -96,6 +98,7 @@ BENCH_LAYER_CMD = $(GO) test -run '^$$' -bench 'ChainSolve' -benchmem -benchtime
 	$(GO) test -run '^$$' -bench '^Benchmark(MarkovAnalyze|TaskEvaluate|ScheduleEvaluator(Sobel|50|50Default)|EvaluateMapping(Sobel|Synthetic))$$' -benchmem -benchtime 20000x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^Benchmark(TDSEExplore|MOEADSobel)$$' -benchmem -benchtime 50x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkTDSE(Build|Enumerate)SafetyCritical$$' -benchmem -benchtime 3x -count 3 . && \
+	$(GO) test -run '^$$' -bench '^BenchmarkTDSEBuildSynthetic$$' -benchmem -benchtime 20x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkPfCLRMapping$$' -benchmem -benchtime 3x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkDeltaEval(On|Off)$$' -benchmem -benchtime 20x -count 3 ./internal/core && \
 	$(GO) test -run '^$$' -bench '^BenchmarkGARun$$' -benchmem -benchtime 100x -count 3 ./internal/moea && \

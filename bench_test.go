@@ -407,6 +407,29 @@ func BenchmarkTDSEBuildSafetyCritical(b *testing.B) {
 	}
 }
 
+// BenchmarkTDSEBuildSynthetic times tdse.Build of a proposed synthetic-16
+// job spec on the default catalog without a fault model: the legacy
+// library the paper-mix and fleet-open workloads build. Validation runs
+// once, outside the timer.
+func BenchmarkTDSEBuildSynthetic(b *testing.B) {
+	spec := service.JobSpec{App: "synthetic", Tasks: 16, Method: "proposed", Seed: 1}
+	if err := spec.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	inst, err := service.Validate(&spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	objs := tdse.StudyObjectiveSets()[spec.TDSESet]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tdse.Build(inst.Lib, inst.Platform, inst.Catalog, tdse.DefaultOptions(), objs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTDSEEnumerateSafetyCritical is the unscreened path of the same
 // spec: tdse.Enumerate of every task type, a chain analysis per candidate
 // (the chain layer's row in the bench ladder).

@@ -81,9 +81,10 @@ func run(args []string, w, errw io.Writer) error {
 	// even when the run aborts on a profile error or mid-experiment.
 	defer func() {
 		a := core.AccelTotals()
-		if a.DeltaParentReuse+a.DeltaPrefixRuns+a.DeltaFullRuns+a.PairedSolves+a.SoloSolves > 0 {
-			fmt.Fprintf(errw, "eval accel: delta %d reused / %d prefix / %d full, %d metrics reused; chain solves %d paired / %d solo, %d plans compiled, %d dense fallbacks\n",
+		if a.DeltaParentReuse+a.DeltaPrefixRuns+a.DeltaFullRuns+a.PairedSolves+a.SoloSolves+a.ScreenEstimated > 0 {
+			fmt.Fprintf(errw, "eval accel: delta %d reused / %d prefix / %d full, %d metrics reused; tdse screen %d estimated / %d solved, %d fallbacks; chain solves %d paired / %d solo, %d plans compiled, %d dense fallbacks\n",
 				a.DeltaParentReuse, a.DeltaPrefixRuns, a.DeltaFullRuns, a.MetricsReused,
+				a.ScreenEstimated, a.ScreenSolved, a.ScreenFallbacks,
 				a.PairedSolves, a.SoloSolves, a.PlanCompiles, a.DenseFallbacks)
 		}
 		s := core.SelectionTotals()

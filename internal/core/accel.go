@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/moea"
 	"repro/internal/relmodel"
+	"repro/internal/tdse"
 )
 
 // accelCounters accumulates process-wide evaluation-acceleration activity:
@@ -19,8 +20,8 @@ var accelCounters struct {
 }
 
 // AccelStats is a snapshot of the process-wide evaluation-acceleration
-// counters: the delta-evaluation and paired chain-solve machinery of the
-// DSE hot path. The daemon serves it as the /metrics eval_accel block.
+// counters: the delta-evaluation, tDSE screen and paired chain-solve
+// machinery of the DSE hot path. The daemon serves it as the /metrics eval_accel block.
 type AccelStats struct {
 	// DeltaParentReuse counts evaluations answered by the parent's result
 	// because the child decoded to identical schedule inputs.
@@ -42,13 +43,21 @@ type AccelStats struct {
 	// counts chain systems that left the plan replay for the dense kernel.
 	PlanCompiles   uint64 `json:"plan_compiles"`
 	DenseFallbacks uint64 `json:"dense_fallbacks"`
+	// ScreenEstimated counts tDSE candidates estimated in closed form,
+	// ScreenSolved those of them whose chains the screen let through to
+	// the exact analysis, and ScreenFallbacks task types that took the
+	// unscreened path instead (see tdse.ScreenTotals).
+	ScreenEstimated uint64 `json:"screen_estimated"`
+	ScreenSolved    uint64 `json:"screen_solved"`
+	ScreenFallbacks uint64 `json:"screen_fallbacks"`
 }
 
 // AccelTotals aggregates the process-wide evaluation-acceleration counters
-// across the core and relmodel layers — the source of clrearlyd's
+// across the core, tdse and relmodel layers — the source of clrearlyd's
 // /metrics eval_accel block and the experiment harness's stderr summary.
 func AccelTotals() AccelStats {
 	pair := relmodel.PairSolveTotals()
+	screen := tdse.ScreenTotals()
 	return AccelStats{
 		DeltaParentReuse: accelCounters.deltaParentReuse.Load(),
 		DeltaPrefixRuns:  accelCounters.deltaPrefixRuns.Load(),
@@ -58,6 +67,9 @@ func AccelTotals() AccelStats {
 		SoloSolves:       pair.Solo,
 		PlanCompiles:     pair.PlanCompiles,
 		DenseFallbacks:   pair.DenseFallbacks,
+		ScreenEstimated:  screen.Estimated,
+		ScreenSolved:     screen.Solved,
+		ScreenFallbacks:  screen.Fallbacks,
 	}
 }
 

@@ -278,18 +278,16 @@ func PlanTotals() PlanStats {
 }
 
 // plan returns the chain's plan from the table, compiling and inserting it
-// on a miss. Goroutines that miss on one structure at once each compile it,
-// but only the first insert enters the table and counts as a compile; the
-// others return that plan.
+// on a miss. Misses compile under the insert lock, so goroutines that miss
+// on one structure at once compile it once (a cold tDSE misses on the same
+// structures from many groups at a time) and a first call's allocations do
+// not depend on the schedule. Compiles are a one-time cost per structure,
+// so the lock costs nothing in the steady state.
 func (c *Chain) plan() (*chainPlan, error) {
 	if m := plans.m.Load(); m != nil {
 		if p := (*m)[string(c.key)]; p != nil {
 			return p, nil
 		}
-	}
-	p, err := c.compile()
-	if err != nil {
-		return nil, err
 	}
 	plans.mu.Lock()
 	defer plans.mu.Unlock()
@@ -298,6 +296,10 @@ func (c *Chain) plan() (*chainPlan, error) {
 		if q := (*m)[string(c.key)]; q != nil {
 			return q, nil
 		}
+	}
+	p, err := c.compile()
+	if err != nil {
+		return nil, err
 	}
 	next := map[string]*chainPlan{}
 	if m != nil && len(*m) < maxPlans {

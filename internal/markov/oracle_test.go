@@ -156,7 +156,7 @@ func TestCorpusCandidatesMatchDenseOracle(t *testing.T) {
 			opt.Checkpoints = tdse.CheckpointAxis(spec.CkptIntervals)
 		}
 		for tt := 0; tt < inst.Lib.NumTypes(); tt++ {
-			cands, err := tdse.Enumerate(inst.Lib, tt, inst.Platform, inst.Catalog, opt)
+			cands, err := tdse.List(inst.Lib, tt, inst.Platform, inst.Catalog, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", f, err)
 			}

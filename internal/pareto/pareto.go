@@ -11,6 +11,7 @@ package pareto
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -48,23 +49,61 @@ func WeaklyDominates(a, b []float64) bool {
 
 // Filter returns the indices of the non-dominated points among pts,
 // in their original order. Duplicated points are kept once (the first
-// occurrence survives).
+// occurrence survives). It panics if the points differ in length.
+//
+// The points without a NaN coordinate pass, in order, through a running
+// set of the points no earlier one dominates or equals: a newcomer that a
+// member weakly dominates is dropped, and otherwise it evicts the members
+// it dominates and joins. Dominance is transitive and a member weakly
+// dominates every point seen, so the set ends as the front, and a
+// point costs at most two passes over the set (one until its first
+// dominator when it is dropped) instead of one over all n points. NaN
+// compares false both ways, so a coordinate that is NaN in either vector
+// neither helps nor hurts dominance, and a vector with a NaN equals
+// nothing; that relation is not transitive, so the NaN points are
+// compared with every point directly, as the definition reads.
 func Filter(pts [][]float64) []int {
-	var front []int
+	var nan []int
+	front := make([]int, 0, len(pts))
+scan:
 	for i, p := range pts {
-		dominated := false
-		for j, q := range pts {
-			if i == j {
-				continue
-			}
-			if Dominates(q, p) || (j < i && equalVec(q, p)) {
-				dominated = true
-				break
+		if len(p) != len(pts[0]) {
+			panic(fmt.Sprintf("pareto: vector length mismatch %d vs %d", len(pts[0]), len(p)))
+		}
+		if slices.ContainsFunc(p, math.IsNaN) {
+			nan = append(nan, i)
+			continue
+		}
+		for _, j := range front {
+			if WeaklyDominates(pts[j], p) {
+				continue scan
 			}
 		}
-		if !dominated {
-			front = append(front, i)
+		n := 0
+		for _, j := range front {
+			if !Dominates(p, pts[j]) {
+				front[n] = j
+				n++
+			}
 		}
+		front = append(front[:n], i)
+	}
+	if len(nan) > 0 {
+		// Without NaN the front above is final; with NaN points, drop the
+		// front members one of them dominates and add those no point
+		// dominates.
+		dominated := func(i int) bool {
+			return slices.ContainsFunc(pts, func(q []float64) bool { return Dominates(q, pts[i]) })
+		}
+		front = slices.DeleteFunc(front, func(i int) bool {
+			return slices.ContainsFunc(nan, func(j int) bool { return Dominates(pts[j], pts[i]) })
+		})
+		for _, i := range nan {
+			if !dominated(i) {
+				front = append(front, i)
+			}
+		}
+		slices.Sort(front)
 	}
 	return front
 }
@@ -77,15 +116,6 @@ func FilterPoints(pts [][]float64) [][]float64 {
 		out = append(out, pts[i])
 	}
 	return out
-}
-
-func equalVec(a, b []float64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Hypervolume computes the hypervolume (S-metric) of the given points with

@@ -3,6 +3,7 @@ package pareto
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -68,6 +69,100 @@ func TestFilterDeduplicates(t *testing.T) {
 	if got := Filter(pts); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("Filter kept %v, want just the first duplicate", got)
 	}
+}
+
+// filterOracle is Filter by its definition: point i survives unless
+// another point dominates it or an earlier one equals it. It compares
+// every pair, n² tests.
+func filterOracle(pts [][]float64) []int {
+	var front []int
+	for i, p := range pts {
+		dominated := false
+		for j, q := range pts {
+			if i == j {
+				continue
+			}
+			if Dominates(q, p) || (j < i && equalVec(q, p)) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			front = append(front, i)
+		}
+	}
+	return front
+}
+
+func equalVec(a, b []float64) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFilterMatchesOracleSpecialValues compares Filter with the oracle on
+// random point sets drawn from a small pool of values, so that duplicates,
+// ties and the special values −0, +0, ±Inf and NaN all occur often.
+func TestFilterMatchesOracleSpecialValues(t *testing.T) {
+	pool := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 1, 2, math.Inf(1), math.NaN()}
+	rng := rand.New(rand.NewSource(1))
+	nanSets := 0
+	for trial := 0; trial < 20000; trial++ {
+		n, d := 1+rng.Intn(12), 1+rng.Intn(4)
+		// Half the sets leave NaN out, which is the presorted path alone.
+		vals := pool
+		if trial%2 == 0 {
+			vals = pool[:len(pool)-1]
+		}
+		pts := make([][]float64, n)
+		for i := range pts {
+			if i > 0 && rng.Intn(4) == 0 {
+				pts[i] = slices.Clone(pts[rng.Intn(i)]) // a duplicate
+				continue
+			}
+			pts[i] = make([]float64, d)
+			for o := range pts[i] {
+				pts[i][o] = vals[rng.Intn(len(vals))]
+			}
+		}
+		if slices.ContainsFunc(pts, func(p []float64) bool { return slices.ContainsFunc(p, math.IsNaN) }) {
+			nanSets++
+		}
+		if got, want := Filter(pts), filterOracle(pts); !slices.Equal(got, want) {
+			t.Fatalf("points %v: Filter = %v, oracle %v", pts, got, want)
+		}
+	}
+	if nanSets < 1000 {
+		t.Fatalf("only %d of the point sets held a NaN", nanSets)
+	}
+}
+
+// TestFilterNaNIsNotTransitive is why Filter compares NaN points with
+// every point: r dominates q and q dominates p, comparing only where both
+// vectors are numbers, but r does not dominate p. A running set of
+// undominated points would drop q on arrival and then keep p, whom only
+// the dropped q dominates.
+func TestFilterNaNIsNotTransitive(t *testing.T) {
+	r, q, p := []float64{0, 5}, []float64{1, math.NaN()}, []float64{2, 3}
+	if !Dominates(r, q) || !Dominates(q, p) || Dominates(r, p) {
+		t.Fatal("the example lost its premise")
+	}
+	pts := [][]float64{r, q, p}
+	if got, want := Filter(pts), filterOracle(pts); !slices.Equal(got, want) || !slices.Equal(got, []int{0}) {
+		t.Fatalf("Filter = %v, oracle %v, want [0]", got, want)
+	}
+}
+
+func TestFilterLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on length mismatch")
+		}
+	}()
+	Filter([][]float64{{1, 2}, {1}})
 }
 
 func TestFilterEmpty(t *testing.T) {
@@ -236,41 +331,16 @@ func quantizedPts(rng *rand.Rand, n, d int) [][]float64 {
 
 func TestPropertyFilterMatchesBruteForce(t *testing.T) {
 	// Filter must return exactly the indices the dominance definition
-	// demands: i survives iff no point dominates pts[i] and no earlier
-	// index holds an identical point. In particular every non-dominated
-	// input is represented on the front (by its first occurrence).
+	// demands (filterOracle), in their original order: i survives iff no
+	// point dominates pts[i] and no earlier index holds an identical point.
+	// In particular every non-dominated input is represented on the front
+	// (by its first occurrence).
 	f := func(seed int64, nRaw, dRaw uint8) bool {
 		n := int(nRaw%24) + 1
 		d := int(dRaw%3) + 2
 		rng := rand.New(rand.NewSource(seed))
 		pts := quantizedPts(rng, n, d)
-		got := Filter(pts)
-		gotSet := make(map[int]bool, len(got))
-		prev := -1
-		for _, i := range got {
-			if i <= prev { // original order must be preserved
-				return false
-			}
-			prev = i
-			gotSet[i] = true
-		}
-		for i, p := range pts {
-			want := true
-			for j, q := range pts {
-				if j != i && Dominates(q, p) {
-					want = false
-					break
-				}
-				if j < i && equalVec(q, p) {
-					want = false
-					break
-				}
-			}
-			if want != gotSet[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(Filter(pts), filterOracle(pts))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -507,10 +507,15 @@ func AnalyzeChains(p ChainParams) (TaskReliability, error) {
 // never leaves some interval (X = 0) has no finite estimate; the result
 // then holds a non-finite AvgExTimeUS, where AnalyzeChains fails.
 func EstimateChains(p ChainParams) (TaskReliability, error) {
-	var out TaskReliability
 	if err := p.Validate(); err != nil {
-		return out, err
+		return TaskReliability{}, err
 	}
+	return estimateChains(&p), nil
+}
+
+// estimateChains is EstimateChains without the validation.
+func estimateChains(p *ChainParams) TaskReliability {
+	var out TaskReliability
 	n := p.Checkpoints + 1
 	pChkE := p.pChkError()
 	pRedo := pChkE * p.CovDet * p.MTol
@@ -550,5 +555,5 @@ func EstimateChains(p ChainParams) (TaskReliability, error) {
 		}
 	}
 	out.MinExTimeUS = p.ExecTimeUS + float64(n)*p.DetTimeUS + float64(p.Checkpoints)*p.ChkTimeUS
-	return out, nil
+	return out
 }

@@ -15,8 +15,8 @@ import (
 // TestEstimateMatchesChainsCorpus compares the closed forms with the chain
 // solver on every tDSE candidate of the committed mixed-criticality
 // corpus, every 16th under the race detector: EstimateChains with
-// AnalyzeChains, and EstimateFM with the exact metrics tdse.Enumerate
-// computes. The non-chain metrics must match bit for bit, and the
+// AnalyzeChains, and EstimateFM with EvaluateFM on the candidates
+// tdse.List enumerates. The non-chain metrics must match bit for bit, and the
 // chain-derived figures within a relative gap of 1e-9, a thousandth of the
 // tDSE screen's slack.
 func TestEstimateMatchesChainsCorpus(t *testing.T) {
@@ -51,18 +51,22 @@ func TestEstimateMatchesChainsCorpus(t *testing.T) {
 			opt.Checkpoints = tdse.CheckpointAxis(spec.CkptIntervals)
 		}
 		for tt := 0; tt < inst.Lib.NumTypes(); tt++ {
-			cands, err := tdse.Enumerate(inst.Lib, tt, inst.Platform, inst.Catalog, opt)
+			cands, err := tdse.List(inst.Lib, tt, inst.Platform, inst.Catalog, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", f, err)
 			}
 			for i := 0; i < len(cands); i += stride {
 				c := cands[i]
 				pt := inst.Platform.Types()[c.Base.PETypeIndex]
+				exact, err := relmodel.EvaluateFM(c.Base, c.Assignment, pt, inst.Catalog, opt.Faults.For(pt.Name), c.Checkpoint)
+				if err != nil {
+					t.Fatalf("%s: type %d candidate %d: %v", f, tt, i, err)
+				}
 				est, err := relmodel.EstimateFM(c.Base, c.Assignment, pt, inst.Catalog, opt.Faults.For(pt.Name), c.Checkpoint)
 				if err != nil {
 					t.Fatalf("%s: type %d candidate %d: %v", f, tt, i, err)
 				}
-				gap := metricsGap(t, est, c.Metrics)
+				gap := metricsGap(t, est, exact)
 				p, err := relmodel.ChainParamsFor(c.Base, c.Assignment, pt, inst.Catalog, opt.Faults.For(pt.Name), c.Checkpoint)
 				if err != nil {
 					t.Fatal(err)
@@ -70,7 +74,7 @@ func TestEstimateMatchesChainsCorpus(t *testing.T) {
 				gap = max(gap, chainGap(t, p))
 				if !(gap <= 1e-9) {
 					t.Fatalf("%s: type %d candidate %d: relative gap %.3g\nestimate %+v\nexact    %+v",
-						filepath.Base(f), tt, i, gap, est, c.Metrics)
+						filepath.Base(f), tt, i, gap, est, exact)
 				}
 				worst = max(worst, gap)
 				checked++

@@ -114,58 +114,112 @@ func Evaluate(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog) (Met
 // AnalyzeChains.
 func ChainParamsFor(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
 	fm faultmodel.FaultModel, ckpt faultmodel.CheckpointPolicy) (ChainParams, error) {
-	var out ChainParams
+	if err := checkInputs(&impl, asg, pt, cat, fm, ckpt); err != nil {
+		return ChainParams{}, err
+	}
+	ft := newFaultTerms(pt, fm)
+	return chainParams(&impl, asg, pt, cat, &ft, ckpt), nil
+}
+
+// checkInputs validates the inputs of one task evaluation.
+func checkInputs(impl *Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
+	fm faultmodel.FaultModel, ckpt faultmodel.CheckpointPolicy) error {
 	if err := impl.Validate(); err != nil {
-		return out, err
+		return err
 	}
 	if err := asg.CheckAgainst(cat, len(pt.Modes)); err != nil {
-		return out, err
+		return err
 	}
 	if err := fm.Validate(); err != nil {
-		return out, fmt.Errorf("relmodel: evaluating %q: %w", impl.Name, err)
+		return fmt.Errorf("relmodel: evaluating %q: %w", impl.Name, err)
 	}
 	if err := ckpt.Validate(); err != nil {
-		return out, fmt.Errorf("relmodel: evaluating %q: %w", impl.Name, err)
+		return fmt.Errorf("relmodel: evaluating %q: %w", impl.Name, err)
 	}
-	hw := cat.HW[asg.HW]
-	ssw := cat.SSW[asg.SSW]
-	asw := cat.ASW[asg.ASW]
+	return nil
+}
 
-	freq := pt.Modes[asg.Mode].FreqMHz
-	execUS := impl.Cycles / freq * hw.TimeFactor * asw.TimeFactor
+// The helpers below are the formulas of a task evaluation, split by the
+// enumeration axis they depend on so that Space.Estimate computes each
+// once per axis value. EvaluateFM, EstimateFM and ChainParamsFor call the
+// same helpers with the same left-to-right arithmetic, so the metrics
+// agree bit for bit. None of them validates its inputs.
 
-	fmOn := fm.Enabled()
-	ckptOn := ckpt.Enabled()
-	cfgOn := pt.ConfigSEURatePerSec > 0
+// faultTerms are the fault rates of one PE type under one fault model:
+// the transient scaling, and the permanent process with its repair before
+// the hardware method's own.
+type faultTerms struct {
+	fmOn                                bool
+	lambdaScale, intermittentPerUS      float64
+	permPerUS, repairProb, repairTimeUS float64
+}
 
-	lambda := pt.SEURate(asg.Mode) / 1e6
-	checkpoints := ssw.Checkpoints
-	chkTimeUS := ssw.CheckpointTimeFrac * execUS
-	detCov := ssw.DetectionCoverage
-	tolCov := ssw.ToleranceCoverage
-	permPerUS, repairProb, repairTimeUS := 0.0, 0.0, 0.0
-
-	if fmOn {
-		lambda = lambda*fm.LambdaScale() + fm.IntermittentPerUS()
-		permPerUS = fm.PermanentPerUS()
-		repairProb = fm.RepairProb
-		repairTimeUS = fm.RepairTimeUS
+func newFaultTerms(pt *platform.PEType, fm faultmodel.FaultModel) faultTerms {
+	ft := faultTerms{fmOn: fm.Enabled()}
+	if ft.fmOn {
+		ft.lambdaScale = fm.LambdaScale()
+		ft.intermittentPerUS = fm.IntermittentPerUS()
+		ft.permPerUS = fm.PermanentPerUS()
+		ft.repairProb = fm.RepairProb
+		ft.repairTimeUS = fm.RepairTimeUS
 	}
-	if cfgOn {
+	if pt.ConfigSEURatePerSec > 0 {
 		// Configuration-memory upsets halt correct execution until the
 		// scrubber rewrites the frame: a repairable permanent hit whose
 		// repair waits on average half the scrub period. Unscrubbed
 		// configuration memory is unrepairable at this layer.
-		permPerUS += pt.ConfigSEURatePerSec / 1e6
+		ft.permPerUS += pt.ConfigSEURatePerSec / 1e6
 		if pt.ScrubPeriodUS > 0 {
-			repairProb = faultmodel.Combine(repairProb, scrubRepairProb)
-			repairTimeUS += pt.ScrubPeriodUS / 2
+			ft.repairProb = faultmodel.Combine(ft.repairProb, scrubRepairProb)
+			ft.repairTimeUS += pt.ScrubPeriodUS / 2
 		}
 	}
-	if permPerUS > 0 && hw.Repair > 0 {
-		repairProb = faultmodel.Combine(repairProb, hw.Repair)
+	return ft
+}
+
+// lambda returns the effective transient rate in 1/µs in DVFS mode m.
+func (ft *faultTerms) lambda(pt *platform.PEType, m int) float64 {
+	lambda := pt.SEURate(m) / 1e6
+	if ft.fmOn {
+		lambda = lambda*ft.lambdaScale + ft.intermittentPerUS
 	}
-	if ckptOn {
+	return lambda
+}
+
+// repair returns the repair probability of a permanent hit under hardware
+// method hw.
+func (ft *faultTerms) repair(hw *HWMethod) float64 {
+	if ft.permPerUS > 0 && hw.Repair > 0 {
+		return faultmodel.Combine(ft.repairProb, hw.Repair)
+	}
+	return ft.repairProb
+}
+
+// hwExecUS is the execution time of impl at freqMHz under hardware method
+// hw, before the application-layer inflation.
+func hwExecUS(impl *Impl, freqMHz float64, hw *HWMethod) float64 {
+	return impl.Cycles / freqMHz * hw.TimeFactor
+}
+
+// chainParams derives the chain parameters of one candidate.
+func chainParams(impl *Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
+	ft *faultTerms, ckpt faultmodel.CheckpointPolicy) ChainParams {
+	hw := &cat.HW[asg.HW]
+	return ft.params(impl, hwExecUS(impl, pt.Modes[asg.Mode].FreqMHz, hw), ft.lambda(pt, asg.Mode),
+		ft.repair(hw), hw, &cat.SSW[asg.SSW], &cat.ASW[asg.ASW], ckpt)
+}
+
+// params finishes the chain parameters from the per-axis terms: the
+// execution time before the ASW inflation, the transient rate and the
+// permanent repair probability.
+func (ft *faultTerms) params(impl *Impl, hwExecUS, lambda, repairProb float64,
+	hw *HWMethod, ssw *SSWMethod, asw *ASWMethod, ckpt faultmodel.CheckpointPolicy) ChainParams {
+	execUS := hwExecUS * asw.TimeFactor
+	checkpoints := ssw.Checkpoints
+	chkTimeUS := ssw.CheckpointTimeFrac * execUS
+	detCov := ssw.DetectionCoverage
+	tolCov := ssw.ToleranceCoverage
+	if ckpt.Enabled() {
 		// Policy checkpoints stack on the SSW method's own; the chain's
 		// single per-checkpoint cost becomes the count-weighted mean of the
 		// two mechanisms' creation costs.
@@ -191,10 +245,66 @@ func ChainParamsFor(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog
 		MTol:                  tolCov,
 		MASW:                  asw.Masking,
 		ModelCheckpointErrors: true,
-		PermPerUS:             permPerUS,
+		PermPerUS:             ft.permPerUS,
 		RepairProb:            repairProb,
-		RepairTimeUS:          repairTimeUS,
-	}, nil
+		RepairTimeUS:          ft.repairTimeUS,
+	}
+}
+
+// weibullGamma is Γ(1+1/β) of the PE type: MTTF = η·Γ(1+1/β).
+func weibullGamma(pt *platform.PEType) float64 {
+	return math.Gamma(1 + 1/pt.WeibullBeta)
+}
+
+// hwPowerW is the power of impl in DVFS mode m under hardware method hw,
+// before the checkpoint policy's factor.
+func hwPowerW(impl *Impl, pt *platform.PEType, m int, hw *HWMethod) float64 {
+	return impl.PowerW * pt.PowerScale(m) * hw.PowerFactor
+}
+
+// thermal holds the metrics fixed by a candidate's power: power,
+// temperature, η and the aging MTTF.
+type thermal struct {
+	powerW, tempC, etaHours, mttfHours float64
+}
+
+func newThermal(pt *platform.PEType, hwPowerW, gamma float64, ckpt faultmodel.CheckpointPolicy) thermal {
+	power := hwPowerW
+	if ckpt.Enabled() {
+		power *= ckpt.PowerFactor()
+	}
+	temp := pt.SteadyTempC(power)
+	eta := pt.EtaHours(temp)
+	return thermal{powerW: power, tempC: temp, etaHours: eta, mttfHours: eta * gamma}
+}
+
+// metrics combines the chain figures with the thermal ones.
+func (th *thermal) metrics(rel *TaskReliability) Metrics {
+	out := Metrics{
+		EtaHours:     th.etaHours,
+		MinExTimeUS:  rel.MinExTimeUS,
+		AvgExTimeUS:  rel.AvgExTimeUS,
+		ErrProb:      rel.ErrProb,
+		PermFailProb: rel.PermFailProb,
+		MTTFHours:    th.mttfHours,
+		PowerW:       th.powerW,
+		EnergyUJ:     rel.AvgExTimeUS * th.powerW,
+		TempC:        th.tempC,
+	}
+	if rel.PermFailProb > 0 {
+		// Joint lifetime: the aging process (Weibull MTTF) and the fatal
+		// permanent-fault process compose as competing risks. The fatal
+		// rate per hour comes from the per-execution loss probability at
+		// continuous operation; both gates keep the formula a strict no-op
+		// when the permanent process is off (1/(1/x) ≠ x in floating
+		// point).
+		fatalPerHour := rel.PermFailProb * (3.6e9 / rel.AvgExTimeUS)
+		out.MTTFHours = 1 / (1/out.MTTFHours + fatalPerHour)
+		// A permanently lost task delivers no result: count it alongside
+		// the surviving-error probability.
+		out.ErrProb = rel.ErrProb + rel.PermFailProb
+	}
+	return out
 }
 
 // EvaluateFM is Evaluate under a composable fault model and a task-level
@@ -223,6 +333,8 @@ func EvaluateFM(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
 // bit-identical to EvaluateFM's, and the chain-derived AvgExTimeUS,
 // ErrProb, PermFailProb, MTTFHours and EnergyUJ agree to rounding. It
 // counts nothing in the fault-model counters, which count analyses.
+// Space.Estimate computes the same metrics, bit for bit, for a whole
+// design space at once.
 func EstimateFM(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
 	fm faultmodel.FaultModel, ckpt faultmodel.CheckpointPolicy) (Metrics, error) {
 	return evaluateFM(impl, asg, pt, cat, fm, ckpt, false)
@@ -232,63 +344,29 @@ func EstimateFM(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
 // but the chain half.
 func evaluateFM(impl Impl, asg Assignment, pt *platform.PEType, cat *Catalog,
 	fm faultmodel.FaultModel, ckpt faultmodel.CheckpointPolicy, exact bool) (Metrics, error) {
-	var out Metrics
-	params, err := ChainParamsFor(impl, asg, pt, cat, fm, ckpt)
-	if err != nil {
-		return out, err
+	if err := checkInputs(&impl, asg, pt, cat, fm, ckpt); err != nil {
+		return Metrics{}, err
 	}
+	ft := newFaultTerms(pt, fm)
+	params := chainParams(&impl, asg, pt, cat, &ft, ckpt)
 	var rel TaskReliability
+	var err error
 	if exact {
 		rel, err = AnalyzeChains(params)
 	} else {
 		rel, err = EstimateChains(params)
 	}
 	if err != nil {
-		return out, fmt.Errorf("relmodel: evaluating %q: %w", impl.Name, err)
+		return Metrics{}, fmt.Errorf("relmodel: evaluating %q: %w", impl.Name, err)
 	}
-
-	fmOn := fm.Enabled()
-	ckptOn := ckpt.Enabled()
-	cfgOn := pt.ConfigSEURatePerSec > 0
-	hw := cat.HW[asg.HW]
-
-	power := impl.PowerW * pt.PowerScale(asg.Mode) * hw.PowerFactor
-	if ckptOn {
-		power *= ckpt.PowerFactor()
-	}
-	temp := pt.SteadyTempC(power)
-	eta := pt.EtaHours(temp)
-
-	out = Metrics{
-		EtaHours:     eta,
-		MinExTimeUS:  rel.MinExTimeUS,
-		AvgExTimeUS:  rel.AvgExTimeUS,
-		ErrProb:      rel.ErrProb,
-		PermFailProb: rel.PermFailProb,
-		MTTFHours:    eta * math.Gamma(1+1/pt.WeibullBeta),
-		PowerW:       power,
-		EnergyUJ:     rel.AvgExTimeUS * power,
-		TempC:        temp,
-	}
-	if rel.PermFailProb > 0 {
-		// Joint lifetime: the aging process (Weibull MTTF) and the fatal
-		// permanent-fault process compose as competing risks. The fatal
-		// rate per hour comes from the per-execution loss probability at
-		// continuous operation; both gates keep the formula a strict no-op
-		// when the permanent process is off (1/(1/x) ≠ x in floating
-		// point).
-		fatalPerHour := rel.PermFailProb * (3.6e9 / rel.AvgExTimeUS)
-		out.MTTFHours = 1 / (1/out.MTTFHours + fatalPerHour)
-		// A permanently lost task delivers no result: count it alongside
-		// the surviving-error probability.
-		out.ErrProb = rel.ErrProb + rel.PermFailProb
-	}
-	if exact && (fmOn || ckptOn || cfgOn) {
+	th := newThermal(pt, hwPowerW(&impl, pt, asg.Mode, &cat.HW[asg.HW]), weibullGamma(pt), ckpt)
+	out := th.metrics(&rel)
+	if exact && (ft.fmOn || ckpt.Enabled() || pt.ConfigSEURatePerSec > 0) {
 		faultmodel.CountEval()
 		if params.PermPerUS > 0 {
 			faultmodel.CountPermChain()
 		}
-		if ckptOn {
+		if ckpt.Enabled() {
 			faultmodel.CountCheckpointPolicy()
 		}
 	}

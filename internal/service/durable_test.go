@@ -466,6 +466,9 @@ func TestMetricsCounterBlockKeys(t *testing.T) {
 		"eval_accel.metrics_reused",
 		"eval_accel.paired_solves",
 		"eval_accel.plan_compiles",
+		"eval_accel.screen_estimated",
+		"eval_accel.screen_fallbacks",
+		"eval_accel.screen_solved",
 		"eval_accel.solo_solves",
 		"fault_model.checkpoint_policies",
 		"fault_model.evals",

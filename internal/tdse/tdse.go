@@ -11,17 +11,20 @@
 // TABLE IV row I, where a single-objective filter still leaves one point
 // per compatible PE type.
 //
-// Enumerate analyses the chains of every candidate; Fig. 6(a), cmd/tdse and
-// the oracles need them all. Explore and Build return the same libraries
-// bit for bit but analyse far fewer: they estimate every candidate in
-// closed form (relmodel.EstimateFM), drop those another candidate's
-// estimate beats by more than ScreenSlack in every estimated objective,
-// and solve the chains only of the rest before filtering. See Explore for
+// List generates the candidates without evaluating them, and Enumerate
+// analyses the chains of every one; Fig. 6(a), cmd/tdse and the oracles
+// need them all. Explore and Build return the same libraries bit for bit
+// but analyse far fewer. Each (task type, PE type) group is one task on a
+// shared set of sweep workers; it streams its candidates from the
+// enumeration axes through one fused closed-form pass
+// (relmodel.Space.Estimate, the metrics of relmodel.EstimateFM), drops
+// those another candidate's estimate beats by more than ScreenSlack in
+// every estimated objective, and solves the chains only of the rest before
+// filtering. No Candidate exists for a dropped candidate. See Explore for
 // the rule and its fallback to the full path.
 package tdse
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -188,71 +191,52 @@ func CheckpointAxis(intervals []int) []faultmodel.CheckpointPolicy {
 }
 
 // Enumerate generates and evaluates every CLR-integrated candidate of one
-// task type on the platform. The candidates are listed first, at exact
-// capacity, and then evaluated in parallel on workers drawn from the
-// process CPU-token pool (sweep.AcquireWorkers). Candidate order and
-// metrics do not depend on the worker count, and an evaluation error is the
-// lowest failing candidate's, the one a serial enumeration would report.
+// task type on the platform: List, then the exact evaluation of every
+// candidate in parallel on workers drawn from the process CPU-token pool
+// (sweep.AcquireWorkers). Candidate order and metrics do not depend on the
+// worker count, and an evaluation error is the lowest failing candidate's,
+// the one a serial enumeration would report.
 func Enumerate(lib *characterize.Library, taskType int, p *platform.Platform, cat *relmodel.Catalog, opt Options) ([]Candidate, error) {
-	cands, err := list(nil, lib, taskType, p, cat, opt)
+	cands, err := List(lib, taskType, p, cat, opt)
 	if err != nil {
 		return nil, err
 	}
-	if err := evaluate(cands, nil, taskType, p, cat, opt.Faults, pass{}); err != nil {
+	if err := evaluate(cands, taskType, p, cat, opt.Faults); err != nil {
 		return nil, err
 	}
 	return cands, nil
 }
 
-// list generates the candidates of one task type, in enumeration order and
-// with their metrics still zero, into buf if it has the capacity and into a
-// new slice of exact capacity otherwise.
-func list(buf []Candidate, lib *characterize.Library, taskType int, p *platform.Platform, cat *relmodel.Catalog, opt Options) ([]Candidate, error) {
-	if err := cat.Validate(); err != nil {
+// List generates the candidates of one task type in enumeration order —
+// base implementation, DVFS mode, HW, SSW and ASW method, checkpoint
+// policy, the last varying fastest — with their metrics still zero, in a
+// slice of exact capacity. Nothing is evaluated, so an invalid method
+// index or policy is only reported by Enumerate.
+func List(lib *characterize.Library, taskType int, p *platform.Platform, cat *relmodel.Catalog, opt Options) ([]Candidate, error) {
+	ax, err := newAxes(p, cat, opt)
+	if err != nil {
 		return nil, err
 	}
-	hws := indicesOrAll(opt.HW, len(cat.HW))
-	ssws := indicesOrAll(opt.SSW, len(cat.SSW))
-	asws := indicesOrAll(opt.ASW, len(cat.ASW))
-	// The checkpoint-policy axis multiplies the enumeration; a nil axis is
-	// the single zero policy, which — together with a nil fault model —
-	// evaluates exactly as the pre-subsystem engine did, so candidate order
-	// and metrics stay bit-identical to it.
-	policies := opt.Checkpoints
-	if policies == nil {
-		policies = zeroPolicyAxis[:]
-	}
 	bases := lib.ImplsShared(taskType)
+	per := ax.perMode()
 	total := 0
 	for _, base := range bases {
-		pt := p.Types()[base.PETypeIndex]
-		for _, mode := range indicesOrAll(opt.Modes, len(pt.Modes)) {
-			if mode < len(pt.Modes) {
-				total += len(hws) * len(ssws) * len(asws) * len(policies)
-			}
-		}
+		total += len(ax.modes[base.PETypeIndex]) * per
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("tdse: task type %d yielded no candidates", taskType)
 	}
-	out := buf[:0]
-	if cap(out) < total {
-		out = make([]Candidate, 0, total)
-	}
+	out := make([]Candidate, 0, total)
 	for _, base := range bases {
 		if opt.ImplicitMaskingOverride >= 0 {
 			base.ImplicitMasking = opt.ImplicitMaskingOverride
 		}
-		pt := p.Types()[base.PETypeIndex]
-		for _, mode := range indicesOrAll(opt.Modes, len(pt.Modes)) {
-			if mode >= len(pt.Modes) {
-				continue
-			}
-			for _, hw := range hws {
-				for _, ssw := range ssws {
-					for _, asw := range asws {
+		for _, mode := range ax.modes[base.PETypeIndex] {
+			for _, hw := range ax.hw {
+				for _, ssw := range ax.ssw {
+					for _, asw := range ax.asw {
 						asg := relmodel.Assignment{Mode: mode, HW: hw, SSW: ssw, ASW: asw}
-						for _, ck := range policies {
+						for _, ck := range ax.policies {
 							out = append(out, Candidate{Base: base, Assignment: asg, Checkpoint: ck})
 						}
 					}
@@ -263,70 +247,89 @@ func list(buf []Candidate, lib *characterize.Library, taskType int, p *platform.
 	return out, nil
 }
 
-// evalChunk is the number of consecutive candidates one evaluation task
-// covers: enough to amortize the task's dispatch, few enough that workers
-// share the tail of a task type evenly. Closed-form estimates cost a small
-// fraction of a chain analysis and run in larger chunks.
-const (
-	evalChunk     = 64
-	estimateChunk = 1024
-)
-
-// pass selects what evaluate computes for each candidate.
-type pass struct {
-	// estimate computes the closed-form estimate (relmodel.EstimateFM)
-	// instead of the exact chain analysis (relmodel.EvaluateFM).
-	estimate bool
-	// check, on an exact pass over estimated candidates, requires every
-	// exact objective value in it to fall within the estimate's band
-	// (inBand) and fails with errOutsideBand otherwise.
-	check []Objective
+// axes are the enumeration axes of Options, shared by every task type.
+type axes struct {
+	// modes holds, per PE type index, the DVFS modes enumerated on it:
+	// Options.Modes without the indices past the type's last mode.
+	modes        [][]int
+	hw, ssw, asw []int
+	// policies is the checkpoint axis as listed (Candidate.Checkpoint) and
+	// evalPolicies as evaluated (evalPolicy).
+	policies, evalPolicies []faultmodel.CheckpointPolicy
 }
 
-// errOutsideBand reports an exact value outside its estimate's band.
-var errOutsideBand = errors.New("exact metrics outside the estimate's band")
+func newAxes(p *platform.Platform, cat *relmodel.Catalog, opt Options) (axes, error) {
+	if err := cat.Validate(); err != nil {
+		return axes{}, err
+	}
+	// The "all" axes are prefixes of one 0, 1, 2, … list.
+	n := max(len(cat.HW), len(cat.SSW), len(cat.ASW))
+	for _, pt := range p.Types() {
+		n = max(n, len(pt.Modes))
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	orAll := func(sel []int, n int) []int {
+		if sel != nil {
+			return sel
+		}
+		return all[:n:n]
+	}
+	ax := axes{
+		modes:    make([][]int, len(p.Types())),
+		hw:       orAll(opt.HW, len(cat.HW)),
+		ssw:      orAll(opt.SSW, len(cat.SSW)),
+		asw:      orAll(opt.ASW, len(cat.ASW)),
+		policies: opt.Checkpoints,
+	}
+	for i, pt := range p.Types() {
+		missing := func(m int) bool { return m >= len(pt.Modes) }
+		ax.modes[i] = orAll(opt.Modes, len(pt.Modes))
+		if slices.ContainsFunc(ax.modes[i], missing) {
+			ax.modes[i] = slices.DeleteFunc(slices.Clone(ax.modes[i]), missing)
+		}
+	}
+	// The checkpoint-policy axis multiplies the enumeration; a nil axis is
+	// the single zero policy, which — together with a nil fault model —
+	// evaluates exactly as the pre-subsystem engine did, so candidate order
+	// and metrics stay bit-identical to it.
+	if ax.policies == nil {
+		ax.policies = zeroPolicyAxis[:]
+	}
+	ax.evalPolicies = make([]faultmodel.CheckpointPolicy, len(ax.policies))
+	for i, ck := range ax.policies {
+		ax.evalPolicies[i] = evalPolicy(opt.Faults, ck)
+	}
+	return ax, nil
+}
 
-// evaluate fills in the metrics of the candidates sel lists (all of them
-// when sel is nil), as ps selects. Consecutive chunks of candidates run as
-// sweep.Run tasks on workers from the CPU-token pool; sweep.Run reports the
-// lowest failing task's error, and a task stops at its first failing
-// candidate, so the error is the lowest failing candidate's.
-func evaluate(cands []Candidate, sel []int32, taskType int, p *platform.Platform, cat *relmodel.Catalog, faults *faultmodel.Model, ps pass) error {
+// perMode returns the number of candidates per base implementation and
+// DVFS mode.
+func (ax *axes) perMode() int {
+	return len(ax.hw) * len(ax.ssw) * len(ax.asw) * len(ax.policies)
+}
+
+// evalChunk is the number of consecutive candidates one evaluation task
+// of Enumerate covers: enough to amortize the task's dispatch, few enough
+// that workers share the tail of a task type evenly.
+const evalChunk = 64
+
+// evaluate fills in the exact metrics of the candidates. Consecutive
+// chunks of candidates run as sweep.Run tasks on workers from the
+// CPU-token pool; sweep.Run reports the lowest failing task's error, and a
+// task stops at its first failing candidate, so the error is the lowest
+// failing candidate's.
+func evaluate(cands []Candidate, taskType int, p *platform.Platform, cat *relmodel.Catalog, faults *faultmodel.Model) error {
 	types := p.Types()
-	n, chunk := len(cands), evalChunk
-	if sel != nil {
-		n = len(sel)
-	}
-	if ps.estimate {
-		chunk = estimateChunk
-	}
-	tasks := make([]func() error, 0, (n+chunk-1)/chunk)
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
+	tasks := make([]func() error, 0, (len(cands)+evalChunk-1)/evalChunk)
+	for lo := 0; lo < len(cands); lo += evalChunk {
+		hi := min(lo+evalChunk, len(cands))
 		tasks = append(tasks, func() error {
-			for j := lo; j < hi; j++ {
-				i := j
-				if sel != nil {
-					i = int(sel[j])
-				}
+			for i := lo; i < hi; i++ {
 				c := &cands[i]
-				pt := types[c.Base.PETypeIndex]
-				fm, ck := faults.For(pt.Name), c.Checkpoint
-				if faults == nil && !ck.Enabled() {
-					// The legacy path (relmodel.Evaluate): without a fault
-					// model a disabled policy is no policy at all.
-					ck = faultmodel.CheckpointPolicy{}
-				}
-				var m relmodel.Metrics
-				var err error
-				if ps.estimate {
-					m, err = relmodel.EstimateFM(c.Base, c.Assignment, pt, cat, fm, ck)
-				} else {
-					m, err = relmodel.EvaluateFM(c.Base, c.Assignment, pt, cat, fm, ck)
-				}
-				if err == nil && ps.check != nil && !inBand(m, c.Metrics, ps.check) {
-					err = errOutsideBand
-				}
+				m, err := evalExact(c, types[c.Base.PETypeIndex], cat, faults)
 				if err != nil {
 					return fmt.Errorf("tdse: task type %d: %w", taskType, err)
 				}
@@ -340,19 +343,23 @@ func evaluate(cands []Candidate, sel []int32, taskType int, p *platform.Platform
 	return sweep.Run(workers, tasks)
 }
 
+// evalExact returns the exact metrics of candidate c on its PE type pt.
+func evalExact(c *Candidate, pt *platform.PEType, cat *relmodel.Catalog, faults *faultmodel.Model) (relmodel.Metrics, error) {
+	return relmodel.EvaluateFM(c.Base, c.Assignment, pt, cat, faults.For(pt.Name), evalPolicy(faults, c.Checkpoint))
+}
+
+// evalPolicy is the policy a candidate is evaluated under: without a
+// fault model a disabled policy is no policy at all (the legacy path,
+// relmodel.Evaluate).
+func evalPolicy(faults *faultmodel.Model, ck faultmodel.CheckpointPolicy) faultmodel.CheckpointPolicy {
+	if faults == nil && !ck.Enabled() {
+		return faultmodel.CheckpointPolicy{}
+	}
+	return ck
+}
+
 // zeroPolicyAxis is the degenerate checkpoint axis of legacy enumerations.
 var zeroPolicyAxis = [1]faultmodel.CheckpointPolicy{}
-
-func indicesOrAll(sel []int, n int) []int {
-	if sel != nil {
-		return sel
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
 
 // Filter Pareto-filters candidates under the objective set, independently
 // within each PE type (see the package comment), and returns the union:
@@ -360,57 +367,54 @@ func indicesOrAll(sel []int, n int) []int {
 // order. Only the survivors are copied; the objective vectors of one PE
 // type share a single buffer.
 func Filter(cands []Candidate, objectives []Objective) []Candidate {
-	return filter(cands, nil, objectives)
-}
-
-// filter is Filter over the candidates sel lists (all of them when sel is
-// nil), each PE type's in ascending order. PE types still come in order of
-// first appearance in cands, so filtering a subset that keeps every type's
-// front returns what Filter returns for all of cands.
-func filter(cands []Candidate, sel []int32, objectives []Objective) []Candidate {
 	if len(objectives) == 0 {
 		panic("tdse: empty objective set")
 	}
-	types := peTypes(cands)
-	k := len(objectives)
 	var (
 		out     []Candidate
 		members []int
-		flat    []float64
-		pts     [][]float64
+		ps      paretoScratch
 	)
-	for _, pti := range types {
+	for _, pti := range peTypes(cands) {
 		members = members[:0]
-		if sel == nil {
-			for i := range cands {
-				if cands[i].Base.PETypeIndex == pti {
-					members = append(members, i)
-				}
-			}
-		} else {
-			for _, i := range sel {
-				if cands[i].Base.PETypeIndex == pti {
-					members = append(members, int(i))
-				}
+		for i := range cands {
+			if cands[i].Base.PETypeIndex == pti {
+				members = append(members, i)
 			}
 		}
-		if n := len(members) * k; cap(flat) < n {
-			flat = make([]float64, n)
-			pts = make([][]float64, len(members))
-		}
-		pts = pts[:len(members)]
-		for j, ci := range members {
-			v := flat[j*k : (j+1)*k : (j+1)*k]
-			for o, obj := range objectives {
-				v[o] = Value(cands[ci].Metrics, obj)
-			}
-			pts[j] = v
-		}
-		for _, j := range pareto.Filter(pts) {
+		for _, j := range ps.front(cands, members, objectives) {
 			out = append(out, cands[members[j]])
 		}
 	}
 	return out
+}
+
+// paretoScratch holds the objective vectors of one Pareto filter.
+type paretoScratch struct {
+	flat []float64
+	pts  [][]float64
+}
+
+// front returns, in ascending order, the positions in members of the
+// candidates that no other one listed there dominates under objectives
+// (pareto.Filter).
+func (ps *paretoScratch) front(cands []Candidate, members []int, objectives []Objective) []int {
+	n, k := len(members), len(objectives)
+	if cap(ps.flat) < n*k {
+		ps.flat = make([]float64, n*k)
+	}
+	if cap(ps.pts) < n {
+		ps.pts = make([][]float64, n)
+	}
+	pts := ps.pts[:n]
+	for j, ci := range members {
+		v := ps.flat[j*k : (j+1)*k : (j+1)*k]
+		for o, obj := range objectives {
+			v[o] = Value(cands[ci].Metrics, obj)
+		}
+		pts[j] = v
+	}
+	return pareto.Filter(pts)
 }
 
 // peTypes lists the PE types of cands in order of first appearance.
@@ -463,144 +467,353 @@ func inBand(exact, est relmodel.Metrics, objectives []Objective) bool {
 // Filter(Enumerate(...)) returns, bit for bit, with the exact chain
 // analysis run only on the candidates that can reach it.
 //
-// Every candidate is first estimated in closed form (relmodel.EstimateFM).
-// Within each PE type, a candidate p is screened out when another
-// candidate q beats it: q's band lies strictly below p's on every
-// estimated objective, q is no worse on every exact one, and strictly
-// better on at least one objective. Screened-out candidates are never
-// analyzed; the survivors are evaluated exactly and then filtered. The
+// The candidates of each PE type form one group, and the groups run as
+// tasks on one set of sweep workers. A group streams its candidates from
+// the enumeration axes into relmodel.Space.Estimate, which estimates each
+// in closed form (the metrics of relmodel.EstimateFM), and screens them on
+// the fly: a candidate p is screened out when another candidate q of the
+// group beats it — q's band lies strictly below p's on every estimated
+// objective, q is no worse on every exact one, and strictly better on at
+// least one objective. Only the unbeaten candidates become Candidates;
+// they are evaluated exactly and then filtered, and the library is the
+// groups' fronts in order of first appearance of their PE types. The
 // output cannot change: a screened-out candidate is strictly dominated by
-// a survivor (follow the chain of candidates that beat it), so removing it
-// changes no survivor's fate, and filter keeps each PE type in order of
-// first appearance among all candidates. The screen falls back to the
-// full path — Enumerate's exact evaluation of every candidate, then
-// Filter — if any estimate is not finite, any evaluation fails or any
-// survivor's exact value leaves its estimate's band; errors are therefore
-// the lowest failing candidate's, as with Enumerate.
+// a survivor (follow the chain of candidates that beat it), so removing
+// it changes no survivor's fate.
+//
+// The task type falls back to the full path — Enumerate's exact
+// evaluation of every candidate, then Filter — if any of its groups has
+// an invalid axis value or chain parameter or a non-finite estimate, or
+// if an exact evaluation fails or leaves its estimate's band; errors are
+// therefore the lowest failing candidate's, as with Enumerate.
 func Explore(lib *characterize.Library, taskType int, p *platform.Platform, cat *relmodel.Catalog, opt Options, objectives []Objective) ([]Candidate, error) {
-	var buf []Candidate
-	return explore(&buf, lib, taskType, p, cat, opt, objectives)
-}
-
-// explore is Explore with its candidate list in *buf, which it grows as
-// needed and leaves there for the next task type: the library holds only
-// copies of the survivors.
-func explore(buf *[]Candidate, lib *characterize.Library, taskType int, p *platform.Platform, cat *relmodel.Catalog, opt Options, objectives []Objective) ([]Candidate, error) {
-	cands, err := list(*buf, lib, taskType, p, cat, opt)
+	out, err := explore(lib, []int{taskType}, p, cat, opt, objectives)
 	if err != nil {
 		return nil, err
 	}
-	*buf = cands
-	// The screen holds one objective vector on the stack; a longer set
-	// repeats an objective and takes the full path.
-	if len(objectives) > 0 && len(objectives) <= int(numObjectives) {
-		sc := screenPool.Get()
-		defer screenPool.Put(sc)
-		if evaluate(cands, nil, taskType, p, cat, opt.Faults, pass{estimate: true}) == nil {
-			if keep, ok := sc.screen(cands, objectives); ok &&
-				evaluate(cands, keep, taskType, p, cat, opt.Faults, pass{check: objectives}) == nil {
-				return filter(cands, keep, objectives), nil
-			}
-		}
-	}
-	screenFallbacks.Add(1)
-	if err := evaluate(cands, nil, taskType, p, cat, opt.Faults, pass{}); err != nil {
+	return out[0], nil
+}
+
+// exploration holds the inputs of one Explore or Build.
+type exploration struct {
+	lib        *characterize.Library
+	p          *platform.Platform
+	cat        *relmodel.Catalog
+	opt        Options
+	objectives []Objective
+	axes
+}
+
+// group is the part of one task type's tDSE on one PE type.
+type group struct {
+	taskType, peType int
+	// size is the number of candidates.
+	size int
+	// front is the group's part of the library, set once ok.
+	front []Candidate
+	// ok reports that the screened path succeeded.
+	ok bool
+}
+
+// explore is the screened tDSE of the listed task types, whose libraries
+// it returns in the same order: every group of every task type runs as
+// one task on a single set of workers, and the task types whose groups
+// failed then take the full path in order, so an error is the first
+// failing task type's.
+func explore(lib *characterize.Library, taskTypes []int, p *platform.Platform, cat *relmodel.Catalog, opt Options, objectives []Objective) ([][]Candidate, error) {
+	ax, err := newAxes(p, cat, opt)
+	if err != nil {
 		return nil, err
 	}
-	return Filter(cands, objectives), nil
+	e := &exploration{lib: lib, p: p, cat: cat, opt: opt, objectives: objectives, axes: ax}
+	// The screen holds one objective vector on the stack; a longer set
+	// repeats an objective and takes the full path.
+	screened := len(objectives) > 0 && len(objectives) <= int(numObjectives)
+	groups, first := e.plan(taskTypes)
+
+	if screened && len(groups) > 0 {
+		// Largest groups first, so that no large one starts last.
+		order := make([]int, len(groups))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return groups[b].size - groups[a].size })
+		tasks := make([]func() error, len(order))
+		for i, g := range order {
+			tasks[i] = func() error {
+				groups[g].run(e)
+				return nil
+			}
+		}
+		workers := sweep.AcquireWorkers(min(runtime.GOMAXPROCS(0), len(tasks)))
+		// Group tasks never fail; they record failure in group.ok.
+		_ = sweep.Run(workers, tasks)
+		sweep.ReleaseWorkers(workers)
+	}
+
+	out := make([][]Candidate, len(taskTypes))
+	for i, tt := range taskTypes {
+		gs := groups[first[i]:first[i+1]]
+		if len(gs) == 0 {
+			return nil, fmt.Errorf("tdse: task type %d yielded no candidates", tt)
+		}
+		ok := screened
+		for _, g := range gs {
+			ok = ok && g.ok
+		}
+		if !ok {
+			screenTotals.fallbacks.Add(1)
+			cands, err := Enumerate(lib, tt, p, cat, opt)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = Filter(cands, objectives)
+			continue
+		}
+		if len(gs) == 1 {
+			out[i] = gs[0].front
+			continue
+		}
+		n := 0
+		for _, g := range gs {
+			n += len(g.front)
+		}
+		out[i] = make([]Candidate, 0, n)
+		for _, g := range gs {
+			out[i] = append(out[i], g.front...)
+		}
+	}
+	return out, nil
 }
 
-// screenFallbacks counts, process-wide, the task types Explore evaluated on
-// the full path; the tests require none on valid inputs.
-var screenFallbacks atomic.Uint64
-
-// screenScratch is the working set of one screen: the candidate indices of
-// the unbeaten set and, k per member, their estimated objective values.
-// Kept on a free list, so a process holds only as many as ever ran at
-// once.
-type screenScratch struct {
-	keep []int32
-	vals []float64
+// plan lists the groups of the task types: taskTypes[i] has the groups
+// groups[first[i]:first[i+1]], in order of first appearance of their PE
+// types among its candidates.
+func (e *exploration) plan(taskTypes []int) (groups []group, first []int) {
+	first = make([]int, len(taskTypes)+1)
+	per := e.perMode()
+	for i, tt := range taskTypes {
+		first[i] = len(groups)
+		for _, base := range e.lib.ImplsShared(tt) {
+			pti := base.PETypeIndex
+			n := len(e.modes[pti]) * per
+			if n == 0 {
+				continue
+			}
+			if g := slices.IndexFunc(groups[first[i]:], func(g group) bool { return g.peType == pti }); g >= 0 {
+				groups[first[i]+g].size += n
+			} else {
+				groups = append(groups, group{taskType: tt, peType: pti, size: n})
+			}
+		}
+	}
+	first[len(taskTypes)] = len(groups)
+	return groups, first
 }
 
-var screenPool = sweep.FreeList[*screenScratch]{New: func() *screenScratch { return new(screenScratch) }}
+// run is the screened path of one group: estimate and screen every
+// candidate, then evaluate the survivors exactly, check them against
+// their bands and filter them. It runs serially: the group is already one
+// task on the workers.
+func (g *group) run(e *exploration) {
+	sc := groupPool.Get()
+	defer groupPool.Put(sc)
+	space := e.space(g, sc.impls[:0])
+	sc.impls = space.Impls
+	sc.screen.reset(e.objectives)
+	if space.Estimate(sc.screen.offer) != nil || !sc.screen.ok {
+		return
+	}
+	screenTotals.estimated.Add(uint64(g.size))
 
-// screen returns the candidates that no other candidate of their PE type
-// beats (see Explore), grouped by PE type in order of first appearance and
-// in candidate order within a type. It reports false if an estimate is not
-// finite. One pass per PE type keeps a running set of unbeaten candidates:
-// a newcomer is dropped if a member beats it, and otherwise drops the
-// members it beats and joins. Beating is a strict partial order, so the
-// final set is exactly the candidates nobody beats, whatever the order.
-func (sc *screenScratch) screen(cands []Candidate, objectives []Objective) ([]int32, bool) {
-	k := len(objectives)
-	var slack [numObjectives]float64
-	anyEstimated := false
+	sc.cands, sc.all = sc.cands[:0], sc.all[:0]
+	for i, m := range sc.screen.members {
+		sc.cands = append(sc.cands, e.candidate(&space, m.at, m.est))
+		sc.all = append(sc.all, i)
+	}
+	screenTotals.solved.Add(uint64(len(sc.cands)))
+	for i := range sc.cands {
+		c := &sc.cands[i]
+		m, err := evalExact(c, space.PE, e.cat, e.opt.Faults)
+		if err != nil || !inBand(m, c.Metrics, e.objectives) {
+			return
+		}
+		c.Metrics = m
+	}
+	idx := sc.pareto.front(sc.cands, sc.all, e.objectives)
+	g.front = make([]Candidate, len(idx))
+	for i, j := range idx {
+		g.front[i] = sc.cands[j]
+	}
+	g.ok = true
+}
+
+// space returns the design space of group g, appending its base
+// implementations to impls.
+func (e *exploration) space(g *group, impls []relmodel.Impl) relmodel.Space {
+	pt := e.p.Types()[g.peType]
+	for _, base := range e.lib.ImplsShared(g.taskType) {
+		if base.PETypeIndex == g.peType {
+			if e.opt.ImplicitMaskingOverride >= 0 {
+				base.ImplicitMasking = e.opt.ImplicitMaskingOverride
+			}
+			impls = append(impls, base)
+		}
+	}
+	return relmodel.Space{
+		PE: pt, Catalog: e.cat, Faults: e.opt.Faults.For(pt.Name), Impls: impls,
+		Modes: e.modes[g.peType], HW: e.hw, SSW: e.ssw, ASW: e.asw, Policies: e.evalPolicies,
+	}
+}
+
+// candidate returns the candidate at point at of space s, with metrics m.
+func (e *exploration) candidate(s *relmodel.Space, at relmodel.Point, m relmodel.Metrics) Candidate {
+	return Candidate{
+		Base: s.Impls[at.Impl],
+		Assignment: relmodel.Assignment{
+			Mode: s.Modes[at.Mode], HW: s.HW[at.HW], SSW: s.SSW[at.SSW], ASW: s.ASW[at.ASW],
+		},
+		Checkpoint: e.policies[at.Policy],
+		Metrics:    m,
+	}
+}
+
+// groupScratch is the working set of one group: its implementations, the
+// screen and the survivors with their positions. Kept on a free list, so
+// a process holds only as many as ever ran at once.
+type groupScratch struct {
+	impls  []relmodel.Impl
+	screen screen
+	cands  []Candidate
+	all    []int
+	pareto paretoScratch
+}
+
+var groupPool = sweep.FreeList[*groupScratch]{New: func() *groupScratch { return new(groupScratch) }}
+
+// screen is the running set of a group's unbeaten candidates, in
+// candidate order. A newcomer is dropped if a member beats it, and
+// otherwise drops the members it beats and joins. Beating is a strict
+// partial order, so the final set is exactly the candidates nobody beats,
+// whatever the order.
+type screen struct {
+	objectives []Objective
+	// est marks the estimated objectives.
+	est          [numObjectives]bool
+	anyEstimated bool
+	members      []member
+	// bounds holds 2k values per member, k = len(objectives): the low ends
+	// of its bands, then the high ends (both the value itself on an exact
+	// objective).
+	bounds []float64
+	// ok turns false at the first non-finite estimate.
+	ok bool
+}
+
+// member is one unbeaten candidate: where it lies in the space and its
+// estimated metrics.
+type member struct {
+	at  relmodel.Point
+	est relmodel.Metrics
+}
+
+func (s *screen) reset(objectives []Objective) {
+	s.objectives, s.anyEstimated = objectives, false
 	for o, obj := range objectives {
-		if estimated(obj) {
-			slack[o] = ScreenSlack
-			anyEstimated = true
+		s.est[o] = estimated(obj)
+		s.anyEstimated = s.anyEstimated || s.est[o]
+	}
+	s.members, s.bounds, s.ok = s.members[:0], s.bounds[:0], true
+}
+
+// offer screens the candidate at with estimate m.
+func (s *screen) offer(at relmodel.Point, m relmodel.Metrics) {
+	if !s.ok {
+		return
+	}
+	if !finite(m.AvgExTimeUS) {
+		s.ok = false // a chain that may never absorb
+		return
+	}
+	k := len(s.objectives)
+	var buf [2 * numObjectives]float64
+	x := buf[:2*k]
+	for o, obj := range s.objectives {
+		v := Value(m, obj)
+		if !finite(v) {
+			s.ok = false
+			return
+		}
+		x[o], x[k+o] = v, v
+		if s.est[o] {
+			x[o], x[k+o] = v-ScreenSlack*math.Abs(v), v+ScreenSlack*math.Abs(v)
 		}
 	}
-	// beats reports whether values q beat values p: q's band strictly
-	// below p's where estimated, q ≤ p where exact, q < p somewhere.
-	beats := func(q, p []float64) bool {
-		strict := anyEstimated
-		for o, d := range slack[:k] {
-			switch {
-			case d != 0:
-				if !(q[o]+d*math.Abs(q[o]) < p[o]-d*math.Abs(p[o])) {
-					return false
-				}
-			case q[o] > p[o]:
-				return false
-			case q[o] < p[o]:
-				strict = true
-			}
-		}
-		return strict
-	}
-	var x [numObjectives]float64
-	keep, vals := sc.keep[:0], sc.vals[:0]
-	for _, pti := range peTypes(cands) {
-		first := len(keep) // this PE type's members are keep[first:]
-		for i := range cands {
-			if cands[i].Base.PETypeIndex != pti {
-				continue
-			}
-			if !finite(cands[i].Metrics.AvgExTimeUS) {
-				return nil, false // a chain that may never absorb
-			}
-			for o, obj := range objectives {
-				if x[o] = Value(cands[i].Metrics, obj); !finite(x[o]) {
-					return nil, false
-				}
-			}
-			beaten := false
-			for m := first; m < len(keep) && !beaten; m++ {
-				beaten = beats(vals[m*k:(m+1)*k], x[:k])
-			}
-			if beaten {
-				continue
-			}
-			w := first
-			for m := first; m < len(keep); m++ {
-				if !beats(x[:k], vals[m*k:(m+1)*k]) {
-					keep[w] = keep[m]
-					copy(vals[w*k:(w+1)*k], vals[m*k:(m+1)*k])
-					w++
-				}
-			}
-			keep = append(keep[:w], int32(i))
-			vals = append(vals[:w*k], x[:k]...)
+	w := 2 * k
+	for i := range s.members {
+		if s.beats(s.bounds[i*w:(i+1)*w], x) {
+			return
 		}
 	}
-	sc.keep, sc.vals = keep, vals
-	return keep, true
+	n := 0
+	for i := range s.members {
+		if !s.beats(x, s.bounds[i*w:(i+1)*w]) {
+			if n != i {
+				s.members[n] = s.members[i]
+				copy(s.bounds[n*w:(n+1)*w], s.bounds[i*w:(i+1)*w])
+			}
+			n++
+		}
+	}
+	s.members = append(s.members[:n], member{at: at, est: m})
+	s.bounds = append(s.bounds[:n*w], x...)
+}
+
+// beats reports whether the candidate with bounds q beats the one with
+// bounds p: q's band strictly below p's where estimated, q ≤ p where
+// exact, q < p somewhere.
+func (s *screen) beats(q, p []float64) bool {
+	k := len(s.objectives)
+	strict := s.anyEstimated
+	for o := 0; o < k; o++ {
+		if hi, lo := q[k+o], p[o]; hi < lo {
+			strict = true
+		} else if hi > lo || s.est[o] {
+			return false
+		}
+	}
+	return strict
 }
 
 // finite reports whether x is neither NaN nor infinite.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// screenTotals counts, process-wide, the screened path's work: candidates
+// estimated, candidates solved exactly, and task types that fell back to
+// the full path.
+var screenTotals struct {
+	estimated, solved, fallbacks atomic.Uint64
+}
+
+// ScreenStats is a snapshot of the screened tDSE's process-wide counters.
+type ScreenStats struct {
+	// Estimated counts candidates estimated in closed form and Solved the
+	// survivors of the screen whose chains were then solved; Fallbacks
+	// counts task types that took the full path instead (invalid inputs,
+	// chains that may never absorb, or an objective set that repeats an
+	// objective past the seven there are).
+	Estimated, Solved, Fallbacks uint64
+}
+
+// ScreenTotals returns the screened tDSE's process-wide counters, the
+// source of the screen_* gauges in the /metrics eval_accel block.
+func ScreenTotals() ScreenStats {
+	return ScreenStats{
+		Estimated: screenTotals.estimated.Load(),
+		Solved:    screenTotals.solved.Load(),
+		Fallbacks: screenTotals.fallbacks.Load(),
+	}
+}
 
 // Library holds the Pareto-filtered implementation sets of every task type:
 // the Ipf_t of §V.B, the input to pfCLR system-level DSE.
@@ -609,18 +822,17 @@ type Library struct {
 }
 
 // Build runs Explore for every task type of the characterization library,
-// on one candidate list.
+// with the groups of all task types on one set of workers.
 func Build(lib *characterize.Library, p *platform.Platform, cat *relmodel.Catalog, opt Options, objectives []Objective) (*Library, error) {
-	out := &Library{ByType: make([][]Candidate, lib.NumTypes())}
-	var buf []Candidate
-	for tt := 0; tt < lib.NumTypes(); tt++ {
-		f, err := explore(&buf, lib, tt, p, cat, opt, objectives)
-		if err != nil {
-			return nil, err
-		}
-		out.ByType[tt] = f
+	types := make([]int, lib.NumTypes())
+	for i := range types {
+		types[i] = i
 	}
-	return out, nil
+	byType, err := explore(lib, types, p, cat, opt, objectives)
+	if err != nil {
+		return nil, err
+	}
+	return &Library{ByType: byType}, nil
 }
 
 // Impls returns the filtered candidates of a task type.
