@@ -38,7 +38,8 @@ race:
 # text parser, the JobSpec normalizer, the admission contract (a spec
 # Validate accepts builds), the WAL replayer, the gateway tenant-config
 # parser, the fault-model JSON decoder, the chain solver's plan replay
-# against the dense LU and the screened tDSE against the unscreened one.
+# against the dense LU, the screened tDSE against the unscreened one and
+# both non-dominated sort paths against the textbook FNDS.
 # Each target gets 10s on top of the checked-in
 # corpus under testdata/fuzz/.
 fuzz-smoke:
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzFaultModelDecode -fuzztime 10s ./internal/faultmodel
 	$(GO) test -run xxx -fuzz FuzzPlanMatchesDense -fuzztime 10s ./internal/matrix
 	$(GO) test -run xxx -fuzz FuzzExploreMatchesFilter -fuzztime 10s ./internal/tdse
+	$(GO) test -run xxx -fuzz FuzzNonDominatedSortMatchesReference -fuzztime 10s ./internal/moea
 
 # Quick statistical cross-validation of the analytical models against the
 # fault-injection simulator (a reduced-trial version of cmd/validate).
@@ -85,8 +87,9 @@ bench-sweep:
 # and the engine runs (internal/moea GARun on a synthetic problem,
 # MOEADSobel, and PfCLRMapping: both engines at the ga-mapping job shape).
 # Both snapshot and gate take best-of-3 per benchmark (-count=3, collapsed
-# to the fastest run by benchsnap): preemption and VM CPU steal only ever
-# add time, so the minimum is the robust timing estimate. The suite
+# by benchsnap to the minimum of each measure): preemption and VM CPU steal
+# only ever add time, and a cold first count only ever adds allocations,
+# so the minimum is the robust estimate. The suite
 # benchmarks run one iteration per count (each is ~100ms of real DSE
 # work); the microsecond-scale layer rows and selection kernels need a
 # large fixed iteration count on top to be measurable at all.

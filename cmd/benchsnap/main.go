@@ -209,20 +209,26 @@ func parseBenchText(r io.Reader) (*Snapshot, error) {
 		return snap.Benchmarks[i].Name < snap.Benchmarks[j].Name
 	})
 	// Repeated runs of one benchmark (`go test -count=N`, the Makefile's
-	// best-of-N noise suppression) collapse to the fastest run: scheduler
-	// preemption and VM CPU steal only ever add time, so the minimum is
-	// the honest estimate of a benchmark's cost. Allocs/op and the custom
-	// metrics are deterministic across runs, so taking the whole fastest
-	// entry loses nothing.
+	// best-of-N noise suppression) collapse to the minimum of each measure
+	// separately: scheduler preemption and VM CPU steal only ever add time,
+	// and a first count that pays process-wide warm-up (plan compilation,
+	// pool fills) only ever adds bytes and allocations, so each minimum is
+	// the honest steady-state estimate even when the cold count happens to
+	// be the fastest. Iterations and the custom metrics come from the
+	// fastest run.
 	merged := snap.Benchmarks[:0]
 	for _, b := range snap.Benchmarks {
-		if n := len(merged); n > 0 && merged[n-1].Name == b.Name {
-			if b.NsPerOp < merged[n-1].NsPerOp {
-				merged[n-1] = b
-			}
+		n := len(merged)
+		if n == 0 || merged[n-1].Name != b.Name {
+			merged = append(merged, b)
 			continue
 		}
-		merged = append(merged, b)
+		m := &merged[n-1]
+		bytesOp, allocsOp := min(m.BytesPerOp, b.BytesPerOp), min(m.AllocsPerOp, b.AllocsPerOp)
+		if b.NsPerOp < m.NsPerOp {
+			*m = b
+		}
+		m.BytesPerOp, m.AllocsPerOp = bytesOp, allocsOp
 	}
 	snap.Benchmarks = merged
 	return snap, nil

@@ -41,8 +41,8 @@ func TestParseBenchText(t *testing.T) {
 	}
 }
 
-// TestParseBenchTextBestOfN pins the -count=N collapse: repeated runs of
-// one benchmark keep only the fastest entry (noise only adds time).
+// TestParseBenchTextBestOfN pins the -count=N collapse of time: repeated
+// runs of one benchmark keep the fastest ns/op (noise only adds time).
 func TestParseBenchTextBestOfN(t *testing.T) {
 	const repeated = `BenchmarkUpdateArchiveIncremental-8 	200	20795 ns/op	312 B/op	4 allocs/op
 BenchmarkUpdateArchiveIncremental-8 	200	12543 ns/op	312 B/op	4 allocs/op
@@ -58,6 +58,27 @@ BenchmarkCrowding-8 	200	499 ns/op	0 B/op	0 allocs/op
 	}
 	if b := snap.Benchmarks[1]; b.NsPerOp != 12543 || b.AllocsPerOp != 4 {
 		t.Fatalf("merged entry not the fastest run: %+v", b)
+	}
+}
+
+// TestParseBenchTextMinPerMeasure pins the per-measure collapse: when the
+// fastest count is the cold one that paid warm-up allocations, the merged
+// entry still takes allocs/op and B/op from the warm counts.
+func TestParseBenchTextMinPerMeasure(t *testing.T) {
+	const repeated = `BenchmarkFig6b-2 	1	101000000 ns/op	5120 B/op	690 allocs/op
+BenchmarkFig6b-2 	1	117000000 ns/op	3072 B/op	310 allocs/op
+BenchmarkFig6b-2 	1	109000000 ns/op	3200 B/op	312 allocs/op
+`
+	snap, err := parseBenchText(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Benchmarks) != 1 {
+		t.Fatalf("got %d benchmarks, want 1 after merge", len(snap.Benchmarks))
+	}
+	b := snap.Benchmarks[0]
+	if b.NsPerOp != 101000000 || b.BytesPerOp != 3072 || b.AllocsPerOp != 310 {
+		t.Fatalf("merged entry is not the per-measure minimum: %+v", b)
 	}
 }
 

@@ -319,6 +319,9 @@ func (s *System) SolveVecInto(x, b []float64) {
 // tripped a guard and ran on the dense kernel.
 func (s *System) FellBack() bool { return s.onDense }
 
-// isFinite reports whether v is neither infinite nor NaN: x − x is +0 for
-// every finite x and NaN otherwise.
-func isFinite(v float64) bool { return v-v == 0 }
+// isFinite reports whether v is neither infinite nor NaN. It holds no
+// arithmetic a compiler may fuse: written as v − v == 0 it inlines into
+// `f := v * inv` as a fused multiply-subtract on arm64, which yields the
+// product's rounding error instead of 0 and trips the guard on every
+// replay.
+func isFinite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }

@@ -1,7 +1,7 @@
 package moea
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/pareto"
@@ -110,7 +110,13 @@ func (a *archiveState) truncate() {
 	for i := range sc.idx {
 		sc.idx[i] = i
 	}
-	sort.Sort(&crowdPosSorter{members: a.members, idx: sc.idx})
+	slices.SortFunc(sc.idx, func(i, j int) int {
+		ci, cj := a.members[i].crowd, a.members[j].crowd
+		if ci != cj {
+			return cmpLess(ci > cj)
+		}
+		return i - j
+	})
 	if cap(sc.buf) < n {
 		sc.buf = make([]*solution, n)
 	}
@@ -129,24 +135,6 @@ func (a *archiveState) truncate() {
 	for i := range buf {
 		buf[i] = nil
 	}
-}
-
-// crowdPosSorter orders archive positions by (crowding distance
-// descending, position ascending) — distinct composite keys, so the
-// result is unique and algorithm-independent.
-type crowdPosSorter struct {
-	members []*solution
-	idx     []int
-}
-
-func (s *crowdPosSorter) Len() int      { return len(s.idx) }
-func (s *crowdPosSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *crowdPosSorter) Less(i, j int) bool {
-	a, b := s.members[s.idx[i]], s.members[s.idx[j]]
-	if a.crowd != b.crowd {
-		return a.crowd > b.crowd
-	}
-	return s.idx[i] < s.idx[j]
 }
 
 // updateArchive is the one-shot form used by tests and RandomSearch: merge

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -239,7 +239,7 @@ func (e *nsga2) step(r *runState) {
 		// Partial front: keep the most crowding-distance-diverse. The front
 		// slice is scratch-owned and not read again before the next sort,
 		// so it can be reordered in place.
-		sort.Sort(crowdDescSorter(f))
+		slices.SortFunc(f, byCrowdDesc)
 		next = append(next, f[:params.PopSize-len(next)]...)
 		break
 	}

@@ -1,6 +1,7 @@
 package moea
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -143,6 +144,118 @@ func TestENSMatchesReferenceSort(t *testing.T) {
 	}
 }
 
+// checkFrontsMatchReference runs sc's sort and the reference on pop and
+// fails unless ranks, fronts and within-front emission order agree
+// pointer for pointer.
+func checkFrontsMatchReference(t *testing.T, sc *selScratch, pop []*solution, what string) {
+	t.Helper()
+	want := referenceNonDominatedSort(pop)
+	wantRanks := make([]int, len(pop))
+	for i, s := range pop {
+		wantRanks[i] = s.rank
+	}
+	got := sc.nonDominatedSort(pop)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d fronts, want %d", what, len(got), len(want))
+	}
+	for r := range want {
+		if len(got[r]) != len(want[r]) {
+			t.Fatalf("%s front %d: %d members, want %d", what, r, len(got[r]), len(want[r]))
+		}
+		for k := range want[r] {
+			if got[r][k] != want[r][k] {
+				t.Fatalf("%s front %d position %d: solution differs from reference emission order", what, r, k)
+			}
+		}
+	}
+	for i, s := range pop {
+		if s.rank != wantRanks[i] {
+			t.Fatalf("%s: solution %d rank %d, want %d", what, i, s.rank, wantRanks[i])
+		}
+	}
+}
+
+// sortSpecials are the objective values the two-objective oracle draws
+// from: infinities, both zeros (equal under ==, distinct in bits) and a few
+// finite levels, so duplicates and exact ties are common.
+var sortSpecials = []float64{math.Inf(-1), -2, -1, math.Copysign(0, -1), 0, 0.5, 1, 3, math.Inf(1)}
+
+// violationSpecials are the violations it draws from: both zeros
+// (feasible) and tied positive levels up to +Inf.
+var violationSpecials = []float64{0, math.Copysign(0, -1), 1, 2, math.Inf(1)}
+
+// TestBiObjectiveSortMatchesReference pins the two-objective fast path
+// (O(1) front test, flat-key presort, sliding-window emission rebuild)
+// to the FNDS oracle over thousands of tie-heavy populations with
+// infinities, signed zeros and tied violations, and checks that a NaN
+// objective sends a population down the general path, which matches too.
+func TestBiObjectiveSortMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	sc := new(selScratch)
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(200)
+		levels := 2 + rng.Intn(len(sortSpecials)-1)
+		base := rng.Intn(len(sortSpecials) - levels + 1)
+		infeasible := rng.Float64() * 0.5
+		pop := make([]*solution, n)
+		for i := range pop {
+			ev := Evaluation{Objectives: []float64{
+				sortSpecials[base+rng.Intn(levels)],
+				sortSpecials[base+rng.Intn(levels)],
+			}}
+			if rng.Float64() < infeasible {
+				ev.Violation = violationSpecials[2+rng.Intn(len(violationSpecials)-2)]
+			} else {
+				ev.Violation = violationSpecials[rng.Intn(2)]
+			}
+			pop[i] = &solution{eval: ev}
+		}
+		if trial%10 == 9 {
+			// Constraint-domination ignores an infeasible solution's
+			// objectives, so a NaN there leaves the reference well defined.
+			k := rng.Intn(n)
+			pop[k].eval.Violation = 1
+			pop[k].eval.Objectives[rng.Intn(2)] = math.NaN()
+			if sc.flatKeys(pop) {
+				t.Fatalf("trial %d: a NaN objective passed the two-objective gate", trial)
+			}
+		} else if !sc.flatKeys(pop) {
+			t.Fatalf("trial %d: a two-objective population failed the gate", trial)
+		}
+		checkFrontsMatchReference(t, sc, pop, fmt.Sprintf("trial %d (n=%d)", trial, n))
+	}
+}
+
+// FuzzNonDominatedSortMatchesReference drives both sort paths against the
+// FNDS oracle: the first byte picks the objective count (2–4), the second
+// the violation share, and each further group of bytes one solution's
+// objectives and violation over the special-value tables. Its seed corpus
+// is under testdata/fuzz/.
+func FuzzNonDominatedSortMatchesReference(f *testing.F) {
+	sc := new(selScratch)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		m := 2 + int(data[0])%3
+		infeasible := int(data[1]) % 4
+		var pop []*solution
+		for q := 2; q+m < len(data) && len(pop) < 128; q += m + 1 {
+			ev := Evaluation{Objectives: make([]float64, m)}
+			for k := range ev.Objectives {
+				ev.Objectives[k] = sortSpecials[int(data[q+k])%len(sortSpecials)]
+			}
+			if b := int(data[q+m]); b%4 < infeasible {
+				ev.Violation = violationSpecials[2+b/4%(len(violationSpecials)-2)]
+			} else {
+				ev.Violation = violationSpecials[b/4%2]
+			}
+			pop = append(pop, &solution{eval: ev})
+		}
+		checkFrontsMatchReference(t, sc, pop, fmt.Sprintf("m=%d n=%d", m, len(pop)))
+	})
+}
+
 func TestENSScratchReuseAcrossShrinkingPopulations(t *testing.T) {
 	// The same scratch must stay correct when populations shrink and grow
 	// between calls (stale front buffers must not leak into later results).
@@ -185,6 +298,34 @@ func TestScratchCrowdingMatchesReference(t *testing.T) {
 		for i := range front {
 			if front[i].crowd != ref[i].crowd && !(math.IsInf(front[i].crowd, 1) && math.IsInf(ref[i].crowd, 1)) {
 				t.Fatalf("trial %d member %d: crowd %v, want %v", trial, i, front[i].crowd, ref[i].crowd)
+			}
+		}
+	}
+	// Tie-heavy fronts: with two or three levels per objective most
+	// members tie, so which tied member the sort puts on the Inf boundary,
+	// and which neighbours the interior members see, depend on the sort's
+	// permutation; it must stay sort.Slice's. Infinite levels add NaN
+	// crowding terms (Inf−Inf), which must match too.
+	for trial := 0; trial < 400; trial++ {
+		n := 3 + rng.Intn(80)
+		m := 2 + rng.Intn(2)
+		levels := 2 + rng.Intn(2)
+		base := rng.Intn(len(sortSpecials) - levels + 1)
+		front := make([]*solution, n)
+		ref := make([]*solution, n)
+		for i := range front {
+			objs := make([]float64, m)
+			for k := range objs {
+				objs[k] = sortSpecials[base+rng.Intn(levels)]
+			}
+			front[i] = &solution{eval: Evaluation{Objectives: objs}}
+			ref[i] = &solution{eval: front[i].eval}
+		}
+		assignCrowdingReference(ref)
+		sc.assignCrowding(front)
+		for i := range front {
+			if math.Float64bits(front[i].crowd) != math.Float64bits(ref[i].crowd) {
+				t.Fatalf("tie-heavy trial %d member %d: crowd %v, want %v", trial, i, front[i].crowd, ref[i].crowd)
 			}
 		}
 	}
@@ -362,6 +503,26 @@ func BenchmarkNonDominatedSortOld(b *testing.B) {
 
 func BenchmarkNonDominatedSortENS(b *testing.B) {
 	pop := benchEvaluated(192)
+	sc := new(selScratch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.nonDominatedSort(pop)
+	}
+}
+
+// BenchmarkNonDominatedSortENS3 keeps the general path measured: a
+// three-objective population never takes the two-objective fast path that
+// BenchmarkNonDominatedSortENS runs.
+func BenchmarkNonDominatedSortENS3(b *testing.B) {
+	pop := benchEvaluated(192)
+	for _, s := range pop {
+		var c float64
+		for t, g := range s.genome.Genes {
+			c += float64(int(g.PE) * int(g.Impl+1) * (t%5 + 1))
+		}
+		s.eval.Objectives = append(s.eval.Objectives, c)
+	}
 	sc := new(selScratch)
 	b.ReportAllocs()
 	b.ResetTimer()
