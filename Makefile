@@ -84,6 +84,8 @@ bench-sweep:
 # makespan/error-probability aggregates a default-objective GA reads),
 # one whole-mapping evaluation (EvaluateMapping*),
 # fcCLR runs with delta evaluation on and off (internal/core DeltaEval*),
+# fcCLR runs on one reused instance, where after the first iteration every
+# metric-table lookup hits (FcCLRSobel),
 # and the engine runs (internal/moea GARun on a synthetic problem,
 # MOEADSobel, and PfCLRMapping: both engines at the ga-mapping job shape).
 # Both snapshot and gate take best-of-3 per benchmark (-count=3, collapsed
@@ -99,7 +101,7 @@ BENCH_KERNELS := NonDominatedSort|UpdateArchive|Crowding
 BENCH_SUITE_CMD = $(GO) test -run '^$$' -bench 'Sweep|Fig|Table' -benchmem -benchtime 1x -count 3 .
 BENCH_LAYER_CMD = $(GO) test -run '^$$' -bench 'ChainSolve' -benchmem -benchtime 20000x -count 3 ./internal/relmodel && \
 	$(GO) test -run '^$$' -bench '^Benchmark(MarkovAnalyze|TaskEvaluate|ScheduleEvaluator(Sobel|50|50Default)|EvaluateMapping(Sobel|Synthetic))$$' -benchmem -benchtime 20000x -count 3 . && \
-	$(GO) test -run '^$$' -bench '^Benchmark(TDSEExplore|MOEADSobel)$$' -benchmem -benchtime 50x -count 3 . && \
+	$(GO) test -run '^$$' -bench '^Benchmark(TDSEExplore|MOEADSobel|FcCLRSobel)$$' -benchmem -benchtime 50x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkTDSE(Build|Enumerate)SafetyCritical$$' -benchmem -benchtime 3x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkTDSEBuildSynthetic$$' -benchmem -benchtime 20x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkPfCLRMapping$$' -benchmem -benchtime 3x -count 3 . && \

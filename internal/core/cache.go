@@ -8,70 +8,69 @@ import (
 	"repro/internal/relmodel"
 )
 
-// metricsShards is the shard count of the instance-level metric cache. 64
-// shards keep lock contention negligible at any realistic worker count
-// while the per-shard maps stay small enough to scan for stats.
-const metricsShards = 64
-
-// metricsEntry is a single-flight cache slot: the first goroutine to claim
-// a key computes the metrics inside once; concurrent requesters for the
-// same key block on that one computation instead of duplicating the Markov
-// analysis.
+// metricsEntry is a single-flight table entry: its metrics are computed
+// once, and concurrent requesters of the key wait on that computation.
 type metricsEntry struct {
 	once sync.Once
 	m    relmodel.Metrics
 }
 
-type metricsShard struct {
-	mu sync.Mutex
-	m  map[metricsKey]*metricsEntry
+// metricsTable memoizes task-level Markov evaluations per instance, shared
+// by every fcCLR-encoded run on it (fcCLR, the layer-restricted baselines,
+// the second stage of proposed), so a key is computed once per instance.
+// Each task type of the graph owns a flat slab with one slot per key, at
+// the mixed-radix index (((impl·modes + mode)·hw + HW)·ssw + SSW)·asw + ASW
+// over the platform's largest mode count and the catalog's method counts:
+// a hit is that index and one atomic load, a miss installs a fresh entry
+// by CAS. misses counts installed entries; the evaluators publish lookups
+// once per genome decode (see publishLookups).
+type metricsTable struct {
+	init                sync.Once
+	slabs               [][]atomic.Pointer[metricsEntry] // by task type; nil if unused
+	modes, hw, ssw, asw int
+	misses, lookups     atomic.Uint64
 }
 
-// metricsCache memoizes task-level Markov evaluations per instance. It is
-// shared by every strategy run (fcCLR, the layer-restricted baselines,
-// proposed) exploring the same instance, so identical metricsKey entries
-// are computed once per instance rather than once per run.
-type metricsCache struct {
-	shards [metricsShards]metricsShard
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-// hash mixes the key fields FNV-1a style to pick a shard.
-func (k metricsKey) hash() uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, v := range [...]int{k.taskType, k.impl, k.asg.Mode, k.asg.HW, k.asg.SSW, k.asg.ASW} {
-		h ^= uint64(v)
-		h *= prime64
-	}
-	return h
-}
-
-// lookup returns the metrics for key, calling compute at most once per key
-// for the lifetime of the cache.
-func (c *metricsCache) lookup(key metricsKey, compute func() relmodel.Metrics) relmodel.Metrics {
-	s := &c.shards[key.hash()%metricsShards]
-	s.mu.Lock()
-	e, ok := s.m[key]
-	if !ok {
-		if s.m == nil {
-			s.m = make(map[metricsKey]*metricsEntry)
+// allocate sizes the table for in on first use: a slab for each task type
+// the graph uses. Every later caller sees the same slabs and radices.
+func (t *metricsTable) allocate(in *Instance) {
+	t.init.Do(func() {
+		t.modes = maxModes(in.Platform)
+		t.hw, t.ssw, t.asw = len(in.Catalog.HW), len(in.Catalog.SSW), len(in.Catalog.ASW)
+		t.slabs = make([][]atomic.Pointer[metricsEntry], in.Graph.NumTypes())
+		for task := range in.Graph.NumTasks() {
+			if tt := in.Graph.Task(task).Type; t.slabs[tt] == nil {
+				n := len(in.Lib.ImplsShared(tt)) * t.modes * t.hw * t.ssw * t.asw
+				t.slabs[tt] = make([]atomic.Pointer[metricsEntry], n)
+			}
 		}
-		e = &metricsEntry{}
-		s.m[key] = e
-	}
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	e.once.Do(func() { e.m = compute() })
-	return e.m
+	})
 }
 
-// CacheStats reports the state of an instance's shared Markov-metric cache.
+// entry returns the entry of one key, installing a fresh one on a miss.
+// The caller runs the entry's once before reading its metrics.
+func (t *metricsTable) entry(taskType, impl int, asg relmodel.Assignment) *metricsEntry {
+	slot := &t.slabs[taskType][(((impl*t.modes+asg.Mode)*t.hw+asg.HW)*t.ssw+asg.SSW)*t.asw+asg.ASW]
+	if e := slot.Load(); e != nil {
+		return e
+	}
+	if fresh := new(metricsEntry); slot.CompareAndSwap(nil, fresh) {
+		t.misses.Add(1)
+		return fresh
+	}
+	return slot.Load()
+}
+
+// publishLookups adds the n table lookups one genome evaluation made to
+// p's stats, if p decodes through the table: one shared write per genome,
+// not per gene.
+func publishLookups(p problemCore, n int) {
+	if fc, ok := p.(*fcProblem); ok && n > 0 {
+		fc.table.lookups.Add(uint64(n))
+	}
+}
+
+// CacheStats reports the state of an instance's shared Markov-metric table.
 type CacheStats struct {
 	// Hits counts lookups that found an existing entry (including ones that
 	// briefly waited on an in-flight computation).
@@ -91,36 +90,32 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-func (c *metricsCache) stats() CacheStats {
-	st := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Entries += len(s.m)
-		s.mu.Unlock()
-	}
-	return st
+// stats derives the hits from the published lookups; read mid-run, before
+// an evaluator publishes, they read 0 rather than wrap.
+func (t *metricsTable) stats() CacheStats {
+	misses, lookups := t.misses.Load(), t.lookups.Load()
+	return CacheStats{Hits: lookups - min(lookups, misses), Misses: misses, Entries: int(misses)}
 }
 
-// metricsInitMu guards lazy creation of per-instance caches. Instance is a
+// metricsInitMu guards lazy creation of per-instance tables. Instance is a
 // plain exported struct built by composite literals all over the tree, so
-// the cache field cannot carry its own sync primitive without making
+// the table field cannot carry its own sync primitive without making
 // Instance uncopyable (scenario scaling copies it by value).
 var metricsInitMu sync.Mutex
 
-// sharedMetrics returns the instance's metric cache, creating it on first
-// use. Every problem built on this instance shares the returned cache.
-func (in *Instance) sharedMetrics() *metricsCache {
+// sharedMetrics returns the instance's metric table, creating it on first
+// use. Every problem built on this instance shares the returned table.
+func (in *Instance) sharedMetrics() *metricsTable {
 	metricsInitMu.Lock()
 	defer metricsInitMu.Unlock()
 	if in.metrics == nil {
-		in.metrics = &metricsCache{}
+		in.metrics = &metricsTable{}
 	}
 	return in.metrics
 }
 
 // MetricsCacheStats reports hit/miss counters and size of the instance's
-// shared Markov-metric cache (creating the cache if needed).
+// shared Markov-metric table (creating the table if needed).
 func (in *Instance) MetricsCacheStats() CacheStats {
 	return in.sharedMetrics().stats()
 }
@@ -140,7 +135,7 @@ func (in *Instance) FitnessCacheStats() FitnessCacheStats {
 }
 
 // WithPlatform returns a copy of the instance bound to a different platform
-// and a fresh metric cache. Task metrics depend on the PE type's
+// and a fresh metric table. Task metrics depend on the PE type's
 // fault rates and DVFS modes, so a derived environment (e.g. a scenario
 // with scaled SEU rates) must not share cached values with its parent.
 func (in *Instance) WithPlatform(p *platform.Platform) *Instance {

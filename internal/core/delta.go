@@ -31,6 +31,7 @@ func decisionsInto(p problemCore, dst []schedule.TaskDecision, g *moea.Genome) [
 	for t := 0; t < n; t++ {
 		dst[t] = p.decodeDecision(t, g.Genes[t])
 	}
+	publishLookups(p, n)
 	return dst
 }
 
@@ -211,6 +212,7 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 	if reused > 0 {
 		accelCounters.metricsReused.Add(uint64(reused))
 	}
+	publishLookups(e.p, n-reused)
 	if rec == nil {
 		if sameOrder {
 			// Identical schedule inputs: the parent's evaluation is the

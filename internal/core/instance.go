@@ -108,16 +108,16 @@ type Instance struct {
 	// Faults, when non-nil, evaluates every task metric under the resolved
 	// per-PE-type combined fault model (relmodel.EvaluateFM); nil keeps the
 	// SEU-only path bit-identical to the base engine. The model is constant
-	// per instance, so the shared metrics cache stays keyed by
+	// per instance, so the shared metric table stays keyed by
 	// (taskType, impl, assignment) alone — derive a fresh instance (as
 	// WithPlatform does) rather than mutating this field on a live one.
 	Faults *faultmodel.Model
 
-	// metrics is the lazily created instance-level Markov-metric cache
-	// (see cache.go), shared by every strategy run on this instance. A
+	// metrics is the lazily created instance-level Markov-metric table
+	// (see cache.go), shared by every fcCLR-encoded run on this instance. A
 	// plain pointer keeps Instance values copyable; use WithPlatform when
 	// deriving an instance whose metrics differ.
-	metrics *metricsCache
+	metrics *metricsTable
 }
 
 // Validate checks cross-references between the instance's components.

@@ -24,38 +24,30 @@ type layerRestriction struct {
 // allFree is the unrestricted cross-layer search space of fcCLR.
 var allFree = layerRestriction{freeModes: true, freeHW: true, freeSSW: true, freeASW: true}
 
-// metricsKey memoizes task-level Markov evaluations: metrics depend only on
-// the task type, base implementation, CLR assignment and PE type — not on
-// the PE instance or the rest of the genome.
-type metricsKey struct {
-	taskType, impl int
-	asg            relmodel.Assignment
-}
-
 // fcProblem is the full-configuration CLR task-mapping problem (fcCLR):
 // gene fields select the base implementation, DVFS mode and one method per
-// layer; Markov evaluations are memoized in the instance's shared sharded
-// cache, so concurrent strategies on the same instance reuse each other's
+// layer; Markov evaluations are memoized in the instance's shared metric
+// table, so concurrent strategies on the same instance reuse each other's
 // work (see cache.go).
 type fcProblem struct {
 	inst      *Instance
 	restrict  layerRestriction
 	mutFields []int   // the gene fields MutateGene draws from
 	compat    [][]int // PE ids per PE type index
-	maxModes  int
 	objs      []SystemObjective
-	cache     *metricsCache
+	table     *metricsTable
 }
 
 func newFCProblem(inst *Instance, restrict layerRestriction) *fcProblem {
+	table := inst.sharedMetrics()
+	table.allocate(inst)
 	return &fcProblem{
 		inst:      inst,
 		restrict:  restrict,
 		mutFields: mutableFields(restrict),
 		compat:    compatiblePEs(inst.Platform),
-		maxModes:  maxModes(inst.Platform),
 		objs:      inst.objectives(),
-		cache:     inst.sharedMetrics(),
+		table:     table,
 	}
 }
 
@@ -69,7 +61,7 @@ func (p *fcProblem) RandomGene(rng *rand.Rand, task int) moea.Gene {
 		PE:   draw(rng, p.inst.Platform.NumPEs()),
 	}
 	if p.restrict.freeModes {
-		g.Mode = draw(rng, p.maxModes)
+		g.Mode = draw(rng, p.table.modes)
 	}
 	if p.restrict.freeHW {
 		g.HW = draw(rng, len(p.inst.Catalog.HW))
@@ -92,7 +84,7 @@ func (p *fcProblem) MutateGene(rng *rand.Rand, task int, g moea.Gene) moea.Gene 
 	case 1:
 		g.PE = draw(rng, p.inst.Platform.NumPEs())
 	case 2:
-		g.Mode = draw(rng, p.maxModes)
+		g.Mode = draw(rng, p.table.modes)
 	case 3:
 		g.HW = draw(rng, len(p.inst.Catalog.HW))
 	case 4:
@@ -130,60 +122,66 @@ func draw(rng *rand.Rand, n int) int32 { return int32(rng.Intn(n)) }
 // PE id) triple. The PE field indexes into the PEs compatible with the
 // chosen implementation's PE type (modulo), so every gene decodes validly.
 func (p *fcProblem) decodeGene(task int, g moea.Gene) (relmodel.Impl, relmodel.Assignment, int) {
-	tt := p.inst.Graph.Task(task).Type
-	impls := p.inst.Lib.ImplsShared(tt)
-	implIdx := mod(int(g.Impl), len(impls))
-	impl := impls[implIdx]
-	pt := p.inst.Platform.Types()[impl.PETypeIndex]
-	asg := relmodel.Assignment{
-		Mode: mod(int(g.Mode), len(pt.Modes)),
-		HW:   mod(int(g.HW), len(p.inst.Catalog.HW)),
-		SSW:  mod(int(g.SSW), len(p.inst.Catalog.SSW)),
-		ASW:  mod(int(g.ASW), len(p.inst.Catalog.ASW)),
-	}
-	if !p.restrict.freeModes {
-		asg.Mode = 0
-	}
-	if !p.restrict.freeHW {
-		asg.HW = 0
-	}
-	if !p.restrict.freeSSW {
-		asg.SSW = 0
-	}
-	if !p.restrict.freeASW {
-		asg.ASW = 0
-	}
+	impls := p.inst.Lib.ImplsShared(p.inst.Graph.Task(task).Type)
+	impl := impls[mod(int(g.Impl), len(impls))]
 	peList := p.compat[impl.PETypeIndex]
-	pe := peList[mod(int(g.PE), len(peList))]
-	return impl, asg, pe
+	return impl, p.assignment(g, impl.PETypeIndex), peList[mod(int(g.PE), len(peList))]
 }
 
+// assignment decodes the gene's CLR assignment on PE type pt. Fields of a
+// restricted layer decode to 0, so the restricted runs share the full
+// run's table entries.
+func (p *fcProblem) assignment(g moea.Gene, pt int) (asg relmodel.Assignment) {
+	if p.restrict.freeModes {
+		asg.Mode = mod(int(g.Mode), len(p.inst.Platform.Types()[pt].Modes))
+	}
+	if p.restrict.freeHW {
+		asg.HW = mod(int(g.HW), len(p.inst.Catalog.HW))
+	}
+	if p.restrict.freeSSW {
+		asg.SSW = mod(int(g.SSW), len(p.inst.Catalog.SSW))
+	}
+	if p.restrict.freeASW {
+		asg.ASW = mod(int(g.ASW), len(p.inst.Catalog.ASW))
+	}
+	return asg
+}
+
+// taskMetrics returns the task's metrics and PE id. It indexes the table
+// straight from the gene; only a miss builds the implementation's
+// evaluation, once per key.
 func (p *fcProblem) taskMetrics(task int, g moea.Gene) (relmodel.Metrics, int) {
-	impl, asg, pe := p.decodeGene(task, g)
 	tt := p.inst.Graph.Task(task).Type
 	impls := p.inst.Lib.ImplsShared(tt)
-	key := metricsKey{taskType: tt, impl: mod(int(g.Impl), len(impls)), asg: asg}
-	m := p.cache.lookup(key, func() relmodel.Metrics {
-		pt := p.inst.Platform.Types()[impl.PETypeIndex]
-		var m relmodel.Metrics
-		var err error
-		if p.inst.Faults != nil {
-			// The checkpoint-policy axis is a tDSE decision carried by
-			// pfCLR candidates, not an fcCLR gene: full-configuration
-			// genomes evaluate at the zero policy.
-			m, err = relmodel.EvaluateFM(impl, asg, pt, p.inst.Catalog,
-				p.inst.Faults.For(pt.Name), faultmodel.CheckpointPolicy{})
-		} else {
-			m, err = relmodel.Evaluate(impl, asg, pt, p.inst.Catalog)
-		}
-		if err != nil {
-			// Decoding guarantees validity; an error here is a programming
-			// error, surfaced loudly.
-			panic("core: task metrics evaluation failed: " + err.Error())
-		}
-		return m
-	})
-	return m, pe
+	i := mod(int(g.Impl), len(impls))
+	pt := impls[i].PETypeIndex
+	asg := p.assignment(g, pt)
+	e := p.table.entry(tt, i, asg)
+	e.once.Do(func() { e.m = p.evaluate(&impls[i], asg) })
+	peList := p.compat[pt]
+	return e.m, peList[mod(int(g.PE), len(peList))]
+}
+
+// evaluate runs the Markov analysis of one key.
+func (p *fcProblem) evaluate(impl *relmodel.Impl, asg relmodel.Assignment) relmodel.Metrics {
+	pt := p.inst.Platform.Types()[impl.PETypeIndex]
+	var m relmodel.Metrics
+	var err error
+	if p.inst.Faults != nil {
+		// The checkpoint-policy axis is a tDSE decision carried by pfCLR
+		// candidates, not an fcCLR gene: full-configuration genomes
+		// evaluate at the zero policy.
+		m, err = relmodel.EvaluateFM(*impl, asg, pt, p.inst.Catalog,
+			p.inst.Faults.For(pt.Name), faultmodel.CheckpointPolicy{})
+	} else {
+		m, err = relmodel.Evaluate(*impl, asg, pt, p.inst.Catalog)
+	}
+	if err != nil {
+		// Decoding guarantees validity; an error here is a programming
+		// error, surfaced loudly.
+		panic("core: task metrics evaluation failed: " + err.Error())
+	}
+	return m
 }
 
 // decodeDecision resolves one task's gene into its schedule decision — the

@@ -184,6 +184,46 @@ var sortSpecials = []float64{math.Inf(-1), -2, -1, math.Copysign(0, -1), 0, 0.5,
 // (feasible) and tied positive levels up to +Inf.
 var violationSpecials = []float64{0, math.Copysign(0, -1), 1, 2, math.Inf(1)}
 
+// infeasibleSpecials are the violations the fuzz target and the
+// odd-violation oracle draw for an infeasible solution: the positive
+// levels and, beyond what core produces, negative and NaN violations.
+// Both are infeasible under constraint-domination, so a feasible member
+// dominates them; only the general path sees them.
+var infeasibleSpecials = []float64{1, 2, math.Inf(1), -1, math.Inf(-1), math.NaN()}
+
+// TestENSOddViolationsMatchReference pins the general path's presort to
+// the FNDS oracle on populations with negative and NaN violations, with
+// two to four objectives: each must place a negative violation after the
+// feasible members, and a NaN one after every feasible member.
+func TestENSOddViolationsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	sc := new(selScratch)
+	for trial := 0; trial < 1000; trial++ {
+		n := 1 + rng.Intn(100)
+		m := 2 + rng.Intn(3)
+		infeasible := rng.Float64()
+		pop := make([]*solution, n)
+		odd := false
+		for i := range pop {
+			ev := Evaluation{Objectives: make([]float64, m)}
+			for k := range ev.Objectives {
+				ev.Objectives[k] = sortSpecials[rng.Intn(len(sortSpecials))]
+			}
+			if rng.Float64() < infeasible {
+				ev.Violation = infeasibleSpecials[rng.Intn(len(infeasibleSpecials))]
+				odd = odd || !(ev.Violation >= 0)
+			} else {
+				ev.Violation = violationSpecials[rng.Intn(2)]
+			}
+			pop[i] = &solution{eval: ev}
+		}
+		if odd && sc.flatKeys(pop) {
+			t.Fatalf("trial %d: a negative or NaN violation passed the two-objective gate", trial)
+		}
+		checkFrontsMatchReference(t, sc, pop, fmt.Sprintf("trial %d (n=%d m=%d)", trial, n, m))
+	}
+}
+
 // TestBiObjectiveSortMatchesReference pins the two-objective fast path
 // (O(1) front test, flat-key presort, sliding-window emission rebuild)
 // to the FNDS oracle over thousands of tie-heavy populations with
@@ -229,8 +269,8 @@ func TestBiObjectiveSortMatchesReference(t *testing.T) {
 // FuzzNonDominatedSortMatchesReference drives both sort paths against the
 // FNDS oracle: the first byte picks the objective count (2–4), the second
 // the violation share, and each further group of bytes one solution's
-// objectives and violation over the special-value tables. Its seed corpus
-// is under testdata/fuzz/.
+// objectives and violation over the special-value tables, negative and
+// NaN violations included. Its seed corpus is under testdata/fuzz/.
 func FuzzNonDominatedSortMatchesReference(f *testing.F) {
 	sc := new(selScratch)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -246,7 +286,7 @@ func FuzzNonDominatedSortMatchesReference(f *testing.F) {
 				ev.Objectives[k] = sortSpecials[int(data[q+k])%len(sortSpecials)]
 			}
 			if b := int(data[q+m]); b%4 < infeasible {
-				ev.Violation = violationSpecials[2+b/4%(len(violationSpecials)-2)]
+				ev.Violation = infeasibleSpecials[b/4%len(infeasibleSpecials)]
 			} else {
 				ev.Violation = violationSpecials[b/4%2]
 			}

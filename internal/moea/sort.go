@@ -199,12 +199,16 @@ func (sc *selScratch) emit(pop []*solution, r int, packed []uint64) {
 }
 
 // sortENS is the general path. The presort orders population indices by
-// violation ascending, then objectives lexicographically, then index: a
-// solution that constraint-dominates another strictly precedes it, and
-// the index breaks every tie. Each solution's front test scans the
-// candidate front's members newest-first with early exit, and the rebuild
-// finds each member's key by scanning the previous front's emission order
-// from the back.
+// feasibility class (feasible, infeasible, NaN violation), infeasible
+// members by violation ascending, then objectives lexicographically, then
+// index: a solution that constraint-dominates another strictly precedes
+// it, and the index breaks every tie. A negative violation is infeasible,
+// so it follows the feasible members that dominate it; a NaN violation is
+// dominated by every feasible member and incomparable to every infeasible
+// one, so it may go anywhere after the feasible members, and goes last.
+// Each solution's front test scans the candidate front's members
+// newest-first with early exit, and the rebuild finds each member's key
+// by scanning the previous front's emission order from the back.
 func (sc *selScratch) sortENS(pop []*solution) {
 	sc.order = grow(sc.order, len(pop))
 	for i := range sc.order {
@@ -212,8 +216,14 @@ func (sc *selScratch) sortENS(pop []*solution) {
 	}
 	slices.SortFunc(sc.order, func(a, b int) int {
 		ea, eb := &pop[a].eval, &pop[b].eval
-		if ea.Violation != eb.Violation {
-			return cmpLess(ea.Violation < eb.Violation)
+		if va, vb := ea.Violation, eb.Violation; va != vb {
+			ca, cb := violationClass(va), violationClass(vb)
+			if ca != cb {
+				return ca - cb
+			}
+			if ca == 1 {
+				return cmpLess(va < vb)
+			}
 		}
 		for k := range ea.Objectives {
 			if ea.Objectives[k] != eb.Objectives[k] {
@@ -261,6 +271,18 @@ func (sc *selScratch) sortENS(pop []*solution) {
 		}
 		sc.emit(pop, r, packed)
 	}
+}
+
+// violationClass ranks a violation for the general presort: 0 feasible,
+// 1 infeasible, 2 NaN.
+func violationClass(v float64) int {
+	switch {
+	case v == 0:
+		return 0
+	case math.IsNaN(v):
+		return 2
+	}
+	return 1
 }
 
 // frontDominates reports whether any member of the front (given as pop
