@@ -72,7 +72,6 @@ func run(args []string, w io.Writer) error {
 	commStartup := fs.Float64("comm-startup", 0, "interconnect transfer startup cost in µs (0 = comm-free model)")
 	commPerKB := fs.Float64("comm-per-kb", 0, "interconnect cost per KB in µs")
 	memory := fs.Bool("memory", false, "enforce per-PE local memory capacities")
-	noDelta := fs.Bool("no-delta", false, "disable incremental delta evaluation (full re-evaluation of every offspring)")
 	jsonOut := fs.Bool("json", false, "emit the front as JSON in the service wire format")
 	ganttChart := fs.Bool("gantt", false, "render the most reliable mapping as a Gantt chart (proposed/fcclr only)")
 	remote := fs.String("remote", "", "gateway or daemon URL (http://KEY@host:port); offload the run with local fallback")
@@ -93,7 +92,6 @@ func run(args []string, w io.Writer) error {
 		CommStartupUS: *commStartup,
 		CommPerKBUS:   *commPerKB,
 		EnforceMemory: *memory,
-		NoDelta:       *noDelta,
 		Constraints: service.Constraints{
 			MaxMakespanUS:    *maxMakespan,
 			MinFunctionalRel: *minFRel,

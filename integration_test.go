@@ -42,7 +42,7 @@ func buildInstance(t *testing.T, tasks int, seed int64, cat *relmodel.Catalog) (
 func TestFullPipelineDeterminism(t *testing.T) {
 	runOnce := func() [][]float64 {
 		inst, flib := buildInstance(t, 12, 5, relmodel.DefaultCatalog())
-		cfg := core.RunConfig{Pop: 20, Gens: 8, Seed: 3, Workers: 4}
+		cfg := core.RunConfig{Pop: 20, Gens: 8, Seed: 3}
 		front, err := core.Proposed(inst, cfg, flib)
 		if err != nil {
 			t.Fatal(err)

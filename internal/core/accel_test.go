@@ -51,7 +51,7 @@ func TestDeltaOnOffByteIdenticalFronts(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", method, engine, seed), func(t *testing.T) {
 					cfg := RunConfig{Pop: 20, Gens: 8, Seed: seed, Engine: engine}
 					on := frontBytes(t, runMethod(t, method, inst, cfg))
-					cfg.DisableDelta = true
+					cfg.fullEval = true
 					off := frontBytes(t, runMethod(t, method, inst, cfg))
 					if on != off {
 						t.Fatal("delta evaluation changed the front")
@@ -76,7 +76,7 @@ func TestDeltaOnOffIdenticalOnSynthetic(t *testing.T) {
 	}
 	cfg := RunConfig{Pop: 24, Gens: 10, Seed: 23}
 	on := frontBytes(t, runMethod(t, "proposed", inst(), cfg))
-	cfg.DisableDelta = true
+	cfg.fullEval = true
 	off := frontBytes(t, runMethod(t, "proposed", inst(), cfg))
 	if on != off {
 		t.Fatal("delta evaluation changed the synthetic-instance front")
@@ -114,7 +114,7 @@ func TestFitnessCacheDeterminism(t *testing.T) {
 					delta.Evaluations, frontBytes(t, delta), warm.Evaluations, frontBytes(t, warm))
 			}
 			full := cfg
-			full.DisableDelta = true
+			full.fullEval = true
 			scratch := runMethod(t, c.method, c.inst(), full)
 			if !reflect.DeepEqual(delta, scratch) {
 				t.Fatalf("fronts diverge with delta evaluation on vs off:\ndelta: %d evals %s\nfull:  %d evals %s",
@@ -490,7 +490,7 @@ func TestDeltaResumeByteIdentical(t *testing.T) {
 	cfg := RunConfig{Pop: 24, Gens: 10, Seed: 3}
 
 	refCfg := cfg
-	refCfg.DisableDelta = true
+	refCfg.fullEval = true
 	ref, err := Proposed(inst, refCfg, flib)
 	if err != nil {
 		t.Fatal(err)
@@ -545,7 +545,7 @@ func TestFcCLRParallelMissesComputeOnce(t *testing.T) {
 	run := func(workers int) *Front {
 		inst := synInstance(20, 31)
 		before := AccelTotals()
-		front, err := FcCLR(inst, RunConfig{Pop: 24, Gens: 8, Seed: 31, Workers: workers})
+		front, err := FcCLR(inst, RunConfig{Pop: 24, Gens: 8, Seed: 31, workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

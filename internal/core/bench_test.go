@@ -6,7 +6,7 @@ import "testing"
 // evaluation (the default production path).
 func BenchmarkDeltaEvalOn(b *testing.B) {
 	inst := synInstance(20, 7)
-	cfg := RunConfig{Pop: 32, Gens: 12, Seed: 7, Workers: 1}
+	cfg := RunConfig{Pop: 32, Gens: 12, Seed: 7, workers: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := FcCLR(inst, cfg); err != nil {
@@ -19,7 +19,7 @@ func BenchmarkDeltaEvalOn(b *testing.B) {
 // from scratch — the pre-delta baseline.
 func BenchmarkDeltaEvalOff(b *testing.B) {
 	inst := synInstance(20, 7)
-	cfg := RunConfig{Pop: 32, Gens: 12, Seed: 7, Workers: 1, DisableDelta: true}
+	cfg := RunConfig{Pop: 32, Gens: 12, Seed: 7, workers: 1, fullEval: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := FcCLR(inst, cfg); err != nil {

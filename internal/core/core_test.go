@@ -278,13 +278,40 @@ func TestDecodeGeneAlwaysValid(t *testing.T) {
 	}
 }
 
+// TestDecodeDecisionMemKB checks that under EnforceMemory every decision's
+// footprint is the one its gene decodes to: decodeDecision computes it from
+// the implementation and assignment it resolved for the metric table.
+func TestDecodeDecisionMemKB(t *testing.T) {
+	inst := synInstance(12, 5)
+	inst.EnforceMemory = true
+	p := newFCProblem(inst, allFree)
+	rng := rand.New(rand.NewSource(3))
+	nonzero := 0
+	for i := 0; i < 500; i++ {
+		task := rng.Intn(inst.Graph.NumTasks())
+		g := p.RandomGene(rng, task)
+		impl, asg, pe := p.decodeGene(task, g)
+		d := p.decodeDecision(task, g)
+		want := relmodel.EffectiveFootprintKB(impl, asg, inst.Catalog)
+		if math.Float64bits(d.MemKB) != math.Float64bits(want) || d.PE != pe {
+			t.Fatalf("gene %+v: MemKB %v on PE %d, decodeGene gives %v on PE %d", g, d.MemKB, d.PE, want, pe)
+		}
+		if want > 0 {
+			nonzero++
+		}
+	}
+	if nonzero == 0 {
+		t.Fatal("vacuous: every footprint was zero")
+	}
+}
+
 func TestMetricsCacheConsistency(t *testing.T) {
 	inst := sobelInstance()
 	p := newFCProblem(inst, allFree)
 	g := moea.Gene{Impl: 1, PE: 2, Mode: 1, HW: 2, SSW: 1, ASW: 3}
-	m1, pe1 := p.taskMetrics(0, g)
-	m2, pe2 := p.taskMetrics(0, g) // cached path
-	if m1 != m2 || pe1 != pe2 {
+	d1 := p.decodeDecision(0, g)
+	d2 := p.decodeDecision(0, g) // cached path
+	if d1 != d2 {
 		t.Fatal("cached metrics differ from fresh evaluation")
 	}
 }

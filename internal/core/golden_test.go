@@ -105,7 +105,7 @@ func TestEnginesGolden(t *testing.T) {
 	}
 	for name, engine := range map[string]Engine{"nsga2": NSGA2, "moead": MOEAD} {
 		for _, noDelta := range []bool{false, true} {
-			cfg := RunConfig{Pop: 20, Gens: 8, Seed: 3, Workers: 1, Engine: engine, DisableDelta: noDelta}
+			cfg := RunConfig{Pop: 20, Gens: 8, Seed: 3, workers: 1, Engine: engine, fullEval: noDelta}
 			record(fmt.Sprintf("proposed/%s/no-delta=%v", name, noDelta), proposed(cfg))
 		}
 	}

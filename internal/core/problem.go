@@ -147,53 +147,39 @@ func (p *fcProblem) assignment(g moea.Gene, pt int) (asg relmodel.Assignment) {
 	return asg
 }
 
-// taskMetrics returns the task's metrics and PE id. It indexes the table
-// straight from the gene; only a miss builds the implementation's
-// evaluation, once per key.
-func (p *fcProblem) taskMetrics(task int, g moea.Gene) (relmodel.Metrics, int) {
+// decodeDecision resolves one task's gene into its schedule decision — the
+// per-task decode step shared by full and delta evaluation. It indexes the
+// metric table straight from the gene; only a miss builds the
+// implementation's evaluation, once per key.
+func (p *fcProblem) decodeDecision(task int, g moea.Gene) schedule.TaskDecision {
 	tt := p.inst.Graph.Task(task).Type
 	impls := p.inst.Lib.ImplsShared(tt)
 	i := mod(int(g.Impl), len(impls))
-	pt := impls[i].PETypeIndex
-	asg := p.assignment(g, pt)
+	impl := &impls[i]
+	asg := p.assignment(g, impl.PETypeIndex)
 	e := p.table.entry(tt, i, asg)
-	e.once.Do(func() { e.m = p.evaluate(&impls[i], asg) })
-	peList := p.compat[pt]
-	return e.m, peList[mod(int(g.PE), len(peList))]
+	e.once.Do(func() { e.m = p.evaluate(impl, asg) })
+	peList := p.compat[impl.PETypeIndex]
+	d := schedule.TaskDecision{PE: peList[mod(int(g.PE), len(peList))], Metrics: e.m}
+	if p.inst.EnforceMemory {
+		d.MemKB = relmodel.EffectiveFootprintKB(*impl, asg, p.inst.Catalog)
+	}
+	return d
 }
 
-// evaluate runs the Markov analysis of one key.
+// evaluate runs the Markov analysis of one key. The checkpoint-policy axis
+// is a tDSE decision carried by pfCLR candidates, not an fcCLR gene:
+// full-configuration genomes evaluate at the zero policy.
 func (p *fcProblem) evaluate(impl *relmodel.Impl, asg relmodel.Assignment) relmodel.Metrics {
 	pt := p.inst.Platform.Types()[impl.PETypeIndex]
-	var m relmodel.Metrics
-	var err error
-	if p.inst.Faults != nil {
-		// The checkpoint-policy axis is a tDSE decision carried by pfCLR
-		// candidates, not an fcCLR gene: full-configuration genomes
-		// evaluate at the zero policy.
-		m, err = relmodel.EvaluateFM(*impl, asg, pt, p.inst.Catalog,
-			p.inst.Faults.For(pt.Name), faultmodel.CheckpointPolicy{})
-	} else {
-		m, err = relmodel.Evaluate(*impl, asg, pt, p.inst.Catalog)
-	}
+	m, err := relmodel.EvaluateFM(*impl, asg, pt, p.inst.Catalog,
+		p.inst.Faults.For(pt.Name), faultmodel.CheckpointPolicy{})
 	if err != nil {
 		// Decoding guarantees validity; an error here is a programming
 		// error, surfaced loudly.
 		panic("core: task metrics evaluation failed: " + err.Error())
 	}
 	return m
-}
-
-// decodeDecision resolves one task's gene into its schedule decision — the
-// per-task decode step shared by full and delta evaluation.
-func (p *fcProblem) decodeDecision(task int, g moea.Gene) schedule.TaskDecision {
-	m, pe := p.taskMetrics(task, g)
-	d := schedule.TaskDecision{PE: pe, Metrics: m}
-	if p.inst.EnforceMemory {
-		impl, asg, _ := p.decodeGene(task, g)
-		d.MemKB = relmodel.EffectiveFootprintKB(impl, asg, p.inst.Catalog)
-	}
-	return d
 }
 
 // problemCore accessors (see delta.go).

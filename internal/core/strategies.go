@@ -63,10 +63,6 @@ func (e Engine) String() string {
 type RunConfig struct {
 	Pop, Gens int
 	Seed      int64
-	// Workers bounds parallel fitness evaluation. 0 (the default) draws
-	// workers from the process-wide CPU-token budget shared with the sweep
-	// engine; an explicit positive value forces that worker count.
-	Workers int
 	// Engine selects the MOEA family (default NSGA2).
 	Engine Engine
 	// Jobs bounds strategy-internal run-level parallelism (the per-layer
@@ -97,10 +93,14 @@ type RunConfig struct {
 	// CheckpointEvery is the snapshot period in generations (default
 	// DefaultCheckpointEvery; meaningful only with Checkpoint set).
 	CheckpointEvery int
-	// DisableDelta switches off incremental (delta) evaluation. Delta
-	// evaluation is exact — fronts are byte-identical either way — so this
-	// is a measurement/escape hatch, not a fidelity knob.
-	DisableDelta bool
+
+	// Test seams. workers, when positive, fixes the evaluation worker
+	// count (0 draws workers from the process-wide CPU-token budget shared
+	// with the sweep engine). fullEval hides EvaluateDelta from the
+	// engines, so every child is evaluated in full: the reference delta
+	// evaluation is held to.
+	workers  int
+	fullEval bool
 }
 
 // ProgressEvent reports per-generation progress of one optimization stage
@@ -128,9 +128,8 @@ func DefaultRunConfig(seed int64) RunConfig {
 // config's context and wrapping its progress callback with the stage label.
 func (c RunConfig) paramsFor(stage string) moea.Params {
 	p := moea.DefaultParams(c.Pop, c.Gens, c.Seed)
-	p.Workers = c.Workers
+	p.Workers = c.workers
 	p.Ctx = c.Ctx
-	p.DisableDelta = c.DisableDelta
 	if c.Progress != nil {
 		progress := c.Progress
 		p.OnGeneration = func(g moea.GenerationInfo) {
@@ -158,13 +157,17 @@ func runProblem(p problemCore, cfg RunConfig, seeds []*moea.Genome, stage string
 	}
 	params := cfg.paramsFor(stage)
 	cfg.checkpointStage(&params, stage)
+	var mp moea.Problem = p
+	if cfg.fullEval {
+		mp = fullEvalProblem{p}
+	}
 	var res *moea.Result
 	var err error
 	switch cfg.Engine {
 	case NSGA2:
-		res, err = moea.Run(p, params, seeds)
+		res, err = moea.Run(mp, params, seeds)
 	case MOEAD:
-		res, err = moea.RunMOEAD(p, params, seeds)
+		res, err = moea.RunMOEAD(mp, params, seeds)
 	default:
 		return nil, fmt.Errorf("core: unknown engine %d", int(cfg.Engine))
 	}
@@ -176,6 +179,14 @@ func runProblem(p problemCore, cfg RunConfig, seeds []*moea.Genome, stage string
 		cfg.Checkpoint.SaveFront(stage, SnapshotFront(front))
 	}
 	return front, nil
+}
+
+// fullEvalProblem mints evaluators that offer only Evaluate, so the
+// engines evaluate every child in full (RunConfig.fullEval).
+type fullEvalProblem struct{ problemCore }
+
+func (p fullEvalProblem) NewEvaluator() moea.Evaluator {
+	return struct{ moea.Evaluator }{newCoreEvaluator(p.problemCore)}
 }
 
 // checkpointStage makes params resume from, and snapshot to, the stage key

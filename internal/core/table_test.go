@@ -128,7 +128,7 @@ func checkTableAgainstEvaluate(t *testing.T, prob *fcProblem, direct map[oracleK
 								direct[key] = want
 							}
 							g := moea.Gene{Impl: int32(i), Mode: int32(mode), HW: int32(hw), SSW: int32(ssw), ASW: int32(asw)}
-							got, _ := prob.taskMetrics(task, g)
+							got := prob.decodeDecision(task, g).Metrics
 							if !sameDecision(&schedule.TaskDecision{Metrics: got}, &schedule.TaskDecision{Metrics: want}) {
 								t.Fatalf("restriction %+v, key %+v: table %+v, direct %+v", r, key, got, want)
 							}

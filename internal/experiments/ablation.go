@@ -122,7 +122,6 @@ func (c Config) AblationOperators() (*AblationOperatorsResult, error) {
 		mutate func(*moea.Params)
 	}) (*core.Front, error) {
 		params := moea.DefaultParams(c.Pop, c.Gens, c.Seed+81)
-		params.Workers = c.Workers
 		v.mutate(&params)
 		return core.FcCLRWithParams(inst, params)
 	})

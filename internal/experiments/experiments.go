@@ -32,10 +32,6 @@ type Config struct {
 	Seed int64
 	// Sizes are the synthetic application sizes of TABLEs V-VII.
 	Sizes []int
-	// Workers bounds parallel fitness evaluation. 0 (the default) draws
-	// workers from the process-wide CPU-token budget shared with the sweep
-	// engine; an explicit positive value forces that count per GA run.
-	Workers int
 	// Jobs bounds the number of experiment cells (strategy run × size ×
 	// layer × ablation arm) executed concurrently; ≤ 0 means GOMAXPROCS.
 	// All per-cell seeds derive from Seed and results are merged in a
@@ -70,7 +66,7 @@ func Quick() Config {
 
 func (c Config) run(seed int64) core.RunConfig {
 	return core.RunConfig{
-		Pop: c.Pop, Gens: c.Gens, Seed: seed, Workers: c.Workers, Jobs: c.Jobs,
+		Pop: c.Pop, Gens: c.Gens, Seed: seed, Jobs: c.Jobs,
 	}
 }
 

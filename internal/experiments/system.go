@@ -41,8 +41,7 @@ func (c Config) tdseLibrary(k int) (*tdse.Library, error) {
 // JobSpec from which a remote worker rebuilds exactly the instance of
 // systemInstance(tasks) — graph seed Seed+tasks, library seed Seed+500,
 // default platform/catalog/objectives — and runs the given method with the
-// given budget. Jobs is left zero: it never affects results, and omitting
-// it keeps worker cache keys stable across local -jobs settings.
+// given budget.
 func (c Config) systemSpec(method string, tasks, gens int, seed int64) *service.JobSpec {
 	return &service.JobSpec{
 		App:       "synthetic",

@@ -160,6 +160,7 @@ type workerInfo struct {
 	lastSeen  time.Time
 	probedOK  bool // last /healthz probe result (addr-advertising workers)
 	probed    bool
+	polls     int // lease long-polls in flight
 	completed int64
 	failed    int64
 	expired   int64
@@ -544,6 +545,20 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// probeTargets maps each registered worker that advertises an address to
+// that address.
+func (g *Gateway) probeTargets() map[string]string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	targets := make(map[string]string)
+	for name, wi := range g.workers {
+		if wi.addr != "" {
+			targets[name] = wi.addr
+		}
+	}
+	return targets
+}
+
 // probeLoop health-checks workers that advertise an address.
 func (g *Gateway) probeLoop() {
 	defer g.loopsWG.Done()
@@ -555,14 +570,7 @@ func (g *Gateway) probeLoop() {
 			return
 		case <-t.C:
 		}
-		g.mu.Lock()
-		targets := make(map[string]string)
-		for name, wi := range g.workers {
-			if wi.addr != "" {
-				targets[name] = wi.addr
-			}
-		}
-		g.mu.Unlock()
+		targets := g.probeTargets()
 		timeout := max(time.Second, g.cfg.ProbeEvery)
 		var wg sync.WaitGroup
 		results := make(map[string]bool, len(targets))

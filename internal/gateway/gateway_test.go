@@ -396,7 +396,7 @@ func TestCancelQueued(t *testing.T) {
 
 // TestRemovedSpecField covers the gateway's side of the JobSpec fields of
 // removed features (surrogate screening, island mode, plateau
-// termination): a submission that sets one is a 400, and a pending job
+// termination) and options (jobs, no_delta): a submission that sets one is a 400, and a pending job
 // journaled with one before the removal recovers failed, naming the field,
 // with its checkpoint dropped and without ever being queued or leased.
 func TestRemovedSpecField(t *testing.T) {
@@ -416,6 +416,8 @@ func TestRemovedSpecField(t *testing.T) {
 		{"converge", true},
 		{"converge_window", 8},
 		{"converge_eps", 1e-3},
+		{"jobs", 2},
+		{"no_delta", true},
 	} {
 		t.Run(f.name, func(t *testing.T) {
 			// The journal form of a normalized spec, as a build that still

@@ -88,7 +88,8 @@ func (g *Gateway) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		poll = min(parsed, 30*time.Second)
 	}
-	g.touchWorker(req.Worker, req.Addr)
+	g.touchWorker(req.Worker, req.Addr, 1)
+	defer g.touchWorker(req.Worker, "", -1)
 
 	deadline := time.NewTimer(poll)
 	defer deadline.Stop()
@@ -158,8 +159,9 @@ func (g *Gateway) tryLease(workerName string) *LeaseGrant {
 	}
 }
 
-// touchWorker refreshes the worker registry entry for liveness tracking.
-func (g *Gateway) touchWorker(name, addr string) {
+// touchWorker refreshes the worker registry entry for liveness tracking;
+// polls (+1 or -1) counts a lease long-poll starting or ending.
+func (g *Gateway) touchWorker(name, addr string, polls int) {
 	g.mu.Lock()
 	wi := g.workers[name]
 	if wi == nil {
@@ -167,6 +169,7 @@ func (g *Gateway) touchWorker(name, addr string) {
 		g.workers[name] = wi
 	}
 	wi.lastSeen = time.Now()
+	wi.polls += polls
 	if addr != "" {
 		wi.addr = normalizeURL(addr)
 	}
@@ -195,7 +198,7 @@ func (g *Gateway) takeLease(w http.ResponseWriter, r *http.Request, consume bool
 		service.HTTPError(w, http.StatusGone, "lease expired or unknown")
 		return nil
 	}
-	g.touchWorker(l.worker, "")
+	g.touchWorker(l.worker, "", 0)
 	return l
 }
 
@@ -280,11 +283,18 @@ func (g *Gateway) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	service.WriteJSON(w, http.StatusOK, LeaseAck{})
 }
 
+// forgetAfterTTLs is how many lease lifetimes a worker that holds no lease
+// and is not polling may stay silent before its registry record goes:
+// restarted workers come back under new names, so records of dead ones
+// must not pile up in /metrics and the probe loop.
+const forgetAfterTTLs = 4
+
 // expiryLoop reclaims leases whose workers stopped renewing — the
 // worker-death path. The job goes back to the head of its queue (its
 // progress so far is lost; determinism makes re-execution safe) until
 // MaxDeliveries is spent, after which it fails rather than circulate
-// forever.
+// forever. It also drops the records of workers silent for
+// forgetAfterTTLs lease lifetimes.
 func (g *Gateway) expiryLoop() {
 	defer g.loopsWG.Done()
 	tick := g.cfg.LeaseTTL / 4
@@ -316,10 +326,26 @@ func (g *Gateway) expiryLoop() {
 				wi.expired++
 			}
 		}
+		g.forgetSilentWorkers(now)
 		g.mu.Unlock()
 		for _, l := range expired {
 			g.m.leasesExpired.Add(1)
 			g.expireLease(l)
+		}
+	}
+}
+
+// forgetSilentWorkers deletes the records of workers that hold no lease,
+// have no long-poll in flight and were last seen more than forgetAfterTTLs
+// lease lifetimes before now. The caller holds g.mu.
+func (g *Gateway) forgetSilentWorkers(now time.Time) {
+	holding := make(map[string]bool, len(g.leases))
+	for _, l := range g.leases {
+		holding[l.worker] = true
+	}
+	for name, wi := range g.workers {
+		if wi.polls == 0 && !holding[name] && now.Sub(wi.lastSeen) > forgetAfterTTLs*g.cfg.LeaseTTL {
+			delete(g.workers, name)
 		}
 	}
 }

@@ -81,3 +81,57 @@ func TestRejectedCompletionKeepsLease(t *testing.T) {
 		t.Fatalf("tenant holds %d active slots after completion, want 0", n)
 	}
 }
+
+// TestSilentWorkerForgotten polls once as one worker and keeps polling as
+// another, with long-polls that outlast forgetAfterTTLs lease lifetimes:
+// the silent worker's record leaves /metrics and the probe targets, while
+// the polling worker keeps its record throughout.
+func TestSilentWorkerForgotten(t *testing.T) {
+	g, ts := newTestGateway(t, Config{WorkerToken: "wtok", LeaseTTL: 50 * time.Millisecond, ProbeEvery: -1})
+	poll := func(worker, timeout string) {
+		body := `{"worker":"` + worker + `","addr":"http://` + worker + `.invalid:1","timeout":"` + timeout + `"}`
+		if code, _ := workerPost(t, ts, "/v1/lease", body); code != http.StatusNoContent {
+			t.Fatalf("idle poll for %s = %d, want 204", worker, code)
+		}
+	}
+	listed := func() map[string]bool {
+		_, blob := get(t, ts, "/metrics")
+		var m MetricsWire
+		if err := json.Unmarshal(blob, &m); err != nil {
+			t.Fatal(err)
+		}
+		names := make(map[string]bool)
+		for _, w := range m.Workers {
+			names[w.Name] = true
+		}
+		return names
+	}
+	record := func(name string) *workerInfo {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return g.workers[name]
+	}
+	poll("gone", "5ms")
+	poll("live", "5ms")
+	if names := listed(); !names["gone"] || !names["live"] {
+		t.Fatalf("/metrics workers = %v, want gone and live", names)
+	}
+	live := record("live")
+	deadline := time.Now().Add(10 * time.Second)
+	for listed()["gone"] {
+		if time.Now().After(deadline) {
+			t.Fatal("the silent worker's record was never dropped")
+		}
+		poll("live", "300ms") // longer than forgetAfterTTLs × LeaseTTL
+	}
+	if !listed()["live"] || record("live") != live {
+		t.Fatal("the polling worker's record was dropped")
+	}
+	targets := g.probeTargets()
+	if _, ok := targets["gone"]; ok {
+		t.Fatal("the silent worker is still a probe target")
+	}
+	if _, ok := targets["live"]; !ok {
+		t.Fatal("the polling worker is not a probe target")
+	}
+}

@@ -136,12 +136,3 @@ func (a *archiveState) truncate() {
 		buf[i] = nil
 	}
 }
-
-// updateArchive is the one-shot form used by tests and RandomSearch: merge
-// batch into archive and return the new member list.
-func updateArchive(archive, batch []*solution, limit int) []*solution {
-	a := newArchiveState(limit, new(selScratch))
-	a.members = archive
-	a.add(batch)
-	return a.members
-}

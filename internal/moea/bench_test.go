@@ -45,7 +45,7 @@ func benchPopulation(p Problem, size int) []*solution {
 func benchmarkEvaluate(b *testing.B, workers int) {
 	p := &benchProblem{n: 50}
 	pop := benchPopulation(p, 96)
-	r := &runState{p: p, params: Params{Workers: workers}, useDelta: true}
+	r := &runState{p: p, params: Params{Workers: workers}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

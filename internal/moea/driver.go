@@ -22,13 +22,12 @@ type engine interface {
 
 // runState is the run state the driver shares with its engine.
 type runState struct {
-	p        Problem
-	params   Params
-	rng      *rand.Rand
-	useDelta bool
-	arch     *archiveState
-	pop      []*solution
-	evals    int
+	p      Problem
+	params Params
+	rng    *rand.Rand
+	arch   *archiveState
+	pop    []*solution
+	evals  int
 	// evs are the run's per-worker evaluators (see evaluators).
 	evs []Evaluator
 	// free holds the genomes of solutions that left the run; children are
@@ -100,20 +99,19 @@ func drive(p Problem, params Params, seeds []*Genome, newEngine func(Problem, Pa
 		return nil, err
 	}
 	n, m := p.NumTasks(), p.NumObjectives()
-	archiveCap := params.ArchiveCap
-	if archiveCap <= 0 {
-		archiveCap = 256
+	limit := archiveCap
+	if params.archiveLimit > 0 {
+		limit = params.archiveLimit
 	}
 	src := newCountingSource(params.Seed)
 	// Per-run selection machinery: one scratch (Agnostic runs its layer
 	// stages concurrently, so nothing is shared across runs) and the
 	// incremental archive.
 	r := &runState{
-		p:        p,
-		params:   params,
-		rng:      rand.New(src),
-		useDelta: !params.DisableDelta,
-		arch:     newArchiveState(archiveCap, new(selScratch)),
+		p:      p,
+		params: params,
+		rng:    rand.New(src),
+		arch:   newArchiveState(limit, new(selScratch)),
 	}
 	defer flushSelectionTotals(r.arch)
 	startGen := 0

@@ -24,8 +24,6 @@ type Params struct {
 	Seed int64
 	// Workers bounds parallel fitness evaluation; ≤ 0 means GOMAXPROCS.
 	Workers int
-	// ArchiveCap bounds the external non-dominated archive (0 = 256).
-	ArchiveCap int
 	// DisableConfigCrossover / DisableOrderCrossover / DisableOrderMutation
 	// switch off individual operators for ablation studies; the zero values
 	// reproduce the paper's operator set (§V.C).
@@ -61,12 +59,14 @@ type Params struct {
 	// only on the restored state and the seeded RNG stream, the resumed
 	// run's final front is byte-identical to the uninterrupted run's.
 	Resume *Checkpoint
-	// DisableDelta turns off delta evaluation on problems whose evaluators
-	// implement DeltaEvaluator. Delta evaluation is exact — results are
-	// bit-identical either way — so this switch exists for measurement and
-	// as an escape hatch, not for correctness.
-	DisableDelta bool
+
+	// archiveLimit, when positive, bounds the archive in place of
+	// archiveCap: tests use it to make small runs truncate.
+	archiveLimit int
 }
+
+// archiveCap bounds the external non-dominated archive of every run.
+const archiveCap = 256
 
 // GenerationInfo is a per-generation progress report delivered through
 // Params.OnGeneration.
@@ -293,10 +293,10 @@ func tournament(rng *rand.Rand, pop []*solution, k int) *solution {
 // Worker count never affects results: each solution's evaluation is
 // independent and written to its own slot.
 //
-// When delta evaluation is on and the problem's evaluators implement
-// DeltaEvaluator, each solution with a recorded parent is evaluated
-// incrementally against that parent's replay state — an exact optimization
-// (results are bit-identical to full evaluation).
+// When the problem's evaluators implement DeltaEvaluator, each solution
+// with a recorded parent is evaluated incrementally against that parent's
+// replay state — an exact optimization (results are bit-identical to full
+// evaluation).
 func (r *runState) evaluate(sols []*solution) {
 	if len(sols) == 0 {
 		return
@@ -316,7 +316,7 @@ func (r *runState) evaluate(sols []*solution) {
 	evs := r.evaluators(max(workers, 1))
 	if workers <= 1 {
 		for _, s := range sols {
-			evalOne(evs[0], s, r.useDelta)
+			evalOne(evs[0], s)
 		}
 		return
 	}
@@ -334,7 +334,7 @@ func (r *runState) evaluate(sols []*solution) {
 				if i >= len(sols) {
 					return
 				}
-				evalOne(ev, sols[i], r.useDelta)
+				evalOne(ev, sols[i])
 			}
 		}()
 	}
@@ -352,9 +352,9 @@ func (r *runState) evaluators(k int) []Evaluator {
 }
 
 // evalOne scores one solution with ev: incrementally against its parent's
-// replay state when delta evaluation applies, in full otherwise.
-func evalOne(ev Evaluator, s *solution, useDelta bool) {
-	if de, ok := ev.(DeltaEvaluator); ok && useDelta {
+// replay state when ev is a DeltaEvaluator, in full otherwise.
+func evalOne(ev Evaluator, s *solution) {
+	if de, ok := ev.(DeltaEvaluator); ok {
 		var pg *Genome
 		var pst any
 		if s.parent != nil {
@@ -376,8 +376,8 @@ func RandomSearch(p Problem, evals int, seed int64) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	ev := newEvaluator(p)
-	arch := newArchiveState(256, new(selScratch))
-	batch := make([]*solution, 0, 256)
+	arch := newArchiveState(archiveCap, new(selScratch))
+	batch := make([]*solution, 0, archiveCap)
 	for i := 0; i < evals; i++ {
 		s := &solution{genome: RandomGenome(rng, p)}
 		s.eval = ev.Evaluate(s.genome)

@@ -515,7 +515,7 @@ func TestOperatorDisableFlags(t *testing.T) {
 func TestArchiveCapTruncation(t *testing.T) {
 	p := &zdtProblem{n: 10, levels: 65}
 	params := DefaultParams(40, 20, 29)
-	params.ArchiveCap = 8
+	params.archiveLimit = 8
 	res, err := Run(p, params, nil)
 	if err != nil {
 		t.Fatal(err)

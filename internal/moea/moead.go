@@ -103,7 +103,7 @@ func (e *moead) step(r *runState) {
 		// The child started as a copy of pa, so pa is its delta-evaluation
 		// reference; pa stays valid even if a pop slot was replaced.
 		cs := &solution{genome: child, parent: pa}
-		evalOne(ev, cs, r.useDelta)
+		evalOne(ev, cs)
 		cs.parent = nil
 		r.evals++
 		e.updateIdeal(cs.eval)

@@ -103,8 +103,9 @@ func (p *releaseProblem) checkMembers(t *testing.T, cp *Checkpoint) {
 // TestRecyclingKeepsLiveStateIntact runs both engines on a problem that
 // polices the release contract, with checkpoints after every generation
 // checking that population and archive members still own their genomes,
-// and a small archive cap, so truncation drops members too. It requires the fronts to equal a run without delta evaluation, whose
-// children are never released.
+// and a small archive cap, so truncation drops members too. It requires
+// the fronts to equal a run without delta evaluation, whose children are
+// never released.
 func TestRecyclingKeepsLiveStateIntact(t *testing.T) {
 	for _, eng := range []struct {
 		name string
@@ -114,7 +115,7 @@ func TestRecyclingKeepsLiveStateIntact(t *testing.T) {
 			p := &releaseProblem{zdtProblem: zdtProblem{n: 12, levels: 8}, t: t}
 			params := DefaultParams(6, 60, 5)
 			params.Workers = 2
-			params.ArchiveCap = 8
+			params.archiveLimit = 8
 			params.CheckpointEvery = 1
 			params.OnCheckpoint = func(cp *Checkpoint) { p.checkMembers(t, cp) }
 			got, err := eng.run(p, params, nil)
@@ -124,9 +125,10 @@ func TestRecyclingKeepsLiveStateIntact(t *testing.T) {
 			if p.released == 0 {
 				t.Fatal("no child state was released")
 			}
-			params.DisableDelta = true
+			// Embedding only the Problem interface hides EvaluateDelta:
+			// every child is evaluated in full.
 			params.OnCheckpoint = nil
-			want, err := eng.run(p, params, nil)
+			want, err := eng.run(struct{ Problem }{p}, params, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -622,3 +622,22 @@ func BenchmarkUpdateArchiveIncremental(b *testing.B) {
 		}
 	}
 }
+
+// nonDominatedSort and assignCrowding run the selection kernels on a
+// throwaway scratch.
+func nonDominatedSort(pop []*solution) [][]*solution {
+	return new(selScratch).nonDominatedSort(pop)
+}
+
+func assignCrowding(front []*solution) {
+	new(selScratch).assignCrowding(front)
+}
+
+// updateArchive is the one-shot form of archiveState.add: merge batch into
+// archive and return the new member list.
+func updateArchive(archive, batch []*solution, limit int) []*solution {
+	a := newArchiveState(limit, new(selScratch))
+	a.members = archive
+	a.add(batch)
+	return a.members
+}

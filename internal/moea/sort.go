@@ -471,20 +471,6 @@ func (sc *selScratch) rankAndCrowd(pop []*solution) {
 	}
 }
 
-// nonDominatedSort / assignCrowding / rankAndCrowd on a throwaway scratch —
-// the standalone entry points used by tests and one-shot callers.
-func nonDominatedSort(pop []*solution) [][]*solution {
-	return new(selScratch).nonDominatedSort(pop)
-}
-
-func assignCrowding(front []*solution) {
-	new(selScratch).assignCrowding(front)
-}
-
-func rankAndCrowd(pop []*solution) {
-	new(selScratch).rankAndCrowd(pop)
-}
-
 // byCrowdDesc orders solutions by crowding distance, descending — the
 // partial-front cut of environmental selection.
 func byCrowdDesc(a, b *solution) int { return cmpFloat(b.crowd, a.crowd) }

@@ -341,8 +341,9 @@ func TestMetricsIncludeStoreGauges(t *testing.T) {
 }
 
 // removedSpecFields are service.JobSpec fields of removed features (surrogate
-// screening, island mode, plateau termination), each with a value a build
-// that still had the field accepted.
+// screening, island mode, plateau termination) and of removed options that
+// changed no result (jobs, no_delta), each with a value a build that still
+// had the field accepted.
 var removedSpecFields = []struct {
 	name string
 	v    any
@@ -355,6 +356,8 @@ var removedSpecFields = []struct {
 	{"converge", true},
 	{"converge_window", 8},
 	{"converge_eps", 1e-3},
+	{"jobs", 2},
+	{"no_delta", true},
 }
 
 // TestRecoverRejectsRemovedSpecField checks a pending job journaled with a

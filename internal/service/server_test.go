@@ -380,7 +380,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		}
 	}
 	// Unknown JSON fields are rejected too: typos, and the fields of
-	// removed features (surrogate screening, islands, plateau termination).
+	// removed features and options (removedSpecFields).
 	raws := []string{`{"methodd":"proposed"}`}
 	for _, f := range removedSpecFields {
 		blob, err := json.Marshal(map[string]any{f.name: f.v})

@@ -74,49 +74,6 @@ func TestSpecHashCanonical(t *testing.T) {
 	}
 }
 
-// TestSpecNoDeltaInHash pins no_delta as part of the job identity: it
-// selects a different computation, even though the front is identical.
-func TestSpecNoDeltaInHash(t *testing.T) {
-	base := JobSpec{App: "sobel", Pop: 16, Gens: 6, Seed: 3}
-	if err := base.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	nd := base
-	nd.NoDelta = true
-	if nd.Hash() == base.Hash() {
-		t.Fatal("no_delta must change the job hash")
-	}
-}
-
-// TestExecuteNoDeltaByteIdentical pins the spec-level exactness guarantee:
-// a job with no_delta set returns the same front as the default
-// delta-evaluated run, bit for bit.
-func TestExecuteNoDeltaByteIdentical(t *testing.T) {
-	run := func(noDelta bool) *FrontWire {
-		spec := JobSpec{App: "sobel", Method: "proposed", Pop: 16, Gens: 6, Seed: 11, NoDelta: noDelta}
-		if err := spec.Normalize(); err != nil {
-			t.Fatal(err)
-		}
-		front, err := Execute(context.Background(), &spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FrontToWire(front)
-	}
-	on, off := run(false), run(true)
-	if len(on.Points) != len(off.Points) {
-		t.Fatalf("front sizes differ: %d vs %d", len(on.Points), len(off.Points))
-	}
-	for i := range on.Points {
-		a, b := on.Points[i], off.Points[i]
-		for j := range a.Objectives {
-			if a.Objectives[j] != b.Objectives[j] {
-				t.Fatalf("point %d objective %d differs: %v vs %v", i, j, a.Objectives[j], b.Objectives[j])
-			}
-		}
-	}
-}
-
 func TestSpecTotalGenerations(t *testing.T) {
 	cases := map[string]int{"proposed": 20, "agnostic": 40, "fcclr": 10, "pfclr": 10}
 	for method, want := range cases {

@@ -65,9 +65,6 @@ type JobSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Engine selects the MOEA family: nsga2 (default) or moead.
 	Engine string `json:"engine,omitempty"`
-	// Jobs bounds strategy-internal run-level parallelism (core.RunConfig
-	// semantics; results are identical for every value).
-	Jobs int `json:"jobs,omitempty"`
 	// Catalog selects the reliability method catalog: default or extended.
 	Catalog string `json:"catalog,omitempty"`
 	// Objectives are system objectives by name: makespan, errprob,
@@ -80,10 +77,6 @@ type JobSpec struct {
 	CommPerKBUS   float64 `json:"comm_per_kb_us,omitempty"`
 	// EnforceMemory enables the per-PE local-memory storage constraint.
 	EnforceMemory bool `json:"enforce_memory,omitempty"`
-	// NoDelta disables incremental (delta) fitness evaluation. Results are
-	// byte-identical either way — the switch exists for measurement — but it
-	// is part of the spec hash because it selects a different computation.
-	NoDelta bool `json:"no_delta,omitempty"`
 	// Platform selects the platform family: the paper's HMPSoC ("",
 	// "default", "hmpsoc" — all canonicalized to "" so legacy specs hash
 	// identically) or "fpga" (soft cores in configuration memory with
@@ -226,9 +219,6 @@ func (s *JobSpec) Normalize() error {
 	}
 	if len(s.Objectives) < 2 {
 		return fmt.Errorf("service: need at least two objectives, got %d", len(s.Objectives))
-	}
-	if s.Jobs < 0 {
-		s.Jobs = 0
 	}
 	// The float knobs must be finite and non-negative: NaN/Inf would make
 	// the canonical spec unhashable (encoding/json rejects them), and
@@ -443,12 +433,10 @@ func ExecuteOnHooks(ctx context.Context, inst *core.Instance, flib *tdse.Library
 		Pop:             s.Pop,
 		Gens:            s.Gens,
 		Seed:            s.Seed,
-		Jobs:            s.Jobs,
 		Ctx:             ctx,
 		Progress:        hooks.Progress,
 		Checkpoint:      hooks.Checkpoint,
 		CheckpointEvery: hooks.CheckpointEvery,
-		DisableDelta:    s.NoDelta,
 	}
 	if s.Engine == "moead" {
 		cfg.Engine = core.MOEAD

@@ -36,10 +36,11 @@ var specHashCorpus = map[string]string{
 
 // removedCorpusEntries names corpus entries whose spec sets a field JobSpec
 // no longer has (surrogate screening, island mode and plateau termination
-// were removed). Their pinned hashes record the old cache keys; strict
-// decoding must now reject the spec, so such a job can never be served or
-// recovered under a different computation.
-var removedCorpusEntries = map[string]bool{"surrogate": true, "islands": true, "converge": true}
+// were removed, and so was no_delta, which changed no result). Their pinned
+// hashes record the old cache keys; strict decoding must now reject the
+// spec, so such a job can never be served or recovered under a different
+// computation.
+var removedCorpusEntries = map[string]bool{"surrogate": true, "islands": true, "converge": true, "no_delta": true}
 
 type specHashEntry struct {
 	Spec string `json:"spec"`
