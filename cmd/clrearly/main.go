@@ -10,7 +10,7 @@
 //	         [-faults model.json] [-ckpt-modes] [-ckpt-intervals 1,2]
 //	         [-remote URL]
 //
-// -remote offloads the run to a clrearlygw gateway or a clrearlyd daemon
+// -remote offloads the run to a clrearlyd daemon or fleet front door
 // (http://KEY@host:port; the userinfo is the API key) with a transparent
 // local fallback; the printed front is byte-identical to a local run
 // either way. A rejected API key is an error, not a fallback.

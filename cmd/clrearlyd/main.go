@@ -9,17 +9,35 @@
 //	clrearlyd [-addr :8080] [-workers N] [-queue N] [-cache N] [-drain 30s]
 //	          [-store DIR] [-fsync always|interval|never] [-checkpoint-every K]
 //	          [-pprof addr] [-worker-token TOK] [-max-body N]
-//	          [-gateway URL] [-worker-name NAME]
+//	          [-tenants FILE | -gateway URL [-worker-name NAME]]
 //
-// The daemon is the fleet gateway (internal/gateway) running -workers
-// agents in process, with one tenant whose key is -worker-token. With a
-// token every endpoint but /healthz requires "Authorization: Bearer TOK";
-// without one the API is open, and the agents lease with a random
-// per-process token. A full queue answers 429 with Retry-After.
+// The process is the fleet gateway (internal/gateway) in one of three
+// roles:
 //
-// With -gateway URL the process is only a worker of a clrearlygw fleet:
-// it leases jobs from the gateway, runs them and reports back, presenting
-// -worker-token, and serves /healthz and the engine counters on /metrics.
+//   - Daemon (the default): -workers agents run in process under one
+//     tenant whose key is -worker-token. With a token every endpoint but
+//     /healthz requires "Authorization: Bearer TOK"; without one the API
+//     is open, and the agents lease with a random per-process token.
+//
+//   - Fleet front door (-tenants FILE): the tenant table replaces the one
+//     tenant, adding per-tenant API keys ("X-API-Key: <key>" or a bearer
+//     token), token-bucket rate limits, active-job quotas and weighted-fair
+//     priority classes. -worker-token then guards the lease API only, so
+//     a tenant key never leases work. With -workers 0 the process runs no
+//     engine and every job waits for a `clrearlyd -gateway URL` worker.
+//
+//   - Worker (-gateway URL): the process leases jobs from that gateway,
+//     runs them and reports back, presenting -worker-token, and serves
+//     /healthz and the engine counters on /metrics.
+//
+// The tenants file is JSON:
+//
+//	{"tenants": [
+//	  {"name": "acme", "key": "acme-key-1", "rate_per_sec": 10,
+//	   "burst": 20, "max_active": 8, "priority": "high"}
+//	]}
+//
+// A full queue answers 429 with Retry-After in both serving roles.
 //
 // With -store, accepted jobs, finished results and run checkpoints (every
 // K generations) are journaled to a write-ahead log under DIR, and a
@@ -36,9 +54,11 @@
 //	GET    /v1/jobs/{id}/wait   long-poll job status (?timeout=30s)
 //	GET    /v1/jobs/{id}/events SSE stream of per-generation progress
 //	DELETE /v1/jobs/{id}        cancel (queued or running)
+//	POST   /v1/lease[/...]      the workers' lease API
 //	GET    /healthz             liveness probe
 //	GET    /metrics             admission, queue, lease and store gauges,
-//	                            evaluation counters, latency histograms
+//	                            and, with in-process agents, evaluation
+//	                            counters and latency histograms
 //
 // -pprof serves net/http/pprof on a separate address, e.g. -pprof
 // localhost:6060; off by default.
@@ -74,7 +94,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("clrearlyd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 2, "in-process job runners (their GAs share the CPU-token pool; ≤ 0: 2)")
+	workers := fs.Int("workers", 2, "in-process job runners (their GAs share the CPU-token pool; 0: none)")
 	queueCap := fs.Int("queue", 64, "queued-job capacity; beyond it submissions get 429")
 	cacheCap := fs.Int("cache", 128, "LRU result-cache capacity (fronts)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for open HTTP requests")
@@ -84,13 +104,34 @@ func run(args []string) error {
 		"GA generations between durable run checkpoints (with -store)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	workerToken := fs.String("worker-token", "",
-		"bearer token required on every endpoint but /healthz (and presented to -gateway); empty = open")
+		"bearer token required on every endpoint but /healthz (with -tenants: on the lease API only) and presented to -gateway; empty = open")
 	maxBody := fs.Int64("max-body", 1<<20, "POST /v1/jobs body size cap in bytes (negative = unbounded)")
+	tenantsFile := fs.String("tenants", "",
+		"tenant config file (JSON): serve as a fleet front door with these API keys instead of one tenant")
 	gatewayURL := fs.String("gateway", "",
-		"run as a worker leasing from this clrearlygw gateway instead of serving a job API")
+		"run as a worker leasing from this gateway instead of serving a job API")
 	workerName := fs.String("worker-name", "", "worker name advertised to the gateway (default host:pid)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers %d: want 0 or more", *workers)
+	}
+	if *tenantsFile != "" && *gatewayURL != "" {
+		return errors.New("-tenants and -gateway exclude each other: a worker serves no job API")
+	}
+	// The daemon's one tenant is keyed by the worker token and sits behind
+	// it; a tenant table brings its own keys, and the token then guards
+	// the lease API only.
+	tenants := []gateway.TenantConfig{{Name: "clrearlyd", Key: *workerToken, MaxActive: -1}}
+	if *tenantsFile != "" {
+		raw, err := os.ReadFile(*tenantsFile)
+		if err != nil {
+			return err
+		}
+		if tenants, err = gateway.ParseTenants(raw); err != nil {
+			return fmt.Errorf("%s: %w", *tenantsFile, err)
+		}
 	}
 
 	if *pprofAddr != "" {
@@ -151,11 +192,8 @@ func run(args []string) error {
 		go agent.Run(ctx)
 		log.Printf("clrearlyd listening on %s (leasing from gateway %s as %q)", ln.Addr(), *gatewayURL, name)
 	} else {
-		if *workers <= 0 {
-			*workers = 2
-		}
 		gw, err := gateway.New(gateway.Config{
-			Tenants:         []gateway.TenantConfig{{Name: "clrearlyd", Key: *workerToken, MaxActive: -1}},
+			Tenants:         tenants,
 			WorkerToken:     *workerToken,
 			QueueCap:        *queueCap,
 			CacheCap:        *cacheCap,
@@ -168,10 +206,13 @@ func run(args []string) error {
 			return err
 		}
 		handler, halt = gw, gw.Close
-		log.Printf("clrearlyd listening on %s (workers=%d queue=%d cache=%d)",
-			ln.Addr(), *workers, *queueCap, *cacheCap)
+		log.Printf("clrearlyd listening on %s (tenants=%d workers=%d queue=%d cache=%d)",
+			ln.Addr(), len(tenants), *workers, *queueCap, *cacheCap)
 	}
-	hs := &http.Server{Handler: service.RequireBearer(*workerToken, handler)}
+	if *tenantsFile == "" {
+		handler = service.RequireBearer(*workerToken, handler)
+	}
+	hs := &http.Server{Handler: handler}
 	service.EndLongPollsOnShutdown(hs)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

@@ -10,11 +10,13 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/service"
 )
 
@@ -264,5 +266,131 @@ func TestShutdownEndsEventStream(t *testing.T) {
 		t.Fatalf("daemon took %v to exit with -drain 5s and one open stream", took)
 	}
 	for sc.Scan() {
+	}
+}
+
+// call sends one request to the daemon with the given header, returning
+// the status and the body.
+func call(t *testing.T, method, url, header, body string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, v, ok := strings.Cut(header, ": "); ok {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, blob
+}
+
+// writeTenants writes a one-tenant table (key "acme-key") and returns
+// its path.
+func writeTenants(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(path, []byte(`{"tenants": [{"name": "acme", "key": "acme-key"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestTenantsFrontDoor runs the daemon as a fleet front door: a tenant
+// table, a worker token on the lease API only and no engine in process.
+// Tenant keys reach the job API and nothing else, and a job waits in the
+// queue until an external agent leases and finishes it.
+func TestTenantsFrontDoor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real daemon process")
+	}
+	tenants := writeTenants(t)
+	d := startDaemon(t, t.TempDir(), "-tenants", tenants, "-workers", "0", "-worker-token", "wtok")
+
+	lease := `{"worker": "probe", "timeout": "10ms"}`
+	if code, _ := call(t, "POST", d.base+"/v1/lease", "Authorization: Bearer acme-key", lease); code != http.StatusUnauthorized {
+		t.Fatalf("lease with a tenant key: %d, want 401", code)
+	}
+	if code, _ := call(t, "POST", d.base+"/v1/lease", "Authorization: Bearer wtok", lease); code != http.StatusNoContent {
+		t.Fatalf("lease with the worker token on an empty queue: %d, want 204", code)
+	}
+
+	spec := `{"app": "sobel", "method": "proposed", "pop": 16, "gens": 10, "seed": 1}`
+	if code, _ := call(t, "POST", d.base+"/v1/jobs", "X-API-Key: nope", spec); code != http.StatusUnauthorized {
+		t.Fatalf("submit with an unknown key: %d, want 401", code)
+	}
+	code, blob := call(t, "POST", d.base+"/v1/jobs", "X-API-Key: acme-key", spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit with a tenant key: %d %s", code, blob)
+	}
+	var jw service.JobWire
+	if err := json.Unmarshal(blob, &jw); err != nil {
+		t.Fatal(err)
+	}
+
+	_, blob = call(t, "GET", d.base+"/metrics", "", "")
+	var metrics map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"eval_accel", "selection", "fault_model", "latency_ms"} {
+		if _, ok := metrics[key]; ok {
+			t.Errorf("/metrics of a front door without agents has %q", key)
+		}
+	}
+	if _, ok := metrics["tenants"]; !ok {
+		t.Error("/metrics has no tenants block")
+	}
+
+	wait := d.base + "/v1/jobs/" + jw.ID + "/wait?timeout="
+	code, blob = call(t, "GET", wait+"300ms", "Authorization: Bearer acme-key", "")
+	if code != http.StatusOK || json.Unmarshal(blob, &jw) != nil || jw.State != service.StateQueued {
+		t.Fatalf("job without a worker: %d %s, want it queued", code, blob)
+	}
+
+	agent, err := gateway.NewAgent(gateway.AgentConfig{Gateway: d.base, Token: "wtok", Name: "ext"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go agent.Run(context.Background())
+	defer agent.Stop()
+	deadline := time.Now().Add(60 * time.Second)
+	for jw.State == service.StateQueued || jw.State == service.StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("leased job never finished: %+v", jw)
+		}
+		_, blob = call(t, "GET", wait+"5s", "X-API-Key: acme-key", "")
+		if err := json.Unmarshal(blob, &jw); err != nil {
+			t.Fatalf("decoding %s: %v", blob, err)
+		}
+	}
+	if jw.State != service.StateDone || jw.Front == nil {
+		t.Fatalf("leased job ended %s (%s), front %v", jw.State, jw.Error, jw.Front != nil)
+	}
+}
+
+// TestRejectsFlagConflicts checks the flag combinations that have no
+// meaning. The listen address is unusable, so a run that let one through
+// would fail later, with an error that names no flag, instead of serving.
+func TestRejectsFlagConflicts(t *testing.T) {
+	tenants := writeTenants(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workers", "-1"}, "-workers"},
+		{[]string{"-tenants", tenants, "-gateway", "http://127.0.0.1:1"}, "-tenants"},
+	} {
+		err := run(append([]string{"-addr", "no-such-address"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run %q: %v, want an error naming %s", tc.args, err, tc.want)
+		}
 	}
 }

@@ -20,8 +20,8 @@
 // the per-experiment wall-clock in the section headers differs.
 //
 // -remote http://KEY@host:port runs the system-level experiment cells
-// (fig7, table5, fig8, table6) through a clrearlygw gateway (or a single
-// clrearlyd), at most -jobs cells in flight. Remote runs rebuild the exact
+// (fig7, table5, fig8, table6) through a clrearlyd fleet front door (or a
+// single daemon), at most -jobs cells in flight. Remote runs rebuild the exact
 // local instances from seeds and every failure falls back to local
 // execution, so output is byte-identical to a local run — including
 // workers dying mid-sweep, which the gateway's lease expiry covers. A

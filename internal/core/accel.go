@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"repro/internal/markov"
 	"repro/internal/moea"
 	"repro/internal/relmodel"
 	"repro/internal/tdse"
@@ -40,7 +41,8 @@ type AccelStats struct {
 	PairedSolves uint64 `json:"paired_solves"`
 	SoloSolves   uint64 `json:"solo_solves"`
 	// PlanCompiles counts chain-structure plans compiled; DenseFallbacks
-	// counts chain systems that left the plan replay for the dense kernel.
+	// counts chain systems that left the plan replay for the dense kernel
+	// (see markov.PlanTotals).
 	PlanCompiles   uint64 `json:"plan_compiles"`
 	DenseFallbacks uint64 `json:"dense_fallbacks"`
 	// ScreenEstimated counts tDSE candidates estimated in closed form,
@@ -53,10 +55,11 @@ type AccelStats struct {
 }
 
 // AccelTotals aggregates the process-wide evaluation-acceleration counters
-// across the core, tdse and relmodel layers — the source of clrearlyd's
+// across the core, tdse, relmodel and markov layers — the source of clrearlyd's
 // /metrics eval_accel block and the experiment harness's stderr summary.
 func AccelTotals() AccelStats {
 	pair := relmodel.PairSolveTotals()
+	plan := markov.PlanTotals()
 	screen := tdse.ScreenTotals()
 	return AccelStats{
 		DeltaParentReuse: accelCounters.deltaParentReuse.Load(),
@@ -65,8 +68,8 @@ func AccelTotals() AccelStats {
 		MetricsReused:    accelCounters.metricsReused.Load(),
 		PairedSolves:     pair.Paired,
 		SoloSolves:       pair.Solo,
-		PlanCompiles:     pair.PlanCompiles,
-		DenseFallbacks:   pair.DenseFallbacks,
+		PlanCompiles:     plan.Compiles,
+		DenseFallbacks:   plan.Fallbacks,
 		ScreenEstimated:  screen.Estimated,
 		ScreenSolved:     screen.Solved,
 		ScreenFallbacks:  screen.Fallbacks,

@@ -467,26 +467,46 @@ func TestEvaluateMappingValidation(t *testing.T) {
 }
 
 func TestMemoryConstraintEnforced(t *testing.T) {
-	// With EnforceMemory and a deliberately tiny memory budget, every
-	// front point must fit; without enforcement, footprints are ignored.
+	// With EnforceMemory and a tight memory budget, every front point must
+	// fit; without enforcement, footprints are ignored and some overflow.
+	// 500 KB binds without emptying the enforced front (300 KB empties it
+	// at this seed, which would leave nothing to check).
 	inst := synInstance(12, 35)
-	// Shrink all capacities so the constraint binds.
 	for _, pt := range inst.Platform.Types() {
-		pt.LocalMemKB = 300
+		pt.LocalMemKB = 500
+	}
+	cfg := RunConfig{Pop: 32, Gens: 16, Seed: 37}
+	free, err := FcCLR(inst, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	inst.EnforceMemory = true
-	front, err := FcCLR(inst, RunConfig{Pop: 32, Gens: 16, Seed: 37})
+	overflows := 0
+	for _, p := range free.Points {
+		qos, err := EvaluateMapping(inst, p.Genome) // footprints counted now
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(schedule.MemoryViolations(qos, inst.Platform)) != 0 {
+			overflows++
+		}
+	}
+	if overflows == 0 {
+		t.Fatal("no unenforced front point overflows: the budget does not bind")
+	}
+	front, err := FcCLR(inst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(front.Points) == 0 {
-		t.Skip("budget too tight for a feasible mapping at this seed")
+		t.Fatal("enforced front is empty: no feasible mapping to check")
 	}
 	for _, p := range front.Points {
 		if v := schedule.MemoryViolations(p.QoS, inst.Platform); len(v) != 0 {
 			t.Fatalf("front point overflows local memory: %v (usage %v)", v, p.QoS.PEMemKB)
 		}
 	}
+	t.Logf("%d of %d unenforced points overflow; %d enforced points fit", overflows, len(free.Points), len(front.Points))
 }
 
 func TestMOEADEngineOnRealProblem(t *testing.T) {

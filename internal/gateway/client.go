@@ -43,8 +43,8 @@ type busyError struct{ after time.Duration }
 
 func (e *busyError) Error() string { return fmt.Sprintf("server busy, retry after %s", e.after) }
 
-// Client runs job specs through the job API that clrearlygw and clrearlyd
-// both serve (POST /v1/jobs, then GET /v1/jobs/{id}/wait until the job is
+// Client runs job specs through the job API that clrearlyd serves as a
+// daemon and as a fleet front door (POST /v1/jobs, then GET /v1/jobs/{id}/wait until the job is
 // terminal), and falls back to the caller's local closure whenever the
 // remote side cannot produce a front. Runs are deterministic per spec, so
 // both paths yield the same front bit for bit. Safe for concurrent use.

@@ -1,9 +1,10 @@
 // Package gateway is the job service: one HTTP service that owns
 // admission, routing, result storage and the job lifecycle, with workers
-// that lease the jobs and run them. clrearlygw runs it in front of a fleet
-// of `clrearlyd -gateway URL` workers; clrearlyd runs it with its agents
-// in process (Config.Workers), so a single daemon and a fleet are one
-// lifecycle.
+// that lease the jobs and run them. clrearlyd runs it in every serving
+// role: as a daemon with its agents in process (Config.Workers) and one
+// tenant, and with -tenants as the front door of a fleet of
+// `clrearlyd -gateway URL` workers, so a single daemon and a fleet are
+// one lifecycle.
 //
 // Three mechanisms carry the design:
 //

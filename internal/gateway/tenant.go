@@ -58,7 +58,7 @@ type TenantConfig struct {
 	Priority string `json:"priority,omitempty"`
 }
 
-// TenantsFile is the on-disk tenant configuration (clrearlygw -tenants).
+// TenantsFile is the on-disk tenant configuration (clrearlyd -tenants).
 type TenantsFile struct {
 	Tenants []TenantConfig `json:"tenants"`
 }

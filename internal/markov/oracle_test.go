@@ -22,13 +22,13 @@ type oracleCounts struct {
 // before left the plan replay for the dense kernel: the oracle inputs are
 // ordinary chains, and sending them to the dense kernel would keep their
 // bits while silently losing the replay's speed.
-func requireNoFallbacks(t *testing.T, before relmodel.PairSolveStats) {
+func requireNoFallbacks(t *testing.T, before markov.PlanStats) {
 	t.Helper()
-	after := relmodel.PairSolveTotals()
-	if n := after.DenseFallbacks - before.DenseFallbacks; n != 0 {
+	after := markov.PlanTotals()
+	if n := after.Fallbacks - before.Fallbacks; n != 0 {
 		t.Fatalf("%d chain systems fell back to the dense kernel, want 0", n)
 	}
-	t.Logf("%d plans compiled", after.PlanCompiles-before.PlanCompiles)
+	t.Logf("%d plans compiled", after.Compiles-before.Compiles)
 }
 
 // checkParams analyzes the Fig. 3 chains of p through the production path
@@ -83,7 +83,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // process off and on, with no system leaving the plan replay.
 func TestChainParamsSweepMatchesDenseOracle(t *testing.T) {
 	var n oracleCounts
-	before := relmodel.PairSolveTotals()
+	before := markov.PlanTotals()
 	for _, lambda := range []float64{0, 1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2} {
 		for ck := 0; ck <= 6; ck++ {
 			for _, unequal := range []bool{false, true} {
@@ -129,7 +129,7 @@ func TestCorpusCandidatesMatchDenseOracle(t *testing.T) {
 		stride = 16
 	}
 	var n oracleCounts
-	before := relmodel.PairSolveTotals()
+	before := markov.PlanTotals()
 	for _, f := range files {
 		blob, err := os.ReadFile(f)
 		if err != nil {

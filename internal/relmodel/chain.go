@@ -397,22 +397,15 @@ type PairSolveStats struct {
 	// Paired counts chain pairs solved through one shared factorization;
 	// Solo counts pairs that fell back to two independent solves.
 	Paired, Solo uint64
-	// PlanCompiles counts chain-structure plans compiled, and
-	// DenseFallbacks systems that left the plan replay for the dense
-	// kernel (markov.PlanTotals, every chain analysis in the process).
-	PlanCompiles, DenseFallbacks uint64
 }
 
 // PairSolveTotals returns the accumulated counters of AnalyzeChains' paired
-// solving and of the chain plans beneath it, the source of the eval_accel
-// gauges in clrearlyd's /metrics.
+// solving, the source of the paired/solo eval_accel gauges in clrearlyd's
+// /metrics.
 func PairSolveTotals() PairSolveStats {
-	plan := markov.PlanTotals()
 	return PairSolveStats{
-		Paired:         pairSolveTotals.paired.Load(),
-		Solo:           pairSolveTotals.solo.Load(),
-		PlanCompiles:   plan.Compiles,
-		DenseFallbacks: plan.Fallbacks,
+		Paired: pairSolveTotals.paired.Load(),
+		Solo:   pairSolveTotals.solo.Load(),
 	}
 }
 

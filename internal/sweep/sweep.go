@@ -17,7 +17,6 @@
 package sweep
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -44,27 +43,12 @@ func Jobs(n int) int {
 // found regardless of the early stop — the returned error stays identical
 // for every jobs value.
 func Run(jobs int, tasks []func() error) error {
-	return RunCtx(nil, jobs, tasks)
-}
-
-// RunCtx is Run with cooperative cancellation: once ctx is done, tasks that
-// have not yet been dispatched are skipped and their slots are charged with
-// ctx.Err(). The lowest-index-error rule is unchanged — a real task failure
-// at a lower index than the first skipped task still wins — so for a ctx
-// that never fires, RunCtx is exactly Run. In-flight tasks are not
-// interrupted; they observe ctx themselves if they want to stop early.
-// A nil ctx never cancels.
-func RunCtx(ctx context.Context, jobs int, tasks []func() error) error {
-	cancelled := func() bool { return ctx != nil && ctx.Err() != nil }
 	jobs = Jobs(jobs)
 	if jobs > len(tasks) {
 		jobs = len(tasks)
 	}
 	if jobs <= 1 {
 		for _, t := range tasks {
-			if cancelled() {
-				return ctx.Err()
-			}
 			if err := t(); err != nil {
 				return err
 			}
@@ -82,11 +66,6 @@ func RunCtx(ctx context.Context, jobs int, tasks []func() error) error {
 			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= len(tasks) {
-					return
-				}
-				if cancelled() {
-					errs[i] = ctx.Err()
-					failed.Store(true)
 					return
 				}
 				if err := tasks[i](); err != nil {
