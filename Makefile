@@ -24,10 +24,10 @@ loc:
 			printf "%7d total\n", total }'
 
 # Race-check the concurrency-bearing packages: the sweep executor, the
-# shared metrics cache in core, the GA evaluate workers in moea, the
-# job table and the daemon's HTTP tests (a gateway with in-process agents),
-# the durable store, the fleet gateway and its job-API client, the
-# parallel candidate evaluation in tdse, and the
+# shared metrics cache in core, the GA evaluate workers in moea, the run
+# checkpointer and spec tests in service, the durable store, the gateway
+# (job table, leases, the daemon's and the fleet's HTTP tests, the job-API
+# client), the parallel candidate evaluation in tdse, and the
 # pooled chain-solve path (relmodel/markov/matrix) plus the HEFT
 # scheduler behind the proposed method's directed seeding and the
 # fault-model evaluation counters read by /metrics.

@@ -279,7 +279,7 @@ func TestRunRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gw.Close()
-	svc := service.RequireBearer("k1", gw)
+	svc := gateway.RequireBearer("k1", gw)
 	srv := httptest.NewServer(svc)
 	defer srv.Close()
 

@@ -184,9 +184,9 @@ func run(args []string) error {
 			return err
 		}
 		mux := http.NewServeMux()
-		mux.HandleFunc("GET /healthz", service.HandleHealthz)
+		mux.HandleFunc("GET /healthz", gateway.HandleHealthz)
 		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-			service.WriteJSON(w, http.StatusOK, gateway.EngineTotals())
+			gateway.WriteJSON(w, http.StatusOK, gateway.EngineTotals())
 		})
 		handler, halt = mux, agent.Stop
 		go agent.Run(ctx)
@@ -210,10 +210,10 @@ func run(args []string) error {
 			ln.Addr(), len(tenants), *workers, *queueCap, *cacheCap)
 	}
 	if *tenantsFile == "" {
-		handler = service.RequireBearer(*workerToken, handler)
+		handler = gateway.RequireBearer(*workerToken, handler)
 	}
 	hs := &http.Server{Handler: handler}
-	service.EndLongPollsOnShutdown(hs)
+	gateway.EndLongPollsOnShutdown(hs)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

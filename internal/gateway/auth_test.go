@@ -1,13 +1,13 @@
-package service_test
+package gateway
 
 import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/internal/gateway"
 	"repro/internal/service"
 )
 
@@ -16,7 +16,8 @@ import (
 // /metrics and the lease API are locked too, and a daemon started without
 // a token still refuses leases: its agents present a random one.
 func TestAuthToken(t *testing.T) {
-	g, ts := newDaemon(t, gateway.Config{Workers: 1}, "secret-token")
+	g := newDaemon(t, Config{Workers: 1}, "secret-token")
+	ts := httptest.NewServer(RequireBearer("secret-token", g))
 	t.Cleanup(func() { ts.Close(); g.Close() })
 
 	cases := []struct {
@@ -39,7 +40,7 @@ func TestAuthToken(t *testing.T) {
 		})
 	}
 
-	_, ots := newTestServer(t, gateway.Config{Workers: 1})
+	_, ots := newTestServer(t, Config{Workers: 1})
 	for _, c := range []struct {
 		method, url string
 		want        int
@@ -78,7 +79,7 @@ func call(t *testing.T, method, url, auth string) int {
 // TestMaxBodyBytes rejects oversized submissions with 413 and leaves
 // normal-sized ones unaffected.
 func TestMaxBodyBytes(t *testing.T) {
-	_, ts := newTestServer(t, gateway.Config{Workers: 1, MaxBodyBytes: 256})
+	_, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 256})
 
 	// A spec padded past the cap via a long graph_text. The decoder must
 	// hit the byte limit before it can finish reading.
@@ -95,7 +96,7 @@ func TestMaxBodyBytes(t *testing.T) {
 		t.Fatalf("oversized spec = %d, want 413", resp.StatusCode)
 	}
 
-	if _, code := postJob(t, ts, service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 1, Seed: 1}); code != http.StatusAccepted {
-		t.Fatalf("small spec = %d, want 202", code)
+	if _, resp := submitSpec(t, ts, "", service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 1, Seed: 1}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("small spec = %d, want 202", resp.StatusCode)
 	}
 }

@@ -3,7 +3,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/service"
-	"repro/internal/store"
 )
 
 func clientSpec(t *testing.T, method string, seed int64) *service.JobSpec {
@@ -41,11 +39,7 @@ func frontBytes(t *testing.T, f *core.Front) []byte {
 	if f == nil {
 		t.Fatal("nil front")
 	}
-	blob, err := json.Marshal(service.FrontToWire(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
+	return marshalFront(t, service.FrontToWire(f))
 }
 
 func newClient(t *testing.T, rawURL string) *Client {
@@ -59,20 +53,6 @@ func newClient(t *testing.T, rawURL string) *Client {
 
 // withKey puts an API key into a base URL's userinfo.
 func withKey(base, key string) string { return strings.Replace(base, "://", "://"+key+"@", 1) }
-
-// newDaemon is what clrearlyd serves without -gateway and without a token:
-// a gateway with in-process agents (one unless cfg sets Workers) and one
-// open tenant. The caller closes it.
-func newDaemon(t *testing.T, cfg Config) *Gateway {
-	t.Helper()
-	cfg.Tenants = []TenantConfig{{Name: "clrearlyd", MaxActive: -1}}
-	cfg.Workers = max(cfg.Workers, 1)
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
 
 // flakyServer is an in-process clrearlyd behind a fixed URL that can be
 // killed (502 to everything, running jobs aborted as if the process died)
@@ -154,7 +134,7 @@ func TestClientUnreachableFallsBackToLocal(t *testing.T) {
 }
 
 func TestClientRejectedSpecRunsLocal(t *testing.T) {
-	f := newFlakyServer(t, func() *Gateway { return newDaemon(t, Config{}) })
+	f := newFlakyServer(t, func() *Gateway { return newDaemon(t, Config{}, "") })
 	c := newClient(t, f.srv.URL)
 
 	// The server rejects the spec with 400; the local closure reproduces
@@ -197,13 +177,10 @@ func TestDurableWorkerRestartResumesSameJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, t.TempDir())
 	t.Cleanup(func() { st.Close() })
 	f := newFlakyServer(t, func() *Gateway {
-		return newDaemon(t, Config{Workers: 2, Store: st, CheckpointEvery: 2})
+		return newDaemon(t, Config{Workers: 2, Store: st, CheckpointEvery: 2}, "")
 	})
 	c := newClient(t, f.srv.URL)
 
@@ -462,7 +439,7 @@ func TestClientSweepSurvivesKilledAgent(t *testing.T) {
 // retried with backoff until the job's result comes through — one
 // submit, no fallback, and the front of the local run.
 func TestClientRetriesTransientWaitFailure(t *testing.T) {
-	inner := newDaemon(t, Config{})
+	inner := newDaemon(t, Config{}, "")
 	t.Cleanup(inner.Close)
 	const outages = 3
 	var submits, failed atomic.Int64

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -42,11 +41,7 @@ func TestRecoverDaemonStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i < len(fronts) {
-			front, err := service.Execute(context.Background(), spec, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fronts[i] = marshalFront(t, service.FrontToWire(front))
+			fronts[i] = referenceFront(t, *spec)
 		}
 	}
 	if err := st.FinishJob("j000001", service.StateDone, specs[0].Hash(), "", false, fronts[0], now); err != nil {
@@ -56,28 +51,17 @@ func TestRecoverDaemonStore(t *testing.T) {
 
 	st = openStore(t, dir)
 	t.Cleanup(func() { st.Close() })
-	g := newDaemon(t, Config{Store: st})
+	g := newDaemon(t, Config{Store: st}, "")
 	ts := httptest.NewServer(g)
 	t.Cleanup(func() { ts.Close(); g.Close() })
 
 	if jw := getWire(t, ts, "", "/v1/jobs/j000001"); jw.State != service.StateDone || !bytes.Equal(marshalFront(t, jw.Front), fronts[0]) {
 		t.Fatalf("recovered done job is %s with front %s", jw.State, marshalFront(t, jw.Front))
 	}
-	if jw := waitDone(t, ts, "", "j000002", 30*time.Second); !bytes.Equal(marshalFront(t, jw.Front), fronts[1]) {
+	if jw := waitFor(t, ts, "", "j000002", 30*time.Second, isDone); !bytes.Equal(marshalFront(t, jw.Front), fronts[1]) {
 		t.Fatal("resumed pending job's front differs from an uninterrupted run")
 	}
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/j000003", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("cancel of a recovered job = %d, want 202", resp.StatusCode)
-	}
+	cancelJob(t, ts, "", "j000003")
 	if jw := getWire(t, ts, "", "/v1/jobs/j000003/wait?timeout=10s"); jw.State != service.StateCancelled {
 		t.Fatalf("cancelled recovered job is %s", jw.State)
 	}
@@ -98,7 +82,7 @@ func TestJobTableBounded(t *testing.T) {
 	})
 	spec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 71}
 	first, _ := submitSpec(t, ts, "key1", spec)
-	waitDone(t, ts, "key1", first.ID, 30*time.Second)
+	waitFor(t, ts, "key1", first.ID, 30*time.Second, isDone)
 	body, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +99,7 @@ func TestJobTableBounded(t *testing.T) {
 	}
 	records := 0
 	for i := 1; i <= repeats+1; i++ {
-		if _, ok := g.jobs.Get(fmt.Sprintf("g%06d", i)); ok {
+		if g.jobs.get(fmt.Sprintf("g%06d", i)) != nil {
 			records++
 		}
 	}

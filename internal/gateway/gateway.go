@@ -29,13 +29,15 @@
 //     is weighted-fair. Overload — rate, quota or global queue depth —
 //     answers 429 with Retry-After, never an unbounded queue.
 //
-// The tenant-facing job API (POST/GET/DELETE /v1/jobs, /wait, /events
-// SSE) is built from internal/service: gateway jobs embed service.Job and
-// live in a service.Table (IDs, routing, result tiers, recovery), and the
-// wait, SSE and spec-intake code is internal/service's.
+// The package holds the whole job lifecycle: the job record (job.go), the
+// job table with its routing and result tiers (table.go), the work queue
+// and leases, and the tenant-facing job API (POST/GET/DELETE /v1/jobs,
+// /wait, /events SSE; jobhttp.go). What a job runs, its spec, hash and
+// execution, is internal/service's.
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -83,8 +85,6 @@ type Config struct {
 	// advertise an address (default 5s; negative disables). Workers that
 	// advertise none are judged by lease traffic alone.
 	ProbeEvery time.Duration
-	// Client is the HTTP client used for worker probes.
-	Client *http.Client
 	// Workers, when positive, runs that many agents in this process. They
 	// lease over an in-memory transport with WorkerToken (a random one
 	// when it is empty, so the lease API is never open) and run specs
@@ -116,9 +116,6 @@ func (c Config) withDefaults() Config {
 	if c.ProbeEvery == 0 {
 		c.ProbeEvery = 5 * time.Second
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
 	return c
 }
 
@@ -135,20 +132,20 @@ type Gateway struct {
 	closed  chan struct{}
 	loopsWG sync.WaitGroup
 
-	jobs   *service.Table[*gwJob]
+	jobs   *jobTable
 	agents []*Agent // the in-process agents
 
 	mu        sync.Mutex // guards leases, workers, nextLease and latency
 	leases    map[string]*lease
 	workers   map[string]*workerInfo
 	nextLease int64
-	latency   map[string]*service.Histogram // in-process run latency by method
+	latency   map[string]*histogram // in-process run latency by method
 }
 
 // lease is one outstanding claim of a job by a worker.
 type lease struct {
 	id      string
-	job     *gwJob
+	job     *job
 	worker  string
 	granted time.Time
 	expires time.Time
@@ -178,16 +175,17 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		cfg.WorkerToken = hex.EncodeToString(b)
 	}
+	q := newWorkQueue(cfg.QueueCap)
 	g := &Gateway{
 		cfg:     cfg,
-		queue:   newWorkQueue(cfg.QueueCap),
+		queue:   q,
 		byKey:   make(map[string]*tenant),
 		byName:  make(map[string]*tenant),
 		closed:  make(chan struct{}),
-		jobs:    service.NewTable("g", cfg.CacheCap, cfg.Store, encodeJob),
+		jobs:    newJobTable(cfg.CacheCap, cfg.Store, q),
 		leases:  make(map[string]*lease),
 		workers: make(map[string]*workerInfo),
-		latency: make(map[string]*service.Histogram),
+		latency: make(map[string]*histogram),
 	}
 	for _, tc := range cfg.Tenants {
 		t := newTenant(tc)
@@ -214,7 +212,7 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("POST /v1/lease/{id}/progress", g.workerOnly(g.handleLeaseProgress))
 	g.mux.HandleFunc("POST /v1/lease/{id}/renew", g.workerOnly(g.handleLeaseRenew))
 	g.mux.HandleFunc("POST /v1/lease/{id}/complete", g.workerOnly(g.handleLeaseComplete))
-	g.mux.HandleFunc("GET /healthz", service.HandleHealthz)
+	g.mux.HandleFunc("GET /healthz", HandleHealthz)
 	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
 
 	g.loopsWG.Add(1)
@@ -229,9 +227,9 @@ func New(cfg Config) (*Gateway, error) {
 		front, err := run(ctx, s, progress)
 		g.mu.Lock()
 		if g.latency[s.Method] == nil {
-			g.latency[s.Method] = new(service.Histogram)
+			g.latency[s.Method] = new(histogram)
 		}
-		g.latency[s.Method].Observe(float64(time.Since(start)) / float64(time.Millisecond))
+		g.latency[s.Method].observe(float64(time.Since(start)) / float64(time.Millisecond))
 		g.mu.Unlock()
 		return front, err
 	}
@@ -283,61 +281,75 @@ func (g *Gateway) Close() {
 	g.loopsWG.Wait()
 }
 
-// recover rebuilds gateway state from the durable store: finished job
-// records keep answering GET /v1/jobs/{id}, and jobs that never finished
-// re-enter the queue under their original IDs and their tenants' quotas.
-// Runs before the HTTP surface is up.
+// recover rebuilds the job table from the store before the gateway
+// serves: every journaled job under its ID in acceptance order and with
+// its tenant, and the ID counter past the highest one. A terminal job
+// keeps its outcome, a done one its front from the store's result, and
+// keeps answering GET /v1/jobs/{id}. A pending job re-enters the queue,
+// indexed and under its tenant's quota, if its spec decodes as strictly
+// as a submission; one that sets a removed field would run a different
+// computation under its old hash, so it comes back failed, journaled with
+// its checkpoint dropped.
 func (g *Gateway) recover() {
-	pending := g.jobs.Recover(func(raw json.RawMessage) (json.RawMessage, func(*service.Job) *gwJob, bool) {
+	t := g.jobs
+	if t.st == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, jr := range t.st.Jobs() {
 		var rec storedJob
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, nil, false // journaled by a newer build; unusable but harmless
+		if err := json.Unmarshal(jr.Spec, &rec); err != nil {
+			continue // journaled by a newer build; unusable but harmless
 		}
 		if rec.Spec == nil {
 			// A bare spec, journaled by clrearlyd before it ran a gateway:
 			// the job belongs to the daemon's one tenant.
-			rec.Spec = raw
+			rec.Spec = jr.Spec
 			if len(g.cfg.Tenants) == 1 {
 				rec.Tenant = g.cfg.Tenants[0].Name
 			}
 		}
-		t := g.byName[rec.Tenant]
-		if t == nil {
+		owner := g.byName[rec.Tenant]
+		if owner == nil {
 			// The tenant table changed across the restart; the job still
 			// owes its submitter a result, so it proceeds without quota
 			// accounting under the recovery tenant.
-			t = g.anon
+			owner = g.anon
 		}
-		return rec.Spec, newGWJob(t), true
-	})
-	for _, j := range pending {
-		if j.tenant != g.anon {
-			j.tenant.mu.Lock()
-			j.tenant.active++
-			j.tenant.mu.Unlock()
+		var spec service.JobSpec
+		if json.Unmarshal(rec.Spec, &spec) != nil {
+			continue // journaled by another build; unusable but harmless
 		}
-		g.queue.pushForce(j)
+		j := newJob(jr.ID, spec, jr.Hash, owner, jr.Submitted)
+		var n int64
+		if _, err := fmt.Sscanf(jr.ID, idPrefix+"%d", &n); err == nil && n > t.nextID {
+			t.nextID = n
+		}
+		t.add(j)
+		if !jr.Pending() {
+			j.State, j.Cached, j.Error, j.Finished = jr.State, jr.Cached, jr.Error, jr.Finished
+			if payload, ok := t.st.Result(jr.Hash); ok && jr.State == service.StateDone {
+				j.Front = decodeFront(payload)
+			}
+			close(j.done)
+			t.retire(j)
+		} else if err := service.DecodeStrict(bytes.NewReader(rec.Spec), new(service.JobSpec)); err != nil {
+			j.Lock()
+			j.finishLocked(service.StateFailed, "recovering stored spec: "+err.Error(), nil)
+			j.journalLocked(t.st)
+			j.Unlock()
+			t.retire(j)
+		} else {
+			t.active[jr.Hash] = j
+			if owner != g.anon {
+				owner.mu.Lock()
+				owner.active++
+				owner.mu.Unlock()
+			}
+			g.queue.pushForce(j)
+		}
 	}
-}
-
-// storedJob is the journaled submission payload: the spec plus its owner,
-// so recovery can restore tenant attribution.
-type storedJob struct {
-	Tenant string          `json:"tenant"`
-	Spec   json.RawMessage `json:"spec"`
-}
-
-func encodeJob(j *gwJob) ([]byte, error) {
-	spec, err := json.Marshal(&j.Spec)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(storedJob{Tenant: j.tenant.cfg.Name, Spec: spec})
-}
-
-// newGWJob wraps a job record for tenant t.
-func newGWJob(t *tenant) func(*service.Job) *gwJob {
-	return func(j *service.Job) *gwJob { return &gwJob{Job: j, tenant: t, class: t.class} }
 }
 
 // ---- tenant-facing handlers ----
@@ -360,7 +372,7 @@ func (g *Gateway) authTenant(w http.ResponseWriter, r *http.Request) *tenant {
 	}
 	if t == nil {
 		g.m.rejectedAuth.Add(1)
-		service.HTTPError(w, http.StatusUnauthorized, "missing or unknown API key")
+		httpError(w, http.StatusUnauthorized, "missing or unknown API key")
 		return nil
 	}
 	return t
@@ -384,14 +396,14 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		t.rejectedRate.Add(1)
 		g.m.rejectedRate.Add(1)
 		retryAfter(w, wait)
-		service.HTTPError(w, http.StatusTooManyRequests,
+		httpError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("tenant %s over its %.3g jobs/s rate", t.cfg.Name, t.cfg.RatePerSec))
 		return
 	}
 	// Invalid specs are rejected at the edge: a 400 here is cheaper for
 	// the fleet than a failed job on a worker. The edge only validates;
 	// the agent that runs a miss builds its task-level library.
-	spec, hash, ok := service.DecodeSpec(w, r, g.cfg.MaxBodyBytes)
+	spec, hash, ok := decodeSpec(w, r, g.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -399,59 +411,55 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Content-addressed routing, cheapest source first: an identical job
 	// in flight, the gateway-local LRU, the replicated result store; only
 	// a miss meets admission control: tenant quota, then queue depth.
-	j, wire, route, err := g.jobs.Submit(spec, hash, newGWJob(t), func(j *gwJob) error {
-		if !t.reserveActive() {
-			t.rejectedQuota.Add(1)
-			g.m.rejectedQuota.Add(1)
-			return fmt.Errorf("tenant %s at its %d active-job quota", t.cfg.Name, t.cfg.MaxActive)
-		}
-		if !g.queue.push(j) {
-			t.releaseActive()
-			t.rejectedQueue.Add(1)
-			g.m.rejectedBackpressure.Add(1)
-			return fmt.Errorf("fleet queue full (%d jobs waiting)", g.cfg.QueueCap)
-		}
-		return nil
-	})
+	j, wire, route, err := g.jobs.submit(t, spec, hash)
 	switch route {
-	case service.Attached:
+	case attached:
 		t.deduped.Add(1)
 		g.m.attachHits.Add(1)
-		service.WriteJSON(w, http.StatusAccepted, wire)
-	case service.CacheHit, service.StoreHit:
+		WriteJSON(w, http.StatusAccepted, wire)
+	case cacheHit, storeHit:
 		hits := &g.m.cacheHits
-		if route == service.StoreHit {
+		if route == storeHit {
 			hits = &g.m.storeHits
 		}
 		hits.Add(1)
 		t.deduped.Add(1)
-		service.WriteJSON(w, http.StatusOK, wire)
-	case service.Refused:
+		WriteJSON(w, http.StatusOK, wire)
+	case overQuota:
 		g.m.misses.Add(1)
+		t.rejectedQuota.Add(1)
+		g.m.rejectedQuota.Add(1)
 		retryAfter(w, time.Second)
-		service.HTTPError(w, http.StatusTooManyRequests, err.Error())
-	case service.Queued:
+		httpError(w, http.StatusTooManyRequests,
+			fmt.Sprintf("tenant %s at its %d active-job quota", t.cfg.Name, t.cfg.MaxActive))
+	case queueFull:
+		g.m.misses.Add(1)
+		t.rejectedQueue.Add(1)
+		g.m.rejectedBackpressure.Add(1)
+		retryAfter(w, time.Second)
+		httpError(w, http.StatusTooManyRequests, fmt.Sprintf("fleet queue full (%d jobs waiting)", g.cfg.QueueCap))
+	case enqueued:
 		g.m.misses.Add(1)
 		t.admitted.Add(1)
 		g.m.admitted.Add(1)
 		if err != nil {
 			g.settle(j, service.StateFailed)
-			service.HTTPError(w, http.StatusInternalServerError, err.Error())
+			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		service.WriteJSON(w, http.StatusAccepted, wire)
+		WriteJSON(w, http.StatusAccepted, wire)
 	}
 }
 
 // finalize ends a job through the table (idempotently) and settles it.
-func (g *Gateway) finalize(j *gwJob, state, errMsg string, front *service.FrontWire) {
-	if g.jobs.Finish(j, state, errMsg, front) {
+func (g *Gateway) finalize(j *job, state, errMsg string, front *service.FrontWire) {
+	if g.jobs.finish(j, state, errMsg, front) {
 		g.settle(j, state)
 	}
 }
 
 // settle releases an ended job's admission slot and counts its outcome.
-func (g *Gateway) settle(j *gwJob, state string) {
+func (g *Gateway) settle(j *job, state string) {
 	t := j.tenant
 	if t != g.anon {
 		t.releaseActive()
@@ -471,17 +479,17 @@ func (g *Gateway) settle(j *gwJob, state string) {
 
 // lookup resolves the path's job for the requesting tenant, answering 401
 // or 404 itself when it cannot.
-func (g *Gateway) lookup(w http.ResponseWriter, r *http.Request) *gwJob {
+func (g *Gateway) lookup(w http.ResponseWriter, r *http.Request) *job {
 	t := g.authTenant(w, r)
 	if t == nil {
 		return nil
 	}
-	j, _ := g.jobs.Get(r.PathValue("id"))
+	j := g.jobs.get(r.PathValue("id"))
 	// Another tenant's job reads as absent, not forbidden: job IDs must
 	// not confirm what other tenants are running. Jobs recovered under a
 	// dropped tenant stay readable by anyone authenticated.
 	if j == nil || (j.tenant != t && j.tenant != g.anon) {
-		service.HTTPError(w, http.StatusNotFound, "no such job")
+		httpError(w, http.StatusNotFound, "no such job")
 		return nil
 	}
 	return j
@@ -489,7 +497,7 @@ func (g *Gateway) lookup(w http.ResponseWriter, r *http.Request) *gwJob {
 
 func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
 	if j := g.lookup(w, r); j != nil {
-		service.WriteJSON(w, http.StatusOK, j.Wire(true))
+		WriteJSON(w, http.StatusOK, j.wire(true))
 	}
 }
 
@@ -499,20 +507,12 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jobs := []*service.JobWire{} // fronts are never inlined
-	for _, j := range g.jobs.Jobs() {
+	for _, j := range g.jobs.list() {
 		if j.tenant == t {
-			jobs = append(jobs, j.Wire(false))
+			jobs = append(jobs, j.wire(false))
 		}
 	}
-	service.WriteJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
-}
-
-// handleWait long-polls a job's status: gateway.Client awaits its cells
-// here.
-func (g *Gateway) handleWait(w http.ResponseWriter, r *http.Request) {
-	if j := g.lookup(w, r); j != nil {
-		service.ServeWait(w, r, j.Job)
-	}
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 }
 
 func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -523,27 +523,16 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 	// Nobody may cancel a recovered (anon-owned) job, since ownership can
 	// no longer be proven.
 	if j.tenant == g.anon {
-		service.HTTPError(w, http.StatusNotFound, "no such job")
+		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	// The holder of a running job's lease learns of the cancellation on
 	// its next progress report or renewal; lease expiry is the backstop
 	// for a worker that never checks in again.
-	if g.jobs.Cancel(j, func(j *gwJob) { j.cancelReq = true }) {
-		g.queue.remove(j)
+	if g.jobs.cancel(j) {
 		g.settle(j, service.StateCancelled)
 	}
-	service.WriteJSON(w, http.StatusAccepted, j.Wire(false))
-}
-
-// handleEvents is the job's SSE stream, relayed from the lease
-// holder's progress reports.
-func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if j := g.lookup(w, r); j != nil {
-		g.m.sseSubscribers.Add(1)
-		defer g.m.sseSubscribers.Add(-1)
-		service.ServeEvents(w, r, j.Job)
-	}
+	WriteJSON(w, http.StatusAccepted, j.wire(false))
 }
 
 // probeTargets maps each registered worker that advertises an address to
@@ -565,6 +554,7 @@ func (g *Gateway) probeLoop() {
 	defer g.loopsWG.Done()
 	t := time.NewTicker(g.cfg.ProbeEvery)
 	defer t.Stop()
+	client := &http.Client{}
 	for {
 		select {
 		case <-g.closed:
@@ -580,7 +570,7 @@ func (g *Gateway) probeLoop() {
 			wg.Add(1)
 			go func(name, addr string) {
 				defer wg.Done()
-				ok := probe(g.cfg.Client, addr, timeout)
+				ok := probe(client, addr, timeout)
 				resMu.Lock()
 				results[name] = ok
 				resMu.Unlock()

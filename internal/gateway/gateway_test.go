@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/service"
-	"repro/internal/store"
 )
 
 // testTenant is the default single-tenant table: effectively unlimited, so
@@ -37,6 +36,34 @@ func newTestGateway(t *testing.T, cfg Config) (*Gateway, *httptest.Server) {
 	return g, ts
 }
 
+// newDaemon is what clrearlyd serves without -gateway: a gateway with
+// in-process agents (one unless cfg sets Workers) and one tenant keyed by
+// token (open when empty), which is also the worker token. clrearlyd
+// serves it behind RequireBearer(token, g). The caller closes it.
+func newDaemon(t *testing.T, cfg Config, token string) *Gateway {
+	t.Helper()
+	cfg.Tenants = []TenantConfig{{Name: "clrearlyd", Key: token, MaxActive: -1}}
+	cfg.WorkerToken = token
+	cfg.Workers = max(cfg.Workers, 1)
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// newTestServer serves an open daemon and wires teardown: closing the
+// gateway stops whatever still runs within one generation.
+func newTestServer(t *testing.T, cfg Config) (*Gateway, *httptest.Server) {
+	t.Helper()
+	g := newDaemon(t, cfg, "")
+	ts := httptest.NewServer(g)
+	t.Cleanup(func() { ts.Close(); g.Close() })
+	return g, ts
+}
+
+// submitSpec posts spec with the API key (none when empty). The reply of
+// a refused submission carries the error message in its Error.
 func submitSpec(t *testing.T, ts *httptest.Server, key string, spec service.JobSpec) (*service.JobWire, *http.Response) {
 	t.Helper()
 	body, err := json.Marshal(spec)
@@ -58,6 +85,8 @@ func submitSpec(t *testing.T, ts *httptest.Server, key string, spec service.JobS
 	return &jw, resp
 }
 
+// getWire reads a job status from path, failing the test unless it
+// answers 200.
 func getWire(t *testing.T, ts *httptest.Server, key, path string) *service.JobWire {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
@@ -80,6 +109,70 @@ func getWire(t *testing.T, ts *httptest.Server, key, path string) *service.JobWi
 	return &jw
 }
 
+// cancelJob asks for the job's cancellation and returns the reply.
+func cancelJob(t *testing.T, ts *httptest.Server, key, id string) *service.JobWire {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-API-Key", key)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE %s = %d, want 202", id, resp.StatusCode)
+	}
+	var jw service.JobWire
+	if err := json.NewDecoder(resp.Body).Decode(&jw); err != nil {
+		t.Fatal(err)
+	}
+	return &jw
+}
+
+func getMetrics(t *testing.T, ts *httptest.Server) *MetricsWire {
+	t.Helper()
+	_, body := get(t, ts, "/metrics")
+	var m MetricsWire
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	return &m
+}
+
+// waitFor polls the job until cond holds and returns its status. It fails
+// the test at the deadline, and at once when the job ended without cond
+// holding: a terminal status never changes.
+func waitFor(t *testing.T, ts *httptest.Server, key, id string, within time.Duration, cond func(*service.JobWire) bool) *service.JobWire {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		jw := getWire(t, ts, key, "/v1/jobs/"+id)
+		if cond(jw) {
+			return jw
+		}
+		if terminal(jw) {
+			t.Fatalf("job %s ended %s (%s) without meeting the condition", id, jw.State, jw.Error)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s: condition not met within %s; last state %+v", id, within, jw)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+func terminal(jw *service.JobWire) bool {
+	switch jw.State {
+	case service.StateDone, service.StateFailed, service.StateCancelled:
+		return true
+	}
+	return false
+}
+
+func isDone(jw *service.JobWire) bool { return jw.State == service.StateDone }
+
 func startAgent(t *testing.T, cfg AgentConfig) *Agent {
 	t.Helper()
 	if cfg.PollTimeout == 0 {
@@ -94,22 +187,6 @@ func startAgent(t *testing.T, cfg AgentConfig) *Agent {
 	go func() { defer close(done); a.Run(ctx) }()
 	t.Cleanup(func() { cancel(); <-done })
 	return a
-}
-
-func waitDone(t *testing.T, ts *httptest.Server, key, id string, within time.Duration) *service.JobWire {
-	t.Helper()
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
-		jw := getWire(t, ts, key, "/v1/jobs/"+id+"/wait?timeout=2s")
-		switch jw.State {
-		case service.StateDone:
-			return jw
-		case service.StateFailed, service.StateCancelled:
-			t.Fatalf("job %s reached %s (%s)", id, jw.State, jw.Error)
-		}
-	}
-	t.Fatalf("job %s not done within %s", id, within)
-	return nil
 }
 
 // TestFleetWorkerDeath is the control plane's crash drill: three real
@@ -156,29 +233,13 @@ func TestFleetWorkerDeath(t *testing.T) {
 		startAgent(t, AgentConfig{Gateway: ts.URL, Token: "wtok", Name: fmt.Sprintf("w%d", i)})
 	}
 
-	final := waitDone(t, ts, "key1", jw.ID, 60*time.Second)
+	final := waitFor(t, ts, "key1", jw.ID, 60*time.Second, isDone)
 	if final.Front == nil {
 		t.Fatal("done job carries no front")
 	}
 
 	// Byte-identical to a single-node run at the same seed.
-	ref := spec
-	if err := ref.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	front, err := service.Execute(context.Background(), &ref, func(core.ProgressEvent) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(service.FrontToWire(front))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(final.Front)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	if got, want := marshalFront(t, final.Front), referenceFront(t, spec); !bytes.Equal(got, want) {
 		t.Fatalf("fleet front differs from single-node run:\n got %s\nwant %s", got, want)
 	}
 
@@ -299,10 +360,7 @@ func TestTenantAdmission(t *testing.T) {
 // restart — the "fleet shares one logical result cache" property.
 func TestSharedResultCache(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{Sync: store.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, dir)
 	g1, ts1 := newTestGateway(t, Config{WorkerToken: "wtok", Store: st, ProbeEvery: -1})
 	startAgent(t, AgentConfig{Gateway: ts1.URL, Token: "wtok", Name: "w0"})
 
@@ -311,7 +369,7 @@ func TestSharedResultCache(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", resp.StatusCode)
 	}
-	first := waitDone(t, ts1, "key1", jw.ID, 30*time.Second)
+	first := waitFor(t, ts1, "key1", jw.ID, 30*time.Second, isDone)
 
 	// Second submission: served from the LRU with the identical front.
 	cached, resp := submitSpec(t, ts1, "key1", spec)
@@ -328,10 +386,7 @@ func TestSharedResultCache(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := store.Open(dir, store.Options{Sync: store.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := openStore(t, dir)
 	t.Cleanup(func() { st2.Close() })
 	_, ts2 := newTestGateway(t, Config{WorkerToken: "wtok", Store: st2, ProbeEvery: -1})
 
@@ -339,9 +394,7 @@ func TestSharedResultCache(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !again.Cached {
 		t.Fatalf("post-restart resubmit = %d cached=%t, want 200 cached", resp.StatusCode, again.Cached)
 	}
-	w1, _ := json.Marshal(first.Front)
-	w2, _ := json.Marshal(again.Front)
-	if !bytes.Equal(w1, w2) {
+	if w1, w2 := marshalFront(t, first.Front), marshalFront(t, again.Front); !bytes.Equal(w1, w2) {
 		t.Fatalf("front changed across restart:\n got %s\nwant %s", w2, w1)
 	}
 }
@@ -351,9 +404,9 @@ func TestSharedResultCache(t *testing.T) {
 func TestWeightedFairDequeue(t *testing.T) {
 	q := newWorkQueue(100)
 	for i := 0; i < 20; i++ {
-		q.push(&gwJob{class: classHigh})
-		q.push(&gwJob{class: classNormal})
-		q.push(&gwJob{class: classLow})
+		q.push(&job{class: classHigh})
+		q.push(&job{class: classNormal})
+		q.push(&job{class: classLow})
 	}
 	counts := [numClasses]int{}
 	for i := 0; i < 20; i++ {
@@ -376,16 +429,7 @@ func TestCancelQueued(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", resp.StatusCode)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+jw.ID, nil)
-	req.Header.Set("X-API-Key", "key1")
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusAccepted {
-		t.Fatalf("cancel = %d, want 202", dresp.StatusCode)
-	}
+	cancelJob(t, ts, "key1", jw.ID)
 	if grant := g.tryLease("w"); grant != nil {
 		t.Fatalf("cancelled job %s still leased out", grant.JobID)
 	}
@@ -404,44 +448,14 @@ func TestRemovedSpecField(t *testing.T) {
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []struct {
-		name string
-		v    any
-	}{
-		{"surrogate", true},
-		{"surrogate_fraction", 0.5},
-		{"islands", 2},
-		{"migration_every", 2},
-		{"migrants", 2},
-		{"converge", true},
-		{"converge_window", 8},
-		{"converge_eps", 1e-3},
-		{"jobs", 2},
-		{"no_delta", true},
-	} {
+	for _, f := range removedSpecFields {
 		t.Run(f.name, func(t *testing.T) {
-			// The journal form of a normalized spec, as a build that still
-			// had the field wrote it.
-			blob, err := json.Marshal(&spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var fields map[string]any
-			if err := json.Unmarshal(blob, &fields); err != nil {
-				t.Fatal(err)
-			}
-			fields[f.name] = f.v
-			if blob, err = json.Marshal(fields); err != nil {
-				t.Fatal(err)
-			}
+			blob := journaledWith(t, &spec, f.name, f.v)
 			rec, err := json.Marshal(storedJob{Tenant: "t1", Spec: blob})
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := openStore(t, t.TempDir())
 			hash := "stored-" + f.name + "-hash"
 			if err := st.AcceptJob("g1", hash, rec, time.Now()); err != nil {
 				t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/faultmodel"
 	"repro/internal/service"
 )
@@ -13,15 +12,14 @@ import (
 // at the gateway's edge too, and none of them reaches the queue.
 func TestEdgeRejectsBadSpecs(t *testing.T) {
 	g, ts := newTestGateway(t, Config{ProbeEvery: -1})
-	saturating := &faultmodel.Model{Default: faultmodel.FaultModel{PermanentPerHour: 1e11, RepairProb: 1}}
 	for i, spec := range []service.JobSpec{
 		{Method: "bogus"},
 		{App: "bogus"},
 		{GraphText: "not a task graph"},
 		{Objectives: []string{"makespan"}},
 		{App: "synthetic", Tasks: service.MaxSyntheticTasks + 1},
-		{Method: "pfclr", Faults: saturating},
-		{Method: "fcclr", Faults: saturating},
+		{Method: "pfclr", Faults: saturatingFaults()},
+		{Method: "fcclr", Faults: saturatingFaults()},
 	} {
 		if _, resp := submitSpec(t, ts, "key1", spec); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: status %d, want 400", i, resp.StatusCode)
@@ -43,11 +41,7 @@ func TestAdmissionDoesNoChainWork(t *testing.T) {
 		{App: "synthetic", Tasks: 10, Method: "pfclr", Platform: "fpga", Catalog: "fpga", CkptModes: true,
 			Faults: &faultmodel.Model{Default: faultmodel.FaultModel{PermanentPerHour: 100, RepairProb: 0.7, RepairTimeUS: 100}}},
 	}
-	solves := func() uint64 {
-		a := core.AccelTotals()
-		return a.PairedSolves + a.SoloSolves
-	}
-	before := solves()
+	before := chainSolves()
 	for _, spec := range specs {
 		for _, want := range []string{"new", "attached"} {
 			if _, resp := submitSpec(t, ts, "key1", spec); resp.StatusCode != http.StatusAccepted {
@@ -55,7 +49,7 @@ func TestAdmissionDoesNoChainWork(t *testing.T) {
 			}
 		}
 	}
-	if n := solves() - before; n != 0 {
+	if n := chainSolves() - before; n != 0 {
 		t.Fatalf("admission solved %d reliability chains, want 0", n)
 	}
 }

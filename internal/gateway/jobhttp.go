@@ -1,4 +1,4 @@
-package service
+package gateway
 
 import (
 	"context"
@@ -6,15 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
+
+	"repro/internal/service"
 )
 
-// The job API's HTTP pieces. The gateway (internal/gateway) resolves the
-// job for a request, and answers 404 or 401, itself.
-
-// DecodeSpec is the submission intake: a strict decode capped at maxBytes
+// decodeSpec is the submission intake: a strict decode capped at maxBytes
 // (≤ 0: uncapped), Normalize and Validate, so malformed specs (e.g. bad
 // inline graphs) fail fast with 400 instead of failing a job later. It
 // builds no task-level library: that is the run's work, done once by
@@ -22,51 +20,46 @@ import (
 // result cache will answer are validated too, so a spec gets the same
 // answer whether or not it was seen before. On failure it has answered 413
 // or 400 and returns false.
-func DecodeSpec(w http.ResponseWriter, r *http.Request, maxBytes int64) (JobSpec, string, bool) {
+func decodeSpec(w http.ResponseWriter, r *http.Request, maxBytes int64) (service.JobSpec, string, bool) {
 	if maxBytes > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	}
-	var spec JobSpec
-	if err := decodeStrict(r.Body, &spec); err != nil {
+	var spec service.JobSpec
+	if err := service.DecodeStrict(r.Body, &spec); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			HTTPError(w, http.StatusRequestEntityTooLarge,
+			httpError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("job spec exceeds %d-byte limit", tooLarge.Limit))
 		} else {
-			HTTPError(w, http.StatusBadRequest, fmt.Sprintf("decoding job spec: %v", err))
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding job spec: %v", err))
 		}
 		return spec, "", false
 	}
 	if err := spec.Normalize(); err != nil {
-		HTTPError(w, http.StatusBadRequest, err.Error())
+		httpError(w, http.StatusBadRequest, err.Error())
 		return spec, "", false
 	}
-	if _, err := Validate(&spec); err != nil {
-		HTTPError(w, http.StatusBadRequest, err.Error())
+	if _, err := service.Validate(&spec); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return spec, "", false
 	}
 	return spec, spec.Hash(), true
 }
 
-// decodeStrict decodes one JSON job spec and rejects fields JobSpec does
-// not have. Submissions and recovered journal records share this rule.
-func decodeStrict(r io.Reader, spec *JobSpec) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	return dec.Decode(spec)
-}
-
-// ServeWait is the long-poll companion of a status read: it blocks until
-// the job reaches a terminal state or the "timeout" query parameter
-// (default 30s, capped at 5m) elapses, then responds with the job's wire
-// status. The remote-sweep client (gateway.Client) uses it to await cells
-// without busy polling.
-func ServeWait(w http.ResponseWriter, r *http.Request, j *Job) {
+// handleWait long-polls a job's status: it blocks until the job reaches a
+// terminal state or the "timeout" query parameter (default 30s, capped at
+// 5m) elapses, then answers the job's status. Client awaits its cells
+// here.
+func (g *Gateway) handleWait(w http.ResponseWriter, r *http.Request) {
+	j := g.lookup(w, r)
+	if j == nil {
+		return
+	}
 	d := 30 * time.Second
 	if raw := r.URL.Query().Get("timeout"); raw != "" {
 		parsed, err := time.ParseDuration(raw)
 		if err != nil || parsed <= 0 {
-			HTTPError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", raw))
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", raw))
 			return
 		}
 		d = min(parsed, 5*time.Minute)
@@ -80,16 +73,23 @@ func ServeWait(w http.ResponseWriter, r *http.Request, j *Job) {
 	case <-r.Context().Done():
 		return
 	}
-	WriteJSON(w, http.StatusOK, j.Wire(true))
+	WriteJSON(w, http.StatusOK, j.wire(true))
 }
 
-// ServeEvents streams the job's per-generation progress as SSE: a status
-// event, a replay of the latest progress snapshot, live progress, and a
-// terminal event named after the final state carrying the full status.
-func ServeEvents(w http.ResponseWriter, r *http.Request, j *Job) {
+// handleEvents streams the job's per-generation progress, relayed from
+// the lease holder's progress reports, as SSE: a status event, a replay
+// of the latest progress snapshot, live progress, and a terminal event
+// named after the final state carrying the full status.
+func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
+	j := g.lookup(w, r)
+	if j == nil {
+		return
+	}
+	g.m.sseSubscribers.Add(1)
+	defer g.m.sseSubscribers.Add(-1)
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		HTTPError(w, http.StatusInternalServerError, "streaming unsupported")
+		httpError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -100,7 +100,7 @@ func ServeEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	// Coalescing buffer: the run never blocks on a slow consumer; a full
 	// buffer drops intermediate generations, the terminal event always
 	// carries the final state.
-	sub := make(chan ProgressWire, 16)
+	sub := make(chan service.ProgressWire, 16)
 	j.Lock()
 	j.subs[sub] = struct{}{}
 	// Replay the latest generation snapshot so a subscriber that joins
@@ -114,7 +114,7 @@ func ServeEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 		j.Unlock()
 	}()
 
-	writeSSE(w, "status", j.Wire(false))
+	writeSSE(w, "status", j.wire(false))
 	if last != nil {
 		writeSSE(w, "progress", *last)
 	}
@@ -132,7 +132,7 @@ func ServeEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 				case p := <-sub:
 					writeSSE(w, "progress", p)
 				default:
-					final := j.Wire(true)
+					final := j.wire(true)
 					writeSSE(w, final.State, final)
 					flusher.Flush()
 					return
@@ -149,8 +149,8 @@ func ServeEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 type shutdownKey struct{}
 
 // EndLongPollsOnShutdown makes hs end its long-lived job responses once
-// Shutdown starts: a ServeWait answers the job's current status, as at its
-// timeout, and a ServeEvents stream ends. Shutdown waits for every open
+// Shutdown starts: a wait answers the job's current status, as at its
+// timeout, and an event stream ends. Shutdown waits for every open
 // request, and these end only with their job, so without it one client
 // watching a long run held shutdown for its whole deadline. Call it once,
 // after hs.Handler is set.
@@ -170,10 +170,10 @@ func shuttingDown(r *http.Request) <-chan struct{} {
 	return c
 }
 
-// CheckBearer reports whether r carries "Authorization: Bearer <token>".
+// checkBearer reports whether r carries "Authorization: Bearer <token>".
 // The comparison is constant-time so the token cannot be guessed
 // byte-by-byte from response timing.
-func CheckBearer(r *http.Request, token string) bool {
+func checkBearer(r *http.Request, token string) bool {
 	h := r.Header.Get("Authorization")
 	const prefix = "Bearer "
 	if len(h) <= len(prefix) || h[:len(prefix)] != prefix {
@@ -189,8 +189,8 @@ func RequireBearer(token string, h http.Handler) http.Handler {
 		return h
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/healthz" && !CheckBearer(r, token) {
-			HTTPError(w, http.StatusUnauthorized, "missing or invalid bearer token")
+		if r.URL.Path != "/healthz" && !checkBearer(r, token) {
+			httpError(w, http.StatusUnauthorized, "missing or invalid bearer token")
 			return
 		}
 		h.ServeHTTP(w, r)
@@ -220,7 +220,7 @@ func writeSSE(w http.ResponseWriter, event string, v any) {
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 }
 
-// HTTPError answers with {"error": msg}.
-func HTTPError(w http.ResponseWriter, status int, msg string) {
+// httpError answers with {"error": msg}.
+func httpError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, map[string]string{"error": msg})
 }

@@ -58,9 +58,9 @@ type CompleteRequest struct {
 // so only fleet workers may call.
 func (g *Gateway) workerOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if g.cfg.WorkerToken != "" && !service.CheckBearer(r, g.cfg.WorkerToken) {
+		if g.cfg.WorkerToken != "" && !checkBearer(r, g.cfg.WorkerToken) {
 			g.m.rejectedAuth.Add(1)
-			service.HTTPError(w, http.StatusUnauthorized, "missing or invalid worker token")
+			httpError(w, http.StatusUnauthorized, "missing or invalid worker token")
 			return
 		}
 		h(w, r)
@@ -72,18 +72,18 @@ func (g *Gateway) workerOnly(h http.HandlerFunc) http.HandlerFunc {
 func (g *Gateway) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<10)).Decode(&req); err != nil {
-		service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("decoding lease request: %v", err))
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding lease request: %v", err))
 		return
 	}
 	if req.Worker == "" {
-		service.HTTPError(w, http.StatusBadRequest, "lease request names no worker")
+		httpError(w, http.StatusBadRequest, "lease request names no worker")
 		return
 	}
 	poll := 2 * time.Second
 	if req.Timeout != "" {
 		parsed, err := time.ParseDuration(req.Timeout)
 		if err != nil || parsed <= 0 {
-			service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", req.Timeout))
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", req.Timeout))
 			return
 		}
 		poll = min(parsed, 30*time.Second)
@@ -96,7 +96,7 @@ func (g *Gateway) handleLease(w http.ResponseWriter, r *http.Request) {
 	for {
 		wakeC := g.queue.awaitC() // arm before popping so no enqueue is missed
 		if grant := g.tryLease(req.Worker); grant != nil {
-			service.WriteJSON(w, http.StatusOK, grant)
+			WriteJSON(w, http.StatusOK, grant)
 			return
 		}
 		select {
@@ -195,7 +195,7 @@ func (g *Gateway) takeLease(w http.ResponseWriter, r *http.Request, consume bool
 		// should drop the run — its result is redundant, never wrong,
 		// because identical specs compute identical fronts.
 		g.m.staleLeaseCalls.Add(1)
-		service.HTTPError(w, http.StatusGone, "lease expired or unknown")
+		httpError(w, http.StatusGone, "lease expired or unknown")
 		return nil
 	}
 	g.touchWorker(l.worker, "", 0)
@@ -212,11 +212,11 @@ func (g *Gateway) handleLeaseProgress(w http.ResponseWriter, r *http.Request) {
 	}
 	var p service.ProgressWire
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<10)).Decode(&p); err != nil {
-		service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("decoding progress: %v", err))
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding progress: %v", err))
 		return
 	}
 	g.m.progressEvents.Add(1)
-	l.job.Publish(p)
+	l.job.publish(p)
 	g.ack(w, l.job)
 }
 
@@ -230,11 +230,11 @@ func (g *Gateway) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 
 // ack answers a progress report or renewal, relaying any cancellation the
 // tenant requested meanwhile.
-func (g *Gateway) ack(w http.ResponseWriter, j *gwJob) {
+func (g *Gateway) ack(w http.ResponseWriter, j *job) {
 	j.Lock()
 	cancelled := j.cancelReq
 	j.Unlock()
-	service.WriteJSON(w, http.StatusOK, LeaseAck{Cancelled: cancelled})
+	WriteJSON(w, http.StatusOK, LeaseAck{Cancelled: cancelled})
 }
 
 // handleLeaseComplete terminates a leased job with the worker's outcome.
@@ -244,21 +244,21 @@ func (g *Gateway) ack(w http.ResponseWriter, j *gwJob) {
 func (g *Gateway) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
-		service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("decoding completion: %v", err))
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding completion: %v", err))
 		return
 	}
 	errMsg := req.Error
 	switch req.State {
 	case service.StateDone:
 		if req.Front == nil {
-			service.HTTPError(w, http.StatusBadRequest, "done completion carries no front")
+			httpError(w, http.StatusBadRequest, "done completion carries no front")
 			return
 		}
 	case service.StateFailed:
 	case service.StateCancelled:
 		errMsg = "cancelled"
 	default:
-		service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("unknown terminal state %q", req.State))
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown terminal state %q", req.State))
 		return
 	}
 	l := g.takeLease(w, r, true)
@@ -280,7 +280,7 @@ func (g *Gateway) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	g.mu.Unlock()
-	service.WriteJSON(w, http.StatusOK, LeaseAck{})
+	WriteJSON(w, http.StatusOK, LeaseAck{})
 }
 
 // forgetAfterTTLs is how many lease lifetimes a worker that holds no lease

@@ -3,13 +3,13 @@ package gateway
 import (
 	"net/http"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultmodel"
 	"repro/internal/moea"
-	"repro/internal/service"
 	"repro/internal/store"
 )
 
@@ -156,7 +156,7 @@ type MetricsWire struct {
 	CacheCapacity int `json:"cache_capacity"`
 
 	EngineWire
-	Latency map[string]service.HistogramWire `json:"latency_ms,omitempty"`
+	Latency map[string]HistogramWire `json:"latency_ms,omitempty"`
 	// Store gauges are present when the gateway runs with a durable store.
 	Store *store.Stats `json:"store,omitempty"`
 }
@@ -231,7 +231,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	g.mu.Unlock()
-	m.CacheSize = g.jobs.CacheLen()
+	m.CacheSize = g.jobs.cacheLen()
 	m.CacheCapacity = g.cfg.CacheCap
 	sort.Slice(m.Workers, func(i, k int) bool { return m.Workers[i].Name < m.Workers[k].Name })
 	sort.Slice(m.Leases.Active, func(i, k int) bool { return m.Leases.Active[i].JobID < m.Leases.Active[k].JobID })
@@ -253,9 +253,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if len(g.agents) > 0 {
 		m.EngineWire = EngineTotals()
 		g.mu.Lock()
-		m.Latency = make(map[string]service.HistogramWire, len(g.latency))
+		m.Latency = make(map[string]HistogramWire, len(g.latency))
 		for method, h := range g.latency {
-			m.Latency[method] = h.Wire()
+			m.Latency[method] = h.wire()
 		}
 		g.mu.Unlock()
 	}
@@ -263,5 +263,49 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		sw := st.Stats()
 		m.Store = &sw
 	}
-	service.WriteJSON(w, http.StatusOK, m)
+	WriteJSON(w, http.StatusOK, m)
+}
+
+// latencyBucketsMS are the upper bounds of the per-method job-latency
+// histogram, in milliseconds; a final implicit +Inf bucket catches the rest.
+var latencyBucketsMS = [...]float64{10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000}
+
+// histogram is a fixed-bucket latency histogram. Not safe for concurrent
+// use.
+type histogram struct {
+	counts [len(latencyBucketsMS) + 1]int64 // the last is +Inf
+	sumMS  float64
+	n      int64
+}
+
+// observe records one latency in milliseconds.
+func (h *histogram) observe(ms float64) {
+	i := 0
+	for i < len(latencyBucketsMS) && ms > latencyBucketsMS[i] {
+		i++
+	}
+	h.counts[i]++
+	h.sumMS += ms
+	h.n++
+}
+
+// HistogramWire is the JSON form of one latency histogram: cumulative
+// bucket counts keyed by "le_<bound_ms>" plus count and sum.
+type HistogramWire struct {
+	Buckets map[string]int64 `json:"buckets"`
+	Count   int64            `json:"count"`
+	SumMS   float64          `json:"sum_ms"`
+}
+
+// wire snapshots the histogram.
+func (h *histogram) wire() HistogramWire {
+	out := HistogramWire{Buckets: make(map[string]int64, len(h.counts)), Count: h.n, SumMS: h.sumMS}
+	var cum int64
+	for i, b := range latencyBucketsMS {
+		cum += h.counts[i]
+		// Bounds are whole milliseconds; render without a decimal point.
+		out.Buckets["le_"+strconv.FormatInt(int64(b), 10)+"ms"] = cum
+	}
+	out.Buckets["le_inf"] = h.n
+	return out
 }

@@ -1,27 +1,6 @@
 package gateway
 
-import (
-	"sync"
-
-	"repro/internal/service"
-)
-
-// gwJob is the gateway-side state of one admitted job: the shared job
-// record plus what leases and tenancy need. Only agents, remote or in
-// process, execute jobs, through leases: a gwJob moves queued → running
-// (leased to a worker) →
-// done/failed/cancelled, with lease expiry pushing it back to queued until
-// its delivery budget runs out.
-type gwJob struct {
-	*service.Job
-	tenant *tenant
-	class  int
-
-	// Guarded by the Job's lock.
-	cancelReq bool   // client asked for cancellation while leased
-	attempts  int    // lease deliveries so far
-	worker    string // current lease holder
-}
+import "sync"
 
 // workQueue is the gateway's pending-job pool: one FIFO per priority
 // class, drained by stride scheduling so classes share the workers in
@@ -29,7 +8,7 @@ type gwJob struct {
 // which is closed and replaced whenever work arrives.
 type workQueue struct {
 	mu      sync.Mutex
-	classes [numClasses][]*gwJob
+	classes [numClasses][]*job
 	served  [numClasses]int64 // dequeues per class, for stride scheduling
 	cap     int               // live-depth bound; push beyond it fails
 	wake    chan struct{}
@@ -41,7 +20,7 @@ func newWorkQueue(capacity int) *workQueue {
 
 // push appends a job to its class FIFO, failing when the queue is at
 // capacity (the caller translates that into 429 backpressure).
-func (q *workQueue) push(j *gwJob) bool {
+func (q *workQueue) push(j *job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.liveDepthLocked() >= q.cap {
@@ -54,7 +33,7 @@ func (q *workQueue) push(j *gwJob) bool {
 
 // pushForce appends a job regardless of capacity: the recovery backlog
 // was admitted by a previous gateway incarnation and must all re-enter.
-func (q *workQueue) pushForce(j *gwJob) {
+func (q *workQueue) pushForce(j *job) {
 	q.mu.Lock()
 	q.classes[j.class] = append(q.classes[j.class], j)
 	q.wakeLocked()
@@ -64,16 +43,16 @@ func (q *workQueue) pushForce(j *gwJob) {
 // pushFront re-enqueues a job at the head of its class (lease expired or
 // worker died): retried work should not requeue behind fresh arrivals.
 // Capacity is ignored — the job already holds its admission slot.
-func (q *workQueue) pushFront(j *gwJob) {
+func (q *workQueue) pushFront(j *job) {
 	q.mu.Lock()
-	q.classes[j.class] = append([]*gwJob{j}, q.classes[j.class]...)
+	q.classes[j.class] = append([]*job{j}, q.classes[j.class]...)
 	q.wakeLocked()
 	q.mu.Unlock()
 }
 
 // pop removes and returns the next job by weighted-fair class order, or
 // nil when every class is empty.
-func (q *workQueue) pop() *gwJob {
+func (q *workQueue) pop() *job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	c := -1
@@ -102,7 +81,7 @@ func (q *workQueue) pop() *gwJob {
 // remove deletes a cancelled job from its class FIFO so queue depth (and
 // the backpressure threshold) reflect live work only. A lease that pops
 // the job first skips it: the job is no longer queued.
-func (q *workQueue) remove(j *gwJob) {
+func (q *workQueue) remove(j *job) {
 	q.mu.Lock()
 	class := q.classes[j.class]
 	for i, e := range class {

@@ -1,8 +1,6 @@
-package service_test
+package gateway
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -14,175 +12,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultmodel"
-	"repro/internal/gateway"
 	"repro/internal/service"
 )
 
 // The daemon's HTTP tests: clrearlyd without -gateway serves the gateway
-// with in-process agents, so these drive gateway.New configured the way
-// cmd/clrearlyd configures it.
-
-// newDaemon starts what clrearlyd serves without -gateway: a gateway with
-// in-process agents (two unless cfg sets Workers) and one tenant keyed by
-// token (open when empty), behind the bearer check on every path but
-// /healthz. The caller closes both.
-func newDaemon(t *testing.T, cfg gateway.Config, token string) (*gateway.Gateway, *httptest.Server) {
-	t.Helper()
-	cfg.Tenants = []gateway.TenantConfig{{Name: "clrearlyd", Key: token, MaxActive: -1}}
-	cfg.WorkerToken = token
-	if cfg.Workers == 0 {
-		cfg.Workers = 2
-	}
-	g, err := gateway.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, httptest.NewServer(service.RequireBearer(token, g))
-}
-
-// newTestServer starts an open daemon and wires teardown: closing the
-// gateway stops whatever still runs within one generation.
-func newTestServer(t *testing.T, cfg gateway.Config) (*gateway.Gateway, *httptest.Server) {
-	t.Helper()
-	g, ts := newDaemon(t, cfg, "")
-	t.Cleanup(func() { ts.Close(); g.Close() })
-	return g, ts
-}
-
-func postJob(t *testing.T, ts *httptest.Server, spec service.JobSpec) (*service.JobWire, int) {
-	t.Helper()
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		var e map[string]string
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return &service.JobWire{Error: e["error"]}, resp.StatusCode
-	}
-	var jw service.JobWire
-	if err := json.NewDecoder(resp.Body).Decode(&jw); err != nil {
-		t.Fatal(err)
-	}
-	return &jw, resp.StatusCode
-}
-
-func getJob(t *testing.T, ts *httptest.Server, id string) *service.JobWire {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var jw service.JobWire
-	if err := json.NewDecoder(resp.Body).Decode(&jw); err != nil {
-		t.Fatal(err)
-	}
-	return &jw
-}
-
-func cancelJob(t *testing.T, ts *httptest.Server, id string) *service.JobWire {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var jw service.JobWire
-	if err := json.NewDecoder(resp.Body).Decode(&jw); err != nil {
-		t.Fatal(err)
-	}
-	return &jw
-}
-
-func getMetrics(t *testing.T, ts *httptest.Server) *gateway.MetricsWire {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m gateway.MetricsWire
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	return &m
-}
-
-// waitFor polls the job until cond holds or the deadline passes.
-func waitFor(t *testing.T, ts *httptest.Server, id string, timeout time.Duration, cond func(*service.JobWire) bool) *service.JobWire {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		jw := getJob(t, ts, id)
-		if cond(jw) {
-			return jw
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s: condition not met before deadline; last state %+v", id, jw)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-func terminal(jw *service.JobWire) bool {
-	switch jw.State {
-	case service.StateDone, service.StateFailed, service.StateCancelled:
-		return true
-	}
-	return false
-}
-
-// sseEvent is one parsed server-sent event.
-type sseEvent struct {
-	name string
-	data []byte
-}
-
-// readSSE consumes the stream until a terminal event (done / failed /
-// cancelled) arrives or the stream ends.
-func readSSE(t *testing.T, ts *httptest.Server, id string) []sseEvent {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q, want text/event-stream", ct)
-	}
-	var events []sseEvent
-	var cur sseEvent
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			cur.name = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			cur.data = []byte(strings.TrimPrefix(line, "data: "))
-		case line == "":
-			if cur.name != "" {
-				events = append(events, cur)
-				if cur.name == service.StateDone || cur.name == service.StateFailed || cur.name == service.StateCancelled {
-					return events
-				}
-				cur = sseEvent{}
-			}
-		}
-	}
-	return events
-}
+// with in-process agents, so these drive New configured the way
+// cmd/clrearlyd configures it (newDaemon).
 
 // longSpec is a job that cannot finish on its own within the test.
 func longSpec(seed int64) service.JobSpec {
@@ -194,18 +29,18 @@ func longSpec(seed int64) service.JobSpec {
 // Pareto front, check it equals a direct core run at the same seed, and
 // confirm a duplicate submission is served from the result cache.
 func TestEndToEndProposed(t *testing.T) {
-	_, ts := newTestServer(t, gateway.Config{Workers: 1, QueueCap: 8, CacheCap: 8})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, CacheCap: 8})
 	spec := service.JobSpec{App: "sobel", Method: "proposed", Pop: 16, Gens: 40, Seed: 1}
 
-	jw, code := postJob(t, ts, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: status %d (%s)", code, jw.Error)
+	jw, resp := submitSpec(t, ts, "", spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%s)", resp.StatusCode, jw.Error)
 	}
 	if jw.State != service.StateQueued || jw.SpecHash == "" {
 		t.Fatalf("unexpected submit response: %+v", jw)
 	}
 
-	events := readSSE(t, ts, jw.ID)
+	events := readEvents(t, ts, "", jw.ID)
 	var progress []service.ProgressWire
 	var finalEvent *sseEvent
 	for i, e := range events {
@@ -235,7 +70,7 @@ func TestEndToEndProposed(t *testing.T) {
 		}
 	}
 
-	done := getJob(t, ts, jw.ID)
+	done := getWire(t, ts, "", "/v1/jobs/"+jw.ID)
 	if done.State != service.StateDone || done.Front == nil || len(done.Front.Points) == 0 {
 		t.Fatalf("job did not finish with a front: %+v", done)
 	}
@@ -256,9 +91,9 @@ func TestEndToEndProposed(t *testing.T) {
 
 	// A second identical submission is a cache hit: it completes
 	// instantly with the same front and bumps the hit counter.
-	jw2, code2 := postJob(t, ts, spec)
-	if code2 != http.StatusOK || !jw2.Cached || jw2.State != service.StateDone {
-		t.Fatalf("duplicate spec not served from cache: status %d, %+v", code2, jw2)
+	jw2, resp2 := submitSpec(t, ts, "", spec)
+	if resp2.StatusCode != http.StatusOK || !jw2.Cached || jw2.State != service.StateDone {
+		t.Fatalf("duplicate spec not served from cache: status %d, %+v", resp2.StatusCode, jw2)
 	}
 	if !reflect.DeepEqual(jw2.Front, want) {
 		t.Fatal("cached front differs from the computed one")
@@ -277,44 +112,44 @@ func TestEndToEndProposed(t *testing.T) {
 }
 
 func TestCancelWhileQueued(t *testing.T) {
-	_, ts := newTestServer(t, gateway.Config{Workers: 1, QueueCap: 4})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
 	// Occupy the single worker so the next job stays queued.
-	blocker, code := postJob(t, ts, longSpec(11))
-	if code != http.StatusAccepted {
-		t.Fatalf("blocker: status %d", code)
+	blocker, resp := submitSpec(t, ts, "", longSpec(11))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("blocker: status %d", resp.StatusCode)
 	}
-	waitFor(t, ts, blocker.ID, 10*time.Second, func(jw *service.JobWire) bool { return jw.State == service.StateRunning })
+	waitFor(t, ts, "", blocker.ID, 10*time.Second, func(jw *service.JobWire) bool { return jw.State == service.StateRunning })
 
-	queued, code := postJob(t, ts, longSpec(12))
-	if code != http.StatusAccepted || queued.State != service.StateQueued {
-		t.Fatalf("second job: status %d, %+v", code, queued)
+	queued, resp := submitSpec(t, ts, "", longSpec(12))
+	if resp.StatusCode != http.StatusAccepted || queued.State != service.StateQueued {
+		t.Fatalf("second job: status %d, %+v", resp.StatusCode, queued)
 	}
-	got := cancelJob(t, ts, queued.ID)
+	got := cancelJob(t, ts, "", queued.ID)
 	if got.State != service.StateCancelled {
 		t.Fatalf("cancel-while-queued: state %q, want cancelled", got.State)
 	}
 
 	// Unblock the worker; the cancelled job must be skipped, not run.
-	cancelJob(t, ts, blocker.ID)
-	waitFor(t, ts, blocker.ID, 10*time.Second, terminal)
+	cancelJob(t, ts, "", blocker.ID)
+	waitFor(t, ts, "", blocker.ID, 10*time.Second, terminal)
 	time.Sleep(20 * time.Millisecond)
-	if jw := getJob(t, ts, queued.ID); jw.State != service.StateCancelled || jw.StartedAt != nil {
+	if jw := getWire(t, ts, "", "/v1/jobs/"+queued.ID); jw.State != service.StateCancelled || jw.StartedAt != nil {
 		t.Fatalf("cancelled queued job was started: %+v", jw)
 	}
 }
 
 func TestCancelWhileRunningStopsWithinOneGeneration(t *testing.T) {
-	_, ts := newTestServer(t, gateway.Config{Workers: 1, QueueCap: 4})
-	jw, code := postJob(t, ts, longSpec(13))
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: status %d", code)
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	jw, resp := submitSpec(t, ts, "", longSpec(13))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
 	// Wait until the GA is demonstrably advancing.
-	waitFor(t, ts, jw.ID, 10*time.Second, func(w *service.JobWire) bool {
+	waitFor(t, ts, "", jw.ID, 10*time.Second, func(w *service.JobWire) bool {
 		return w.State == service.StateRunning && w.Progress != nil && w.Progress.Generation >= 1
 	})
-	snap := cancelJob(t, ts, jw.ID) // snapshot taken after ctx cancellation
-	final := waitFor(t, ts, jw.ID, 10*time.Second, terminal)
+	snap := cancelJob(t, ts, "", jw.ID) // snapshot taken after ctx cancellation
+	final := waitFor(t, ts, "", jw.ID, 10*time.Second, terminal)
 	if final.State != service.StateCancelled {
 		t.Fatalf("state %q, want cancelled", final.State)
 	}
@@ -334,20 +169,20 @@ func TestCancelWhileRunningStopsWithinOneGeneration(t *testing.T) {
 }
 
 func TestQueueFullRejection(t *testing.T) {
-	_, ts := newTestServer(t, gateway.Config{Workers: 1, QueueCap: 1})
-	blocker, code := postJob(t, ts, longSpec(21))
-	if code != http.StatusAccepted {
-		t.Fatalf("blocker: status %d", code)
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1})
+	blocker, resp := submitSpec(t, ts, "", longSpec(21))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("blocker: status %d", resp.StatusCode)
 	}
-	waitFor(t, ts, blocker.ID, 10*time.Second, func(jw *service.JobWire) bool { return jw.State == service.StateRunning })
+	waitFor(t, ts, "", blocker.ID, 10*time.Second, func(jw *service.JobWire) bool { return jw.State == service.StateRunning })
 
-	queued, code := postJob(t, ts, longSpec(22))
-	if code != http.StatusAccepted {
-		t.Fatalf("filler: status %d, %+v", code, queued)
+	queued, resp := submitSpec(t, ts, "", longSpec(22))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("filler: status %d, %+v", resp.StatusCode, queued)
 	}
-	over, code := postJob(t, ts, longSpec(23))
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("over-capacity submit: status %d, want 429 (%+v)", code, over)
+	over, resp := submitSpec(t, ts, "", longSpec(23))
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-capacity submit: status %d, want 429 (%+v)", resp.StatusCode, over)
 	}
 	m := getMetrics(t, ts)
 	if m.Rejects.Backpressure != 1 {
@@ -356,13 +191,13 @@ func TestQueueFullRejection(t *testing.T) {
 	if m.Queue.Normal != 1 || m.Queue.Capacity != 1 {
 		t.Fatalf("queue gauge: %+v", m.Queue)
 	}
-	cancelJob(t, ts, queued.ID)
-	cancelJob(t, ts, blocker.ID)
-	waitFor(t, ts, blocker.ID, 10*time.Second, terminal)
+	cancelJob(t, ts, "", queued.ID)
+	cancelJob(t, ts, "", blocker.ID)
+	waitFor(t, ts, "", blocker.ID, 10*time.Second, terminal)
 }
 
 func TestSubmitRejectsBadSpecs(t *testing.T) {
-	_, ts := newTestServer(t, gateway.Config{Workers: 1})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []service.JobSpec{
 		{Method: "bogus"},
 		{App: "bogus"},
@@ -375,8 +210,8 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{Method: "fcclr", Faults: saturatingFaults()},
 	}
 	for i, spec := range cases {
-		if _, code := postJob(t, ts, spec); code != http.StatusBadRequest {
-			t.Errorf("case %d: status %d, want 400", i, code)
+		if _, resp := submitSpec(t, ts, "", spec); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("case %d: status %d, want 400", i, resp.StatusCode)
 		}
 	}
 	// Unknown JSON fields are rejected too: typos, and the fields of
@@ -399,8 +234,8 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			t.Fatalf("unknown field %s: status %d, want 400", raw, resp.StatusCode)
 		}
 	}
-	if _, code := postJob(t, ts, service.JobSpec{}); code != http.StatusAccepted {
-		t.Fatalf("empty spec (all defaults) should be accepted, got %d", code)
+	if _, resp := submitSpec(t, ts, "", service.JobSpec{}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("empty spec (all defaults) should be accepted, got %d", resp.StatusCode)
 	}
 }
 
@@ -444,13 +279,13 @@ func TestDaemonBuildsLibraryOncePerMiss(t *testing.T) {
 		t.Fatalf("a pfCLR run solved %d chains, want 0", n)
 	}
 
-	_, ts := newTestServer(t, gateway.Config{Workers: 1})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	before = chainSolves()
-	jw, code := postJob(t, ts, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit = %d, want 202", code)
+	jw, resp := submitSpec(t, ts, "", spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", resp.StatusCode)
 	}
-	if done := waitFor(t, ts, jw.ID, 30*time.Second, terminal); done.State != service.StateDone {
+	if done := waitFor(t, ts, "", jw.ID, 30*time.Second, terminal); done.State != service.StateDone {
 		t.Fatalf("job ended %s: %s", done.State, done.Error)
 	}
 	if n := chainSolves() - before; n != perBuild {
@@ -459,7 +294,7 @@ func TestDaemonBuildsLibraryOncePerMiss(t *testing.T) {
 }
 
 func TestUnknownJobRoutes(t *testing.T) {
-	_, ts := newTestServer(t, gateway.Config{})
+	_, ts := newTestServer(t, Config{})
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/events"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -486,21 +321,22 @@ func TestUnknownJobRoutes(t *testing.T) {
 // as ended: both stay pending in the store for the next start to run.
 // Shutdown is idempotent.
 func TestGracefulShutdownCancelsRunningAndQueued(t *testing.T) {
-	st := openTestStore(t, t.TempDir())
+	st := openStore(t, t.TempDir())
 	t.Cleanup(func() { st.Close() })
-	g, ts := newDaemon(t, gateway.Config{Workers: 1, QueueCap: 4, Store: st}, "")
+	g := newDaemon(t, Config{Workers: 1, QueueCap: 4, Store: st}, "")
+	ts := httptest.NewServer(g)
 	defer ts.Close()
 
-	running, _ := postJob(t, ts, longSpec(31))
-	waitFor(t, ts, running.ID, 10*time.Second, func(jw *service.JobWire) bool {
+	running, _ := submitSpec(t, ts, "", longSpec(31))
+	waitFor(t, ts, "", running.ID, 10*time.Second, func(jw *service.JobWire) bool {
 		return jw.State == service.StateRunning && jw.Progress != nil
 	})
-	queued, _ := postJob(t, ts, longSpec(32))
+	queued, _ := submitSpec(t, ts, "", longSpec(32))
 
 	g.Close()
-	at := getJob(t, ts, running.ID).Progress.Generation
+	at := getWire(t, ts, "", "/v1/jobs/"+running.ID).Progress.Generation
 	time.Sleep(50 * time.Millisecond)
-	if now := getJob(t, ts, running.ID).Progress.Generation; now != at {
+	if now := getWire(t, ts, "", "/v1/jobs/"+running.ID).Progress.Generation; now != at {
 		t.Fatalf("the run went on after shutdown: generation %d, then %d", at, now)
 	}
 	for _, id := range []string{running.ID, queued.ID} {
@@ -521,8 +357,8 @@ func TestGracefulShutdownCancelsRunningAndQueued(t *testing.T) {
 // a 5 s deadline: both must end at once, the wait answering the job's
 // running status, so Shutdown returns well within its deadline.
 func TestShutdownEndsLongPolls(t *testing.T) {
-	g, err := gateway.New(gateway.Config{
-		Tenants: []gateway.TenantConfig{{Name: "clrearlyd", MaxActive: -1}},
+	g, err := New(Config{
+		Tenants: []TenantConfig{{Name: "clrearlyd", MaxActive: -1}},
 		Workers: 1,
 	})
 	if err != nil {
@@ -536,12 +372,12 @@ func TestShutdownEndsLongPolls(t *testing.T) {
 		}
 		g.ServeHTTP(w, r)
 	}))
-	service.EndLongPollsOnShutdown(ts.Config)
+	EndLongPollsOnShutdown(ts.Config)
 	ts.Start()
 	defer ts.Close()
 
-	jw, _ := postJob(t, ts, longSpec(41))
-	waitFor(t, ts, jw.ID, 10*time.Second, func(jw *service.JobWire) bool { return jw.State == service.StateRunning })
+	jw, _ := submitSpec(t, ts, "", longSpec(41))
+	waitFor(t, ts, "", jw.ID, 10*time.Second, func(jw *service.JobWire) bool { return jw.State == service.StateRunning })
 	waited := make(chan *service.JobWire, 1)
 	go func() {
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + jw.ID + "/wait?timeout=5m")
@@ -558,7 +394,7 @@ func TestShutdownEndsLongPolls(t *testing.T) {
 		waited <- &got
 	}()
 	streamed := make(chan []sseEvent, 1)
-	go func() { streamed <- readSSE(t, ts, jw.ID) }()
+	go func() { streamed <- readEvents(t, ts, "", jw.ID) }()
 	<-entered
 	<-entered
 
@@ -580,12 +416,12 @@ func TestShutdownEndsLongPolls(t *testing.T) {
 }
 
 func TestSSEOnFinishedJobDeliversTerminalEventImmediately(t *testing.T) {
-	_, ts := newTestServer(t, gateway.Config{Workers: 1})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	spec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 41}
-	jw, _ := postJob(t, ts, spec)
-	waitFor(t, ts, jw.ID, 10*time.Second, terminal)
+	jw, _ := submitSpec(t, ts, "", spec)
+	waitFor(t, ts, "", jw.ID, 10*time.Second, terminal)
 
-	events := readSSE(t, ts, jw.ID)
+	events := readEvents(t, ts, "", jw.ID)
 	if len(events) == 0 {
 		t.Fatal("no events on finished job")
 	}
@@ -603,10 +439,10 @@ func TestSSEOnFinishedJobDeliversTerminalEventImmediately(t *testing.T) {
 }
 
 func TestListJobs(t *testing.T) {
-	_, ts := newTestServer(t, gateway.Config{Workers: 1})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	spec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 51}
-	jw, _ := postJob(t, ts, spec)
-	waitFor(t, ts, jw.ID, 10*time.Second, terminal)
+	jw, _ := submitSpec(t, ts, "", spec)
+	waitFor(t, ts, "", jw.ID, 10*time.Second, terminal)
 	resp, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
@@ -630,13 +466,13 @@ func TestListJobs(t *testing.T) {
 // the worker pool: both must finish, and determinism must hold — the
 // front of a spec is identical whether it ran alone or alongside another.
 func TestConcurrentJobsShareTokenPool(t *testing.T) {
-	_, ts := newTestServer(t, gateway.Config{Workers: 2, QueueCap: 8})
+	_, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8})
 	a := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 10, Seed: 61}
 	b := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 10, Seed: 62}
-	ja, _ := postJob(t, ts, a)
-	jb, _ := postJob(t, ts, b)
-	fa := waitFor(t, ts, ja.ID, 30*time.Second, terminal)
-	fb := waitFor(t, ts, jb.ID, 30*time.Second, terminal)
+	ja, _ := submitSpec(t, ts, "", a)
+	jb, _ := submitSpec(t, ts, "", b)
+	fa := waitFor(t, ts, "", ja.ID, 30*time.Second, terminal)
+	fb := waitFor(t, ts, "", jb.ID, 30*time.Second, terminal)
 	if fa.State != service.StateDone || fb.State != service.StateDone {
 		t.Fatalf("states: %s / %s", fa.State, fb.State)
 	}
@@ -650,5 +486,29 @@ func TestConcurrentJobsShareTokenPool(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fa.Front, service.FrontToWire(front)) {
 		t.Fatal("front computed under concurrency diverges from solo run")
+	}
+}
+
+func TestHistogramBuckets(t *testing.T) {
+	var h histogram
+	h.observe(5)      // le_10ms
+	h.observe(10)     // le_10ms (inclusive upper bound)
+	h.observe(11)     // le_30ms
+	h.observe(200000) // le_inf
+	w := h.wire()
+	if w.Count != 4 {
+		t.Fatalf("count = %d, want 4", w.Count)
+	}
+	if w.Buckets["le_10ms"] != 2 {
+		t.Fatalf("le_10ms = %d, want 2", w.Buckets["le_10ms"])
+	}
+	if w.Buckets["le_30ms"] != 3 {
+		t.Fatalf("le_30ms cumulative = %d, want 3", w.Buckets["le_30ms"])
+	}
+	if w.Buckets["le_inf"] != 4 {
+		t.Fatalf("le_inf = %d, want 4", w.Buckets["le_inf"])
+	}
+	if w.SumMS != 5+10+11+200000 {
+		t.Fatalf("sum = %v", w.SumMS)
 	}
 }

@@ -42,14 +42,15 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// readEvents consumes a job's SSE stream up to its terminal event.
-func readEvents(t *testing.T, ts *httptest.Server, id string) []sseEvent {
+// readEvents consumes a job's SSE stream up to its terminal event, or to
+// its end when the stream stops before one.
+func readEvents(t *testing.T, ts *httptest.Server, key, id string) []sseEvent {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("X-API-Key", "key1")
+	req.Header.Set("X-API-Key", key)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -71,15 +72,13 @@ func readEvents(t *testing.T, ts *httptest.Server, id string) []sseEvent {
 			cur.data = []byte(strings.TrimPrefix(line, "data: "))
 		case line == "" && cur.name != "":
 			events = append(events, cur)
-			switch cur.name {
-			case service.StateDone, service.StateFailed, service.StateCancelled:
+			if terminal(&service.JobWire{State: cur.name}) {
 				return events
 			}
 			cur = sseEvent{}
 		}
 	}
-	t.Fatalf("events stream ended without a terminal event after %d events", len(events))
-	return nil
+	return events
 }
 
 // surface is one job-API server under test: a running instance, and a
@@ -90,6 +89,9 @@ type surface struct {
 	start func(st *store.Store) (ts *httptest.Server, stop func())
 }
 
+// openStore opens a store in dir with the fast fsync policy: the
+// durability semantics under test (journaling, recovery, checkpoint
+// resume) are identical across policies.
 func openStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{Sync: store.SyncNever})
@@ -113,7 +115,7 @@ func marshalFront(t *testing.T, fw *service.FrontWire) []byte {
 // HTTP: both serve the same /wait and /events contract, and the same spec
 // yields the same front bytes.
 func TestJobAPISurfaces(t *testing.T) {
-	daemon := newDaemon(t, Config{})
+	daemon := newDaemon(t, Config{}, "")
 	dts := httptest.NewServer(daemon)
 	t.Cleanup(func() { dts.Close(); daemon.Close() })
 	_, gts := newTestGateway(t, Config{ProbeEvery: -1})
@@ -147,7 +149,7 @@ func TestJobAPISurfaces(t *testing.T) {
 			return front
 		}},
 		{"events finished", func(t *testing.T, s surface, finished string) []byte {
-			events := readEvents(t, s.ts, finished)
+			events := readEvents(t, s.ts, "key1", finished)
 			if events[0].name != "status" {
 				t.Fatalf("first event %q, want status", events[0].name)
 			}
@@ -166,7 +168,7 @@ func TestJobAPISurfaces(t *testing.T) {
 			if resp.StatusCode != http.StatusAccepted {
 				t.Fatalf("submit = %d, want 202", resp.StatusCode)
 			}
-			events := readEvents(t, s.ts, jw.ID)
+			events := readEvents(t, s.ts, "key1", jw.ID)
 			progress := 0
 			for _, e := range events[:len(events)-1] {
 				if e.name == "progress" {
@@ -197,7 +199,7 @@ func TestJobAPISurfaces(t *testing.T) {
 				if resp.StatusCode != http.StatusAccepted {
 					t.Fatalf("submit = %d, want 202", resp.StatusCode)
 				}
-				done := waitDone(t, ts, "key1", jw.ID, 30*time.Second)
+				done := waitFor(t, ts, "key1", jw.ID, 30*time.Second, isDone)
 				ids = append(ids, jw.ID)
 				fronts = append(fronts, marshalFront(t, done.Front))
 			}
@@ -228,7 +230,7 @@ func TestJobAPISurfaces(t *testing.T) {
 	outputs := make(map[string][]byte)
 	for _, surface := range []surface{
 		{"daemon", dts, func(st *store.Store) (*httptest.Server, func()) {
-			d := newDaemon(t, Config{CacheCap: 1, Store: st})
+			d := newDaemon(t, Config{CacheCap: 1, Store: st}, "")
 			ts := httptest.NewServer(d)
 			return ts, func() { ts.Close(); d.Close() }
 		}},
@@ -252,7 +254,7 @@ func TestJobAPISurfaces(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("%s: submit = %d, want 202", surface.name, resp.StatusCode)
 		}
-		waitDone(t, surface.ts, "key1", jw.ID, 30*time.Second)
+		waitFor(t, surface.ts, "key1", jw.ID, 30*time.Second, isDone)
 		for _, c := range cases {
 			t.Run(surface.name+"/"+c.name, func(t *testing.T) {
 				if out := c.run(t, surface, jw.ID); out != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -228,7 +229,8 @@ func TestENSOddViolationsMatchReference(t *testing.T) {
 // (O(1) front test, flat-key presort, sliding-window emission rebuild)
 // to the FNDS oracle over thousands of tie-heavy populations with
 // infinities, signed zeros and tied violations, and checks that a NaN
-// objective sends a population down the general path, which matches too.
+// objective, on a feasible or an infeasible member, sends a population
+// down the general path, which matches too.
 func TestBiObjectiveSortMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	sc := new(selScratch)
@@ -251,11 +253,14 @@ func TestBiObjectiveSortMatchesReference(t *testing.T) {
 			pop[i] = &solution{eval: ev}
 		}
 		if trial%10 == 9 {
-			// Constraint-domination ignores an infeasible solution's
-			// objectives, so a NaN there leaves the reference well defined.
-			k := rng.Intn(n)
-			pop[k].eval.Violation = 1
-			pop[k].eval.Objectives[rng.Intn(2)] = math.NaN()
+			// Up to three members get a NaN objective. A feasible one
+			// ranks like a NaN violation, an infeasible one by its
+			// violation alone, so the reference stays well defined.
+			for range 1 + rng.Intn(3) {
+				k := rng.Intn(n)
+				pop[k].eval.Violation = float64(trial / 10 % 2)
+				pop[k].eval.Objectives[rng.Intn(2)] = math.NaN()
+			}
 			if sc.flatKeys(pop) {
 				t.Fatalf("trial %d: a NaN objective passed the two-objective gate", trial)
 			}
@@ -270,9 +275,11 @@ func TestBiObjectiveSortMatchesReference(t *testing.T) {
 // FNDS oracle: the first byte picks the objective count (2–4), the second
 // the violation share, and each further group of bytes one solution's
 // objectives and violation over the special-value tables, negative and
-// NaN violations included. Its seed corpus is under testdata/fuzz/.
+// NaN violations and NaN objectives included. Its seed corpus is under
+// testdata/fuzz/.
 func FuzzNonDominatedSortMatchesReference(f *testing.F) {
 	sc := new(selScratch)
+	objectiveSpecials := append(slices.Clone(sortSpecials), math.NaN())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -283,7 +290,7 @@ func FuzzNonDominatedSortMatchesReference(f *testing.F) {
 		for q := 2; q+m < len(data) && len(pop) < 128; q += m + 1 {
 			ev := Evaluation{Objectives: make([]float64, m)}
 			for k := range ev.Objectives {
-				ev.Objectives[k] = sortSpecials[int(data[q+k])%len(sortSpecials)]
+				ev.Objectives[k] = objectiveSpecials[int(data[q+k])%len(objectiveSpecials)]
 			}
 			if b := int(data[q+m]); b%4 < infeasible {
 				ev.Violation = infeasibleSpecials[b/4%len(infeasibleSpecials)]

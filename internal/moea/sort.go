@@ -26,25 +26,50 @@ type solution struct {
 	// member of the next NSGA-II population while selection retires the
 	// union members that have neither mark.
 	archived, survived bool
+	// rv is rankViolation(&eval), cached by sortENS for the sort it runs.
+	rv float64
 }
 
 // constrainedDominates implements constraint-domination (Deb): a feasible
 // solution dominates any infeasible one; two infeasible solutions compare
-// by violation; two feasible solutions compare by Pareto dominance. The
-// relation is a strict partial order (irreflexive, transitive), which is
-// what lets the ENS sort below binary-search over fronts.
+// by violation; two feasible solutions compare by Pareto dominance. A
+// feasible solution with a NaN objective ranks like a NaN violation
+// (rankViolation), since Pareto dominance would read the NaN coordinate
+// as a tie, which is not transitive. The relation is then a strict
+// partial order (irreflexive, transitive), which is what lets the ENS
+// sort below binary-search over fronts.
 func constrainedDominates(a, b *solution) bool {
-	af, bf := a.eval.Violation == 0, b.eval.Violation == 0
+	return dominatesAt(a, b, rankViolation(&a.eval), rankViolation(&b.eval))
+}
+
+// dominatesAt is constrainedDominates given both solutions' rank
+// violations va and vb; sortENS passes the ones it cached in rv.
+func dominatesAt(a, b *solution, va, vb float64) bool {
+	af, bf := va == 0, vb == 0
 	switch {
 	case af && !bf:
 		return true
 	case !af && bf:
 		return false
 	case !af && !bf:
-		return a.eval.Violation < b.eval.Violation
+		return va < vb
 	default:
 		return pareto.Dominates(a.eval.Objectives, b.eval.Objectives)
 	}
+}
+
+// rankViolation is e's violation as constraint-domination reads it: NaN
+// for a feasible solution with a NaN objective, so that it is dominated
+// by every feasible solution without one and incomparable to the rest.
+func rankViolation(e *Evaluation) float64 {
+	if e.Violation == 0 {
+		for _, x := range e.Objectives {
+			if math.IsNaN(x) {
+				return math.NaN()
+			}
+		}
+	}
+	return e.Violation
 }
 
 // selScratch owns the reusable buffers of one run's selection kernels:
@@ -203,26 +228,30 @@ func (sc *selScratch) emit(pop []*solution, r int, packed []uint64) {
 // members by violation ascending, then objectives lexicographically, then
 // index: a solution that constraint-dominates another strictly precedes
 // it, and the index breaks every tie. A negative violation is infeasible,
-// so it follows the feasible members that dominate it; a NaN violation is
-// dominated by every feasible member and incomparable to every infeasible
-// one, so it may go anywhere after the feasible members, and goes last.
+// so it follows the feasible members that dominate it; a NaN violation,
+// and a feasible member with a NaN objective (rankViolation), is
+// dominated by every other feasible member and incomparable to the rest,
+// so it may go anywhere after those, and goes last, by index.
 // Each solution's front test scans the candidate front's members
 // newest-first with early exit, and the rebuild finds each member's key
 // by scanning the previous front's emission order from the back.
 func (sc *selScratch) sortENS(pop []*solution) {
 	sc.order = grow(sc.order, len(pop))
-	for i := range sc.order {
+	for i, s := range pop {
 		sc.order[i] = i
+		s.rv = rankViolation(&s.eval)
 	}
 	slices.SortFunc(sc.order, func(a, b int) int {
 		ea, eb := &pop[a].eval, &pop[b].eval
-		if va, vb := ea.Violation, eb.Violation; va != vb {
+		if va, vb := pop[a].rv, pop[b].rv; va != vb {
 			ca, cb := violationClass(va), violationClass(vb)
-			if ca != cb {
+			switch {
+			case ca != cb:
 				return ca - cb
-			}
-			if ca == 1 {
+			case ca == 1:
 				return cmpLess(va < vb)
+			case ca == 2:
+				return a - b
 			}
 		}
 		for k := range ea.Objectives {
@@ -261,7 +290,7 @@ func (sc *selScratch) sortENS(pop []*solution) {
 			if r > 0 {
 				prev := sc.fronts[r-1]
 				for t := len(prev) - 1; t >= 0; t-- {
-					if constrainedDominates(prev[t], pop[j]) {
+					if dominatesAt(prev[t], pop[j], prev[t].rv, pop[j].rv) {
 						key = t
 						break
 					}
@@ -291,7 +320,7 @@ func violationClass(v float64) int {
 // the closest to s and the likeliest dominators.
 func frontDominates(pop []*solution, front []int, s *solution) bool {
 	for t := len(front) - 1; t >= 0; t-- {
-		if constrainedDominates(pop[front[t]], s) {
+		if d := pop[front[t]]; dominatesAt(d, s, d.rv, s.rv) {
 			return true
 		}
 	}

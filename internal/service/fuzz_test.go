@@ -96,7 +96,7 @@ func FuzzValidateBuilds(f *testing.F) {
 	f.Add(`{"method":"proposed","platform":"fpga","catalog":"fpga","faults":{"default":{"transient_scale":1e300,"intermittent_per_sec":1e300,"intermittent_burst":1e300}}}`)
 	f.Fuzz(func(t *testing.T, blob string) {
 		var s JobSpec
-		if decodeStrict(strings.NewReader(blob), &s) != nil || s.Normalize() != nil {
+		if DecodeStrict(strings.NewReader(blob), &s) != nil || s.Normalize() != nil {
 			return
 		}
 		if _, err := Validate(&s); err != nil {

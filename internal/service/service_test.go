@@ -130,59 +130,3 @@ func TestExecuteMatchesCoreAcrossMethods(t *testing.T) {
 		}
 	}
 }
-
-func TestLRUCache(t *testing.T) {
-	c := NewFrontCache(2)
-	f1, f2, f3 := &FrontWire{Evaluations: 1}, &FrontWire{Evaluations: 2}, &FrontWire{Evaluations: 3}
-	c.Add("a", f1)
-	c.Add("b", f2)
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a evicted prematurely")
-	}
-	// a is now most recent; adding c must evict b.
-	c.Add("c", f3)
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b should have been evicted as least recently used")
-	}
-	if got, ok := c.Get("a"); !ok || got != f1 {
-		t.Fatal("a lost")
-	}
-	if got, ok := c.Get("c"); !ok || got != f3 {
-		t.Fatal("c lost")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	// Re-adding an existing key refreshes in place without growing.
-	c.Add("a", f2)
-	if got, _ := c.Get("a"); got != f2 {
-		t.Fatal("refresh did not replace the value")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len after refresh = %d, want 2", c.Len())
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
-	h.Observe(5)      // le_10ms
-	h.Observe(10)     // le_10ms (inclusive upper bound)
-	h.Observe(11)     // le_30ms
-	h.Observe(200000) // le_inf
-	w := h.Wire()
-	if w.Count != 4 {
-		t.Fatalf("count = %d, want 4", w.Count)
-	}
-	if w.Buckets["le_10ms"] != 2 {
-		t.Fatalf("le_10ms = %d, want 2", w.Buckets["le_10ms"])
-	}
-	if w.Buckets["le_30ms"] != 3 {
-		t.Fatalf("le_30ms cumulative = %d, want 3", w.Buckets["le_30ms"])
-	}
-	if w.Buckets["le_inf"] != 4 {
-		t.Fatalf("le_inf = %d, want 4", w.Buckets["le_inf"])
-	}
-	if w.SumMS != 5+10+11+200000 {
-		t.Fatalf("sum = %v", w.SumMS)
-	}
-}

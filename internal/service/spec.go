@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 
@@ -279,6 +280,16 @@ func (s *JobSpec) Normalize() error {
 		return fmt.Errorf("service: ckpt_intervals requires ckpt_modes")
 	}
 	return nil
+}
+
+// DecodeStrict decodes one JSON job spec and rejects fields JobSpec does
+// not have: a field of a removed feature would otherwise be dropped, and
+// the spec would run a different computation than the one asked for.
+// Submissions and recovered journal records share this rule.
+func DecodeStrict(r io.Reader, spec *JobSpec) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(spec)
 }
 
 // Hash is the canonical content hash of a normalized spec — the result

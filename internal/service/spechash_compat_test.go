@@ -129,7 +129,7 @@ func TestSpecHashBackwardCompat(t *testing.T) {
 			continue
 		}
 		if removedCorpusEntries[name] {
-			if err := decodeStrict(strings.NewReader(want.Spec), new(JobSpec)); err == nil {
+			if err := DecodeStrict(strings.NewReader(want.Spec), new(JobSpec)); err == nil {
 				t.Errorf("%s: strict decoding accepted a spec with a removed field", name)
 			}
 			continue

@@ -1,10 +1,10 @@
-// Package service turns the CL(R)Early DSE engine into a long-running
-// job service: typed wire structs shared by the HTTP API and the CLI's
-// -json output, a canonical job specification with a content hash for
-// result caching, and a bounded job-queue server with cancellable GA runs,
-// server-sent-event progress streams and expvar-style metrics. The job
-// record, the job table and the job API's HTTP pieces (Job, Table,
-// ServeWait, ServeEvents, DecodeSpec) are shared with the fleet gateway.
+// Package service is what a CL(R)Early run is: the canonical job
+// specification (JobSpec) with its normalization, content hash and
+// validation, the builds and executions of a spec (Build, Execute*,
+// DurableExecute with run checkpoints in a store), and the typed wire
+// structs shared by the job API and the CLI's -json output. How jobs are
+// served (admission, the job table, leases, the HTTP API) is
+// internal/gateway's.
 package service
 
 import (
