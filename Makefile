@@ -39,7 +39,8 @@ race:
 # Validate accepts builds), the WAL replayer, the gateway tenant-config
 # parser, the fault-model JSON decoder, the chain solver's plan replay
 # against the dense LU, the screened tDSE against the unscreened one and
-# both non-dominated sort paths against the textbook FNDS.
+# both non-dominated sort paths against the textbook FNDS, and the list
+# scheduler against a rescanning reference scheduler.
 # Each target gets 10s on top of the checked-in
 # corpus under testdata/fuzz/.
 fuzz-smoke:
@@ -52,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzPlanMatchesDense -fuzztime 10s ./internal/matrix
 	$(GO) test -run xxx -fuzz FuzzExploreMatchesFilter -fuzztime 10s ./internal/tdse
 	$(GO) test -run xxx -fuzz FuzzNonDominatedSortMatchesReference -fuzztime 10s ./internal/moea
+	$(GO) test -run xxx -fuzz FuzzEvaluatorMatchesReference -fuzztime 10s ./internal/schedule
 
 # Quick statistical cross-validation of the analytical models against the
 # fault-injection simulator (a reduced-trial version of cmd/validate).
@@ -81,7 +83,9 @@ bench-sweep:
 # paper-mix and fleet-open workloads build), one list
 # schedule with its Eq. 1–4 reduction
 # (ScheduleEvaluator*; ScheduleEvaluator50Default computes only the
-# makespan/error-probability aggregates a default-objective GA reads),
+# makespan/error-probability aggregates a default-objective GA reads;
+# ScheduleRun50 is the package-level schedule.Run with a fresh Evaluator
+# per call, the path a reported front point's decode takes),
 # one whole-mapping evaluation (EvaluateMapping*),
 # fcCLR runs with delta evaluation on and off (internal/core DeltaEval*),
 # fcCLR runs on one reused instance, where after the first iteration every
@@ -100,7 +104,7 @@ bench-sweep:
 BENCH_KERNELS := NonDominatedSort|UpdateArchive|Crowding
 BENCH_SUITE_CMD = $(GO) test -run '^$$' -bench 'Sweep|Fig|Table' -benchmem -benchtime 1x -count 3 .
 BENCH_LAYER_CMD = $(GO) test -run '^$$' -bench 'ChainSolve' -benchmem -benchtime 20000x -count 3 ./internal/relmodel && \
-	$(GO) test -run '^$$' -bench '^Benchmark(MarkovAnalyze|TaskEvaluate|ScheduleEvaluator(Sobel|50|50Default)|EvaluateMapping(Sobel|Synthetic))$$' -benchmem -benchtime 20000x -count 3 . && \
+	$(GO) test -run '^$$' -bench '^Benchmark(MarkovAnalyze|TaskEvaluate|ScheduleEvaluator(Sobel|50|50Default)|ScheduleRun50|EvaluateMapping(Sobel|Synthetic))$$' -benchmem -benchtime 20000x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^Benchmark(TDSEExplore|MOEADSobel|FcCLRSobel)$$' -benchmem -benchtime 50x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkTDSE(Build|Enumerate)SafetyCritical$$' -benchmem -benchtime 3x -count 3 . && \
 	$(GO) test -run '^$$' -bench '^BenchmarkTDSEBuildSynthetic$$' -benchmem -benchtime 20x -count 3 . && \

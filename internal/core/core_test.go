@@ -278,6 +278,77 @@ func TestDecodeGeneAlwaysValid(t *testing.T) {
 	}
 }
 
+// TestPFDecodeTableMatchesMod checks the pfCLR gene decode against the
+// modulo decode it replaced: every gene, in range or not — negative, huge,
+// the int32 extremes — must pick the same candidate and the same PE, on
+// the Sobel, JPEG and synthetic libraries on both platform families. Both
+// families have two PEs of each type, which divides their PE count; the
+// default types at 3/2/2 PEs make an out-of-range gene's PE differ
+// between the modulo of the PE count and that of the type's PE list.
+func TestPFDecodeTableMatchesMod(t *testing.T) {
+	uneven := func() *platform.Platform {
+		p, err := platform.New(platform.Default().Types(), []int{3, 2, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	extremes := []int32{math.MinInt32, math.MinInt32 + 1, -1 << 20, -13, -7, -6, -1, 0, 1, 5, 6, 7, 1 << 20, math.MaxInt32 - 1, math.MaxInt32}
+	for _, plat := range []struct {
+		name string
+		make func() *platform.Platform
+		cat  *relmodel.Catalog
+	}{
+		{"default", platform.Default, relmodel.DefaultCatalog()},
+		{"fpga", platform.FPGA, relmodel.FPGACatalog()},
+		{"uneven", uneven, relmodel.DefaultCatalog()},
+	} {
+		for _, app := range []struct {
+			name string
+			make func(*platform.Platform) (*taskgraph.Graph, *characterize.Library)
+		}{
+			{"sobel", func(p *platform.Platform) (*taskgraph.Graph, *characterize.Library) {
+				return taskgraph.Sobel(), characterize.Sobel(p)
+			}},
+			{"jpeg", func(p *platform.Platform) (*taskgraph.Graph, *characterize.Library) {
+				return taskgraph.JPEG(), characterize.JPEG(p)
+			}},
+			{"synthetic", func(p *platform.Platform) (*taskgraph.Graph, *characterize.Library) {
+				return tgff.MustGenerate(tgff.DefaultConfig(20), 9), characterize.Synthetic(p, characterize.DefaultSyntheticConfig(10), 10)
+			}},
+		} {
+			t.Run(app.name+"/"+plat.name, func(t *testing.T) {
+				p := plat.make()
+				g, lib := app.make(p)
+				inst := &Instance{Graph: g, Platform: p, Lib: lib, Catalog: plat.cat, Objectives: DefaultObjectives()}
+				fl := filteredLib(t, inst)
+				pf := newPFProblem(inst, fl)
+				compat := compatiblePEs(p)
+				rng := rand.New(rand.NewSource(4))
+				genes := make([]int32, 0, len(extremes)+64)
+				genes = append(genes, extremes...)
+				for i := 0; i < 64; i++ {
+					genes = append(genes, rng.Int31n(64)-32, rng.Int31())
+				}
+				for task := 0; task < g.NumTasks(); task++ {
+					cands := fl.Impls(g.Task(task).Type)
+					for _, gi := range genes {
+						for _, gp := range genes {
+							c, pe := pf.decodeGene(task, moea.Gene{Impl: gi, PE: gp})
+							want := &cands[mod(int(gi), len(cands))]
+							peList := compat[want.Base.PETypeIndex]
+							if c != want || pe != peList[mod(int(gp), len(peList))] {
+								t.Fatalf("task %d gene (%d, %d): decoded (%p, PE %d), mod decode (%p, PE %d)",
+									task, gi, gp, c, pe, want, peList[mod(int(gp), len(peList))])
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestDecodeDecisionMemKB checks that under EnforceMemory every decision's
 // footprint is the one its gene decodes to: decodeDecision computes it from
 // the implementation and assignment it resolved for the metric table.

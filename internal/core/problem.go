@@ -199,51 +199,75 @@ func (p *fcProblem) Evaluate(g *moea.Genome) moea.Evaluation {
 // scheduling plus the TABLE III estimators.
 type pfProblem struct {
 	inst   *Instance
-	flib   *tdse.Library
 	compat [][]int
 	objs   []SystemObjective
+	// cands is each task's candidate list, resolved once from its type.
+	cands [][]tdse.Candidate
+	// peTable maps an in-range PE gene k (0 ≤ k < numPEs, the range
+	// RandomGene and MutateGene draw from) on PE type pt to its PE id,
+	// compat[pt][k mod len(compat[pt])], at index pt·numPEs + k.
+	peTable []int
+	numPEs  int
 }
 
 func newPFProblem(inst *Instance, flib *tdse.Library) *pfProblem {
-	return &pfProblem{
+	p := &pfProblem{
 		inst:   inst,
-		flib:   flib,
 		compat: compatiblePEs(inst.Platform),
 		objs:   inst.objectives(),
+		cands:  make([][]tdse.Candidate, inst.Graph.NumTasks()),
+		numPEs: inst.Platform.NumPEs(),
 	}
+	for t, task := range inst.Graph.Tasks() {
+		p.cands[t] = flib.Impls(task.Type)
+	}
+	p.peTable = make([]int, len(p.compat)*p.numPEs)
+	for pt, peList := range p.compat {
+		for k := 0; k < p.numPEs; k++ {
+			p.peTable[pt*p.numPEs+k] = peList[k%len(peList)]
+		}
+	}
+	return p
 }
 
 func (p *pfProblem) NumTasks() int      { return p.inst.Graph.NumTasks() }
 func (p *pfProblem) NumObjectives() int { return len(p.objs) }
 
 func (p *pfProblem) RandomGene(rng *rand.Rand, task int) moea.Gene {
-	tt := p.inst.Graph.Task(task).Type
 	return moea.Gene{
-		Impl: draw(rng, len(p.flib.Impls(tt))),
-		PE:   draw(rng, p.inst.Platform.NumPEs()),
+		Impl: draw(rng, len(p.cands[task])),
+		PE:   draw(rng, p.numPEs),
 	}
 }
 
 func (p *pfProblem) MutateGene(rng *rand.Rand, task int, g moea.Gene) moea.Gene {
-	tt := p.inst.Graph.Task(task).Type
 	if rng.Intn(2) == 0 {
-		g.Impl = draw(rng, len(p.flib.Impls(tt)))
+		g.Impl = draw(rng, len(p.cands[task]))
 	} else {
-		g.PE = draw(rng, p.inst.Platform.NumPEs())
+		g.PE = draw(rng, p.numPEs)
 	}
 	return g
 }
 
 // decodeGene resolves a gene into its Pareto-filtered candidate and PE id.
 // The candidate is returned by pointer into the library, which is never
-// mutated, to keep the hot decode path free of struct copies.
+// mutated, to keep the hot decode path free of struct copies. In-range
+// genes index the candidate list and the PE table directly; any other
+// value decodes modulo the candidate list's and the PE list's lengths, so
+// every gene decodes validly.
 func (p *pfProblem) decodeGene(task int, g moea.Gene) (*tdse.Candidate, int) {
-	tt := p.inst.Graph.Task(task).Type
-	cands := p.flib.Impls(tt)
-	c := &cands[mod(int(g.Impl), len(cands))]
-	peList := p.compat[c.Base.PETypeIndex]
-	pe := peList[mod(int(g.PE), len(peList))]
-	return c, pe
+	cands := p.cands[task]
+	i := int(g.Impl)
+	if uint(i) >= uint(len(cands)) {
+		i = mod(i, len(cands))
+	}
+	c := &cands[i]
+	pt := c.Base.PETypeIndex
+	if k := int(g.PE); uint(k) < uint(p.numPEs) {
+		return c, p.peTable[pt*p.numPEs+k]
+	}
+	peList := p.compat[pt]
+	return c, peList[mod(int(g.PE), len(peList))]
 }
 
 // decodeDecision resolves one task's gene against the Pareto-filtered

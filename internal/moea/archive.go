@@ -60,6 +60,22 @@ func (a *archiveState) add(batch []*solution) {
 	a.nanos += time.Since(start).Nanoseconds()
 }
 
+// addEach is add with MOEA/D's cadence: each member of batch is followed
+// by its own truncation, as if it had been added alone, so the archive
+// ends up as after one add per member. The whole batch is timed once.
+func (a *archiveState) addEach(batch []*solution) {
+	start := time.Now()
+	for _, s := range batch {
+		if s.eval.Violation == 0 {
+			a.insert(s)
+		}
+		if len(a.members) > a.limit {
+			a.truncate()
+		}
+	}
+	a.nanos += time.Since(start).Nanoseconds()
+}
+
 // front deep-copies the members into a reported front.
 func (a *archiveState) front() []Solution {
 	var front []Solution

@@ -35,7 +35,15 @@ type moead struct {
 	// copied into one per-run genome instead of being cloned.
 	mate *Genome
 	osc  orderScratch
+	// born lists one step's children in birth order, which join the
+	// archive together at the end of the step; unplaced lists those that
+	// took no population slot, with the members they were derived from.
+	born     []*solution
+	unplaced []orphan
 }
+
+// orphan is a child that took no population slot, and its parent.
+type orphan struct{ s, parent *solution }
 
 func newMOEAD(p Problem, params Params) (engine, error) {
 	m := p.NumObjectives()
@@ -107,7 +115,6 @@ func (e *moead) step(r *runState) {
 		cs.parent = nil
 		r.evals++
 		e.updateIdeal(cs.eval)
-		r.arch.add([]*solution{cs})
 
 		// Update neighbors whose subproblem the child improves.
 		placed := false
@@ -117,10 +124,24 @@ func (e *moead) step(r *runState) {
 				placed = true
 			}
 		}
-		if !placed && !cs.archived {
-			r.discard(cs, pa)
+		e.born = append(e.born, cs)
+		if !placed {
+			e.unplaced = append(e.unplaced, orphan{cs, pa})
 		}
 	}
+	// Nothing in the step reads the archive, so the children join it now,
+	// in birth order and each followed by its own truncation: the archive
+	// evolves exactly as if each had joined at birth. A child in no
+	// population slot and not archived is read by nothing again.
+	r.arch.addEach(e.born)
+	for _, o := range e.unplaced {
+		if !o.s.archived {
+			r.discard(o.s, o.parent)
+		}
+	}
+	clear(e.born)
+	clear(e.unplaced)
+	e.born, e.unplaced = e.born[:0], e.unplaced[:0]
 }
 
 func (e *moead) save(cp *Checkpoint) {

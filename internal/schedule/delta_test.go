@@ -1,8 +1,11 @@
 package schedule
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -186,7 +189,12 @@ func TestDeltaNoChangeIsPureReplay(t *testing.T) {
 	}
 }
 
-// TestDeltaValidation pins the defensive checks on the previous-run inputs.
+// TestDeltaValidation pins the defensive checks on the previous-run inputs,
+// and the validation of changed decisions: the delta path checks only the
+// tasks marked changed, and must report exactly the error a full run
+// reports when those are the invalid ones — for every invalid kind, the
+// lowest invalid task and, where two tasks are invalid in different ways,
+// the check the full run meets first.
 func TestDeltaValidation(t *testing.T) {
 	g := diamond()
 	p := platform.Default()
@@ -206,5 +214,52 @@ func TestDeltaValidation(t *testing.T) {
 	short := SeqTimes{Seq: prev.Seq[:3], StartUS: prev.StartUS, EndUS: prev.EndUS}
 	if _, err := ev.RunWithCommDelta(g, p, prio, dec, CommModel{}, &short, make([]bool, 4), &SeqTimes{}); err == nil {
 		t.Fatal("truncated previous sequence accepted")
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	const n = 12
+	rg, rp, rprio, rdec := randomCommInstance(rng, n)
+	comm := CommModel{StartupUS: 2, PerKBUS: 0.1}
+	var parent SeqTimes
+	if _, err := NewEvaluator().RunWithCommCapture(rg, rp, rprio, rdec, comm, &parent); err != nil {
+		t.Fatal(err)
+	}
+	invalid := []struct {
+		name  string
+		apply func(*TaskDecision)
+	}{
+		{"PE -1", func(d *TaskDecision) { d.PE = -1 }},
+		{"PE past the last", func(d *TaskDecision) { d.PE = rp.NumPEs() }},
+		{"zero execution time", func(d *TaskDecision) { d.Metrics.AvgExTimeUS = 0 }},
+		{"negative execution time", func(d *TaskDecision) { d.Metrics.AvgExTimeUS = -3 }},
+		{"NaN execution time", func(d *TaskDecision) { d.Metrics.AvgExTimeUS = math.NaN() }},
+		{"+Inf execution time", func(d *TaskDecision) { d.Metrics.AvgExTimeUS = math.Inf(1) }},
+		{"-Inf execution time", func(d *TaskDecision) { d.Metrics.AvgExTimeUS = math.Inf(-1) }},
+		{"negative power", func(d *TaskDecision) { d.Metrics.PowerW = -0.5 }},
+		{"NaN power", func(d *TaskDecision) { d.Metrics.PowerW = math.NaN() }},
+		{"+Inf power", func(d *TaskDecision) { d.Metrics.PowerW = math.Inf(1) }},
+		{"negative footprint", func(d *TaskDecision) { d.MemKB = -1 }},
+	}
+	const lo, hi = 3, 8
+	for _, a := range invalid {
+		for _, b := range invalid {
+			bad := slices.Clone(rdec)
+			a.apply(&bad[lo])
+			b.apply(&bad[hi])
+			changed := make([]bool, n)
+			changed[lo], changed[hi] = true, true
+			changed[0] = true // a valid changed task must not be reported
+			_, fullErr := NewEvaluator().RunWithCommCapture(rg, rp, rprio, bad, comm, nil)
+			_, deltaErr := NewEvaluator().RunWithCommDelta(rg, rp, rprio, bad, comm, &parent, changed, nil)
+			if fullErr == nil || deltaErr == nil {
+				t.Fatalf("%s on task %d, %s on task %d: full error %v, delta error %v", a.name, lo, b.name, hi, fullErr, deltaErr)
+			}
+			if deltaErr.Error() != fullErr.Error() {
+				t.Fatalf("%s on task %d, %s on task %d: delta reports %q, full run %q", a.name, lo, b.name, hi, deltaErr, fullErr)
+			}
+			if a.name == b.name && !strings.Contains(fullErr.Error(), fmt.Sprintf("task %d ", lo)) {
+				t.Fatalf("%s on tasks %d and %d: error %q does not name the lowest", a.name, lo, hi, fullErr)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/platform"
 	"repro/internal/taskgraph"
@@ -10,9 +11,10 @@ import (
 
 // Evaluator holds the working set of one list-scheduling evaluation — the
 // Result buffers, the per-PE and per-task bookkeeping arrays, the ready
-// queue, the pop sequence and the power-event lists — so repeated
+// set, the pop sequence and the power-event lists — so repeated
 // evaluations of the same graph/platform shape reuse storage instead of
-// allocating it. One
+// allocating it. The dependency structure it walks is the graph's own
+// (taskgraph.Adjacency), so an Evaluator holds nothing per graph. One
 // Evaluator serves one goroutine at a time; the GA's parallel fitness
 // workers each own one (see moea.ScratchProblem).
 //
@@ -26,20 +28,14 @@ type Evaluator struct {
 
 	res    Result
 	seen   []bool
-	done   []bool
 	peFree []float64
 	indeg  []int32
 	pos    []int32 // task → position in the priority permutation
-	heap   []int32 // min-heap of positions of ready tasks
+	ready  readySet
 	seq    []int32 // pop order of the last full run
 	events []powerEvent
 	merge  []powerEvent // merge target of the power-event sort
 	damage []float64
-
-	// edgeKB caches the dependency data volumes of edgeGraph for the
-	// communication model; rebuilt only when the graph changes.
-	edgeKB    map[[2]int]float64
-	edgeGraph *taskgraph.Graph
 }
 
 // NewEvaluator returns an empty Evaluator; buffers grow on first use.
@@ -191,46 +187,45 @@ func growI32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// heapPush adds a ready task's priority position to the min-heap.
-func (ev *Evaluator) heapPush(p int32) {
-	h := append(ev.heap, p)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] <= h[i] {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-	ev.heap = h
+// readySet is the list scheduler's ready set: a bitset over priority
+// positions, with lo the index of the lowest word that may be non-zero
+// (every word below it is zero). Popping the lowest set bit is exactly
+// "the eligible task earliest in priority order".
+type readySet struct {
+	words []uint64
+	lo    int
 }
 
-// heapPop removes and returns the smallest priority position.
-func (ev *Evaluator) heapPop() int32 {
-	h := ev.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l] < h[small] {
-			small = l
-		}
-		if r < len(h) && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
+// reset empties the set and sizes it for n positions.
+func (r *readySet) reset(n int) {
+	w := (n + 63) / 64
+	if cap(r.words) < w {
+		r.words = make([]uint64, w)
 	}
-	ev.heap = h
-	return top
+	r.words = r.words[:w]
+	clear(r.words)
+	r.lo = 0
+}
+
+// push adds priority position p.
+func (r *readySet) push(p int32) {
+	w := int(p >> 6)
+	r.words[w] |= 1 << (p & 63)
+	if w < r.lo {
+		r.lo = w
+	}
+}
+
+// pop removes and returns the smallest position, or −1 if the set is
+// empty.
+func (r *readySet) pop() int32 {
+	for ; r.lo < len(r.words); r.lo++ {
+		if x := r.words[r.lo]; x != 0 {
+			r.words[r.lo] = x & (x - 1)
+			return int32(r.lo<<6 + bits.TrailingZeros64(x))
+		}
+	}
+	return -1
 }
 
 // laterOf is math.Max(a, b) for the two scheduling loops' start times, by
@@ -249,9 +244,10 @@ func laterOf(a, b float64) float64 {
 // SeqTimes is the replay artifact of one schedule evaluation: the tasks in
 // scheduling (pop) order plus every task's start and end time, the state
 // RunWithCommDelta needs to reuse a neighbor schedule's prefix. Seq depends
-// only on the graph and the priority permutation — never on the decisions —
-// while StartUS/EndUS are task-indexed times of the captured run. Captured
-// values may be shared between evaluations and must be treated as
+// only on the graph and the priority permutation — the ready set pops the
+// eligible task earliest in priority order and never consults decisions or
+// times — while StartUS/EndUS are task-indexed times of the captured run.
+// Captured values may be shared between evaluations and must be treated as
 // immutable.
 type SeqTimes struct {
 	Seq            []int32
@@ -266,18 +262,23 @@ func (ev *Evaluator) Run(g *taskgraph.Graph, p *platform.Platform, priority []in
 
 // RunWithComm evaluates the communication-aware schedule into the
 // Evaluator's buffers; see the package RunWithComm for semantics. The ready
-// set is tracked by predecessor counts and a priority-position min-heap, so
-// each scheduling step costs O(log n) instead of rescanning the priority
-// list — same task order as the rescan ("among eligible tasks, the one
-// earliest in priority order"), identical floats.
+// set is tracked by predecessor counts and a bitset over priority
+// positions, whose lowest set bit is the next task — the same order as
+// rescanning the priority list for the first eligible task, with identical
+// floats. Predecessors, successors and edge data volumes are read from
+// the graph's flat Adjacency.
 func (ev *Evaluator) RunWithComm(g *taskgraph.Graph, p *platform.Platform, priority []int, decisions []TaskDecision, comm CommModel) (*Result, error) {
 	return ev.RunWithCommCapture(g, p, priority, decisions, comm, nil)
 }
 
 // prep validates the inputs and resets the result and per-PE buffers — the
 // shared prologue of the full and delta scheduling paths, so both report
-// identical errors and start from identical state.
-func (ev *Evaluator) prep(g *taskgraph.Graph, p *platform.Platform, priority []int, decisions []TaskDecision, comm CommModel) (*Result, error) {
+// identical errors and start from identical state. A nil changed checks
+// every decision; otherwise only those with changed[t] set are checked, in
+// the same order, so the delta path reports the error a full run would
+// when only changed decisions are invalid. Every task's footprint is
+// summed either way.
+func (ev *Evaluator) prep(g *taskgraph.Graph, p *platform.Platform, priority []int, decisions []TaskDecision, changed []bool) (*Result, error) {
 	n := g.NumTasks()
 	if len(priority) != n {
 		return nil, fmt.Errorf("schedule: priority has %d entries, want %d", len(priority), n)
@@ -295,6 +296,9 @@ func (ev *Evaluator) prep(g *taskgraph.Graph, p *platform.Platform, priority []i
 		ev.pos[t] = int32(i)
 	}
 	for t := range decisions {
+		if changed != nil && !changed[t] {
+			continue
+		}
 		d := &decisions[t]
 		if d.PE < 0 || d.PE >= p.NumPEs() {
 			return nil, fmt.Errorf("schedule: task %d mapped to unknown PE %d", t, d.PE)
@@ -308,18 +312,6 @@ func (ev *Evaluator) prep(g *taskgraph.Graph, p *platform.Platform, priority []i
 		if w := d.Metrics.PowerW; w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			return nil, fmt.Errorf("schedule: task %d has negative or non-finite power", t)
 		}
-	}
-
-	if comm.enabled() && ev.edgeGraph != g {
-		if ev.edgeKB == nil {
-			ev.edgeKB = make(map[[2]int]float64, len(g.Edges()))
-		} else {
-			clear(ev.edgeKB)
-		}
-		for _, e := range g.Edges() {
-			ev.edgeKB[[2]int{e.From, e.To}] = e.DataKB
-		}
-		ev.edgeGraph = g
 	}
 
 	res := &ev.res
@@ -340,35 +332,48 @@ func (ev *Evaluator) prep(g *taskgraph.Graph, p *platform.Platform, priority []i
 	return res, nil
 }
 
-// RunWithCommCapture is RunWithComm that optionally records the replay
-// artifact — the pop order and the per-task times — into capture, whose
-// buffers are overwritten (capacity reused). Passing nil capture is exactly
-// RunWithComm.
-func (ev *Evaluator) RunWithCommCapture(g *taskgraph.Graph, p *platform.Platform, priority []int, decisions []TaskDecision, comm CommModel, capture *SeqTimes) (*Result, error) {
+// place list-schedules tasks into res one at a time, each on its decided
+// PE at the earliest time both the PE and its inputs allow. With replay
+// nil it is the full path: the next task is the ready set's, and the pop
+// order is recorded in ev.seq. Otherwise it places the tasks of replay in
+// that order — the delta path's suffix. Both paths share this one loop
+// body, so they run the same float operations in the same order.
+func (ev *Evaluator) place(g *taskgraph.Graph, priority []int, decisions []TaskDecision, comm CommModel, res *Result, replay []int32) error {
 	n := g.NumTasks()
-	res, err := ev.prep(g, p, priority, decisions, comm)
-	if err != nil {
-		return nil, err
-	}
-	seq := growI32(ev.seq, n)[:0]
-	ev.indeg = growI32(ev.indeg, n)
-	ev.heap = ev.heap[:0]
-	for t := 0; t < n; t++ {
-		ev.indeg[t] = int32(len(g.Preds(t)))
-		if ev.indeg[t] == 0 {
-			ev.heapPush(ev.pos[t])
+	adj := g.Adjacency()
+	steps := len(replay)
+	if replay == nil {
+		steps = n
+		ev.seq = growI32(ev.seq, n)[:0]
+		ev.indeg = growI32(ev.indeg, n)
+		ev.ready.reset(n)
+		for t := 0; t < n; t++ {
+			ev.indeg[t] = int32(adj.PredStart[t+1] - adj.PredStart[t])
+			if ev.indeg[t] == 0 {
+				ev.ready.push(ev.pos[t])
+			}
 		}
 	}
-	scheduled := 0
-	for len(ev.heap) > 0 {
-		t := priority[ev.heapPop()]
-		seq = append(seq, int32(t))
+	for step := 0; step < steps; step++ {
+		var t int
+		if replay != nil {
+			t = int(replay[step])
+		} else {
+			at := ev.ready.pop()
+			if at < 0 {
+				// Unreachable for valid DAGs: some task always becomes ready.
+				return fmt.Errorf("schedule: deadlock — no eligible task (cyclic dependencies?)")
+			}
+			t = priority[at]
+			ev.seq = append(ev.seq, int32(t))
+		}
 		d := &decisions[t]
 		readyAt := 0.0
-		for _, pr := range g.Preds(t) {
+		for i := adj.PredStart[t]; i < adj.PredStart[t+1]; i++ {
+			pr := adj.Pred[i]
 			at := res.EndUS[pr]
 			if comm.enabled() && decisions[pr].PE != d.PE {
-				at += comm.Delay(ev.edgeKB[[2]int{pr, t}])
+				at += comm.Delay(adj.PredKB[i])
 			}
 			if at > readyAt {
 				readyAt = at
@@ -380,25 +385,36 @@ func (ev *Evaluator) RunWithCommCapture(g *taskgraph.Graph, p *platform.Platform
 		res.EndUS[t] = end
 		ev.peFree[d.PE] = end
 		res.PEBusyUS[d.PE] += d.Metrics.AvgExTimeUS
-		scheduled++
-		for _, s := range g.Succs(t) {
-			ev.indeg[s]--
-			if ev.indeg[s] == 0 {
-				ev.heapPush(ev.pos[s])
+		if replay == nil {
+			for _, s := range adj.Succ[adj.SuccStart[t]:adj.SuccStart[t+1]] {
+				ev.indeg[s]--
+				if ev.indeg[s] == 0 {
+					ev.ready.push(ev.pos[s])
+				}
 			}
 		}
 	}
-	if scheduled < n {
-		// Unreachable for valid DAGs: some task always becomes ready.
-		return nil, fmt.Errorf("schedule: deadlock — no eligible task (cyclic dependencies?)")
+	return nil
+}
+
+// RunWithCommCapture is RunWithComm that optionally records the replay
+// artifact — the pop order and the per-task times — into capture, whose
+// buffers are overwritten (capacity reused). Passing nil capture is exactly
+// RunWithComm.
+func (ev *Evaluator) RunWithCommCapture(g *taskgraph.Graph, p *platform.Platform, priority []int, decisions []TaskDecision, comm CommModel, capture *SeqTimes) (*Result, error) {
+	res, err := ev.prep(g, p, priority, decisions, nil)
+	if err != nil {
+		return nil, err
 	}
-	ev.seq = seq
+	if err := ev.place(g, priority, decisions, comm, res, nil); err != nil {
+		return nil, err
+	}
 	if capture != nil {
-		capture.Seq = append(capture.Seq[:0], seq...)
+		capture.Seq = append(capture.Seq[:0], ev.seq...)
 		capture.StartUS = append(capture.StartUS[:0], res.StartUS...)
 		capture.EndUS = append(capture.EndUS[:0], res.EndUS...)
 	}
-	ev.finish(g, p, decisions, res, seq)
+	ev.finish(g, p, decisions, res, ev.seq)
 	return res, nil
 }
 
@@ -411,19 +427,20 @@ func (ev *Evaluator) RunWithCommCapture(g *taskgraph.Graph, p *platform.Platform
 // start/end times bit for bit (re-deriving the per-PE free times and busy
 // sums in the same order), later pops recompute with the operation
 // sequence of RunWithCommCapture. The result is bit-identical to a full
-// run on the same inputs. capture, when non-nil, records the new times;
-// its Seq aliases prev.Seq.
+// run on the same inputs. Only the changed decisions are validated: the
+// others must be the captured run's, which passed validation then.
+// capture, when non-nil, records the new times; its Seq aliases prev.Seq.
 func (ev *Evaluator) RunWithCommDelta(g *taskgraph.Graph, p *platform.Platform, priority []int, decisions []TaskDecision, comm CommModel, prev *SeqTimes, changed []bool, capture *SeqTimes) (*Result, error) {
 	n := g.NumTasks()
-	res, err := ev.prep(g, p, priority, decisions, comm)
+	if len(changed) != n {
+		return nil, fmt.Errorf("schedule: changed mask has %d entries, want %d", len(changed), n)
+	}
+	res, err := ev.prep(g, p, priority, decisions, changed)
 	if err != nil {
 		return nil, err
 	}
 	if len(prev.Seq) != n || len(prev.StartUS) != n || len(prev.EndUS) != n {
 		return nil, fmt.Errorf("schedule: replay state for %d tasks, want %d", len(prev.Seq), n)
-	}
-	if len(changed) != n {
-		return nil, fmt.Errorf("schedule: changed mask has %d entries, want %d", len(changed), n)
 	}
 	k := n
 	for i, t := range prev.Seq {
@@ -445,27 +462,10 @@ func (ev *Evaluator) RunWithCommDelta(g *taskgraph.Graph, p *platform.Platform, 
 		res.PEBusyUS[d.PE] += d.Metrics.AvgExTimeUS
 	}
 	// Affected suffix: recompute with the exact operation sequence of the
-	// full path, iterating the replayed pop order instead of the heap.
-	for i := k; i < n; i++ {
-		t := int(prev.Seq[i])
-		d := &decisions[t]
-		readyAt := 0.0
-		for _, pr := range g.Preds(t) {
-			at := res.EndUS[pr]
-			if comm.enabled() && decisions[pr].PE != d.PE {
-				at += comm.Delay(ev.edgeKB[[2]int{pr, t}])
-			}
-			if at > readyAt {
-				readyAt = at
-			}
-		}
-		start := laterOf(readyAt, ev.peFree[d.PE])
-		end := start + d.Metrics.AvgExTimeUS
-		res.StartUS[t] = start
-		res.EndUS[t] = end
-		ev.peFree[d.PE] = end
-		res.PEBusyUS[d.PE] += d.Metrics.AvgExTimeUS
-	}
+	// full path, iterating the replayed pop order instead of the ready set.
+	// The suffix is non-nil even when empty (prev.Seq holds n ≥ 1 tasks),
+	// and place never fails on a replay.
+	_ = ev.place(g, priority, decisions, comm, res, prev.Seq[k:])
 	if capture != nil {
 		capture.Seq = prev.Seq
 		capture.StartUS = append(capture.StartUS[:0], res.StartUS...)

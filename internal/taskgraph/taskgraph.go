@@ -40,8 +40,9 @@ type Graph struct {
 
 	tasks []Task
 	edges []Edge
-	preds [][]int
-	succs [][]int
+	// adj is the flat dependency structure, built once in init; Preds and
+	// Succs return views of it.
+	adj Adjacency
 	// normCrit caches the normalized criticality weights ζ of Eq. 3,
 	// computed once in init — the list scheduler reads them per evaluation.
 	normCrit []float64
@@ -111,8 +112,6 @@ func (g *Graph) init() error {
 		return fmt.Errorf("taskgraph %q: period %v must be positive", g.Name, g.PeriodUS)
 	}
 	n := len(g.tasks)
-	g.preds = make([][]int, n)
-	g.succs = make([][]int, n)
 	type pair struct{ from, to int }
 	seen := make(map[pair]bool, len(g.edges))
 	for i, t := range g.tasks {
@@ -144,9 +143,8 @@ func (g *Graph) init() error {
 			return fmt.Errorf("taskgraph %q: duplicate edge %v", g.Name, e)
 		}
 		seen[k] = true
-		g.succs[e.From] = append(g.succs[e.From], e.To)
-		g.preds[e.To] = append(g.preds[e.To], e.From)
 	}
+	g.adj = buildAdjacency(n, g.edges)
 	if _, err := g.topoOrder(); err != nil {
 		return err
 	}
@@ -182,18 +180,78 @@ func (g *Graph) Tasks() []Task { return append([]Task(nil), g.tasks...) }
 // allocation profile.)
 func (g *Graph) Edges() []Edge { return g.edges }
 
-// Preds returns the predecessor task IDs of t. The returned slice is a
-// shared internal view — callers must not modify it.
+// Preds returns the predecessor task IDs of t, in edge order. The returned
+// slice is a shared internal view — callers must not modify it.
 func (g *Graph) Preds(t int) []int {
 	g.check(t)
-	return g.preds[t]
+	return g.adj.preds(t)
 }
 
-// Succs returns the successor task IDs of t. The returned slice is a
-// shared internal view — callers must not modify it.
+// Succs returns the successor task IDs of t, in edge order. The returned
+// slice is a shared internal view — callers must not modify it.
 func (g *Graph) Succs(t int) []int {
 	g.check(t)
-	return g.succs[t]
+	return g.adj.succs(t)
+}
+
+// Adjacency returns the graph's flat dependency structure, the one Preds
+// and Succs return views of. It is shared and must not be modified.
+func (g *Graph) Adjacency() *Adjacency { return &g.adj }
+
+// Adjacency is the dependency structure of a graph in compressed sparse
+// row form: the predecessors of task t are Pred[PredStart[t]:PredStart[t+1]]
+// in edge order, and PredKB at the same indices holds the data volume of
+// each of those edges; the successors of t are
+// Succ[SuccStart[t]:SuccStart[t+1]], also in edge order. The list
+// scheduler walks these arrays directly on its per-evaluation hot path.
+type Adjacency struct {
+	PredStart, SuccStart []int
+	Pred, Succ           []int
+	PredKB               []float64
+}
+
+// buildAdjacency lays the edges of an n-task graph out in CSR form. Each
+// task's lists keep the order of the edge list.
+func buildAdjacency(n int, edges []Edge) Adjacency {
+	a := Adjacency{
+		PredStart: make([]int, n+1),
+		SuccStart: make([]int, n+1),
+		Pred:      make([]int, len(edges)),
+		Succ:      make([]int, len(edges)),
+		PredKB:    make([]float64, len(edges)),
+	}
+	for _, e := range edges {
+		a.PredStart[e.To+1]++
+		a.SuccStart[e.From+1]++
+	}
+	for t := 0; t < n; t++ {
+		a.PredStart[t+1] += a.PredStart[t]
+		a.SuccStart[t+1] += a.SuccStart[t]
+	}
+	// Fill cursors: the next free slot of each task's lists.
+	nextPred := append([]int(nil), a.PredStart[:n]...)
+	nextSucc := append([]int(nil), a.SuccStart[:n]...)
+	for _, e := range edges {
+		i := nextPred[e.To]
+		a.Pred[i], a.PredKB[i] = e.From, e.DataKB
+		nextPred[e.To]++
+		a.Succ[nextSucc[e.From]] = e.To
+		nextSucc[e.From]++
+	}
+	return a
+}
+
+// preds and succs return task t's lists as capacity-capped views, so an
+// append by a careless caller reallocates instead of overwriting the next
+// task's entries.
+func (a *Adjacency) preds(t int) []int {
+	lo, hi := a.PredStart[t], a.PredStart[t+1]
+	return a.Pred[lo:hi:hi]
+}
+
+func (a *Adjacency) succs(t int) []int {
+	lo, hi := a.SuccStart[t], a.SuccStart[t+1]
+	return a.Succ[lo:hi:hi]
 }
 
 func (g *Graph) check(t int) {
@@ -237,7 +295,7 @@ func (g *Graph) topoOrder() ([]int, error) {
 		t := ready[best]
 		ready = append(ready[:best], ready[best+1:]...)
 		order = append(order, t)
-		for _, s := range g.succs[t] {
+		for _, s := range g.adj.succs(t) {
 			indeg[s]--
 			if indeg[s] == 0 {
 				ready = append(ready, s)
@@ -357,7 +415,7 @@ func (g *Graph) Depth() int {
 	max := 0
 	for _, t := range g.TopoOrder() {
 		d := 1
-		for _, pr := range g.preds[t] {
+		for _, pr := range g.adj.preds(t) {
 			if depth[pr]+1 > d {
 				d = depth[pr] + 1
 			}
@@ -377,7 +435,7 @@ func (g *Graph) LevelWidths() []int {
 	max := 0
 	for _, t := range g.TopoOrder() {
 		d := 1
-		for _, pr := range g.preds[t] {
+		for _, pr := range g.adj.preds(t) {
 			if depth[pr]+1 > d {
 				d = depth[pr] + 1
 			}

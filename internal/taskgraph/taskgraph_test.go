@@ -3,6 +3,7 @@ package taskgraph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -225,6 +226,66 @@ func TestSharedViewAccessorsStable(t *testing.T) {
 	}
 	if a, b := g.NormalizedCriticality(), g.NormalizedCriticality(); len(a) == 0 || &a[0] != &b[0] {
 		t.Fatal("NormalizedCriticality should return the precomputed shared view")
+	}
+}
+
+// TestAdjacencyMatchesEdges checks the flat adjacency against the edge
+// list it is built from: with the edges added in random order and random
+// data volumes, each task's predecessors (with their volumes) and
+// successors are the edges into and out of it, in edge order. An append
+// to a returned view must not reach the next task's entries.
+func TestAdjacencyMatchesEdges(t *testing.T) {
+	f := func(seed int64, nRaw uint8) bool {
+		n := int(nRaw%30) + 1
+		rng := rand.New(rand.NewSource(seed))
+		b := NewBuilder("rand", 100)
+		for i := 0; i < n; i++ {
+			b.AddTask("t", 0, 1)
+		}
+		var edges []Edge
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < 0.3 {
+					edges = append(edges, Edge{From: i, To: j, DataKB: rng.Float64() * 64})
+				}
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for _, e := range edges {
+			b.AddEdgeData(e.From, e.To, e.DataKB)
+		}
+		g := b.MustBuild()
+		adj := g.Adjacency()
+		for v := 0; v < n; v++ {
+			var preds, succs []int
+			var kb []float64
+			for _, e := range edges {
+				if e.To == v {
+					preds = append(preds, e.From)
+					kb = append(kb, e.DataKB)
+				}
+				if e.From == v {
+					succs = append(succs, e.To)
+				}
+			}
+			lo, hi := adj.PredStart[v], adj.PredStart[v+1]
+			if !slices.Equal(g.Preds(v), preds) || !slices.Equal(adj.Pred[lo:hi], preds) ||
+				!slices.Equal(adj.PredKB[lo:hi], kb) || !slices.Equal(g.Succs(v), succs) ||
+				!slices.Equal(adj.Succ[adj.SuccStart[v]:adj.SuccStart[v+1]], succs) {
+				return false
+			}
+		}
+		if n > 1 {
+			next := slices.Clone(g.Preds(1))
+			_ = append(g.Preds(0), 99)
+			if !slices.Equal(g.Preds(1), next) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
