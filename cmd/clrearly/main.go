@@ -8,12 +8,6 @@
 //	         [-max-makespan US] [-min-frel F] [-min-mttf H] [-max-energy UJ] [-max-power W]
 //	         [-platform hmpsoc|fpga] [-catalog default|extended|fpga]
 //	         [-faults model.json] [-ckpt-modes] [-ckpt-intervals 1,2]
-//	         [-remote URL]
-//
-// -remote offloads the run to a clrearlyd daemon or fleet front door
-// (http://KEY@host:port; the userinfo is the API key) with a transparent
-// local fallback; the printed front is byte-identical to a local run
-// either way. A rejected API key is an error, not a fallback.
 //
 // The synthetic application uses the TGFF-style generator over ten task
 // types; sobel is the five-task edge-detection pipeline of the paper's
@@ -35,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultmodel"
 	"repro/internal/gantt"
-	"repro/internal/gateway"
 	"repro/internal/schedule"
 	"repro/internal/service"
 )
@@ -74,7 +67,6 @@ func run(args []string, w io.Writer) error {
 	memory := fs.Bool("memory", false, "enforce per-PE local memory capacities")
 	jsonOut := fs.Bool("json", false, "emit the front as JSON in the service wire format")
 	ganttChart := fs.Bool("gantt", false, "render the most reliable mapping as a Gantt chart (proposed/fcclr only)")
-	remote := fs.String("remote", "", "gateway or daemon URL (http://KEY@host:port); offload the run with local fallback")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -135,11 +127,6 @@ func run(args []string, w io.Writer) error {
 	if *ganttChart && spec.Method != "proposed" && spec.Method != "fcclr" {
 		return fmt.Errorf("-gantt requires a full-configuration method (proposed or fcclr)")
 	}
-	if *ganttChart && *remote != "" {
-		// Genomes do not travel on the wire, so a remote front cannot be
-		// rendered as a schedule.
-		return fmt.Errorf("-gantt requires a local run (drop -remote)")
-	}
 
 	inst, flib, err := service.Build(&spec)
 	if err != nil {
@@ -149,21 +136,7 @@ func run(args []string, w io.Writer) error {
 		fcLog, pfLog := core.SearchSpaceLog10(inst, flib)
 		fmt.Fprintf(w, "design space: fcCLR ≈ 10^%.0f points, pfCLR ≈ 10^%.0f points\n", fcLog, pfLog)
 	}
-	var front *core.Front
-	if *remote != "" {
-		// The local fallback on the already-built instance makes the
-		// output byte-identical to a local run even if the remote side
-		// fails.
-		var client *gateway.Client
-		if client, err = gateway.NewClient(*remote); err != nil {
-			return err
-		}
-		front, err = client.Run(context.Background(), &spec, func() (*core.Front, error) {
-			return service.ExecuteOn(context.Background(), inst, flib, &spec, nil)
-		})
-	} else {
-		front, err = service.ExecuteOn(context.Background(), inst, flib, &spec, nil)
-	}
+	front, err := service.ExecuteOn(context.Background(), inst, flib, &spec, nil)
 	if err != nil {
 		return err
 	}

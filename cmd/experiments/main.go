@@ -8,7 +8,7 @@
 //	             ablation-seeding,ablation-operators,ablation-comm,ablation-engine,
 //	             ablation-heft,ext-scenario,ext-memory,ext-fpga]
 //	            [-pop N] [-gens N] [-seed N] [-sizes 10,20,...] [-quick] [-jobs N]
-//	            [-remote URL] [-timing=false] [-json file]
+//	            [-timing=false] [-json file]
 //	            [-cpuprofile file] [-memprofile file]
 //
 // -quick switches to a reduced GA budget and a short size sweep, useful for
@@ -17,16 +17,7 @@
 // -jobs bounds how many experiment cells (strategy run × size × layer ×
 // ablation arm) execute concurrently; 0 (the default) uses every core.
 // Output is byte-identical for every -jobs value at a fixed -seed — only
-// the per-experiment wall-clock in the section headers differs.
-//
-// -remote http://KEY@host:port runs the system-level experiment cells
-// (fig7, table5, fig8, table6) through a clrearlyd fleet front door (or a
-// single daemon), at most -jobs cells in flight. Remote runs rebuild the exact
-// local instances from seeds and every failure falls back to local
-// execution, so output is byte-identical to a local run — including
-// workers dying mid-sweep, which the gateway's lease expiry covers. A
-// rejected API key ends the run instead. The remote and local-fallback
-// cell counts are printed to stderr when the run finishes. Use
+// the per-experiment wall-clock in the section headers differs. Use
 // -timing=false to drop wall-clock times from section headers when
 // diffing runs.
 package main
@@ -45,7 +36,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/gateway"
 )
 
 func main() {
@@ -67,7 +57,6 @@ func run(args []string, w, errw io.Writer) error {
 	sizes := fs.String("sizes", "", "comma-separated task counts for the table sweeps")
 	jobs := fs.Int("jobs", 0, "max concurrent experiment cells (0 = all cores, 1 = sequential)")
 	jsonPath := fs.String("json", "", "also write all results as JSON to this file")
-	remote := fs.String("remote", "", "gateway URL (http://KEY@host:port) that runs the system-level cells")
 	timing := fs.Bool("timing", true, "include wall-clock times in section headers")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -141,17 +130,6 @@ func run(args []string, w, errw io.Writer) error {
 		cfg.Sizes = parsed
 	}
 	cfg.Jobs = *jobs
-	if *remote != "" {
-		client, err := gateway.NewClient(*remote)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			n, fallback := client.Counts()
-			fmt.Fprintf(errw, "remote: %d cells remote, %d local fallback\n", n, fallback)
-		}()
-		cfg.Remote = client
-	}
 
 	type experiment struct {
 		id  string

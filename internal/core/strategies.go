@@ -297,7 +297,7 @@ func ProposedFrom(inst *Instance, cfg RunConfig, flib *tdse.Library, pfStage *Fr
 			Genome:     seed,
 		})
 	}
-	return MergeFronts(front, seedFront), nil
+	return mergeFronts(front, seedFront), nil
 }
 
 // reencodeSeeds converts pfCLR front genomes into fcCLR genomes: the chosen
@@ -451,16 +451,14 @@ func Agnostic(inst *Instance, cfg RunConfig) (*Front, map[Layer]*Front, error) {
 	for i, layer := range Layers() {
 		perLayer[layer] = fronts[i]
 	}
-	return MergeFronts(fronts...), perLayer, nil
+	return mergeFronts(fronts...), perLayer, nil
 }
 
-// MergeFronts concatenates the points of several fronts in argument order,
+// mergeFronts concatenates the points of several fronts in argument order,
 // keeps the dominant (non-dominated) ones and sums the evaluation counts —
 // the merge step that turns the four single-layer fronts into the Agnostic
-// baseline. The filter preserves concatenation order, so the merged front
-// is identical whether the inputs were computed in-process or rebuilt from
-// their wire forms by a remote sweep.
-func MergeFronts(fronts ...*Front) *Front {
+// baseline. The filter preserves concatenation order.
+func mergeFronts(fronts ...*Front) *Front {
 	var all []Point
 	evals := 0
 	for _, f := range fronts {

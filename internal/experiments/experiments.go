@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/characterize"
 	"repro/internal/core"
-	"repro/internal/gateway"
 	"repro/internal/pareto"
 	"repro/internal/platform"
 	"repro/internal/relmodel"
@@ -37,15 +36,6 @@ type Config struct {
 	// All per-cell seeds derive from Seed and results are merged in a
 	// fixed order, so output is byte-identical for every Jobs value.
 	Jobs int
-	// Remote, when non-nil, runs the system-level experiment cells
-	// (Fig. 7/8, TABLEs V/VI) through a gateway or daemon job API. Each
-	// remote cell is a self-contained JobSpec reproducing the local
-	// instance from seeds, results merge in cell order, and every remote
-	// failure falls back to the cell's local closure — so output stays
-	// byte-identical to a purely local run. Experiments without a wire
-	// form (Fig. 10, TABLE VII, ablations, task-level studies) always run
-	// locally.
-	Remote *gateway.Client
 }
 
 // Default returns the paper-scale configuration: applications of 10–100

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/pareto"
 	"repro/internal/platform"
 	"repro/internal/relmodel"
-	"repro/internal/service"
 	"repro/internal/sweep"
 	"repro/internal/tdse"
 	"repro/internal/tgff"
@@ -35,86 +33,6 @@ func (c Config) tdseLibrary(k int) (*tdse.Library, error) {
 	p := platform.Default()
 	return tdse.Build(syntheticLibrary(c, p), p, relmodel.DefaultCatalog(),
 		tdse.DefaultOptions(), TDSEObjectiveSets()[k])
-}
-
-// systemSpec is the wire form of one system-level experiment cell: a
-// JobSpec from which a remote worker rebuilds exactly the instance of
-// systemInstance(tasks) — graph seed Seed+tasks, library seed Seed+500,
-// default platform/catalog/objectives — and runs the given method with the
-// given budget.
-func (c Config) systemSpec(method string, tasks, gens int, seed int64) *service.JobSpec {
-	return &service.JobSpec{
-		App:       "synthetic",
-		Tasks:     tasks,
-		GraphSeed: c.Seed + int64(tasks),
-		LibSeed:   c.Seed + 500,
-		Method:    method,
-		Pop:       c.Pop,
-		Gens:      gens,
-		Seed:      seed,
-	}
-}
-
-// cell is one system-level experiment run, in two forms that compute the
-// same front: spec, its wire form for a remote run (nil pins the cell to
-// the local path), and local, the in-process run that is ground truth.
-// store receives the front; each cell stores into its own slot, and the
-// caller merges the slots in cell order after runCells returns.
-type cell struct {
-	spec  *service.JobSpec
-	local func() (*core.Front, error)
-	store func(*core.Front)
-}
-
-// runCells executes cells with the sweep engine, at most c.Jobs at once.
-// A cell with a spec goes through the remote client when one is
-// configured, and runs locally otherwise. Either way the lowest-indexed
-// cell error wins, so the caller-visible outcome is identical.
-func (c Config) runCells(cells []cell) error {
-	tasks := make([]func() error, len(cells))
-	for i := range cells {
-		cl := &cells[i]
-		tasks[i] = func() error {
-			var front *core.Front
-			var err error
-			if c.Remote != nil && cl.spec != nil {
-				front, err = c.Remote.Run(context.Background(), cl.spec, cl.local)
-			} else {
-				front, err = cl.local()
-			}
-			if err != nil {
-				return err
-			}
-			cl.store(front)
-			return nil
-		}
-	}
-	return sweep.Run(c.Jobs, tasks)
-}
-
-// agnosticCells builds the four single-layer cells whose merged fronts
-// form the Agnostic baseline, replicating core.Agnostic's seed derivation
-// (layer i runs at seed+i·1000) so the distributed decomposition is
-// byte-identical to the in-process call. Fronts land in out[0..3] in layer
-// order.
-func (c Config) agnosticCells(inst *core.Instance, tasks int, seed int64, out []*core.Front) []cell {
-	var cells []cell
-	for i, layer := range core.Layers() {
-		i, layer := i, layer
-		layerCfg := c.run(seed + int64(i)*1000)
-		cells = append(cells, cell{
-			spec: c.systemSpec(service.LayerMethod(layer), tasks, c.Gens, layerCfg.Seed),
-			local: func() (*core.Front, error) {
-				f, err := core.SingleLayer(inst, layerCfg, layer)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %v-only run: %w", layer, err)
-				}
-				return f, nil
-			},
-			store: func(f *core.Front) { out[i] = f },
-		})
-	}
-	return cells
 }
 
 // Fig7Result holds the system-level fronts of the cross-layer vs.
@@ -145,33 +63,27 @@ func (c Config) fig7At(tasks int) (*Fig7Result, error) {
 	// Equal total evaluation budget: the agnostic side runs four GA
 	// optimizations, the proposed flow two stages — double the stage
 	// budget so both approaches spend 4× (pop·gens) evaluations.
-	// The CLR run and the four single-layer runs are independent cells on
-	// the shared instance (and its shared metric cache); seeds are fixed
-	// per cell, and the agnostic side is merged from the layer fronts in
-	// layer order, exactly as core.Agnostic would.
+	// The CLR run and the agnostic run are independent tasks on the shared
+	// instance (and its shared metric cache); the agnostic run sweeps its
+	// four layers itself.
 	clrCfg := c.run(c.Seed + 1)
 	clrCfg.Gens *= 2
-	var clr *core.Front
-	layerFronts := make([]*core.Front, len(core.Layers()))
-	cells := []cell{{
-		spec: c.systemSpec("proposed", tasks, clrCfg.Gens, clrCfg.Seed),
-		local: func() (*core.Front, error) {
-			f, err := core.Proposed(inst, clrCfg, flib)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: CLR run: %w", err)
+	var clr, agn *core.Front
+	var perLayer map[core.Layer]*core.Front
+	err = sweep.Run(c.Jobs, []func() error{
+		func() (err error) {
+			if clr, err = core.Proposed(inst, clrCfg, flib); err != nil {
+				return fmt.Errorf("experiments: CLR run: %w", err)
 			}
-			return f, nil
+			return nil
 		},
-		store: func(f *core.Front) { clr = f },
-	}}
-	cells = append(cells, c.agnosticCells(inst, tasks, c.Seed+2, layerFronts)...)
-	if err := c.runCells(cells); err != nil {
+		func() (err error) {
+			agn, perLayer, err = core.Agnostic(inst, c.run(c.Seed+2))
+			return err
+		},
+	})
+	if err != nil {
 		return nil, err
-	}
-	agn := core.MergeFronts(layerFronts...)
-	perLayer := make(map[core.Layer]*core.Front, len(layerFronts))
-	for i, layer := range core.Layers() {
-		perLayer[layer] = layerFronts[i]
 	}
 	out := &Fig7Result{
 		Tasks:    tasks,
@@ -214,34 +126,33 @@ func (c Config) Table5() (*Table5Result, error) {
 		return nil, err
 	}
 	out := &Table5Result{Sizes: c.Sizes}
-	// One cell per (size, strategy run): a proposed cell and four
-	// single-layer cells per size. Cells of one size share the instance,
-	// so their Markov-metric cache is shared too.
+	// Two tasks per size: the proposed run and the agnostic run. Tasks of
+	// one size share the instance, so their Markov-metric cache is shared
+	// too.
 	clrs := make([]*core.Front, len(c.Sizes))
-	layerFronts := make([][]*core.Front, len(c.Sizes))
-	var cells []cell
-	for i, tasks := range c.Sizes {
-		i, tasks := i, tasks
-		inst := c.systemInstance(tasks)
+	agns := make([]*core.Front, len(c.Sizes))
+	var tasks []func() error
+	for i, size := range c.Sizes {
+		inst := c.systemInstance(size)
 		// Equal total budgets, as in fig7At.
-		clrCfg := c.run(c.Seed + int64(tasks)*7 + 1)
+		clrCfg := c.run(c.Seed + int64(size)*7 + 1)
 		clrCfg.Gens *= 2
-		cells = append(cells, cell{
-			spec: c.systemSpec("proposed", tasks, clrCfg.Gens, clrCfg.Seed),
-			local: func() (*core.Front, error) {
-				return core.Proposed(inst, clrCfg, flib)
+		tasks = append(tasks,
+			func() (err error) {
+				clrs[i], err = core.Proposed(inst, clrCfg, flib)
+				return err
 			},
-			store: func(f *core.Front) { clrs[i] = f },
-		})
-		layerFronts[i] = make([]*core.Front, len(core.Layers()))
-		cells = append(cells, c.agnosticCells(inst, tasks, c.Seed+int64(tasks)*7+2, layerFronts[i])...)
+			func() (err error) {
+				agns[i], _, err = core.Agnostic(inst, c.run(c.Seed+int64(size)*7+2))
+				return err
+			},
+		)
 	}
-	if err := c.runCells(cells); err != nil {
+	if err := sweep.Run(c.Jobs, tasks); err != nil {
 		return nil, err
 	}
 	for i := range c.Sizes {
-		agn := core.MergeFronts(layerFronts[i]...)
-		hv := commonHypervolumes(frontPoints(clrs[i]), frontPoints(agn))
+		hv := commonHypervolumes(frontPoints(clrs[i]), frontPoints(agns[i]))
 		out.IncreasePct = append(out.IncreasePct, pctIncrease(hv[0], hv[1]))
 	}
 	return out, nil
@@ -279,18 +190,9 @@ func (c Config) fig8At(tasks int) (*Fig8Result, error) {
 		return nil, err
 	}
 	var fc, prop *core.Front
-	fcCfg, propCfg := c.run(c.Seed+3), c.run(c.Seed+4)
-	err = c.runCells([]cell{
-		{
-			spec:  c.systemSpec("fcclr", tasks, c.Gens, fcCfg.Seed),
-			local: func() (*core.Front, error) { return core.FcCLR(inst, fcCfg) },
-			store: func(f *core.Front) { fc = f },
-		},
-		{
-			spec:  c.systemSpec("proposed", tasks, c.Gens, propCfg.Seed),
-			local: func() (*core.Front, error) { return core.Proposed(inst, propCfg, flib) },
-			store: func(f *core.Front) { prop = f },
-		},
+	err = sweep.Run(c.Jobs, []func() error{
+		func() (err error) { fc, err = core.FcCLR(inst, c.run(c.Seed+3)); return err },
+		func() (err error) { prop, err = core.Proposed(inst, c.run(c.Seed+4), flib); return err },
 	})
 	if err != nil {
 		return nil, err
@@ -336,26 +238,17 @@ func (c Config) Table6() (*Table6Result, error) {
 	out := &Table6Result{Sizes: c.Sizes}
 	fcs := make([]*core.Front, len(c.Sizes))
 	props := make([]*core.Front, len(c.Sizes))
-	var cells []cell
-	for i, tasks := range c.Sizes {
-		i, tasks := i, tasks
-		inst := c.systemInstance(tasks)
-		fcCfg := c.run(c.Seed + int64(tasks)*11 + 1)
-		propCfg := c.run(c.Seed + int64(tasks)*11 + 2)
-		cells = append(cells,
-			cell{
-				spec:  c.systemSpec("fcclr", tasks, c.Gens, fcCfg.Seed),
-				local: func() (*core.Front, error) { return core.FcCLR(inst, fcCfg) },
-				store: func(f *core.Front) { fcs[i] = f },
-			},
-			cell{
-				spec:  c.systemSpec("proposed", tasks, c.Gens, propCfg.Seed),
-				local: func() (*core.Front, error) { return core.Proposed(inst, propCfg, flib) },
-				store: func(f *core.Front) { props[i] = f },
-			},
+	var tasks []func() error
+	for i, size := range c.Sizes {
+		inst := c.systemInstance(size)
+		fcCfg := c.run(c.Seed + int64(size)*11 + 1)
+		propCfg := c.run(c.Seed + int64(size)*11 + 2)
+		tasks = append(tasks,
+			func() (err error) { fcs[i], err = core.FcCLR(inst, fcCfg); return err },
+			func() (err error) { props[i], err = core.Proposed(inst, propCfg, flib); return err },
 		)
 	}
-	if err := c.runCells(cells); err != nil {
+	if err := sweep.Run(c.Jobs, tasks); err != nil {
 		return nil, err
 	}
 	for i := range c.Sizes {

@@ -189,6 +189,75 @@ func startAgent(t *testing.T, cfg AgentConfig) *Agent {
 	return a
 }
 
+// mixedSpecs is one small Sobel spec per kind of run the job API serves:
+// the three system-level methods and a single-layer run.
+func mixedSpecs() []service.JobSpec {
+	var specs []service.JobSpec
+	for i, method := range []string{"fcclr", "pfclr", "proposed", "layer-hwrel"} {
+		specs = append(specs, service.JobSpec{App: "sobel", Method: method, Pop: 16, Gens: 3, Seed: int64(42 + i)})
+	}
+	return specs
+}
+
+// submitAll puts every spec in flight at once and returns the job IDs in
+// spec order.
+func submitAll(t *testing.T, ts *httptest.Server, key string, specs []service.JobSpec) []string {
+	t.Helper()
+	ids := make([]string, len(specs))
+	for i, spec := range specs {
+		jw, resp := submitSpec(t, ts, key, spec)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s = %d, want 202", spec.Method, resp.StatusCode)
+		}
+		ids[i] = jw.ID
+	}
+	return ids
+}
+
+// requireLocalFronts waits for every job and requires its front to be
+// byte-identical to a single-node run of the same spec.
+func requireLocalFronts(t *testing.T, ts *httptest.Server, key string, specs []service.JobSpec, ids []string) {
+	t.Helper()
+	for i, spec := range specs {
+		final := waitFor(t, ts, key, ids[i], 60*time.Second, isDone)
+		if final.Front == nil {
+			t.Fatalf("%s: done job carries no front", spec.Method)
+		}
+		if got, want := marshalFront(t, final.Front), referenceFront(t, spec); !bytes.Equal(got, want) {
+			t.Fatalf("%s: fleet front differs from single-node run:\n got %s\nwant %s", spec.Method, got, want)
+		}
+	}
+}
+
+// startVictim starts an agent that claims one job and then hangs until
+// it is killed. The returned channel fires once it holds a lease.
+func startVictim(t *testing.T, cfg AgentConfig) (*Agent, <-chan struct{}) {
+	t.Helper()
+	claimed := make(chan struct{}, 1)
+	cfg.Name = "victim"
+	cfg.Exec = func(ctx context.Context, s *service.JobSpec, progress func(core.ProgressEvent)) (*core.Front, error) {
+		select {
+		case claimed <- struct{}{}:
+		default:
+		}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	return startAgent(t, cfg), claimed
+}
+
+// awaitClaim blocks until the victim holds a lease, then kills it: the
+// SIGKILL stand-in sends no completion and releases no lease.
+func awaitClaim(t *testing.T, victim *Agent, claimed <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-claimed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("victim never claimed a job")
+	}
+	victim.Kill()
+}
+
 // TestFleetWorkerDeath is the control plane's crash drill: three real
 // in-process workers serve a fleet, the one holding the lease is killed
 // mid-run, and the job must re-enqueue via lease expiry, complete on a
@@ -200,54 +269,63 @@ func TestFleetWorkerDeath(t *testing.T) {
 		LeaseTTL:    300 * time.Millisecond,
 		ProbeEvery:  -1,
 	})
+	victim, claimed := startVictim(t, AgentConfig{Gateway: ts.URL, Token: "wtok"})
 
-	// The victim claims the job first and then hangs until killed.
-	claimed := make(chan struct{}, 1)
-	victim := startAgent(t, AgentConfig{
-		Gateway: ts.URL, Token: "wtok", Name: "victim",
-		Exec: func(ctx context.Context, s *service.JobSpec, progress func(core.ProgressEvent)) (*core.Front, error) {
-			select {
-			case claimed <- struct{}{}:
-			default:
-			}
-			<-ctx.Done()
-			return nil, ctx.Err()
-		},
-	})
-
-	spec := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 3, Seed: 42}
-	jw, resp := submitSpec(t, ts, "key1", spec)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %d, want 202", resp.StatusCode)
-	}
-
-	select {
-	case <-claimed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("victim never claimed the job")
-	}
-	victim.Kill() // SIGKILL stand-in: no completion, no lease release
+	specs := []service.JobSpec{{App: "sobel", Method: "fcclr", Pop: 16, Gens: 3, Seed: 42}}
+	ids := submitAll(t, ts, "key1", specs)
+	awaitClaim(t, victim, claimed)
 
 	// Two healthy survivors running the real solver.
 	for i := 0; i < 2; i++ {
 		startAgent(t, AgentConfig{Gateway: ts.URL, Token: "wtok", Name: fmt.Sprintf("w%d", i)})
 	}
-
-	final := waitFor(t, ts, "key1", jw.ID, 60*time.Second, isDone)
-	if final.Front == nil {
-		t.Fatal("done job carries no front")
-	}
-
-	// Byte-identical to a single-node run at the same seed.
-	if got, want := marshalFront(t, final.Front), referenceFront(t, spec); !bytes.Equal(got, want) {
-		t.Fatalf("fleet front differs from single-node run:\n got %s\nwant %s", got, want)
-	}
+	requireLocalFronts(t, ts, "key1", specs, ids)
 
 	if n := g.m.leasesExpired.Load(); n < 1 {
 		t.Fatalf("leasesExpired = %d, want >= 1 (the victim's lease must have been reclaimed)", n)
 	}
 	if n := g.m.leasesGranted.Load(); n < 2 {
 		t.Fatalf("leasesGranted = %d, want >= 2 (victim + survivor)", n)
+	}
+}
+
+// TestClientSweepMatchesLocal: a sweep of mixed methods, submitted over
+// the job API all at once, runs every job on the two remote agents and
+// returns the fronts of single-node runs.
+func TestClientSweepMatchesLocal(t *testing.T) {
+	g, ts := newTestGateway(t, Config{ProbeEvery: -1})
+	for _, name := range []string{"w0", "w1"} {
+		startAgent(t, AgentConfig{Gateway: ts.URL, Name: name})
+	}
+	specs := mixedSpecs()
+	requireLocalFronts(t, ts, "key1", specs, submitAll(t, ts, "key1", specs))
+	if n := g.m.leasesGranted.Load(); n < int64(len(specs)) {
+		t.Fatalf("leasesGranted = %d, want >= %d", n, len(specs))
+	}
+}
+
+// TestClientSweepSurvivesKilledAgent: the agent holding the first lease
+// of a mixed sweep is killed mid-run; its lease expires, the job is
+// redelivered to a survivor, and every job still returns the front of a
+// single-node run.
+func TestClientSweepSurvivesKilledAgent(t *testing.T) {
+	g, ts := newTestGateway(t, Config{LeaseTTL: 300 * time.Millisecond, ProbeEvery: -1})
+	victim, claimed := startVictim(t, AgentConfig{Gateway: ts.URL})
+
+	specs := mixedSpecs()
+	ids := submitAll(t, ts, "key1", specs)
+	awaitClaim(t, victim, claimed)
+
+	for _, name := range []string{"w0", "w1"} {
+		startAgent(t, AgentConfig{Gateway: ts.URL, Name: name})
+	}
+	requireLocalFronts(t, ts, "key1", specs, ids)
+
+	if n := g.m.leasesExpired.Load(); n < 1 {
+		t.Fatalf("leasesExpired = %d, want >= 1 (the victim's lease must have been reclaimed)", n)
+	}
+	if n := g.m.leasesGranted.Load(); n < int64(len(specs))+1 {
+		t.Fatalf("leasesGranted = %d, want >= %d (victim + one per job)", n, len(specs)+1)
 	}
 }
 

@@ -48,8 +48,7 @@ func decodeSpec(w http.ResponseWriter, r *http.Request, maxBytes int64) (service
 
 // handleWait long-polls a job's status: it blocks until the job reaches a
 // terminal state or the "timeout" query parameter (default 30s, capped at
-// 5m) elapses, then answers the job's status. Client awaits its cells
-// here.
+// 5m) elapses, then answers the job's status.
 func (g *Gateway) handleWait(w http.ResponseWriter, r *http.Request) {
 	j := g.lookup(w, r)
 	if j == nil {

@@ -135,3 +135,19 @@ func TestSilentWorkerForgotten(t *testing.T) {
 		t.Fatal("the polling worker is not a probe target")
 	}
 }
+
+func TestNormalizeURL(t *testing.T) {
+	cases := map[string]string{
+		"localhost:8080":          "http://localhost:8080",
+		" http://a:1/ ":           "http://a:1",
+		"https://b.example":       "https://b.example",
+		"":                        "",
+		"  ":                      "",
+		"http://c.example/base//": "http://c.example/base",
+	}
+	for in, want := range cases {
+		if got := normalizeURL(in); got != want {
+			t.Errorf("normalizeURL(%q) = %q, want %q", in, got, want)
+		}
+	}
+}

@@ -12,8 +12,8 @@ import (
 
 // backoff produces jittered exponential retry delays: 100ms doubling per
 // attempt up to a 5s cap, plus up to 50% random jitter so synchronized
-// clients de-correlate their retry storms. It is the retry policy shared
-// by the lease agents and the job-API client. Safe for concurrent use.
+// agents de-correlate their retry storms. It is the lease agents' retry
+// policy. Safe for concurrent use.
 type backoff struct {
 	mu  sync.Mutex
 	rng *rand.Rand

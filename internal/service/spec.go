@@ -46,8 +46,8 @@ type JobSpec struct {
 	// GraphSeed overrides the seed of the synthetic task-graph generator
 	// (0: derive from Seed, as before). LibSeed likewise overrides the seed
 	// of the synthetic characterization library (0: Seed+500). They let a
-	// remote experiment sweep reproduce the exact experiment-harness
-	// instances, whose graph and library seeds differ from the GA seed.
+	// job reproduce the exact experiment-harness instances, whose graph
+	// and library seeds differ from the GA seed.
 	GraphSeed int64 `json:"graph_seed,omitempty"`
 	LibSeed   int64 `json:"lib_seed,omitempty"`
 	// Method is the DSE method: proposed (default), fcclr, pfclr,
@@ -117,16 +117,6 @@ var layerMethods = map[string]core.Layer{
 	"layer-hwrel":  core.LayerHW,
 	"layer-sswrel": core.LayerSSW,
 	"layer-aswrel": core.LayerASW,
-}
-
-// LayerMethod returns the canonical method name of a single-layer run.
-func LayerMethod(l core.Layer) string {
-	for name, layer := range layerMethods {
-		if layer == l {
-			return name
-		}
-	}
-	panic(fmt.Sprintf("service: unknown layer %d", int(l)))
 }
 
 // Normalize fills defaults, lower-cases the enum fields and validates the

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/schedule"
 )
 
 // PointWire is one Pareto point on the wire: the raw objective vector the
@@ -35,9 +34,9 @@ type FrontWire struct {
 // FrontToWire converts a core front into its wire form. Points keep the
 // archive order of the run that produced them: runs are deterministic per
 // normalized spec, so the archive order — and with it the serialized bytes
-// — is canonical, and preserving it lets a remote sweep reconstruct the
-// exact front a local run would have produced. (A
-// re-sorting pass would also be unstable under duplicate QoS vectors.)
+// — is canonical: every daemon, agent and CLI run of one spec emits the
+// same bytes. (A re-sorting pass would also be unstable under duplicate
+// QoS vectors.)
 func FrontToWire(f *core.Front) *FrontWire {
 	out := &FrontWire{Evaluations: f.Evaluations, Points: make([]PointWire, 0, len(f.Points))}
 	for _, p := range f.Points {
@@ -50,31 +49,6 @@ func FrontToWire(f *core.Front) *FrontWire {
 			MTTFHours:     q.MTTFHours,
 			EnergyUJ:      q.EnergyUJ,
 			PeakPowerW:    q.PeakPowerW,
-		})
-	}
-	return out
-}
-
-// FrontFromWire reconstructs a core front from its wire form. Objective
-// vectors, QoS metrics and the evaluation count survive the JSON round
-// trip bit-exactly (encoding/json emits shortest-roundtrip float64), and
-// archive order is preserved by FrontToWire, so downstream analyses
-// (hypervolume, spacing, IGD) see the same bytes as a local run. Genomes
-// do not travel on the wire; the reconstructed points carry nil genomes
-// and QoS structs with only the wire metrics populated.
-func FrontFromWire(fw *FrontWire) *core.Front {
-	out := &core.Front{Evaluations: fw.Evaluations, Points: make([]core.Point, 0, len(fw.Points))}
-	for _, p := range fw.Points {
-		out.Points = append(out.Points, core.Point{
-			Objectives: append([]float64(nil), p.Objectives...),
-			QoS: &schedule.Result{
-				MakespanUS:    p.MakespanUS,
-				FunctionalRel: p.FunctionalRel,
-				ErrProb:       p.ErrProb,
-				MTTFHours:     p.MTTFHours,
-				EnergyUJ:      p.EnergyUJ,
-				PeakPowerW:    p.PeakPowerW,
-			},
 		})
 	}
 	return out
